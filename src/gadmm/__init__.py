@@ -14,7 +14,9 @@ bounds including the extreme relaxation alpha = 2.
 """
 
 from .certificates import (
+    ErgodicCertificate,
     ErgodicPoint,
+    PointwiseCertificate,
     VerificationReport,
     bound_constants,
     bound_report,
@@ -36,6 +38,8 @@ from .errors import (
 from .hpe import (
     HpeCertificate,
     ProximalMetric,
+    Replay,
+    ReportRow,
     build_metric,
     certify_hpe,
     check_delta_inequalities,
@@ -72,6 +76,7 @@ from .solver import (
 __all__ = [
     "CertificationError",
     "ConfigError",
+    "ErgodicCertificate",
     "ErgodicPoint",
     "ExplicitH",
     "GadmmError",
@@ -84,8 +89,11 @@ __all__ = [
     "L1",
     "LinearizedH",
     "NotPositiveDefiniteError",
+    "PointwiseCertificate",
     "ProximalMetric",
     "Quadratic",
+    "Replay",
+    "ReportRow",
     "SeparableInstance",
     "Trajectory",
     "VerificationReport",

@@ -26,22 +26,25 @@ epsilons, and eps_x + eps_y splitting the metric-level averaged epsilon
 
     eps^a = (1/k) sum_i <M dz_i, z~^a - z~_i>
 
-exactly.  Averages use pairwise summation so iteration counts up to 1e5
-do not push the identity residuals past their 1e-8 allowances.
+exactly.  Averages over iterations 1..k are column means of the stored
+K x dim arrays (``mean(axis=0)``), which add the k rows one after another,
+so their rounding error grows with k like a plain running sum.
+
+Every check reads one :class:`gadmm.hpe.Replay` of the trajectory.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import hpe, oracles
-from .errors import CertificationError
-from .hpe import CERT_REL_TOL, INCLUSION_GAP_TOL, ReportRow, cert_tol, sigma_alpha
+from . import hpe, linalg, oracles
+from .hpe import REL, Checks, Replay, cert_tol, gap_note, not_applicable, sigma_alpha, slack_row
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trajectory
@@ -54,14 +57,9 @@ def bound_constants(alpha) -> tuple[float, float, float]:
     """(sigma, c, ct): the relative-error constant and the two ergodic
     bound constants.  At alpha=1: (0.5, 3, 40.5); at alpha=2: (1, 1, 12)."""
     sig = sigma_alpha(alpha)
-    c = (alpha + 4.0 * (2.0 - alpha) * sig) / alpha
-    ct = (
-        3.0
-        * (3.0 * alpha**2 + 4.0 * (1.0 + 2.0 * alpha) * sig)
-        * (alpha + 4.0 * (2.0 - alpha) * sig)
-        / (2.0 * alpha**3)
-    )
-    return sig, c, ct
+    base = alpha + 4.0 * (2.0 - alpha) * sig
+    ct = 3.0 * (3.0 * alpha**2 + 4.0 * (1.0 + 2.0 * alpha) * sig) * base / (2.0 * alpha**3)
+    return sig, base / alpha, ct
 
 
 def pointwise_constant(alpha, d0) -> float:
@@ -82,13 +80,7 @@ def checked_iterations(total, full=False) -> list[int]:
         return []
     if full:
         return list(range(1, total + 1))
-    ks = []
-    k = 1
-    while k < total:
-        ks.append(k)
-        k *= 2
-    ks.append(total)
-    return ks
+    return [1 << i for i in range(total.bit_length()) if 1 << i < total] + [total]
 
 
 @dataclass(frozen=True)
@@ -107,89 +99,43 @@ class ErgodicPoint:
     eps_y: float
 
 
-class _Precomp:
-    """Per-trajectory arrays shared by the certificate evaluations."""
-
-    def __init__(self, traj: "Trajectory", metric: hpe.ProximalMetric):
-        inst = traj.instance
-        params = traj.params
-        alpha, beta = params.alpha, params.beta
-        states = traj.states[1:]
-        if not states:
-            raise ValueError("trajectory has no iterations")
-        self.K = len(states)
-        self.X = np.stack([st.x for st in states])
-        self.Y = np.stack([st.y for st in states])
-        self.G = np.stack([st.gamma for st in states])
-        self.Gt = np.stack([st.gamma_tilde for st in states])
-        self.DX = np.stack([st.dx for st in states])
-        self.DY = np.stack([st.dy for st in states])
-        self.DG = np.stack([st.dgamma for st in states])
-        z0 = traj.states[0]
-        self.z0 = np.concatenate([z0.x, z0.y, z0.gamma])
-        self.Z = np.hstack([self.X, self.Y, self.G])
-        self.Ztil = np.hstack([self.X, self.Y, self.Gt])
-        A, B = inst.A, inst.B
-        c = (1.0 - alpha) / alpha
-        self.h2_total = traj.h2 + (beta / alpha) * (B.T @ B)
-        # rows i: the exact subgradients produced by the two subproblems
-        self.Vf = self.Gt @ A - self.DX @ traj.h1
-        self.Vg = self.Gt @ B - self.DY @ self.h2_total - c * (self.DG @ B)
-        DZ = np.hstack([self.DX, self.DY, self.DG])
-        self.MDZ = DZ @ metric.matrix
-        sq = np.einsum("ij,ij->i", DZ, self.MDZ)
-        self.step_norms = np.sqrt(np.maximum(sq, 0.0))
-
-
-def _ergodic_at(pre: _Precomp, k: int) -> ErgodicPoint:
-    x_avg = pre.X[:k].mean(axis=0)
-    y_avg = pre.Y[:k].mean(axis=0)
-    gamma_avg = pre.G[:k].mean(axis=0)
-    gt_avg = pre.Gt[:k].mean(axis=0)
-    r = (pre.Z[k - 1] - pre.z0) / k
-    n = pre.X.shape[1]
-    p = pre.Y.shape[1]
-    eps_x = float(np.sum(pre.Vf[:k] * (pre.X[:k] - x_avg))) / k
-    eps_y = float(np.sum(pre.Vg[:k] * (pre.Y[:k] - y_avg))) / k
+def _ergodic_at(rep: Replay, k: int) -> ErgodicPoint:
+    X, Y = rep.X[1 : k + 1], rep.Y[1 : k + 1]
+    x_avg = X.mean(axis=0)
+    y_avg = Y.mean(axis=0)
     return ErgodicPoint(
         k=k,
         x_avg=x_avg,
         y_avg=y_avg,
-        gamma_avg=gamma_avg,
-        gamma_tilde_avg=gt_avg,
-        r_x=r[:n],
-        r_y=r[n : n + p],
-        r_gamma=r[n + p :],
-        eps_x=eps_x,
-        eps_y=eps_y,
+        gamma_avg=rep.G[1 : k + 1].mean(axis=0),
+        gamma_tilde_avg=rep.Gt[:k].mean(axis=0),
+        r_x=(rep.X[k] - rep.X[0]) / k,
+        r_y=(rep.Y[k] - rep.Y[0]) / k,
+        r_gamma=(rep.G[k] - rep.G[0]) / k,
+        eps_x=float(np.sum(rep.Vf[:k] * (X - x_avg))) / k,
+        eps_y=float(np.sum(rep.Vg[:k] * (Y - y_avg))) / k,
     )
 
 
-def ergodic_point(traj: "Trajectory", k: int) -> ErgodicPoint:
-    """Averages over iterations 1..k (1 <= k <= recorded iterations)."""
-    metric = hpe.metric_for(traj)
-    pre = _Precomp(traj, metric)
-    if not 1 <= k <= pre.K:
-        raise ValueError(f"k={k} outside 1..{pre.K}")
-    return _ergodic_at(pre, k)
-
-
-def _metric_eps_at(pre: _Precomp, point: ErgodicPoint) -> float:
+def _metric_eps_at(rep: Replay, point: ErgodicPoint) -> float:
     """The metric-level averaged epsilon (1/k) sum <M dz_i, z~^a - z~_i>."""
     k = point.k
     ztil_avg = np.concatenate([point.x_avg, point.y_avg, point.gamma_tilde_avg])
-    return float(np.sum(pre.MDZ[:k] * (ztil_avg - pre.Ztil[:k]))) / k
+    return float(np.sum(rep.MDZ[:k] * (ztil_avg - rep.Ztil[:k]))) / k
 
 
-def epsilon_split_identity(traj: "Trajectory", k: int) -> float:
+def ergodic_point(rep: Replay, k: int) -> ErgodicPoint:
+    """Averages over iterations 1..k (1 <= k <= recorded iterations)."""
+    if not 1 <= k <= rep.K:
+        raise ValueError(f"k={k} outside 1..{rep.K}")
+    return _ergodic_at(rep, k)
+
+
+def epsilon_split_identity(rep: Replay, k: int) -> float:
     """|eps^a - (eps_x + eps_y)| at iteration k; an algebraic identity, so
     the value is pure rounding."""
-    metric = hpe.metric_for(traj)
-    pre = _Precomp(traj, metric)
-    if not 1 <= k <= pre.K:
-        raise ValueError(f"k={k} outside 1..{pre.K}")
-    point = _ergodic_at(pre, k)
-    return abs(_metric_eps_at(pre, point) - (point.eps_x + point.eps_y))
+    point = ergodic_point(rep, k)
+    return abs(_metric_eps_at(rep, point) - (point.eps_x + point.eps_y))
 
 
 @dataclass
@@ -219,29 +165,11 @@ class BoundReport:
     pointwise_factor: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "c_alpha": self.c_alpha,
-            "c_tilde_alpha": self.c_tilde_alpha,
-            "d0": self.d0,
-            "pointwise_factor": self.pointwise_factor,
-            "rows": [vars(r) for r in self.rows],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        return {**doc, "rows": [vars(r) for r in self.rows]}
 
 
-BOUND_CSV_COLUMNS = [
-    "k",
-    "pointwise_lhs",
-    "pointwise_rhs",
-    "ergodic_r_lhs",
-    "ergodic_r_rhs",
-    "ergodic_eps_lhs",
-    "ergodic_eps_rhs",
-    "eps_x",
-    "eps_y",
-    "split_residual",
-]
+BOUND_CSV_COLUMNS = [f.name for f in fields(BoundRow)]
 
 
 def save_bound_report_csv(report: BoundReport, path) -> None:
@@ -249,221 +177,147 @@ def save_bound_report_csv(report: BoundReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(BOUND_CSV_COLUMNS)
         for row in report.rows:
-            writer.writerow(
-                [row.k]
-                + [
-                    repr(float(getattr(row, col))) if not math.isnan(getattr(row, col)) else ""
-                    for col in BOUND_CSV_COLUMNS[1:]
-                ]
-            )
-
-
-def pointwise_certificate(traj: "Trajectory", z_star, raise_on_violation=True):
-    """Check the pointwise bound at every recorded k and re-assert the
-    per-iteration inclusion on the way.
-
-    Returns (running_min, rhs) arrays indexed by k-1.  Rejects alpha = 2,
-    where the bound is undefined.
-    """
-    alpha = traj.params.alpha
-    if not alpha < 2.0:
-        raise ValueError("pointwise bound undefined at alpha = 2 (sigma = 1)")
-    inst = traj.instance
-    hpe._check_reference(inst, z_star)
-    metric = hpe.metric_for(traj)
-    d0 = hpe.initial_distance_sq(traj, z_star, metric)
-    factor = pointwise_constant(alpha, d0)
-    pre = _Precomp(traj, metric)
-    running_min = np.minimum.accumulate(pre.step_norms)
-    ks = np.arange(1, pre.K + 1, dtype=float)
-    rhs = factor / np.sqrt(ks)
-    if raise_on_violation:
-        for idx in range(pre.K):
-            if running_min[idx] > rhs[idx] + cert_tol(running_min[idx], rhs[idx]):
-                raise CertificationError(
-                    f"pointwise bound violated at k={idx + 1} "
-                    f"(lhs {running_min[idx]:.6g} > rhs {rhs[idx]:.6g})",
-                    k=idx + 1,
-                    check="pointwise_bound",
-                )
-        for st in traj.states[1:]:
-            gap_f, gap_g, cons = hpe.inclusion_residuals(
-                inst, traj.h1, traj.h2, traj.params.beta, alpha, st
-            )
-            if not max(gap_f, gap_g) <= INCLUSION_GAP_TOL:
-                raise CertificationError(
-                    f"pointwise inclusion gap {max(gap_f, gap_g):.3e} at k={st.k}",
-                    k=st.k,
-                    check="pointwise_inclusion",
-                )
-    return running_min, rhs
+            vals = [getattr(row, col) for col in BOUND_CSV_COLUMNS[1:]]
+            writer.writerow([row.k] + ["" if math.isnan(v) else repr(float(v)) for v in vals])
 
 
 @dataclass
-class ErgodicCheck:
-    """All ergodic measurements at one checked iteration."""
+class PointwiseCertificate(Checks):
+    """The pointwise bound at every recorded k, indexed by k-1."""
 
-    point: ErgodicPoint
-    r_lhs: float
-    r_rhs: float
-    eps_rhs: float
-    inclusion_gap_f: float
-    inclusion_gap_g: float
-    constraint_residual: float
-    metric_eps: float
-    split_residual: float
+    running_min: np.ndarray
+    rhs: np.ndarray
+    rows: list
 
 
-def _ergodic_checks(traj, z_star, metric, pre, ks) -> tuple[list, float, float, float]:
-    inst = traj.instance
-    params = traj.params
-    alpha, beta = params.alpha, params.beta
-    sig, c_a, ct_a = bound_constants(alpha)
-    d0 = hpe.initial_distance_sq(traj, z_star, metric)
-    A, B, b = inst.A, inst.B, inst.b
+def pointwise_certificate(rep: Replay) -> PointwiseCertificate:
+    """Check the pointwise bound at every recorded k.  Rejects alpha = 2,
+    where the bound is undefined."""
+    if not rep.alpha < 2.0:
+        raise ValueError("pointwise bound undefined at alpha = 2 (sigma = 1)")
+    factor = pointwise_constant(rep.alpha, rep.d0)
+    running_min = np.minimum.accumulate(rep.step_norms)
+    rhs = factor / np.sqrt(rep.ks.astype(float))
+    slack = rhs + cert_tol(running_min, rhs) - running_min
+    row = slack_row("pointwise_bound", slack, rep.ks, REL)
+    return PointwiseCertificate(running_min, rhs, [row])
+
+
+@dataclass
+class ErgodicCertificate(Checks):
+    """All ergodic measurements, one entry per checked iteration ``k``."""
+
+    k: np.ndarray
+    r_lhs: np.ndarray
+    r_rhs: np.ndarray
+    eps_x: np.ndarray
+    eps_y: np.ndarray
+    eps_rhs: np.ndarray
+    inclusion_gap_f: np.ndarray
+    inclusion_gap_g: np.ndarray
+    constraint_residual: np.ndarray
+    metric_eps: np.ndarray
+    split_residual: np.ndarray
+    rows: list
+
+
+def _ergodic_checks(rep: Replay, ks) -> ErgodicCertificate:
+    """The two ergodic bounds, the epsilon nonnegativity, the averaged
+    inclusion, the averaged constraint identity, and the epsilon split at
+    the iterations ``ks``."""
+    if not ks:
+        raise ValueError("trajectory has no iterations")
+    inst, traj = rep.traj.instance, rep.traj
+    alpha, beta, d0 = rep.alpha, rep.beta, rep.d0
+    _, c_a, ct_a = bound_constants(alpha)
     cc = (1.0 - alpha) / alpha
-    out = []
-    for k in ks:
-        pt = _ergodic_at(pre, k)
-        r_full = np.concatenate([pt.r_x, pt.r_y, pt.r_gamma])
-        r_lhs = metric.seminorm(r_full)
-        r_rhs = 2.0 * math.sqrt(c_a * d0) / k
-        eps_rhs = ct_a * d0 / k
-        uf = A.T @ pt.gamma_tilde_avg - traj.h1 @ pt.r_x
-        gap_f = oracles.fenchel_gap(inst.f, uf, pt.x_avg)
-        ug = (
-            B.T @ pt.gamma_tilde_avg
-            - pre.h2_total @ pt.r_y
-            - cc * (B.T @ pt.r_gamma)
-        )
-        gap_g = oracles.fenchel_gap(inst.g, ug, pt.y_avg)
-        cons = float(
-            np.linalg.norm(
-                cc * (B @ pt.r_y)
-                + pt.r_gamma / (alpha * beta)
-                + A @ pt.x_avg
-                + B @ pt.y_avg
-                - b
-            )
-        )
-        m_eps = _metric_eps_at(pre, pt)
-        out.append(
-            ErgodicCheck(
-                point=pt,
-                r_lhs=r_lhs,
-                r_rhs=r_rhs,
-                eps_rhs=eps_rhs,
-                inclusion_gap_f=gap_f,
-                inclusion_gap_g=gap_g,
-                constraint_residual=cons,
-                metric_eps=m_eps,
-                split_residual=abs(m_eps - (pt.eps_x + pt.eps_y)),
-            )
-        )
-    return out, d0, c_a, ct_a
+    pts = [_ergodic_at(rep, k) for k in ks]
+    k = np.array(ks, dtype=int)
+    kf = k.astype(float)
+
+    def stack(name):
+        return np.array([getattr(pt, name) for pt in pts]).reshape(len(pts), -1)
+
+    Xa, Ya, Gta = stack("x_avg"), stack("y_avg"), stack("gamma_tilde_avg")
+    Rx, Ry, Rg = stack("r_x"), stack("r_y"), stack("r_gamma")
+    eps_x, eps_y = stack("eps_x")[:, 0], stack("eps_y")[:, 0]
+    r_lhs = np.sqrt(np.maximum(rep.metric.seminorm_sq(np.hstack([Rx, Ry, Rg])), 0.0))
+    r_rhs = 2.0 * math.sqrt(c_a * d0) / kf
+    eps_rhs = ct_a * d0 / kf
+    per_row = linalg.apply_rows
+    A, B = inst.A, inst.B
+    h2_total = traj.h2 + (beta / alpha) * (B.T @ B)
+    gap_f = oracles.fenchel_gap(inst.f, per_row(A.T, Gta) - per_row(traj.h1, Rx), Xa)
+    ug = per_row(B.T, Gta) - per_row(h2_total, Ry) - cc * per_row(B.T, Rg)
+    gap_g = oracles.fenchel_gap(inst.g, ug, Ya)
+    resid = cc * per_row(B, Ry) + Rg / (alpha * beta) + per_row(A, Xa) + per_row(B, Ya)
+    resid -= inst.b
+    cons = np.sqrt(np.vecdot(resid, resid))
+    m_eps = np.array([_metric_eps_at(rep, pt) for pt in pts])
+    eps_sum = eps_x + eps_y
+    split = np.abs(m_eps - eps_sum)
+    rel = functools.partial(slack_row, ks=k, tolerance=REL)
+    tol = ERGODIC_IDENTITY_TOL
+    rows = [
+        rel("ergodic_residual_bound", r_rhs + cert_tol(r_lhs, r_rhs) - r_lhs),
+        rel("ergodic_eps_bound", eps_rhs + cert_tol(eps_sum, eps_rhs) - eps_sum),
+        rel("ergodic_eps_nonneg", np.minimum(eps_x + cert_tol(eps_x), eps_y + cert_tol(eps_y))),
+        rel(
+            "ergodic_inclusion_f",
+            np.maximum(eps_x, 0.0) + cert_tol(eps_x) - gap_f,
+            note=gap_note(gap_f),
+        ),
+        rel(
+            "ergodic_inclusion_g",
+            np.maximum(eps_y, 0.0) + cert_tol(eps_y) - gap_g,
+            note=gap_note(gap_g),
+        ),
+        slack_row("ergodic_constraint_identity", tol - cons, k, f"{tol:g}"),
+        slack_row("eps_split_identity", tol * (1 + np.abs(m_eps)) - split, k, f"{tol:g} relative"),
+    ]
+    return ErgodicCertificate(
+        k, r_lhs, r_rhs, eps_x, eps_y, eps_rhs, gap_f, gap_g, cons, m_eps, split, rows
+    )
 
 
-def ergodic_certificate(traj: "Trajectory", z_star, full_grid=False, raise_on_violation=True):
-    """Check the two ergodic bounds, the epsilon nonnegativity, the averaged
-    inclusion, the averaged constraint identity, and the epsilon split at the
-    checked iterations.  Returns the list of :class:`ErgodicCheck`."""
-    inst = traj.instance
-    hpe._check_reference(inst, z_star)
-    metric = hpe.metric_for(traj)
-    pre = _Precomp(traj, metric)
-    ks = checked_iterations(pre.K, full=full_grid)
-    checks, _, _, _ = _ergodic_checks(traj, z_star, metric, pre, ks)
-    if raise_on_violation:
-        for chk in checks:
-            k = chk.point.k
-            if chk.r_lhs > chk.r_rhs + cert_tol(chk.r_lhs, chk.r_rhs):
-                raise CertificationError(
-                    f"ergodic step-average bound violated at k={k}",
-                    k=k,
-                    check="ergodic_residual_bound",
-                )
-            eps_sum = chk.point.eps_x + chk.point.eps_y
-            if eps_sum > chk.eps_rhs + cert_tol(eps_sum, chk.eps_rhs):
-                raise CertificationError(
-                    f"ergodic epsilon bound violated at k={k}",
-                    k=k,
-                    check="ergodic_eps_bound",
-                )
-            if chk.point.eps_x < -cert_tol(chk.point.eps_x) or chk.point.eps_y < -cert_tol(
-                chk.point.eps_y
-            ):
-                raise CertificationError(
-                    f"negative transported epsilon at k={k}",
-                    k=k,
-                    check="ergodic_eps_nonneg",
-                )
-            if chk.inclusion_gap_f > max(chk.point.eps_x, 0.0) + cert_tol(chk.point.eps_x):
-                raise CertificationError(
-                    f"averaged inclusion gap for the x block at k={k}",
-                    k=k,
-                    check="ergodic_inclusion_f",
-                )
-            if chk.inclusion_gap_g > max(chk.point.eps_y, 0.0) + cert_tol(chk.point.eps_y):
-                raise CertificationError(
-                    f"averaged inclusion gap for the y block at k={k}",
-                    k=k,
-                    check="ergodic_inclusion_g",
-                )
-            if chk.constraint_residual > ERGODIC_IDENTITY_TOL:
-                raise CertificationError(
-                    f"averaged constraint identity off by {chk.constraint_residual:.3e} at k={k}",
-                    k=k,
-                    check="ergodic_constraint_identity",
-                )
-            if chk.split_residual > ERGODIC_IDENTITY_TOL * (1.0 + abs(chk.metric_eps)):
-                raise CertificationError(
-                    f"epsilon split identity off by {chk.split_residual:.3e} at k={k}",
-                    k=k,
-                    check="eps_split_identity",
-                )
-    return checks
+def ergodic_certificate(rep: Replay, full_grid=False) -> ErgodicCertificate:
+    """The ergodic checks at the power-of-two grid, or at every k."""
+    return _ergodic_checks(rep, checked_iterations(rep.K, full=full_grid))
 
 
 def bound_report(traj: "Trajectory", z_star, full_grid=False) -> BoundReport:
     """Bound comparisons at the checked iterations, as one table."""
-    inst = traj.instance
-    hpe._check_reference(inst, z_star)
-    params = traj.params
-    alpha = params.alpha
-    metric = hpe.metric_for(traj)
-    pre = _Precomp(traj, metric)
-    d0 = hpe.initial_distance_sq(traj, z_star, metric)
+    return bound_table(Replay(traj, z_star), full_grid)
+
+
+def bound_table(rep: Replay, full_grid=False) -> BoundReport:
+    """:func:`bound_report` on an existing replay."""
+    alpha = rep.alpha
     sig, c_a, ct_a = bound_constants(alpha)
-    ks = checked_iterations(pre.K, full=full_grid)
-    checks, _, _, _ = _ergodic_checks(traj, z_star, metric, pre, ks)
-    has_pointwise = alpha < 2.0
-    pw_factor = pointwise_constant(alpha, d0) if has_pointwise else None
-    running_min = np.minimum.accumulate(pre.step_norms)
-    rows = []
-    for chk in checks:
-        k = chk.point.k
-        rows.append(
-            BoundRow(
-                k=k,
-                pointwise_lhs=float(running_min[k - 1]) if has_pointwise else math.nan,
-                pointwise_rhs=pw_factor / math.sqrt(k) if has_pointwise else math.nan,
-                ergodic_r_lhs=chk.r_lhs,
-                ergodic_r_rhs=chk.r_rhs,
-                ergodic_eps_lhs=chk.point.eps_x + chk.point.eps_y,
-                ergodic_eps_rhs=chk.eps_rhs,
-                eps_x=max(chk.point.eps_x, 0.0),
-                eps_y=max(chk.point.eps_y, 0.0),
-                split_residual=chk.split_residual,
-            )
-        )
+    erg = ergodic_certificate(rep, full_grid)
+    pw = pointwise_certificate(rep) if alpha < 2.0 else None
+    nan = np.full(len(erg.k), math.nan)
+    columns = (
+        erg.k,
+        pw.running_min[erg.k - 1] if pw else nan,
+        pw.rhs[erg.k - 1] if pw else nan,
+        erg.r_lhs,
+        erg.r_rhs,
+        erg.eps_x + erg.eps_y,
+        erg.eps_rhs,
+        np.maximum(erg.eps_x, 0.0),
+        np.maximum(erg.eps_y, 0.0),
+        erg.split_residual,
+    )
+    rows = [BoundRow(*row) for row in zip(*(c.tolist() for c in columns))]
     return BoundReport(
         rows=rows,
         alpha=alpha,
         sigma=sig,
         c_alpha=c_a,
         c_tilde_alpha=ct_a,
-        d0=d0,
-        pointwise_factor=pw_factor,
+        d0=rep.d0,
+        pointwise_factor=pointwise_constant(alpha, rep.d0) if pw else None,
     )
 
 
@@ -487,20 +341,9 @@ def rate_estimate(points) -> float:
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Checks):
     rows: list
     meta: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    @property
-    def first_failure(self) -> Optional[ReportRow]:
-        for r in self.rows:
-            if not r.passed:
-                return r
-        return None
 
     def to_dict(self) -> dict:
         return {
@@ -510,112 +353,39 @@ class VerificationReport:
         }
 
 
-def _hpe_rows(certs) -> list:
-    ineq = [(c.k, c.slack + cert_tol(c.lhs, c.rhs)) for c in certs]
-    inc_f = [(c.k, INCLUSION_GAP_TOL - c.inclusion_gap_f) for c in certs]
-    inc_g = [(c.k, INCLUSION_GAP_TOL - c.inclusion_gap_g) for c in certs]
-    mult = [(c.k, c.identity_tol - c.multiplier_residual) for c in certs]
-    cons = [(c.k, c.identity_tol - c.constraint_residual) for c in certs]
-    rel = f"{CERT_REL_TOL:g} relative"
-    return [
-        hpe._row_from_slacks("hpe_inequality", ineq, rel),
-        hpe._row_from_slacks("hpe_inclusion_f", inc_f, f"{INCLUSION_GAP_TOL:g}"),
-        hpe._row_from_slacks("hpe_inclusion_g", inc_g, f"{INCLUSION_GAP_TOL:g}"),
-        hpe._row_from_slacks("multiplier_identity", mult, f"{hpe.IDENTITY_TOL:g} scaled"),
-        hpe._row_from_slacks("constraint_identity", cons, f"{hpe.IDENTITY_TOL:g} scaled"),
-    ]
-
-
 def full_verification(traj: "Trajectory", z_star, full_grid=False) -> VerificationReport:
-    """Run every check on a recorded trajectory and collect the outcomes.
+    """Run every check on one replay of a recorded trajectory.
 
-    Nothing raises here; failures land in the report so callers can name
-    the first failing check and iteration.
+    Nothing raises here; failures land in the report, and
+    :meth:`VerificationReport.raise_first` names the earliest one.
     """
-    inst = traj.instance
-    hpe._check_reference(inst, z_star)
-    params = traj.params
-    alpha = params.alpha
-    metric = hpe.metric_for(traj)
-    d0 = hpe.initial_distance_sq(traj, z_star, metric)
+    return verify(Replay(traj, z_star), full_grid)
+
+
+def verify(rep: Replay, full_grid=False) -> VerificationReport:
+    """:func:`full_verification` on an existing replay."""
+    alpha = rep.alpha
+    meta = {"alpha": alpha, "beta": rep.beta, "iterations": rep.K, "d0": rep.d0}
+    if rep.K == 0:
+        meta["note"] = "no iterations recorded; all checks vacuous"
+        return VerificationReport(rows=[], meta=meta)
     sig, c_a, ct_a = bound_constants(alpha)
-    if len(traj.states) <= 1:
-        return VerificationReport(
-            rows=[],
-            meta={
-                "alpha": alpha,
-                "beta": params.beta,
-                "iterations": 0,
-                "d0": d0,
-                "note": "no iterations recorded; all checks vacuous",
-            },
-        )
-    rows = []
-    certs = hpe.certify_hpe(traj, z_star, raise_on_violation=False)
-    rows.extend(_hpe_rows(certs))
-    rows.append(hpe.check_delta_inequalities(traj, z_star, raise_on_violation=False))
-    rows.append(hpe.check_rho_bound(traj, z_star, raise_on_violation=False))
-    if alpha < 2.0:
-        rows.append(hpe.check_rho_contractive_bound(traj, z_star, raise_on_violation=False))
-    else:
-        rows.append(
-            ReportRow(
-                "rho_contractive_bound", True, math.inf, None, "-", "not-applicable at alpha=2"
-            )
-        )
-    rows.append(hpe.check_fejer(traj, z_star, raise_on_violation=False))
-    rel = f"{CERT_REL_TOL:g} relative"
-    if alpha < 2.0:
-        running_min, rhs = pointwise_certificate(traj, z_star, raise_on_violation=False)
-        pw = [
-            (k + 1, float(rhs[k] + cert_tol(running_min[k], rhs[k]) - running_min[k]))
-            for k in range(len(rhs))
-        ]
-        rows.append(hpe._row_from_slacks("pointwise_bound", pw, rel))
-    else:
-        rows.append(
-            ReportRow("pointwise_bound", True, math.inf, None, "-", "not-applicable at alpha=2")
-        )
-    pre = _Precomp(traj, metric)
-    ks = checked_iterations(pre.K, full=full_grid)
-    checks, _, _, _ = _ergodic_checks(traj, z_star, metric, pre, ks)
-    r_b, e_b, e_nn, i_f, i_g, cons_rows, split_rows = [], [], [], [], [], [], []
-    for chk in checks:
-        k = chk.point.k
-        eps_sum = chk.point.eps_x + chk.point.eps_y
-        r_b.append((k, chk.r_rhs + cert_tol(chk.r_lhs, chk.r_rhs) - chk.r_lhs))
-        e_b.append((k, chk.eps_rhs + cert_tol(eps_sum, chk.eps_rhs) - eps_sum))
-        e_nn.append(
-            (k, min(chk.point.eps_x + cert_tol(chk.point.eps_x), chk.point.eps_y + cert_tol(chk.point.eps_y)))
-        )
-        i_f.append((k, max(chk.point.eps_x, 0.0) + cert_tol(chk.point.eps_x) - chk.inclusion_gap_f))
-        i_g.append((k, max(chk.point.eps_y, 0.0) + cert_tol(chk.point.eps_y) - chk.inclusion_gap_g))
-        cons_rows.append((k, ERGODIC_IDENTITY_TOL - chk.constraint_residual))
-        split_rows.append(
-            (k, ERGODIC_IDENTITY_TOL * (1.0 + abs(chk.metric_eps)) - chk.split_residual)
-        )
-    rows.append(hpe._row_from_slacks("ergodic_residual_bound", r_b, rel))
-    rows.append(hpe._row_from_slacks("ergodic_eps_bound", e_b, rel))
-    rows.append(hpe._row_from_slacks("ergodic_eps_nonneg", e_nn, rel))
-    rows.append(hpe._row_from_slacks("ergodic_inclusion_f", i_f, rel))
-    rows.append(hpe._row_from_slacks("ergodic_inclusion_g", i_g, rel))
-    rows.append(
-        hpe._row_from_slacks("ergodic_constraint_identity", cons_rows, f"{ERGODIC_IDENTITY_TOL:g}")
+    ks = checked_iterations(rep.K, full=full_grid)
+    interior, na = alpha < 2.0, not_applicable
+    rows = [
+        *hpe.certify_hpe(rep).rows,
+        hpe.check_delta_inequalities(rep),
+        hpe.check_rho_bound(rep),
+        hpe.check_rho_contractive_bound(rep) if interior else na("rho_contractive_bound"),
+        hpe.check_fejer(rep),
+        *(pointwise_certificate(rep).rows if interior else [na("pointwise_bound")]),
+        *_ergodic_checks(rep, ks).rows,
+    ]
+    meta.update(
+        sigma=sig,
+        c_alpha=c_a,
+        c_tilde_alpha=ct_a,
+        checked_iterations=ks,
+        full_grid=bool(full_grid),
     )
-    rows.append(
-        hpe._row_from_slacks(
-            "eps_split_identity", split_rows, f"{ERGODIC_IDENTITY_TOL:g} relative"
-        )
-    )
-    meta = {
-        "alpha": alpha,
-        "beta": params.beta,
-        "iterations": len(traj.states) - 1,
-        "d0": d0,
-        "sigma": sig,
-        "c_alpha": c_a,
-        "c_tilde_alpha": ct_a,
-        "checked_iterations": ks,
-        "full_grid": bool(full_grid),
-    }
     return VerificationReport(rows=rows, meta=meta)

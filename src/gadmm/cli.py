@@ -3,7 +3,7 @@
 Subcommands: generate an instance, run the solver, verify the recorded
 certificates, and sweep the relaxation factor over a grid.  Exit codes
 are a stable contract for scripts: 0 success, 1 configuration or I/O
-error, 2 solver error, 3 certification failure.
+error, 2 solver or internal error, 3 certification failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from . import certificates, hpe, problems, solver
 from .errors import (
     CertificationError,
     ConfigError,
+    GadmmError,
+    InternalCheckError,
     IterationLimitError,
     NotPositiveDefiniteError,
 )
@@ -77,18 +79,28 @@ def _params(args, alpha=None):
     )
 
 
-def _write_json(doc, path):
+def _atomic_write(path, write, newline=None):
+    """Write a file through a temporary sibling and a rename, so a failed
+    write never leaves a partial file at ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _dump_json(doc, fh):
+    json.dump(doc, fh, indent=1, allow_nan=False)
+    fh.write("\n")
+
+
+def _write_json(doc, path):
+    _atomic_write(path, lambda fh: _dump_json(doc, fh))
 
 
 def _cmd_generate(args) -> int:
@@ -101,23 +113,24 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _run_summary(traj, metric) -> dict:
+def _finite_or_none(v):
+    return v if v is not None and math.isfinite(v) else None
+
+
+def _run_summary(traj) -> dict:
     final = traj.final
     if final.k == 0:
         step_metric = None
-        gap = problems.kkt_gap(
-            traj.instance, problems.KktPoint(final.x, final.y, final.gamma)
-        )
+        gamma = final.gamma
     else:
         dz = np.concatenate([final.dx, final.dy, final.dgamma])
-        step_metric = math.sqrt(metric.seminorm_sq(dz))
-        gap = problems.kkt_gap(
-            traj.instance, problems.KktPoint(final.x, final.y, final.gamma_tilde)
-        )
+        step_metric = math.sqrt(traj.metric.seminorm_sq(dz))
+        gamma = final.gamma_tilde
+    gap = problems.kkt_gap(traj.instance, problems.KktPoint(final.x, final.y, gamma))
     return {
         "iterations": traj.iterations,
-        "final_kkt_gap": gap,
-        "final_step_metric": step_metric,
+        "final_kkt_gap": _finite_or_none(gap),
+        "final_step_metric": _finite_or_none(step_metric),
         "alpha": traj.params.alpha,
         "beta": traj.params.beta,
         "stopped_early": traj.iterations < traj.params.max_iter,
@@ -130,8 +143,7 @@ def _cmd_run(args) -> int:
     traj = solver.run(inst, params)
     os.makedirs(args.out, exist_ok=True)
     solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    metric = hpe.metric_for(traj)
-    _write_json(_run_summary(traj, metric), os.path.join(args.out, "summary.json"))
+    _write_json(_run_summary(traj), os.path.join(args.out, "summary.json"))
     print(f"ran {traj.iterations} iterations; outputs in {args.out}")
     return EXIT_OK
 
@@ -147,8 +159,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         _write_json(doc, args.out)
     else:
-        json.dump(doc, sys.stdout, indent=1)
-        print()
+        _dump_json(doc, sys.stdout)
     if not report.passed:
         bad = report.first_failure
         print(
@@ -189,10 +200,10 @@ def _cmd_bench(args) -> int:
     for alpha in grid:
         params = _params(args, alpha=alpha)
         traj = solver.run(inst, params)
-        metric = hpe.metric_for(traj)
-        summary = _run_summary(traj, metric)
-        report = certificates.full_verification(traj, inst.solution)
-        bounds = certificates.bound_report(traj, inst.solution)
+        summary = _run_summary(traj)
+        replay = hpe.Replay(traj, inst.solution)
+        report = certificates.verify(replay)
+        bounds = certificates.bound_table(replay)
         last = bounds.rows[-1] if bounds.rows else None
         pw = ""
         if last is not None and not math.isnan(last.pointwise_lhs) and last.pointwise_rhs > 0:
@@ -218,18 +229,13 @@ def _cmd_bench(args) -> int:
             ]
         )
     out_path = os.path.join(args.out, "bench.csv")
-    directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_BENCH_COLUMNS)
-            writer.writerows(rows)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(_BENCH_COLUMNS)
+        writer.writerows(rows)
+
+    _atomic_write(out_path, write, newline="")
     print(f"wrote {len(rows)}-row sweep to {out_path}")
     return EXIT_OK
 
@@ -293,6 +299,12 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except GadmmError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

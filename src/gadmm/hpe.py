@@ -35,10 +35,16 @@ running maximum rho_k = max_i ||z~_i - z_{i-1}||^2_M, the <B dy, dgamma>
 inequalities that feed the error budget, and the Fejer-type monotonicity
 of ||z* - z_k||^2_M + eta_k.  Certification is post-hoc and shares no
 state with the iteration engine.
+
+A :class:`Replay` evaluates every per-iteration quantity once, as arrays
+over k; each check reads it and returns an array of slacks (>= 0 where the
+check holds) turned into a :class:`ReportRow`.  :meth:`Checks.raise_first`
+is the one place a failed check becomes a :class:`CertificationError`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -63,8 +69,9 @@ INCLUSION_GAP_TOL = 1e-8
 IDENTITY_TOL = 1e-10
 
 
-def cert_tol(*magnitudes) -> float:
-    big = max((abs(float(m)) for m in magnitudes), default=0.0)
+def cert_tol(*magnitudes):
+    """1e-7 * (1 + the largest magnitude), elementwise over arrays."""
+    big = functools.reduce(np.maximum, (np.abs(m) for m in magnitudes), 0.0)
     return CERT_REL_TOL * (1.0 + big)
 
 
@@ -94,16 +101,8 @@ class ProximalMetric:
         return self.op.side
 
     def stack(self, x, y, gamma) -> np.ndarray:
-        return np.concatenate(
-            [
-                linalg.as_vector(x, dim=self.n, name="x"),
-                linalg.as_vector(y, dim=self.p, name="y"),
-                linalg.as_vector(gamma, dim=self.m, name="gamma"),
-            ]
-        )
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ linalg.as_vector(v, dim=self.side, name="v")
+        parts = zip((x, y, gamma), (self.n, self.p, self.m), ("x", "y", "gamma"))
+        return np.concatenate([linalg.as_vector(v, dim=d, name=k) for v, d, k in parts])
 
     def seminorm_sq(self, v) -> float:
         return self.op.seminorm_sq(v)
@@ -140,186 +139,25 @@ def build_metric(inst, h1, h2, beta, alpha) -> ProximalMetric:
 
 
 def metric_for(traj: "Trajectory") -> ProximalMetric:
-    return build_metric(traj.instance, traj.h1, traj.h2, traj.params.beta, traj.params.alpha)
+    """The trajectory's proximal metric, built once and kept on it."""
+    return traj.metric
 
 
-def initial_distance_sq(traj: "Trajectory", z_star: problems.KktPoint, metric=None) -> float:
+def initial_distance_sq(traj: "Trajectory", z_star: problems.KktPoint) -> float:
     """d0 = ||z* - z0||^2_M for the trajectory's initial point."""
-    if metric is None:
-        metric = metric_for(traj)
-    z0 = traj.states[0]
-    diff = metric.stack(z_star.x - z0.x, z_star.y - z0.y, z_star.gamma - z0.gamma)
+    metric = metric_for(traj)
+    diff = metric.stack(z_star.x - traj.X[0], z_star.y - traj.Y[0], z_star.gamma - traj.G[0])
     return metric.seminorm_sq(diff)
 
 
-def eta_sequence(traj: "Trajectory", d0: float) -> np.ndarray:
-    """Error budgets eta_0..eta_K for a recorded trajectory."""
-    alpha = traj.params.alpha
-    sig = sigma_alpha(alpha)
-    coef = (2.0 - alpha) * sig / alpha
-    out = np.empty(len(traj.states))
-    out[0] = 4.0 * coef * d0
-    for st in traj.states[1:]:
-        out[st.k] = coef * linalg.seminorm_sq(traj.h2, st.dy)
-    return out
-
-
-def _check_reference(inst, z_star) -> problems.KktPoint:
-    gap = problems.kkt_gap(inst, z_star)
-    if not gap <= problems.SOLUTION_GAP_TOL:
-        raise ValueError(f"reference point fails the optimality check (gap {gap:.3e})")
-    return z_star
-
-
-def inclusion_residuals(inst, h1, h2, beta, alpha, state) -> tuple[float, float, float]:
-    """Block residuals of M(z_{k-1} - z_k) in T(z~_k):
-
-    - conjugate gap of A'gamma_tilde - H1 dx at x (must vanish),
-    - conjugate gap of B'gamma_tilde - (H2 + (beta/alpha)B'B) dy
-      - ((1-alpha)/alpha) B' dgamma at y (must vanish),
-    - norm of ((1-alpha)/alpha) B dy + dgamma/(alpha beta) + Ax + By - b.
-    """
-    A, B, b = inst.A, inst.B, inst.b
-    c = (1.0 - alpha) / alpha
-    uf = A.T @ state.gamma_tilde - h1 @ state.dx
-    gap_f = oracles.fenchel_gap(inst.f, uf, state.x)
-    Bdy = B @ state.dy
-    ug = (
-        B.T @ state.gamma_tilde
-        - h2 @ state.dy
-        - (beta / alpha) * (B.T @ Bdy)
-        - c * (B.T @ state.dgamma)
-    )
-    gap_g = oracles.fenchel_gap(inst.g, ug, state.y)
-    cons = float(
-        np.linalg.norm(
-            c * Bdy + state.dgamma / (alpha * beta) + A @ state.x + B @ state.y - b
-        )
-    )
-    return gap_f, gap_g, cons
-
-
-@dataclass(frozen=True)
-class HpeCertificate:
-    """Residuals and slack of the per-iteration conditions at one k."""
-
-    k: int
-    lhs: float          # ||z~_k - z_k||^2_M + eta_k
-    rhs: float          # sigma ||z~_k - z_{k-1}||^2_M + eta_{k-1}
-    slack: float        # rhs - lhs (must be >= -tol)
-    inclusion_gap_f: float
-    inclusion_gap_g: float
-    constraint_residual: float   # linear identity on (dy, dgamma, Ax+By-b)
-    multiplier_residual: float   # || gamma_tilde - gamma_prev - (dgamma + beta B dy)/alpha ||
-    eta: float
-    identity_tol: float          # resolved allowance for the two identities at this k
-
-
-def certify_hpe(traj: "Trajectory", z_star: problems.KktPoint, raise_on_violation=True):
-    """Evaluate the per-iteration conditions at every k >= 1.
-
-    Returns the list of :class:`HpeCertificate`; with ``raise_on_violation``
-    the first violated condition raises a :class:`CertificationError`
-    naming the iteration and the check.
-    """
-    if not traj.states:
-        raise ValueError("empty trajectory")
-    inst = traj.instance
-    _check_reference(inst, z_star)
-    params = traj.params
-    alpha, beta = params.alpha, params.beta
-    sig = sigma_alpha(alpha)
-    metric = metric_for(traj)
-    d0 = initial_distance_sq(traj, z_star, metric)
-    eta = eta_sequence(traj, d0)
-    B = inst.B
-    certs = []
-    for prev, st in zip(traj.states, traj.states[1:]):
-        k = st.k
-        gap_to_iter = metric.stack(np.zeros(inst.n), np.zeros(inst.p), st.gamma_tilde - st.gamma)
-        gap_to_prev = metric.stack(st.x - prev.x, st.y - prev.y, st.gamma_tilde - prev.gamma)
-        lhs = metric.seminorm_sq(gap_to_iter) + eta[k]
-        rhs = sig * metric.seminorm_sq(gap_to_prev) + eta[k - 1]
-        slack = rhs - lhs
-        gap_f, gap_g, cons = inclusion_residuals(inst, traj.h1, traj.h2, beta, alpha, st)
-        mult = float(
-            np.linalg.norm(
-                st.gamma_tilde - prev.gamma - (st.dgamma + beta * (B @ st.dy)) / alpha
-            )
-        )
-        scale = 1.0 + float(
-            max(
-                np.max(np.abs(st.gamma_tilde)),
-                np.max(np.abs(st.gamma)),
-                np.max(np.abs(prev.gamma)),
-            )
-        )
-        cert = HpeCertificate(
-            k=k,
-            lhs=lhs,
-            rhs=rhs,
-            slack=slack,
-            inclusion_gap_f=gap_f,
-            inclusion_gap_g=gap_g,
-            constraint_residual=cons,
-            multiplier_residual=mult,
-            eta=eta[k],
-            identity_tol=IDENTITY_TOL * scale,
-        )
-        certs.append(cert)
-        if raise_on_violation:
-            if slack < -cert_tol(lhs, rhs):
-                raise CertificationError(
-                    f"relative-error inequality violated at k={k} (slack {slack:.3e})",
-                    k=k,
-                    check="hpe_inequality",
-                )
-            if not gap_f <= INCLUSION_GAP_TOL:
-                raise CertificationError(
-                    f"inclusion gap for the x block at k={k} is {gap_f:.3e}",
-                    k=k,
-                    check="hpe_inclusion_f",
-                )
-            if not gap_g <= INCLUSION_GAP_TOL:
-                raise CertificationError(
-                    f"inclusion gap for the y block at k={k} is {gap_g:.3e}",
-                    k=k,
-                    check="hpe_inclusion_g",
-                )
-            if mult > cert.identity_tol:
-                raise CertificationError(
-                    f"intermediate-multiplier identity off by {mult:.3e} at k={k}",
-                    k=k,
-                    check="multiplier_identity",
-                )
-            if cons > cert.identity_tol:
-                raise CertificationError(
-                    f"constraint identity off by {cons:.3e} at k={k}",
-                    k=k,
-                    check="constraint_identity",
-                )
-    return certs
-
-
-def extragradient_gaps_sq(traj: "Trajectory", metric=None) -> np.ndarray:
-    """||z~_k - z_{k-1}||^2_M for k = 1..K."""
-    if metric is None:
-        metric = metric_for(traj)
-    out = np.empty(len(traj.states) - 1)
-    for prev, st in zip(traj.states, traj.states[1:]):
-        diff = metric.stack(st.x - prev.x, st.y - prev.y, st.gamma_tilde - prev.gamma)
-        out[st.k - 1] = metric.seminorm_sq(diff)
-    return out
-
-
-def rho_sequence(traj: "Trajectory", metric=None) -> np.ndarray:
-    """Running maximum rho_k = max_{i<=k} ||z~_i - z_{i-1}||^2_M (k = 1..K)."""
-    return np.maximum.accumulate(extragradient_gaps_sq(traj, metric))
+# ---------------------------------------------------------------------------
+# report rows and the raise path
 
 
 @dataclass
 class ReportRow:
-    """One named check over a whole trajectory, with its worst slack."""
+    """One named check over a whole trajectory, with its worst slack and the
+    first iteration where the slack went negative (None if it never did)."""
 
     name: str
     passed: bool
@@ -327,132 +165,252 @@ class ReportRow:
     worst_k: Optional[int]
     tolerance: str
     note: str = ""
+    first_k: Optional[int] = None
 
     def to_dict(self) -> dict:
+        finite = math.isfinite(self.worst_slack)
         return {
             "name": self.name,
             "pass": self.passed,
-            "worst_slack": self.worst_slack,
+            "worst_slack": self.worst_slack if finite else None,
             "worst_k": self.worst_k,
             "tolerance": self.tolerance,
-            "note": self.note,
+            "note": self.note or ("" if finite else "non-finite slack"),
         }
 
 
-def _row_from_slacks(name, slacks, tolerance, note="") -> ReportRow:
-    slacks = list(slacks)
-    if not slacks:
+def slack_row(name, slack, ks, tolerance, note="") -> ReportRow:
+    """Turn one check's slacks at iterations ``ks`` into a report row."""
+    slack = np.asarray(slack, dtype=float)
+    if slack.size == 0:
         return ReportRow(name, True, math.inf, None, tolerance, note or "no iterations")
-    worst_idx = int(np.argmin([s for _, s in slacks]))
-    worst_k, worst = slacks[worst_idx]
-    return ReportRow(name, all(s >= 0 for _, s in slacks), worst, worst_k, tolerance, note)
+    worst = int(np.argmin(slack))
+    bad = np.flatnonzero(~(slack >= 0.0))
+    first_k = int(ks[bad[0]]) if bad.size else None
+    return ReportRow(
+        name, first_k is None, float(slack[worst]), int(ks[worst]), tolerance, note, first_k
+    )
 
 
-def check_rho_bound(traj, z_star, raise_on_violation=True) -> ReportRow:
+def not_applicable(name) -> ReportRow:
+    return ReportRow(name, True, math.inf, None, "-", "not-applicable at alpha=2")
+
+
+def gap_note(gaps) -> str:
+    return "conjugate outside its domain" if np.isinf(gaps).any() else ""
+
+
+class Checks:
+    """Report rows with the verdict over all of them."""
+
+    rows: list
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.rows)
+
+    @property
+    def first_failure(self) -> Optional[ReportRow]:
+        """The first failing row in report order."""
+        return next((r for r in self.rows if not r.passed), None)
+
+    def raise_first(self) -> None:
+        """Raise :class:`CertificationError` for the earliest violation: the
+        failing row with the smallest first violating k, ties going to the
+        row reported first.  Returns quietly when every check passes."""
+        failing = [r for r in self.rows if not r.passed]
+        if failing:
+            row = min(failing, key=lambda r: r.first_k)
+            raise CertificationError(
+                f"{row.name} violated at k={row.first_k} "
+                f"(worst slack {row.worst_slack:.3e} at k={row.worst_k})",
+                k=row.first_k,
+                check=row.name,
+            )
+
+
+# ---------------------------------------------------------------------------
+# the shared replay
+
+
+class Replay:
+    """One pass over a recorded trajectory against a reference point z*.
+
+    Built once per verification: it checks the reference, takes M from the
+    trajectory, and evaluates as arrays over k = 1..K (row k-1) the steps,
+    the budgets eta_0..eta_K, the extragradient gaps, M dz_k and the step
+    norms, the subgradient rows of both subproblems and the inclusion
+    residuals.  Except for M dz_k (one matrix product), each row is
+    computed as for a single iteration (``linalg.apply_rows``), bit for bit.
+    """
+
+    def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
+        inst = traj.instance
+        gap = problems.kkt_gap(inst, z_star)
+        if not gap <= problems.SOLUTION_GAP_TOL:
+            raise ValueError(f"reference point fails the optimality check (gap {gap:.3e})")
+        self.traj, self.z_star = traj, z_star
+        self.alpha, self.beta = traj.params.alpha, traj.params.beta
+        self.sigma = sigma_alpha(self.alpha)
+        self.metric = metric_for(traj)
+        self.d0 = initial_distance_sq(traj, z_star)
+        self.K = traj.iterations
+        self.ks = np.arange(1, self.K + 1)
+        self.X, self.Y, self.G, self.Gt = traj.X, traj.Y, traj.G, traj.Gt
+        self.DX, self.DY, self.DG = (np.diff(a, axis=0) for a in (self.X, self.Y, self.G))
+        self.dy_sq = linalg.seminorm_sq(traj.h2, self.DY)
+        self.eta = eta_sequence(self)
+        self.egaps = extragradient_gaps_sq(self)
+        DZ = np.hstack([self.DX, self.DY, self.DG])
+        self.MDZ = DZ @ self.metric.matrix
+        self.step_norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", DZ, self.MDZ), 0.0))
+        self.Ztil = np.hstack([self.X[1:], self.Y[1:], self.Gt])
+        per_row = linalg.apply_rows
+        A, B = inst.A, inst.B
+        c = (1.0 - self.alpha) / self.alpha
+        self.BDY = per_row(B, self.DY)
+        # the exact subgradients produced by the two subproblems
+        self.Vf = per_row(A.T, self.Gt) - per_row(traj.h1, self.DX)
+        self.Vg = (
+            per_row(B.T, self.Gt)
+            - per_row(traj.h2, self.DY)
+            - (self.beta / self.alpha) * per_row(B.T, self.BDY)
+            - c * per_row(B.T, self.DG)
+        )
+        self.gap_f, self.gap_g, self.cons = inclusion_residuals(self)
+
+
+def eta_sequence(rep: Replay) -> np.ndarray:
+    """Error budgets eta_0..eta_K."""
+    coef = (2.0 - rep.alpha) * rep.sigma / rep.alpha
+    return np.concatenate([[4.0 * coef * rep.d0], coef * rep.dy_sq])
+
+
+def extragradient_gaps_sq(rep: Replay) -> np.ndarray:
+    """||z~_k - z_{k-1}||^2_M for k = 1..K."""
+    return rep.metric.seminorm_sq(np.hstack([rep.DX, rep.DY, rep.Gt - rep.G[:-1]]))
+
+
+def rho_sequence(rep: Replay) -> np.ndarray:
+    """Running maximum rho_k = max_{i<=k} ||z~_i - z_{i-1}||^2_M (k = 1..K)."""
+    return np.maximum.accumulate(rep.egaps)
+
+
+def inclusion_residuals(rep: Replay) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block residuals of M(z_{k-1} - z_k) in T(z~_k), one entry per k:
+
+    - conjugate gap of A'gamma_tilde - H1 dx at x (must vanish),
+    - conjugate gap of B'gamma_tilde - (H2 + (beta/alpha)B'B) dy
+      - ((1-alpha)/alpha) B' dgamma at y (must vanish),
+    - norm of ((1-alpha)/alpha) B dy + dgamma/(alpha beta) + Ax + By - b.
+    """
+    inst = rep.traj.instance
+    alpha, beta = rep.alpha, rep.beta
+    X, Y = rep.X[1:], rep.Y[1:]
+    gap_f = oracles.fenchel_gap(inst.f, rep.Vf, X)
+    gap_g = oracles.fenchel_gap(inst.g, rep.Vg, Y)
+    resid = (
+        (1.0 - alpha) / alpha * rep.BDY
+        + rep.DG / (alpha * beta)
+        + linalg.apply_rows(inst.A, X)
+        + linalg.apply_rows(inst.B, Y)
+        - inst.b
+    )
+    return gap_f, gap_g, np.sqrt(np.vecdot(resid, resid))
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+@dataclass
+class HpeCertificate(Checks):
+    """The per-iteration conditions, one entry per k = 1..K."""
+
+    k: np.ndarray
+    lhs: np.ndarray                  # ||z~_k - z_k||^2_M + eta_k
+    rhs: np.ndarray                  # sigma ||z~_k - z_{k-1}||^2_M + eta_{k-1}
+    slack: np.ndarray                # rhs - lhs (must be >= -tol)
+    inclusion_gap_f: np.ndarray
+    inclusion_gap_g: np.ndarray
+    constraint_residual: np.ndarray  # linear identity on (dy, dgamma, Ax+By-b)
+    multiplier_residual: np.ndarray  # || gamma_tilde - gamma_prev - (dgamma + beta B dy)/alpha ||
+    eta: np.ndarray
+    identity_tol: np.ndarray         # resolved allowance for the two identities at each k
+    rows: list
+
+
+REL = f"{CERT_REL_TOL:g} relative"
+
+
+def certify_hpe(rep: Replay) -> HpeCertificate:
+    """Evaluate the per-iteration conditions at every k >= 1: the
+    relative-error inequality, the two inclusions and the two identities."""
+    n, p = rep.traj.instance.n, rep.traj.instance.p
+    to_iter = np.hstack([np.zeros((rep.K, n + p)), rep.Gt - rep.G[1:]])
+    lhs = rep.metric.seminorm_sq(to_iter) + rep.eta[1:]
+    rhs = rep.sigma * rep.egaps + rep.eta[:-1]
+    slack = rhs - lhs
+    mult = rep.Gt - rep.G[:-1] - (rep.DG + rep.beta * rep.BDY) / rep.alpha
+    mult = np.sqrt(np.vecdot(mult, mult))
+    biggest = [np.abs(a).max(axis=1, initial=0.0) for a in (rep.Gt, rep.G[1:], rep.G[:-1])]
+    id_tol = IDENTITY_TOL * (1.0 + np.maximum.reduce(biggest))
+    gap = functools.partial(slack_row, ks=rep.ks, tolerance=f"{INCLUSION_GAP_TOL:g}")
+    ident = functools.partial(slack_row, ks=rep.ks, tolerance=f"{IDENTITY_TOL:g} scaled")
+    rows = [
+        slack_row("hpe_inequality", slack + cert_tol(lhs, rhs), rep.ks, REL),
+        gap("hpe_inclusion_f", INCLUSION_GAP_TOL - rep.gap_f, note=gap_note(rep.gap_f)),
+        gap("hpe_inclusion_g", INCLUSION_GAP_TOL - rep.gap_g, note=gap_note(rep.gap_g)),
+        ident("multiplier_identity", id_tol - mult),
+        ident("constraint_identity", id_tol - rep.cons),
+    ]
+    return HpeCertificate(
+        rep.ks, lhs, rhs, slack, rep.gap_f, rep.gap_g, rep.cons, mult, rep.eta[1:], id_tol, rows
+    )
+
+
+def _bound_row(name, rep, bound) -> ReportRow:
+    rho = rho_sequence(rep)
+    return slack_row(name, bound + cert_tol(bound, rho) - rho, rep.ks, REL, f"bound={bound:.6g}")
+
+
+def check_rho_bound(rep: Replay) -> ReportRow:
     """rho_k <= 4(1+2alpha)[alpha + 4(2-alpha)sigma] d0 / alpha^3 for all k.
 
     This is the bound that keeps the ergodic certificates finite even at
     alpha = 2, where the relative-error constant equals one.
     """
-    _check_reference(traj.instance, z_star)
-    alpha = traj.params.alpha
-    sig = sigma_alpha(alpha)
-    metric = metric_for(traj)
-    d0 = initial_distance_sq(traj, z_star, metric)
-    bound = 4.0 * (1.0 + 2.0 * alpha) * (alpha + 4.0 * (2.0 - alpha) * sig) * d0 / alpha**3
-    rho = rho_sequence(traj, metric)
-    slacks = [(k + 1, bound + cert_tol(bound, r) - r) for k, r in enumerate(rho)]
-    row = _row_from_slacks(
-        "rho_bound", slacks, f"{CERT_REL_TOL:g} relative", note=f"bound={bound:.6g}"
-    )
-    if raise_on_violation and not row.passed:
-        raise CertificationError(
-            f"running-maximum bound violated at k={row.worst_k} (slack {row.worst_slack:.3e})",
-            k=row.worst_k,
-            check="rho_bound",
-        )
-    return row
+    alpha, sig = rep.alpha, rep.sigma
+    bound = 4.0 * (1.0 + 2.0 * alpha) * (alpha + 4.0 * (2.0 - alpha) * sig) * rep.d0 / alpha**3
+    return _bound_row("rho_bound", rep, bound)
 
 
-def check_rho_contractive_bound(traj, z_star, raise_on_violation=True) -> ReportRow:
+def check_rho_contractive_bound(rep: Replay) -> ReportRow:
     """rho_k <= (d0 + eta_0)/(1 - sigma), valid only when sigma < 1 (alpha < 2)."""
-    alpha = traj.params.alpha
-    sig = sigma_alpha(alpha)
-    if sig >= 1.0:
+    if rep.sigma >= 1.0:
         raise ValueError("contractive rho bound undefined at alpha = 2 (sigma = 1)")
-    _check_reference(traj.instance, z_star)
-    metric = metric_for(traj)
-    d0 = initial_distance_sq(traj, z_star, metric)
-    eta0 = 4.0 * (2.0 - alpha) * sig * d0 / alpha
-    bound = (d0 + eta0) / (1.0 - sig)
-    rho = rho_sequence(traj, metric)
-    slacks = [(k + 1, bound + cert_tol(bound, r) - r) for k, r in enumerate(rho)]
-    row = _row_from_slacks(
-        "rho_contractive_bound", slacks, f"{CERT_REL_TOL:g} relative", note=f"bound={bound:.6g}"
-    )
-    if raise_on_violation and not row.passed:
-        raise CertificationError(
-            f"contractive running-maximum bound violated at k={row.worst_k}",
-            k=row.worst_k,
-            check="rho_contractive_bound",
-        )
-    return row
+    return _bound_row("rho_contractive_bound", rep, (rep.d0 + rep.eta[0]) / (1.0 - rep.sigma))
 
 
-def check_delta_inequalities(traj, z_star, raise_on_violation=True) -> ReportRow:
+def check_delta_inequalities(rep: Replay) -> ReportRow:
     """The <B dy_k, dgamma_k> inequalities that feed the error budget:
 
         2 <B dy_1, dgamma_1> >= ||dy_1||^2_{H2} - 4 d0,
         2 <B dy_k, dgamma_k> >= ||dy_k||^2_{H2} - ||dy_{k-1}||^2_{H2}   (k >= 2).
     """
-    _check_reference(traj.instance, z_star)
-    metric = metric_for(traj)
-    d0 = initial_distance_sq(traj, z_star, metric)
-    B = traj.instance.B
-    h2 = traj.h2
-    slacks = []
-    prev_sq = None
-    for st in traj.states[1:]:
-        inner = 2.0 * float((B @ st.dy) @ st.dgamma)
-        dy_sq = linalg.seminorm_sq(h2, st.dy)
-        if st.k == 1:
-            lower = dy_sq - 4.0 * d0
-        else:
-            lower = dy_sq - prev_sq
-        slacks.append((st.k, inner - lower + cert_tol(inner, lower)))
-        prev_sq = dy_sq
-    row = _row_from_slacks("delta_y_gamma_inequality", slacks, f"{CERT_REL_TOL:g} relative")
-    if raise_on_violation and not row.passed:
-        raise CertificationError(
-            f"step-coupling inequality violated at k={row.worst_k}",
-            k=row.worst_k,
-            check="delta_y_gamma_inequality",
-        )
-    return row
+    inner = 2.0 * np.vecdot(rep.BDY, rep.DG)
+    lower = rep.dy_sq - np.concatenate([[4.0 * rep.d0], rep.dy_sq[:-1]])
+    slack = inner - lower + cert_tol(inner, lower)
+    return slack_row("delta_y_gamma_inequality", slack, rep.ks, REL)
 
 
-def check_fejer(traj, z_star, raise_on_violation=True) -> ReportRow:
+def check_fejer(rep: Replay) -> ReportRow:
     """Monotonicity of ||z* - z_k||^2_M + eta_k along the run."""
-    _check_reference(traj.instance, z_star)
-    metric = metric_for(traj)
-    d0 = initial_distance_sq(traj, z_star, metric)
-    eta = eta_sequence(traj, d0)
-    vals = []
-    for st in traj.states:
-        diff = metric.stack(z_star.x - st.x, z_star.y - st.y, z_star.gamma - st.gamma)
-        vals.append(metric.seminorm_sq(diff) + eta[st.k])
-    slacks = [
-        (k, vals[k - 1] - vals[k] + cert_tol(vals[k - 1], vals[k]))
-        for k in range(1, len(vals))
-    ]
-    row = _row_from_slacks("fejer_monotonicity", slacks, f"{CERT_REL_TOL:g} relative")
-    if raise_on_violation and not row.passed:
-        raise CertificationError(
-            f"Fejer monotonicity violated at k={row.worst_k}",
-            k=row.worst_k,
-            check="fejer_monotonicity",
-        )
-    return row
+    zs = rep.z_star
+    dist = rep.metric.seminorm_sq(np.hstack([zs.x - rep.X, zs.y - rep.Y, zs.gamma - rep.G]))
+    vals = dist + rep.eta
+    prev, cur = vals[:-1], vals[1:]
+    return slack_row("fejer_monotonicity", prev - cur + cert_tol(prev, cur), rep.ks, REL)
 
 
 def metric_identity_residual(metric, z_prev, z_k, z_tilde, probe) -> float:
@@ -465,9 +423,6 @@ def metric_identity_residual(metric, z_prev, z_k, z_tilde, probe) -> float:
     pure rounding.
     """
     lhs = metric.seminorm_sq(probe - z_k) - metric.seminorm_sq(probe - z_prev)
-    rhs = (
-        metric.seminorm_sq(z_tilde - z_k)
-        - metric.seminorm_sq(z_tilde - z_prev)
-        + 2.0 * float(metric.apply(z_prev - z_k) @ (probe - z_tilde))
-    )
+    cross = 2.0 * float((metric.matrix @ (z_prev - z_k)) @ (probe - z_tilde))
+    rhs = metric.seminorm_sq(z_tilde - z_k) - metric.seminorm_sq(z_tilde - z_prev) + cross
     return abs(lhs - rhs)

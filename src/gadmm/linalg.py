@@ -38,6 +38,20 @@ def as_vector(v, dim=None, name="vector") -> np.ndarray:
     return out
 
 
+def as_rows(v, dim=None, name="vector") -> np.ndarray:
+    """Coerce to one 1-D float vector or a 2-D stack of row vectors,
+    optionally checking the row length.  Finiteness is not checked: data
+    is checked once, where it enters the package."""
+    out = np.asarray(v, dtype=float)
+    if out.ndim == 0:
+        out = out.reshape(1)
+    if out.ndim > 2:
+        raise ValueError(f"{name} must be a vector or a stack of rows, got shape {out.shape}")
+    if dim is not None and out.shape[-1] != dim:
+        raise ValueError(f"{name} has length {out.shape[-1]}, expected {dim}")
+    return out
+
+
 def as_matrix(a, rows=None, cols=None, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-D float array, optionally checking its shape."""
     out = np.asarray(a, dtype=float)
@@ -124,32 +138,43 @@ class PsdOperator:
     def side(self) -> int:
         return self.matrix.shape[0]
 
-    def seminorm_sq(self, v) -> float:
-        return seminorm_sq(self.matrix, v)
+    def seminorm_sq(self, v):
+        return seminorm_sq(self, v)
 
 
 def _unwrap(Q) -> np.ndarray:
     return Q.matrix if isinstance(Q, PsdOperator) else as_matrix(Q, name="Q")
 
 
-def seminorm_sq(Q, v) -> float:
+def apply_rows(Q, v) -> np.ndarray:
+    """Q v for one vector, or Q v_i for each row v_i of a stack.
+
+    Each row is its own matrix-vector product, so a stacked call gives
+    bit for bit what the one-vector calls give.
+    """
+    return np.matmul(Q, v[..., None])[..., 0]
+
+
+def seminorm_sq(Q, v):
     """Squared seminorm <Qv, v> induced by a symmetric PSD Q.
 
-    Tiny negative values from rounding are clamped to zero.  A negative
-    value beyond the rounding band is returned as-is: it means Q was not
-    PSD after all, and the caller's probes are expected to catch that.
+    ``v`` is one vector (returns a float) or a stack of row vectors
+    (returns one value per row).  Tiny negative values from rounding are
+    clamped to zero.  A negative value beyond the rounding band is
+    returned as-is: it means Q was not PSD after all, and the caller's
+    probes are expected to catch that.
     """
     Q = _unwrap(Q)
     if Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
-    v = as_vector(v, dim=Q.shape[0], name="v")
-    val = float(v @ (Q @ v))
-    if val < 0.0:
+    v = as_rows(v, dim=Q.shape[0], name="v")
+    val = np.vecdot(v, apply_rows(Q, v))
+    neg = val < 0.0
+    if np.any(neg):
         qscale = 1.0 + (float(np.max(np.abs(Q))) if Q.size else 0.0)
-        band = PSD_TOL * (1.0 + float(v @ v) * qscale)
-        if val >= -band:
-            return 0.0
-    return val
+        band = PSD_TOL * (1.0 + np.vecdot(v, v) * qscale)
+        val = np.where(neg & (val >= -band), 0.0, val)
+    return float(val) if v.ndim == 1 else val
 
 
 def seminorm(Q, v) -> float:
@@ -178,7 +203,14 @@ class SpdFactor:
         self.side = K.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
-        rhs = as_vector(rhs, dim=self.side, name="right-hand side")
+        """Solve for one right-hand side, or for each column of a (side, k) block."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim == 0:
+            rhs = rhs.reshape(1)
+        if rhs.ndim > 2 or rhs.shape[0] != self.side:
+            raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.side} rows")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("right-hand side has non-finite entries")
         return cho_solve(self._cf, rhs, check_finite=False)
 
 

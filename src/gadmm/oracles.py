@@ -12,6 +12,10 @@ at x (gap <= eps  iff  F(v) >= F(x) + <u, v - x> - eps for all v).
 Three variants -- quadratics, scaled l1 norms, and the zero function --
 cover the supported problem classes with closed-form conjugates, so the
 epsilon-subgradient membership checks are exact up to rounding.
+
+``value``, ``conjugate`` and :func:`fenchel_gap` take one vector or a
+stack of row vectors; a stack gives one result per row, equal bit for bit
+to the one-vector calls.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ _GAP_BAND = 1e-9
 # Residual tolerance of the range test used by the conjugate of a
 # singular quadratic.
 _RANGE_TOL = 1e-8
+
+
+def _out(val, like):
+    """A float for a one-vector call, the array of per-row values for a stack."""
+    return float(val) if like.ndim == 1 else val
 
 
 def soft_threshold(v, thr) -> np.ndarray:
@@ -72,9 +81,11 @@ class Quadratic:
     def dim(self) -> int:
         return self.q.shape[0]
 
-    def value(self, v) -> float:
-        v = linalg.as_vector(v, dim=self.dim, name="v")
-        return 0.5 * float(v @ (self.P @ v)) + float(self.q @ v) + self.c
+    def value(self, v):
+        v = linalg.as_rows(v, self.dim, "v")
+        return _out(
+            0.5 * np.vecdot(v, linalg.apply_rows(self.P, v)) + np.vecdot(v, self.q) + self.c, v
+        )
 
     def grad(self, v) -> np.ndarray:
         v = linalg.as_vector(v, dim=self.dim, name="v")
@@ -104,24 +115,25 @@ class Quadratic:
             object.__setattr__(self, "_pfac", fac)
         return fac
 
-    def conjugate(self, u) -> float:
+    def conjugate(self, u):
         """sup_v <u,v> - value(v).
 
         Equals (1/2)(u-q)' P^{-1} (u-q) - c when u - q lies in the range
         of P, and +inf otherwise (singular P handled by a least-squares
         solve plus a range test).
         """
-        u = linalg.as_vector(u, dim=self.dim, name="u")
+        u = linalg.as_rows(u, self.dim, "u")
         r = u - self.q
         fac = self._p_factor()
         if fac:
-            x = fac.solve(r)
+            x = fac.solve(r.T).T
+            val = 0.5 * np.vecdot(r, x) - self.c
         else:
-            x, *_ = np.linalg.lstsq(self.P, r, rcond=None)
-            resid = float(np.linalg.norm(self.P @ x - r))
-            if resid > _RANGE_TOL * (1.0 + float(np.linalg.norm(r))):
-                return math.inf
-        return 0.5 * float(r @ x) - self.c
+            x = np.linalg.lstsq(self.P, r.T, rcond=None)[0].T
+            d = linalg.apply_rows(self.P, x) - r
+            in_range = np.sqrt(np.vecdot(d, d)) <= _RANGE_TOL * (1.0 + np.sqrt(np.vecdot(r, r)))
+            val = np.where(in_range, 0.5 * np.vecdot(r, x) - self.c, math.inf)
+        return _out(val, u)
 
 
 @dataclass(frozen=True)
@@ -139,9 +151,9 @@ class L1:
     def dim(self):
         return None  # any dimension
 
-    def value(self, v) -> float:
-        v = linalg.as_vector(v, name="v")
-        return self.mu * float(np.sum(np.abs(v)))
+    def value(self, v):
+        v = linalg.as_rows(v, name="v")
+        return _out(self.mu * np.sum(np.abs(v), axis=-1), v)
 
     def prox_solver(self, t):
         if not t > 0:
@@ -152,12 +164,12 @@ class L1:
     def prox(self, v, t) -> np.ndarray:
         return self.prox_solver(t)(v)
 
-    def conjugate(self, u) -> float:
+    def conjugate(self, u):
         """Indicator of the ||.||_inf ball of radius mu."""
-        u = linalg.as_vector(u, name="u")
-        if float(np.max(np.abs(u), initial=0.0)) <= self.mu * (1.0 + _BALL_SLACK) + _BALL_SLACK:
-            return 0.0
-        return math.inf
+        u = linalg.as_rows(u, name="u")
+        radius = self.mu * (1.0 + _BALL_SLACK) + _BALL_SLACK
+        inside = np.max(np.abs(u), axis=-1, initial=0.0) <= radius
+        return _out(np.where(inside, 0.0, math.inf), u)
 
 
 @dataclass(frozen=True)
@@ -168,9 +180,9 @@ class Zero:
     def dim(self):
         return None  # any dimension
 
-    def value(self, v) -> float:
-        linalg.as_vector(v, name="v")
-        return 0.0
+    def value(self, v):
+        v = linalg.as_rows(v, name="v")
+        return _out(np.zeros(v.shape[:-1]), v)
 
     def prox_solver(self, t):
         if not t > 0:
@@ -180,37 +192,41 @@ class Zero:
     def prox(self, v, t) -> np.ndarray:
         return self.prox_solver(t)(v)
 
-    def conjugate(self, u) -> float:
+    def conjugate(self, u):
         """Indicator of the origin (within an absolute tolerance)."""
-        u = linalg.as_vector(u, name="u")
-        if float(np.max(np.abs(u), initial=0.0)) <= linalg.PSD_TOL:
-            return 0.0
-        return math.inf
+        u = linalg.as_rows(u, name="u")
+        inside = np.max(np.abs(u), axis=-1, initial=0.0) <= linalg.PSD_TOL
+        return _out(np.where(inside, 0.0, math.inf), u)
 
 
 ConvexFunction = Union[Quadratic, L1, Zero]
 
 
-def fenchel_gap(F: ConvexFunction, u, x) -> float:
+def fenchel_gap(F: ConvexFunction, u, x):
     """Least eps such that u is an eps-subgradient of F at x.
 
     Returns F(x) + F*(u) - <u, x>, clamped at zero from below within a
     rounding band; +inf when u lies outside the domain of F*.  A negative
     value beyond the band signals a broken value/conjugate pair and raises.
+    ``u`` and ``x`` are one pair of vectors (returns a float) or stacks of
+    row pairs (returns one gap per row).
     """
-    u = linalg.as_vector(u, name="u")
-    x = linalg.as_vector(x, dim=u.shape[0], name="x")
-    conj = F.conjugate(u)
-    if math.isinf(conj):
-        return math.inf
-    val = F.value(x)
-    pairing = float(u @ x)
-    gap = val + conj - pairing
-    if gap < 0.0:
-        band = _GAP_BAND * (1.0 + abs(val) + abs(conj) + abs(pairing))
-        if gap < -band:
+    u = linalg.as_rows(u, name="u")
+    x = linalg.as_rows(x, name="x")
+    if x.shape != u.shape:
+        raise ValueError(f"x has shape {x.shape}, expected {u.shape}")
+    conj = np.asarray(F.conjugate(u))
+    val = np.asarray(F.value(x))
+    pairing = np.vecdot(u, x)
+    with np.errstate(invalid="ignore"):  # inf - inf where u is outside dom F*
+        gap = np.where(np.isinf(conj), math.inf, val + conj - pairing)
+    neg = gap < 0.0
+    if np.any(neg):
+        band = _GAP_BAND * (1.0 + np.abs(val) + np.abs(conj) + np.abs(pairing))
+        if np.any(gap < -band):
+            worst = float(np.min(gap))
             raise InternalCheckError(
-                f"conjugate gap {gap:.3e} below the rounding band: broken conjugate pair"
+                f"conjugate gap {worst:.3e} below the rounding band: broken conjugate pair"
             )
-        gap = 0.0
-    return gap
+        gap = np.where(neg, 0.0, gap)
+    return _out(gap, u)

@@ -111,8 +111,8 @@ class GadmmParams:
 
 @dataclass(frozen=True)
 class IterateState:
-    """One recorded iterate.  Deltas and the intermediate multiplier are
-    absent at k = 0."""
+    """One iterate, as returned by :func:`step` and :meth:`Trajectory.state`.
+    Deltas and the intermediate multiplier are absent at k = 0."""
 
     k: int
     x: np.ndarray
@@ -127,21 +127,56 @@ class IterateState:
 @dataclass
 class Trajectory:
     """A recorded run: the instance, the configuration, the resolved
-    proximal weights, and the iterate sequence from k = 0 on."""
+    proximal weights, and the iterates stored as columns.
+
+    Row k of ``X``, ``Y``, ``G`` holds x_k, y_k, gamma_k for k = 0..K, and
+    row k-1 of ``Gt`` holds gamma_tilde_k for k = 1..K.  Steps are row
+    differences of these arrays and are not stored.  The proximal metric M
+    is built on first use and kept.
+    """
 
     instance: problems.SeparableInstance
     params: GadmmParams
     h1: np.ndarray
     h2: np.ndarray
-    states: list
+    X: np.ndarray
+    Y: np.ndarray
+    G: np.ndarray
+    Gt: np.ndarray
+    _metric: Optional[hpe.ProximalMetric] = field(default=None, repr=False, compare=False)
 
     @property
     def iterations(self) -> int:
-        return len(self.states) - 1
+        return self.X.shape[0] - 1
+
+    @property
+    def metric(self) -> hpe.ProximalMetric:
+        if self._metric is None:
+            self._metric = hpe.build_metric(
+                self.instance, self.h1, self.h2, self.params.beta, self.params.alpha
+            )
+        return self._metric
+
+    def state(self, k: int) -> IterateState:
+        if not 0 <= k <= self.iterations:
+            raise IndexError(f"k={k} outside 0..{self.iterations}")
+        x, y, gamma = self.X[k], self.Y[k], self.G[k]
+        if k == 0:
+            return IterateState(k=0, x=x, y=y, gamma=gamma)
+        return IterateState(
+            k=k,
+            x=x,
+            y=y,
+            gamma=gamma,
+            gamma_tilde=self.Gt[k - 1],
+            dx=x - self.X[k - 1],
+            dy=y - self.Y[k - 1],
+            dgamma=gamma - self.G[k - 1],
+        )
 
     @property
     def final(self) -> IterateState:
-        return self.states[-1]
+        return self.state(self.iterations)
 
 
 def _resolve_h(mode: HMode, op: np.ndarray, beta: float, dim: int, name: str):
@@ -237,31 +272,19 @@ class _Engine:
         v = y_prev + (B.T @ (gamma_prev - beta * relaxed)) / self.tau2
         return self._y_prox(v)
 
-    def step(self, state: IterateState, By_prev=None):
-        """Advance one iteration; returns (new state, B y_k) so the caller
-        can carry the product forward."""
+    def advance(self, x_prev, y_prev, gamma_prev, By_prev):
+        """One iteration; returns (x_k, y_k, gamma_k, gamma_tilde_k, B y_k) so
+        the caller can carry the product forward."""
         A, B, b = self.inst.A, self.inst.B, self.inst.b
         beta, alpha = self.params.beta, self.params.alpha
-        if By_prev is None:
-            By_prev = B @ state.y
-        x = self.x_update(state.x, state.y, state.gamma, By_prev=By_prev)
+        x = self.x_update(x_prev, y_prev, gamma_prev, By_prev=By_prev)
         Ax = A @ x
         half_resid = Ax + By_prev - b
-        y = self.y_update(x, state.y, state.gamma, Ax_new=Ax, By_prev=By_prev)
+        y = self.y_update(x, y_prev, gamma_prev, Ax_new=Ax, By_prev=By_prev)
         By = B @ y
-        gamma = state.gamma - beta * (alpha * half_resid + (By - By_prev))
-        gamma_tilde = state.gamma - beta * half_resid
-        new = IterateState(
-            k=state.k + 1,
-            x=x,
-            y=y,
-            gamma=gamma,
-            gamma_tilde=gamma_tilde,
-            dx=x - state.x,
-            dy=y - state.y,
-            dgamma=gamma - state.gamma,
-        )
-        return new, By
+        gamma = gamma_prev - beta * (alpha * half_resid + (By - By_prev))
+        gamma_tilde = gamma_prev - beta * half_resid
+        return x, y, gamma, gamma_tilde, By
 
 
 def solve_x_subproblem(inst, params, y_prev, x_prev, gamma_prev) -> np.ndarray:
@@ -283,8 +306,19 @@ def solve_y_subproblem(inst, params, x_new, y_prev, gamma_prev) -> np.ndarray:
 def step(inst, params, state: IterateState) -> IterateState:
     """One iteration from an arbitrary state (resolves and factors per call;
     use :func:`run` for whole trajectories)."""
-    new, _ = _Engine(inst, params).step(state)
-    return new
+    x, y, gamma, gamma_tilde, _ = _Engine(inst, params).advance(
+        state.x, state.y, state.gamma, inst.B @ state.y
+    )
+    return IterateState(
+        k=state.k + 1,
+        x=x,
+        y=y,
+        gamma=gamma,
+        gamma_tilde=gamma_tilde,
+        dx=x - state.x,
+        dy=y - state.y,
+        dgamma=gamma - state.gamma,
+    )
 
 
 def initial_state(inst, x0=None, y0=None, gamma0=None) -> IterateState:
@@ -306,32 +340,41 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     the subproblem inclusions hold.
     """
     eng = _Engine(inst, params)
-    state = initial_state(inst, x0, y0, gamma0)
-    states = [state]
+    start = initial_state(inst, x0, y0, gamma0)
     metric = None
     if params.stop_tol > 0:
         metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
-    By = inst.B @ state.y
+    x, y, gamma = start.x, start.y, start.gamma
+    xs, ys, gs, gts = [x], [y], [gamma], []
+    By = inst.B @ y
     for _ in range(params.max_iter):
-        state, By = eng.step(state, By_prev=By)
-        states.append(state)
+        x_new, y_new, gamma_new, gamma_tilde, By = eng.advance(x, y, gamma, By)
+        xs.append(x_new)
+        ys.append(y_new)
+        gs.append(gamma_new)
+        gts.append(gamma_tilde)
         if metric is not None:
-            dz = np.concatenate([state.dx, state.dy, state.dgamma])
+            dz = np.concatenate([x_new - x, y_new - y, gamma_new - gamma])
             step_size = math.sqrt(metric.seminorm_sq(dz))
-            gap = problems.kkt_gap(
-                inst, problems.KktPoint(state.x, state.y, state.gamma_tilde)
-            )
+            gap = problems.kkt_gap(inst, problems.KktPoint(x_new, y_new, gamma_tilde))
             if max(step_size, gap) <= params.stop_tol:
                 break
-    return Trajectory(instance=inst, params=params, h1=eng.h1, h2=eng.h2, states=states)
+        x, y, gamma = x_new, y_new, gamma_new
+    return Trajectory(
+        instance=inst,
+        params=params,
+        h1=eng.h1,
+        h2=eng.h2,
+        X=np.array(xs),
+        Y=np.array(ys),
+        G=np.array(gs),
+        Gt=np.array(gts).reshape(len(gts), inst.m),
+        _metric=metric,
+    )
 
 
 # ---------------------------------------------------------------------------
 # trajectory files (CSV)
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def trajectory_header(inst) -> list[str]:
@@ -349,77 +392,67 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     M-seminorm of the step, and the first-order gap.  Floats are written
     with full round-trip precision."""
     inst = traj.instance
-    metric = hpe.metric_for(traj)
+    X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
+    steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
+    dxm = np.sqrt(traj.metric.seminorm_sq(steps)).tolist()
+    # the gap at (x_0, y_0, gamma_0), then at (x_k, y_k, gamma_tilde_k)
+    gaps = problems.kkt_gaps(inst, X, Y, np.vstack([G[:1], Gt])).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(trajectory_header(inst))
-        for st in traj.states:
-            row = [str(st.k)]
-            row += [_fmt(v) for v in st.x]
-            row += [_fmt(v) for v in st.y]
-            row += [_fmt(v) for v in st.gamma]
-            if st.k == 0:
-                row += [""] * inst.m
-                row += ["", _fmt(problems.kkt_gap(inst, problems.KktPoint(st.x, st.y, st.gamma)))]
+        for k, gap in enumerate(gaps):
+            row = [str(k), *map(repr, np.concatenate([X[k], Y[k], G[k]]).tolist())]
+            if k == 0:
+                row += [""] * (inst.m + 1)
             else:
-                row += [_fmt(v) for v in st.gamma_tilde]
-                dz = np.concatenate([st.dx, st.dy, st.dgamma])
-                row.append(_fmt(math.sqrt(metric.seminorm_sq(dz))))
-                row.append(
-                    _fmt(
-                        problems.kkt_gap(
-                            inst, problems.KktPoint(st.x, st.y, st.gamma_tilde)
-                        )
-                    )
-                )
+                row += [*map(repr, Gt[k - 1].tolist()), repr(dxm[k - 1])]
+            row.append(repr(gap))
             writer.writerow(row)
 
 
 def load_trajectory_csv(path, inst, params) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`.
 
-    Deltas are recomputed as successive differences; the recorded
-    intermediate multipliers are taken from the file so that the
-    certificate checks exercise what was actually written.
+    The recorded intermediate multipliers are taken from the file so that
+    the certificate checks exercise what was actually written.  Rows with
+    a non-finite iterate cell are rejected here, once, with their row
+    number.
     """
     n, p, m = inst.n, inst.p, inst.m
     expected = trajectory_header(inst)
+    cut = 1 + n + p + m
+    iterates, multipliers = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise ValueError(f"trajectory file: unexpected header {header}")
-        states = []
-        prev = None
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise ValueError(f"trajectory file: row {lineno} has {len(row)} cells")
             k = int(row[0])
-            if k != len(states):
+            if k != len(iterates):
                 raise ValueError(f"trajectory file: iteration indices not contiguous at row {lineno}")
-            vals = row[1:]
-            x = np.array([float(v) for v in vals[:n]])
-            y = np.array([float(v) for v in vals[n : n + p]])
-            gamma = np.array([float(v) for v in vals[n + p : n + p + m]])
-            if k == 0:
-                state = IterateState(k=0, x=x, y=y, gamma=gamma)
-            else:
-                gamma_tilde = np.array(
-                    [float(v) for v in vals[n + p + m : n + p + 2 * m]]
-                )
-                state = IterateState(
-                    k=k,
-                    x=x,
-                    y=y,
-                    gamma=gamma,
-                    gamma_tilde=gamma_tilde,
-                    dx=x - prev.x,
-                    dy=y - prev.y,
-                    dgamma=gamma - prev.gamma,
-                )
-            states.append(state)
-            prev = state
-    if not states:
+            iterates.append([float(v) for v in row[1:cut]])
+            if k > 0:
+                multipliers.append([float(v) for v in row[cut : cut + m]])
+    if not iterates:
         raise ValueError("trajectory file: no rows")
+    Z = np.array(iterates)
+    Gt = np.array(multipliers).reshape(len(multipliers), m)
+    bad = ~np.isfinite(Z).all(axis=1)
+    bad[1:] |= ~np.isfinite(Gt).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad)) + 2
+        raise ValueError(f"trajectory file: non-finite iterate value in row {row}")
     h1, h2 = resolve_prox_terms(inst, params)
-    return Trajectory(instance=inst, params=params, h1=h1, h2=h2, states=states)
+    return Trajectory(
+        instance=inst,
+        params=params,
+        h1=h1,
+        h2=h2,
+        X=np.ascontiguousarray(Z[:, :n]),
+        Y=np.ascontiguousarray(Z[:, n : n + p]),
+        G=np.ascontiguousarray(Z[:, n + p :]),
+        Gt=Gt,
+    )

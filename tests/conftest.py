@@ -35,6 +35,11 @@ def run_full(inst, alpha, beta=1.0, iters=200, h1=None, h2=None):
     return solver.run(inst, params)
 
 
+def state_pairs(traj):
+    """(state k-1, state k) for k = 1..K."""
+    return [(traj.state(k - 1), traj.state(k)) for k in range(1, traj.iterations + 1)]
+
+
 def random_spd(rng, dim, ridge=1.0):
     G = rng.standard_normal((dim, dim))
     return G @ G.T / dim + ridge * np.eye(dim)

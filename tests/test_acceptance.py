@@ -110,17 +110,14 @@ def _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs, qp_alphas=HPE_ALPHAS):
 def test_criterion_1_hpe_certification(qp_suite, qp_runs, lasso_suite, lasso_runs):
     checked = 0
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        certs = hpe.certify_hpe(traj, z_star, raise_on_violation=False)
-        for c in certs:
-            assert c.slack >= -REL_TOL * (1.0 + max(abs(c.lhs), abs(c.rhs))), (
-                traj.params.alpha,
-                c.k,
-            )
-            assert c.inclusion_gap_f <= GAP_TOL
-            assert c.inclusion_gap_g <= GAP_TOL
-            assert c.multiplier_residual <= IDENTITY_TOL
-            assert c.constraint_residual <= IDENTITY_TOL
-        checked += len(certs)
+        c = hpe.certify_hpe(hpe.Replay(traj, z_star))
+        ok = c.slack >= -REL_TOL * (1.0 + np.maximum(np.abs(c.lhs), np.abs(c.rhs)))
+        assert np.all(ok), (traj.params.alpha, c.k[~ok])
+        assert np.all(c.inclusion_gap_f <= GAP_TOL)
+        assert np.all(c.inclusion_gap_g <= GAP_TOL)
+        assert np.all(c.multiplier_residual <= IDENTITY_TOL)
+        assert np.all(c.constraint_residual <= IDENTITY_TOL)
+        checked += len(c.k)
     assert checked >= 40 * QP_ITERS
 
 
@@ -129,15 +126,14 @@ def test_criterion_2_pointwise_bound(qp_suite, qp_runs):
     for seed in QP_SEEDS:
         for alpha in POINTWISE_ALPHAS:
             traj = qp_runs(seed, alpha)
-            running_min, rhs = certificates.pointwise_certificate(
-                traj, qp_suite[seed].solution, raise_on_violation=False
-            )
+            pw = certificates.pointwise_certificate(hpe.Replay(traj, qp_suite[seed].solution))
+            running_min, rhs = pw.running_min, pw.rhs
             assert len(running_min) == QP_ITERS
             for lhs_k, rhs_k in zip(running_min, rhs):
                 assert rel_slack_ok(lhs_k, rhs_k), (seed, alpha)
     traj2 = qp_runs(QP_SEEDS[0], 2.0)
     with pytest.raises(ValueError):
-        certificates.pointwise_certificate(traj2, qp_suite[QP_SEEDS[0]].solution)
+        certificates.pointwise_certificate(hpe.Replay(traj2, qp_suite[QP_SEEDS[0]].solution))
 
 
 @criterion("criterion 3: ergodic bounds at every checked k, including alpha=2")
@@ -147,25 +143,25 @@ def test_criterion_3_ergodic_bounds(qp_suite, qp_runs, lasso_suite, lasso_runs):
     sig2, c2, ct2 = bound_constants(2.0)
     assert (c2, ct2) == (pytest.approx(1.0), pytest.approx(12.0))
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        checks = certificates.ergodic_certificate(traj, z_star, raise_on_violation=False)
-        for chk in checks:
-            assert rel_slack_ok(chk.r_lhs, chk.r_rhs), (traj.params.alpha, chk.point.k)
-            eps_sum = chk.point.eps_x + chk.point.eps_y
-            assert rel_slack_ok(eps_sum, chk.eps_rhs), (traj.params.alpha, chk.point.k)
+        erg = certificates.ergodic_certificate(hpe.Replay(traj, z_star))
+        for k, r_lhs, r_rhs, eps_sum, eps_rhs in zip(
+            erg.k, erg.r_lhs, erg.r_rhs, erg.eps_x + erg.eps_y, erg.eps_rhs
+        ):
+            assert rel_slack_ok(r_lhs, r_rhs), (traj.params.alpha, k)
+            assert rel_slack_ok(eps_sum, eps_rhs), (traj.params.alpha, k)
 
 
 @criterion("criterion 4: running-maximum bound on the full suite, including alpha=2")
 def test_criterion_4_rho_bound(qp_suite, qp_runs, lasso_suite, lasso_runs):
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        row = hpe.check_rho_bound(traj, z_star, raise_on_violation=False)
+        row = hpe.check_rho_bound(hpe.Replay(traj, z_star))
         assert row.passed, (traj.params.alpha, row.worst_k, row.worst_slack)
 
 
 @criterion("criterion 5: epsilon split identity at every checked k")
 def test_criterion_5_epsilon_split(qp_suite, qp_runs, lasso_suite, lasso_runs):
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        metric = hpe.metric_for(traj)
-        pre = certificates._Precomp(traj, metric)
+        pre = hpe.Replay(traj, z_star)
         for k in checked_iterations(pre.K):
             pt = certificates._ergodic_at(pre, k)
             eps_m = certificates._metric_eps_at(pre, pt)
@@ -180,12 +176,12 @@ def test_criterion_6_vanilla_equivalence():
         beta = 1.0
         traj = run_full(inst, alpha=1.0, beta=beta, iters=100)
         oracle_states, oracle_halves = vanilla_admm(inst, beta, 100)
-        for st, (x, y, g) in zip(traj.states, oracle_states):
-            assert np.max(np.abs(st.x - x)) <= 1e-10
-            assert np.max(np.abs(st.y - y)) <= 1e-10
-            assert np.max(np.abs(st.gamma - g)) <= 1e-10
-        for st, gh in zip(traj.states[1:], oracle_halves):
-            assert np.max(np.abs(st.gamma_tilde - gh)) <= 1e-10
+        for k, (x, y, g) in enumerate(oracle_states):
+            assert np.max(np.abs(traj.X[k] - x)) <= 1e-10
+            assert np.max(np.abs(traj.Y[k] - y)) <= 1e-10
+            assert np.max(np.abs(traj.G[k] - g)) <= 1e-10
+        for gt, gh in zip(traj.Gt, oracle_halves):
+            assert np.max(np.abs(gt - gh)) <= 1e-10
 
 
 @criterion("criterion 7: scalar hand trajectory reproduced to 1e-12")
@@ -207,8 +203,8 @@ def test_criterion_8_empirical_rates(qp_suite, qp_runs):
     for seed in QP_SEEDS[:5]:
         traj = qp_runs(seed, 1.0)
         z_star = qp_suite[seed].solution
-        metric = hpe.metric_for(traj)
-        pre = certificates._Precomp(traj, metric)
+        pre = hpe.Replay(traj, z_star)
+        metric = pre.metric
         ks = checked_iterations(pre.K)
         r_series = []
         for k in ks:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gadmm import certificates, hpe, problems, solver
+from gadmm import certificates, problems, solver
 from gadmm.certificates import (
     bound_constants,
     bound_report,
@@ -15,6 +15,7 @@ from gadmm.certificates import (
     pointwise_certificate,
     rate_estimate,
 )
+from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
 
 from conftest import run_full
@@ -58,8 +59,8 @@ class TestCheckedIterations:
 class TestErgodicPoint:
     def test_k_one_is_first_iterate(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=5)
-        pt = ergodic_point(traj, 1)
-        st = traj.states[1]
+        pt = ergodic_point(Replay(traj, one_d_instance.solution), 1)
+        st = traj.state(1)
         assert np.allclose(pt.x_avg, st.x)
         assert np.allclose(pt.y_avg, st.y)
         assert np.allclose(pt.gamma_tilde_avg, st.gamma_tilde)
@@ -69,20 +70,21 @@ class TestErgodicPoint:
     def test_residual_average_telescopes(self):
         inst = problems.generate_qp(1, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.1, iters=50)
+        rep = Replay(traj, inst.solution)
         for k in (1, 7, 50):
-            pt = ergodic_point(traj, k)
+            pt = ergodic_point(rep, k)
             dsum = np.zeros(inst.n)
-            for st in traj.states[1 : k + 1]:
-                dsum += st.dx
+            for dx in np.diff(traj.X, axis=0)[:k]:
+                dsum += dx
             assert np.allclose(pt.r_x, dsum / k, atol=1e-12)
-            z0, zk = traj.states[0], traj.states[k]
+            z0, zk = traj.state(0), traj.state(k)
             assert np.allclose(pt.r_gamma, (zk.gamma - z0.gamma) / k, atol=1e-15)
 
     def test_hand_cross_check_k_two(self, one_d_instance):
         # oracle: direct evaluation of the two-term averaged sums with the
         # metric assembled explicitly (diag(0, 1, 1) for this instance)
         traj = run_full(one_d_instance, alpha=1.0, iters=2)
-        s1, s2 = traj.states[1], traj.states[2]
+        s1, s2 = traj.state(1), traj.state(2)
         M = np.diag([0.0, 1.0, 1.0])
         x_avg = (s1.x + s2.x) / 2
         y_avg = (s1.y + s2.y) / 2
@@ -94,30 +96,31 @@ class TestErgodicPoint:
             ztil = np.concatenate([st.x, st.y, st.gamma_tilde])
             eps_metric += float((M @ dz) @ (ztil_avg - ztil))
         eps_metric /= 2.0
-        pt = ergodic_point(traj, 2)
+        rep = Replay(traj, one_d_instance.solution)
+        pt = ergodic_point(rep, 2)
         assert np.allclose(pt.x_avg, x_avg)
         assert pt.eps_x + pt.eps_y == pytest.approx(eps_metric, abs=1e-12)
-        assert epsilon_split_identity(traj, 2) <= 1e-12
+        assert epsilon_split_identity(rep, 2) <= 1e-12
 
     def test_k_out_of_range(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=3)
+        rep = Replay(traj, one_d_instance.solution)
         with pytest.raises(ValueError):
-            ergodic_point(traj, 0)
+            ergodic_point(rep, 0)
         with pytest.raises(ValueError):
-            ergodic_point(traj, 4)
+            ergodic_point(rep, 4)
 
 
 class TestEpsilonSplit:
     def test_k_one_both_sides_zero(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=1)
-        assert epsilon_split_identity(traj, 1) <= 1e-15
+        assert epsilon_split_identity(Replay(traj, one_d_instance.solution), 1) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_random_qp_relative(self, alpha):
         inst = problems.generate_qp(2, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=120)
-        metric = hpe.metric_for(traj)
-        pre = certificates._Precomp(traj, metric)
+        pre = Replay(traj, inst.solution)
         for k in checked_iterations(120):
             pt = certificates._ergodic_at(pre, k)
             eps_m = certificates._metric_eps_at(pre, pt)
@@ -130,23 +133,25 @@ class TestPointwise:
         inst = problems.generate_qp(1, 5, 4, 3)
         for alpha in (0.5, 1.0, 1.5, 1.9):
             traj = run_full(inst, alpha=alpha, beta=1.0, iters=400)
-            running_min, rhs = pointwise_certificate(traj, inst.solution)
-            assert np.all(running_min <= rhs + 1e-7 * (1.0 + rhs))
+            pw = pointwise_certificate(Replay(traj, inst.solution))
+            pw.raise_first()
+            assert np.all(pw.running_min <= pw.rhs + 1e-7 * (1.0 + pw.rhs))
 
     def test_alpha_two_rejected(self):
         inst = problems.generate_qp(1, 4, 3, 2)
         traj = run_full(inst, alpha=2.0, beta=1.0, iters=10)
         with pytest.raises(ValueError, match="alpha = 2"):
-            pointwise_certificate(traj, inst.solution)
+            pointwise_certificate(Replay(traj, inst.solution))
 
     def test_start_at_solution(self):
         inst = problems.generate_qp(3, 4, 3, 2)
         sol = inst.solution
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=5, stop_tol=0.0)
         traj = solver.run(inst, params, x0=sol.x, y0=sol.y, gamma0=sol.gamma)
-        running_min, rhs = pointwise_certificate(traj, sol)
-        assert np.all(running_min <= 1e-9)
-        assert np.all(rhs <= 1e-6)  # d0 = 0 makes the bound collapse too
+        pw = pointwise_certificate(Replay(traj, sol))
+        pw.raise_first()
+        assert np.all(pw.running_min <= 1e-9)
+        assert np.all(pw.rhs <= 1e-6)  # d0 = 0 makes the bound collapse too
 
 
 class TestErgodicCertificate:
@@ -154,8 +159,9 @@ class TestErgodicCertificate:
     def test_random_qp(self, alpha):
         inst = problems.generate_qp(4, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=1.2, iters=300)
-        checks = ergodic_certificate(traj, inst.solution)
-        assert checks[-1].point.k == 300
+        checks = ergodic_certificate(Replay(traj, inst.solution))
+        checks.raise_first()
+        assert checks.k[-1] == 300
 
     def test_lasso_linearized_alpha_two(self):
         # the headline configuration: relaxation at its extreme value with
@@ -164,25 +170,27 @@ class TestErgodicCertificate:
         traj = run_full(
             inst, alpha=2.0, beta=1.0, iters=600, h1=LinearizedH(), h2=LinearizedH()
         )
-        checks = ergodic_certificate(traj, inst.solution)
-        for chk in checks:
-            assert chk.r_lhs <= chk.r_rhs + 1e-7 * (1.0 + chk.r_rhs)
-            eps_sum = chk.point.eps_x + chk.point.eps_y
-            assert eps_sum <= chk.eps_rhs + 1e-7 * (1.0 + chk.eps_rhs)
+        checks = ergodic_certificate(Replay(traj, inst.solution))
+        checks.raise_first()
+        assert np.all(checks.r_lhs <= checks.r_rhs + 1e-7 * (1.0 + checks.r_rhs))
+        eps_sum = checks.eps_x + checks.eps_y
+        assert np.all(eps_sum <= checks.eps_rhs + 1e-7 * (1.0 + checks.eps_rhs))
 
     def test_eps_nonnegative(self):
         inst = problems.generate_qp(5, 4, 4, 2)
         for alpha in (0.5, 1.0, 1.5, 2.0):
             traj = run_full(inst, alpha=alpha, beta=0.8, iters=200)
-            for chk in ergodic_certificate(traj, inst.solution):
-                assert chk.point.eps_x >= -1e-7 * (1.0 + abs(chk.point.eps_x))
-                assert chk.point.eps_y >= -1e-7 * (1.0 + abs(chk.point.eps_y))
+            checks = ergodic_certificate(Replay(traj, inst.solution))
+            checks.raise_first()
+            assert np.all(checks.eps_x >= -1e-7 * (1.0 + np.abs(checks.eps_x)))
+            assert np.all(checks.eps_y >= -1e-7 * (1.0 + np.abs(checks.eps_y)))
 
     def test_full_grid_mode(self):
         inst = problems.generate_qp(6, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=40)
-        checks = ergodic_certificate(traj, inst.solution, full_grid=True)
-        assert [c.point.k for c in checks] == list(range(1, 41))
+        checks = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
+        checks.raise_first()
+        assert checks.k.tolist() == list(range(1, 41))
 
 
 class TestRateEstimate:
@@ -250,17 +258,7 @@ class TestReports:
     def test_full_verification_catches_corruption(self):
         inst = problems.generate_qp(9, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
-        st = traj.states[10]
-        traj.states[10] = solver.IterateState(
-            k=st.k,
-            x=st.x,
-            y=st.y,
-            gamma=st.gamma,
-            gamma_tilde=st.gamma_tilde + 0.25,
-            dx=st.dx,
-            dy=st.dy,
-            dgamma=st.dgamma,
-        )
+        traj.Gt[10 - 1] += 0.25
         report = full_verification(traj, inst.solution)
         assert not report.passed
         assert report.first_failure.worst_k == 10

@@ -4,9 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from gadmm import cli, problems
+from gadmm import cli, linalg, oracles, problems, solver
+from gadmm.errors import InternalCheckError, NotPositiveDefiniteError
 
 from conftest import make_one_d_instance
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard constants NaN and Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_one_d(tmp_path):
@@ -103,6 +113,40 @@ class TestRun:
         code = cli.main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_summary_writes_null(self, tmp_path):
+        inst = problems.SeparableInstance(
+            oracles.Quadratic([[1.0]], [0.0]), oracles.Quadratic([[1.0]], [0.0]),
+            [[1.0]], [[1.0]], [1e307],
+        )
+        path = tmp_path / "huge.json"
+        problems.save_instance(inst, path)
+        out = tmp_path / "run"
+        assert cli.main(
+            ["run", "--instance", str(path), "--max-iter", "5", "--stop-tol", "0",
+             "--out", str(out)]
+        ) == 0
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["final_kkt_gap"] is None
+        assert summary["final_step_metric"] is None
+
+    def test_metric_probe_failure_exit_two(self, tmp_path, monkeypatch, capsys):
+        # build_metric turns a failed PSD probe on M into a bare GadmmError
+        real = linalg.PsdOperator.from_matrix
+
+        def probe_fails(mat, tol=linalg.PSD_TOL, name="operator"):
+            if name == "proximal metric":
+                raise NotPositiveDefiniteError(f"{name} is not positive semidefinite")
+            return real(mat, tol=tol, name=name)
+
+        monkeypatch.setattr(linalg.PsdOperator, "from_matrix", staticmethod(probe_fails))
+        code = cli.main(
+            ["run", "--instance", str(write_qp(tmp_path)), "--max-iter", "5",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "proximal metric" in capsys.readouterr().err
+
     def test_bad_alpha_is_config_error(self, tmp_path):
         inst_path = write_one_d(tmp_path)
         code = cli.main(
@@ -154,6 +198,61 @@ class TestVerify:
             "multiplier_identity",
             "constraint_identity",
         )
+
+    def test_internal_check_error_exit_two(self, tmp_path, monkeypatch, capsys):
+        args = self._run_and_verify_args(tmp_path)
+
+        def broken(*_):
+            raise InternalCheckError("conjugate gap below the rounding band")
+
+        monkeypatch.setattr(oracles, "fenchel_gap", broken)
+        assert cli.main(args) == 2
+        assert "rounding band" in capsys.readouterr().err
+
+    def _set_cell(self, traj_path, column, value):
+        lines = open(traj_path).read().splitlines()
+        col = lines[0].split(",").index(column)
+        cells = lines[20].split(",")
+        cells[col] = value
+        lines[20] = ",".join(cells)
+        with open(traj_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("column", ["x0", "gamma_tilde1"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_config_error(self, tmp_path, cell, column):
+        args = self._run_and_verify_args(tmp_path)
+        self._set_cell(args[4], column, cell)
+        assert cli.main(args) == 1
+
+    @pytest.mark.parametrize("column", ["y1", "gamma0", "gamma_tilde0"])
+    def test_non_finite_cell_named_by_row_at_load(self, tmp_path, column):
+        args = self._run_and_verify_args(tmp_path)
+        self._set_cell(args[4], column, "nan")
+        inst = problems.load_instance(args[2])
+        with pytest.raises(ValueError, match="row 21"):
+            solver.load_trajectory_csv(args[4], inst, solver.GadmmParams(beta=1.0))
+
+    def test_reports_are_strict_json(self, tmp_path, capsys):
+        args = self._run_and_verify_args(tmp_path, alpha="2.0")
+        assert cli.main(args) == 0
+        report = strict_json((tmp_path / "report.json").read_text())
+        skipped = [c for c in report["checks"] if c["worst_slack"] is None]
+        assert {c["name"] for c in skipped} == {"rho_contractive_bound", "pointwise_bound"}
+        assert all(c["note"] == "not-applicable at alpha=2" for c in skipped)
+        capsys.readouterr()
+        assert cli.main(args[:-2]) == 0  # report to stdout
+        assert strict_json(capsys.readouterr().out)["pass"] is True
+        inst_path = args[2]
+        out0 = tmp_path / "run0"
+        assert cli.main(
+            ["run", "--instance", inst_path, "--max-iter", "0", "--out", str(out0)]
+        ) == 0
+        assert cli.main(
+            ["verify", "--instance", inst_path, "--trajectory", str(out0 / "trajectory.csv"),
+             "--out", str(tmp_path / "rep0.json")]
+        ) == 0
+        assert strict_json((tmp_path / "rep0.json").read_text())["meta"]["iterations"] == 0
 
     def test_alpha_two_skips_pointwise(self, tmp_path):
         args = self._run_and_verify_args(tmp_path, alpha="2.0")

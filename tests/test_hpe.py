@@ -6,9 +6,9 @@ import pytest
 from gadmm import hpe, problems, solver
 from gadmm.errors import CertificationError
 from gadmm.problems import KktPoint
-from gadmm.solver import GadmmParams, IterateState
+from gadmm.solver import GadmmParams
 
-from conftest import run_full
+from conftest import run_full, state_pairs
 
 
 def hand_eig_2x2(a, b, c):
@@ -84,74 +84,56 @@ class TestCertifyHpe:
     def test_hand_numbers_alpha_one(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=1)
         z_star = one_d_instance.solution
-        certs = hpe.certify_hpe(traj, z_star)
-        c = certs[0]
+        certs = hpe.certify_hpe(hpe.Replay(traj, z_star))
+        certs.raise_first()
         # |z~1 - z1|_M^2 = 0.75^2, sigma |z~1 - z0|_M^2 = (0.75^2 + 1.5^2)/2,
         # d0 = 4.5 so eta0 = 4 * 0.5 * 4.5 = 9
-        assert c.lhs == pytest.approx(0.5625, abs=1e-12)
-        assert c.rhs == pytest.approx(1.40625 + 9.0, abs=1e-12)
-        assert c.slack == pytest.approx(0.84375 + 9.0, abs=1e-12)
-        assert c.eta == 0.0
-        assert c.inclusion_gap_f <= 1e-12
-        assert c.inclusion_gap_g <= 1e-12
-        assert c.constraint_residual <= 1e-12
-        assert c.multiplier_residual <= 1e-12
+        assert certs.lhs[0] == pytest.approx(0.5625, abs=1e-12)
+        assert certs.rhs[0] == pytest.approx(1.40625 + 9.0, abs=1e-12)
+        assert certs.slack[0] == pytest.approx(0.84375 + 9.0, abs=1e-12)
+        assert certs.eta[0] == 0.0
+        assert certs.inclusion_gap_f[0] <= 1e-12
+        assert certs.inclusion_gap_g[0] <= 1e-12
+        assert certs.constraint_residual[0] <= 1e-12
+        assert certs.multiplier_residual[0] <= 1e-12
 
     def test_fixed_point_trajectory(self):
         inst = problems.generate_qp(3, 4, 3, 2)
         sol = inst.solution
         params = GadmmParams(beta=1.0, alpha=1.3, max_iter=10, stop_tol=0.0)
         traj = solver.run(inst, params, x0=sol.x, y0=sol.y, gamma0=sol.gamma)
-        certs = hpe.certify_hpe(traj, sol)
-        for c in certs:
-            assert abs(c.lhs) <= 1e-12
-            assert c.slack >= -1e-12
+        certs = hpe.certify_hpe(hpe.Replay(traj, sol))
+        certs.raise_first()
+        assert np.all(np.abs(certs.lhs) <= 1e-12)
+        assert np.all(certs.slack >= -1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_random_qp_certifies(self, alpha):
         inst = problems.generate_qp(4, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=1.3, iters=150)
-        certs = hpe.certify_hpe(traj, inst.solution)
-        assert len(certs) == 150
+        certs = hpe.certify_hpe(hpe.Replay(traj, inst.solution))
+        certs.raise_first()
+        assert len(certs.k) == 150
 
     def test_corrupted_multiplier_caught(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=10)
-        states = list(traj.states)
-        st = states[5]
-        bad_gamma = st.gamma + 0.5
-        states[5] = IterateState(
-            k=st.k,
-            x=st.x,
-            y=st.y,
-            gamma=bad_gamma,
-            gamma_tilde=st.gamma_tilde,
-            dx=st.dx,
-            dy=st.dy,
-            dgamma=bad_gamma - states[4].gamma,
-        )
-        bad = solver.Trajectory(
-            instance=traj.instance,
-            params=traj.params,
-            h1=traj.h1,
-            h2=traj.h2,
-            states=states,
-        )
+        traj.G[5] += 0.5
+        certs = hpe.certify_hpe(hpe.Replay(traj, one_d_instance.solution))
         with pytest.raises(CertificationError) as err:
-            hpe.certify_hpe(bad, one_d_instance.solution)
+            certs.raise_first()
         assert err.value.k == 5
-        collected = hpe.certify_hpe(bad, one_d_instance.solution, raise_on_violation=False)
-        assert len(collected) == 10
+        assert len(certs.k) == 10
 
     def test_rejects_bad_reference(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=3)
         with pytest.raises(ValueError, match="reference"):
-            hpe.certify_hpe(traj, KktPoint([0.0], [0.0], [0.0]))
+            hpe.Replay(traj, KktPoint([0.0], [0.0], [0.0]))
 
 
 class TestRho:
     def test_hand_value_one_d(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=1)
-        rho = hpe.rho_sequence(traj)
+        rho = hpe.rho_sequence(hpe.Replay(traj, one_d_instance.solution))
         assert rho[0] == pytest.approx(2.8125, abs=1e-12)
 
     def test_constant_at_fixed_point(self):
@@ -159,18 +141,18 @@ class TestRho:
         sol = inst.solution
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=8, stop_tol=0.0)
         traj = solver.run(inst, params, x0=sol.x, y0=sol.y, gamma0=sol.gamma)
-        assert np.all(hpe.rho_sequence(traj) <= 1e-15)
+        assert np.all(hpe.rho_sequence(hpe.Replay(traj, sol)) <= 1e-15)
 
     def test_nondecreasing(self):
         inst = problems.generate_qp(6, 5, 4, 3)
         traj = run_full(inst, alpha=1.5, beta=0.8, iters=100)
-        rho = hpe.rho_sequence(traj)
+        rho = hpe.rho_sequence(hpe.Replay(traj, inst.solution))
         assert np.all(np.diff(rho) >= 0.0)
 
     def test_bound_constant_alpha_one(self, one_d_instance):
         # at alpha = 1 the bound is 4*3*[1 + 4*0.5] * d0 = 36 d0
         traj = run_full(one_d_instance, alpha=1.0, iters=20)
-        row = hpe.check_rho_bound(traj, one_d_instance.solution)
+        row = hpe.check_rho_bound(hpe.Replay(traj, one_d_instance.solution))
         d0 = hpe.initial_distance_sq(traj, one_d_instance.solution)
         assert f"bound={36.0 * d0:.6g}" == row.note
         assert row.passed
@@ -179,15 +161,15 @@ class TestRho:
         inst = problems.generate_qp(1, 5, 4, 3)
         for alpha in (0.5, 1.0, 1.5, 2.0):
             traj = run_full(inst, alpha=alpha, beta=1.0, iters=500)
-            assert hpe.check_rho_bound(traj, inst.solution).passed
+            assert hpe.check_rho_bound(hpe.Replay(traj, inst.solution)).passed
 
     def test_contractive_bound_alpha_below_two(self):
         inst = problems.generate_qp(2, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.0, iters=200)
-        assert hpe.check_rho_contractive_bound(traj, inst.solution).passed
+        assert hpe.check_rho_contractive_bound(hpe.Replay(traj, inst.solution)).passed
         traj2 = run_full(inst, alpha=2.0, beta=1.0, iters=10)
         with pytest.raises(ValueError):
-            hpe.check_rho_contractive_bound(traj2, inst.solution)
+            hpe.check_rho_contractive_bound(hpe.Replay(traj2, inst.solution))
 
 
 class TestCompanionChecks:
@@ -197,28 +179,28 @@ class TestCompanionChecks:
         traj = run_full(
             inst, alpha=alpha, beta=1.0, iters=200, h2=solver.LinearizedH()
         )
-        assert hpe.check_delta_inequalities(traj, inst.solution).passed
+        assert hpe.check_delta_inequalities(hpe.Replay(traj, inst.solution)).passed
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_delta_inequalities_lasso_seeds(self, seed):
         inst = problems.generate_lasso(seed, 6, 12, 0.3)
         traj = run_full(inst, alpha=1.5, beta=1.0, iters=150, h2=solver.LinearizedH())
-        row = hpe.check_delta_inequalities(traj, inst.solution)
+        row = hpe.check_delta_inequalities(hpe.Replay(traj, inst.solution))
         assert row.passed and row.worst_slack >= -1e-8
 
     def test_delta_inequality_trivial_without_h2(self):
         # with H2 = 0 the k >= 2 inequality reads 2 <B dy, dgamma> >= 0
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=100)
-        B = inst.B
-        for st in traj.states[2:]:
-            assert 2.0 * float((B @ st.dy) @ st.dgamma) >= -1e-8
+        BDY = np.diff(traj.Y, axis=0) @ inst.B.T
+        DG = np.diff(traj.G, axis=0)
+        assert np.all(2.0 * np.einsum("ij,ij->i", BDY, DG)[1:] >= -1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_fejer_monotonicity(self, alpha):
         inst = problems.generate_qp(8, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=1.2, iters=300)
-        assert hpe.check_fejer(traj, inst.solution).passed
+        assert hpe.check_fejer(hpe.Replay(traj, inst.solution)).passed
 
     def test_metric_identity_random_probes(self):
         inst = problems.generate_qp(9, 4, 3, 2)
@@ -226,7 +208,7 @@ class TestCompanionChecks:
         metric = hpe.metric_for(traj)
         rng = np.random.default_rng(0)
         dim = metric.side
-        for prev, st in zip(traj.states, traj.states[1:]):
+        for prev, st in state_pairs(traj):
             z_prev = metric.stack(prev.x, prev.y, prev.gamma)
             z_k = metric.stack(st.x, st.y, st.gamma)
             z_til = metric.stack(st.x, st.y, st.gamma_tilde)

@@ -1,0 +1,143 @@
+"""One replay per verification, one raise path, and the scripts built on them."""
+
+import os
+import runpy
+
+import pytest
+
+from gadmm import certificates, cli, hpe, oracles, problems
+from gadmm.errors import CertificationError
+from gadmm.solver import LinearizedH
+
+from conftest import run_full
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def metric_builds(monkeypatch):
+    """Counts calls of hpe.build_metric from anywhere in the package."""
+    calls = []
+    real = hpe.build_metric
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hpe, "build_metric", counting)
+    return calls
+
+
+def test_full_verification_builds_the_metric_once(metric_builds):
+    inst = problems.generate_qp(2, 4, 3, 2)
+    traj = run_full(inst, alpha=1.5, beta=1.0, iters=40)
+    assert metric_builds == []
+    report = certificates.full_verification(traj, inst.solution, full_grid=True)
+    assert report.passed
+    assert len(metric_builds) == 1
+
+
+@pytest.mark.parametrize("stop_tol", ["1e-9", "0"])
+def test_cli_run_builds_the_metric_at_most_once(tmp_path, metric_builds, stop_tol):
+    inst_path = tmp_path / "qp.json"
+    problems.save_instance(problems.generate_qp(1, 4, 3, 2), inst_path)
+    out = tmp_path / "run"
+    args = ["--instance", str(inst_path), "--max-iter", "200", "--stop-tol", stop_tol]
+    assert cli.main(["run", *args, "--out", str(out)]) == 0
+    assert len(metric_builds) <= 1
+    del metric_builds[:]
+    verify = ["verify", *args, "--trajectory", str(out / "trajectory.csv"),
+              "--out", str(tmp_path / "report.json")]
+    assert cli.main(verify) == 0
+    assert len(metric_builds) == 1
+
+
+def _companion_rows(rep):
+    rows = [
+        hpe.check_delta_inequalities(rep),
+        hpe.check_rho_bound(rep),
+        hpe.check_rho_contractive_bound(rep),
+        hpe.check_fejer(rep),
+    ]
+    return certificates.VerificationReport(rows=rows, meta={})
+
+
+# (family, corruption of the recorded columns, expected check, expected k).
+# hpe: four checks fail at k=10, the tie goes to the first in report order.
+# companion: rho_contractive_bound is worst at k=13 but first fails at k=12,
+# together with the two rows reported before and after it.
+# pointwise: worst at k=2, first at k=1.
+# ergodic: ergodic_eps_nonneg fails at k=2, after the inclusion rows at k=1.
+CORRUPTIONS = [
+    ("hpe", "Gt", 9, 0.25, hpe.certify_hpe, "hpe_inequality", 10),
+    ("companion", "Y", 12, 5.0, _companion_rows, "delta_y_gamma_inequality", 12),
+    ("pointwise", "G", 1, 100.0, certificates.pointwise_certificate, "pointwise_bound", 1),
+    ("ergodic", "Gt", 0, 1.0, certificates.ergodic_certificate, "ergodic_inclusion_f", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "family,column,row,shift,checks,name,k", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS]
+)
+def test_raise_first_names_the_earliest_violation(family, column, row, shift, checks, name, k):
+    inst = problems.generate_qp(9, 4, 3, 2)
+    traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
+    assert certificates.full_verification(traj, inst.solution).passed
+    getattr(traj, column)[row] += shift
+    result = checks(hpe.Replay(traj, inst.solution))
+    assert not result.passed
+    with pytest.raises(CertificationError) as err:
+        result.raise_first()
+    assert (err.value.check, err.value.k) == (name, k)
+    failing = [r for r in result.rows if not r.passed]
+    assert min(r.first_k for r in failing) == k
+
+
+def test_raise_first_prefers_the_earliest_k_then_report_order():
+    def failing(name, first_k):
+        return hpe.ReportRow(name, False, -1.0, first_k + 1, "-", first_k=first_k)
+
+    passing = hpe.ReportRow("fine", True, 1.0, 1, "-")
+    report = certificates.VerificationReport(
+        rows=[passing, failing("late", 7), failing("early", 3), failing("tied", 3)], meta={}
+    )
+    assert report.first_failure.name == "late"
+    with pytest.raises(CertificationError) as err:
+        report.raise_first()
+    assert (err.value.check, err.value.k) == ("early", 3)
+
+
+def test_full_report_raises_at_the_corrupted_iteration():
+    inst = problems.generate_qp(9, 4, 3, 2)
+    traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
+    traj.Gt[9] += 0.25
+    report = certificates.full_verification(traj, inst.solution)
+    with pytest.raises(CertificationError) as err:
+        report.raise_first()
+    assert (err.value.check, err.value.k) == ("hpe_inequality", 10)
+
+
+def test_raise_first_is_quiet_on_a_passing_report():
+    inst = problems.generate_qp(9, 4, 3, 2)
+    traj = run_full(inst, alpha=2.0, beta=1.0, iters=30)
+    certificates.full_verification(traj, inst.solution).raise_first()
+
+
+def test_inclusion_rows_read_the_stacked_gaps_exactly():
+    inst = problems.generate_lasso(3, 5, 10, 0.3)
+    traj = run_full(inst, alpha=1.5, beta=1.0, iters=25, h2=LinearizedH())
+    rep = hpe.Replay(traj, inst.solution)
+    gap_f, gap_g, _ = hpe.inclusion_residuals(rep)
+    for k in range(1, traj.iterations + 1):
+        assert gap_f[k - 1] == oracles.fenchel_gap(inst.f, rep.Vf[k - 1], traj.X[k])
+        assert gap_g[k - 1] == oracles.fenchel_gap(inst.g, rep.Vg[k - 1], traj.Y[k])
+
+
+def test_certificate_demo_script(tmp_path, monkeypatch, capsys):
+    script = os.path.join(ROOT, "scripts", "certificate_demo.py")
+    monkeypatch.setattr("sys.argv", [script, str(tmp_path)])
+    runpy.run_path(script, run_name="__main__")
+    out = capsys.readouterr().out
+    assert "ran 5000 iterations" in out
+    assert out.strip().splitlines()[-1] == "overall: pass"
+    assert (tmp_path / "trajectory.csv").is_file()

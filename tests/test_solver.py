@@ -6,7 +6,7 @@ from gadmm.errors import ConfigError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
 from gadmm.solver import ExplicitH, GadmmParams, IterateState, LinearizedH
 
-from conftest import make_one_d_instance, run_full
+from conftest import make_one_d_instance, run_full, state_pairs
 
 
 def vanilla_admm(inst, beta, iters, x0=None, y0=None, gamma0=None):
@@ -252,7 +252,7 @@ class TestRun:
         params = GadmmParams(beta=1.0, max_iter=0)
         traj = solver.run(one_d_instance, params)
         assert traj.iterations == 0
-        assert len(traj.states) == 1
+        assert traj.X.shape[0] == 1
 
     def test_matches_vanilla_admm(self):
         # alpha = 1, H = 0 must reproduce the textbook two-block recursion
@@ -261,20 +261,21 @@ class TestRun:
             beta = 1.2
             traj = run_full(inst, alpha=1.0, beta=beta, iters=100)
             oracle, halves = vanilla_admm(inst, beta, 100)
-            for st, (x, y, g) in zip(traj.states, oracle):
-                assert np.allclose(st.x, x, atol=1e-10)
-                assert np.allclose(st.y, y, atol=1e-10)
-                assert np.allclose(st.gamma, g, atol=1e-10)
-            for st, gh in zip(traj.states[1:], halves):
-                assert np.allclose(st.gamma_tilde, gh, atol=1e-10)
+            for k, (x, y, g) in enumerate(oracle):
+                assert np.allclose(traj.X[k], x, atol=1e-10)
+                assert np.allclose(traj.Y[k], y, atol=1e-10)
+                assert np.allclose(traj.G[k], g, atol=1e-10)
+            for gt, gh in zip(traj.Gt, halves):
+                assert np.allclose(gt, gh, atol=1e-10)
 
     def test_deltas_are_differences(self):
         inst = problems.generate_qp(6, 4, 4, 2)
         traj = run_full(inst, alpha=1.4, beta=0.7, iters=20)
-        for prev, st in zip(traj.states, traj.states[1:]):
+        for prev, st in state_pairs(traj):
             assert np.array_equal(st.dx, st.x - prev.x)
             assert np.array_equal(st.dy, st.y - prev.y)
             assert np.array_equal(st.dgamma, st.gamma - prev.gamma)
+            assert np.array_equal(st.dx, np.diff(traj.X, axis=0)[st.k - 1])
 
     def test_multiplier_identities(self):
         # both linear identities tying the recorded sequences together
@@ -283,7 +284,7 @@ class TestRun:
             beta = 1.1
             traj = run_full(inst, alpha=alpha, beta=beta, iters=60)
             A, B, b = inst.A, inst.B, inst.b
-            for prev, st in zip(traj.states, traj.states[1:]):
+            for prev, st in state_pairs(traj):
                 lhs = st.gamma_tilde - prev.gamma
                 rhs = (st.dgamma + beta * (B @ st.dy)) / alpha
                 assert np.linalg.norm(lhs - rhs) <= 1e-10
@@ -298,13 +299,11 @@ class TestRun:
         for alpha in (0.5, 1.0, 2.0):
             inst = problems.generate_qp(8, 4, 4, 3)
             traj = run_full(inst, alpha=alpha, beta=0.9, iters=40)
-            for st in traj.states[1:]:
-                gap_f, gap_g, cons = hpe.inclusion_residuals(
-                    inst, traj.h1, traj.h2, 0.9, alpha, st
-                )
-                assert gap_f <= 1e-8
-                assert gap_g <= 1e-8
-                assert cons <= 1e-10
+            gap_f, gap_g, cons = hpe.inclusion_residuals(hpe.Replay(traj, inst.solution))
+            assert len(gap_f) == 40
+            assert np.all(gap_f <= 1e-8)
+            assert np.all(gap_g <= 1e-8)
+            assert np.all(cons <= 1e-10)
 
     def test_step_coupling_inequality(self):
         # 2 <B dy_k, dgamma_k> >= |dy_k|_{H2}^2 - |dy_{k-1}|_{H2}^2 for k >= 2
@@ -312,7 +311,7 @@ class TestRun:
         traj = run_full(inst, alpha=1.5, beta=1.0, iters=80, h2=LinearizedH())
         B = inst.B
         prev_sq = None
-        for st in traj.states[1:]:
+        for _, st in state_pairs(traj):
             dy_sq = linalg.seminorm_sq(traj.h2, st.dy)
             if st.k >= 2:
                 lhs = 2.0 * float((B @ st.dy) @ st.dgamma)
@@ -346,10 +345,9 @@ class TestRun:
             h1=ExplicitH(tau1 * np.eye(4) - beta * inst.A.T @ inst.A),
             h2=ExplicitH(tau2 * np.eye(3) - beta * inst.B.T @ inst.B),
         )
-        for a, b in zip(lin.states, exp.states):
-            assert np.allclose(a.x, b.x, atol=1e-10)
-            assert np.allclose(a.y, b.y, atol=1e-10)
-            assert np.allclose(a.gamma, b.gamma, atol=1e-10)
+        assert np.allclose(lin.X, exp.X, atol=1e-10)
+        assert np.allclose(lin.Y, exp.Y, atol=1e-10)
+        assert np.allclose(lin.G, exp.G, atol=1e-10)
 
 
 class TestTrajectoryCsv:
@@ -360,12 +358,10 @@ class TestTrajectoryCsv:
         solver.save_trajectory_csv(traj, path)
         back = solver.load_trajectory_csv(path, inst, traj.params)
         assert back.iterations == traj.iterations
-        for a, b in zip(traj.states, back.states):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.gamma, b.gamma)
-            if a.k > 0:
-                assert np.array_equal(a.gamma_tilde, b.gamma_tilde)
+        assert np.array_equal(traj.X, back.X)
+        assert np.array_equal(traj.Y, back.Y)
+        assert np.array_equal(traj.G, back.G)
+        assert np.array_equal(traj.Gt, back.Gt)
 
     def test_deterministic_bytes(self, tmp_path):
         inst = problems.generate_qp(10, 4, 3, 2)
