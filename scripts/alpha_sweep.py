@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from gadmm import certificates, problems, solver
+from gadmm import certificates, hpe, problems, solver
 from gadmm.solver import GadmmParams, LinearizedH, ZeroH
 
 ALPHAS = (0.5, 1.0, 1.5, 1.9, 2.0)
@@ -28,8 +28,9 @@ def sweep(name, inst, h2, max_iter=4000, stop_tol=1e-9):
             beta=1.0, alpha=alpha, h2=h2, max_iter=max_iter, stop_tol=stop_tol
         )
         traj = solver.run(inst, params)
-        report = certificates.full_verification(traj, inst.solution)
-        bounds = certificates.bound_report(traj, inst.solution)
+        replay = hpe.Replay(traj, inst.solution)
+        report = certificates.verify(replay)
+        bounds = certificates.bound_table(replay)
         last = bounds.rows[-1]
         eps_ratio = (
             last.ergodic_eps_lhs / last.ergodic_eps_rhs if last.ergodic_eps_rhs > 0 else np.nan

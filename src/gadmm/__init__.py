@@ -15,14 +15,11 @@ bounds including the extreme relaxation alpha = 2.
 
 from .certificates import (
     ErgodicCertificate,
-    ErgodicPoint,
     PointwiseCertificate,
     VerificationReport,
     bound_constants,
     bound_report,
-    epsilon_split_identity,
     ergodic_certificate,
-    ergodic_point,
     full_verification,
     pointwise_certificate,
     rate_estimate,
@@ -30,6 +27,7 @@ from .certificates import (
 from .errors import (
     CertificationError,
     ConfigError,
+    DivergenceError,
     GadmmError,
     InternalCheckError,
     IterationLimitError,
@@ -76,8 +74,8 @@ from .solver import (
 __all__ = [
     "CertificationError",
     "ConfigError",
+    "DivergenceError",
     "ErgodicCertificate",
-    "ErgodicPoint",
     "ExplicitH",
     "GadmmError",
     "GadmmParams",
@@ -106,9 +104,7 @@ __all__ = [
     "check_delta_inequalities",
     "check_fejer",
     "check_rho_bound",
-    "epsilon_split_identity",
     "ergodic_certificate",
-    "ergodic_point",
     "fenchel_gap",
     "full_verification",
     "generate_lasso",

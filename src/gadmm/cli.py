@@ -22,6 +22,7 @@ from . import certificates, hpe, problems, solver
 from .errors import (
     CertificationError,
     ConfigError,
+    DivergenceError,
     GadmmError,
     InternalCheckError,
     IterationLimitError,
@@ -293,7 +294,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotPositiveDefiniteError, IterationLimitError) as exc:
+    except (NotPositiveDefiniteError, IterationLimitError, DivergenceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except CertificationError as exc:

@@ -17,6 +17,14 @@ class IterationLimitError(GadmmError):
     """An iterative routine hit its iteration cap before converging."""
 
 
+class DivergenceError(GadmmError):
+    """The iteration produced a non-finite iterate; carries the first such k."""
+
+    def __init__(self, message, *, k):
+        super().__init__(message)
+        self.k = k
+
+
 class InternalCheckError(GadmmError):
     """An internal consistency check failed (signals a bug, not user error)."""
 

@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import hpe, linalg, problems
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 
 # Auto mode picks tau = AUTO_TAU_MARGIN * beta * ||Op||^2, strictly above
 # the PSD threshold so H = tau*I - beta*Op'Op is positive definite.
@@ -337,7 +337,8 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
         max( ||(dx_k, dy_k, dgamma_k)||_M ,
              first-order gap at (x_k, y_k, gamma_tilde_k) ) <= stop_tol,
     i.e. the certified pointwise residual plus the gap at the point where
-    the subproblem inclusions hold.
+    the subproblem inclusions hold.  Raises :class:`DivergenceError` naming
+    the first k whose x, y, gamma or gamma_tilde has a non-finite entry.
     """
     eng = _Engine(inst, params)
     start = initial_state(inst, x0, y0, gamma0)
@@ -347,28 +348,41 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     x, y, gamma = start.x, start.y, start.gamma
     xs, ys, gs, gts = [x], [y], [gamma], []
     By = inst.B @ y
-    for _ in range(params.max_iter):
-        x_new, y_new, gamma_new, gamma_tilde, By = eng.advance(x, y, gamma, By)
-        xs.append(x_new)
-        ys.append(y_new)
-        gs.append(gamma_new)
-        gts.append(gamma_tilde)
-        if metric is not None:
-            dz = np.concatenate([x_new - x, y_new - y, gamma_new - gamma])
-            step_size = math.sqrt(metric.seminorm_sq(dz))
-            gap = problems.kkt_gap(inst, problems.KktPoint(x_new, y_new, gamma_tilde))
-            if max(step_size, gap) <= params.stop_tol:
-                break
-        x, y, gamma = x_new, y_new, gamma_new
+    failure = None
+    try:
+        for _ in range(params.max_iter):
+            x_new, y_new, gamma_new, gamma_tilde, By = eng.advance(x, y, gamma, By)
+            xs.append(x_new)
+            ys.append(y_new)
+            gs.append(gamma_new)
+            gts.append(gamma_tilde)
+            if metric is not None:
+                dz = np.concatenate([x_new - x, y_new - y, gamma_new - gamma])
+                step_size = math.sqrt(metric.seminorm_sq(dz))
+                gap = problems.kkt_gap(inst, problems.KktPoint(x_new, y_new, gamma_tilde))
+                if max(step_size, gap) <= params.stop_tol:
+                    break
+            x, y, gamma = x_new, y_new, gamma_new
+    except ValueError as exc:  # a subproblem or the stopping rule met non-finite data
+        failure = exc
+    X, Y, G = np.array(xs), np.array(ys), np.array(gs)
+    Gt = np.array(gts).reshape(len(gts), inst.m)
+    finite = np.isfinite(np.hstack([X[1:], Y[1:], G[1:], Gt])).all(axis=1)
+    if failure is not None or not finite.all():
+        # the first non-finite recorded iterate, else the step that failed
+        k = int(np.argmin(finite)) + 1 if not finite.all() else len(gts) + 1
+        raise DivergenceError(
+            f"iteration diverged: iterate k={k} has non-finite entries", k=k
+        ) from failure
     return Trajectory(
         instance=inst,
         params=params,
         h1=eng.h1,
         h2=eng.h2,
-        X=np.array(xs),
-        Y=np.array(ys),
-        G=np.array(gs),
-        Gt=np.array(gts).reshape(len(gts), inst.m),
+        X=X,
+        Y=Y,
+        G=G,
+        Gt=Gt,
         _metric=metric,
     )
 

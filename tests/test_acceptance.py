@@ -161,11 +161,10 @@ def test_criterion_4_rho_bound(qp_suite, qp_runs, lasso_suite, lasso_runs):
 @criterion("criterion 5: epsilon split identity at every checked k")
 def test_criterion_5_epsilon_split(qp_suite, qp_runs, lasso_suite, lasso_runs):
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        pre = hpe.Replay(traj, z_star)
-        for k in checked_iterations(pre.K):
-            pt = certificates._ergodic_at(pre, k)
-            eps_m = certificates._metric_eps_at(pre, pt)
-            resid = abs(eps_m - (pt.eps_x + pt.eps_y))
+        erg = certificates.ergodic_certificate(hpe.Replay(traj, z_star))
+        assert erg.k.tolist() == checked_iterations(traj.iterations)
+        for k, eps_m, eps_x, eps_y in zip(erg.k, erg.metric_eps, erg.eps_x, erg.eps_y):
+            resid = abs(eps_m - (eps_x + eps_y))
             assert resid <= SPLIT_TOL * (1.0 + abs(eps_m)), (traj.params.alpha, k)
 
 
@@ -204,14 +203,8 @@ def test_criterion_8_empirical_rates(qp_suite, qp_runs):
         traj = qp_runs(seed, 1.0)
         z_star = qp_suite[seed].solution
         pre = hpe.Replay(traj, z_star)
-        metric = pre.metric
-        ks = checked_iterations(pre.K)
-        r_series = []
-        for k in ks:
-            pt = certificates._ergodic_at(pre, k)
-            r_series.append(
-                (k, metric.seminorm(np.concatenate([pt.r_x, pt.r_y, pt.r_gamma])))
-            )
+        erg = certificates.ergodic_certificate(pre)
+        r_series = list(zip(erg.k.tolist(), erg.r_lhs.tolist()))
         assert rate_estimate(r_series) <= -0.9, seed
         running_min = np.minimum.accumulate(pre.step_norms)
         pw_series = [

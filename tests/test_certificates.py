@@ -8,9 +8,7 @@ from gadmm.certificates import (
     bound_constants,
     bound_report,
     checked_iterations,
-    epsilon_split_identity,
     ergodic_certificate,
-    ergodic_point,
     full_verification,
     pointwise_certificate,
     rate_estimate,
@@ -59,26 +57,27 @@ class TestCheckedIterations:
 class TestErgodicPoint:
     def test_k_one_is_first_iterate(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=5)
-        pt = ergodic_point(Replay(traj, one_d_instance.solution), 1)
+        erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
         st = traj.state(1)
-        assert np.allclose(pt.x_avg, st.x)
-        assert np.allclose(pt.y_avg, st.y)
-        assert np.allclose(pt.gamma_tilde_avg, st.gamma_tilde)
-        assert pt.eps_x == pytest.approx(0.0, abs=1e-15)
-        assert pt.eps_y == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(erg.x_avg[0], st.x)
+        assert np.allclose(erg.y_avg[0], st.y)
+        assert np.allclose(erg.gamma_tilde_avg[0], st.gamma_tilde)
+        assert erg.eps_x[0] == pytest.approx(0.0, abs=1e-15)
+        assert erg.eps_y[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_residual_average_telescopes(self):
         inst = problems.generate_qp(1, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.1, iters=50)
-        rep = Replay(traj, inst.solution)
+        erg = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
+        n, p = inst.n, inst.p
         for k in (1, 7, 50):
-            pt = ergodic_point(rep, k)
+            r = erg.r_avg[k - 1]
             dsum = np.zeros(inst.n)
             for dx in np.diff(traj.X, axis=0)[:k]:
                 dsum += dx
-            assert np.allclose(pt.r_x, dsum / k, atol=1e-12)
+            assert np.allclose(r[:n], dsum / k, atol=1e-12)
             z0, zk = traj.state(0), traj.state(k)
-            assert np.allclose(pt.r_gamma, (zk.gamma - z0.gamma) / k, atol=1e-15)
+            assert np.allclose(r[n + p :], (zk.gamma - z0.gamma) / k, atol=1e-15)
 
     def test_hand_cross_check_k_two(self, one_d_instance):
         # oracle: direct evaluation of the two-term averaged sums with the
@@ -96,36 +95,61 @@ class TestErgodicPoint:
             ztil = np.concatenate([st.x, st.y, st.gamma_tilde])
             eps_metric += float((M @ dz) @ (ztil_avg - ztil))
         eps_metric /= 2.0
-        rep = Replay(traj, one_d_instance.solution)
-        pt = ergodic_point(rep, 2)
-        assert np.allclose(pt.x_avg, x_avg)
-        assert pt.eps_x + pt.eps_y == pytest.approx(eps_metric, abs=1e-12)
-        assert epsilon_split_identity(rep, 2) <= 1e-12
-
-    def test_k_out_of_range(self, one_d_instance):
-        traj = run_full(one_d_instance, alpha=1.0, iters=3)
-        rep = Replay(traj, one_d_instance.solution)
-        with pytest.raises(ValueError):
-            ergodic_point(rep, 0)
-        with pytest.raises(ValueError):
-            ergodic_point(rep, 4)
+        erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
+        assert erg.k[1] == 2
+        assert np.allclose(erg.x_avg[1], x_avg)
+        assert erg.eps_x[1] + erg.eps_y[1] == pytest.approx(eps_metric, abs=1e-12)
+        assert erg.split_residual[1] <= 1e-12
 
 
 class TestEpsilonSplit:
     def test_k_one_both_sides_zero(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=1)
-        assert epsilon_split_identity(Replay(traj, one_d_instance.solution), 1) <= 1e-15
+        erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
+        assert erg.split_residual[0] <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_random_qp_relative(self, alpha):
         inst = problems.generate_qp(2, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=120)
-        pre = Replay(traj, inst.solution)
-        for k in checked_iterations(120):
-            pt = certificates._ergodic_at(pre, k)
-            eps_m = certificates._metric_eps_at(pre, pt)
-            resid = abs(eps_m - (pt.eps_x + pt.eps_y))
-            assert resid <= 1e-8 * (1.0 + abs(eps_m))
+        erg = ergodic_certificate(Replay(traj, inst.solution))
+        assert erg.k.tolist() == checked_iterations(120)
+        assert np.all(erg.split_residual <= 1e-8 * (1.0 + np.abs(erg.metric_eps)))
+
+
+def centred_sum(V, Z, k):
+    """Oracle: (1/k) sum_{i<=k} <v_i, z_i - z^a_k>, centred at the mean first."""
+    Z = Z[:k]
+    return float(np.sum(V[:k] * (Z - Z.mean(axis=0)))) / k
+
+
+class TestErgodicPrefixSums:
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_matches_centred_sums_at_every_k(self, alpha):
+        inst = problems.generate_qp(2, 5, 4, 3)
+        traj = run_full(inst, alpha=alpha, beta=0.9, iters=300)
+        rep = Replay(traj, inst.solution)
+        erg = ergodic_certificate(rep, full_grid=True)
+        assert erg.k.tolist() == list(range(1, 301))
+        X, Y = traj.X[1:], traj.Y[1:]
+
+        def close(value, oracle):
+            return abs(value - oracle) <= 1e-12 * (1.0 + abs(oracle))
+
+        for k in erg.k:
+            i = k - 1
+            assert np.array_equal(erg.x_avg[i], X[:k].mean(axis=0))
+            assert np.array_equal(erg.y_avg[i], Y[:k].mean(axis=0))
+            assert np.array_equal(erg.gamma_tilde_avg[i], traj.Gt[:k].mean(axis=0))
+            assert close(erg.eps_x[i], centred_sum(rep.Vf, X, k)), k
+            assert close(erg.eps_y[i], centred_sum(rep.Vg, Y, k)), k
+            assert close(erg.metric_eps[i], centred_sum(-rep.MDZ, rep.Ztil, k)), k
+
+    def test_long_full_grid_verification(self, one_d_instance):
+        traj = run_full(one_d_instance, alpha=2.0, iters=20_000)
+        report = full_verification(traj, one_d_instance.solution, full_grid=True)
+        assert report.passed, report.first_failure
+        assert report.meta["checked_iterations"] == list(range(1, 20_001))
 
 
 class TestPointwise:

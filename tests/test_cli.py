@@ -130,6 +130,24 @@ class TestRun:
         assert summary["final_kkt_gap"] is None
         assert summary["final_step_metric"] is None
 
+    @pytest.mark.parametrize("mode", ["zero", "linearized"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_iterate_exit_two(self, tmp_path, capsys, mode):
+        # beta * b overflows in the first subproblem: a solver failure at k=1
+        inst = problems.SeparableInstance(
+            oracles.Quadratic([[1.0]], [0.0]), oracles.Quadratic([[1.0]], [0.0]),
+            [[1.0]], [[1.0]], [1.7e308],
+        )
+        path = tmp_path / "huge.json"
+        problems.save_instance(inst, path)
+        code = cli.main(
+            ["run", "--instance", str(path), "--beta", "100", "--alpha", "2",
+             "--max-iter", "5", "--stop-tol", "0", "--h1", mode, "--h2", mode,
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert "k=1 has non-finite entries" in capsys.readouterr().err
+
     def test_metric_probe_failure_exit_two(self, tmp_path, monkeypatch, capsys):
         # build_metric turns a failed PSD probe on M into a bare GadmmError
         real = linalg.PsdOperator.from_matrix

@@ -141,3 +141,17 @@ def test_certificate_demo_script(tmp_path, monkeypatch, capsys):
     assert "ran 5000 iterations" in out
     assert out.strip().splitlines()[-1] == "overall: pass"
     assert (tmp_path / "trajectory.csv").is_file()
+
+
+def test_alpha_sweep_script(tmp_path, monkeypatch, capsys):
+    script = os.path.join(ROOT, "scripts", "alpha_sweep.py")
+    monkeypatch.setattr("sys.argv", [script, str(tmp_path)])
+    labels = {f"{alpha:.2f}" for alpha in runpy.run_path(script, run_name="__main__")["ALPHAS"]}
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    verdicts = [row[2] for row in rows if row and row[0] in labels]
+    assert verdicts == ["pass"] * 10
+    tables = sorted(tmp_path.glob("bounds_*.csv"))
+    assert len(tables) == 10
+    for path in tables:
+        header = path.read_text().splitlines()[0]
+        assert header.split(",") == certificates.BOUND_CSV_COLUMNS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gadmm import hpe, linalg, oracles, problems, solver
-from gadmm.errors import ConfigError, NotPositiveDefiniteError
+from gadmm.errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
 from gadmm.solver import ExplicitH, GadmmParams, IterateState, LinearizedH
 
@@ -348,6 +348,27 @@ class TestRun:
         assert np.allclose(lin.X, exp.X, atol=1e-10)
         assert np.allclose(lin.Y, exp.Y, atol=1e-10)
         assert np.allclose(lin.G, exp.G, atol=1e-10)
+
+    @pytest.mark.parametrize("max_iter", [3, 5])
+    def test_divergence_names_first_nonfinite_k(self, one_d_instance, monkeypatch, max_iter):
+        # gamma_tilde feeds no later step, so an overflow there is only
+        # visible in the recorded rows
+        real = solver._Engine.advance
+        calls = []
+
+        def overflow_third(self, *args):
+            calls.append(None)
+            x, y, gamma, gamma_tilde, By = real(self, *args)
+            if len(calls) == 3:
+                gamma_tilde = np.full_like(gamma_tilde, np.inf)
+            return x, y, gamma, gamma_tilde, By
+
+        monkeypatch.setattr(solver._Engine, "advance", overflow_third)
+        params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=0.0)
+        with pytest.raises(DivergenceError, match="k=3") as info:
+            solver.run(one_d_instance, params)
+        assert info.value.k == 3
+        assert len(calls) == max_iter
 
 
 class TestTrajectoryCsv:
