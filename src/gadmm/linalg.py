@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.lapack import dpotrs
 
-from .errors import IterationLimitError, NotPositiveDefiniteError
+from .errors import InternalCheckError, IterationLimitError, NotPositiveDefiniteError
 
 # Absolute floor for symmetry / positive-semidefiniteness probes.  All
 # downstream certificate checks budget at least 1e-6 of slack, two orders
@@ -195,7 +196,7 @@ class SpdFactor:
         if not is_symmetric(K):
             raise NotPositiveDefiniteError(f"{name} is not symmetric")
         try:
-            self._cf = cho_factor(K, lower=True, check_finite=False)
+            self._factor, _ = cho_factor(K, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"{name} is not positive definite (subproblem not strictly convex)"
@@ -203,7 +204,12 @@ class SpdFactor:
         self.side = K.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
-        """Solve for one right-hand side, or for each column of a (side, k) block."""
+        """Solve for one right-hand side, or for each column of a (side, k) block.
+
+        Calls LAPACK ``dpotrs`` on the stored factor directly: the call
+        ``cho_solve`` makes after its argument handling, so the result is
+        the same bit for bit.
+        """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 0:
             rhs = rhs.reshape(1)
@@ -211,7 +217,10 @@ class SpdFactor:
             raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.side} rows")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("right-hand side has non-finite entries")
-        return cho_solve(self._cf, rhs, check_finite=False)
+        out, info = dpotrs(self._factor, rhs, lower=1)
+        if info != 0:
+            raise InternalCheckError(f"dpotrs rejected its argument {-info}")
+        return out
 
 
 def solve_spd(K, rhs) -> np.ndarray:

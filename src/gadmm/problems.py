@@ -116,8 +116,15 @@ def kkt_gaps(inst: SeparableInstance, X, Y, G):
     per_row = linalg.apply_rows
     gap_f = oracles.fenchel_gap(inst.f, per_row(inst.A.T, G), X)
     gap_g = oracles.fenchel_gap(inst.g, per_row(inst.B.T, G), Y)
+    return np.maximum(np.maximum(gap_f, gap_g), constraint_residual(inst, X, Y))
+
+
+def constraint_residual(inst: SeparableInstance, X, Y):
+    """||A x + B y - b|| at one point, or at each row of stacked points:
+    the residual term of :func:`kkt_gaps`, computed by the same code."""
+    per_row = linalg.apply_rows
     resid = per_row(inst.A, X) + per_row(inst.B, Y) - inst.b
-    return np.maximum(np.maximum(gap_f, gap_g), np.sqrt(np.vecdot(resid, resid)))
+    return np.sqrt(np.vecdot(resid, resid))
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,11 @@ HMode = Union[ZeroH, ExplicitH, LinearizedH]
 class GadmmParams:
     """Algorithm configuration.
 
-    ``stop_tol`` = 0 disables the early-stopping rule and always runs the
-    full ``max_iter`` iterations (useful when exercising the bounds).
+    ``stop_tol`` > 0 stops :func:`run` at the first k where every term of
+    the stopping rule is <= ``stop_tol``: the constraint residual, then the
+    step M-seminorm, then the first-order gap (see :func:`run`).
+    ``stop_tol`` = 0 disables the rule and always runs the full
+    ``max_iter`` iterations (useful when exercising the bounds).
     """
 
     beta: float
@@ -330,15 +333,36 @@ def initial_state(inst, x0=None, y0=None, gamma0=None) -> IterateState:
     return IterateState(k=0, x=x0, y=y0, gamma=gamma0)
 
 
+def _stop_rule_holds(inst, metric, tol, prev, new, gamma_tilde) -> bool:
+    """Every term of the stopping rule of :func:`run` is <= tol.
+
+    The residual pre-test is computed by the code that computes the same
+    term inside the gap's max, so the pre-tests never change which k stops
+    the run.  A NaN term compares false and so never stops it.
+    """
+    x, y, gamma = new
+    if not problems.constraint_residual(inst, x, y) <= tol:
+        return False
+    dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
+    if not math.sqrt(linalg.seminorm_sq(metric.op, dz)) <= tol:
+        return False
+    return problems.kkt_gap(inst, problems.KktPoint(x, y, gamma_tilde)) <= tol
+
+
 def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     """Iterate until max_iter or until the stopping rule fires.
 
-    The stopping rule (when stop_tol > 0) is
-        max( ||(dx_k, dy_k, dgamma_k)||_M ,
-             first-order gap at (x_k, y_k, gamma_tilde_k) ) <= stop_tol,
-    i.e. the certified pointwise residual plus the gap at the point where
-    the subproblem inclusions hold.  Raises :class:`DivergenceError` naming
-    the first k whose x, y, gamma or gamma_tilde has a non-finite entry.
+    The stopping rule (when stop_tol > 0) stops at the first k where each
+    of these terms is <= stop_tol, evaluated in this order:
+      1. the constraint residual ||A x_k + B y_k - b||;
+      2. the step seminorm ||(dx_k, dy_k, dgamma_k)||_M, the certified
+         pointwise residual;
+      3. the first-order gap :func:`problems.kkt_gap` at
+         (x_k, y_k, gamma_tilde_k), the point where the subproblem
+         inclusions hold (its max includes term 1).
+    A later term is computed only when the earlier ones hold.  Raises
+    :class:`DivergenceError` naming the first k whose x, y, gamma or
+    gamma_tilde has a non-finite entry.
     """
     eng = _Engine(inst, params)
     start = initial_state(inst, x0, y0, gamma0)
@@ -356,12 +380,10 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
             ys.append(y_new)
             gs.append(gamma_new)
             gts.append(gamma_tilde)
-            if metric is not None:
-                dz = np.concatenate([x_new - x, y_new - y, gamma_new - gamma])
-                step_size = math.sqrt(metric.seminorm_sq(dz))
-                gap = problems.kkt_gap(inst, problems.KktPoint(x_new, y_new, gamma_tilde))
-                if max(step_size, gap) <= params.stop_tol:
-                    break
+            if metric is not None and _stop_rule_holds(
+                inst, metric, params.stop_tol, (x, y, gamma), (x_new, y_new, gamma_new), gamma_tilde
+            ):
+                break
             x, y, gamma = x_new, y_new, gamma_new
     except ValueError as exc:  # a subproblem or the stopping rule met non-finite data
         failure = exc

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gadmm import cli, linalg, oracles, problems, solver
+from gadmm import certificates, cli, linalg, oracles, problems, solver
 from gadmm.errors import InternalCheckError, NotPositiveDefiniteError
 
 from conftest import make_one_d_instance
@@ -130,10 +130,18 @@ class TestRun:
         assert summary["final_kkt_gap"] is None
         assert summary["final_step_metric"] is None
 
-    @pytest.mark.parametrize("mode", ["zero", "linearized"])
+    @pytest.mark.parametrize(
+        "mode, stop_tol",
+        [
+            pytest.param(mode, tol, id=mode if tol == "0" else f"{mode}-tol{tol}")
+            for tol in ("0", "1e-9")
+            for mode in ("zero", "linearized")
+        ],
+    )
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflowing_iterate_exit_two(self, tmp_path, capsys, mode):
-        # beta * b overflows in the first subproblem: a solver failure at k=1
+    def test_overflowing_iterate_exit_two(self, tmp_path, capsys, mode, stop_tol):
+        # beta * b overflows in the first subproblem: a solver failure at k=1,
+        # with or without the stopping rule
         inst = problems.SeparableInstance(
             oracles.Quadratic([[1.0]], [0.0]), oracles.Quadratic([[1.0]], [0.0]),
             [[1.0]], [[1.0]], [1.7e308],
@@ -142,7 +150,7 @@ class TestRun:
         problems.save_instance(inst, path)
         code = cli.main(
             ["run", "--instance", str(path), "--beta", "100", "--alpha", "2",
-             "--max-iter", "5", "--stop-tol", "0", "--h1", mode, "--h2", mode,
+             "--max-iter", "5", "--stop-tol", stop_tol, "--h1", mode, "--h2", mode,
              "--out", str(tmp_path / "run")]
         )
         assert code == 2
@@ -384,3 +392,40 @@ class TestParsing:
         path.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 2.0]]}))
         mode = cli._parse_h_mode(f"file:{path}")
         assert np.array_equal(mode.matrix, [[1.0, 0.0], [0.0, 2.0]])
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, monkeypatch):
+        # main reuses one parser; flags of one call must not become the
+        # defaults of the next, also across a failed parse
+        seen_params, seen_full = [], []
+        run, verify = solver.run, certificates.full_verification
+
+        def recording_run(inst, params):
+            seen_params.append(params)
+            return run(inst, params)
+
+        def recording_verify(traj, z_star, full_grid=False):
+            seen_full.append(full_grid)
+            return verify(traj, z_star, full_grid=full_grid)
+
+        monkeypatch.setattr(solver, "run", recording_run)
+        monkeypatch.setattr(certificates, "full_verification", recording_verify)
+        inst = str(write_qp(tmp_path))
+        traj = str(tmp_path / "a" / "trajectory.csv")
+        flags = ["--alpha", "1.5", "--beta", "2", "--h1", "linearized", "--h2",
+                 "linearized:100", "--max-iter", "7", "--stop-tol", "0"]
+        assert cli.main(["run", "--instance", inst, *flags, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["verify", "--instance", inst, "--trajectory", traj, *flags,
+                         "--verify-full", "--out", str(tmp_path / "full.json")]) == 0
+        assert cli.main(["run", "--no-such-flag"]) == 1
+        assert cli.main(["run", "--instance", inst, "--out", str(tmp_path / "b")]) == 0
+        assert cli.main(["verify", "--instance", inst, "--trajectory", traj, *flags,
+                         "--out", str(tmp_path / "grid.json")]) == 0
+        custom = solver.GadmmParams(
+            beta=2.0, alpha=1.5, h1=solver.LinearizedH(), h2=solver.LinearizedH(tau=100.0),
+            max_iter=7, stop_tol=0.0,
+        )
+        assert seen_params == [custom, solver.GadmmParams(beta=1.0)]
+        assert seen_full == [True, False]

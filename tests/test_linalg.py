@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from gadmm import linalg
-from gadmm.errors import NotPositiveDefiniteError
+from gadmm.errors import InternalCheckError, NotPositiveDefiniteError
 
 from conftest import random_spd
 
@@ -101,6 +102,28 @@ class TestSolveSpd:
             u = linalg.solve_spd(K, rhs)
             resid = np.linalg.norm(K @ u - rhs)
             assert resid <= linalg.SOLVE_TOL * (1.0 + np.linalg.norm(rhs))
+
+    def test_matches_cho_solve_bitwise(self):
+        rng = np.random.default_rng(11)
+        K = random_spd(rng, 7)
+        fac = linalg.SpdFactor(K)
+        factor = cho_factor(K, lower=True)
+        for rhs in (rng.standard_normal(7), rng.standard_normal((7, 4))):
+            u = fac.solve(rhs)
+            assert u.shape == rhs.shape
+            assert np.array_equal(u, cho_solve(factor, rhs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_refused(self, bad):
+        fac = linalg.SpdFactor(np.eye(3))
+        for rhs in (np.array([1.0, bad, 0.0]), np.full((3, 2), bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                fac.solve(rhs)
+
+    def test_lapack_rejection_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
+        with pytest.raises(InternalCheckError, match="argument 2"):
+            linalg.SpdFactor(np.eye(2)).solve([1.0, 1.0])
 
     def test_non_pd_refused(self):
         with pytest.raises(NotPositiveDefiniteError, match="not strictly convex"):

@@ -349,10 +349,20 @@ class TestRun:
         assert np.allclose(lin.Y, exp.Y, atol=1e-10)
         assert np.allclose(lin.G, exp.G, atol=1e-10)
 
-    @pytest.mark.parametrize("max_iter", [3, 5])
-    def test_divergence_names_first_nonfinite_k(self, one_d_instance, monkeypatch, max_iter):
+    @pytest.mark.parametrize(
+        "max_iter, stop_tol",
+        [
+            pytest.param(m, tol, id=str(m) if tol == 0.0 else f"{m}-tol1e-9")
+            for tol in (0.0, 1e-9)
+            for m in (3, 5)
+        ],
+    )
+    def test_divergence_names_first_nonfinite_k(
+        self, one_d_instance, monkeypatch, max_iter, stop_tol
+    ):
         # gamma_tilde feeds no later step, so an overflow there is only
-        # visible in the recorded rows
+        # visible in the recorded rows; the stopping rule's cheap terms do
+        # not read it, and its non-finite gap could never stop the run
         real = solver._Engine.advance
         calls = []
 
@@ -364,7 +374,7 @@ class TestRun:
             return x, y, gamma, gamma_tilde, By
 
         monkeypatch.setattr(solver._Engine, "advance", overflow_third)
-        params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=0.0)
+        params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=stop_tol)
         with pytest.raises(DivergenceError, match="k=3") as info:
             solver.run(one_d_instance, params)
         assert info.value.k == 3
