@@ -1,4 +1,5 @@
-"""Dense linear algebra: seminorms, SPD solves, spectral norms, PSD probes.
+"""Dense linear algebra: seminorms, SPD solves, spectral norms, and PSD
+probes by LAPACK's pivoted Cholesky with an explicit Schur-complement tail.
 
 Everything is desk scale: dense numpy arrays and direct factorizations,
 no sparsity, no Krylov methods.  All operations are pure functions and
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dpstrf
 
 from .errors import InternalCheckError, IterationLimitError, NotPositiveDefiniteError
 
@@ -76,44 +77,48 @@ def symmetry_gap(Q) -> float:
     return float(np.max(np.abs(Q - Q.T)))
 
 
-def is_symmetric(Q, tol=PSD_TOL) -> bool:
-    Q = as_matrix(Q)
+def _is_symmetric(Q, tol) -> bool:
+    """:func:`is_symmetric` on an array :func:`as_matrix` has already checked."""
     if Q.shape[0] != Q.shape[1]:
         return False
     scale = 1.0 + (float(np.max(np.abs(Q))) if Q.size else 0.0)
     return symmetry_gap(Q) <= tol * scale
 
 
-def is_psd(Q, tol=PSD_TOL) -> bool:
-    """Probe positive semidefiniteness with a pivoted outer-product Cholesky.
+def is_symmetric(Q, tol=PSD_TOL) -> bool:
+    return _is_symmetric(as_matrix(Q), tol)
 
-    Pivots below ``tol`` (relative to the largest diagonal entry) terminate
-    the factorization; the matrix passes iff the remaining block is then
-    negligible as well, which for a PSD matrix it must be.
+
+def is_psd(Q, tol=PSD_TOL) -> bool:
+    """Probe positive semidefiniteness with LAPACK's pivoted Cholesky ``dpstrf``.
+
+    A non-square or asymmetric ``Q`` fails.  Otherwise ``dpstrf`` factors
+    with diagonal pivoting (the largest remaining pivot first) and stops
+    when that pivot is ``<= floor``, ``floor = tol * max(1, max|diag Q|)``.
+    ``dpstrf`` does not return the block left unfactored, so its Schur
+    complement ``S = Q[t, t] - L21 L21'`` is formed here from the pivot
+    order ``t`` of the remaining rows and their factor rows ``L21``.  The
+    matrix passes iff ``min(diag S) >= -floor`` and ``max|S| <= 10 floor``,
+    which for a PSD matrix must hold; a full-rank factorization passes.
+    Ref: Hammarling, Higham & Lucas, "LAPACK-style codes for pivoted
+    Cholesky and QR updating" (2007).
     """
+    if not tol >= 0:
+        # dpstrf reads a negative tol as "use the LAPACK default"
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     Q = as_matrix(Q)
-    if Q.shape[0] != Q.shape[1] or not is_symmetric(Q, tol):
+    if not _is_symmetric(Q, tol):
         return False
-    R = np.array(Q, dtype=float, copy=True)
-    n = R.shape[0]
-    scale = 1.0
-    if n:
-        scale = max(1.0, float(np.max(np.abs(np.diag(R)))))
-    floor = tol * scale
-    for j in range(n):
-        rem_diag = np.diag(R)[j:]
-        i = j + int(np.argmax(rem_diag))
-        if R[i, i] <= floor:
-            rem = R[j:, j:]
-            if float(np.min(np.diag(rem))) < -floor:
-                return False
-            return float(np.max(np.abs(rem))) <= 10.0 * floor
-        if i != j:
-            R[[j, i], :] = R[[i, j], :]
-            R[:, [j, i]] = R[:, [i, j]]
-        col = R[j + 1 :, j] / R[j, j]
-        R[j + 1 :, j + 1 :] -= np.outer(col, R[j + 1 :, j])
-    return True
+    floor = tol * max(1.0, float(np.max(np.abs(np.diag(Q)), initial=0.0)))
+    factor, piv, rank, info = dpstrf(Q, tol=floor, lower=1)
+    if info < 0:
+        raise InternalCheckError(f"dpstrf rejected its argument {-info}")
+    if rank == Q.shape[0]:
+        return True
+    tail = piv[rank:] - 1
+    L21 = factor[rank:, :rank]
+    S = Q[np.ix_(tail, tail)] - L21 @ L21.T
+    return float(np.min(np.diag(S))) >= -floor and float(np.max(np.abs(S))) <= 10.0 * floor
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,9 @@ class PsdOperator:
         mat = as_matrix(mat, name=name)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"{name} must be square, got shape {mat.shape}")
-        if not is_symmetric(mat, tol):
-            raise NotPositiveDefiniteError(f"{name} is not symmetric")
         if not is_psd(mat, tol):
+            if not is_symmetric(mat, tol):
+                raise NotPositiveDefiniteError(f"{name} is not symmetric")
             raise NotPositiveDefiniteError(f"{name} is not positive semidefinite")
         mat = mat.copy()
         mat.setflags(write=False)

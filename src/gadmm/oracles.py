@@ -65,9 +65,9 @@ class Quadratic:
     def __post_init__(self):
         q = linalg.as_vector(self.q, name="q")
         P = linalg.as_matrix(self.P, rows=q.shape[0], cols=q.shape[0], name="P")
-        if not linalg.is_symmetric(P):
-            raise ValueError("P must be symmetric")
         if not linalg.is_psd(P):
+            if not linalg.is_symmetric(P):
+                raise ValueError("P must be symmetric")
             raise ValueError("P must be positive semidefinite")
         P = P.copy()
         P.setflags(write=False)

@@ -248,7 +248,9 @@ class _Engine:
             By_prev = B @ y_prev
         if self._x_direct is not None:
             fac, q = self._x_direct
-            rhs = A.T @ gamma_prev - q - beta * (A.T @ (By_prev - b)) + self.h1 @ x_prev
+            rhs = A.T @ gamma_prev - q - beta * (A.T @ (By_prev - b))
+            if not isinstance(self.params.h1, ZeroH):  # a zero H adds nothing
+                rhs += self.h1 @ x_prev
             return fac.solve(rhs)
         tau = self.tau1
         resid = A @ x_prev + By_prev - b
@@ -265,12 +267,9 @@ class _Engine:
         relaxed = alpha * (Ax_new + By_prev - b)
         if self._y_direct is not None:
             fac, q = self._y_direct
-            rhs = (
-                B.T @ gamma_prev
-                - q
-                - beta * (B.T @ (relaxed - By_prev))
-                + self.h2 @ y_prev
-            )
+            rhs = B.T @ gamma_prev - q - beta * (B.T @ (relaxed - By_prev))
+            if not isinstance(self.params.h2, ZeroH):  # a zero H adds nothing
+                rhs += self.h2 @ y_prev
             return fac.solve(rhs)
         v = y_prev + (B.T @ (gamma_prev - beta * relaxed)) / self.tau2
         return self._y_prox(v)
@@ -430,20 +429,21 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     inst = traj.instance
     X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
     steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
-    dxm = np.sqrt(traj.metric.seminorm_sq(steps)).tolist()
+    dxm = np.vstack([[0.0], np.sqrt(traj.metric.seminorm_sq(steps))[:, None]])
     # the gap at (x_0, y_0, gamma_0), then at (x_k, y_k, gamma_tilde_k)
-    gaps = problems.kkt_gaps(inst, X, Y, np.vstack([G[:1], Gt])).tolist()
+    gaps = problems.kkt_gaps(inst, X, Y, np.vstack([G[:1], Gt]))[:, None]
+    table = np.hstack([X, Y, G, np.vstack([np.zeros((1, inst.m)), Gt]), dxm, gaps])
+    blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
+    # No cell needs CSV quoting, so joining with "," and "\r\n" gives the
+    # bytes csv.writer would.  Rows are formatted one at a time, which keeps
+    # the memory held to one row of strings.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_header(inst))
-        for k, gap in enumerate(gaps):
-            row = [str(k), *map(repr, np.concatenate([X[k], Y[k], G[k]]).tolist())]
-            if k == 0:
-                row += [""] * (inst.m + 1)
-            else:
-                row += [*map(repr, Gt[k - 1].tolist()), repr(dxm[k - 1])]
-            row.append(repr(gap))
-            writer.writerow(row)
+        fh.write(",".join(trajectory_header(inst)) + "\r\n")
+        for k, row in enumerate(table):
+            cells = list(map(repr, row.tolist()))
+            if k == 0:  # x_0, y_0, gamma_0 have no gamma_tilde or step
+                cells[blank] = [""] * (inst.m + 1)
+            fh.write(f"{k}," + ",".join(cells) + "\r\n")
 
 
 def load_trajectory_csv(path, inst, params) -> Trajectory:

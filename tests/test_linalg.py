@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from gadmm import linalg
+from gadmm import hpe, linalg, problems, solver
 from gadmm.errors import InternalCheckError, NotPositiveDefiniteError
 
 from conftest import random_spd
@@ -168,7 +168,158 @@ class TestSpectralNormSq:
         assert linalg.spectral_norm_sq(np.eye(4) * 3.0) == pytest.approx(9.0, rel=1e-8)
 
 
+def outer_product_is_psd(Q, tol=linalg.PSD_TOL):
+    """The PSD probe as a pivoted outer-product Cholesky, one rank-1 update
+    per pivot in Python: the reference for :func:`linalg.is_psd`.  Same
+    symmetry pre-check, pivot rule, floor and tail test."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape[0] != Q.shape[1] or not linalg.is_symmetric(Q, tol):
+        return False
+    R = Q.copy()
+    n = R.shape[0]
+    scale = 1.0
+    if n:
+        scale = max(1.0, float(np.max(np.abs(np.diag(R)))))
+    floor = tol * scale
+    for j in range(n):
+        i = j + int(np.argmax(np.diag(R)[j:]))
+        if R[i, i] <= floor:
+            rem = R[j:, j:]
+            if float(np.min(np.diag(rem))) < -floor:
+                return False
+            return float(np.max(np.abs(rem))) <= 10.0 * floor
+        if i != j:
+            R[[j, i], :] = R[[i, j], :]
+            R[:, [j, i]] = R[:, [i, j]]
+        col = R[j + 1 :, j] / R[j, j]
+        R[j + 1 :, j + 1 :] -= np.outer(col, R[j + 1 :, j])
+    return True
+
+
+def probe_matrices(count, seed):
+    """Seeded symmetric matrices, in turn: full rank; rank deficient (rank
+    0..n-1); and rank deficient shifted by +-1e-12..1e-3 times the identity
+    (twice as often), which straddles the probe's floor of about 1e-9 n.
+    Every tenth matrix has up to 150 rows, past the block size (64) at
+    which ``dpstrf`` switches to its blocked code."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(1, 151 if t % 10 == 0 else 41))
+        rank = n if t % 4 == 0 else int(rng.integers(0, n))
+        G = rng.standard_normal((n, rank))
+        Q = G @ G.T
+        Q = (Q + Q.T) / 2.0
+        if t % 4 >= 2:
+            Q += rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -3) * np.eye(n)
+        yield Q
+
+
+def metric_matrix(inst, alpha, h_mode):
+    params = solver.GadmmParams(beta=1.0, alpha=alpha, h1=h_mode(), h2=h_mode())
+    h1, h2 = solver.resolve_prox_terms(inst, params)
+    return hpe.build_metric(inst, h1, h2, params.beta, alpha).op.matrix
+
+
+METRIC_ALPHAS = (0.5, 1.0, 1.5, 1.9, 2.0)
+
+
 class TestPsdProbe:
+    def test_matches_outer_product_reference(self):
+        verdicts = []
+        for Q in probe_matrices(2400, seed=2007):
+            expected = outer_product_is_psd(Q)
+            assert linalg.is_psd(Q) == expected
+            verdicts.append(expected)
+        # both verdicts are well represented
+        assert 0.1 < np.mean(verdicts) < 0.9, np.mean(verdicts)
+
+    @pytest.mark.parametrize("kind", ["qp", "lasso"])
+    @pytest.mark.parametrize(
+        "h_mode", [solver.ZeroH, solver.LinearizedH], ids=["zero", "linearized"]
+    )
+    def test_assembled_metric_matches_reference(self, kind, h_mode):
+        if kind == "qp":
+            inst = problems.generate_qp(3, 6, 5, 3)
+        else:
+            inst = problems.generate_lasso(7, 8, 16, 0.2)
+        for alpha in METRIC_ALPHAS:
+            M = metric_matrix(inst, alpha, h_mode)
+            floor = linalg.PSD_TOL * max(1.0, float(np.max(np.diag(M))))
+            # M is singular, so a shift of -0.3 floor passes and -3 floor
+            # fails.  (A shift that puts a tail entry within rounding of
+            # -floor can flip either probe: -0.5 floor does so on the lasso
+            # metric at alpha = 2, whose tail is then 2 * shift.)
+            for shift in (0.0, -0.3 * floor, -3.0 * floor, -1e-6):
+                Q = M + shift * np.eye(M.shape[0])
+                assert linalg.is_psd(Q) == outer_product_is_psd(Q)
+            assert linalg.is_psd(M)
+
+    def test_large_qp_metric_matches_reference(self):
+        # the 450-dim metric of the qp-large-full benchmark workload
+        inst = problems.generate_qp(1, 200, 150, 100)
+        for alpha in (1.0, 1.5, 2.0):
+            M = metric_matrix(inst, alpha, solver.ZeroH)
+            assert np.linalg.matrix_rank(M) < M.shape[0]
+            assert linalg.is_psd(M) and outer_product_is_psd(M)
+            Q = M - 1e-6 * np.eye(M.shape[0])
+            assert not linalg.is_psd(Q) and not outer_product_is_psd(Q)
+
+    def test_empty_matrix(self):
+        Q = np.zeros((0, 0))
+        assert linalg.is_psd(Q) and outer_product_is_psd(Q)
+
+    @pytest.mark.parametrize(
+        "Q, expected",
+        [
+            (np.diag([2.0, 1.0, 0.0]), True),
+            (np.ones((2, 2)), True),
+            (np.eye(3), True),
+            (np.diag([1.0, -1e-300]), False),
+            (np.array([[0.0, 1e-300], [1e-300, 0.0]]), False),
+        ],
+    )
+    def test_zero_tolerance(self, Q, expected):
+        assert linalg.is_psd(Q, tol=0.0) is expected
+        assert outer_product_is_psd(Q, tol=0.0) is expected
+
+    def test_negative_tolerance_refused(self):
+        # dpstrf would read a negative tol as "use the LAPACK default"
+        with pytest.raises(ValueError, match="nonnegative"):
+            linalg.is_psd(np.eye(2), tol=-1e-9)
+
+    @pytest.mark.parametrize(
+        "Q, expected",
+        [
+            # the second pivot equals the floor (1e-9): factoring stops and
+            # the 1x1 tail passes; a pivot just above it is factored
+            (np.diag([1.0, 1e-9]), True),
+            (np.diag([1.0, 2e-9]), True),
+            # stopping at the floor leaves a tail within 10 floor: pass.  Had
+            # the 1e-9 pivot been factored, the next one would be -3e-9.
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 2e-9], [0.0, 2e-9, 1e-9]]), True),
+            # stopping at the floor leaves a tail entry above 10 floor: fail
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 5e-8], [0.0, 5e-8, 1e-9]]), False),
+            # a tail diagonal below -floor fails
+            (np.diag([1.0, 1e-9, -2e-9]), False),
+        ],
+    )
+    def test_pivot_at_the_floor(self, Q, expected):
+        assert linalg.is_psd(Q) is expected
+        assert outer_product_is_psd(Q) is expected
+
+    def test_input_unchanged(self):
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((90, 40))
+        for Q in (G @ G.T, -(G @ G.T), np.asfortranarray(G @ G.T), np.diag([1.0, 1e-9, -2e-9])):
+            before = Q.copy()
+            linalg.is_psd(Q)
+            assert np.array_equal(Q, before)
+
+    def test_lapack_rejection_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dpstrf", lambda a, tol, lower: (a, np.arange(1, 3), 0, -4))
+        with pytest.raises(InternalCheckError, match="argument 4"):
+            linalg.is_psd(np.eye(2))
+
     def test_accepts_psd(self):
         rng = np.random.default_rng(9)
         for dim in (1, 3, 7):
@@ -194,6 +345,18 @@ class TestPsdProbe:
         assert op.seminorm_sq([1.0, 2.0]) == pytest.approx(4.0)
         with pytest.raises(NotPositiveDefiniteError):
             linalg.PsdOperator.from_matrix(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "mat, message",
+        [
+            (np.diag([1.0, -1.0]), "H is not positive semidefinite"),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), "H is not symmetric"),
+            (np.array([[1.0, 3.0], [0.0, 1.0]]), "H is not symmetric"),  # and indefinite
+        ],
+    )
+    def test_operator_factory_messages(self, mat, message):
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{message}$"):
+            linalg.PsdOperator.from_matrix(mat, name="H")
 
 
 @settings(max_examples=100, deadline=None)

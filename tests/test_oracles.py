@@ -57,6 +57,18 @@ class TestValue:
         with pytest.raises(ValueError):
             Quadratic([[ -1.0 ]], [0.0])
 
+    @pytest.mark.parametrize(
+        "P, message",
+        [
+            ([[1.0, 0.0], [0.0, -1.0]], "P must be positive semidefinite"),
+            ([[1.0, 1.0], [0.0, 1.0]], "P must be symmetric"),
+            ([[1.0, 3.0], [0.0, 1.0]], "P must be symmetric"),  # and indefinite
+        ],
+    )
+    def test_quadratic_rejection_messages(self, P, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Quadratic(P, [0.0, 0.0])
+
 
 class TestProx:
     def test_l1_soft_threshold(self):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,17 @@ class TestRun:
             for gt, gh in zip(traj.Gt, halves):
                 assert np.allclose(gt, gh, atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.9])
+    def test_zero_mode_equals_explicit_zero_h(self, alpha):
+        # zero mode skips the H products an explicit all-zero H still adds;
+        # the iterates agree bit for bit, up to the sign of a zero
+        inst = problems.generate_qp(2, 6, 5, 3)
+        zero = run_full(inst, alpha=alpha, iters=60)
+        h1, h2 = ExplicitH(np.zeros((6, 6))), ExplicitH(np.zeros((5, 5)))
+        explicit = run_full(inst, alpha=alpha, iters=60, h1=h1, h2=h2)
+        for name in ("X", "Y", "G", "Gt"):
+            assert np.array_equal(getattr(zero, name), getattr(explicit, name))
+
     def test_deltas_are_differences(self):
         inst = problems.generate_qp(6, 4, 4, 2)
         traj = run_full(inst, alpha=1.4, beta=0.7, iters=20)
@@ -381,6 +394,27 @@ class TestRun:
         assert len(calls) == max_iter
 
 
+def rowwise_trajectory_csv(traj, path):
+    """The trajectory CSV written one ``csv.writer`` row at a time: the
+    reference for the bytes of :func:`solver.save_trajectory_csv`."""
+    inst = traj.instance
+    X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
+    steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
+    dxm = np.sqrt(traj.metric.seminorm_sq(steps)).tolist()
+    gaps = problems.kkt_gaps(inst, X, Y, np.vstack([G[:1], Gt])).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(solver.trajectory_header(inst))
+        for k, gap in enumerate(gaps):
+            row = [str(k), *map(repr, np.concatenate([X[k], Y[k], G[k]]).tolist())]
+            if k == 0:
+                row += [""] * (inst.m + 1)
+            else:
+                row += [*map(repr, Gt[k - 1].tolist()), repr(dxm[k - 1])]
+            row.append(repr(gap))
+            writer.writerow(row)
+
+
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
         inst = problems.generate_qp(10, 4, 3, 2)
@@ -401,6 +435,20 @@ class TestTrajectoryCsv:
         solver.save_trajectory_csv(solver.run(inst, params), p1)
         solver.save_trajectory_csv(solver.run(inst, params), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["qp-zero", "lasso-linearized"])
+    @pytest.mark.parametrize("iters", [0, 1, 40])
+    def test_matches_rowwise_writer(self, tmp_path, kind, iters):
+        if kind == "qp-zero":
+            inst = problems.generate_qp(4, 6, 5, 3)
+            traj = run_full(inst, alpha=1.9, iters=iters)
+        else:
+            inst = problems.generate_lasso(7, 8, 16, 0.2)
+            traj = run_full(inst, alpha=2.0, iters=iters, h1=LinearizedH(), h2=LinearizedH())
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        solver.save_trajectory_csv(traj, got)
+        rowwise_trajectory_csv(traj, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"
