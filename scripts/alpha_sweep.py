@@ -8,12 +8,11 @@ at the final iteration (lhs/rhs, smaller = looser bound).
 Usage: python scripts/alpha_sweep.py [OUTDIR]
 """
 
+import math
 import os
 import sys
 
-import numpy as np
-
-from gadmm import certificates, hpe, problems, solver
+from gadmm import certificates, problems
 from gadmm.solver import GadmmParams, LinearizedH, ZeroH
 
 ALPHAS = (0.5, 1.0, 1.5, 1.9, 2.0)
@@ -27,18 +26,12 @@ def sweep(name, inst, h2, max_iter=4000, stop_tol=1e-9):
         params = GadmmParams(
             beta=1.0, alpha=alpha, h2=h2, max_iter=max_iter, stop_tol=stop_tol
         )
-        traj = solver.run(inst, params)
-        replay = hpe.Replay(traj, inst.solution)
-        report = certificates.verify(replay)
-        bounds = certificates.bound_table(replay)
-        last = bounds.rows[-1]
-        eps_ratio = (
-            last.ergodic_eps_lhs / last.ergodic_eps_rhs if last.ergodic_eps_rhs > 0 else np.nan
-        )
+        traj, report, bounds, (_, r_ratio, eps_ratio) = certificates.run_and_verify(inst, params)
+        r_ratio, eps_ratio = (math.nan if r is None else r for r in (r_ratio, eps_ratio))
         print(
             f"{alpha:>6.2f} {traj.iterations:>6d} "
             f"{'pass' if report.passed else 'FAIL':>9} "
-            f"{last.ergodic_r_lhs / last.ergodic_r_rhs:>10.3e} {eps_ratio:>10.3e}"
+            f"{r_ratio:>10.3e} {eps_ratio:>10.3e}"
         )
         rows.append((alpha, traj, bounds))
     return rows

@@ -68,7 +68,6 @@ from .solver import (
     load_trajectory_csv,
     run,
     save_trajectory_csv,
-    step,
 )
 
 __all__ = [
@@ -121,7 +120,6 @@ __all__ = [
     "save_trajectory_csv",
     "sigma_alpha",
     "solve_ground_truth",
-    "step",
 ]
 
 __version__ = "0.1.0"

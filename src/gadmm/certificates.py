@@ -49,15 +49,12 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import hpe, linalg, oracles
+from . import hpe, linalg, oracles, solver
 from .hpe import REL, Checks, Replay, cert_tol, gap_note, not_applicable, sigma_alpha, slack_row
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solver import Trajectory
 
 # Allowance for the averaged constraint identity and the epsilon split.
 ERGODIC_IDENTITY_TOL = 1e-8
@@ -250,7 +247,7 @@ def ergodic_certificate(rep: Replay, full_grid=False) -> ErgodicCertificate:
     return _ergodic_checks(rep, checked_iterations(rep.K, full=full_grid))
 
 
-def bound_report(traj: "Trajectory", z_star, full_grid=False) -> BoundReport:
+def bound_report(traj: solver.Trajectory, z_star, full_grid=False) -> BoundReport:
     """Bound comparisons at the checked iterations, as one table."""
     return bound_table(Replay(traj, z_star), full_grid)
 
@@ -318,7 +315,7 @@ class VerificationReport(Checks):
         }
 
 
-def full_verification(traj: "Trajectory", z_star, full_grid=False) -> VerificationReport:
+def full_verification(traj: solver.Trajectory, z_star, full_grid=False) -> VerificationReport:
     """Run every check on one replay of a recorded trajectory.
 
     Nothing raises here; failures land in the report, and
@@ -354,3 +351,28 @@ def verify(rep: Replay, full_grid=False) -> VerificationReport:
         full_grid=bool(full_grid),
     )
     return VerificationReport(rows=rows, meta=meta)
+
+
+def run_and_verify(inst, params):
+    """Run ``params`` on ``inst`` and verify the run against
+    ``inst.solution``: one point of an alpha sweep.
+
+    Returns the trajectory, the verification report, the bound table, and
+    the lhs/rhs ratios of the pointwise, ergodic r and ergodic epsilon
+    bounds at the last checked k.  A ratio is None where its bound is
+    undefined or has a nonpositive rhs, or when no k was checked.
+    """
+    traj = solver.run(inst, params)
+    rep = Replay(traj, inst.solution)
+    report = verify(rep)
+    bounds = bound_table(rep)
+    ratios = (None, None, None)
+    if bounds.rows:
+        last = bounds.rows[-1]
+        pairs = (
+            (last.pointwise_lhs, last.pointwise_rhs),
+            (last.ergodic_r_lhs, last.ergodic_r_rhs),
+            (last.ergodic_eps_lhs, last.ergodic_eps_rhs),
+        )
+        ratios = tuple(a / b if b > 0 and not math.isnan(a) else None for a, b in pairs)
+    return traj, report, bounds, ratios

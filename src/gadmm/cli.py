@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from . import certificates, hpe, problems, solver
+from . import certificates, problems, solver
 from .errors import (
     CertificationError,
     ConfigError,
@@ -162,14 +162,7 @@ def _cmd_verify(args) -> int:
         _write_json(doc, args.out)
     else:
         _dump_json(doc, sys.stdout)
-    if not report.passed:
-        bad = report.first_failure
-        print(
-            f"certification failed: {bad.name} at k={bad.worst_k} "
-            f"(slack {bad.worst_slack:.3e})",
-            file=sys.stderr,
-        )
-        return EXIT_CERT
+    report.raise_first()
     print("all checks pass", file=sys.stderr)
     return EXIT_OK
 
@@ -200,22 +193,8 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in grid:
-        params = _params(args, alpha=alpha)
-        traj = solver.run(inst, params)
+        traj, report, _, ratios = certificates.run_and_verify(inst, _params(args, alpha=alpha))
         summary = _run_summary(traj)
-        replay = hpe.Replay(traj, inst.solution)
-        report = certificates.verify(replay)
-        bounds = certificates.bound_table(replay)
-        last = bounds.rows[-1] if bounds.rows else None
-        pw = ""
-        if last is not None and not math.isnan(last.pointwise_lhs) and last.pointwise_rhs > 0:
-            pw = repr(last.pointwise_lhs / last.pointwise_rhs)
-        r_ratio = repr(last.ergodic_r_lhs / last.ergodic_r_rhs) if last else ""
-        e_ratio = (
-            repr(last.ergodic_eps_lhs / last.ergodic_eps_rhs)
-            if last and last.ergodic_eps_rhs > 0
-            else ""
-        )
         failure = report.first_failure
         rows.append(
             [
@@ -223,9 +202,7 @@ def _cmd_bench(args) -> int:
                 str(summary["iterations"]),
                 str(summary["stopped_early"]).lower(),
                 repr(summary["final_kkt_gap"]),
-                pw,
-                r_ratio,
-                e_ratio,
+                *("" if r is None else repr(r) for r in ratios),
                 "pass" if report.passed else "fail",
                 "" if failure is None else f"{failure.name}@k={failure.worst_k}",
             ]
@@ -303,7 +280,7 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
+        print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

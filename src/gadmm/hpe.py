@@ -107,9 +107,6 @@ class ProximalMetric:
     def seminorm_sq(self, v) -> float:
         return self.op.seminorm_sq(v)
 
-    def seminorm(self, v) -> float:
-        return math.sqrt(max(self.seminorm_sq(v), 0.0))
-
 
 def build_metric(inst, h1, h2, beta, alpha) -> ProximalMetric:
     """Assemble the block operator M and run the PSD probe on it."""
@@ -412,17 +409,3 @@ def check_fejer(rep: Replay) -> ReportRow:
     prev, cur = vals[:-1], vals[1:]
     return slack_row("fejer_monotonicity", prev - cur + cert_tol(prev, cur), rep.ks, REL)
 
-
-def metric_identity_residual(metric, z_prev, z_k, z_tilde, probe) -> float:
-    """Residual of the algebraic expansion used by the Fejer argument:
-
-        ||z-z_k||^2_M - ||z-z_{k-1}||^2_M
-      = ||z~-z_k||^2_M - ||z~-z_{k-1}||^2_M + 2 <M(z_{k-1}-z_k), z-z~>
-
-    for an arbitrary probe point z; holds identically, so the residual is
-    pure rounding.
-    """
-    lhs = metric.seminorm_sq(probe - z_k) - metric.seminorm_sq(probe - z_prev)
-    cross = 2.0 * float((metric.matrix @ (z_prev - z_k)) @ (probe - z_tilde))
-    rhs = metric.seminorm_sq(z_tilde - z_k) - metric.seminorm_sq(z_tilde - z_prev) + cross
-    return abs(lhs - rhs)

@@ -8,7 +8,6 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,10 +182,6 @@ def seminorm_sq(Q, v):
     return float(val) if v.ndim == 1 else val
 
 
-def seminorm(Q, v) -> float:
-    return math.sqrt(max(seminorm_sq(Q, v), 0.0))
-
-
 class SpdFactor:
     """Cached Cholesky factorization of a symmetric positive definite matrix.
 
@@ -213,24 +208,19 @@ class SpdFactor:
 
         Calls LAPACK ``dpotrs`` on the stored factor directly: the call
         ``cho_solve`` makes after its argument handling, so the result is
-        the same bit for bit.
+        the same bit for bit.  Only the shape is checked: this runs on every
+        iteration, and a non-finite right-hand side gives a non-finite
+        solution, which :func:`gadmm.solver.run` reports after its loop.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 0:
             rhs = rhs.reshape(1)
         if rhs.ndim > 2 or rhs.shape[0] != self.side:
             raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.side} rows")
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("right-hand side has non-finite entries")
         out, info = dpotrs(self._factor, rhs, lower=1)
         if info != 0:
             raise InternalCheckError(f"dpotrs rejected its argument {-info}")
         return out
-
-
-def solve_spd(K, rhs) -> np.ndarray:
-    """Solve K u = rhs for symmetric positive definite K via Cholesky."""
-    return SpdFactor(K).solve(rhs)
 
 
 def spectral_norm_sq(A, rel_tol=1e-8, max_iter=100_000) -> float:

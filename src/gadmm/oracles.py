@@ -49,8 +49,8 @@ def _out(val, like):
 
 
 def soft_threshold(v, thr) -> np.ndarray:
-    """Componentwise shrinkage sign(v_i) * max(|v_i| - thr, 0)."""
-    v = linalg.as_vector(v, name="v")
+    """Componentwise shrinkage sign(v_i) * max(|v_i| - thr, 0) of a float
+    array, unchecked: it is the l1 prox map the solver runs every step."""
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
 
@@ -93,16 +93,16 @@ class Quadratic:
 
     def prox_solver(self, t):
         """Return v -> argmin_u value(u) + ||u - v||^2 / (2t), with the
-        system matrix tP + I factored once."""
+        system matrix tP + I factored once.  The returned map takes a float
+        vector of length ``dim`` and does not check it; :meth:`prox` does."""
         if not t > 0:
             raise ValueError("prox step t must be positive")
         fac = linalg.SpdFactor(t * self.P + np.eye(self.dim))
         tq = t * self.q
-        dim = self.dim
-        return lambda v: fac.solve(linalg.as_vector(v, dim=dim, name="v") - tq)
+        return lambda v: fac.solve(v - tq)
 
     def prox(self, v, t) -> np.ndarray:
-        return self.prox_solver(t)(v)
+        return self.prox_solver(t)(linalg.as_vector(v, dim=self.dim, name="v"))
 
     def _p_factor(self):
         # Lazy cache; None = not attempted yet, False = P is singular.
@@ -162,7 +162,7 @@ class L1:
         return lambda v: soft_threshold(v, thr)
 
     def prox(self, v, t) -> np.ndarray:
-        return self.prox_solver(t)(v)
+        return self.prox_solver(t)(linalg.as_vector(v, name="v"))
 
     def conjugate(self, u):
         """Indicator of the ||.||_inf ball of radius mu."""
@@ -187,10 +187,10 @@ class Zero:
     def prox_solver(self, t):
         if not t > 0:
             raise ValueError("prox step t must be positive")
-        return lambda v: linalg.as_vector(v, name="v").copy()
+        return lambda v: v.copy()
 
     def prox(self, v, t) -> np.ndarray:
-        return self.prox_solver(t)(v)
+        return self.prox_solver(t)(linalg.as_vector(v, name="v"))
 
     def conjugate(self, u):
         """Indicator of the origin (within an absolute tolerance)."""

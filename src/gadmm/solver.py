@@ -114,8 +114,9 @@ class GadmmParams:
 
 @dataclass(frozen=True)
 class IterateState:
-    """One iterate, as returned by :func:`step` and :meth:`Trajectory.state`.
-    Deltas and the intermediate multiplier are absent at k = 0."""
+    """One iterate, as returned by :func:`initial_state` and
+    :meth:`Trajectory.state`.  Deltas and the intermediate multiplier are
+    absent at k = 0."""
 
     k: int
     x: np.ndarray
@@ -219,7 +220,7 @@ class _Engine:
         self.inst = inst
         self.params = params
         A, B = inst.A, inst.B
-        beta, alpha = params.beta, params.alpha
+        beta = params.beta
         self.h1, self.tau1 = _resolve_h(params.h1, A, beta, inst.n, "h1")
         self.h2, self.tau2 = _resolve_h(params.h2, B, beta, inst.p, "h2")
         self._x_direct = self._direct_solver(inst.f, A, self.h1, params.h1, "x")
@@ -241,11 +242,10 @@ class _Engine:
         K = P + self.params.beta * (op.T @ op) + h
         return linalg.SpdFactor(K, name=f"{block}-subproblem matrix"), q
 
-    def x_update(self, x_prev, y_prev, gamma_prev, By_prev=None):
-        A, B, b = self.inst.A, self.inst.B, self.inst.b
+    def x_update(self, x_prev, gamma_prev, By_prev):
+        """x_k from x_{k-1}, gamma_{k-1} and B y_{k-1}."""
+        A, b = self.inst.A, self.inst.b
         beta = self.params.beta
-        if By_prev is None:
-            By_prev = B @ y_prev
         if self._x_direct is not None:
             fac, q = self._x_direct
             rhs = A.T @ gamma_prev - q - beta * (A.T @ (By_prev - b))
@@ -257,13 +257,10 @@ class _Engine:
         v = x_prev + (A.T @ (gamma_prev - beta * resid)) / tau
         return self._x_prox(v)
 
-    def y_update(self, x_new, y_prev, gamma_prev, Ax_new=None, By_prev=None):
-        A, B, b = self.inst.A, self.inst.B, self.inst.b
+    def y_update(self, y_prev, gamma_prev, Ax_new, By_prev):
+        """y_k from y_{k-1}, gamma_{k-1}, A x_k and B y_{k-1}."""
+        B, b = self.inst.B, self.inst.b
         beta, alpha = self.params.beta, self.params.alpha
-        if Ax_new is None:
-            Ax_new = A @ x_new
-        if By_prev is None:
-            By_prev = B @ y_prev
         relaxed = alpha * (Ax_new + By_prev - b)
         if self._y_direct is not None:
             fac, q = self._y_direct
@@ -279,48 +276,14 @@ class _Engine:
         the caller can carry the product forward."""
         A, B, b = self.inst.A, self.inst.B, self.inst.b
         beta, alpha = self.params.beta, self.params.alpha
-        x = self.x_update(x_prev, y_prev, gamma_prev, By_prev=By_prev)
+        x = self.x_update(x_prev, gamma_prev, By_prev)
         Ax = A @ x
         half_resid = Ax + By_prev - b
-        y = self.y_update(x, y_prev, gamma_prev, Ax_new=Ax, By_prev=By_prev)
+        y = self.y_update(y_prev, gamma_prev, Ax, By_prev)
         By = B @ y
         gamma = gamma_prev - beta * (alpha * half_resid + (By - By_prev))
         gamma_tilde = gamma_prev - beta * half_resid
         return x, y, gamma, gamma_tilde, By
-
-
-def solve_x_subproblem(inst, params, y_prev, x_prev, gamma_prev) -> np.ndarray:
-    return _Engine(inst, params).x_update(
-        linalg.as_vector(x_prev, dim=inst.n, name="x_prev"),
-        linalg.as_vector(y_prev, dim=inst.p, name="y_prev"),
-        linalg.as_vector(gamma_prev, dim=inst.m, name="gamma_prev"),
-    )
-
-
-def solve_y_subproblem(inst, params, x_new, y_prev, gamma_prev) -> np.ndarray:
-    return _Engine(inst, params).y_update(
-        linalg.as_vector(x_new, dim=inst.n, name="x_new"),
-        linalg.as_vector(y_prev, dim=inst.p, name="y_prev"),
-        linalg.as_vector(gamma_prev, dim=inst.m, name="gamma_prev"),
-    )
-
-
-def step(inst, params, state: IterateState) -> IterateState:
-    """One iteration from an arbitrary state (resolves and factors per call;
-    use :func:`run` for whole trajectories)."""
-    x, y, gamma, gamma_tilde, _ = _Engine(inst, params).advance(
-        state.x, state.y, state.gamma, inst.B @ state.y
-    )
-    return IterateState(
-        k=state.k + 1,
-        x=x,
-        y=y,
-        gamma=gamma,
-        gamma_tilde=gamma_tilde,
-        dx=x - state.x,
-        dy=y - state.y,
-        dgamma=gamma - state.gamma,
-    )
 
 
 def initial_state(inst, x0=None, y0=None, gamma0=None) -> IterateState:
@@ -359,9 +322,13 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
       3. the first-order gap :func:`problems.kkt_gap` at
          (x_k, y_k, gamma_tilde_k), the point where the subproblem
          inclusions hold (its max includes term 1).
-    A later term is computed only when the earlier ones hold.  Raises
-    :class:`DivergenceError` naming the first k whose x, y, gamma or
-    gamma_tilde has a non-finite entry.
+    A later term is computed only when the earlier ones hold.
+
+    The steps do not check their data: a non-finite iterate does not stop
+    the loop, and floating-point warnings are silenced inside it.  After
+    the loop, one scan of the recorded rows raises :class:`DivergenceError`
+    naming the first k whose x, y, gamma or gamma_tilde has a non-finite
+    entry, so a run that diverges is reported once it reaches max_iter.
     """
     eng = _Engine(inst, params)
     start = initial_state(inst, x0, y0, gamma0)
@@ -373,18 +340,22 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     By = inst.B @ y
     failure = None
     try:
-        for _ in range(params.max_iter):
-            x_new, y_new, gamma_new, gamma_tilde, By = eng.advance(x, y, gamma, By)
-            xs.append(x_new)
-            ys.append(y_new)
-            gs.append(gamma_new)
-            gts.append(gamma_tilde)
-            if metric is not None and _stop_rule_holds(
-                inst, metric, params.stop_tol, (x, y, gamma), (x_new, y_new, gamma_new), gamma_tilde
-            ):
-                break
-            x, y, gamma = x_new, y_new, gamma_new
-    except ValueError as exc:  # a subproblem or the stopping rule met non-finite data
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(params.max_iter):
+                x_new, y_new, gamma_new, gamma_tilde, By = eng.advance(x, y, gamma, By)
+                xs.append(x_new)
+                ys.append(y_new)
+                gs.append(gamma_new)
+                gts.append(gamma_tilde)
+                if metric is not None and _stop_rule_holds(
+                    inst, metric, params.stop_tol, (x, y, gamma), (x_new, y_new, gamma_new),
+                    gamma_tilde,
+                ):
+                    break
+                x, y, gamma = x_new, y_new, gamma_new
+    except ValueError as exc:
+        # the steps do not raise on non-finite data; only the stopping rule's
+        # gap term can, as its KktPoint refuses a non-finite gamma_tilde
         failure = exc
     X, Y, G = np.array(xs), np.array(ys), np.array(gs)
     Gt = np.array(gts).reshape(len(gts), inst.m)

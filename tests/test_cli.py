@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gadmm import certificates, cli, linalg, oracles, problems, solver
-from gadmm.errors import InternalCheckError, NotPositiveDefiniteError
+from gadmm.errors import CertificationError, InternalCheckError, NotPositiveDefiniteError
 
 from conftest import make_one_d_instance
 
@@ -138,7 +138,6 @@ class TestRun:
             for mode in ("zero", "linearized")
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_iterate_exit_two(self, tmp_path, capsys, mode, stop_tol):
         # beta * b overflows in the first subproblem: a solver failure at k=1,
         # with or without the stopping rule
@@ -224,6 +223,13 @@ class TestVerify:
             "multiplier_identity",
             "constraint_identity",
         )
+        # the one stderr line names the earliest violation, as raise_first() does
+        inst = problems.load_instance(args[2])
+        traj = solver.load_trajectory_csv(traj_path, inst, solver.GadmmParams(beta=1.0))
+        with pytest.raises(CertificationError) as info:
+            certificates.full_verification(traj, inst.solution).raise_first()
+        assert err == f"certification failed: {info.value}\n"
+        assert f"{info.value.check} violated at k={info.value.k} " in err
 
     def test_internal_check_error_exit_two(self, tmp_path, monkeypatch, capsys):
         args = self._run_and_verify_args(tmp_path)
@@ -364,6 +370,24 @@ class TestBench:
         assert len(rows) == 5
         assert all(r["verification"] == "pass" for r in rows)
         assert rows[-1]["pointwise_ratio"] == ""  # alpha = 2
+
+    def test_start_at_solution_leaves_ratios_empty(self, tmp_path):
+        # d0 = 0 makes every bound's rhs zero: no ratio is defined
+        inst = problems.SeparableInstance(
+            oracles.Quadratic([[1.0]], [0.0]), oracles.Quadratic([[1.0]], [0.0]),
+            [[1.0]], [[1.0]], [0.0], solution=problems.KktPoint([0.0], [0.0], [0.0]),
+        )
+        inst_path = tmp_path / "origin.json"
+        problems.save_instance(inst, inst_path)
+        out = tmp_path / "bench"
+        assert cli.main(
+            ["bench", "--instance", str(inst_path), "--alpha-grid", "1,2", "--out", str(out)]
+        ) == 0
+        with open(out / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["verification"] for r in rows] == ["pass", "pass"]
+        for r in rows:
+            assert r["pointwise_ratio"] == r["ergodic_r_ratio"] == r["ergodic_eps_ratio"] == ""
 
     def test_empty_grid(self, tmp_path):
         inst_path = write_qp(tmp_path)

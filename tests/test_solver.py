@@ -6,7 +6,7 @@ import pytest
 from gadmm import hpe, linalg, oracles, problems, solver
 from gadmm.errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
-from gadmm.solver import ExplicitH, GadmmParams, IterateState, LinearizedH
+from gadmm.solver import ExplicitH, GadmmParams, LinearizedH
 
 from conftest import make_one_d_instance, run_full, state_pairs
 
@@ -73,23 +73,37 @@ class TestParams:
         assert linalg.is_psd(h1)
 
 
+def solve_x_subproblem(inst, params, y_prev, x_prev, gamma_prev):
+    """x_k from a fresh engine, given y_{k-1}, x_{k-1} and gamma_{k-1}."""
+    y_prev, x_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (y_prev, x_prev, gamma_prev))
+    return solver._Engine(inst, params).x_update(x_prev, gamma_prev, inst.B @ y_prev)
+
+
+def solve_y_subproblem(inst, params, x_new, y_prev, gamma_prev):
+    """y_k from a fresh engine, given x_k, y_{k-1} and gamma_{k-1}."""
+    x_new, y_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (x_new, y_prev, gamma_prev))
+    return solver._Engine(inst, params).y_update(
+        y_prev, gamma_prev, inst.A @ x_new, inst.B @ y_prev
+    )
+
+
 class TestSubproblems:
     def test_x_scalar_oracle(self, one_d_instance):
         # argmin x^2/2 + (x - 3)^2/2 = 1.5 by scalar calculus
         params = GadmmParams(beta=1.0, alpha=1.0)
-        x1 = solver.solve_x_subproblem(one_d_instance, params, [0.0], [0.0], [0.0])
+        x1 = solve_x_subproblem(one_d_instance, params, [0.0], [0.0], [0.0])
         assert x1 == pytest.approx([1.5], abs=1e-12)
 
     def test_y_scalar_oracle_alpha_one(self, one_d_instance):
         # argmin y^2/2 + (y - 1.5)^2/2 = 0.75
         params = GadmmParams(beta=1.0, alpha=1.0)
-        y1 = solver.solve_y_subproblem(one_d_instance, params, [1.5], [0.0], [0.0])
+        y1 = solve_y_subproblem(one_d_instance, params, [1.5], [0.0], [0.0])
         assert y1 == pytest.approx([0.75], abs=1e-12)
 
     def test_y_scalar_oracle_alpha_two(self, one_d_instance):
         # argmin y^2/2 + (y - 3)^2/2 = 1.5
         params = GadmmParams(beta=1.0, alpha=2.0)
-        y1 = solver.solve_y_subproblem(one_d_instance, params, [1.5], [0.0], [0.0])
+        y1 = solve_y_subproblem(one_d_instance, params, [1.5], [0.0], [0.0])
         assert y1 == pytest.approx([1.5], abs=1e-12)
 
     def test_zero_objective_quadratic_completion(self):
@@ -106,7 +120,7 @@ class TestSubproblems:
         params = GadmmParams(beta=beta)
         y_prev = rng.standard_normal(n)
         g_prev = rng.standard_normal(n)
-        x1 = solver.solve_x_subproblem(inst, params, y_prev, np.zeros(n), g_prev)
+        x1 = solve_x_subproblem(inst, params, y_prev, np.zeros(n), g_prev)
         expected = inst.b - inst.B @ y_prev + g_prev / beta
         assert np.allclose(x1, expected, atol=1e-12)
 
@@ -124,7 +138,7 @@ class TestSubproblems:
         params = GadmmParams(beta=beta, alpha=1.0)
         x_new = rng.standard_normal(n)
         g_prev = rng.standard_normal(n)
-        y1 = solver.solve_y_subproblem(inst, params, x_new, np.zeros(n), g_prev)
+        y1 = solve_y_subproblem(inst, params, x_new, np.zeros(n), g_prev)
         expected = inst.b - inst.A @ x_new + g_prev / beta
         assert np.allclose(y1, expected, atol=1e-12)
 
@@ -138,7 +152,7 @@ class TestSubproblems:
             np.zeros(n),
         )
         params = GadmmParams(beta=1.0, h1=LinearizedH())
-        x1 = solver.solve_x_subproblem(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
+        x1 = solve_x_subproblem(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
         assert np.allclose(x1, 0.0)
 
     def test_l1_without_linearized_rejected(self):
@@ -152,7 +166,7 @@ class TestSubproblems:
         )
         params = GadmmParams(beta=1.0)
         with pytest.raises(ConfigError, match="linearized"):
-            solver.solve_x_subproblem(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
+            solve_x_subproblem(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
 
     def test_singular_subproblem_refused(self):
         # zero objective and a rank-deficient block make the x update singular
@@ -162,7 +176,7 @@ class TestSubproblems:
         )
         params = GadmmParams(beta=1.0)
         with pytest.raises(NotPositiveDefiniteError):
-            solver.solve_x_subproblem(inst, params, np.zeros(2), np.zeros(2), np.zeros(2))
+            solve_x_subproblem(inst, params, np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_first_order_residual_direct(self):
         rng = np.random.default_rng(11)
@@ -171,7 +185,7 @@ class TestSubproblems:
         x_prev = rng.standard_normal(5)
         y_prev = rng.standard_normal(4)
         g_prev = rng.standard_normal(3)
-        x1 = solver.solve_x_subproblem(inst, params, y_prev, x_prev, g_prev)
+        x1 = solve_x_subproblem(inst, params, y_prev, x_prev, g_prev)
         # gradient of the x subproblem objective at the returned point
         grad = (
             inst.f.grad(x1)
@@ -180,7 +194,7 @@ class TestSubproblems:
         )
         assert np.linalg.norm(grad) <= 1e-9
         x_new = rng.standard_normal(5)
-        y1 = solver.solve_y_subproblem(inst, params, x_new, y_prev, g_prev)
+        y1 = solve_y_subproblem(inst, params, x_new, y_prev, g_prev)
         relaxed = params.alpha * (inst.A @ x_new + inst.B @ y_prev - inst.b)
         grad_y = (
             inst.g.grad(y1)
@@ -197,7 +211,7 @@ class TestSubproblems:
         x_prev = rng.standard_normal(4)
         y_prev = rng.standard_normal(3)
         g_prev = rng.standard_normal(2)
-        x1 = solver.solve_x_subproblem(inst, params, y_prev, x_prev, g_prev)
+        x1 = solve_x_subproblem(inst, params, y_prev, x_prev, g_prev)
         grad = (
             inst.f.grad(x1)
             - inst.A.T @ g_prev
@@ -209,16 +223,16 @@ class TestSubproblems:
 
 class TestStep:
     def test_hand_composition_alpha_one(self, one_d_instance):
-        params = GadmmParams(beta=1.0, alpha=1.0)
-        st = solver.step(one_d_instance, params, solver.initial_state(one_d_instance))
+        params = GadmmParams(beta=1.0, alpha=1.0, max_iter=1, stop_tol=0)
+        st = solver.run(one_d_instance, params).state(1)
         assert st.x == pytest.approx([1.5], abs=1e-12)
         assert st.y == pytest.approx([0.75], abs=1e-12)
         assert st.gamma == pytest.approx([0.75], abs=1e-12)
         assert st.gamma_tilde == pytest.approx([1.5], abs=1e-12)
 
     def test_hand_composition_alpha_two(self, one_d_instance):
-        params = GadmmParams(beta=1.0, alpha=2.0)
-        st = solver.step(one_d_instance, params, solver.initial_state(one_d_instance))
+        params = GadmmParams(beta=1.0, alpha=2.0, max_iter=1, stop_tol=0)
+        st = solver.run(one_d_instance, params).state(1)
         assert st.x == pytest.approx([1.5], abs=1e-12)
         assert st.y == pytest.approx([1.5], abs=1e-12)
         assert st.gamma == pytest.approx([1.5], abs=1e-12)
@@ -229,10 +243,8 @@ class TestStep:
         inst = problems.generate_qp(3, 4, 3, 2)
         sol = inst.solution
         for alpha in (0.5, 1.0, 2.0):
-            params = GadmmParams(beta=1.3, alpha=alpha)
-            st = solver.step(
-                inst, params, IterateState(k=0, x=sol.x, y=sol.y, gamma=sol.gamma)
-            )
+            params = GadmmParams(beta=1.3, alpha=alpha, max_iter=1, stop_tol=0)
+            st = solver.run(inst, params, sol.x, sol.y, sol.gamma).state(1)
             assert np.allclose(st.x, sol.x, atol=1e-9)
             assert np.allclose(st.y, sol.y, atol=1e-9)
             assert np.allclose(st.gamma, sol.gamma, atol=1e-9)
@@ -392,6 +404,33 @@ class TestRun:
             solver.run(one_d_instance, params)
         assert info.value.k == 3
         assert len(calls) == max_iter
+
+    @pytest.mark.parametrize("kind", ["lasso", "qp"])
+    def test_no_per_iteration_validation(self, monkeypatch, kind):
+        # data is checked where it enters the package, so the number of
+        # as_vector calls in a run does not grow with the iteration count
+        if kind == "lasso":
+            inst = problems.generate_lasso(7, 10, 20, 0.1)
+        else:
+            inst = problems.generate_qp(1, 8, 6, 4)
+        real = linalg.as_vector
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "as_vector", counted)
+        counts = []
+        for max_iter in (10, 200):
+            params = GadmmParams(
+                beta=1.0, alpha=1.5, h1=LinearizedH(), h2=LinearizedH(),
+                max_iter=max_iter, stop_tol=0,
+            )
+            calls.clear()
+            assert solver.run(inst, params).iterations == max_iter
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 def rowwise_trajectory_csv(traj, path):
