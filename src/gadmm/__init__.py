@@ -35,7 +35,6 @@ from .errors import (
 )
 from .hpe import (
     HpeCertificate,
-    ProximalMetric,
     Replay,
     ReportRow,
     build_metric,
@@ -87,7 +86,6 @@ __all__ = [
     "LinearizedH",
     "NotPositiveDefiniteError",
     "PointwiseCertificate",
-    "ProximalMetric",
     "Quadratic",
     "Replay",
     "ReportRow",

@@ -119,6 +119,7 @@ def _finite_or_none(v):
     return v if v is not None and math.isfinite(v) else None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: written as null
 def _run_summary(traj) -> dict:
     final = traj.final
     if final.k == 0:

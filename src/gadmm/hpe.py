@@ -68,6 +68,12 @@ INCLUSION_GAP_TOL = 1e-8
 # Allowance for the linear identities tying the recorded sequences together.
 IDENTITY_TOL = 1e-10
 
+# A report row's worst_k is the first k whose slack lies within
+# WORST_K_BAND * (1 + |minimum|) of the minimum slack.  Many rows tie to
+# within rounding (a slack equal to its tolerance at several k), so an
+# exact argmin would let the last bits of a sum pick the reported k.
+WORST_K_BAND = 1e-12
+
 
 def cert_tol(*magnitudes):
     """1e-7 * (1 + the largest magnitude), elementwise over arrays."""
@@ -83,32 +89,7 @@ def sigma_alpha(alpha) -> float:
     return 1.0 / (1.0 + alpha * (2.0 - alpha))
 
 
-@dataclass(frozen=True)
-class ProximalMetric:
-    """The validated block operator M with the block sizes it was built for."""
-
-    op: linalg.PsdOperator
-    n: int
-    p: int
-    m: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def side(self) -> int:
-        return self.op.side
-
-    def stack(self, x, y, gamma) -> np.ndarray:
-        parts = zip((x, y, gamma), (self.n, self.p, self.m), ("x", "y", "gamma"))
-        return np.concatenate([linalg.as_vector(v, dim=d, name=k) for v, d, k in parts])
-
-    def seminorm_sq(self, v) -> float:
-        return self.op.seminorm_sq(v)
-
-
-def build_metric(inst, h1, h2, beta, alpha) -> ProximalMetric:
+def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
     """Assemble the block operator M and run the PSD probe on it."""
     n, p, m = inst.n, inst.p, inst.m
     h1 = linalg.as_matrix(h1, rows=n, cols=n, name="h1")
@@ -127,24 +108,28 @@ def build_metric(inst, h1, h2, beta, alpha) -> ProximalMetric:
     M[n + p :, n : n + p] = c * B
     M[n + p :, n + p :] = np.eye(m) / (alpha * beta)
     try:
-        op = linalg.PsdOperator.from_matrix(M, name="proximal metric")
+        return linalg.PsdOperator.from_matrix(M, name="proximal metric")
     except NotPositiveDefiniteError as exc:
         raise GadmmError(
             "assembled proximal metric failed the PSD probe (assembly bug)"
         ) from exc
-    return ProximalMetric(op=op, n=n, p=p, m=m)
 
 
-def metric_for(traj: "Trajectory") -> ProximalMetric:
+def metric_for(traj: "Trajectory") -> linalg.PsdOperator:
     """The trajectory's proximal metric, built once and kept on it."""
     return traj.metric
 
 
 def initial_distance_sq(traj: "Trajectory", z_star: problems.KktPoint) -> float:
     """d0 = ||z* - z0||^2_M for the trajectory's initial point."""
-    metric = metric_for(traj)
-    diff = metric.stack(z_star.x - traj.X[0], z_star.y - traj.Y[0], z_star.gamma - traj.G[0])
-    return metric.seminorm_sq(diff)
+    inst = traj.instance
+    parts = (
+        (z_star.x, traj.X[0], inst.n, "x"),
+        (z_star.y, traj.Y[0], inst.p, "y"),
+        (z_star.gamma, traj.G[0], inst.m, "gamma"),
+    )
+    diff = np.concatenate([linalg.as_vector(v, dim=d, name=k) - z0 for v, z0, d, k in parts])
+    return metric_for(traj).seminorm_sq(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +156,28 @@ class ReportRow:
             "pass": self.passed,
             "worst_slack": self.worst_slack if finite else None,
             "worst_k": self.worst_k,
+            "first_k": self.first_k,
             "tolerance": self.tolerance,
             "note": self.note or ("" if finite else "non-finite slack"),
         }
 
 
 def slack_row(name, slack, ks, tolerance, note="") -> ReportRow:
-    """Turn one check's slacks at iterations ``ks`` into a report row."""
+    """Turn one check's slacks at iterations ``ks`` into a report row.
+
+    ``worst_slack`` is the exact minimum; ``worst_k`` is the first k within
+    :data:`WORST_K_BAND` of it (the argmin when the minimum is not finite).
+    """
     slack = np.asarray(slack, dtype=float)
     if slack.size == 0:
         return ReportRow(name, True, math.inf, None, tolerance, note or "no iterations")
     worst = int(np.argmin(slack))
+    low = float(slack[worst])
+    if math.isfinite(low):
+        worst = int(np.argmax(slack <= low + WORST_K_BAND * (1.0 + abs(low))))
     bad = np.flatnonzero(~(slack >= 0.0))
     first_k = int(ks[bad[0]]) if bad.size else None
-    return ReportRow(
-        name, first_k is None, float(slack[worst]), int(ks[worst]), tolerance, note, first_k
-    )
+    return ReportRow(name, first_k is None, low, int(ks[worst]), tolerance, note, first_k)
 
 
 def not_applicable(name) -> ReportRow:
@@ -236,9 +227,9 @@ class Replay:
     Built once per verification: it checks the reference, takes M from the
     trajectory, and evaluates as arrays over k = 1..K (row k-1) the steps,
     the budgets eta_0..eta_K, the extragradient gaps, M dz_k and the step
-    norms, the subgradient rows of both subproblems and the inclusion
-    residuals.  Except for M dz_k (one matrix product), each row is
-    computed as for a single iteration (``linalg.apply_rows``), bit for bit.
+    norms, the subgradient rows of both subproblems, the inclusion gaps,
+    and the constraint-identity residual rows with their norms.  Each
+    operator is applied to a whole stack of rows in one matrix product.
     """
 
     def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
@@ -262,19 +253,14 @@ class Replay:
         self.MDZ = DZ @ self.metric.matrix
         self.step_norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", DZ, self.MDZ), 0.0))
         self.Ztil = np.hstack([self.X[1:], self.Y[1:], self.Gt])
-        per_row = linalg.apply_rows
-        A, B = inst.A, inst.B
         c = (1.0 - self.alpha) / self.alpha
-        self.BDY = per_row(B, self.DY)
+        self.BDY = self.DY @ inst.B.T
         # the exact subgradients produced by the two subproblems
-        self.Vf = per_row(A.T, self.Gt) - per_row(traj.h1, self.DX)
-        self.Vg = (
-            per_row(B.T, self.Gt)
-            - per_row(traj.h2, self.DY)
-            - (self.beta / self.alpha) * per_row(B.T, self.BDY)
-            - c * per_row(B.T, self.DG)
-        )
-        self.gap_f, self.gap_g, self.cons = inclusion_residuals(self)
+        self.Vf = self.Gt @ inst.A - self.DX @ traj.h1.T
+        coupled = self.Gt - (self.beta / self.alpha) * self.BDY - c * self.DG
+        self.Vg = coupled @ inst.B - self.DY @ traj.h2.T
+        self.gap_f, self.gap_g, self.resid = inclusion_residuals(self)
+        self.cons = np.sqrt(np.vecdot(self.resid, self.resid))
 
 
 def eta_sequence(rep: Replay) -> np.ndarray:
@@ -294,26 +280,21 @@ def rho_sequence(rep: Replay) -> np.ndarray:
 
 
 def inclusion_residuals(rep: Replay) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block residuals of M(z_{k-1} - z_k) in T(z~_k), one entry per k:
+    """Block residuals of M(z_{k-1} - z_k) in T(z~_k), one entry or row per k:
 
     - conjugate gap of A'gamma_tilde - H1 dx at x (must vanish),
     - conjugate gap of B'gamma_tilde - (H2 + (beta/alpha)B'B) dy
       - ((1-alpha)/alpha) B' dgamma at y (must vanish),
-    - norm of ((1-alpha)/alpha) B dy + dgamma/(alpha beta) + Ax + By - b.
+    - the row ((1-alpha)/alpha) B dy + dgamma/(alpha beta) + Ax + By - b,
+      whose norm must vanish.
     """
     inst = rep.traj.instance
     alpha, beta = rep.alpha, rep.beta
     X, Y = rep.X[1:], rep.Y[1:]
     gap_f = oracles.fenchel_gap(inst.f, rep.Vf, X)
     gap_g = oracles.fenchel_gap(inst.g, rep.Vg, Y)
-    resid = (
-        (1.0 - alpha) / alpha * rep.BDY
-        + rep.DG / (alpha * beta)
-        + linalg.apply_rows(inst.A, X)
-        + linalg.apply_rows(inst.B, Y)
-        - inst.b
-    )
-    return gap_f, gap_g, np.sqrt(np.vecdot(resid, resid))
+    resid = (1.0 - alpha) / alpha * rep.BDY + rep.DG / (alpha * beta)
+    return gap_f, gap_g, resid + X @ inst.A.T + Y @ inst.B.T - inst.b
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,6 @@ def _unwrap(Q) -> np.ndarray:
     return Q.matrix if isinstance(Q, PsdOperator) else as_matrix(Q, name="Q")
 
 
-def apply_rows(Q, v) -> np.ndarray:
-    """Q v for one vector, or Q v_i for each row v_i of a stack.
-
-    Each row is its own matrix-vector product, so a stacked call gives
-    bit for bit what the one-vector calls give.
-    """
-    return np.matmul(Q, v[..., None])[..., 0]
-
-
 def seminorm_sq(Q, v):
     """Squared seminorm <Qv, v> induced by a symmetric PSD Q.
 
@@ -167,13 +158,14 @@ def seminorm_sq(Q, v):
     (returns one value per row).  Tiny negative values from rounding are
     clamped to zero.  A negative value beyond the rounding band is
     returned as-is: it means Q was not PSD after all, and the caller's
-    probes are expected to catch that.
+    probes are expected to catch that.  A stack is one matrix product
+    ``v @ Q.T``, so its rows can differ from one-vector calls by rounding.
     """
     Q = _unwrap(Q)
     if Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     v = as_rows(v, dim=Q.shape[0], name="v")
-    val = np.vecdot(v, apply_rows(Q, v))
+    val = np.vecdot(v, v @ Q.T)
     neg = val < 0.0
     if np.any(neg):
         qscale = 1.0 + (float(np.max(np.abs(Q))) if Q.size else 0.0)

@@ -14,8 +14,9 @@ cover the supported problem classes with closed-form conjugates, so the
 epsilon-subgradient membership checks are exact up to rounding.
 
 ``value``, ``conjugate`` and :func:`fenchel_gap` take one vector or a
-stack of row vectors; a stack gives one result per row, equal bit for bit
-to the one-vector calls.
+stack of row vectors; a stack gives one result per row, from matrix
+products over the whole stack, so it can differ from the one-vector
+calls by rounding.
 """
 
 from __future__ import annotations
@@ -83,9 +84,7 @@ class Quadratic:
 
     def value(self, v):
         v = linalg.as_rows(v, self.dim, "v")
-        return _out(
-            0.5 * np.vecdot(v, linalg.apply_rows(self.P, v)) + np.vecdot(v, self.q) + self.c, v
-        )
+        return _out(0.5 * np.vecdot(v, v @ self.P.T) + np.vecdot(v, self.q) + self.c, v)
 
     def grad(self, v) -> np.ndarray:
         v = linalg.as_vector(v, dim=self.dim, name="v")
@@ -130,7 +129,7 @@ class Quadratic:
             val = 0.5 * np.vecdot(r, x) - self.c
         else:
             x = np.linalg.lstsq(self.P, r.T, rcond=None)[0].T
-            d = linalg.apply_rows(self.P, x) - r
+            d = x @ self.P.T - r
             in_range = np.sqrt(np.vecdot(d, d)) <= _RANGE_TOL * (1.0 + np.sqrt(np.vecdot(r, r)))
             val = np.where(in_range, 0.5 * np.vecdot(r, x) - self.c, math.inf)
         return _out(val, u)

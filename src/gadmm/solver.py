@@ -147,14 +147,14 @@ class Trajectory:
     Y: np.ndarray
     G: np.ndarray
     Gt: np.ndarray
-    _metric: Optional[hpe.ProximalMetric] = field(default=None, repr=False, compare=False)
+    _metric: Optional[linalg.PsdOperator] = field(default=None, repr=False, compare=False)
 
     @property
     def iterations(self) -> int:
         return self.X.shape[0] - 1
 
     @property
-    def metric(self) -> hpe.ProximalMetric:
+    def metric(self) -> linalg.PsdOperator:
         if self._metric is None:
             self._metric = hpe.build_metric(
                 self.instance, self.h1, self.h2, self.params.beta, self.params.alpha
@@ -306,7 +306,7 @@ def _stop_rule_holds(inst, metric, tol, prev, new, gamma_tilde) -> bool:
     if not problems.constraint_residual(inst, x, y) <= tol:
         return False
     dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
-    if not math.sqrt(linalg.seminorm_sq(metric.op, dz)) <= tol:
+    if not math.sqrt(linalg.seminorm_sq(metric, dz)) <= tol:
         return False
     return problems.kkt_gap(inst, problems.KktPoint(x, y, gamma_tilde)) <= tol
 
@@ -393,6 +393,7 @@ def trajectory_header(inst) -> list[str]:
     return cols
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: written as inf
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one row per iteration: k, x, y, gamma, gamma_tilde, the
     M-seminorm of the step, and the first-order gap.  Floats are written

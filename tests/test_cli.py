@@ -113,8 +113,7 @@ class TestRun:
         code = cli.main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflowing_summary_writes_null(self, tmp_path):
+    def test_overflowing_summary_writes_null(self, tmp_path, capsys):
         inst = problems.SeparableInstance(
             oracles.Quadratic([[1.0]], [0.0]), oracles.Quadratic([[1.0]], [0.0]),
             [[1.0]], [[1.0]], [1e307],
@@ -129,6 +128,7 @@ class TestRun:
         summary = strict_json((out / "summary.json").read_text())
         assert summary["final_kkt_gap"] is None
         assert summary["final_step_metric"] is None
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "mode, stop_tol",
@@ -230,6 +230,10 @@ class TestVerify:
             certificates.full_verification(traj, inst.solution).raise_first()
         assert err == f"certification failed: {info.value}\n"
         assert f"{info.value.check} violated at k={info.value.k} " in err
+        # every row says where it first failed; the stderr line names one of them
+        assert all((c["first_k"] is None) == c["pass"] for c in report["checks"])
+        named = next(c for c in report["checks"] if c["name"] == info.value.check)
+        assert named["first_k"] == info.value.k
 
     def test_internal_check_error_exit_two(self, tmp_path, monkeypatch, capsys):
         args = self._run_and_verify_args(tmp_path)

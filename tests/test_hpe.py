@@ -224,10 +224,19 @@ class TestCompanionChecks:
         rng = np.random.default_rng(0)
         dim = metric.side
         for prev, st in state_pairs(traj):
-            z_prev = metric.stack(prev.x, prev.y, prev.gamma)
-            z_k = metric.stack(st.x, st.y, st.gamma)
-            z_til = metric.stack(st.x, st.y, st.gamma_tilde)
+            z_prev = np.concatenate([prev.x, prev.y, prev.gamma])
+            z_k = np.concatenate([st.x, st.y, st.gamma])
+            z_til = np.concatenate([st.x, st.y, st.gamma_tilde])
             for _ in range(3):
                 probe = rng.standard_normal(dim) * 5.0
                 resid = metric_identity_residual(metric, z_prev, z_k, z_til, probe)
                 assert resid <= 1e-8
+
+
+def test_initial_distance_checks_block_lengths():
+    # a length-1 block would broadcast against x_0 if it were not checked first
+    inst = problems.generate_qp(2, 4, 3, 2)
+    traj = run_full(inst, alpha=1.0, iters=3)
+    sol = inst.solution
+    with pytest.raises(ValueError, match="x has length 1, expected 4"):
+        hpe.initial_distance_sq(traj, KktPoint(sol.x[:1], sol.y, sol.gamma))

@@ -210,7 +210,7 @@ def probe_matrices(count, seed):
 def metric_matrix(inst, alpha, h_mode):
     params = solver.GadmmParams(beta=1.0, alpha=alpha, h1=h_mode(), h2=h_mode())
     h1, h2 = solver.resolve_prox_terms(inst, params)
-    return hpe.build_metric(inst, h1, h2, params.beta, alpha).op.matrix
+    return hpe.build_metric(inst, h1, h2, params.beta, alpha).matrix
 
 
 METRIC_ALPHAS = (0.5, 1.0, 1.5, 1.9, 2.0)

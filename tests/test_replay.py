@@ -1,8 +1,10 @@
 """One replay per verification, one raise path, and the scripts built on them."""
 
+import math
 import os
 import runpy
 
+import numpy as np
 import pytest
 
 from gadmm import certificates, cli, hpe, oracles, problems
@@ -107,6 +109,22 @@ def test_raise_first_prefers_the_earliest_k_then_report_order():
     assert (err.value.check, err.value.k) == ("early", 3)
 
 
+def test_worst_k_is_the_first_k_within_the_band():
+    slack = [1.0, 1e-8, 1e-8 - 1e-22, 5.0]
+    row = hpe.slack_row("tied", slack, np.arange(1, 5), "-")
+    assert row.worst_k == 2
+    assert row.worst_slack == 1e-8 - 1e-22
+    assert row.passed and row.first_k is None
+
+
+@pytest.mark.parametrize("low", [math.nan, -math.inf])
+def test_worst_k_is_the_argmin_of_a_non_finite_minimum(low):
+    row = hpe.slack_row("broken", [1.0, -1.0, low, low, 2.0], np.arange(1, 6), "-")
+    assert row.worst_k == 3
+    assert not row.passed and row.first_k == 2
+    assert row.to_dict()["worst_slack"] is None
+
+
 def test_full_report_raises_at_the_corrupted_iteration():
     inst = problems.generate_qp(9, 4, 3, 2)
     traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
@@ -124,13 +142,16 @@ def test_raise_first_is_quiet_on_a_passing_report():
 
 
 def test_inclusion_rows_read_the_stacked_gaps_exactly():
+    # the gaps are differences of O(1) terms, so they agree to an absolute bound
     inst = problems.generate_lasso(3, 5, 10, 0.3)
     traj = run_full(inst, alpha=1.5, beta=1.0, iters=25, h2=LinearizedH())
     rep = hpe.Replay(traj, inst.solution)
     gap_f, gap_g, _ = hpe.inclusion_residuals(rep)
     for k in range(1, traj.iterations + 1):
-        assert gap_f[k - 1] == oracles.fenchel_gap(inst.f, rep.Vf[k - 1], traj.X[k])
-        assert gap_g[k - 1] == oracles.fenchel_gap(inst.g, rep.Vg[k - 1], traj.Y[k])
+        single_f = oracles.fenchel_gap(inst.f, rep.Vf[k - 1], traj.X[k])
+        single_g = oracles.fenchel_gap(inst.g, rep.Vg[k - 1], traj.Y[k])
+        assert abs(gap_f[k - 1] - single_f) <= 1e-12
+        assert abs(gap_g[k - 1] - single_g) <= 1e-12
 
 
 def test_certificate_demo_script(tmp_path, monkeypatch, capsys):

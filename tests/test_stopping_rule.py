@@ -19,7 +19,7 @@ def criterion_terms(traj):
     X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
     inst = traj.instance
     steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
-    step = np.sqrt(linalg.seminorm_sq(traj.metric.op, steps))
+    step = np.sqrt(linalg.seminorm_sq(traj.metric, steps))
     gap = problems.kkt_gaps(inst, X[1:], Y[1:], Gt)
     resid = problems.constraint_residual(inst, X[1:], Y[1:])
     return resid, step, gap
@@ -96,6 +96,6 @@ def test_constraint_residual_rows_match_one_point_calls():
     X, Y = rng.standard_normal((7, inst.n)), rng.standard_normal((7, inst.p))
     stacked = problems.constraint_residual(inst, X, Y)
     single = [problems.constraint_residual(inst, x, y) for x, y in zip(X, Y)]
-    assert np.array_equal(stacked, single)
+    assert np.allclose(stacked, single, rtol=1e-14, atol=0.0)
     direct = np.linalg.norm(X @ inst.A.T + Y @ inst.B.T - inst.b, axis=1)
     assert np.allclose(stacked, direct, rtol=1e-14, atol=0.0)
