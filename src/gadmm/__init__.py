@@ -18,11 +18,10 @@ from .certificates import (
     PointwiseCertificate,
     VerificationReport,
     bound_constants,
-    bound_report,
+    bound_table,
     ergodic_certificate,
     full_verification,
     pointwise_certificate,
-    rate_estimate,
 )
 from .errors import (
     CertificationError,
@@ -60,7 +59,6 @@ from .problems import (
 from .solver import (
     ExplicitH,
     GadmmParams,
-    IterateState,
     LinearizedH,
     Trajectory,
     ZeroH,
@@ -79,7 +77,6 @@ __all__ = [
     "GadmmParams",
     "HpeCertificate",
     "InternalCheckError",
-    "IterateState",
     "IterationLimitError",
     "KktPoint",
     "L1",
@@ -95,7 +92,7 @@ __all__ = [
     "Zero",
     "ZeroH",
     "bound_constants",
-    "bound_report",
+    "bound_table",
     "build_metric",
     "certify_hpe",
     "check_delta_inequalities",
@@ -111,7 +108,6 @@ __all__ = [
     "load_trajectory_csv",
     "metric_for",
     "pointwise_certificate",
-    "rate_estimate",
     "rho_sequence",
     "run",
     "save_instance",

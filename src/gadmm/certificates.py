@@ -51,8 +51,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,47 +92,19 @@ def checked_iterations(total, full=False) -> list[int]:
     return [1 << i for i in range(total.bit_length()) if 1 << i < total] + [total]
 
 
-@dataclass
-class BoundRow:
-    """Bound comparisons at one checked iteration (NaN where not applicable)."""
-
-    k: int
-    pointwise_lhs: float
-    pointwise_rhs: float
-    ergodic_r_lhs: float
-    ergodic_r_rhs: float
-    ergodic_eps_lhs: float
-    ergodic_eps_rhs: float
-    eps_x: float
-    eps_y: float
-    split_residual: float
+BOUND_CSV_COLUMNS = [
+    "k", "pointwise_lhs", "pointwise_rhs", "ergodic_r_lhs", "ergodic_r_rhs",
+    "ergodic_eps_lhs", "ergodic_eps_rhs", "eps_x", "eps_y", "split_residual",
+]
 
 
-@dataclass
-class BoundReport:
-    rows: list
-    alpha: float
-    sigma: float
-    c_alpha: float
-    c_tilde_alpha: float
-    d0: float
-    pointwise_factor: Optional[float]
-
-    def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
-        return {**doc, "rows": [vars(r) for r in self.rows]}
-
-
-BOUND_CSV_COLUMNS = [f.name for f in fields(BoundRow)]
-
-
-def save_bound_report_csv(report: BoundReport, path) -> None:
+def save_bound_report_csv(table: dict, path) -> None:
+    """Write a :func:`bound_table`, one row per checked k; NaN is a blank cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BOUND_CSV_COLUMNS)
-        for row in report.rows:
-            vals = [getattr(row, col) for col in BOUND_CSV_COLUMNS[1:]]
-            writer.writerow([row.k] + ["" if math.isnan(v) else repr(float(v)) for v in vals])
+        for k, *vals in zip(*(table[col].tolist() for col in BOUND_CSV_COLUMNS)):
+            writer.writerow([k] + ["" if math.isnan(v) else repr(float(v)) for v in vals])
 
 
 @dataclass
@@ -246,18 +217,12 @@ def ergodic_certificate(rep: Replay, full_grid=False) -> ErgodicCertificate:
     return _ergodic_checks(rep, checked_iterations(rep.K, full=full_grid))
 
 
-def bound_report(traj: solver.Trajectory, z_star, full_grid=False) -> BoundReport:
-    """Bound comparisons at the checked iterations, as one table."""
-    return bound_table(Replay(traj, z_star), full_grid)
-
-
-def bound_table(rep: Replay, full_grid=False) -> BoundReport:
-    """:func:`bound_report` on an existing replay."""
-    alpha = rep.alpha
-    sig, c_a, ct_a = bound_constants(alpha)
+def bound_table(rep: Replay, full_grid=False) -> dict:
+    """Bound comparisons at the checked iterations: one array per column of
+    :data:`BOUND_CSV_COLUMNS`, the pointwise columns NaN at alpha = 2."""
     erg = ergodic_certificate(rep, full_grid)
-    pw = pointwise_certificate(rep) if alpha < 2.0 else None
     nan = np.full(len(erg.k), math.nan)
+    pw = pointwise_certificate(rep) if rep.alpha < 2.0 else None
     columns = (
         erg.k,
         pw.running_min[erg.k - 1] if pw else nan,
@@ -270,31 +235,7 @@ def bound_table(rep: Replay, full_grid=False) -> BoundReport:
         np.maximum(erg.eps_y, 0.0),
         erg.split_residual,
     )
-    rows = [BoundRow(*row) for row in zip(*(c.tolist() for c in columns))]
-    return BoundReport(
-        rows=rows,
-        alpha=alpha,
-        sigma=sig,
-        c_alpha=c_a,
-        c_tilde_alpha=ct_a,
-        d0=rep.d0,
-        pointwise_factor=pointwise_constant(alpha, rep.d0) if pw else None,
-    )
-
-
-def rate_estimate(points) -> float:
-    """Least-squares slope of log(value) against log(k) over the tail half
-    of the series; needs at least 10 strictly positive points."""
-    pts = sorted((int(k), float(v)) for k, v in points)
-    if len(pts) < 10:
-        raise ValueError(f"need at least 10 points, got {len(pts)}")
-    if any(v <= 0.0 for _, v in pts):
-        raise ValueError("rate estimation needs strictly positive values")
-    tail = pts[len(pts) // 2 :]
-    logk = np.log([k for k, _ in tail])
-    logv = np.log([v for _, v in tail])
-    slope, _ = np.polyfit(logk, logv, 1)
-    return float(slope)
+    return dict(zip(BOUND_CSV_COLUMNS, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +300,14 @@ def run_and_verify(inst, params):
     Returns the trajectory, the verification report, the bound table, and
     the lhs/rhs ratios of the pointwise, ergodic r and ergodic epsilon
     bounds at the last checked k.  A ratio is None where its bound is
-    undefined or has a nonpositive rhs, or when no k was checked.
+    undefined or has a nonpositive rhs.
     """
     traj = solver.run(inst, params)
     rep = Replay(traj, inst.solution)
     report = verify(rep)
     bounds = bound_table(rep)
-    ratios = (None, None, None)
-    if bounds.rows:
-        last = bounds.rows[-1]
-        pairs = (
-            (last.pointwise_lhs, last.pointwise_rhs),
-            (last.ergodic_r_lhs, last.ergodic_r_rhs),
-            (last.ergodic_eps_lhs, last.ergodic_eps_rhs),
-        )
-        ratios = tuple(a / b if b > 0 and not math.isnan(a) else None for a, b in pairs)
-    return traj, report, bounds, ratios
+    ratios = []
+    for bound in ("pointwise", "ergodic_r", "ergodic_eps"):
+        a, b = float(bounds[f"{bound}_lhs"][-1]), float(bounds[f"{bound}_rhs"][-1])
+        ratios.append(a / b if b > 0 and not math.isnan(a) else None)
+    return traj, report, bounds, tuple(ratios)

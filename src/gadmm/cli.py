@@ -57,7 +57,13 @@ def _parse_h_mode(raw: str):
             data = json.load(fh)
         if isinstance(data, dict):
             data = data.get("matrix")
-        return solver.ExplicitH(np.asarray(data, dtype=float))
+        cells = np.asarray(data, dtype=object)
+        try:
+            if all(type(v) in (int, float) for v in cells.flat):  # JSON numbers, not bools
+                return solver.ExplicitH(cells.astype(float))
+        except OverflowError:
+            pass
+        raise ConfigError(f"h-mode file '{path}': field 'matrix' must hold only real numbers")
     raise ConfigError(f"unrecognized proximal-weight mode '{raw}'")
 
 
@@ -121,17 +127,15 @@ def _finite_or_none(v):
 
 @np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: written as null
 def _run_summary(traj) -> dict:
-    final = traj.final
-    if final.k == 0:
+    inst, K, X, Y, G = traj.instance, traj.iterations, traj.X, traj.Y, traj.G
+    if K == 0:  # no step; the gap at (x_0, y_0, gamma_0)
         step_metric = None
-        gamma = final.gamma
+        gap = problems.kkt_gap(inst, problems.KktPoint(X[0], Y[0], G[0]))
     else:
-        dz = np.concatenate([final.dx, final.dy, final.dgamma])
-        step_metric = math.sqrt(traj.metric.seminorm_sq(dz))
-        gamma = final.gamma_tilde
-    gap = problems.kkt_gap(traj.instance, problems.KktPoint(final.x, final.y, gamma))
+        prev, new = (X[K - 1], Y[K - 1], G[K - 1]), (X[K], Y[K], G[K])
+        _, step_metric, gap = solver.stop_terms(inst, traj.metric, prev, new, traj.Gt[K - 1])
     return {
-        "iterations": traj.iterations,
+        "iterations": K,
         "final_kkt_gap": _finite_or_none(gap),
         "final_step_metric": _finite_or_none(step_metric),
         "alpha": traj.params.alpha,
@@ -196,7 +200,7 @@ def _cmd_bench(args) -> int:
     for alpha in grid:
         traj, report, _, ratios = certificates.run_and_verify(inst, _params(args, alpha=alpha))
         summary = _run_summary(traj)
-        failure = report.first_failure
+        failure = report.earliest_failure
         rows.append(
             [
                 repr(alpha),
@@ -205,7 +209,7 @@ def _cmd_bench(args) -> int:
                 repr(summary["final_kkt_gap"]),
                 *("" if r is None else repr(r) for r in ratios),
                 "pass" if report.passed else "fail",
-                "" if failure is None else f"{failure.name}@k={failure.worst_k}",
+                "" if failure is None else f"{failure.name}@k={failure.first_k}",
             ]
         )
     out_path = os.path.join(args.out, "bench.csv")

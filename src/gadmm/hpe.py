@@ -198,17 +198,17 @@ class Checks:
         return all(r.passed for r in self.rows)
 
     @property
-    def first_failure(self) -> Optional[ReportRow]:
-        """The first failing row in report order."""
-        return next((r for r in self.rows if not r.passed), None)
+    def earliest_failure(self) -> Optional[ReportRow]:
+        """The earliest violation: the failing row with the smallest first
+        violating k, ties going to the row reported first; None if every
+        check passes."""
+        return min((r for r in self.rows if not r.passed), key=lambda r: r.first_k, default=None)
 
     def raise_first(self) -> None:
-        """Raise :class:`CertificationError` for the earliest violation: the
-        failing row with the smallest first violating k, ties going to the
-        row reported first.  Returns quietly when every check passes."""
-        failing = [r for r in self.rows if not r.passed]
-        if failing:
-            row = min(failing, key=lambda r: r.first_k)
+        """Raise :class:`CertificationError` for :attr:`earliest_failure`.
+        Returns quietly when every check passes."""
+        row = self.earliest_failure
+        if row is not None:
             raise CertificationError(
                 f"{row.name} violated at k={row.first_k} "
                 f"(worst slack {row.worst_slack:.3e} at k={row.worst_k})",

@@ -310,14 +310,30 @@ def _require(obj, key, path):
     return obj[key]
 
 
+# The JSON numbers.  A bool is not one, though Python makes it an int.
+_REAL_TYPES = {int, float}
+
+
 def _reals(raw, count, path):
     if not isinstance(raw, list) or len(raw) != count:
         got = len(raw) if isinstance(raw, list) else type(raw).__name__
         raise ValueError(f"instance file: field '{path}' must be a list of {count} reals, got {got}")
+    if not set(map(type, raw)) <= _REAL_TYPES:
+        raise ValueError(f"instance file: field '{path}' holds a non-numeric entry")
     try:
-        return np.asarray([float(v) for v in raw], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"instance file: field '{path}' holds a non-numeric entry") from exc
+        return np.asarray(raw, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"instance file: field '{path}' holds an out-of-range entry") from exc
+
+
+def _real(raw, path) -> float:
+    try:
+        value = float(raw) if type(raw) in _REAL_TYPES else math.nan
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"instance file: field '{path}' must be a finite real")
+    return value
 
 
 def _fun_from_json(obj, dim, path):
@@ -325,16 +341,16 @@ def _fun_from_json(obj, dim, path):
     if variant == "quadratic":
         P = _reals(_require(obj, "P", path), dim * dim, f"{path}.P").reshape(dim, dim)
         q = _reals(_require(obj, "q", path), dim, f"{path}.q")
-        c = float(obj.get("c", 0.0))
+        c = _real(obj.get("c", 0.0), f"{path}.c")
         try:
             return oracles.Quadratic(P, q, c)
         except ValueError as exc:
             raise ValueError(f"instance file: field '{path}': {exc}") from exc
     if variant == "l1":
-        mu = _require(obj, "mu", path)
+        mu = _real(_require(obj, "mu", path), f"{path}.mu")
         try:
-            return oracles.L1(float(mu))
-        except (TypeError, ValueError) as exc:
+            return oracles.L1(mu)
+        except ValueError as exc:
             raise ValueError(f"instance file: field '{path}.mu': {exc}") from exc
     if variant == "zero":
         return oracles.Zero()
@@ -365,7 +381,7 @@ def instance_from_dict(doc: dict) -> SeparableInstance:
     dims = {}
     for key in ("n", "p", "m"):
         raw = _require(doc, key, "")
-        if not isinstance(raw, int) or raw <= 0:
+        if type(raw) is not int or raw <= 0:
             raise ValueError(f"instance file: field '{key}' must be a positive integer")
         dims[key] = raw
     n, p, m = dims["n"], dims["p"], dims["m"]

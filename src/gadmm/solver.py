@@ -112,22 +112,6 @@ class GadmmParams:
                 raise ConfigError(f"{name}: tau must be positive")
 
 
-@dataclass(frozen=True)
-class IterateState:
-    """One iterate, as returned by :func:`initial_state` and
-    :meth:`Trajectory.state`.  Deltas and the intermediate multiplier are
-    absent at k = 0."""
-
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    gamma: np.ndarray
-    gamma_tilde: Optional[np.ndarray] = None
-    dx: Optional[np.ndarray] = None
-    dy: Optional[np.ndarray] = None
-    dgamma: Optional[np.ndarray] = None
-
-
 @dataclass
 class Trajectory:
     """A recorded run: the instance, the configuration, the resolved
@@ -160,27 +144,6 @@ class Trajectory:
                 self.instance, self.h1, self.h2, self.params.beta, self.params.alpha
             )
         return self._metric
-
-    def state(self, k: int) -> IterateState:
-        if not 0 <= k <= self.iterations:
-            raise IndexError(f"k={k} outside 0..{self.iterations}")
-        x, y, gamma = self.X[k], self.Y[k], self.G[k]
-        if k == 0:
-            return IterateState(k=0, x=x, y=y, gamma=gamma)
-        return IterateState(
-            k=k,
-            x=x,
-            y=y,
-            gamma=gamma,
-            gamma_tilde=self.Gt[k - 1],
-            dx=x - self.X[k - 1],
-            dy=y - self.Y[k - 1],
-            dgamma=gamma - self.G[k - 1],
-        )
-
-    @property
-    def final(self) -> IterateState:
-        return self.state(self.iterations)
 
 
 def _resolve_h(mode: HMode, op: np.ndarray, beta: float, dim: int, name: str):
@@ -286,43 +249,35 @@ class _Engine:
         return x, y, gamma, gamma_tilde, By
 
 
-def initial_state(inst, x0=None, y0=None, gamma0=None) -> IterateState:
-    x0 = np.zeros(inst.n) if x0 is None else linalg.as_vector(x0, dim=inst.n, name="x0")
-    y0 = np.zeros(inst.p) if y0 is None else linalg.as_vector(y0, dim=inst.p, name="y0")
-    gamma0 = (
-        np.zeros(inst.m) if gamma0 is None else linalg.as_vector(gamma0, dim=inst.m, name="gamma0")
-    )
-    return IterateState(k=0, x=x0, y=y0, gamma=gamma0)
+def stop_terms(inst, metric, prev, new, gamma_tilde):
+    """The terms of the stopping rule of :func:`run` at one iterate, in the
+    order it checks them, each computed only when the consumer asks for it.
 
-
-def _stop_rule_holds(inst, metric, tol, prev, new, gamma_tilde) -> bool:
-    """Every term of the stopping rule of :func:`run` is <= tol.
-
-    The residual pre-test is computed by the code that computes the same
-    term inside the gap's max, so the pre-tests never change which k stops
-    the run.  A NaN term compares false and so never stops it.
+    ``prev`` and ``new`` are (x, y, gamma) at k-1 and k.  The residual is
+    computed by the code that computes the same term inside the gap's max,
+    so checking it first never changes which k stops the run.
     """
     x, y, gamma = new
-    if not problems.constraint_residual(inst, x, y) <= tol:
-        return False
+    yield problems.constraint_residual(inst, x, y)
     dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
-    if not math.sqrt(linalg.seminorm_sq(metric, dz)) <= tol:
-        return False
-    return problems.kkt_gap(inst, problems.KktPoint(x, y, gamma_tilde)) <= tol
+    yield math.sqrt(linalg.seminorm_sq(metric, dz))
+    yield problems.kkt_gap(inst, problems.KktPoint(x, y, gamma_tilde))
 
 
 def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
-    """Iterate until max_iter or until the stopping rule fires.
+    """Iterate from (x0, y0, gamma0), zeros by default, until max_iter or
+    until the stopping rule fires.
 
     The stopping rule (when stop_tol > 0) stops at the first k where each
-    of these terms is <= stop_tol, evaluated in this order:
+    of the terms of :func:`stop_terms` is <= stop_tol, in this order:
       1. the constraint residual ||A x_k + B y_k - b||;
       2. the step seminorm ||(dx_k, dy_k, dgamma_k)||_M, the certified
          pointwise residual;
       3. the first-order gap :func:`problems.kkt_gap` at
          (x_k, y_k, gamma_tilde_k), the point where the subproblem
          inclusions hold (its max includes term 1).
-    A later term is computed only when the earlier ones hold.
+    A later term is computed only when the earlier ones hold, and a NaN
+    term never stops the run.
 
     The steps do not check their data: a non-finite iterate does not stop
     the loop, and floating-point warnings are silenced inside it.  After
@@ -331,11 +286,14 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     entry, so a run that diverges is reported once it reaches max_iter.
     """
     eng = _Engine(inst, params)
-    start = initial_state(inst, x0, y0, gamma0)
+    x = np.zeros(inst.n) if x0 is None else linalg.as_vector(x0, dim=inst.n, name="x0")
+    y = np.zeros(inst.p) if y0 is None else linalg.as_vector(y0, dim=inst.p, name="y0")
+    gamma = (
+        np.zeros(inst.m) if gamma0 is None else linalg.as_vector(gamma0, dim=inst.m, name="gamma0")
+    )
     metric = None
     if params.stop_tol > 0:
         metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
-    x, y, gamma = start.x, start.y, start.gamma
     xs, ys, gs, gts = [x], [y], [gamma], []
     By = inst.B @ y
     failure = None
@@ -347,9 +305,11 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
                 ys.append(y_new)
                 gs.append(gamma_new)
                 gts.append(gamma_tilde)
-                if metric is not None and _stop_rule_holds(
-                    inst, metric, params.stop_tol, (x, y, gamma), (x_new, y_new, gamma_new),
-                    gamma_tilde,
+                if metric is not None and all(
+                    t <= params.stop_tol
+                    for t in stop_terms(
+                        inst, metric, (x, y, gamma), (x_new, y_new, gamma_new), gamma_tilde
+                    )
                 ):
                     break
                 x, y, gamma = x_new, y_new, gamma_new

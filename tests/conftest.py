@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,37 @@ def run_full(inst, alpha, beta=1.0, iters=200, h1=None, h2=None):
     return solver.run(inst, params)
 
 
+def state(traj, k):
+    """Iterate k of a trajectory as a namespace: x, y, gamma, and for k >= 1
+    gamma_tilde and the steps dx, dy, dgamma (None at k = 0)."""
+    if not 0 <= k <= traj.iterations:
+        raise IndexError(f"k={k} outside 0..{traj.iterations}")
+    x, y, gamma = traj.X[k], traj.Y[k], traj.G[k]
+    st = SimpleNamespace(k=k, x=x, y=y, gamma=gamma, gamma_tilde=None, dx=None, dy=None, dgamma=None)
+    if k > 0:
+        st.gamma_tilde = traj.Gt[k - 1]
+        st.dx, st.dy, st.dgamma = x - traj.X[k - 1], y - traj.Y[k - 1], gamma - traj.G[k - 1]
+    return st
+
+
 def state_pairs(traj):
     """(state k-1, state k) for k = 1..K."""
-    return [(traj.state(k - 1), traj.state(k)) for k in range(1, traj.iterations + 1)]
+    return [(state(traj, k - 1), state(traj, k)) for k in range(1, traj.iterations + 1)]
+
+
+def rate_estimate(points) -> float:
+    """Least-squares slope of log(value) against log(k) over the tail half
+    of the series; needs at least 10 strictly positive points."""
+    pts = sorted((int(k), float(v)) for k, v in points)
+    if len(pts) < 10:
+        raise ValueError(f"need at least 10 points, got {len(pts)}")
+    if any(v <= 0.0 for _, v in pts):
+        raise ValueError("rate estimation needs strictly positive values")
+    tail = pts[len(pts) // 2 :]
+    logk = np.log([k for k, _ in tail])
+    logv = np.log([v for _, v in tail])
+    slope, _ = np.polyfit(logk, logv, 1)
+    return float(slope)
 
 
 def random_spd(rng, dim, ridge=1.0):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from gadmm import certificates, hpe, oracles, problems, solver
-from gadmm.certificates import bound_constants, checked_iterations, rate_estimate
+from gadmm.certificates import bound_constants, checked_iterations
 from gadmm.solver import GadmmParams, LinearizedH
 
-from conftest import make_one_d_instance, run_full
+from conftest import make_one_d_instance, rate_estimate, run_full, state
 from test_oracles import grid_gap
 from test_solver import vanilla_admm
 
@@ -186,12 +186,12 @@ def test_criterion_6_vanilla_equivalence():
 @criterion("criterion 7: scalar hand trajectory reproduced to 1e-12")
 def test_criterion_7_hand_trajectory():
     inst = make_one_d_instance()
-    st1 = solver.run(inst, GadmmParams(beta=1.0, alpha=1.0, max_iter=1, stop_tol=0)).state(1)
+    st1 = state(solver.run(inst, GadmmParams(beta=1.0, alpha=1.0, max_iter=1, stop_tol=0)), 1)
     assert abs(st1.x[0] - 1.5) <= 1e-12
     assert abs(st1.y[0] - 0.75) <= 1e-12
     assert abs(st1.gamma[0] - 0.75) <= 1e-12
     assert abs(st1.gamma_tilde[0] - 1.5) <= 1e-12
-    st2 = solver.run(inst, GadmmParams(beta=1.0, alpha=2.0, max_iter=1, stop_tol=0)).state(1)
+    st2 = state(solver.run(inst, GadmmParams(beta=1.0, alpha=2.0, max_iter=1, stop_tol=0)), 1)
     assert abs(st2.x[0] - 1.5) <= 1e-12
     assert abs(st2.y[0] - 1.5) <= 1e-12
     assert abs(st2.gamma[0] - 1.5) <= 1e-12

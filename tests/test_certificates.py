@@ -6,17 +6,16 @@ import pytest
 from gadmm import certificates, oracles, problems, solver
 from gadmm.certificates import (
     bound_constants,
-    bound_report,
+    bound_table,
     checked_iterations,
     ergodic_certificate,
     full_verification,
     pointwise_certificate,
-    rate_estimate,
 )
 from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
 
-from conftest import run_full
+from conftest import rate_estimate, run_full, state
 
 
 class TestBoundConstants:
@@ -58,7 +57,7 @@ class TestErgodicPoint:
     def test_k_one_is_first_iterate(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=5)
         erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
-        st = traj.state(1)
+        st = state(traj, 1)
         assert np.allclose(erg.x_avg[0], st.x)
         assert np.allclose(erg.y_avg[0], st.y)
         assert np.allclose(erg.gamma_tilde_avg[0], st.gamma_tilde)
@@ -76,14 +75,14 @@ class TestErgodicPoint:
             for dx in np.diff(traj.X, axis=0)[:k]:
                 dsum += dx
             assert np.allclose(r[:n], dsum / k, atol=1e-12)
-            z0, zk = traj.state(0), traj.state(k)
+            z0, zk = state(traj, 0), state(traj, k)
             assert np.allclose(r[n + p :], (zk.gamma - z0.gamma) / k, atol=1e-15)
 
     def test_hand_cross_check_k_two(self, one_d_instance):
         # oracle: direct evaluation of the two-term averaged sums with the
         # metric assembled explicitly (diag(0, 1, 1) for this instance)
         traj = run_full(one_d_instance, alpha=1.0, iters=2)
-        s1, s2 = traj.state(1), traj.state(2)
+        s1, s2 = state(traj, 1), state(traj, 2)
         M = np.diag([0.0, 1.0, 1.0])
         x_avg = (s1.x + s2.x) / 2
         y_avg = (s1.y + s2.y) / 2
@@ -185,7 +184,7 @@ class TestErgodicPrefixSums:
     def test_long_full_grid_verification(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=2.0, iters=20_000)
         report = full_verification(traj, one_d_instance.solution, full_grid=True)
-        assert report.passed, report.first_failure
+        assert report.passed, report.earliest_failure
         assert report.meta["checked_iterations"] == list(range(1, 20_001))
 
 
@@ -277,22 +276,20 @@ class TestReports:
     def test_bound_report_csv(self, tmp_path):
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.0, iters=64)
-        report = bound_report(traj, inst.solution)
+        table = bound_table(Replay(traj, inst.solution))
         path = tmp_path / "bounds.csv"
-        certificates.save_bound_report_csv(report, path)
+        certificates.save_bound_report_csv(table, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",") == certificates.BOUND_CSV_COLUMNS
         assert len(lines) == 1 + len(checked_iterations(64))
-        assert report.c_alpha == pytest.approx(bound_constants(1.5)[1])
 
     def test_bound_report_alpha_two_leaves_pointwise_empty(self, tmp_path):
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=2.0, beta=1.0, iters=16)
-        report = bound_report(traj, inst.solution)
-        assert report.pointwise_factor is None
-        assert all(math.isnan(r.pointwise_lhs) for r in report.rows)
+        table = bound_table(Replay(traj, inst.solution))
+        assert np.isnan(table["pointwise_lhs"]).all()
         path = tmp_path / "bounds.csv"
-        certificates.save_bound_report_csv(report, path)
+        certificates.save_bound_report_csv(table, path)
         first_data = path.read_text().strip().splitlines()[1].split(",")
         assert first_data[1] == "" and first_data[2] == ""
 
@@ -301,7 +298,7 @@ class TestReports:
         for alpha in (1.0, 2.0):
             traj = run_full(inst, alpha=alpha, beta=1.0, iters=150)
             report = full_verification(traj, inst.solution)
-            assert report.passed, report.first_failure
+            assert report.passed, report.earliest_failure
             names = {r.name for r in report.rows}
             assert "hpe_inequality" in names
             assert "rho_bound" in names
@@ -322,4 +319,4 @@ class TestReports:
         traj.Gt[10 - 1] += 0.25
         report = full_verification(traj, inst.solution)
         assert not report.passed
-        assert report.first_failure.worst_k == 10
+        assert report.earliest_failure.worst_k == 10

@@ -401,6 +401,46 @@ class TestBench:
         )
         assert code == 1
 
+    def test_zero_iterations_is_config_error(self, tmp_path, capsys):
+        # no iteration means no ergodic k to read the bound ratios at
+        inst_path = write_qp(tmp_path)
+        code = cli.main(
+            ["bench", "--instance", str(inst_path), "--alpha-grid", "1", "--max-iter", "0",
+             "--out", str(tmp_path / "b")]
+        )
+        assert code == 1
+        assert "trajectory has no iterations" in capsys.readouterr().err
+
+    def test_failure_column_names_what_verify_names(self, tmp_path, monkeypatch):
+        # a large corruption at k=50 and a small one at k=5 that only the
+        # multiplier identity sees: the earliest violation is at k=5
+        inst = problems.generate_qp(9, 4, 3, 2)
+        inst_path = tmp_path / "qp9.json"
+        problems.save_instance(inst, inst_path)
+        run = solver.run
+
+        def corrupted_run(inst, params):
+            traj = run(inst, params)
+            traj.Gt[49] += 0.25
+            traj.Gt[4] += 1e-6
+            return traj
+
+        monkeypatch.setattr(solver, "run", corrupted_run)
+        out = tmp_path / "bench"
+        assert cli.main(
+            ["bench", "--instance", str(inst_path), "--alpha-grid", "1", "--max-iter", "200",
+             "--stop-tol", "0", "--out", str(out)]
+        ) == 0
+        with open(out / "bench.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["verification"] == "fail"
+        params = solver.GadmmParams(beta=1.0, alpha=1.0, max_iter=200, stop_tol=0.0)
+        report = certificates.full_verification(corrupted_run(inst, params), inst.solution)
+        with pytest.raises(CertificationError) as err:
+            report.raise_first()
+        assert (err.value.check, err.value.k) == ("multiplier_identity", 5)
+        assert row["first_failure"] == "multiplier_identity@k=5"
+
 
 class TestParsing:
     def test_unknown_command(self):

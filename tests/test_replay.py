@@ -103,7 +103,7 @@ def test_raise_first_prefers_the_earliest_k_then_report_order():
     report = certificates.VerificationReport(
         rows=[passing, failing("late", 7), failing("early", 3), failing("tied", 3)], meta={}
     )
-    assert report.first_failure.name == "late"
+    assert report.earliest_failure.name == "early"
     with pytest.raises(CertificationError) as err:
         report.raise_first()
     assert (err.value.check, err.value.k) == ("early", 3)

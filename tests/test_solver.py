@@ -8,7 +8,7 @@ from gadmm.errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
 from gadmm.solver import ExplicitH, GadmmParams, LinearizedH
 
-from conftest import make_one_d_instance, run_full, state_pairs
+from conftest import make_one_d_instance, run_full, state, state_pairs
 
 
 def vanilla_admm(inst, beta, iters, x0=None, y0=None, gamma0=None):
@@ -224,7 +224,7 @@ class TestSubproblems:
 class TestStep:
     def test_hand_composition_alpha_one(self, one_d_instance):
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=1, stop_tol=0)
-        st = solver.run(one_d_instance, params).state(1)
+        st = state(solver.run(one_d_instance, params), 1)
         assert st.x == pytest.approx([1.5], abs=1e-12)
         assert st.y == pytest.approx([0.75], abs=1e-12)
         assert st.gamma == pytest.approx([0.75], abs=1e-12)
@@ -232,7 +232,7 @@ class TestStep:
 
     def test_hand_composition_alpha_two(self, one_d_instance):
         params = GadmmParams(beta=1.0, alpha=2.0, max_iter=1, stop_tol=0)
-        st = solver.run(one_d_instance, params).state(1)
+        st = state(solver.run(one_d_instance, params), 1)
         assert st.x == pytest.approx([1.5], abs=1e-12)
         assert st.y == pytest.approx([1.5], abs=1e-12)
         assert st.gamma == pytest.approx([1.5], abs=1e-12)
@@ -244,7 +244,7 @@ class TestStep:
         sol = inst.solution
         for alpha in (0.5, 1.0, 2.0):
             params = GadmmParams(beta=1.3, alpha=alpha, max_iter=1, stop_tol=0)
-            st = solver.run(inst, params, sol.x, sol.y, sol.gamma).state(1)
+            st = state(solver.run(inst, params, sol.x, sol.y, sol.gamma), 1)
             assert np.allclose(st.x, sol.x, atol=1e-9)
             assert np.allclose(st.y, sol.y, atol=1e-9)
             assert np.allclose(st.gamma, sol.gamma, atol=1e-9)
@@ -257,7 +257,7 @@ class TestRun:
     def test_converges_on_one_d(self, one_d_instance):
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=200, stop_tol=1e-10)
         traj = solver.run(one_d_instance, params)
-        final = traj.final
+        final = state(traj, traj.iterations)
         gap = problems.kkt_gap(one_d_instance, KktPoint(final.x, final.y, final.gamma))
         assert gap <= 1e-8
         assert traj.iterations < 200
@@ -350,7 +350,7 @@ class TestRun:
             beta=1.0, alpha=1.8, h2=LinearizedH(), max_iter=300, stop_tol=1e-9
         )
         traj = solver.run(inst, params)
-        final = traj.final
+        final = state(traj, traj.iterations)
         gap = problems.kkt_gap(inst, KktPoint(final.x, final.y, final.gamma_tilde))
         assert gap <= 1e-6
 
