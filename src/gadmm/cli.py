@@ -41,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_h_mode(raw: str):
+def _parse_h_mode(raw: str, name: str):
+    """The proximal-weight mode of flag ``name`` (h1 or h2), which its
+    error messages name."""
     if raw == "zero":
         return solver.ZeroH()
     if raw == "linearized":
@@ -50,7 +52,7 @@ def _parse_h_mode(raw: str):
         try:
             return solver.LinearizedH(tau=float(raw.split(":", 1)[1]))
         except ValueError as exc:
-            raise ConfigError(f"bad tau in '{raw}'") from exc
+            raise ConfigError(f"{name}: bad tau in '{raw}'") from exc
     if raw.startswith("file:"):
         path = raw.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
@@ -63,8 +65,8 @@ def _parse_h_mode(raw: str):
                 return solver.ExplicitH(cells.astype(float))
         except OverflowError:
             pass
-        raise ConfigError(f"h-mode file '{path}': field 'matrix' must hold only real numbers")
-    raise ConfigError(f"unrecognized proximal-weight mode '{raw}'")
+        raise ConfigError(f"{name}: file '{path}': field 'matrix' must hold only real numbers")
+    raise ConfigError(f"{name}: unrecognized proximal-weight mode '{raw}'")
 
 
 def _add_solver_flags(p):
@@ -80,8 +82,8 @@ def _params(args, alpha=None):
     return solver.GadmmParams(
         beta=args.beta,
         alpha=args.alpha if alpha is None else alpha,
-        h1=_parse_h_mode(args.h1),
-        h2=_parse_h_mode(args.h2),
+        h1=_parse_h_mode(args.h1, "h1"),
+        h2=_parse_h_mode(args.h2, "h2"),
         max_iter=args.max_iter,
         stop_tol=args.stop_tol,
     )
@@ -186,6 +188,8 @@ _BENCH_COLUMNS = [
 
 
 def _cmd_bench(args) -> int:
+    if args.max_iter < 1:  # the bound ratios are read at the last ergodic k
+        raise ConfigError(f"bench needs --max-iter of at least 1, got {args.max_iter}")
     inst = problems.load_instance(args.instance)
     if inst.solution is None:
         raise ConfigError("bench needs an instance with a stored solution")
@@ -274,6 +278,11 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        for name, value in vars(args).items():
+            # Python 3.11's argparse reads "--flag=--" as an empty list and
+            # skips the flag's type; no flag takes a list
+            if isinstance(value, list):
+                raise ConfigError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

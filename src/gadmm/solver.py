@@ -33,7 +33,7 @@ requiring tau >= beta*||Op||^2 so that H stays PSD.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -97,8 +97,8 @@ class GadmmParams:
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "stop_tol", float(self.stop_tol))
-        if not self.beta > 0:
-            raise ConfigError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be positive and finite, got {self.beta!r}")
         if not 0.0 < self.alpha <= 2.0:
             raise ConfigError("alpha must lie in (0, 2]")
         if not isinstance(self.max_iter, int) or self.max_iter < 0:
@@ -108,8 +108,9 @@ class GadmmParams:
         for name, mode in (("h1", self.h1), ("h2", self.h2)):
             if not isinstance(mode, (ZeroH, ExplicitH, LinearizedH)):
                 raise ConfigError(f"{name} must be ZeroH, ExplicitH or LinearizedH")
-            if isinstance(mode, LinearizedH) and mode.tau is not None and not mode.tau > 0:
-                raise ConfigError(f"{name}: tau must be positive")
+            tau = mode.tau if isinstance(mode, LinearizedH) else None
+            if tau is not None and not 0 < tau < math.inf:
+                raise ConfigError(f"{name}: tau must be positive and finite, got {tau!r}")
 
 
 @dataclass
@@ -378,36 +379,98 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
             fh.write(f"{k}," + ",".join(cells) + "\r\n")
 
 
+def _cells(line: str) -> list[str]:
+    return line.split(",") if line else []  # a blank line has no cells
+
+
+def _parse_rows(lines, dtype) -> np.ndarray:
+    """Comma-separated lines through numpy's C text reader, which refuses
+    quoted, empty and non-numeric cells, and a non-integer in an integer
+    field."""
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _raise_first_bad_row(body, dtype, ncols) -> None:
+    """Raise the error of the first bad row of ``body``, the lines of rows
+    1..K (file rows 3..), checking each row as :func:`load_trajectory_csv`
+    documents."""
+    for k, line in enumerate(body, start=1):
+        row, cells = k + 2, _cells(line)
+        if len(cells) != ncols:
+            raise ValueError(f"trajectory file: row {row} has {len(cells)} cells")
+        try:
+            (parsed,) = _parse_rows([line], dtype)
+        except ValueError:
+            try:
+                _parse_rows([line], np.float64)
+            except ValueError:
+                raise ValueError(f"trajectory file: row {row} has a non-numeric cell") from None
+            raise ValueError(
+                f"trajectory file: row {row}: iteration index {cells[0]!r} is not an integer"
+            ) from None
+        if parsed["k"] != k:
+            raise ValueError(f"trajectory file: iteration indices not contiguous at row {row}")
+    # not reached: a row that fails the bulk read fails here on its own
+    raise ValueError("trajectory file: rows 1..K do not parse")
+
+
 def load_trajectory_csv(path, inst, params) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`.
 
     The recorded intermediate multipliers are taken from the file so that
-    the certificate checks exercise what was actually written.  Rows with
-    a non-finite iterate cell are rejected here, once, with their row
-    number.
+    the certificate checks exercise what was actually written.  The header
+    and row 0 (k = 0, whose gamma_tilde and ``dxM`` cells are blank) are
+    read in Python, which parses k and the x, y, gamma cells of row 0 and
+    ignores its other cells.  Rows 1..K go through :func:`numpy.loadtxt`,
+    which parses every cell, ``dxM`` and ``kkt_gap`` included, and refuses
+    quoted cells.  Lines may end in ``\\r\\n`` or ``\\n``.
+
+    Each of these raises :class:`ValueError`, naming the file row where
+    there is one (the header is row 1): a header that is not
+    :func:`trajectory_header`; no row 0; a row (a blank line included)
+    with the wrong number of cells; a k that is not an integer or not the
+    row's index; a cell that is not a number; and, after every row has
+    parsed, the first row with a non-finite x, y, gamma or gamma_tilde
+    cell.  Rows are checked in file order, so the first bad row is named.
     """
     n, p, m = inst.n, inst.p, inst.m
     expected = trajectory_header(inst)
-    cut = 1 + n + p + m
-    iterates, multipliers = [], []
+    ncols, cut = len(expected), 1 + n + p + m
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(f"trajectory file: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise ValueError(f"trajectory file: row {lineno} has {len(row)} cells")
-            k = int(row[0])
-            if k != len(iterates):
-                raise ValueError(f"trajectory file: iteration indices not contiguous at row {lineno}")
-            iterates.append([float(v) for v in row[1:cut]])
-            if k > 0:
-                multipliers.append([float(v) for v in row[cut : cut + m]])
-    if not iterates:
+        lines = fh.read().splitlines()
+    header = _cells(lines[0]) if lines else None
+    if header != expected:
+        raise ValueError(f"trajectory file: unexpected header {header}")
+    if len(lines) < 2:
         raise ValueError("trajectory file: no rows")
-    Z = np.array(iterates)
-    Gt = np.array(multipliers).reshape(len(multipliers), m)
+    first = _cells(lines[1])
+    if len(first) != ncols:
+        raise ValueError(f"trajectory file: row 2 has {len(first)} cells")
+    try:
+        k0 = int(first[0])
+    except ValueError:
+        raise ValueError(
+            f"trajectory file: row 2: iteration index {first[0]!r} is not an integer"
+        ) from None
+    if k0 != 0:
+        raise ValueError("trajectory file: iteration indices not contiguous at row 2")
+    try:
+        z0 = [float(v) for v in first[1:cut]]
+    except ValueError:
+        raise ValueError("trajectory file: row 2 has a non-numeric cell") from None
+    body = lines[2:]
+    dtype = np.dtype([("k", np.int64), ("v", np.float64, (ncols - 1,))])
+    table = np.empty(0, dtype)  # K = 0: loadtxt warns on empty input
+    if body:
+        table = None
+        with contextlib.suppress(ValueError):
+            table = _parse_rows(body, dtype)
+        # loadtxt skips blank lines, so a blank line leaves the k column short
+        if table is None or not np.array_equal(table["k"], np.arange(1, len(body) + 1)):
+            _raise_first_bad_row(body, dtype, ncols)
+    values = table["v"]
+    Z = np.vstack([z0, values[:, : cut - 1]])
+    Gt = np.ascontiguousarray(values[:, cut - 1 : cut - 1 + m])
     bad = ~np.isfinite(Z).all(axis=1)
     bad[1:] |= ~np.isfinite(Gt).all(axis=1)
     if bad.any():

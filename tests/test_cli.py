@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -305,18 +306,23 @@ class TestVerify:
         assert report["meta"]["full_grid"] is True
         assert report["meta"]["checked_iterations"][-1] == 60
 
-    def test_zero_iteration_run_verifies_vacuously(self, tmp_path):
+    def test_zero_iteration_run_verifies_vacuously(self, tmp_path, capsys):
         inst_path = write_qp(tmp_path)
         out = tmp_path / "run0"
         assert cli.main(
             ["run", "--instance", str(inst_path), "--max-iter", "0", "--out", str(out)]
         ) == 0
-        code = cli.main(
-            ["verify", "--instance", str(inst_path),
-             "--trajectory", str(out / "trajectory.csv"),
-             "--out", str(tmp_path / "rep.json")]
-        )
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["verify", "--instance", str(inst_path),
+                 "--trajectory", str(out / "trajectory.csv"),
+                 "--out", str(tmp_path / "rep.json")]
+            )
         assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "all checks pass\n"
         report = json.loads((tmp_path / "rep.json").read_text())
         assert report["pass"] is True and report["meta"]["iterations"] == 0
 
@@ -409,7 +415,7 @@ class TestBench:
              "--out", str(tmp_path / "b")]
         )
         assert code == 1
-        assert "trajectory has no iterations" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: bench needs --max-iter of at least 1, got 0\n"
 
     def test_failure_column_names_what_verify_names(self, tmp_path, monkeypatch):
         # a large corruption at k=50 and a small one at k=5 that only the
@@ -449,16 +455,16 @@ class TestParsing:
     def test_h_mode_parsing(self):
         from gadmm import solver
 
-        assert isinstance(cli._parse_h_mode("zero"), solver.ZeroH)
-        assert cli._parse_h_mode("linearized").tau is None
-        assert cli._parse_h_mode("linearized:2.5").tau == 2.5
+        assert isinstance(cli._parse_h_mode("zero", "h1"), solver.ZeroH)
+        assert cli._parse_h_mode("linearized", "h1").tau is None
+        assert cli._parse_h_mode("linearized:2.5", "h1").tau == 2.5
         with pytest.raises(Exception):
-            cli._parse_h_mode("banana")
+            cli._parse_h_mode("banana", "h1")
 
     def test_h_mode_from_file(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 2.0]]}))
-        mode = cli._parse_h_mode(f"file:{path}")
+        mode = cli._parse_h_mode(f"file:{path}", "h1")
         assert np.array_equal(mode.matrix, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_build_parser_returns_a_fresh_parser(self):

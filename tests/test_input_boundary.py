@@ -1,8 +1,11 @@
 """Malformed inputs reach ``gadmm run`` as exit 1 with the field named, and
 never as a traceback."""
 
+import contextlib
 import copy
+import io
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -134,3 +137,58 @@ def test_fuzzed_instance_exits_with_a_documented_code(tmp_path_factory, document
     code = run_doc(tmp_path, with_field(doc, path, value))
     # every replacement is invalid except dropping the optional solution
     assert code == (0 if path == ("solution",) and value is None else 1), (path, value)
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--h1", "linearized:inf"], "error: h1: tau must be positive and finite, got inf\n"),
+        (["--beta", "inf"], "error: beta must be positive and finite, got inf\n"),
+    ],
+    ids=["tau", "beta"],
+)
+def test_non_finite_flag_is_named(tmp_path, capsys, documents, flags, message):
+    assert run_doc(tmp_path, documents["qp"], *flags) == 1
+    assert capsys.readouterr().err == message
+
+
+FLAG_NAMES = ("alpha", "beta", "stop_tol", "max_iter", "h1", "h2")
+SPECIAL = ["inf", "-inf", "nan", "-0", "1e400", "", "abc", "1,5", "0x1p0", "--"]
+FINITE = st.floats(-3.0, 3.0).map(repr)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_flags_exit_with_a_documented_code(tmp_path_factory, documents, data):
+    """``gadmm run`` with drawn flag values exits 0, or 1 with one stderr line
+    naming a flag; never a traceback or a warning."""
+    value = st.one_of(FINITE, st.sampled_from(SPECIAL))
+    argv = ["--max-iter=" + data.draw(st.one_of(st.integers(-1, 5).map(str), value))]
+    for flag in ("alpha", "beta", "stop-tol"):
+        if data.draw(st.booleans()):
+            argv.append(f"--{flag}={data.draw(value)}")
+    for flag in ("h1", "h2"):
+        mode = data.draw(st.sampled_from(["zero", "linearized", "linearized:"]))
+        if mode == "linearized:":
+            mode += data.draw(st.one_of(value, st.floats(0, 1e3).map(repr)))
+        argv.append(f"--{flag}={mode}")
+    tmp_path = tmp_path_factory.mktemp("flags")
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        warnings.simplefilter("always")
+        code = run_doc(tmp_path, documents["qp"], *argv)  # later flags win
+    assert [str(w.message) for w in caught] == [], argv
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr and "Warning" not in stderr, argv
+    if code == 1:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+        assert any(name in stderr.replace("-", "_") for name in FLAG_NAMES), (argv, stderr)
+    else:
+        assert code == 0 and stderr == "", (argv, stderr)
