@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hpe, oracles, solver
+from . import hpe, oracles, problems, solver
 from .hpe import REL, Checks, Replay, cert_tol, gap_note, not_applicable, sigma_alpha, slack_row
 
 # Allowance for the averaged constraint identity and the epsilon split.
@@ -100,7 +100,7 @@ BOUND_CSV_COLUMNS = [
 
 def save_bound_report_csv(table: dict, path) -> None:
     """Write a :func:`bound_table`, one row per checked k; NaN is a blank cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with problems.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BOUND_CSV_COLUMNS)
         for k, *vals in zip(*(table[col].tolist() for col in BOUND_CSV_COLUMNS)):

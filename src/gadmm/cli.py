@@ -9,13 +9,13 @@ error, 2 solver or internal error, 3 certification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -55,17 +55,18 @@ def _parse_h_mode(raw: str, name: str):
             raise ConfigError(f"{name}: bad tau in '{raw}'") from exc
     if raw.startswith("file:"):
         path = raw.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            data = data.get("matrix")
-        cells = np.asarray(data, dtype=object)
-        try:
-            if all(type(v) in (int, float) for v in cells.flat):  # JSON numbers, not bools
-                return solver.ExplicitH(cells.astype(float))
-        except OverflowError:
-            pass
-        raise ConfigError(f"{name}: file '{path}': field 'matrix' must hold only real numbers")
+        try:  # ValueError covers JSON and UTF-8 errors, and ExplicitH's checks
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if isinstance(data, dict):
+                data = data.get("matrix")
+            cells = np.asarray(data, dtype=object)
+            with contextlib.suppress(OverflowError):  # a JSON integer beyond float range
+                if all(type(v) in (int, float) for v in cells.flat):  # JSON numbers, not bools
+                    return solver.ExplicitH(cells.astype(float))
+            raise ValueError("field 'matrix' must hold only real numbers")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{name}: file '{path}': {exc}") from exc
     raise ConfigError(f"{name}: unrecognized proximal-weight mode '{raw}'")
 
 
@@ -89,28 +90,14 @@ def _params(args, alpha=None):
     )
 
 
-def _atomic_write(path, write, newline=None):
-    """Write a file through a temporary sibling and a rename, so a failed
-    write never leaves a partial file at ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _dump_json(doc, fh):
     json.dump(doc, fh, indent=1, allow_nan=False)
     fh.write("\n")
 
 
 def _write_json(doc, path):
-    _atomic_write(path, lambda fh: _dump_json(doc, fh))
+    with problems.atomic_open(path) as fh:
+        _dump_json(doc, fh)
 
 
 def _cmd_generate(args) -> int:
@@ -150,9 +137,10 @@ def _cmd_run(args) -> int:
     inst = problems.load_instance(args.instance)
     params = _params(args)
     traj = solver.run(inst, params)
+    summary = _run_summary(traj)  # before either file is replaced
     os.makedirs(args.out, exist_ok=True)
     solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    _write_json(_run_summary(traj), os.path.join(args.out, "summary.json"))
+    _write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"ran {traj.iterations} iterations; outputs in {args.out}")
     return EXIT_OK
 
@@ -217,13 +205,10 @@ def _cmd_bench(args) -> int:
             ]
         )
     out_path = os.path.join(args.out, "bench.csv")
-
-    def write(fh):
+    with problems.atomic_open(out_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BENCH_COLUMNS)
         writer.writerows(rows)
-
-    _atomic_write(out_path, write, newline="")
     print(f"wrote {len(rows)}-row sweep to {out_path}")
     return EXIT_OK
 

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import linalg, oracles, problems
-from .errors import CertificationError, GadmmError, NotPositiveDefiniteError
+from .errors import CertificationError, ConfigError, GadmmError, NotPositiveDefiniteError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trajectory
@@ -90,7 +90,9 @@ def sigma_alpha(alpha) -> float:
 
 
 def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
-    """Assemble the block operator M and run the PSD probe on it."""
+    """Assemble the block operator M and run the PSD probe on it.  An alpha
+    or beta near the ends of the float range that overflows an entry of M
+    raises :class:`ConfigError`."""
     n, p, m = inst.n, inst.p, inst.m
     h1 = linalg.as_matrix(h1, rows=n, cols=n, name="h1")
     h2 = linalg.as_matrix(h2, rows=p, cols=p, name="h2")
@@ -103,10 +105,13 @@ def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
     B = inst.B
     M = np.zeros((n + p + m, n + p + m))
     M[:n, :n] = h1
-    M[n : n + p, n : n + p] = h2 + (beta / alpha) * (B.T @ B)
-    M[n : n + p, n + p :] = c * B.T
-    M[n + p :, n : n + p] = c * B
-    M[n + p :, n + p :] = np.eye(m) / (alpha * beta)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        M[n : n + p, n : n + p] = h2 + (beta / alpha) * (B.T @ B)
+        M[n : n + p, n + p :] = c * B.T
+        M[n + p :, n : n + p] = c * B
+        M[n + p :, n + p :] = np.eye(m) / (alpha * beta)
+    if not np.isfinite(M).all():
+        raise ConfigError(f"proximal metric overflows at alpha={alpha!r}, beta={beta!r}")
     try:
         return linalg.PsdOperator.from_matrix(M, name="proximal metric")
     except NotPositiveDefiniteError as exc:

@@ -21,9 +21,6 @@ from .errors import InternalCheckError, IterationLimitError, NotPositiveDefinite
 # above the noise these tolerances admit.
 PSD_TOL = 1e-9
 
-# Relative residual required from direct SPD solves.
-SOLVE_TOL = 1e-10
-
 
 def as_vector(v, dim=None, name="vector") -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking its length."""
@@ -69,19 +66,12 @@ def as_matrix(a, rows=None, cols=None, name="matrix") -> np.ndarray:
     return out
 
 
-def symmetry_gap(Q) -> float:
-    Q = np.asarray(Q, dtype=float)
-    if Q.size == 0:
-        return 0.0
-    return float(np.max(np.abs(Q - Q.T)))
-
-
 def _is_symmetric(Q, tol) -> bool:
     """:func:`is_symmetric` on an array :func:`as_matrix` has already checked."""
     if Q.shape[0] != Q.shape[1]:
         return False
-    scale = 1.0 + (float(np.max(np.abs(Q))) if Q.size else 0.0)
-    return symmetry_gap(Q) <= tol * scale
+    gap = float(np.max(np.abs(Q - Q.T), initial=0.0))
+    return gap <= tol * (1.0 + float(np.max(np.abs(Q), initial=0.0)))
 
 
 def is_symmetric(Q, tol=PSD_TOL) -> bool:
@@ -147,10 +137,6 @@ class PsdOperator:
         return seminorm_sq(self, v)
 
 
-def _unwrap(Q) -> np.ndarray:
-    return Q.matrix if isinstance(Q, PsdOperator) else as_matrix(Q, name="Q")
-
-
 def seminorm_sq(Q, v):
     """Squared seminorm <Qv, v> induced by a symmetric PSD Q.
 
@@ -161,7 +147,7 @@ def seminorm_sq(Q, v):
     probes are expected to catch that.  A stack is one matrix product
     ``v @ Q.T``, so its rows can differ from one-vector calls by rounding.
     """
-    Q = _unwrap(Q)
+    Q = Q.matrix if isinstance(Q, PsdOperator) else as_matrix(Q, name="Q")
     if Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     v = as_rows(v, dim=Q.shape[0], name="v")

@@ -93,15 +93,12 @@ class Quadratic:
     def prox_solver(self, t):
         """Return v -> argmin_u value(u) + ||u - v||^2 / (2t), with the
         system matrix tP + I factored once.  The returned map takes a float
-        vector of length ``dim`` and does not check it; :meth:`prox` does."""
+        vector of length ``dim`` and does not check it."""
         if not t > 0:
             raise ValueError("prox step t must be positive")
         fac = linalg.SpdFactor(t * self.P + np.eye(self.dim))
         tq = t * self.q
         return lambda v: fac.solve(v - tq)
-
-    def prox(self, v, t) -> np.ndarray:
-        return self.prox_solver(t)(linalg.as_vector(v, dim=self.dim, name="v"))
 
     def _p_factor(self):
         # Lazy cache; None = not attempted yet, False = P is singular.
@@ -160,9 +157,6 @@ class L1:
         thr = t * self.mu
         return lambda v: soft_threshold(v, thr)
 
-    def prox(self, v, t) -> np.ndarray:
-        return self.prox_solver(t)(linalg.as_vector(v, name="v"))
-
     def conjugate(self, u):
         """Indicator of the ||.||_inf ball of radius mu."""
         u = linalg.as_rows(u, name="u")
@@ -187,9 +181,6 @@ class Zero:
         if not t > 0:
             raise ValueError("prox step t must be positive")
         return lambda v: v.copy()
-
-    def prox(self, v, t) -> np.ndarray:
-        return self.prox_solver(t)(linalg.as_vector(v, name="v"))
 
     def conjugate(self, u):
         """Indicator of the origin (within an absolute tolerance)."""

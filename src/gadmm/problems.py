@@ -1,4 +1,5 @@
-"""Separable problem instances, generators, ground truth, and instance I/O.
+"""Separable problem instances, generators, ground truth, instance I/O,
+and the atomic writer that every output file of the package goes through.
 
 An instance is the tuple (f, g, A, B, b) for
 
@@ -17,8 +18,10 @@ ADMM engine itself.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -404,10 +407,26 @@ def instance_from_dict(doc: dict) -> SeparableInstance:
         raise ValueError(f"instance file: {exc}") from exc
 
 
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Open ``path`` for writing UTF-8 text through a temporary sibling that
+    replaces it when the ``with`` body ends, so a write that fails or is
+    interrupted leaves the old file, or no file, at ``path``."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_instance(inst: SeparableInstance, path) -> None:
     # json emits the shortest decimal that round-trips each double (at most
     # 17 significant digits), so load(save(inst)) reproduces every number.
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(instance_to_dict(inst), fh, indent=1)
         fh.write("\n")
 

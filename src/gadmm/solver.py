@@ -1,14 +1,15 @@
 """The relaxed proximal ADMM iteration engine.
 
 One iteration, for penalty beta > 0, relaxation factor alpha in (0, 2]
-and symmetric PSD proximal weights H1, H2:
+and symmetric PSD proximal weights H1, H2, solves one subproblem per
+block u, with function F, operator Op and weight H,
 
-    x_k = argmin_x  f(x) - <gamma_{k-1}, Ax> + (beta/2)||Ax + B y_{k-1} - b||^2
-                    + (1/2)||x - x_{k-1}||^2_{H1}
+    u_k = argmin_u  F(u) - <gamma_{k-1}, Op u> + (beta/2)||Op u + s||^2
+                    + (1/2)||u - u_{k-1}||^2_H,
 
-    y_k = argmin_y  g(y) - <gamma_{k-1}, By>
-                    + (beta/2)||alpha(A x_k + B y_{k-1} - b) + B(y - y_{k-1})||^2
-                    + (1/2)||y - y_{k-1}||^2_{H2}
+first the x-block (f, A, H1) with s = B y_{k-1} - b, then the y-block
+(g, B, H2) with s = alpha(A x_k + B y_{k-1} - b) - B y_{k-1}: alpha enters
+only through the y-block's shift.  Then
 
     gamma_k = gamma_{k-1} - beta[alpha(A x_k + B y_{k-1} - b) + B(y_k - y_{k-1})]
 
@@ -19,16 +20,15 @@ together with the intermediate multiplier
 the point at which both subproblems' optimality inclusions hold.  With
 alpha = 1 and H1 = H2 = 0 this is the standard two-block ADMM.
 
-The linearized mode picks H = tau*I - beta*Op'Op (Op the block's
-constraint matrix), which cancels the quadratic coupling and reduces the
-subproblem to a single proximal step of the block function:
+A quadratic or zero F with a zero or explicit H is solved directly, from
+the factored matrix P + beta*Op'Op + H.  The linearized mode picks
+H = tau*I - beta*Op'Op, which cancels the quadratic coupling and reduces
+the subproblem to one proximal step of F at the residual r = Op u_{k-1} + s,
 
-    x_k = prox_{f/tau1}( x_{k-1} + (1/tau1) A'(gamma_{k-1}
-                          - beta(A x_{k-1} + B y_{k-1} - b)) )
-    y_k = prox_{g/tau2}( y_{k-1} + (1/tau2) B'(gamma_{k-1}
-                          - alpha*beta(A x_k + B y_{k-1} - b)) )
+    u_k = prox_{F/tau}( u_{k-1} + (1/tau) Op'(gamma_{k-1} - beta*r) ),
 
-requiring tau >= beta*||Op||^2 so that H stays PSD.
+with r = A x_{k-1} + B y_{k-1} - b for x and r = alpha(A x_k + B y_{k-1} - b)
+for y, requiring tau >= beta*||Op||^2 so that H stays PSD.
 """
 
 from __future__ import annotations
@@ -167,7 +167,14 @@ def _resolve_h(mode: HMode, op: np.ndarray, beta: float, dim: int, name: str):
             f"{name}: tau={tau:g} is below beta*||Op||^2={beta * gram_norm:g}; "
             "the linearized proximal weight would not be PSD"
         )
-    return tau * np.eye(dim) - beta * (op.T @ op), tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = tau * np.eye(dim) - beta * (op.T @ op)
+    if not (math.isfinite(1.0 / tau) and np.isfinite(H).all()):
+        raise ConfigError(
+            f"{name}: tau={tau!r} at beta={beta!r} is out of range: "
+            "tau*I - beta*Op'Op and the prox step 1/tau must be finite"
+        )
+    return H, tau
 
 
 def resolve_prox_terms(inst, params) -> tuple[np.ndarray, np.ndarray]:
@@ -177,77 +184,74 @@ def resolve_prox_terms(inst, params) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+class _Block:
+    """One block's subproblem (see the module docstring), set up once per
+    run: the factored P + beta*Op'Op + H, or the prox map of F/tau."""
+
+    def __init__(self, F, op, mode: HMode, resolved, beta: float, block: str):
+        self.op, self.beta = op, beta
+        self.H, self.tau = resolved  # from _resolve_h
+        self._h_term = not isinstance(mode, ZeroH)  # a zero H adds nothing
+        if self.tau is not None:
+            try:
+                with np.errstate(over="ignore"):  # a huge step overflows tP + I
+                    self._prox = F.prox_solver(1.0 / self.tau)
+            except ValueError as exc:
+                name = "h1" if block == "x" else "h2"
+                raise ConfigError(f"{name}: tau={self.tau!r} at beta={beta!r}: {exc}") from exc
+            return
+        parts = problems._quadratic_parts(F, op.shape[1])
+        if parts is None:
+            raise ConfigError(f"{block} block: a nonsmooth objective requires the linearized mode")
+        P, self._q = parts
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = P + beta * (op.T @ op) + self.H
+        if not np.isfinite(K).all():
+            raise ConfigError(
+                f"{block}-subproblem matrix P + beta*Op'Op + H overflows at beta={beta!r}"
+            )
+        self._fac = linalg.SpdFactor(K, name=f"{block}-subproblem matrix")
+
+    def step(self, u_prev, gamma, s, r):
+        """The minimizer, from the shift ``s`` (direct solve) or the residual
+        ``r`` = Op u_prev + s (prox point); the caller passes both."""
+        op, beta = self.op, self.beta
+        if self.tau is not None:
+            return self._prox(u_prev + (op.T @ (gamma - beta * r)) / self.tau)
+        rhs = op.T @ gamma - self._q - beta * (op.T @ s)
+        if self._h_term:
+            rhs += self.H @ u_prev
+        return self._fac.solve(rhs)
+
+
 class _Engine:
-    """Per-run state: resolved weights and prefactored subproblem solvers."""
+    """Per-run state: the two blocks' subproblems."""
 
     def __init__(self, inst: problems.SeparableInstance, params: GadmmParams):
         self.inst = inst
         self.params = params
-        A, B = inst.A, inst.B
         beta = params.beta
-        self.h1, self.tau1 = _resolve_h(params.h1, A, beta, inst.n, "h1")
-        self.h2, self.tau2 = _resolve_h(params.h2, B, beta, inst.p, "h2")
-        self._x_direct = self._direct_solver(inst.f, A, self.h1, params.h1, "x")
-        self._y_direct = self._direct_solver(inst.g, B, self.h2, params.h2, "y")
-        if self.tau1 is not None:
-            self._x_prox = inst.f.prox_solver(1.0 / self.tau1)
-        if self.tau2 is not None:
-            self._y_prox = inst.g.prox_solver(1.0 / self.tau2)
+        # both weights resolve before either block sets up, so a bad mode
+        # (exit 1) is reported ahead of a matrix that fails to factor (exit 2)
+        h1 = _resolve_h(params.h1, inst.A, beta, inst.n, "h1")
+        h2 = _resolve_h(params.h2, inst.B, beta, inst.p, "h2")
+        self.x = _Block(inst.f, inst.A, params.h1, h1, beta, "x")
+        self.y = _Block(inst.g, inst.B, params.h2, h2, beta, "y")
 
-    def _direct_solver(self, F, op, h, mode, block):
-        if isinstance(mode, LinearizedH):
-            return None
-        parts = problems._quadratic_parts(F, op.shape[1])
-        if parts is None:
-            raise ConfigError(
-                f"{block} block: a nonsmooth objective requires the linearized mode"
-            )
-        P, q = parts
-        K = P + self.params.beta * (op.T @ op) + h
-        return linalg.SpdFactor(K, name=f"{block}-subproblem matrix"), q
-
-    def x_update(self, x_prev, gamma_prev, By_prev):
-        """x_k from x_{k-1}, gamma_{k-1} and B y_{k-1}."""
-        A, b = self.inst.A, self.inst.b
-        beta = self.params.beta
-        if self._x_direct is not None:
-            fac, q = self._x_direct
-            rhs = A.T @ gamma_prev - q - beta * (A.T @ (By_prev - b))
-            if not isinstance(self.params.h1, ZeroH):  # a zero H adds nothing
-                rhs += self.h1 @ x_prev
-            return fac.solve(rhs)
-        tau = self.tau1
-        resid = A @ x_prev + By_prev - b
-        v = x_prev + (A.T @ (gamma_prev - beta * resid)) / tau
-        return self._x_prox(v)
-
-    def y_update(self, y_prev, gamma_prev, Ax_new, By_prev):
-        """y_k from y_{k-1}, gamma_{k-1}, A x_k and B y_{k-1}."""
-        B, b = self.inst.B, self.inst.b
-        beta, alpha = self.params.beta, self.params.alpha
-        relaxed = alpha * (Ax_new + By_prev - b)
-        if self._y_direct is not None:
-            fac, q = self._y_direct
-            rhs = B.T @ gamma_prev - q - beta * (B.T @ (relaxed - By_prev))
-            if not isinstance(self.params.h2, ZeroH):  # a zero H adds nothing
-                rhs += self.h2 @ y_prev
-            return fac.solve(rhs)
-        v = y_prev + (B.T @ (gamma_prev - beta * relaxed)) / self.tau2
-        return self._y_prox(v)
-
-    def advance(self, x_prev, y_prev, gamma_prev, By_prev):
-        """One iteration; returns (x_k, y_k, gamma_k, gamma_tilde_k, B y_k) so
-        the caller can carry the product forward."""
+    def advance(self, x_prev, y_prev, gamma_prev, Ax_prev, By_prev):
+        """One iteration; returns (x_k, y_k, gamma_k, gamma_tilde_k, A x_k,
+        B y_k) so the caller can carry the products forward."""
         A, B, b = self.inst.A, self.inst.B, self.inst.b
         beta, alpha = self.params.beta, self.params.alpha
-        x = self.x_update(x_prev, gamma_prev, By_prev)
+        x = self.x.step(x_prev, gamma_prev, By_prev - b, Ax_prev + By_prev - b)
         Ax = A @ x
         half_resid = Ax + By_prev - b
-        y = self.y_update(y_prev, gamma_prev, Ax, By_prev)
+        relaxed = alpha * half_resid
+        y = self.y.step(y_prev, gamma_prev, relaxed - By_prev, relaxed)
         By = B @ y
-        gamma = gamma_prev - beta * (alpha * half_resid + (By - By_prev))
+        gamma = gamma_prev - beta * (relaxed + (By - By_prev))
         gamma_tilde = gamma_prev - beta * half_resid
-        return x, y, gamma, gamma_tilde, By
+        return x, y, gamma, gamma_tilde, Ax, By
 
 
 def stop_terms(inst, metric, prev, new, gamma_tilde):
@@ -294,14 +298,14 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     )
     metric = None
     if params.stop_tol > 0:
-        metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
+        metric = hpe.build_metric(inst, eng.x.H, eng.y.H, params.beta, params.alpha)
     xs, ys, gs, gts = [x], [y], [gamma], []
-    By = inst.B @ y
+    Ax, By = inst.A @ x, inst.B @ y
     failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(params.max_iter):
-                x_new, y_new, gamma_new, gamma_tilde, By = eng.advance(x, y, gamma, By)
+                x_new, y_new, gamma_new, gamma_tilde, Ax, By = eng.advance(x, y, gamma, Ax, By)
                 xs.append(x_new)
                 ys.append(y_new)
                 gs.append(gamma_new)
@@ -330,8 +334,8 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     return Trajectory(
         instance=inst,
         params=params,
-        h1=eng.h1,
-        h2=eng.h2,
+        h1=eng.x.H,
+        h2=eng.y.H,
         X=X,
         Y=Y,
         G=G,
@@ -370,7 +374,7 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     # No cell needs CSV quoting, so joining with "," and "\r\n" gives the
     # bytes csv.writer would.  Rows are formatted one at a time, which keeps
     # the memory held to one row of strings.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with problems.atomic_open(path, newline="") as fh:
         fh.write(",".join(trajectory_header(inst)) + "\r\n")
         for k, row in enumerate(table):
             cells = list(map(repr, row.tolist()))

@@ -233,7 +233,7 @@ def test_criterion_9_oracle_soundness():
             F = make(dim)
             t = float(rng.uniform(0.05, 5.0))
             v = rng.standard_normal(dim) * 3.0
-            p = F.prox(v, t)
+            p = F.prox_solver(t)(v)
             assert oracles.fenchel_gap(F, (v - p) / t, p) <= GAP_TOL, kind
     # 1-D grid agreement per variant
     for _ in range(1000):

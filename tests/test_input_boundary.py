@@ -5,8 +5,10 @@ import contextlib
 import copy
 import io
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -154,7 +156,114 @@ def test_non_finite_flag_is_named(tmp_path, capsys, documents, flags, message):
 
 FLAG_NAMES = ("alpha", "beta", "stop_tol", "max_iter", "h1", "h2")
 SPECIAL = ["inf", "-inf", "nan", "-0", "1e400", "", "abc", "1,5", "0x1p0", "--"]
+# finite, but their products, reciprocals or squares leave the float range
+EXTREME = ["1e308", "-1e308", "1e-320", "5e-324"]
 FINITE = st.floats(-3.0, 3.0).map(repr)
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--beta", "1e308"], "x-subproblem matrix P + beta*Op'Op + H overflows at beta=1e+308"),
+        (
+            ["--beta", "1e308", "--h1", "linearized"],
+            "h1: tau=inf at beta=1e+308 is out of range: "
+            "tau*I - beta*Op'Op and the prox step 1/tau must be finite",
+        ),
+        (["--beta", "1e-320", "--h1", "linearized"], "h1: tau="),
+        (["--beta", "1e-320"], "proximal metric overflows at alpha=1.0, beta=1e-320"),
+        (["--alpha", "1e-310"], "proximal metric overflows at alpha=1e-310, beta=1.0"),
+    ],
+    ids=["beta-huge", "beta-huge-linearized", "beta-tiny-linearized", "beta-tiny", "alpha-tiny"],
+)
+def test_finite_extreme_flag_is_named(tmp_path, flags, message):
+    """An extreme finite flag value is refused with one line naming it,
+    before numpy can warn about the overflow it causes."""
+    path = tmp_path / "instance.json"
+    problems.save_instance(problems.generate_qp(1, 8, 6, 4), path)
+    argv = ["run", "--instance", str(path), "--max-iter", "5", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        warnings.simplefilter("always")
+        code = cli.main(argv + flags)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert err.getvalue().startswith("error: " + message) and err.getvalue().count("\n") == 1
+    assert flags[0][2:] in err.getvalue()
+
+
+H_FILE_REJECTIONS = {
+    "nan": (b"[[NaN]]", "H has non-finite entries"),
+    "infinity": (b"Infinity", "H has non-finite entries"),
+    "beyond-float-range": (b"[[1e400]]", "H has non-finite entries"),
+    "empty-array": (b"[]", "H must be 2-D, got shape (0,)"),
+    "3-d": (b"[[[1]]]", "H must be 2-D, got shape (1, 1, 1)"),
+    "not-json": (b"[[1,", "Expecting value"),
+    "not-utf-8": (b"\xff[[1]]", "'utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("content,message", H_FILE_REJECTIONS.values(), ids=H_FILE_REJECTIONS)
+def test_h_file_rejection_names_flag_and_file(tmp_path, capsys, documents, content, message):
+    h_path = tmp_path / "h.json"
+    h_path.write_bytes(content)
+    assert run_doc(tmp_path, documents["qp"], "--h2", f"file:{h_path}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: h2: file '{h_path}': {message}") and err.count("\n") == 1
+
+
+H_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([10**400, True, None, "1", 1e308, -1e308, 5e-324, math.nan, math.inf]),
+)
+H_ROWS = st.lists(st.lists(H_ENTRY, max_size=4), max_size=4)
+H_MATRIX = st.one_of(H_ROWS, H_ENTRY, st.lists(H_ROWS, max_size=2))
+
+
+def h_document(dim):
+    """h-mode file contents: JSON of a matrix, a wrapped matrix or junk, a
+    diagonal PSD matrix of the block's size, or raw bytes."""
+    diagonal = st.lists(st.floats(0.0, 3.0), min_size=dim, max_size=dim).map(
+        lambda d: np.diag(d).tolist()
+    )
+    matrix = st.one_of(H_MATRIX, diagonal)
+    doc = st.one_of(
+        matrix,
+        st.fixed_dictionaries({"matrix": matrix}),
+        st.dictionaries(st.sampled_from(["matrix", "rows"]), matrix, max_size=2),
+    )
+    return st.one_of(doc.map(lambda d: json.dumps(d).encode()), st.binary(max_size=8))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_h_file_exits_with_a_documented_code(tmp_path_factory, documents, data):
+    """``gadmm run --h1/--h2 file:PATH`` exits 0, or 1 with one stderr line
+    naming the flag; never a traceback or a warning."""
+    flag, dim = data.draw(st.sampled_from([("h1", 3), ("h2", 2)]))
+    content = data.draw(h_document(dim))
+    tmp_path = tmp_path_factory.mktemp("hfile")
+    h_path = tmp_path / "h.json"
+    h_path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        warnings.simplefilter("always")
+        code = run_doc(tmp_path, documents["qp"], f"--{flag}", f"file:{h_path}")
+    assert [str(w.message) for w in caught] == [], content
+    stderr = err.getvalue()
+    if code == 1:
+        assert stderr.startswith(f"error: {flag}") and stderr.count("\n") == 1, (content, stderr)
+    else:
+        assert code == 0 and stderr == "", (content, stderr)
 
 
 @settings(
@@ -167,8 +276,10 @@ FINITE = st.floats(-3.0, 3.0).map(repr)
 @given(data=st.data())
 def test_fuzzed_flags_exit_with_a_documented_code(tmp_path_factory, documents, data):
     """``gadmm run`` with drawn flag values exits 0, or 1 with one stderr line
-    naming a flag; never a traceback or a warning."""
-    value = st.one_of(FINITE, st.sampled_from(SPECIAL))
+    naming a flag; never a traceback or a warning.  A draw with an extreme
+    finite value may also exit 2 with one ``solver error:`` line: at
+    ``--beta 1e308`` beta*A'A stays finite on this QP and swamps P."""
+    value = st.one_of(FINITE, st.sampled_from(SPECIAL + EXTREME))
     argv = ["--max-iter=" + data.draw(st.one_of(st.integers(-1, 5).map(str), value))]
     for flag in ("alpha", "beta", "stop-tol"):
         if data.draw(st.booleans()):
@@ -187,8 +298,11 @@ def test_fuzzed_flags_exit_with_a_documented_code(tmp_path_factory, documents, d
     assert [str(w.message) for w in caught] == [], argv
     stderr = err.getvalue()
     assert "Traceback" not in stderr and "Warning" not in stderr, argv
+    extreme = any(arg.split("=", 1)[1].split(":")[-1] in EXTREME for arg in argv)
     if code == 1:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
         assert any(name in stderr.replace("-", "_") for name in FLAG_NAMES), (argv, stderr)
+    elif code == 2 and extreme:
+        assert stderr.startswith("solver error: ") and stderr.count("\n") == 1, (argv, stderr)
     else:
         assert code == 0 and stderr == "", (argv, stderr)

@@ -72,21 +72,21 @@ class TestValue:
 
 class TestProx:
     def test_l1_soft_threshold(self):
-        got = L1(1.0).prox([2.0, -0.5], 1.0)
+        got = L1(1.0).prox_solver(1.0)(np.array([2.0, -0.5]))
         assert np.allclose(got, [1.0, 0.0])
 
     def test_zero_identity(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(Zero().prox(v, 7.0), v)
+        assert np.allclose(Zero().prox_solver(7.0)(v), v)
 
     def test_quadratic_scalar(self):
         # argmin u^2/2 + (u-4)^2/2 = 2 by scalar calculus
         F = Quadratic([[1.0]], [0.0])
-        assert F.prox([4.0], 1.0) == pytest.approx([2.0])
+        assert F.prox_solver(1.0)(np.array([4.0])) == pytest.approx([2.0])
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            L1(1.0).prox([1.0], 0.0)
+            L1(1.0).prox_solver(0.0)
 
 
 class TestConjugate:
@@ -189,7 +189,7 @@ def test_prox_optimality_thousand_probes(kind):
         F = _random_variant(rng, kind, dim)
         t = float(rng.uniform(0.05, 5.0))
         v = rng.standard_normal(dim) * 3.0
-        p = F.prox(v, t)
+        p = F.prox_solver(t)(v)
         gap = fenchel_gap(F, (v - p) / t, p)
         assert gap <= 1e-8
 
@@ -213,7 +213,7 @@ def test_fenchel_young_nonnegative(kind):
 )
 def test_soft_threshold_is_l1_prox(entries, mu, t):
     v = np.asarray(entries)
-    p = L1(mu).prox(v, t)
+    p = L1(mu).prox_solver(t)(v)
     # componentwise: shrink toward zero by t*mu, exact zero inside the band
     expected = np.sign(v) * np.maximum(np.abs(v) - t * mu, 0.0)
     assert np.allclose(p, expected)
@@ -228,5 +228,5 @@ def test_soft_threshold_is_l1_prox(entries, mu, t):
 def test_quadratic_prox_optimality_property(entries, t):
     v = np.asarray(entries)
     F = Quadratic(np.eye(v.shape[0]), np.zeros(v.shape[0]))
-    p = F.prox(v, t)
+    p = F.prox_solver(t)(v)
     assert np.allclose(p, v / (1.0 + t))

@@ -74,17 +74,18 @@ class TestParams:
 
 
 def solve_x_subproblem(inst, params, y_prev, x_prev, gamma_prev):
-    """x_k from a fresh engine, given y_{k-1}, x_{k-1} and gamma_{k-1}."""
+    """x_k from a fresh engine's x-block, given y_{k-1}, x_{k-1} and gamma_{k-1}."""
     y_prev, x_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (y_prev, x_prev, gamma_prev))
-    return solver._Engine(inst, params).x_update(x_prev, gamma_prev, inst.B @ y_prev)
+    shift = inst.B @ y_prev - inst.b
+    return solver._Engine(inst, params).x.step(x_prev, gamma_prev, shift, inst.A @ x_prev + shift)
 
 
 def solve_y_subproblem(inst, params, x_new, y_prev, gamma_prev):
-    """y_k from a fresh engine, given x_k, y_{k-1} and gamma_{k-1}."""
+    """y_k from a fresh engine's y-block, given x_k, y_{k-1} and gamma_{k-1}."""
     x_new, y_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (x_new, y_prev, gamma_prev))
-    return solver._Engine(inst, params).y_update(
-        y_prev, gamma_prev, inst.A @ x_new, inst.B @ y_prev
-    )
+    By_prev = inst.B @ y_prev
+    relaxed = params.alpha * (inst.A @ x_new + By_prev - inst.b)
+    return solver._Engine(inst, params).y.step(y_prev, gamma_prev, relaxed - By_prev, relaxed)
 
 
 class TestSubproblems:
@@ -393,10 +394,10 @@ class TestRun:
 
         def overflow_third(self, *args):
             calls.append(None)
-            x, y, gamma, gamma_tilde, By = real(self, *args)
+            x, y, gamma, gamma_tilde, Ax, By = real(self, *args)
             if len(calls) == 3:
                 gamma_tilde = np.full_like(gamma_tilde, np.inf)
-            return x, y, gamma, gamma_tilde, By
+            return x, y, gamma, gamma_tilde, Ax, By
 
         monkeypatch.setattr(solver._Engine, "advance", overflow_third)
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=stop_tol)
