@@ -3,7 +3,8 @@
 
 Runs the extreme relaxation alpha = 2 on a lasso split with both blocks
 linearized, then replays the recorded trajectory through every
-certificate check and prints the worst slack of each one.
+certificate check and prints the worst slack of each one, with the two
+sides of its inequality lhs <= rhs + tol at that k.
 
 Usage: python scripts/certificate_demo.py [OUTDIR]
 """
@@ -13,6 +14,8 @@ import sys
 
 from gadmm import certificates, problems, solver
 from gadmm.solver import GadmmParams, LinearizedH
+
+HEADER = f"{'check':<28} {'result':>7} {'worst slack':>14} {'at k':>6} {'lhs':>14} {'rhs':>14}"
 
 
 def main():
@@ -30,12 +33,14 @@ def main():
     replay = solver.load_trajectory_csv(csv_path, inst, params)
     report = certificates.full_verification(replay, inst.solution)
     print(f"ran {traj.iterations} iterations at alpha=2, beta=1 (both blocks linearized)")
-    print(f"{'check':<28} {'result':>7} {'worst slack':>14} {'at k':>6}")
+    print(HEADER)
     for row in report.rows:
+        d = row.to_dict()
         k = "-" if row.worst_k is None else str(row.worst_k)
+        lhs, rhs = ("-" if d[side] is None else f"{d[side]:.3e}" for side in ("lhs", "rhs"))
         print(
             f"{row.name:<28} {'pass' if row.passed else 'FAIL':>7} "
-            f"{row.worst_slack:>14.3e} {k:>6}"
+            f"{row.worst_slack:>14.3e} {k:>6} {lhs:>14} {rhs:>14}"
         )
     print("overall:", "pass" if report.passed else "FAIL")
 

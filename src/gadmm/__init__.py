@@ -14,8 +14,6 @@ bounds including the extreme relaxation alpha = 2.
 """
 
 from .certificates import (
-    ErgodicCertificate,
-    PointwiseCertificate,
     VerificationReport,
     bound_constants,
     bound_table,
@@ -33,7 +31,6 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .hpe import (
-    HpeCertificate,
     Replay,
     ReportRow,
     build_metric,
@@ -71,18 +68,15 @@ __all__ = [
     "CertificationError",
     "ConfigError",
     "DivergenceError",
-    "ErgodicCertificate",
     "ExplicitH",
     "GadmmError",
     "GadmmParams",
-    "HpeCertificate",
     "InternalCheckError",
     "IterationLimitError",
     "KktPoint",
     "L1",
     "LinearizedH",
     "NotPositiveDefiniteError",
-    "PointwiseCertificate",
     "Quadratic",
     "Replay",
     "ReportRow",

@@ -30,9 +30,10 @@ exactly.  The averaged inclusion is the transportation formula: its
 subgradients and constraint residual are the averages of the replay's
 subgradient and residual rows.  All checked k are read off one set of
 prefix sums, so the full grid costs O(K dim): an average is
-``np.cumsum(axis=0)`` of the stored rows at row k-1, over k, and each
-epsilon (v_i the subgradient rows for eps_x and eps_y, v_i = -M dz_i for
-eps^a) sums the iterates anchored at the last one, d_i = z_i - z_K:
+:func:`running_mean`, ``np.cumsum(axis=0)`` of the stored rows at row k-1
+over k, and each epsilon (v_i the subgradient rows for eps_x and eps_y,
+v_i = -M dz_i for eps^a) sums the iterates anchored at the last one,
+d_i = z_i - z_K:
 
     (1/k) sum_i <v_i, z_i - z^a_k> = (1/k) sum_i <v_i, d_i> - <v^a_k, d^a_k>.
 
@@ -43,20 +44,22 @@ pairwise, so there the two differ by rounding.  Against exact arithmetic
 at K = 1e5 the epsilons were off by at most 2.1e-18 (lasso, n = 10) and
 7.7e-17 (QP, dims 5/4/3).
 
-Every check reads one :class:`gadmm.hpe.Replay` of the trajectory.
+Every check reads one :class:`gadmm.hpe.Replay` of the trajectory and
+returns :func:`gadmm.hpe.check` rows.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from . import hpe, oracles, problems, solver
-from .hpe import REL, Checks, Replay, cert_tol, gap_note, not_applicable, sigma_alpha, slack_row
+from .errors import CertificationError
+from .hpe import REL, Replay, ReportRow, cert_tol, check, gap_note, not_applicable, sigma_alpha
 
 # Allowance for the averaged constraint identity and the epsilon split.
 ERGODIC_IDENTITY_TOL = 1e-8
@@ -107,135 +110,71 @@ def save_bound_report_csv(table: dict, path) -> None:
             writer.writerow([k] + ["" if math.isnan(v) else repr(float(v)) for v in vals])
 
 
-@dataclass
-class PointwiseCertificate(Checks):
-    """The pointwise bound at every recorded k, indexed by k-1."""
-
-    running_min: np.ndarray
-    rhs: np.ndarray
-    rows: list
+def running_mean(rows, ks) -> np.ndarray:
+    """The mean of the first k rows (or entries) of ``rows`` for each k in
+    ``ks``, one per k, read off one running sum."""
+    ks = np.asarray(ks)
+    return np.cumsum(rows, axis=0)[ks - 1] / ks.reshape((-1,) + (1,) * (np.ndim(rows) - 1))
 
 
-def pointwise_certificate(rep: Replay) -> PointwiseCertificate:
-    """Check the pointwise bound at every recorded k.  Rejects alpha = 2,
-    where the bound is undefined."""
-    factor = pointwise_constant(rep.alpha, rep.d0)
+def pointwise_certificate(rep: Replay) -> ReportRow:
+    """The pointwise bound at every recorded k.  Rejects alpha = 2, where
+    the bound is undefined."""
     running_min = np.minimum.accumulate(rep.step_norms)
-    rhs = factor / np.sqrt(rep.ks.astype(float))
-    slack = rhs + cert_tol(running_min, rhs) - running_min
-    row = slack_row("pointwise_bound", slack, rep.ks, REL)
-    return PointwiseCertificate(running_min, rhs, [row])
+    rhs = pointwise_constant(rep.alpha, rep.d0) / np.sqrt(rep.ks.astype(float))
+    return check("pointwise_bound", rep.ks, running_min, rhs, cert_tol(running_min, rhs), REL)
 
 
-@dataclass
-class ErgodicCertificate(Checks):
-    """All ergodic measurements, one entry (or row) per checked iteration ``k``."""
-
-    k: np.ndarray
-    x_avg: np.ndarray            # means of x_1..x_k, one row per k
-    y_avg: np.ndarray
-    gamma_tilde_avg: np.ndarray
-    r_avg: np.ndarray            # averaged step (z_k - z_0)/k, blocks x, y, gamma
-    r_lhs: np.ndarray
-    r_rhs: np.ndarray
-    eps_x: np.ndarray
-    eps_y: np.ndarray
-    eps_rhs: np.ndarray
-    inclusion_gap_f: np.ndarray
-    inclusion_gap_g: np.ndarray
-    constraint_residual: np.ndarray
-    metric_eps: np.ndarray
-    split_residual: np.ndarray
-    rows: list
-
-
-def _ergodic_checks(rep: Replay, ks) -> ErgodicCertificate:
-    """The two ergodic bounds, the epsilon nonnegativity, the averaged
-    inclusion, the averaged constraint identity, and the epsilon split at
-    the iterations ``ks``, all read off one set of prefix sums."""
+def _ergodic_checks(rep: Replay, ks) -> list:
+    """The rows of the two ergodic bounds, the epsilon nonnegativity, the
+    averaged inclusion, the averaged constraint identity, and the epsilon
+    split at the iterations ``ks``, all read off one set of prefix sums."""
     if not ks:
         raise ValueError("trajectory has no iterations")
     inst, d0 = rep.traj.instance, rep.d0
     _, c_a, ct_a = bound_constants(rep.alpha)
     k = np.array(ks, dtype=int)
-    kf = k.astype(float)
-    at_k = k - 1  # prefix-sum row holding the sum over i = 1..k
-
-    def average(rows):
-        return np.cumsum(rows, axis=0)[at_k] / kf[:, None]
-
     n, p = inst.n, inst.p
     D = rep.Ztil - rep.Ztil[-1]  # z~_i - z~_K
-    Da = average(D)
+    Da = running_mean(D, k)
 
     def transported(V, Va, cols):
         """(1/k) sum_i <v_i, z_i - z^a_k> over the columns ``cols`` of z~."""
-        return np.cumsum(np.vecdot(V, D[:, cols]))[at_k] / kf - np.vecdot(Va, Da[:, cols])
+        return running_mean(np.vecdot(V, D[:, cols]), k) - np.vecdot(Va, Da[:, cols])
 
-    Xa, Ya, Gta = np.split(average(rep.Ztil), [n, n + p], axis=1)
-    Vfa, Vga = average(rep.Vf), average(rep.Vg)
-    R = np.hstack([rep.X[k] - rep.X[0], rep.Y[k] - rep.Y[0], rep.G[k] - rep.G[0]]) / kf[:, None]
+    Za = running_mean(rep.Ztil, k)
+    Vfa, Vga = running_mean(rep.Vf, k), running_mean(rep.Vg, k)
+    R = np.hstack([rep.X[k] - rep.X[0], rep.Y[k] - rep.Y[0], rep.G[k] - rep.G[0]]) / k[:, None]
     eps_x = transported(rep.Vf, Vfa, slice(0, n))
     eps_y = transported(rep.Vg, Vga, slice(n, n + p))
-    m_eps = -transported(rep.MDZ, average(rep.MDZ), slice(None))
-    r_lhs = np.sqrt(np.maximum(rep.metric.seminorm_sq(R), 0.0))
-    r_rhs = 2.0 * math.sqrt(c_a * d0) / kf
-    eps_rhs = ct_a * d0 / kf
-    gap_f = oracles.fenchel_gap(inst.f, Vfa, Xa)
-    gap_g = oracles.fenchel_gap(inst.g, Vga, Ya)
-    resid = average(rep.resid)
-    cons = np.sqrt(np.vecdot(resid, resid))
     eps_sum = eps_x + eps_y
-    split = np.abs(m_eps - eps_sum)
-    rel = functools.partial(slack_row, ks=k, tolerance=REL)
+    m_eps = -transported(rep.MDZ, running_mean(rep.MDZ, k), slice(None))
+    r_lhs = np.sqrt(np.maximum(rep.metric.seminorm_sq(R), 0.0))
+    r_rhs = 2.0 * math.sqrt(c_a * d0) / k
+    eps_rhs = ct_a * d0 / k
+    gap_f = oracles.fenchel_gap(inst.f, Vfa, Za[:, :n])
+    gap_g = oracles.fenchel_gap(inst.g, Vga, Za[:, n : n + p])
+    resid = running_mean(rep.resid, k)
     tol = ERGODIC_IDENTITY_TOL
-    rows = [
-        rel("ergodic_residual_bound", r_rhs + cert_tol(r_lhs, r_rhs) - r_lhs),
-        rel("ergodic_eps_bound", eps_rhs + cert_tol(eps_sum, eps_rhs) - eps_sum),
-        rel("ergodic_eps_nonneg", np.minimum(eps_x + cert_tol(eps_x), eps_y + cert_tol(eps_y))),
-        rel(
-            "ergodic_inclusion_f",
-            np.maximum(eps_x, 0.0) + cert_tol(eps_x) - gap_f,
-            note=gap_note(gap_f),
-        ),
-        rel(
-            "ergodic_inclusion_g",
-            np.maximum(eps_y, 0.0) + cert_tol(eps_y) - gap_g,
-            note=gap_note(gap_g),
-        ),
-        slack_row("ergodic_constraint_identity", tol - cons, k, f"{tol:g}"),
-        slack_row("eps_split_identity", tol * (1 + np.abs(m_eps)) - split, k, f"{tol:g} relative"),
+    return [
+        check("ergodic_residual_bound", k, r_lhs, r_rhs, cert_tol(r_lhs, r_rhs), REL),
+        check("ergodic_eps_bound", k, eps_sum, eps_rhs, cert_tol(eps_sum, eps_rhs), REL),
+        check("ergodic_eps_x_nonneg", k, -eps_x, 0.0, cert_tol(eps_x), REL),
+        check("ergodic_eps_y_nonneg", k, -eps_y, 0.0, cert_tol(eps_y), REL),
+        check("ergodic_inclusion_f", k, gap_f, np.maximum(eps_x, 0.0), cert_tol(eps_x), REL,
+              gap_note(gap_f)),
+        check("ergodic_inclusion_g", k, gap_g, np.maximum(eps_y, 0.0), cert_tol(eps_y), REL,
+              gap_note(gap_g)),
+        check("ergodic_constraint_identity", k, np.sqrt(np.vecdot(resid, resid)), 0.0, tol,
+              f"{tol:g}"),
+        check("eps_split_identity", k, np.abs(m_eps - eps_sum), 0.0, tol * (1 + np.abs(m_eps)),
+              f"{tol:g} relative"),
     ]
-    return ErgodicCertificate(
-        k, Xa, Ya, Gta, R, r_lhs, r_rhs, eps_x, eps_y, eps_rhs,
-        gap_f, gap_g, cons, m_eps, split, rows,
-    )
 
 
-def ergodic_certificate(rep: Replay, full_grid=False) -> ErgodicCertificate:
-    """The ergodic checks at the power-of-two grid, or at every k."""
+def ergodic_certificate(rep: Replay, full_grid=False) -> list:
+    """The ergodic rows at the power-of-two grid, or at every k."""
     return _ergodic_checks(rep, checked_iterations(rep.K, full=full_grid))
-
-
-def bound_table(rep: Replay, full_grid=False) -> dict:
-    """Bound comparisons at the checked iterations: one array per column of
-    :data:`BOUND_CSV_COLUMNS`, the pointwise columns NaN at alpha = 2."""
-    erg = ergodic_certificate(rep, full_grid)
-    nan = np.full(len(erg.k), math.nan)
-    pw = pointwise_certificate(rep) if rep.alpha < 2.0 else None
-    columns = (
-        erg.k,
-        pw.running_min[erg.k - 1] if pw else nan,
-        pw.rhs[erg.k - 1] if pw else nan,
-        erg.r_lhs,
-        erg.r_rhs,
-        erg.eps_x + erg.eps_y,
-        erg.eps_rhs,
-        np.maximum(erg.eps_x, 0.0),
-        np.maximum(erg.eps_y, 0.0),
-        erg.split_residual,
-    )
-    return dict(zip(BOUND_CSV_COLUMNS, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +182,34 @@ def bound_table(rep: Replay, full_grid=False) -> dict:
 
 
 @dataclass
-class VerificationReport(Checks):
+class VerificationReport:
+    """Report rows with the verdict over all of them."""
+
     rows: list
-    meta: dict
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.rows)
+
+    @property
+    def earliest_failure(self) -> Optional[ReportRow]:
+        """The earliest violation: the failing row with the smallest first
+        violating k, ties going to the row reported first; None if every
+        check passes."""
+        return min((r for r in self.rows if not r.passed), key=lambda r: r.first_k, default=None)
+
+    def raise_first(self) -> None:
+        """Raise :class:`CertificationError` for :attr:`earliest_failure`.
+        Returns quietly when every check passes."""
+        row = self.earliest_failure
+        if row is not None:
+            raise CertificationError(
+                f"{row.name} violated at k={row.first_k} "
+                f"(worst slack {row.worst_slack:.3e} at k={row.worst_k})",
+                k=row.first_k,
+                check=row.name,
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -275,13 +239,13 @@ def verify(rep: Replay, full_grid=False) -> VerificationReport:
     ks = checked_iterations(rep.K, full=full_grid)
     interior, na = alpha < 2.0, not_applicable
     rows = [
-        *hpe.certify_hpe(rep).rows,
+        *hpe.certify_hpe(rep),
         hpe.check_delta_inequalities(rep),
         hpe.check_rho_bound(rep),
         hpe.check_rho_contractive_bound(rep) if interior else na("rho_contractive_bound"),
         hpe.check_fejer(rep),
-        *(pointwise_certificate(rep).rows if interior else [na("pointwise_bound")]),
-        *_ergodic_checks(rep, ks).rows,
+        pointwise_certificate(rep) if interior else na("pointwise_bound"),
+        *_ergodic_checks(rep, ks),
     ]
     meta.update(
         sigma=sig,
@@ -291,6 +255,30 @@ def verify(rep: Replay, full_grid=False) -> VerificationReport:
         full_grid=bool(full_grid),
     )
     return VerificationReport(rows=rows, meta=meta)
+
+
+def bound_table(report: VerificationReport) -> dict:
+    """The bound comparisons of a verified run at its checked iterations:
+    one array per column of :data:`BOUND_CSV_COLUMNS`, read off the
+    report's rows, the pointwise columns NaN at alpha = 2."""
+    if not report.rows:
+        raise ValueError("trajectory has no iterations")
+    row = {r.name: r for r in report.rows}
+    pw, res, eps = (row[f"{b}_bound"] for b in ("pointwise", "ergodic_residual", "ergodic_eps"))
+    k = res.ks
+    pointwise = (pw.lhs[k - 1], pw.rhs[k - 1]) if pw.ks.size else (np.full(len(k), math.nan),) * 2
+    columns = (
+        k,
+        *pointwise,
+        res.lhs,
+        res.rhs,
+        eps.lhs,
+        eps.rhs,
+        row["ergodic_inclusion_f"].rhs,  # max(eps_x, 0)
+        row["ergodic_inclusion_g"].rhs,
+        row["eps_split_identity"].lhs,
+    )
+    return dict(zip(BOUND_CSV_COLUMNS, columns))
 
 
 def run_and_verify(inst, params):
@@ -303,9 +291,8 @@ def run_and_verify(inst, params):
     undefined or has a nonpositive rhs.
     """
     traj = solver.run(inst, params)
-    rep = Replay(traj, inst.solution)
-    report = verify(rep)
-    bounds = bound_table(rep)
+    report = verify(Replay(traj, inst.solution))
+    bounds = bound_table(report)
     ratios = []
     for bound in ("pointwise", "ergodic_r", "ergodic_eps"):
         a, b = float(bounds[f"{bound}_lhs"][-1]), float(bounds[f"{bound}_rhs"][-1])

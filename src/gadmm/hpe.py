@@ -37,9 +37,9 @@ of ||z* - z_k||^2_M + eta_k.  Certification is post-hoc and shares no
 state with the iteration engine.
 
 A :class:`Replay` evaluates every per-iteration quantity once, as arrays
-over k; each check reads it and returns an array of slacks (>= 0 where the
-check holds) turned into a :class:`ReportRow`.  :meth:`Checks.raise_first`
-is the one place a failed check becomes a :class:`CertificationError`.
+over k; each check reads it and states its condition as lhs <= rhs + tol at
+every k, which :func:`check` turns into a :class:`ReportRow`.  The one place
+a failed check raises is :meth:`gadmm.certificates.VerificationReport.raise_first`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import linalg, oracles, problems
-from .errors import CertificationError, ConfigError, GadmmError, NotPositiveDefiniteError
+from .errors import ConfigError, GadmmError, NotPositiveDefiniteError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trajectory
@@ -138,23 +138,34 @@ def initial_distance_sq(traj: "Trajectory", z_star: problems.KktPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# report rows and the raise path
+# report rows
 
 
 @dataclass
 class ReportRow:
-    """One named check over a whole trajectory, with its worst slack and the
-    first iteration where the slack went negative (None if it never did)."""
+    """One named check lhs <= rhs + tol at the iterations ``ks``: the three
+    arrays, the worst slack and the first iteration where the check failed
+    (None if it never did).  Built by :func:`check`."""
 
     name: str
+    ks: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    tol: np.ndarray
+    tolerance: str
     passed: bool
     worst_slack: float
     worst_k: Optional[int]
-    tolerance: str
+    first_k: Optional[int]
     note: str = ""
-    first_k: Optional[int] = None
 
     def to_dict(self) -> dict:
+        """The row as strict JSON, with lhs and rhs at ``worst_k``; a
+        non-finite number is written as null."""
+        lhs = rhs = math.nan
+        if self.worst_k is not None:
+            at = int(np.searchsorted(self.ks, self.worst_k))
+            lhs, rhs = float(self.lhs[at]), float(self.rhs[at])
         finite = math.isfinite(self.worst_slack)
         return {
             "name": self.name,
@@ -162,64 +173,47 @@ class ReportRow:
             "worst_slack": self.worst_slack if finite else None,
             "worst_k": self.worst_k,
             "first_k": self.first_k,
+            "lhs": lhs if math.isfinite(lhs) else None,
+            "rhs": rhs if math.isfinite(rhs) else None,
             "tolerance": self.tolerance,
             "note": self.note or ("" if finite else "non-finite slack"),
         }
 
 
-def slack_row(name, slack, ks, tolerance, note="") -> ReportRow:
-    """Turn one check's slacks at iterations ``ks`` into a report row.
+def check(name, ks, lhs, rhs, tol, tolerance, note="") -> ReportRow:
+    """The report row of lhs <= rhs + tol at the iterations ``ks``; rhs and
+    tol may be scalars.
 
-    ``worst_slack`` is the exact minimum; ``worst_k`` is the first k within
-    :data:`WORST_K_BAND` of it (the argmin when the minimum is not finite).
+    The slack rhs + tol - lhs decides the row: it fails at every k where
+    the slack is negative or NaN.  ``worst_slack`` is the exact minimum;
+    ``worst_k`` is the first k within :data:`WORST_K_BAND` of it (the argmin
+    when the minimum is not finite).
     """
-    slack = np.asarray(slack, dtype=float)
+    lhs, rhs, tol = (np.asarray(v, dtype=float) for v in (lhs, rhs, tol))
+    # a scalar rhs or tol is repeated over k (np.broadcast_arrays costs more than the check)
+    rhs, tol = (v if v.shape else np.zeros(lhs.shape) + v for v in (rhs, tol))
+    ks = np.asarray(ks, dtype=int)
+    slack = rhs + tol - lhs
     if slack.size == 0:
-        return ReportRow(name, True, math.inf, None, tolerance, note or "no iterations")
+        return ReportRow(name, ks, lhs, rhs, tol, tolerance, True, math.inf, None, None,
+                         note or "no iterations")
     worst = int(np.argmin(slack))
     low = float(slack[worst])
     if math.isfinite(low):
         worst = int(np.argmax(slack <= low + WORST_K_BAND * (1.0 + abs(low))))
     bad = np.flatnonzero(~(slack >= 0.0))
     first_k = int(ks[bad[0]]) if bad.size else None
-    return ReportRow(name, first_k is None, low, int(ks[worst]), tolerance, note, first_k)
+    return ReportRow(
+        name, ks, lhs, rhs, tol, tolerance, first_k is None, low, int(ks[worst]), first_k, note
+    )
 
 
 def not_applicable(name) -> ReportRow:
-    return ReportRow(name, True, math.inf, None, "-", "not-applicable at alpha=2")
+    return check(name, [], [], [], [], "-", "not-applicable at alpha=2")
 
 
 def gap_note(gaps) -> str:
     return "conjugate outside its domain" if np.isinf(gaps).any() else ""
-
-
-class Checks:
-    """Report rows with the verdict over all of them."""
-
-    rows: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    @property
-    def earliest_failure(self) -> Optional[ReportRow]:
-        """The earliest violation: the failing row with the smallest first
-        violating k, ties going to the row reported first; None if every
-        check passes."""
-        return min((r for r in self.rows if not r.passed), key=lambda r: r.first_k, default=None)
-
-    def raise_first(self) -> None:
-        """Raise :class:`CertificationError` for :attr:`earliest_failure`.
-        Returns quietly when every check passes."""
-        row = self.earliest_failure
-        if row is not None:
-            raise CertificationError(
-                f"{row.name} violated at k={row.first_k} "
-                f"(worst slack {row.worst_slack:.3e} at k={row.worst_k})",
-                k=row.first_k,
-                check=row.name,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -306,55 +300,34 @@ def inclusion_residuals(rep: Replay) -> tuple[np.ndarray, np.ndarray, np.ndarray
 # the checks
 
 
-@dataclass
-class HpeCertificate(Checks):
-    """The per-iteration conditions, one entry per k = 1..K."""
-
-    k: np.ndarray
-    lhs: np.ndarray                  # ||z~_k - z_k||^2_M + eta_k
-    rhs: np.ndarray                  # sigma ||z~_k - z_{k-1}||^2_M + eta_{k-1}
-    slack: np.ndarray                # rhs - lhs (must be >= -tol)
-    inclusion_gap_f: np.ndarray
-    inclusion_gap_g: np.ndarray
-    constraint_residual: np.ndarray  # linear identity on (dy, dgamma, Ax+By-b)
-    multiplier_residual: np.ndarray  # || gamma_tilde - gamma_prev - (dgamma + beta B dy)/alpha ||
-    eta: np.ndarray
-    identity_tol: np.ndarray         # resolved allowance for the two identities at each k
-    rows: list
-
-
 REL = f"{CERT_REL_TOL:g} relative"
 
 
-def certify_hpe(rep: Replay) -> HpeCertificate:
-    """Evaluate the per-iteration conditions at every k >= 1: the
+def certify_hpe(rep: Replay) -> list:
+    """The rows of the per-iteration conditions at every k >= 1: the
     relative-error inequality, the two inclusions and the two identities."""
-    n, p = rep.traj.instance.n, rep.traj.instance.p
+    n, p, ks = rep.traj.instance.n, rep.traj.instance.p, rep.ks
     to_iter = np.hstack([np.zeros((rep.K, n + p)), rep.Gt - rep.G[1:]])
     lhs = rep.metric.seminorm_sq(to_iter) + rep.eta[1:]
     rhs = rep.sigma * rep.egaps + rep.eta[:-1]
-    slack = rhs - lhs
     mult = rep.Gt - rep.G[:-1] - (rep.DG + rep.beta * rep.BDY) / rep.alpha
-    mult = np.sqrt(np.vecdot(mult, mult))
     biggest = [np.abs(a).max(axis=1, initial=0.0) for a in (rep.Gt, rep.G[1:], rep.G[:-1])]
     id_tol = IDENTITY_TOL * (1.0 + np.maximum.reduce(biggest))
-    gap = functools.partial(slack_row, ks=rep.ks, tolerance=f"{INCLUSION_GAP_TOL:g}")
-    ident = functools.partial(slack_row, ks=rep.ks, tolerance=f"{IDENTITY_TOL:g} scaled")
-    rows = [
-        slack_row("hpe_inequality", slack + cert_tol(lhs, rhs), rep.ks, REL),
-        gap("hpe_inclusion_f", INCLUSION_GAP_TOL - rep.gap_f, note=gap_note(rep.gap_f)),
-        gap("hpe_inclusion_g", INCLUSION_GAP_TOL - rep.gap_g, note=gap_note(rep.gap_g)),
-        ident("multiplier_identity", id_tol - mult),
-        ident("constraint_identity", id_tol - rep.cons),
+    gap_tol, ident = f"{INCLUSION_GAP_TOL:g}", f"{IDENTITY_TOL:g} scaled"
+    return [
+        check("hpe_inequality", ks, lhs, rhs, cert_tol(lhs, rhs), REL),
+        check("hpe_inclusion_f", ks, rep.gap_f, 0.0, INCLUSION_GAP_TOL, gap_tol,
+              gap_note(rep.gap_f)),
+        check("hpe_inclusion_g", ks, rep.gap_g, 0.0, INCLUSION_GAP_TOL, gap_tol,
+              gap_note(rep.gap_g)),
+        check("multiplier_identity", ks, np.sqrt(np.vecdot(mult, mult)), 0.0, id_tol, ident),
+        check("constraint_identity", ks, rep.cons, 0.0, id_tol, ident),
     ]
-    return HpeCertificate(
-        rep.ks, lhs, rhs, slack, rep.gap_f, rep.gap_g, rep.cons, mult, rep.eta[1:], id_tol, rows
-    )
 
 
 def _bound_row(name, rep, bound) -> ReportRow:
     rho = rho_sequence(rep)
-    return slack_row(name, bound + cert_tol(bound, rho) - rho, rep.ks, REL, f"bound={bound:.6g}")
+    return check(name, rep.ks, rho, bound, cert_tol(bound, rho), REL, f"bound={bound:.6g}")
 
 
 def check_rho_bound(rep: Replay) -> ReportRow:
@@ -383,8 +356,7 @@ def check_delta_inequalities(rep: Replay) -> ReportRow:
     """
     inner = 2.0 * np.vecdot(rep.BDY, rep.DG)
     lower = rep.dy_sq - np.concatenate([[4.0 * rep.d0], rep.dy_sq[:-1]])
-    slack = inner - lower + cert_tol(inner, lower)
-    return slack_row("delta_y_gamma_inequality", slack, rep.ks, REL)
+    return check("delta_y_gamma_inequality", rep.ks, lower, inner, cert_tol(inner, lower), REL)
 
 
 def check_fejer(rep: Replay) -> ReportRow:
@@ -393,5 +365,5 @@ def check_fejer(rep: Replay) -> ReportRow:
     dist = rep.metric.seminorm_sq(np.hstack([zs.x - rep.X, zs.y - rep.Y, zs.gamma - rep.G]))
     vals = dist + rep.eta
     prev, cur = vals[:-1], vals[1:]
-    return slack_row("fejer_monotonicity", prev - cur + cert_tol(prev, cur), rep.ks, REL)
+    return check("fejer_monotonicity", rep.ks, cur, prev, cert_tol(prev, cur), REL)
 

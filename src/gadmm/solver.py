@@ -206,11 +206,10 @@ class _Block:
         P, self._q = parts
         with np.errstate(over="ignore", invalid="ignore"):
             K = P + beta * (op.T @ op) + self.H
+        name = f"{block}-subproblem matrix P + beta*Op'Op + H"
         if not np.isfinite(K).all():
-            raise ConfigError(
-                f"{block}-subproblem matrix P + beta*Op'Op + H overflows at beta={beta!r}"
-            )
-        self._fac = linalg.SpdFactor(K, name=f"{block}-subproblem matrix")
+            raise ConfigError(f"{name} overflows at beta={beta!r}")
+        self._fac = linalg.SpdFactor(K, name=f"{name} at beta={beta!r}")
 
     def step(self, u_prev, gamma, s, r):
         """The minimizer, from the shift ``s`` (direct solve) or the residual

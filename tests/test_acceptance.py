@@ -54,6 +54,10 @@ def rel_slack_ok(lhs, rhs):
     return lhs <= rhs + REL_TOL * (1.0 + max(abs(lhs), abs(rhs)))
 
 
+def rows_by_name(rows):
+    return {r.name: r for r in rows}
+
+
 @pytest.fixture(scope="module")
 def qp_suite():
     return {seed: problems.generate_qp(seed, *QP_DIMS) for seed in QP_SEEDS}
@@ -110,14 +114,16 @@ def _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs, qp_alphas=HPE_ALPHAS):
 def test_criterion_1_hpe_certification(qp_suite, qp_runs, lasso_suite, lasso_runs):
     checked = 0
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        c = hpe.certify_hpe(hpe.Replay(traj, z_star))
-        ok = c.slack >= -REL_TOL * (1.0 + np.maximum(np.abs(c.lhs), np.abs(c.rhs)))
-        assert np.all(ok), (traj.params.alpha, c.k[~ok])
-        assert np.all(c.inclusion_gap_f <= GAP_TOL)
-        assert np.all(c.inclusion_gap_g <= GAP_TOL)
-        assert np.all(c.multiplier_residual <= IDENTITY_TOL)
-        assert np.all(c.constraint_residual <= IDENTITY_TOL)
-        checked += len(c.k)
+        c = rows_by_name(hpe.certify_hpe(hpe.Replay(traj, z_star)))
+        ineq = c["hpe_inequality"]
+        scale = np.maximum(np.abs(ineq.lhs), np.abs(ineq.rhs))
+        ok = ineq.rhs - ineq.lhs >= -REL_TOL * (1.0 + scale)
+        assert np.all(ok), (traj.params.alpha, ineq.ks[~ok])
+        assert np.all(c["hpe_inclusion_f"].lhs <= GAP_TOL)
+        assert np.all(c["hpe_inclusion_g"].lhs <= GAP_TOL)
+        assert np.all(c["multiplier_identity"].lhs <= IDENTITY_TOL)
+        assert np.all(c["constraint_identity"].lhs <= IDENTITY_TOL)
+        checked += len(ineq.ks)
     assert checked >= 40 * QP_ITERS
 
 
@@ -127,7 +133,7 @@ def test_criterion_2_pointwise_bound(qp_suite, qp_runs):
         for alpha in POINTWISE_ALPHAS:
             traj = qp_runs(seed, alpha)
             pw = certificates.pointwise_certificate(hpe.Replay(traj, qp_suite[seed].solution))
-            running_min, rhs = pw.running_min, pw.rhs
+            running_min, rhs = pw.lhs, pw.rhs
             assert len(running_min) == QP_ITERS
             for lhs_k, rhs_k in zip(running_min, rhs):
                 assert rel_slack_ok(lhs_k, rhs_k), (seed, alpha)
@@ -143,9 +149,11 @@ def test_criterion_3_ergodic_bounds(qp_suite, qp_runs, lasso_suite, lasso_runs):
     sig2, c2, ct2 = bound_constants(2.0)
     assert (c2, ct2) == (pytest.approx(1.0), pytest.approx(12.0))
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        erg = certificates.ergodic_certificate(hpe.Replay(traj, z_star))
+        erg = rows_by_name(certificates.ergodic_certificate(hpe.Replay(traj, z_star)))
+        r_row, eps_row = erg["ergodic_residual_bound"], erg["ergodic_eps_bound"]
+        eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
         for k, r_lhs, r_rhs, eps_sum, eps_rhs in zip(
-            erg.k, erg.r_lhs, erg.r_rhs, erg.eps_x + erg.eps_y, erg.eps_rhs
+            r_row.ks, r_row.lhs, r_row.rhs, eps_x + eps_y, eps_row.rhs
         ):
             assert rel_slack_ok(r_lhs, r_rhs), (traj.params.alpha, k)
             assert rel_slack_ok(eps_sum, eps_rhs), (traj.params.alpha, k)
@@ -156,16 +164,19 @@ def test_criterion_4_rho_bound(qp_suite, qp_runs, lasso_suite, lasso_runs):
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
         row = hpe.check_rho_bound(hpe.Replay(traj, z_star))
         assert row.passed, (traj.params.alpha, row.worst_k, row.worst_slack)
+        assert all(rel_slack_ok(rho, bound) for rho, bound in zip(row.lhs, row.rhs))
 
 
 @criterion("criterion 5: epsilon split identity at every checked k")
 def test_criterion_5_epsilon_split(qp_suite, qp_runs, lasso_suite, lasso_runs):
     for z_star, traj in _all_runs(qp_suite, qp_runs, lasso_suite, lasso_runs):
-        erg = certificates.ergodic_certificate(hpe.Replay(traj, z_star))
-        assert erg.k.tolist() == checked_iterations(traj.iterations)
-        for k, eps_m, eps_x, eps_y in zip(erg.k, erg.metric_eps, erg.eps_x, erg.eps_y):
-            resid = abs(eps_m - (eps_x + eps_y))
-            assert resid <= SPLIT_TOL * (1.0 + abs(eps_m)), (traj.params.alpha, k)
+        erg = rows_by_name(certificates.ergodic_certificate(hpe.Replay(traj, z_star)))
+        split = erg["eps_split_identity"]
+        assert split.ks.tolist() == checked_iterations(traj.iterations)
+        eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
+        for k, resid, eps_sum in zip(split.ks, split.lhs, eps_x + eps_y):
+            # |eps_m| >= |eps_x + eps_y| - resid: no looser than SPLIT_TOL (1 + |eps_m|)
+            assert resid <= SPLIT_TOL * (1.0 + abs(eps_sum) - resid), (traj.params.alpha, k)
 
 
 @criterion("criterion 6: alpha=1, H=0 matches an independent standard ADMM to 1e-10")
@@ -203,8 +214,8 @@ def test_criterion_8_empirical_rates(qp_suite, qp_runs):
         traj = qp_runs(seed, 1.0)
         z_star = qp_suite[seed].solution
         pre = hpe.Replay(traj, z_star)
-        erg = certificates.ergodic_certificate(pre)
-        r_series = list(zip(erg.k.tolist(), erg.r_lhs.tolist()))
+        r_row = rows_by_name(certificates.ergodic_certificate(pre))["ergodic_residual_bound"]
+        r_series = list(zip(r_row.ks.tolist(), r_row.lhs.tolist()))
         assert rate_estimate(r_series) <= -0.9, seed
         running_min = np.minimum.accumulate(pre.step_norms)
         pw_series = [

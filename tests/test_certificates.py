@@ -5,17 +5,25 @@ import pytest
 
 from gadmm import certificates, oracles, problems, solver
 from gadmm.certificates import (
+    VerificationReport,
     bound_constants,
     bound_table,
     checked_iterations,
     ergodic_certificate,
     full_verification,
     pointwise_certificate,
+    running_mean,
+    verify,
 )
 from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
 
 from conftest import rate_estimate, run_full, state
+
+
+def ergodic_rows(rep, full_grid=False):
+    """The ergodic rows of a replay by name."""
+    return {r.name: r for r in ergodic_certificate(rep, full_grid)}
 
 
 class TestBoundConstants:
@@ -56,27 +64,32 @@ class TestCheckedIterations:
 class TestErgodicPoint:
     def test_k_one_is_first_iterate(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=5)
-        erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
+        erg = ergodic_rows(Replay(traj, one_d_instance.solution))
+        ks = erg["ergodic_eps_bound"].ks
         st = state(traj, 1)
-        assert np.allclose(erg.x_avg[0], st.x)
-        assert np.allclose(erg.y_avg[0], st.y)
-        assert np.allclose(erg.gamma_tilde_avg[0], st.gamma_tilde)
-        assert erg.eps_x[0] == pytest.approx(0.0, abs=1e-15)
-        assert erg.eps_y[0] == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(running_mean(traj.X[1:], ks)[0], st.x)
+        assert np.allclose(running_mean(traj.Y[1:], ks)[0], st.y)
+        assert np.allclose(running_mean(traj.Gt, ks)[0], st.gamma_tilde)
+        assert -erg["ergodic_eps_x_nonneg"].lhs[0] == pytest.approx(0.0, abs=1e-15)
+        assert -erg["ergodic_eps_y_nonneg"].lhs[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_residual_average_telescopes(self):
+        # the ergodic residual row's lhs is ||(z_k - z_0)/k||_M, and z_k - z_0
+        # is the sum of the first k steps
         inst = problems.generate_qp(1, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.1, iters=50)
-        erg = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
+        rep = Replay(traj, inst.solution)
+        row = ergodic_rows(rep, full_grid=True)["ergodic_residual_bound"]
         n, p = inst.n, inst.p
         for k in (1, 7, 50):
-            r = erg.r_avg[k - 1]
-            dsum = np.zeros(inst.n)
-            for dx in np.diff(traj.X, axis=0)[:k]:
-                dsum += dx
-            assert np.allclose(r[:n], dsum / k, atol=1e-12)
+            dsum = np.zeros(n + p + inst.m)
+            for dz in np.hstack([rep.DX, rep.DY, rep.DG])[:k]:
+                dsum += dz
+            assert np.allclose(dsum[:n], traj.X[k] - traj.X[0], atol=1e-12)
             z0, zk = state(traj, 0), state(traj, k)
-            assert np.allclose(r[n + p :], (zk.gamma - z0.gamma) / k, atol=1e-15)
+            assert np.allclose(dsum[n + p :], zk.gamma - z0.gamma, atol=1e-15)
+            r_norm = np.sqrt(rep.metric.seminorm_sq(dsum / k))
+            assert row.lhs[k - 1] == pytest.approx(r_norm, rel=1e-12, abs=1e-15)
 
     def test_hand_cross_check_k_two(self, one_d_instance):
         # oracle: direct evaluation of the two-term averaged sums with the
@@ -94,26 +107,29 @@ class TestErgodicPoint:
             ztil = np.concatenate([st.x, st.y, st.gamma_tilde])
             eps_metric += float((M @ dz) @ (ztil_avg - ztil))
         eps_metric /= 2.0
-        erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
-        assert erg.k[1] == 2
-        assert np.allclose(erg.x_avg[1], x_avg)
-        assert erg.eps_x[1] + erg.eps_y[1] == pytest.approx(eps_metric, abs=1e-12)
-        assert erg.split_residual[1] <= 1e-12
+        erg = ergodic_rows(Replay(traj, one_d_instance.solution))
+        ks = erg["ergodic_eps_bound"].ks
+        assert ks[1] == 2
+        assert np.allclose(running_mean(traj.X[1:], ks)[1], x_avg)
+        assert erg["ergodic_eps_bound"].lhs[1] == pytest.approx(eps_metric, abs=1e-12)
+        assert erg["eps_split_identity"].lhs[1] <= 1e-12
 
 
 class TestEpsilonSplit:
     def test_k_one_both_sides_zero(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=1)
-        erg = ergodic_certificate(Replay(traj, one_d_instance.solution))
-        assert erg.split_residual[0] <= 1e-15
+        split = ergodic_rows(Replay(traj, one_d_instance.solution))["eps_split_identity"]
+        assert split.lhs[0] <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_random_qp_relative(self, alpha):
         inst = problems.generate_qp(2, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=120)
-        erg = ergodic_certificate(Replay(traj, inst.solution))
-        assert erg.k.tolist() == checked_iterations(120)
-        assert np.all(erg.split_residual <= 1e-8 * (1.0 + np.abs(erg.metric_eps)))
+        erg = ergodic_rows(Replay(traj, inst.solution))
+        split, eps_sum = erg["eps_split_identity"], erg["ergodic_eps_bound"].lhs
+        assert split.ks.tolist() == checked_iterations(120)
+        # |eps^a| >= |eps_x + eps_y| - split, so this is no looser than 1e-8 (1 + |eps^a|)
+        assert np.all(split.lhs <= 1e-8 * (1.0 + np.abs(eps_sum) - split.lhs))
 
 
 def centred_sum(V, Z, k):
@@ -145,21 +161,28 @@ class TestErgodicPrefixSums:
         inst = problems.generate_qp(2, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=300)
         rep = Replay(traj, inst.solution)
-        erg = ergodic_certificate(rep, full_grid=True)
-        assert erg.k.tolist() == list(range(1, 301))
+        erg = ergodic_rows(rep, full_grid=True)
+        ks = erg["ergodic_eps_bound"].ks
+        assert ks.tolist() == list(range(1, 301))
         X, Y = traj.X[1:], traj.Y[1:]
+        x_avg, y_avg, gt_avg = (running_mean(Z, ks) for Z in (X, Y, traj.Gt))
+        eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
+        eps_sum, split = erg["ergodic_eps_bound"].lhs, erg["eps_split_identity"].lhs
 
         def close(value, oracle):
             return abs(value - oracle) <= 1e-12 * (1.0 + abs(oracle))
 
-        for k in erg.k:
+        for k in ks:
             i = k - 1
-            assert np.array_equal(erg.x_avg[i], X[:k].mean(axis=0))
-            assert np.array_equal(erg.y_avg[i], Y[:k].mean(axis=0))
-            assert np.array_equal(erg.gamma_tilde_avg[i], traj.Gt[:k].mean(axis=0))
-            assert close(erg.eps_x[i], centred_sum(rep.Vf, X, k)), k
-            assert close(erg.eps_y[i], centred_sum(rep.Vg, Y, k)), k
-            assert close(erg.metric_eps[i], centred_sum(-rep.MDZ, rep.Ztil, k)), k
+            assert np.array_equal(x_avg[i], X[:k].mean(axis=0))
+            assert np.array_equal(y_avg[i], Y[:k].mean(axis=0))
+            assert np.array_equal(gt_avg[i], traj.Gt[:k].mean(axis=0))
+            assert close(eps_x[i], centred_sum(rep.Vf, X, k)), k
+            assert close(eps_y[i], centred_sum(rep.Vg, Y, k)), k
+            # the metric epsilon lies within the split residual of eps_x + eps_y
+            metric_eps = centred_sum(-rep.MDZ, rep.Ztil, k)
+            assert close(eps_sum[i], metric_eps), k
+            assert split[i] <= 1e-12 * (1.0 + abs(metric_eps)), k
 
     @pytest.mark.parametrize(
         "make, h", [(lambda: problems.generate_qp(2, 5, 4, 3), None),
@@ -173,13 +196,15 @@ class TestErgodicPrefixSums:
         # a shifted multiplier breaks the identities at k = 8 and 9, so the
         # averaged residual at k = 8 is more than rounding
         traj.G[8] += 0.01
-        erg = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
-        assert erg.constraint_residual[7] > 1e-4
-        for k in erg.k:
+        erg = ergodic_rows(Replay(traj, inst.solution), full_grid=True)
+        gaps_f, gaps_g = erg["ergodic_inclusion_f"].lhs, erg["ergodic_inclusion_g"].lhs
+        residuals = erg["ergodic_constraint_identity"].lhs
+        assert residuals[7] > 1e-4
+        for k in erg["ergodic_constraint_identity"].ks:
             gap_f, gap_g, cons = averaged_inclusion(traj, k)
-            assert np.isclose(erg.inclusion_gap_f[k - 1], gap_f, rtol=0.0, atol=1e-12), k
-            assert np.isclose(erg.inclusion_gap_g[k - 1], gap_g, rtol=0.0, atol=1e-12), k
-            assert np.isclose(erg.constraint_residual[k - 1], cons, rtol=0.0, atol=1e-12), k
+            assert np.isclose(gaps_f[k - 1], gap_f, rtol=0.0, atol=1e-12), k
+            assert np.isclose(gaps_g[k - 1], gap_g, rtol=0.0, atol=1e-12), k
+            assert np.isclose(residuals[k - 1], cons, rtol=0.0, atol=1e-12), k
 
     def test_long_full_grid_verification(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=2.0, iters=20_000)
@@ -194,8 +219,8 @@ class TestPointwise:
         for alpha in (0.5, 1.0, 1.5, 1.9):
             traj = run_full(inst, alpha=alpha, beta=1.0, iters=400)
             pw = pointwise_certificate(Replay(traj, inst.solution))
-            pw.raise_first()
-            assert np.all(pw.running_min <= pw.rhs + 1e-7 * (1.0 + pw.rhs))
+            VerificationReport([pw]).raise_first()
+            assert np.all(pw.lhs <= pw.rhs + 1e-7 * (1.0 + pw.rhs))
 
     def test_alpha_two_rejected(self):
         inst = problems.generate_qp(1, 4, 3, 2)
@@ -209,8 +234,8 @@ class TestPointwise:
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=5, stop_tol=0.0)
         traj = solver.run(inst, params, x0=sol.x, y0=sol.y, gamma0=sol.gamma)
         pw = pointwise_certificate(Replay(traj, sol))
-        pw.raise_first()
-        assert np.all(pw.running_min <= 1e-9)
+        VerificationReport([pw]).raise_first()
+        assert np.all(pw.lhs <= 1e-9)
         assert np.all(pw.rhs <= 1e-6)  # d0 = 0 makes the bound collapse too
 
 
@@ -219,9 +244,9 @@ class TestErgodicCertificate:
     def test_random_qp(self, alpha):
         inst = problems.generate_qp(4, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=1.2, iters=300)
-        checks = ergodic_certificate(Replay(traj, inst.solution))
-        checks.raise_first()
-        assert checks.k[-1] == 300
+        rows = ergodic_certificate(Replay(traj, inst.solution))
+        VerificationReport(rows).raise_first()
+        assert all(r.ks[-1] == 300 for r in rows)
 
     def test_lasso_linearized_alpha_two(self):
         # the headline configuration: relaxation at its extreme value with
@@ -230,27 +255,32 @@ class TestErgodicCertificate:
         traj = run_full(
             inst, alpha=2.0, beta=1.0, iters=600, h1=LinearizedH(), h2=LinearizedH()
         )
-        checks = ergodic_certificate(Replay(traj, inst.solution))
-        checks.raise_first()
-        assert np.all(checks.r_lhs <= checks.r_rhs + 1e-7 * (1.0 + checks.r_rhs))
-        eps_sum = checks.eps_x + checks.eps_y
-        assert np.all(eps_sum <= checks.eps_rhs + 1e-7 * (1.0 + checks.eps_rhs))
+        rows = ergodic_certificate(Replay(traj, inst.solution))
+        VerificationReport(rows).raise_first()
+        erg = {r.name: r for r in rows}
+        r_row, eps_row = erg["ergodic_residual_bound"], erg["ergodic_eps_bound"]
+        assert np.all(r_row.lhs <= r_row.rhs + 1e-7 * (1.0 + r_row.rhs))
+        eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
+        assert np.array_equal(eps_row.lhs, eps_x + eps_y)
+        assert np.all(eps_row.lhs <= eps_row.rhs + 1e-7 * (1.0 + eps_row.rhs))
 
     def test_eps_nonnegative(self):
         inst = problems.generate_qp(5, 4, 4, 2)
         for alpha in (0.5, 1.0, 1.5, 2.0):
             traj = run_full(inst, alpha=alpha, beta=0.8, iters=200)
-            checks = ergodic_certificate(Replay(traj, inst.solution))
-            checks.raise_first()
-            assert np.all(checks.eps_x >= -1e-7 * (1.0 + np.abs(checks.eps_x)))
-            assert np.all(checks.eps_y >= -1e-7 * (1.0 + np.abs(checks.eps_y)))
+            rows = ergodic_certificate(Replay(traj, inst.solution))
+            VerificationReport(rows).raise_first()
+            erg = {r.name: r for r in rows}
+            eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
+            assert np.all(eps_x >= -1e-7 * (1.0 + np.abs(eps_x)))
+            assert np.all(eps_y >= -1e-7 * (1.0 + np.abs(eps_y)))
 
     def test_full_grid_mode(self):
         inst = problems.generate_qp(6, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=40)
-        checks = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
-        checks.raise_first()
-        assert checks.k.tolist() == list(range(1, 41))
+        rows = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
+        VerificationReport(rows).raise_first()
+        assert all(r.ks.tolist() == list(range(1, 41)) for r in rows)
 
 
 class TestRateEstimate:
@@ -276,7 +306,7 @@ class TestReports:
     def test_bound_report_csv(self, tmp_path):
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.0, iters=64)
-        table = bound_table(Replay(traj, inst.solution))
+        table = bound_table(verify(Replay(traj, inst.solution)))
         path = tmp_path / "bounds.csv"
         certificates.save_bound_report_csv(table, path)
         lines = path.read_text().strip().splitlines()
@@ -286,7 +316,7 @@ class TestReports:
     def test_bound_report_alpha_two_leaves_pointwise_empty(self, tmp_path):
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=2.0, beta=1.0, iters=16)
-        table = bound_table(Replay(traj, inst.solution))
+        table = bound_table(verify(Replay(traj, inst.solution)))
         assert np.isnan(table["pointwise_lhs"]).all()
         path = tmp_path / "bounds.csv"
         certificates.save_bound_report_csv(table, path)

@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gadmm import certificates, cli, linalg, oracles, problems, solver
+from gadmm import certificates, cli, hpe, linalg, oracles, problems, solver
 from gadmm.errors import CertificationError, InternalCheckError, NotPositiveDefiniteError
 
 from conftest import make_one_d_instance
@@ -113,6 +114,20 @@ class TestRun:
         problems.save_instance(inst, path)
         code = cli.main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_huge_beta_factor_failure_names_beta(self, tmp_path, capsys):
+        # P + beta*A'A is finite, but beta*A'A swamps P and A'A is singular,
+        # so the Cholesky factorization fails; the one stderr line names beta
+        path = tmp_path / "qp.json"
+        problems.save_instance(problems.generate_qp(1, 8, 6, 4), path)
+        code = cli.main(
+            ["run", "--instance", str(path), "--beta", "1e200", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "solver error: x-subproblem matrix P + beta*Op'Op + H at beta=1e+200 "
+            "is not positive definite (subproblem not strictly convex)\n"
+        )
 
     def test_overflowing_summary_writes_null(self, tmp_path, capsys):
         inst = problems.SeparableInstance(
@@ -254,6 +269,43 @@ class TestVerify:
         lines[20] = ",".join(cells)
         with open(traj_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+    def test_infinite_conjugate_gap_report_is_strict_json(self, tmp_path):
+        # a gamma_tilde far outside the l1 ball puts the y-block conjugate
+        # outside its domain: the inclusion gaps are infinite from k = 19
+        inst_path = tmp_path / "lasso.json"
+        inst = problems.generate_lasso(7, 6, 12, 0.2)
+        problems.save_instance(inst, inst_path)
+        flags = ["--instance", str(inst_path), "--alpha", "1.5", "--h1", "linearized",
+                 "--h2", "linearized", "--max-iter", "40", "--stop-tol", "0"]
+        out = tmp_path / "run"
+        assert cli.main(["run", *flags, "--out", str(out)]) == 0
+        traj_path = out / "trajectory.csv"
+        self._set_cell(traj_path, "gamma_tilde0", "1000.0")
+        report_path = tmp_path / "report.json"
+        args = ["verify", *flags, "--trajectory", str(traj_path), "--out", str(report_path)]
+        assert cli.main(args) == 3
+        checks = strict_json(report_path.read_text())["checks"]
+        for name in ("hpe_inclusion_g", "ergodic_inclusion_g"):
+            row = next(c for c in checks if c["name"] == name)
+            assert row["note"] == "conjugate outside its domain"
+            assert row["worst_slack"] is None and row["lhs"] is None and row["rhs"] >= 0.0
+        params = solver.GadmmParams(
+            beta=1.0, alpha=1.5, h1=solver.LinearizedH(), h2=solver.LinearizedH()
+        )
+        traj = solver.load_trajectory_csv(traj_path, inst, params)
+        report = certificates.full_verification(traj, inst.solution)
+        assert [r.to_dict() for r in report.rows] == checks
+        finite = [r for r in report.rows if math.isfinite(r.worst_slack)]
+        assert len(finite) >= 10
+        for row in finite:
+            slack = row.rhs + row.tol - row.lhs
+            at = list(row.ks).index(row.worst_k)
+            assert row.worst_slack == slack.min(), row.name
+            band = hpe.WORST_K_BAND * (1.0 + abs(row.worst_slack))
+            assert row.worst_slack <= slack[at] <= row.worst_slack + band, row.name
+            written = row.to_dict()
+            assert (written["lhs"], written["rhs"]) == (row.lhs[at], row.rhs[at]), row.name
 
     @pytest.mark.parametrize("column", ["x0", "gamma_tilde1"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gadmm import hpe, problems, solver
+from gadmm.certificates import VerificationReport
 from gadmm.errors import CertificationError
 from gadmm.problems import KktPoint
 from gadmm.solver import GadmmParams
@@ -95,49 +96,57 @@ class TestBuildMetric:
                 assert metric.side == 9
 
 
+def certify(traj, z_star):
+    """The rows of :func:`hpe.certify_hpe` by name, and their report."""
+    rows = hpe.certify_hpe(hpe.Replay(traj, z_star))
+    return {r.name: r for r in rows}, VerificationReport(rows)
+
+
 class TestCertifyHpe:
     def test_hand_numbers_alpha_one(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=1)
         z_star = one_d_instance.solution
-        certs = hpe.certify_hpe(hpe.Replay(traj, z_star))
-        certs.raise_first()
+        rows, report = certify(traj, z_star)
+        report.raise_first()
         # |z~1 - z1|_M^2 = 0.75^2, sigma |z~1 - z0|_M^2 = (0.75^2 + 1.5^2)/2,
         # d0 = 4.5 so eta0 = 4 * 0.5 * 4.5 = 9
-        assert certs.lhs[0] == pytest.approx(0.5625, abs=1e-12)
-        assert certs.rhs[0] == pytest.approx(1.40625 + 9.0, abs=1e-12)
-        assert certs.slack[0] == pytest.approx(0.84375 + 9.0, abs=1e-12)
-        assert certs.eta[0] == 0.0
-        assert certs.inclusion_gap_f[0] <= 1e-12
-        assert certs.inclusion_gap_g[0] <= 1e-12
-        assert certs.constraint_residual[0] <= 1e-12
-        assert certs.multiplier_residual[0] <= 1e-12
+        ineq = rows["hpe_inequality"]
+        assert ineq.lhs[0] == pytest.approx(0.5625, abs=1e-12)
+        assert ineq.rhs[0] == pytest.approx(1.40625 + 9.0, abs=1e-12)
+        assert ineq.rhs[0] - ineq.lhs[0] == pytest.approx(0.84375 + 9.0, abs=1e-12)
+        assert hpe.Replay(traj, z_star).eta[1] == 0.0
+        assert rows["hpe_inclusion_f"].lhs[0] <= 1e-12
+        assert rows["hpe_inclusion_g"].lhs[0] <= 1e-12
+        assert rows["constraint_identity"].lhs[0] <= 1e-12
+        assert rows["multiplier_identity"].lhs[0] <= 1e-12
 
     def test_fixed_point_trajectory(self):
         inst = problems.generate_qp(3, 4, 3, 2)
         sol = inst.solution
         params = GadmmParams(beta=1.0, alpha=1.3, max_iter=10, stop_tol=0.0)
         traj = solver.run(inst, params, x0=sol.x, y0=sol.y, gamma0=sol.gamma)
-        certs = hpe.certify_hpe(hpe.Replay(traj, sol))
-        certs.raise_first()
-        assert np.all(np.abs(certs.lhs) <= 1e-12)
-        assert np.all(certs.slack >= -1e-12)
+        rows, report = certify(traj, sol)
+        report.raise_first()
+        ineq = rows["hpe_inequality"]
+        assert np.all(np.abs(ineq.lhs) <= 1e-12)
+        assert np.all(ineq.rhs - ineq.lhs >= -1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_random_qp_certifies(self, alpha):
         inst = problems.generate_qp(4, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=1.3, iters=150)
-        certs = hpe.certify_hpe(hpe.Replay(traj, inst.solution))
-        certs.raise_first()
-        assert len(certs.k) == 150
+        rows, report = certify(traj, inst.solution)
+        report.raise_first()
+        assert len(rows["hpe_inequality"].ks) == 150
 
     def test_corrupted_multiplier_caught(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=10)
         traj.G[5] += 0.5
-        certs = hpe.certify_hpe(hpe.Replay(traj, one_d_instance.solution))
+        rows, report = certify(traj, one_d_instance.solution)
         with pytest.raises(CertificationError) as err:
-            certs.raise_first()
+            report.raise_first()
         assert err.value.k == 5
-        assert len(certs.k) == 10
+        assert len(rows["hpe_inequality"].ks) == 10
 
     def test_rejects_bad_reference(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=1.0, iters=3)

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from gadmm import certificates, cli, problems, solver
-from gadmm.hpe import Replay
 
 from conftest import run_full
 
@@ -51,7 +50,7 @@ def outputs():
     """One writer per kind of output file, each taking the target path."""
     inst = problems.generate_qp(7, 4, 3, 2)
     traj = run_full(inst, alpha=1.5, iters=40)
-    table = certificates.bound_table(Replay(traj, inst.solution))
+    table = certificates.bound_table(certificates.full_verification(traj, inst.solution))
     return {
         "instance": lambda path: problems.save_instance(inst, path),
         "trajectory": lambda path: solver.save_trajectory_csv(traj, path),

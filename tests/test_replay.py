@@ -55,26 +55,34 @@ def test_cli_run_builds_the_metric_at_most_once(tmp_path, metric_builds, stop_to
 
 
 def _companion_rows(rep):
-    rows = [
+    return [
         hpe.check_delta_inequalities(rep),
         hpe.check_rho_bound(rep),
         hpe.check_rho_contractive_bound(rep),
         hpe.check_fejer(rep),
     ]
-    return certificates.VerificationReport(rows=rows, meta={})
 
 
-# (family, corruption of the recorded columns, expected check, expected k).
+def _eps_rows(rep):
+    return [r for r in certificates.ergodic_certificate(rep) if r.name.endswith("_nonneg")]
+
+
+# (family, corruption of the recorded columns, rows checked, expected check,
+# expected k).
 # hpe: four checks fail at k=10, the tie goes to the first in report order.
 # companion: rho_contractive_bound is worst at k=13 but first fails at k=12,
 # together with the two rows reported before and after it.
 # pointwise: worst at k=2, first at k=1.
-# ergodic: ergodic_eps_nonneg fails at k=2, after the inclusion rows at k=1.
+# ergodic: ergodic_eps_x_nonneg and ergodic_eps_y_nonneg fail at k=2, after
+# the inclusion rows at k=1; on their own, the x half is named, being
+# reported first.
 CORRUPTIONS = [
     ("hpe", "Gt", 9, 0.25, hpe.certify_hpe, "hpe_inequality", 10),
     ("companion", "Y", 12, 5.0, _companion_rows, "delta_y_gamma_inequality", 12),
-    ("pointwise", "G", 1, 100.0, certificates.pointwise_certificate, "pointwise_bound", 1),
+    ("pointwise", "G", 1, 100.0, lambda rep: [certificates.pointwise_certificate(rep)],
+     "pointwise_bound", 1),
     ("ergodic", "Gt", 0, 1.0, certificates.ergodic_certificate, "ergodic_inclusion_f", 1),
+    ("ergodic-eps", "Gt", 0, 1.0, _eps_rows, "ergodic_eps_x_nonneg", 2),
 ]
 
 
@@ -86,7 +94,7 @@ def test_raise_first_names_the_earliest_violation(family, column, row, shift, ch
     traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
     assert certificates.full_verification(traj, inst.solution).passed
     getattr(traj, column)[row] += shift
-    result = checks(hpe.Replay(traj, inst.solution))
+    result = certificates.VerificationReport(checks(hpe.Replay(traj, inst.solution)))
     assert not result.passed
     with pytest.raises(CertificationError) as err:
         result.raise_first()
@@ -96,12 +104,14 @@ def test_raise_first_names_the_earliest_violation(family, column, row, shift, ch
 
 
 def test_raise_first_prefers_the_earliest_k_then_report_order():
-    def failing(name, first_k):
-        return hpe.ReportRow(name, False, -1.0, first_k + 1, "-", first_k=first_k)
+    ks = np.arange(1, 10)
 
-    passing = hpe.ReportRow("fine", True, 1.0, 1, "-")
+    def failing(name, first_k):
+        return hpe.check(name, ks, (ks >= first_k) * 1.0, 0.0, 0.0, "-")
+
+    passing = hpe.check("fine", ks, np.zeros(9), 1.0, 0.0, "-")
     report = certificates.VerificationReport(
-        rows=[passing, failing("late", 7), failing("early", 3), failing("tied", 3)], meta={}
+        rows=[passing, failing("late", 7), failing("early", 3), failing("tied", 3)]
     )
     assert report.earliest_failure.name == "early"
     with pytest.raises(CertificationError) as err:
@@ -110,8 +120,8 @@ def test_raise_first_prefers_the_earliest_k_then_report_order():
 
 
 def test_worst_k_is_the_first_k_within_the_band():
-    slack = [1.0, 1e-8, 1e-8 - 1e-22, 5.0]
-    row = hpe.slack_row("tied", slack, np.arange(1, 5), "-")
+    slack = np.array([1.0, 1e-8, 1e-8 - 1e-22, 5.0])
+    row = hpe.check("tied", np.arange(1, 5), -slack, 0.0, 0.0, "-")
     assert row.worst_k == 2
     assert row.worst_slack == 1e-8 - 1e-22
     assert row.passed and row.first_k is None
@@ -119,7 +129,8 @@ def test_worst_k_is_the_first_k_within_the_band():
 
 @pytest.mark.parametrize("low", [math.nan, -math.inf])
 def test_worst_k_is_the_argmin_of_a_non_finite_minimum(low):
-    row = hpe.slack_row("broken", [1.0, -1.0, low, low, 2.0], np.arange(1, 6), "-")
+    slack = np.array([1.0, -1.0, low, low, 2.0])
+    row = hpe.check("broken", np.arange(1, 6), -slack, 0.0, 0.0, "-")
     assert row.worst_k == 3
     assert not row.passed and row.first_k == 2
     assert row.to_dict()["worst_slack"] is None
@@ -159,8 +170,11 @@ def test_certificate_demo_script(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", [script, str(tmp_path)])
     runpy.run_path(script, run_name="__main__")
     out = capsys.readouterr().out
+    lines = out.strip().splitlines()
     assert "ran 5000 iterations" in out
-    assert out.strip().splitlines()[-1] == "overall: pass"
+    assert lines[1].split() == ["check", "result", "worst", "slack", "at", "k", "lhs", "rhs"]
+    assert len(lines) == 2 + 18 + 1  # a header, one line per report row, the verdict
+    assert lines[-1] == "overall: pass"
     assert (tmp_path / "trajectory.csv").is_file()
 
 

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from gadmm import hpe, linalg, problems
+from gadmm import certificates, cli, hpe, linalg, problems, solver
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,16 +21,23 @@ def tracer_targets():
     return module.TARGETS
 
 
+def owner_of(module, attr):
+    """(object holding the attribute, its last name), looked up the way the
+    tracer does; a dotted attribute names a method."""
+    owner = importlib.import_module(f"gadmm.{module}")
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, leaf
+
+
 def test_every_tracer_target_resolves():
     targets = tracer_targets()
     assert targets
     missing = []
     for module, attr, _ in targets:
-        owner = importlib.import_module(f"gadmm.{module}")
-        *path, leaf = attr.split(".")
-        for part in path:
-            owner = getattr(owner, part)
-        # looked up the way the tracer does, so inherited names do not count
+        owner, leaf = owner_of(module, attr)
+        # inherited names do not count: the tracer reads the owner's __dict__
         if leaf not in owner.__dict__:
             missing.append(f"{module}.{attr}")
     assert missing == []
@@ -50,3 +57,44 @@ def test_build_metric_probes_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(linalg, "is_psd", counting)
     hpe.build_metric(inst, np.zeros((6, 6)), np.zeros((5, 5)), 1.0, 1.5)
     assert calls == [(14, 14)]
+
+
+def count_calls(monkeypatch, module, attr, calls):
+    """Replace ``module.attr`` with a wrapper that counts its calls in
+    ``calls["module.attr"]``."""
+    owner, leaf = owner_of(module, attr)
+    real, name = owner.__dict__[leaf], f"{module}.{attr}"
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, leaf, counting)
+
+
+def test_verify_calls_every_certificate_target(tmp_path, monkeypatch):
+    # the benchmark's per-layer metrics read these wrappers; a check that
+    # bypasses its module attribute would read as zero time, not as an error
+    targets = [(m, a) for m, a, _ in tracer_targets() if m in ("hpe", "certificates")]
+    inst_path = tmp_path / "qp.json"
+    problems.save_instance(problems.generate_qp(1, 6, 5, 3), inst_path)
+    flags = ["--instance", str(inst_path), "--alpha", "1.5", "--max-iter", "50", "--stop-tol", "0"]
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    calls = dict.fromkeys((f"{m}.{a}" for m, a in targets), 0)
+    for module, attr in targets:
+        count_calls(monkeypatch, module, attr, calls)
+    verify = ["verify", *flags, "--trajectory", str(tmp_path / "run" / "trajectory.csv"),
+              "--out", str(tmp_path / "report.json")]
+    assert cli.main(verify) == 0
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_run_and_verify_makes_one_ergodic_pass(monkeypatch):
+    calls = {"certificates._ergodic_checks": 0, "certificates.pointwise_certificate": 0}
+    for name in calls:
+        count_calls(monkeypatch, *name.split(".", 1), calls)
+    inst = problems.generate_qp(1, 6, 5, 3)
+    params = solver.GadmmParams(beta=1.0, alpha=1.5, max_iter=200, stop_tol=1e-9)
+    _, report, bounds, _ = certificates.run_and_verify(inst, params)
+    assert report.passed and len(bounds["k"]) == len(report.meta["checked_iterations"])
+    assert calls == {"certificates._ergodic_checks": 1, "certificates.pointwise_certificate": 1}
