@@ -269,10 +269,7 @@ def main(argv=None) -> int:
             if isinstance(value, list):
                 raise ConfigError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotPositiveDefiniteError, IterationLimitError, DivergenceError) as exc:

@@ -160,12 +160,12 @@ class ReportRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        """The row as strict JSON, with lhs and rhs at ``worst_k``; a
+        """The row as strict JSON, with lhs, rhs and tol at ``worst_k``; a
         non-finite number is written as null."""
-        lhs = rhs = math.nan
+        lhs = rhs = tol = math.nan
         if self.worst_k is not None:
             at = int(np.searchsorted(self.ks, self.worst_k))
-            lhs, rhs = float(self.lhs[at]), float(self.rhs[at])
+            lhs, rhs, tol = float(self.lhs[at]), float(self.rhs[at]), float(self.tol[at])
         finite = math.isfinite(self.worst_slack)
         return {
             "name": self.name,
@@ -175,6 +175,7 @@ class ReportRow:
             "first_k": self.first_k,
             "lhs": lhs if math.isfinite(lhs) else None,
             "rhs": rhs if math.isfinite(rhs) else None,
+            "tol": tol if math.isfinite(tol) else None,
             "tolerance": self.tolerance,
             "note": self.note or ("" if finite else "non-finite slack"),
         }

@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import hpe, linalg, problems
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 
 # Auto mode picks tau = AUTO_TAU_MARGIN * beta * ||Op||^2, strictly above
 # the PSD threshold so H = tau*I - beta*Op'Op is positive definite.
@@ -55,14 +55,17 @@ class ZeroH:
 
 @dataclass(frozen=True)
 class ExplicitH:
-    """A user-supplied symmetric PSD proximal weight."""
+    """A user-supplied symmetric PSD proximal weight; any other matrix
+    raises ValueError."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = linalg.as_matrix(self.matrix, name="H").copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        try:
+            op = linalg.PsdOperator.from_matrix(self.matrix, name="H")
+        except NotPositiveDefiniteError as exc:
+            raise ValueError(str(exc)) from exc
+        object.__setattr__(self, "matrix", op.matrix)
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,7 @@ def _resolve_h(mode: HMode, op: np.ndarray, beta: float, dim: int, name: str):
     if isinstance(mode, ZeroH):
         return np.zeros((dim, dim)), None
     if isinstance(mode, ExplicitH):
-        mat = linalg.as_matrix(mode.matrix, rows=dim, cols=dim, name=name)
-        try:
-            linalg.PsdOperator.from_matrix(mat, name=name)
-        except linalg.NotPositiveDefiniteError as exc:
-            raise ConfigError(str(exc)) from exc
-        return mat, None
+        return linalg.as_matrix(mode.matrix, rows=dim, cols=dim, name=name), None
     gram_norm = linalg.spectral_norm_sq(op)
     tau = mode.tau if mode.tau is not None else AUTO_TAU_MARGIN * beta * gram_norm
     if not tau > 0:

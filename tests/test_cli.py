@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -175,10 +178,10 @@ class TestRun:
         # build_metric turns a failed PSD probe on M into a bare GadmmError
         real = linalg.PsdOperator.from_matrix
 
-        def probe_fails(mat, tol=linalg.PSD_TOL, name="operator"):
+        def probe_fails(mat, name="operator"):
             if name == "proximal metric":
                 raise NotPositiveDefiniteError(f"{name} is not positive semidefinite")
-            return real(mat, tol=tol, name=name)
+            return real(mat, name=name)
 
         monkeypatch.setattr(linalg.PsdOperator, "from_matrix", staticmethod(probe_fails))
         code = cli.main(
@@ -306,6 +309,12 @@ class TestVerify:
             assert row.worst_slack <= slack[at] <= row.worst_slack + band, row.name
             written = row.to_dict()
             assert (written["lhs"], written["rhs"]) == (row.lhs[at], row.rhs[at]), row.name
+        # each finite row's slack is recomputed from the file alone
+        for row in checks:
+            if row["worst_slack"] is not None:
+                slack = row["rhs"] + row["tol"] - row["lhs"]
+                band = hpe.WORST_K_BAND * (1.0 + abs(row["worst_slack"]))
+                assert abs(slack - row["worst_slack"]) <= band, row["name"]
 
     @pytest.mark.parametrize("column", ["x0", "gamma_tilde1"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -498,6 +507,14 @@ class TestBench:
             report.raise_first()
         assert (err.value.check, err.value.k) == ("multiplier_identity", 5)
         assert row["first_failure"] == "multiplier_identity@k=5"
+
+
+def test_cli_import_needs_no_scipy():
+    # a fresh interpreter, so modules the test run already imported do not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, gadmm.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 class TestParsing:

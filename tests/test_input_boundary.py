@@ -201,6 +201,9 @@ H_FILE_REJECTIONS = {
     "3-d": (b"[[[1]]]", "H must be 2-D, got shape (1, 1, 1)"),
     "not-json": (b"[[1,", "Expecting value"),
     "not-utf-8": (b"\xff[[1]]", "'utf-8' codec can't decode byte 0xff"),
+    "not-square": (b"[[1, 0]]", "H must be square, got shape (1, 2)"),
+    "not-psd": (b"[[1, 0], [0, -1]]", "H is not positive semidefinite"),
+    "asymmetry-overflows": (b"[[1e308, -1e308], [1e308, 1]]", "H is not symmetric"),
 }
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from gadmm import hpe, linalg, problems, solver
-from gadmm.errors import InternalCheckError, NotPositiveDefiniteError
+from gadmm.errors import NotPositiveDefiniteError
 
 from conftest import random_spd
 
@@ -105,20 +104,18 @@ class TestSolveSpd:
             resid = np.linalg.norm(K @ u - rhs)
             assert resid <= solve_tol * (1.0 + np.linalg.norm(rhs))
 
-    def test_matches_cho_solve_bitwise(self):
+    def test_matches_numpy_solve(self):
+        # both solves are backward stable and K's condition number is about
+        # 3, so they agree to within a small multiple of cond(K) * 7 * eps
+        rel_tol = 1e-14
         rng = np.random.default_rng(11)
         K = random_spd(rng, 7)
         fac = linalg.SpdFactor(K)
-        factor = cho_factor(K, lower=True)
         for rhs in (rng.standard_normal(7), rng.standard_normal((7, 4))):
             u = fac.solve(rhs)
+            expected = np.linalg.solve(K, rhs)
             assert u.shape == rhs.shape
-            assert np.array_equal(u, cho_solve(factor, rhs))
-
-    def test_lapack_rejection_is_internal_error(self, monkeypatch):
-        monkeypatch.setattr(linalg, "dpotrs", lambda c, b, lower: (b, -2))
-        with pytest.raises(InternalCheckError, match="argument 2"):
-            linalg.SpdFactor(np.eye(2)).solve([1.0, 1.0])
+            assert np.max(np.abs(u - expected)) <= rel_tol * np.max(np.abs(expected))
 
     def test_non_pd_refused(self):
         with pytest.raises(NotPositiveDefiniteError, match="not strictly convex"):
@@ -163,19 +160,21 @@ class TestSpectralNormSq:
         assert linalg.spectral_norm_sq(np.eye(4) * 3.0) == pytest.approx(9.0, rel=1e-8)
 
 
-def outer_product_is_psd(Q, tol=linalg.PSD_TOL):
-    """The PSD probe as a pivoted outer-product Cholesky, one rank-1 update
-    per pivot in Python: the reference for :func:`linalg.is_psd`.  Same
-    symmetry pre-check, pivot rule, floor and tail test."""
+def outer_product_is_psd(Q):
+    """A PSD probe by pivoted outer-product Cholesky, one rank-1 update per
+    pivot in Python: the reference for :func:`linalg.is_psd`, with the same
+    symmetry pre-check and floor.  Factoring stops at the first pivot
+    <= floor; the matrix passes iff the remaining block has no diagonal
+    entry below -floor and no entry above 10 floor in magnitude."""
     Q = np.asarray(Q, dtype=float)
-    if Q.shape[0] != Q.shape[1] or not linalg.is_symmetric(Q, tol):
+    if Q.shape[0] != Q.shape[1] or not linalg.is_symmetric(Q):
         return False
     R = Q.copy()
     n = R.shape[0]
     scale = 1.0
     if n:
         scale = max(1.0, float(np.max(np.abs(np.diag(R)))))
-    floor = tol * scale
+    floor = linalg.PSD_TOL * scale
     for j in range(n):
         i = j + int(np.argmax(np.diag(R)[j:]))
         if R[i, i] <= floor:
@@ -195,8 +194,7 @@ def probe_matrices(count, seed):
     """Seeded symmetric matrices, in turn: full rank; rank deficient (rank
     0..n-1); and rank deficient shifted by +-1e-12..1e-3 times the identity
     (twice as often), which straddles the probe's floor of about 1e-9 n.
-    Every tenth matrix has up to 150 rows, past the block size (64) at
-    which ``dpstrf`` switches to its blocked code."""
+    Every tenth matrix has up to 150 rows, the others up to 40."""
     rng = np.random.default_rng(seed)
     for t in range(count):
         n = int(rng.integers(1, 151 if t % 10 == 0 else 41))
@@ -220,11 +218,19 @@ METRIC_ALPHAS = (0.5, 1.0, 1.5, 1.9, 2.0)
 
 class TestPsdProbe:
     def test_matches_outer_product_reference(self):
-        verdicts = []
+        # the probes agree unless lambda_min lies in [-floor, 0), where the
+        # reference may still reject and is_psd accepts
+        verdicts, changed = [], 0
         for Q in probe_matrices(2400, seed=2007):
-            expected = outer_product_is_psd(Q)
-            assert linalg.is_psd(Q) == expected
+            got, expected = linalg.is_psd(Q), outer_product_is_psd(Q)
+            floor = linalg.PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(Q)))))
+            if -floor <= np.linalg.eigvalsh(Q)[0] < 0.0:
+                assert got
+                changed += got != expected
+            else:
+                assert got == expected
             verdicts.append(expected)
+        assert changed == 35
         # both verdicts are well represented
         assert 0.1 < np.mean(verdicts) < 0.9, np.mean(verdicts)
 
@@ -266,41 +272,19 @@ class TestPsdProbe:
     @pytest.mark.parametrize(
         "Q, expected",
         [
-            (np.diag([2.0, 1.0, 0.0]), True),
-            (np.ones((2, 2)), True),
-            (np.eye(3), True),
-            (np.diag([1.0, -1e-300]), False),
-            (np.array([[0.0, 1e-300], [1e-300, 0.0]]), False),
-        ],
-    )
-    def test_zero_tolerance(self, Q, expected):
-        assert linalg.is_psd(Q, tol=0.0) is expected
-        assert outer_product_is_psd(Q, tol=0.0) is expected
-
-    def test_negative_tolerance_refused(self):
-        # dpstrf would read a negative tol as "use the LAPACK default"
-        with pytest.raises(ValueError, match="nonnegative"):
-            linalg.is_psd(np.eye(2), tol=-1e-9)
-
-    @pytest.mark.parametrize(
-        "Q, expected",
-        [
-            # the second pivot equals the floor (1e-9): factoring stops and
-            # the 1x1 tail passes; a pivot just above it is factored
+            # the floor is 1e-9; lambda_min = floor or 2 floor passes
             (np.diag([1.0, 1e-9]), True),
             (np.diag([1.0, 2e-9]), True),
-            # stopping at the floor leaves a tail within 10 floor: pass.  Had
-            # the 1e-9 pivot been factored, the next one would be -3e-9.
-            (np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 2e-9], [0.0, 2e-9, 1e-9]]), True),
-            # stopping at the floor leaves a tail entry above 10 floor: fail
+            # lambda_min = -1e-9 = -floor exactly, so Q + floor*I is singular:
+            # the boundary of the strict inequality fails
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 2e-9], [0.0, 2e-9, 1e-9]]), False),
+            # lambda_min = -4.9e-8, far below -floor
             (np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 5e-8], [0.0, 5e-8, 1e-9]]), False),
-            # a tail diagonal below -floor fails
             (np.diag([1.0, 1e-9, -2e-9]), False),
         ],
     )
     def test_pivot_at_the_floor(self, Q, expected):
         assert linalg.is_psd(Q) is expected
-        assert outer_product_is_psd(Q) is expected
 
     def test_input_unchanged(self):
         rng = np.random.default_rng(4)
@@ -309,11 +293,6 @@ class TestPsdProbe:
             before = Q.copy()
             linalg.is_psd(Q)
             assert np.array_equal(Q, before)
-
-    def test_lapack_rejection_is_internal_error(self, monkeypatch):
-        monkeypatch.setattr(linalg, "dpstrf", lambda a, tol, lower: (a, np.arange(1, 3), 0, -4))
-        with pytest.raises(InternalCheckError, match="argument 4"):
-            linalg.is_psd(np.eye(2))
 
     def test_accepts_psd(self):
         rng = np.random.default_rng(9)

@@ -52,10 +52,8 @@ class TestParams:
         GadmmParams(beta=1.0, alpha=2.0)
 
     def test_explicit_h_must_be_psd(self):
-        inst = make_one_d_instance()
-        params = GadmmParams(beta=1.0, h1=ExplicitH([[-1.0]]))
-        with pytest.raises(ConfigError):
-            solver.resolve_prox_terms(inst, params)
+        with pytest.raises(ValueError, match="^H is not positive semidefinite$"):
+            ExplicitH([[-1.0]])
 
     def test_linearized_tau_floor(self):
         inst = make_one_d_instance()
@@ -203,6 +201,18 @@ class TestSubproblems:
             + params.beta * (inst.B.T @ (relaxed + inst.B @ (y1 - y_prev)))
         )
         assert np.linalg.norm(grad_y) <= 1e-9
+
+    def test_recorded_subgradients_match_gradients(self):
+        # the replay's subgradient rows v_k are exact in exact arithmetic, so
+        # P u_k + q - v_k is the solve's rounding: about 5e-15 here, and
+        # about 5e-14 were the inverse applied without a refinement step
+        inst = problems.generate_qp(1, 40, 30, 20)
+        rep = hpe.Replay(run_full(inst, alpha=1.5, iters=100), inst.solution)
+        for F, U, V in ((inst.f, rep.X[1:], rep.Vf), (inst.g, rep.Y[1:], rep.Vg)):
+            PU = U @ F.P.T
+            scale = 1.0 + np.max(np.abs(V), axis=1) + np.max(np.abs(PU), axis=1)
+            scale += np.max(np.abs(F.q))
+            assert np.max(np.max(np.abs(PU + F.q - V), axis=1) / scale) <= 2e-14
 
     def test_first_order_residual_linearized(self):
         rng = np.random.default_rng(12)
