@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Record the verdicts of the benchmark's commands, and compare two records.
+
+Every command of ``perfbench/workloads.WORKLOADS`` runs through
+``gadmm.cli.main`` in a temporary directory: ``gadmm run``, then ``gadmm
+verify`` and ``gadmm verify --verify-full`` on the trajectory it wrote.
+The digest, written as JSON to OUT.json, holds each command's exit codes
+and iteration count, and each report row's pass, first_k, worst_k and
+worst_slack.  The gadmm package is imported from this checkout's ``src``.
+
+Given a baseline digest, the script prints every exit-code, iteration,
+pass and first_k difference, the largest relative worst_slack difference
+|s - s_base| / (1 + |s_base|), and every moved worst_k.  It exits 1 when
+there is a difference of the first kind.
+
+Usage: python scripts/verdict_digest.py OUT.json [BASELINE.json]
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402  (perfbench is a directory of scripts, not a package)
+
+sys.path.insert(0, workloads.SRC)
+from gadmm import cli  # noqa: E402
+
+ROW_FIELDS = ("pass", "first_k", "worst_k", "worst_slack")
+VERIFY_MODES = (("verify", False), ("verify_full", True))
+
+
+def _quiet(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _command_digest(cmd, inst_path, out_dir) -> dict:
+    entry = {"command": dataclasses.asdict(cmd)}
+    entry["run"] = _quiet(workloads.run_argv(cmd, inst_path, out_dir))
+    summary = os.path.join(out_dir, "summary.json")
+    entry["iterations"] = _read_json(summary)["iterations"] if entry["run"] == 0 else None
+    traj = os.path.join(out_dir, "trajectory.csv")
+    for mode, full in VERIFY_MODES:
+        report = os.path.join(out_dir, f"{mode}.json")
+        variant = dataclasses.replace(cmd, verify_full=full)
+        argv = workloads.verify_argv(variant, inst_path, traj, report)
+        code, rows = _quiet(argv), None
+        if os.path.exists(report):  # verify writes its report before a failure exits 3
+            checks = _read_json(report)["checks"]
+            rows = {r["name"]: {f: r[f] for f in ROW_FIELDS} for r in checks}
+        entry[mode] = {"exit": code, "rows": rows}
+    return entry
+
+
+def digest(names=None) -> dict:
+    """The digest of every command of the named workloads (all by default),
+    keyed ``workload/index``."""
+    doc = {}
+    for name in names or workloads.WORKLOADS:
+        workload = workloads.WORKLOADS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            for inst in workload.instances:
+                if _quiet(workloads.generate_argv(inst, tmp)) != 0:
+                    raise RuntimeError(f"gadmm generate failed for {inst}")
+            for idx, cmd in enumerate(workload.commands):
+                inst_path = os.path.join(tmp, cmd.instance + ".json")
+                doc[f"{name}/{idx}"] = _command_digest(cmd, inst_path, os.path.join(tmp, f"c{idx}"))
+    return doc
+
+
+def _relative_gap(new, base) -> float:
+    """|new - base| / (1 + |base|); a slack written as null (not finite)
+    matches only another null."""
+    if new == base:
+        return 0.0
+    if new is None or base is None:
+        return math.inf
+    return abs(new - base) / (1.0 + abs(base))
+
+
+def compare(new, base) -> tuple:
+    """Return ``(differences, notes)``: one line per exit-code, iteration,
+    pass or first_k difference (or entry found in one digest only), and the
+    report lines for worst_slack and worst_k."""
+    diffs, moved = [], []
+    worst_gap, worst_at = 0.0, "-"
+
+    def only_in(where, new_entry):
+        diffs.append(f"{where}: only in the {'baseline' if new_entry is None else 'new digest'}")
+
+    for key in sorted(new.keys() | base.keys()):
+        a, b = new.get(key), base.get(key)
+        if a is None or b is None:
+            only_in(key, a)
+            continue
+        diffs += [f"{key}: {f} {b[f]} -> {a[f]}" for f in ("run", "iterations") if a[f] != b[f]]
+        for mode, _ in VERIFY_MODES:
+            va, vb = a[mode], b[mode]
+            if va["exit"] != vb["exit"]:
+                diffs.append(f"{key} {mode}: exit {vb['exit']} -> {va['exit']}")
+            rows_a, rows_b = va["rows"] or {}, vb["rows"] or {}
+            for row in sorted(rows_a.keys() | rows_b.keys()):
+                x, y, where = rows_a.get(row), rows_b.get(row), f"{key} {mode} {row}"
+                if x is None or y is None:
+                    only_in(where, x)
+                    continue
+                diffs += [
+                    f"{where}: {f} {y[f]} -> {x[f]}" for f in ("pass", "first_k") if x[f] != y[f]
+                ]
+                if x["worst_k"] != y["worst_k"]:
+                    moved.append(f"{where}: worst_k {y['worst_k']} -> {x['worst_k']}")
+                gap = _relative_gap(x["worst_slack"], y["worst_slack"])
+                if gap > worst_gap:
+                    worst_gap, worst_at = gap, where
+    notes = [f"largest relative worst_slack difference: {worst_gap:.3g} ({worst_at})"]
+    return diffs, notes + moved
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2):
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    doc = digest()
+    with open(argv[0], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
+        fh.write("\n")
+    if len(argv) == 1:
+        return 0
+    diffs, notes = compare(doc, _read_json(argv[1]))
+    for line in diffs + notes:
+        print(line)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

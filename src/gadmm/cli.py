@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import certificates, problems, solver
+from . import certificates, linalg, problems, solver
 from .errors import (
     CertificationError,
     ConfigError,
@@ -41,9 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_h_mode(raw: str, name: str):
+def _parse_h_mode(raw: str, name: str, dim: int):
     """The proximal-weight mode of flag ``name`` (h1 or h2), which its
-    error messages name."""
+    error messages name, for a block of ``dim`` variables."""
     if raw == "zero":
         return solver.ZeroH()
     if raw == "linearized":
@@ -63,7 +63,9 @@ def _parse_h_mode(raw: str, name: str):
             cells = np.asarray(data, dtype=object)
             with contextlib.suppress(OverflowError):  # a JSON integer beyond float range
                 if all(type(v) in (int, float) for v in cells.flat):  # JSON numbers, not bools
-                    return solver.ExplicitH(cells.astype(float))
+                    h = solver.ExplicitH(cells.astype(float))
+                    linalg.as_matrix(h.matrix, rows=dim, name="H")  # square: ExplicitH checked
+                    return h
             raise ValueError("field 'matrix' must hold only real numbers")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{name}: file '{path}': {exc}") from exc
@@ -79,12 +81,12 @@ def _add_solver_flags(p):
     p.add_argument("--stop-tol", type=float, default=1e-8, help="0 disables early stopping")
 
 
-def _params(args, alpha=None):
+def _params(args, inst, alpha=None):
     return solver.GadmmParams(
         beta=args.beta,
         alpha=args.alpha if alpha is None else alpha,
-        h1=_parse_h_mode(args.h1, "h1"),
-        h2=_parse_h_mode(args.h2, "h2"),
+        h1=_parse_h_mode(args.h1, "h1", inst.n),
+        h2=_parse_h_mode(args.h2, "h2", inst.p),
         max_iter=args.max_iter,
         stop_tol=args.stop_tol,
     )
@@ -135,7 +137,7 @@ def _run_summary(traj) -> dict:
 
 def _cmd_run(args) -> int:
     inst = problems.load_instance(args.instance)
-    params = _params(args)
+    params = _params(args, inst)
     traj = solver.run(inst, params)
     summary = _run_summary(traj)  # before either file is replaced
     os.makedirs(args.out, exist_ok=True)
@@ -149,7 +151,7 @@ def _cmd_verify(args) -> int:
     inst = problems.load_instance(args.instance)
     if inst.solution is None:
         raise ConfigError("verification needs an instance with a stored solution")
-    params = _params(args)
+    params = _params(args, inst)
     traj = solver.load_trajectory_csv(args.trajectory, inst, params)
     report = certificates.full_verification(traj, inst.solution, full_grid=args.verify_full)
     doc = report.to_dict()
@@ -190,7 +192,8 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in grid:
-        traj, report, _, ratios = certificates.run_and_verify(inst, _params(args, alpha=alpha))
+        params = _params(args, inst, alpha=alpha)
+        traj, report, _, ratios = certificates.run_and_verify(inst, params)
         summary = _run_summary(traj)
         failure = report.earliest_failure
         rows.append(

@@ -2,18 +2,19 @@
 probe that passes a symmetric matrix iff its smallest eigenvalue exceeds
 -PSD_TOL * max(1, max|diag|), so matrices a little below zero pass too.
 
-Everything is desk scale: dense numpy arrays and direct factorizations,
-no sparsity, no Krylov methods.  All operations are pure functions and
-never mutate their inputs.
+Everything is desk scale: dense numpy arrays and one direct factorization
+per kernel (Cholesky or SVD), no sparsity and no iterative methods.  All
+operations are pure functions and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationLimitError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 
 # Absolute floor for symmetry / positive-semidefiniteness probes.  All
 # downstream certificate checks budget at least 1e-6 of slack, two orders
@@ -79,13 +80,22 @@ def is_psd(Q) -> bool:
     ``Q + floor*I`` has a Cholesky factor, ``floor = PSD_TOL * max(1,
     max|diag Q|)``, that is iff ``lambda_min(Q) > -floor`` up to rounding,
     so a matrix with ``lambda_min`` in ``(-floor, 0)`` passes as well.
+
+    When ``max|Q| >= 2``, ``Q`` and the floor are first scaled by ``2**-e``,
+    ``e`` the even number that brings ``max|Q|`` into ``[0.5, 2)``, so
+    ``Q + floor*I`` cannot overflow.  An even power of two scales every
+    step of the factorization exactly, barring underflow, so the scaling
+    changes no verdict below the float limit.
     """
     Q = as_matrix(Q)
     if not is_symmetric(Q):
         return False
     floor = PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(Q)), initial=0.0)))
+    e = 2 * (max(math.frexp(float(np.abs(Q).max(initial=0.0)))[1], 0) // 2)
+    shifted = np.ldexp(Q, -e)
+    shifted.flat[:: Q.shape[0] + 1] += math.ldexp(floor, -e)  # the diagonal
     try:
-        np.linalg.cholesky(Q + floor * np.eye(Q.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -142,8 +152,8 @@ def seminorm_sq(Q, v):
 
 
 class SpdFactor:
-    """A symmetric positive definite matrix K with its inverse, formed once
-    from the Cholesky factor L as K^-1 = L^-T L^-1.
+    """A symmetric positive definite matrix K = L L^T, kept as the inverse
+    L^-1 of its Cholesky factor.
 
     Refuses (raises) on non-PD input instead of regularizing: a silently
     perturbed subproblem would invalidate the certificate checks downstream.
@@ -156,25 +166,20 @@ class SpdFactor:
         if not is_symmetric(K):
             raise NotPositiveDefiniteError(f"{name} is not symmetric")
         try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(K))
+            self._L_inv = np.linalg.inv(np.linalg.cholesky(K))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"{name} is not positive definite (subproblem not strictly convex)"
             ) from exc
-        self._K = K.copy()
-        self._K_inv = L_inv.T @ L_inv
         self.side = K.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
         """Solve for one right-hand side, or for each column of a (side, k) block.
 
-        ``u = K^-1 rhs`` plus one step of iterative refinement,
-        ``u += K^-1 (rhs - K u)``: the product with the inverse alone leaves
-        a residual well above that of a solve with the factor (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, ch. 12 and 14).
-        Only the shape is checked: this runs on every iteration, and a
-        non-finite right-hand side gives a non-finite solution, which
-        :func:`gadmm.solver.run` reports after its loop.
+        ``u = L^-T (L^-1 rhs)``, two matrix products.  Only the shape is
+        checked: this runs on every iteration, and a non-finite right-hand
+        side gives a non-finite solution, which :func:`gadmm.solver.run`
+        reports after its loop.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 0:
@@ -182,38 +187,14 @@ class SpdFactor:
         if rhs.ndim > 2 or rhs.shape[0] != self.side:
             raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.side} rows")
         # np.dot: about 0.4 us less call overhead than @ per small product
-        u = np.dot(self._K_inv, rhs)
-        u += np.dot(self._K_inv, rhs - np.dot(self._K, u))
-        return u
+        return np.dot(self._L_inv.T, np.dot(self._L_inv, rhs))
 
 
-def spectral_norm_sq(A, rel_tol=1e-8, max_iter=100_000) -> float:
-    """Largest eigenvalue of AtA, by power iteration with a fixed start.
-
-    The Rayleigh quotient along power iterates of a PSD matrix is
-    nondecreasing, so stagnation of the estimate (well below ``rel_tol``)
-    is a sound stopping test.  The start vector is drawn from a fixed-seed
-    generator: deterministic, and almost surely not orthogonal to the
-    leading eigenspace (an all-ones start can be).
-    """
+def spectral_norm_sq(A) -> float:
+    """Squared spectral norm ||A||_2^2, the largest singular value of A
+    (from its SVD) squared."""
     A = as_matrix(A, name="A")
     if A.size == 0:
         raise ValueError("A must be nonempty")
-    S = A.T @ A
-    d = S.shape[0]
-    v = np.random.default_rng(1789).standard_normal(d)
-    v /= float(np.linalg.norm(v))
-    w = S @ v
-    lam = float(v @ w)
-    tol = rel_tol * 1e-4
-    for _ in range(max_iter):
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        w = S @ v
-        new = float(v @ w)
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam = new
-    raise IterationLimitError("power iteration did not stabilize")
+    norm = float(np.linalg.norm(A, 2))
+    return norm * norm  # inf past the float limit, where ** would raise OverflowError

@@ -21,6 +21,7 @@ calls by rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -100,16 +101,13 @@ class Quadratic:
         tq = t * self.q
         return lambda v: fac.solve(v - tq)
 
+    @functools.cached_property
     def _p_factor(self):
-        # Lazy cache; None = not attempted yet, False = P is singular.
-        fac = getattr(self, "_pfac", None)
-        if fac is None:
-            try:
-                fac = linalg.SpdFactor(self.P)
-            except NotPositiveDefiniteError:
-                fac = False
-            object.__setattr__(self, "_pfac", fac)
-        return fac
+        """The factor of P, built on first use; None when P is singular."""
+        try:
+            return linalg.SpdFactor(self.P)
+        except NotPositiveDefiniteError:
+            return None
 
     def conjugate(self, u):
         """sup_v <u,v> - value(v).
@@ -120,8 +118,8 @@ class Quadratic:
         """
         u = linalg.as_rows(u, self.dim, "u")
         r = u - self.q
-        fac = self._p_factor()
-        if fac:
+        fac = self._p_factor
+        if fac is not None:
             x = fac.solve(r.T).T
             val = 0.5 * np.vecdot(r, x) - self.c
         else:

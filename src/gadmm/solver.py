@@ -391,11 +391,11 @@ def _parse_rows(lines, dtype) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _raise_first_bad_row(body, dtype, ncols) -> None:
-    """Raise the error of the first bad row of ``body``, the lines of rows
-    1..K (file rows 3..), checking each row as :func:`load_trajectory_csv`
+def _raise_first_bad_row(rows, dtype, ncols) -> None:
+    """Raise the error of the first bad row of ``rows``, the lines of rows
+    0..K (file rows 2..), checking each row as :func:`load_trajectory_csv`
     documents."""
-    for k, line in enumerate(body, start=1):
+    for k, line in enumerate(rows):
         row, cells = k + 2, _cells(line)
         if len(cells) != ncols:
             raise ValueError(f"trajectory file: row {row} has {len(cells)} cells")
@@ -412,19 +412,18 @@ def _raise_first_bad_row(body, dtype, ncols) -> None:
         if parsed["k"] != k:
             raise ValueError(f"trajectory file: iteration indices not contiguous at row {row}")
     # not reached: a row that fails the bulk read fails here on its own
-    raise ValueError("trajectory file: rows 1..K do not parse")
+    raise ValueError("trajectory file: rows 0..K do not parse")
 
 
 def load_trajectory_csv(path, inst, params) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`.
 
     The recorded intermediate multipliers are taken from the file so that
-    the certificate checks exercise what was actually written.  The header
-    and row 0 (k = 0, whose gamma_tilde and ``dxM`` cells are blank) are
-    read in Python, which parses k and the x, y, gamma cells of row 0 and
-    ignores its other cells.  Rows 1..K go through :func:`numpy.loadtxt`,
-    which parses every cell, ``dxM`` and ``kkt_gap`` included, and refuses
-    quoted cells.  Lines may end in ``\\r\\n`` or ``\\n``.
+    the certificate checks exercise what was actually written.  Rows 0..K
+    go through one :func:`numpy.loadtxt` call, which parses every cell and
+    refuses quoted cells.  Row 0 (k = 0) has no gamma_tilde or step, so its
+    cells after gamma are not read: they are replaced by ``nan`` before the
+    parse.  Lines may end in ``\\r\\n`` or ``\\n``.
 
     Each of these raises :class:`ValueError`, naming the file row where
     there is one (the header is row 1): a header that is not
@@ -442,36 +441,21 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     header = _cells(lines[0]) if lines else None
     if header != expected:
         raise ValueError(f"trajectory file: unexpected header {header}")
-    if len(lines) < 2:
+    rows = lines[1:]
+    if not rows:
         raise ValueError("trajectory file: no rows")
-    first = _cells(lines[1])
-    if len(first) != ncols:
-        raise ValueError(f"trajectory file: row 2 has {len(first)} cells")
-    try:
-        k0 = int(first[0])
-    except ValueError:
-        raise ValueError(
-            f"trajectory file: row 2: iteration index {first[0]!r} is not an integer"
-        ) from None
-    if k0 != 0:
-        raise ValueError("trajectory file: iteration indices not contiguous at row 2")
-    try:
-        z0 = [float(v) for v in first[1:cut]]
-    except ValueError:
-        raise ValueError("trajectory file: row 2 has a non-numeric cell") from None
-    body = lines[2:]
+    first = _cells(rows[0])  # the cell count is kept: a row 0 of the wrong length fails
+    rows[0] = ",".join(first[:cut] + ["nan"] * (len(first) - cut))
     dtype = np.dtype([("k", np.int64), ("v", np.float64, (ncols - 1,))])
-    table = np.empty(0, dtype)  # K = 0: loadtxt warns on empty input
-    if body:
-        table = None
-        with contextlib.suppress(ValueError):
-            table = _parse_rows(body, dtype)
-        # loadtxt skips blank lines, so a blank line leaves the k column short
-        if table is None or not np.array_equal(table["k"], np.arange(1, len(body) + 1)):
-            _raise_first_bad_row(body, dtype, ncols)
+    table = None
+    with contextlib.suppress(ValueError):
+        table = _parse_rows(rows, dtype)
+    # loadtxt skips blank lines, so a blank line leaves the k column short
+    if table is None or not np.array_equal(table["k"], np.arange(len(rows))):
+        _raise_first_bad_row(rows, dtype, ncols)
     values = table["v"]
-    Z = np.vstack([z0, values[:, : cut - 1]])
-    Gt = np.ascontiguousarray(values[:, cut - 1 : cut - 1 + m])
+    Z = values[:, : cut - 1]
+    Gt = np.ascontiguousarray(values[1:, cut - 1 : cut - 1 + m])
     bad = ~np.isfinite(Z).all(axis=1)
     bad[1:] |= ~np.isfinite(Gt).all(axis=1)
     if bad.any():

@@ -524,16 +524,16 @@ class TestParsing:
     def test_h_mode_parsing(self):
         from gadmm import solver
 
-        assert isinstance(cli._parse_h_mode("zero", "h1"), solver.ZeroH)
-        assert cli._parse_h_mode("linearized", "h1").tau is None
-        assert cli._parse_h_mode("linearized:2.5", "h1").tau == 2.5
+        assert isinstance(cli._parse_h_mode("zero", "h1", 2), solver.ZeroH)
+        assert cli._parse_h_mode("linearized", "h1", 2).tau is None
+        assert cli._parse_h_mode("linearized:2.5", "h1", 2).tau == 2.5
         with pytest.raises(Exception):
-            cli._parse_h_mode("banana", "h1")
+            cli._parse_h_mode("banana", "h1", 2)
 
     def test_h_mode_from_file(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 2.0]]}))
-        mode = cli._parse_h_mode(f"file:{path}", "h1")
+        mode = cli._parse_h_mode(f"file:{path}", "h1", 2)
         assert np.array_equal(mode.matrix, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_build_parser_returns_a_fresh_parser(self):

@@ -193,6 +193,16 @@ def test_finite_extreme_flag_is_named(tmp_path, flags, message):
     assert flags[0][2:] in err.getvalue()
 
 
+def test_linearized_weight_of_a_huge_operator_is_refused(tmp_path, capsys, documents):
+    # beta*||A||^2 overflows: the automatic tau is inf, refused before any solve
+    doc = copy.deepcopy(documents["qp"])
+    del doc["solution"]
+    doc["A"] = (np.asarray(doc["A"]) * 1e200).tolist()
+    assert run_doc(tmp_path, doc, "--h1", "linearized") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: h1: tau=inf at beta=1.0 is out of range") and err.count("\n") == 1
+
+
 H_FILE_REJECTIONS = {
     "nan": (b"[[NaN]]", "H has non-finite entries"),
     "infinity": (b"Infinity", "H has non-finite entries"),
@@ -214,6 +224,21 @@ def test_h_file_rejection_names_flag_and_file(tmp_path, capsys, documents, conte
     assert run_doc(tmp_path, documents["qp"], "--h2", f"file:{h_path}") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: h2: file '{h_path}': {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+def test_wrong_size_h_file_names_the_file(tmp_path, capsys, documents, command):
+    inst_path, h_path = tmp_path / "instance.json", tmp_path / "h.json"
+    inst_path.write_text(json.dumps(documents["qp"]))
+    h_path.write_text(json.dumps(np.eye(2).tolist()))  # the x block has 3 variables
+    extra = {
+        "run": ["--out", str(tmp_path / "out")],
+        "verify": ["--trajectory", str(tmp_path / "trajectory.csv")],
+        "bench": ["--alpha-grid", "1", "--out", str(tmp_path / "out")],
+    }[command]
+    argv = [command, "--instance", str(inst_path), "--h1", f"file:{h_path}"]
+    assert cli.main(argv + extra) == 1
+    assert capsys.readouterr().err == f"error: h1: file '{h_path}': H has 2 rows, expected 3\n"
 
 
 H_ENTRY = st.one_of(

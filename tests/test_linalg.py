@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from conftest import random_spd
 
 def jacobi_eigenvalues(S, sweeps=100, tol=1e-14):
     """Brute-force symmetric eigensolver by Jacobi rotations; the oracle
-    for the power-method spectral norm, independent of numpy's eig."""
+    for the spectral norm, independent of numpy's eig and SVD."""
     A = np.array(S, dtype=float, copy=True)
     n = A.shape[0]
     for _ in range(sweeps):
@@ -117,6 +119,23 @@ class TestSolveSpd:
             assert u.shape == rhs.shape
             assert np.max(np.abs(u - expected)) <= rel_tol * np.max(np.abs(expected))
 
+    def test_residual_at_benchmark_scale(self):
+        # the x- and y-subproblem matrices of the qp-large-full benchmark
+        # workload (beta = 1, H = 0; condition numbers about 490 and 390),
+        # with right-hand sides K u for u near one common point, as in a
+        # converging run.  The solve meets about 2e-15; a product with K^-1
+        # alone leaves about 3e-14.
+        rel_tol = 1e-14
+        inst = problems.generate_qp(1, 200, 150, 100)
+        rng = np.random.default_rng(0)
+        for P, op in ((inst.f.P, inst.A), (inst.g.P, inst.B)):
+            K = P + op.T @ op
+            side = K.shape[0]
+            U = 10.0 * rng.standard_normal((side, 1)) + 1e-3 * rng.standard_normal((side, 100))
+            R = K @ U
+            resid = np.linalg.norm(K @ linalg.SpdFactor(K).solve(R) - R, axis=0)
+            assert np.max(resid / np.linalg.norm(R, axis=0)) <= rel_tol
+
     def test_non_pd_refused(self):
         with pytest.raises(NotPositiveDefiniteError, match="not strictly convex"):
             linalg.SpdFactor([[1.0, 0.0], [0.0, -1.0]]).solve([1.0, 1.0])
@@ -155,6 +174,10 @@ class TestSpectralNormSq:
             got = linalg.spectral_norm_sq(A)
             expected = float(np.max(np.linalg.eigvalsh(A.T @ A)))
             assert got == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+    def test_overflows_to_inf(self):
+        # ||A||_2 = 1e200 is finite; its square is not
+        assert linalg.spectral_norm_sq([[1e200]]) == math.inf
 
     def test_repeated_top_eigenvalue(self):
         assert linalg.spectral_norm_sq(np.eye(4) * 3.0) == pytest.approx(9.0, rel=1e-8)
@@ -284,6 +307,19 @@ class TestPsdProbe:
         ],
     )
     def test_pivot_at_the_floor(self, Q, expected):
+        assert linalg.is_psd(Q) is expected
+
+    @pytest.mark.parametrize(
+        "Q, expected",
+        [
+            # lambda_min is about -5.6e91, above -floor = -1.8e299
+            (np.array([[1.7976931348623157e308, 1e200], [1e200, 1.0]]), True),
+            (np.array([[1.7976931348623157e308]]), True),
+            (np.diag([1.7976931348623157e308, -1e300]), False),
+        ],
+    )
+    def test_diagonal_at_the_float_limit(self, Q, expected):
+        # Q + floor*I overflows unless Q is scaled first
         assert linalg.is_psd(Q) is expected
 
     def test_input_unchanged(self):

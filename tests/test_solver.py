@@ -204,8 +204,8 @@ class TestSubproblems:
 
     def test_recorded_subgradients_match_gradients(self):
         # the replay's subgradient rows v_k are exact in exact arithmetic, so
-        # P u_k + q - v_k is the solve's rounding: about 5e-15 here, and
-        # about 5e-14 were the inverse applied without a refinement step
+        # P u_k + q - v_k is the solve's rounding: about 6e-15 here, and
+        # about 5e-14 were K^-1 applied alone
         inst = problems.generate_qp(1, 40, 30, 20)
         rep = hpe.Replay(run_full(inst, alpha=1.5, iters=100), inst.solution)
         for F, U, V in ((inst.f, rep.X[1:], rep.Vf), (inst.g, rep.Y[1:], rep.Vg)):

@@ -45,6 +45,8 @@ CORRUPTIONS = {
     "float-k": (lambda ls: with_cell(ls, 5, 0, "3.0"), "row 5: iteration index '3.0'"),
     "non-numeric-x": (lambda ls: with_cell(ls, 5, 1, "abc"), "row 5 has a non-numeric cell"),
     "non-numeric-x-row-0": (lambda ls: with_cell(ls, 2, 1, "abc"), "row 2 has a non-numeric"),
+    "non-numeric-k-row-0": (lambda ls: with_cell(ls, 2, 0, "abc"), "row 2 has a non-numeric"),
+    "underscore-x-row-0": (lambda ls: with_cell(ls, 2, 1, "1_0"), "row 2 has a non-numeric"),
     "blank-line": (lambda ls: ls[:4] + [""] + ls[4:], "row 5 has 0 cells"),
     "header-only": (lambda ls: ls[:1], "no rows"),
     "empty": (lambda ls: [], "unexpected header None"),
@@ -78,6 +80,20 @@ def test_first_bad_row_is_named(tmp_path, recorded):
     inst = problems.load_instance(inst_path)
     with pytest.raises(ValueError, match="row 6 has 13 cells"):
         solver.load_trajectory_csv(path, inst, solver.GadmmParams(beta=1.0))
+
+
+def test_row_0_cells_after_gamma_are_not_read(tmp_path, recorded):
+    inst_path, lines = recorded
+    inst, params = problems.load_instance(inst_path), solver.GadmmParams(beta=1.0)
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    clean = solver.load_trajectory_csv(path, inst, params)
+    for col in range(1 + N + P + M, len(lines[1].split(","))):
+        lines = with_cell(lines, 2, col, "junk")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    back = solver.load_trajectory_csv(path, inst, params)
+    for name in ("X", "Y", "G", "Gt"):
+        assert np.array_equal(getattr(back, name), getattr(clean, name)), name
 
 
 EXTREME = st.one_of(

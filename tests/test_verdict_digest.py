@@ -1,0 +1,42 @@
+"""``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
+digest matches itself, and a flipped verdict is reported."""
+
+import copy
+import os
+import runpy
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "verdict_digest.py")
+
+
+@pytest.fixture(scope="module")
+def script():
+    return runpy.run_path(SCRIPT)
+
+
+@pytest.fixture(scope="module")
+def lasso_digest(script):
+    return script["digest"](["lasso-replay"])
+
+
+def test_digest_records_each_command_mode(lasso_digest):
+    (entry,) = lasso_digest.values()
+    assert entry["run"] == 0 and entry["iterations"] == 2000
+    for mode in ("verify", "verify_full"):
+        assert entry[mode]["exit"] == 0
+        rows = entry[mode]["rows"]
+        assert len(rows) == 18 and all(row["pass"] for row in rows.values())
+
+
+def test_digest_matches_itself(script, lasso_digest):
+    diffs, notes = script["compare"](lasso_digest, copy.deepcopy(lasso_digest))
+    assert diffs == []
+    assert notes == ["largest relative worst_slack difference: 0 (-)"]
+
+
+def test_flipped_pass_is_reported(script, lasso_digest):
+    flipped = copy.deepcopy(lasso_digest)
+    flipped["lasso-replay/0"]["verify_full"]["rows"]["rho_bound"]["pass"] = False
+    diffs, _ = script["compare"](flipped, lasso_digest)
+    assert diffs == ["lasso-replay/0 verify_full rho_bound: pass True -> False"]
