@@ -5,19 +5,21 @@ Every command of ``perfbench/workloads.WORKLOADS`` runs through
 ``gadmm.cli.main`` in a temporary directory: ``gadmm run``, then ``gadmm
 verify`` and ``gadmm verify --verify-full`` on the trajectory it wrote.
 The digest, written as JSON to OUT.json, holds each command's exit codes
-and iteration count, and each report row's pass, first_k, worst_k and
-worst_slack.  The gadmm package is imported from this checkout's ``src``.
+and iteration count, the sha256 of the trajectory.csv and summary.json its
+run wrote, and each report row's pass, first_k, worst_k and worst_slack.
+The gadmm package is imported from this checkout's ``src``.
 
 Given a baseline digest, the script prints every exit-code, iteration,
-pass and first_k difference, the largest relative worst_slack difference
-|s - s_base| / (1 + |s_base|), and every moved worst_k.  It exits 1 when
-there is a difference of the first kind.
+output-file, pass and first_k difference, the largest relative worst_slack
+difference |s - s_base| / (1 + |s_base|), and every moved worst_k.  It
+exits 1 when there is a difference of the first kind.
 
 Usage: python scripts/verdict_digest.py OUT.json [BASELINE.json]
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -34,6 +36,7 @@ from gadmm import cli  # noqa: E402
 
 ROW_FIELDS = ("pass", "first_k", "worst_k", "worst_slack")
 VERIFY_MODES = (("verify", False), ("verify_full", True))
+RUN_FILES = ("trajectory.csv", "summary.json")
 
 
 def _quiet(argv) -> int:
@@ -51,6 +54,12 @@ def _command_digest(cmd, inst_path, out_dir) -> dict:
     entry["run"] = _quiet(workloads.run_argv(cmd, inst_path, out_dir))
     summary = os.path.join(out_dir, "summary.json")
     entry["iterations"] = _read_json(summary)["iterations"] if entry["run"] == 0 else None
+    entry["sha256"] = {}
+    for name in RUN_FILES:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                entry["sha256"][name] = hashlib.sha256(fh.read()).hexdigest()
     traj = os.path.join(out_dir, "trajectory.csv")
     for mode, full in VERIFY_MODES:
         report = os.path.join(out_dir, f"{mode}.json")
@@ -92,8 +101,8 @@ def _relative_gap(new, base) -> float:
 
 def compare(new, base) -> tuple:
     """Return ``(differences, notes)``: one line per exit-code, iteration,
-    pass or first_k difference (or entry found in one digest only), and the
-    report lines for worst_slack and worst_k."""
+    output-file, pass or first_k difference (or entry found in one digest
+    only), and the report lines for worst_slack and worst_k."""
     diffs, moved = [], []
     worst_gap, worst_at = 0.0, "-"
 
@@ -106,6 +115,8 @@ def compare(new, base) -> tuple:
             only_in(key, a)
             continue
         diffs += [f"{key}: {f} {b[f]} -> {a[f]}" for f in ("run", "iterations") if a[f] != b[f]]
+        ha, hb = a.get("sha256", {}), b.get("sha256", {})
+        diffs += [f"{key}: {name} differs" for name in RUN_FILES if ha.get(name) != hb.get(name)]
         for mode, _ in VERIFY_MODES:
             va, vb = a[mode], b[mode]
             if va["exit"] != vb["exit"]:

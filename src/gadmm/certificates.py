@@ -144,7 +144,7 @@ def _ergodic_checks(rep: Replay, ks) -> list:
 
     Za = running_mean(rep.Ztil, k)
     Vfa, Vga = running_mean(rep.Vf, k), running_mean(rep.Vg, k)
-    R = np.hstack([rep.X[k] - rep.X[0], rep.Y[k] - rep.Y[0], rep.G[k] - rep.G[0]]) / k[:, None]
+    R = (rep.Z[k] - rep.Z[0]) / k[:, None]
     eps_x = transported(rep.Vf, Vfa, slice(0, n))
     eps_y = transported(rep.Vg, Vga, slice(n, n + p))
     eps_sum = eps_x + eps_y
@@ -225,11 +225,7 @@ def full_verification(traj: solver.Trajectory, z_star, full_grid=False) -> Verif
     Nothing raises here; failures land in the report, and
     :meth:`VerificationReport.raise_first` names the earliest one.
     """
-    return verify(Replay(traj, z_star), full_grid)
-
-
-def verify(rep: Replay, full_grid=False) -> VerificationReport:
-    """:func:`full_verification` on an existing replay."""
+    rep = Replay(traj, z_star)
     alpha = rep.alpha
     meta = {"alpha": alpha, "beta": rep.beta, "iterations": rep.K, "d0": rep.d0}
     if rep.K == 0:
@@ -291,7 +287,7 @@ def run_and_verify(inst, params):
     undefined or has a nonpositive rhs.
     """
     traj = solver.run(inst, params)
-    report = verify(Replay(traj, inst.solution))
+    report = full_verification(traj, inst.solution)
     bounds = bound_table(report)
     ratios = []
     for bound in ("pointwise", "ergodic_r", "ergodic_eps"):

@@ -125,16 +125,15 @@ def metric_for(traj: "Trajectory") -> linalg.PsdOperator:
     return traj.metric
 
 
+def z_row(inst, point: problems.KktPoint) -> np.ndarray:
+    """The point (x, y, gamma) as one row z, each block's length checked."""
+    parts = ((point.x, inst.n, "x"), (point.y, inst.p, "y"), (point.gamma, inst.m, "gamma"))
+    return np.concatenate([linalg.as_vector(v, dim=d, name=k) for v, d, k in parts])
+
+
 def initial_distance_sq(traj: "Trajectory", z_star: problems.KktPoint) -> float:
     """d0 = ||z* - z0||^2_M for the trajectory's initial point."""
-    inst = traj.instance
-    parts = (
-        (z_star.x, traj.X[0], inst.n, "x"),
-        (z_star.y, traj.Y[0], inst.p, "y"),
-        (z_star.gamma, traj.G[0], inst.m, "gamma"),
-    )
-    diff = np.concatenate([linalg.as_vector(v, dim=d, name=k) - z0 for v, z0, d, k in parts])
-    return metric_for(traj).seminorm_sq(diff)
+    return metric_for(traj).seminorm_sq(z_row(traj.instance, z_star) - traj.Z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,10 @@ class Replay:
     Built once per verification: it checks the reference, takes M from the
     trajectory, and evaluates as arrays over k = 1..K (row k-1) the steps,
     the budgets eta_0..eta_K, the extragradient gaps, M dz_k and the step
-    norms, the subgradient rows of both subproblems, the inclusion gaps,
-    and the constraint-identity residual rows with their norms.  Each
-    operator is applied to a whole stack of rows in one matrix product.
+    norms, the inclusion's block rows read off M dz_k (the subgradient rows
+    of both subproblems and the constraint-identity residual rows), the
+    inclusion gaps and the residual norms.  Each operator is applied to a
+    whole stack of rows in one matrix product.
     """
 
     def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
@@ -244,21 +244,20 @@ class Replay:
         self.d0 = initial_distance_sq(traj, z_star)
         self.K = traj.iterations
         self.ks = np.arange(1, self.K + 1)
-        self.X, self.Y, self.G, self.Gt = traj.X, traj.Y, traj.G, traj.Gt
-        self.DX, self.DY, self.DG = (np.diff(a, axis=0) for a in (self.X, self.Y, self.G))
+        n, p = inst.n, inst.p
+        self.Z, self.X, self.Y, self.Gt = traj.Z, traj.X, traj.Y, traj.Gt
+        DZ = np.diff(self.Z, axis=0)
+        self.DX, self.DY, self.DG = DZ[:, :n], DZ[:, n : n + p], DZ[:, n + p :]
+        self.Ztil = np.hstack([self.Z[1:, : n + p], self.Gt])
         self.dy_sq = linalg.seminorm_sq(traj.h2, self.DY)
         self.eta = eta_sequence(self)
         self.egaps = extragradient_gaps_sq(self)
-        DZ = np.hstack([self.DX, self.DY, self.DG])
         self.MDZ = DZ @ self.metric.matrix
         self.step_norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", DZ, self.MDZ), 0.0))
-        self.Ztil = np.hstack([self.X[1:], self.Y[1:], self.Gt])
-        c = (1.0 - self.alpha) / self.alpha
         self.BDY = self.DY @ inst.B.T
         # the exact subgradients produced by the two subproblems
-        self.Vf = self.Gt @ inst.A - self.DX @ traj.h1.T
-        coupled = self.Gt - (self.beta / self.alpha) * self.BDY - c * self.DG
-        self.Vg = coupled @ inst.B - self.DY @ traj.h2.T
+        self.Vf = self.Gt @ inst.A - self.MDZ[:, :n]
+        self.Vg = self.Gt @ inst.B - self.MDZ[:, n : n + p]
         self.gap_f, self.gap_g, self.resid = inclusion_residuals(self)
         self.cons = np.sqrt(np.vecdot(self.resid, self.resid))
 
@@ -271,7 +270,7 @@ def eta_sequence(rep: Replay) -> np.ndarray:
 
 def extragradient_gaps_sq(rep: Replay) -> np.ndarray:
     """||z~_k - z_{k-1}||^2_M for k = 1..K."""
-    return rep.metric.seminorm_sq(np.hstack([rep.DX, rep.DY, rep.Gt - rep.G[:-1]]))
+    return rep.metric.seminorm_sq(rep.Ztil - rep.Z[:-1])
 
 
 def rho_sequence(rep: Replay) -> np.ndarray:
@@ -280,21 +279,18 @@ def rho_sequence(rep: Replay) -> np.ndarray:
 
 
 def inclusion_residuals(rep: Replay) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block residuals of M(z_{k-1} - z_k) in T(z~_k), one entry or row per k:
+    """Block residuals of M(z_{k-1} - z_k) in T(z~_k), one entry or row per k,
+    with (u, v, w) the x, y and gamma blocks of M dz_k:
 
-    - conjugate gap of A'gamma_tilde - H1 dx at x (must vanish),
-    - conjugate gap of B'gamma_tilde - (H2 + (beta/alpha)B'B) dy
-      - ((1-alpha)/alpha) B' dgamma at y (must vanish),
-    - the row ((1-alpha)/alpha) B dy + dgamma/(alpha beta) + Ax + By - b,
-      whose norm must vanish.
+    - conjugate gap of A'gamma_tilde - u at x (must vanish),
+    - conjugate gap of B'gamma_tilde - v at y (must vanish),
+    - the row w + Ax + By - b, whose norm must vanish.
     """
     inst = rep.traj.instance
-    alpha, beta = rep.alpha, rep.beta
     X, Y = rep.X[1:], rep.Y[1:]
     gap_f = oracles.fenchel_gap(inst.f, rep.Vf, X)
     gap_g = oracles.fenchel_gap(inst.g, rep.Vg, Y)
-    resid = (1.0 - alpha) / alpha * rep.BDY + rep.DG / (alpha * beta)
-    return gap_f, gap_g, resid + X @ inst.A.T + Y @ inst.B.T - inst.b
+    return gap_f, gap_g, rep.MDZ[:, inst.n + inst.p :] + X @ inst.A.T + Y @ inst.B.T - inst.b
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +303,11 @@ REL = f"{CERT_REL_TOL:g} relative"
 def certify_hpe(rep: Replay) -> list:
     """The rows of the per-iteration conditions at every k >= 1: the
     relative-error inequality, the two inclusions and the two identities."""
-    n, p, ks = rep.traj.instance.n, rep.traj.instance.p, rep.ks
-    to_iter = np.hstack([np.zeros((rep.K, n + p)), rep.Gt - rep.G[1:]])
-    lhs = rep.metric.seminorm_sq(to_iter) + rep.eta[1:]
+    ks, G = rep.ks, rep.traj.G
+    lhs = rep.metric.seminorm_sq(rep.Ztil - rep.Z[1:]) + rep.eta[1:]
     rhs = rep.sigma * rep.egaps + rep.eta[:-1]
-    mult = rep.Gt - rep.G[:-1] - (rep.DG + rep.beta * rep.BDY) / rep.alpha
-    biggest = [np.abs(a).max(axis=1, initial=0.0) for a in (rep.Gt, rep.G[1:], rep.G[:-1])]
+    mult = rep.Gt - G[:-1] - (rep.DG + rep.beta * rep.BDY) / rep.alpha
+    biggest = [np.abs(a).max(axis=1, initial=0.0) for a in (rep.Gt, G[1:], G[:-1])]
     id_tol = IDENTITY_TOL * (1.0 + np.maximum.reduce(biggest))
     gap_tol, ident = f"{INCLUSION_GAP_TOL:g}", f"{IDENTITY_TOL:g} scaled"
     return [
@@ -362,8 +357,7 @@ def check_delta_inequalities(rep: Replay) -> ReportRow:
 
 def check_fejer(rep: Replay) -> ReportRow:
     """Monotonicity of ||z* - z_k||^2_M + eta_k along the run."""
-    zs = rep.z_star
-    dist = rep.metric.seminorm_sq(np.hstack([zs.x - rep.X, zs.y - rep.Y, zs.gamma - rep.G]))
+    dist = rep.metric.seminorm_sq(z_row(rep.traj.instance, rep.z_star) - rep.Z)
     vals = dist + rep.eta
     prev, cur = vals[:-1], vals[1:]
     return check("fejer_monotonicity", rep.ks, cur, prev, cert_tol(prev, cur), REL)

@@ -35,8 +35,10 @@ from .errors import ConfigError, IterationLimitError
 SOLUTION_GAP_TOL = 1e-6
 
 # Full-row-rank requirement on [A B] for generated instances: smallest
-# eigenvalue of [A B][A B]' must exceed this.
-_ROW_RANK_TOL = 1e-6
+# eigenvalue of [A B][A B]' must exceed this within _RANK_TRIES draws.
+_ROW_RANK_TOL, _RANK_TRIES = 1e-6, 50
+# The proximal-gradient reference stops at a move of at most _ISTA_TOL.
+_ISTA_TOL, _ISTA_MAX_ITER = 1e-10, 1_000_000
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ class SeparableInstance:
             linalg.as_vector(sol.x, dim=self.n, name="solution.x")
             linalg.as_vector(sol.y, dim=self.p, name="solution.y")
             linalg.as_vector(sol.gamma, dim=self.m, name="solution.gamma")
-            gap = kkt_gap(self, sol)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                gap = kkt_gap(self, sol)
             if not gap <= SOLUTION_GAP_TOL:
                 raise ValueError(
                     f"stored solution fails the optimality check (gap {gap:.3e})"
@@ -140,7 +143,7 @@ def _random_strongly_convex_quadratic(rng, dim) -> oracles.Quadratic:
     return oracles.Quadratic(P, q, 0.0)
 
 
-def generate_qp(seed, n, p, m, rank_tries=50) -> SeparableInstance:
+def generate_qp(seed, n, p, m) -> SeparableInstance:
     """Random strictly convex quadratic instance with full-row-rank [A B].
 
     Strict convexity plus the rank condition make the multiplier unique,
@@ -152,7 +155,7 @@ def generate_qp(seed, n, p, m, rank_tries=50) -> SeparableInstance:
     rng = np.random.default_rng(seed)
     f = _random_strongly_convex_quadratic(rng, n)
     g = _random_strongly_convex_quadratic(rng, p)
-    for _ in range(rank_tries):
+    for _ in range(_RANK_TRIES):
         A = rng.standard_normal((m, n))
         B = rng.standard_normal((m, p))
         ab = np.hstack([A, B])
@@ -237,21 +240,21 @@ def _kkt_linear_solve(inst, pf, qf, pg, qg) -> KktPoint:
     return KktPoint(z[:n], z[n : n + p], z[n + p :])
 
 
-def ista_reference(P, q, mu, tol=1e-10, max_iter=1_000_000) -> np.ndarray:
+def ista_reference(P, q, mu) -> np.ndarray:
     """Proximal-gradient fixed point of (1/2)x'Px + q'x + mu||x||_1.
 
     Runs with step 1/L (L the largest eigenvalue of P) until the iterate
-    moves by at most ``tol``; used as the reference oracle for consensus
-    l1 instances.
+    moves by at most ``_ISTA_TOL``; used as the reference oracle for
+    consensus l1 instances.
     """
     P = linalg.as_matrix(P, name="P")
     q = linalg.as_vector(q, dim=P.shape[0], name="q")
     lip = math.sqrt(linalg.spectral_norm_sq(P))
     t = 1.0 / lip if lip > 0 else 1.0
     x = np.zeros(q.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_ISTA_MAX_ITER):
         xn = oracles.soft_threshold(x - t * (P @ x + q), t * mu)
-        if float(np.linalg.norm(xn - x)) <= tol:
+        if float(np.linalg.norm(xn - x)) <= _ISTA_TOL:
             return xn
         x = xn
     raise IterationLimitError("proximal-gradient reference run did not reach tolerance")

@@ -119,27 +119,37 @@ class GadmmParams:
 @dataclass
 class Trajectory:
     """A recorded run: the instance, the configuration, the resolved
-    proximal weights, and the iterates stored as columns.
+    proximal weights, and the iterates stored once, as rows.
 
-    Row k of ``X``, ``Y``, ``G`` holds x_k, y_k, gamma_k for k = 0..K, and
-    row k-1 of ``Gt`` holds gamma_tilde_k for k = 1..K.  Steps are row
-    differences of these arrays and are not stored.  The proximal metric M
-    is built on first use and kept.
+    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K, and row
+    k-1 of ``Gt`` holds gamma_tilde_k for k = 1..K; ``X``, ``Y``, ``G`` are
+    views of Z's column blocks.  Steps are row differences and are not
+    stored.  The proximal metric M is built on first use and kept.
     """
 
     instance: problems.SeparableInstance
     params: GadmmParams
     h1: np.ndarray
     h2: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    G: np.ndarray
+    Z: np.ndarray
     Gt: np.ndarray
     _metric: Optional[linalg.PsdOperator] = field(default=None, repr=False, compare=False)
 
     @property
+    def X(self) -> np.ndarray:
+        return self.Z[:, : self.instance.n]
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.Z[:, self.instance.n : self.instance.n + self.instance.p]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.Z[:, self.instance.n + self.instance.p :]
+
+    @property
     def iterations(self) -> int:
-        return self.X.shape[0] - 1
+        return self.Z.shape[0] - 1
 
     @property
     def metric(self) -> linalg.PsdOperator:
@@ -319,9 +329,9 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
         # the steps do not raise on non-finite data; only the stopping rule's
         # gap term can, as its KktPoint refuses a non-finite gamma_tilde
         failure = exc
-    X, Y, G = np.array(xs), np.array(ys), np.array(gs)
+    Z = np.hstack([xs, ys, gs])
     Gt = np.array(gts).reshape(len(gts), inst.m)
-    finite = np.isfinite(np.hstack([X[1:], Y[1:], G[1:], Gt])).all(axis=1)
+    finite = np.isfinite(Z[1:]).all(axis=1) & np.isfinite(Gt).all(axis=1)
     if failure is not None or not finite.all():
         # the first non-finite recorded iterate, else the step that failed
         k = int(np.argmin(finite)) + 1 if not finite.all() else len(gts) + 1
@@ -333,9 +343,7 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
         params=params,
         h1=eng.x.H,
         h2=eng.y.H,
-        X=X,
-        Y=Y,
-        G=G,
+        Z=Z,
         Gt=Gt,
         _metric=metric,
     )
@@ -360,13 +368,11 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one row per iteration: k, x, y, gamma, gamma_tilde, the
     M-seminorm of the step, and the first-order gap.  Floats are written
     with full round-trip precision."""
-    inst = traj.instance
-    X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
-    steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
-    dxm = np.vstack([[0.0], np.sqrt(traj.metric.seminorm_sq(steps))[:, None]])
+    inst, Z, Gt = traj.instance, traj.Z, traj.Gt
+    dxm = np.vstack([[0.0], np.sqrt(traj.metric.seminorm_sq(np.diff(Z, axis=0)))[:, None]])
     # the gap at (x_0, y_0, gamma_0), then at (x_k, y_k, gamma_tilde_k)
-    gaps = problems.kkt_gaps(inst, X, Y, np.vstack([G[:1], Gt]))[:, None]
-    table = np.hstack([X, Y, G, np.vstack([np.zeros((1, inst.m)), Gt]), dxm, gaps])
+    gaps = problems.kkt_gaps(inst, traj.X, traj.Y, np.vstack([traj.G[:1], Gt]))[:, None]
+    table = np.hstack([Z, np.vstack([np.zeros((1, inst.m)), Gt]), dxm, gaps])
     blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
     # No cell needs CSV quoting, so joining with "," and "\r\n" gives the
     # bytes csv.writer would.  Rows are formatted one at a time, which keeps
@@ -433,9 +439,9 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     parsed, the first row with a non-finite x, y, gamma or gamma_tilde
     cell.  Rows are checked in file order, so the first bad row is named.
     """
-    n, p, m = inst.n, inst.p, inst.m
+    m = inst.m
     expected = trajectory_header(inst)
-    ncols, cut = len(expected), 1 + n + p + m
+    ncols, cut = len(expected), 1 + inst.n + inst.p + m
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     header = _cells(lines[0]) if lines else None
@@ -454,7 +460,7 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     if table is None or not np.array_equal(table["k"], np.arange(len(rows))):
         _raise_first_bad_row(rows, dtype, ncols)
     values = table["v"]
-    Z = values[:, : cut - 1]
+    Z = np.ascontiguousarray(values[:, : cut - 1])
     Gt = np.ascontiguousarray(values[1:, cut - 1 : cut - 1 + m])
     bad = ~np.isfinite(Z).all(axis=1)
     bad[1:] |= ~np.isfinite(Gt).all(axis=1)
@@ -467,8 +473,6 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
         params=params,
         h1=h1,
         h2=h2,
-        X=np.ascontiguousarray(Z[:, :n]),
-        Y=np.ascontiguousarray(Z[:, n : n + p]),
-        G=np.ascontiguousarray(Z[:, n + p :]),
+        Z=Z,
         Gt=Gt,
     )

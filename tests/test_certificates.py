@@ -13,7 +13,6 @@ from gadmm.certificates import (
     full_verification,
     pointwise_certificate,
     running_mean,
-    verify,
 )
 from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
@@ -306,7 +305,7 @@ class TestReports:
     def test_bound_report_csv(self, tmp_path):
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.0, iters=64)
-        table = bound_table(verify(Replay(traj, inst.solution)))
+        table = bound_table(full_verification(traj, inst.solution))
         path = tmp_path / "bounds.csv"
         certificates.save_bound_report_csv(table, path)
         lines = path.read_text().strip().splitlines()
@@ -316,7 +315,7 @@ class TestReports:
     def test_bound_report_alpha_two_leaves_pointwise_empty(self, tmp_path):
         inst = problems.generate_qp(7, 4, 3, 2)
         traj = run_full(inst, alpha=2.0, beta=1.0, iters=16)
-        table = bound_table(verify(Replay(traj, inst.solution)))
+        table = bound_table(full_verification(traj, inst.solution))
         assert np.isnan(table["pointwise_lhs"]).all()
         path = tmp_path / "bounds.csv"
         certificates.save_bound_report_csv(table, path)

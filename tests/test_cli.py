@@ -73,6 +73,24 @@ class TestRun:
         assert summary["final_kkt_gap"] <= 1e-10
         assert summary["stopped_early"] is True
 
+    def test_summary_matches_the_last_csv_row_up_to_rounding(self, tmp_path):
+        # the CSV's dxM and kkt_gap come from one product over all rows, the
+        # summary's from the stopping rule's one-point terms
+        inst_path = tmp_path / "qp.json"
+        problems.save_instance(problems.generate_qp(1, 8, 6, 4), inst_path)
+        out = tmp_path / "run"
+        code = cli.main(
+            ["run", "--instance", str(inst_path), "--alpha", "1.9", "--stop-tol", "1e-9",
+             "--out", str(out)]
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "trajectory.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert summary["stopped_early"] and int(last["k"]) == summary["iterations"]
+        assert abs(float(last["dxM"]) - summary["final_step_metric"]) <= 1e-12
+        assert abs(float(last["kkt_gap"]) - summary["final_kkt_gap"]) <= 1e-12
+
     def test_max_iter_zero(self, tmp_path):
         inst_path = write_one_d(tmp_path)
         out = tmp_path / "run0"

@@ -203,6 +203,16 @@ def test_linearized_weight_of_a_huge_operator_is_refused(tmp_path, capsys, docum
     assert err.startswith("error: h1: tau=inf at beta=1.0 is out of range") and err.count("\n") == 1
 
 
+def test_overflowing_stored_solution_is_refused_without_a_warning(tmp_path, capsys, documents):
+    # the stored solution's residual overflows, so its gap is inf
+    doc = copy.deepcopy(documents["qp"])
+    doc["A"] = (np.asarray(doc["A"]) * 1e200).tolist()
+    assert run_doc(tmp_path, doc) == 1
+    assert capsys.readouterr().err == (
+        "error: instance file: stored solution fails the optimality check (gap inf)\n"
+    )
+
+
 H_FILE_REJECTIONS = {
     "nan": (b"[[NaN]]", "H has non-finite entries"),
     "infinity": (b"Infinity", "H has non-finite entries"),

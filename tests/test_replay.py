@@ -9,7 +9,7 @@ import pytest
 
 from gadmm import certificates, cli, hpe, oracles, problems
 from gadmm.errors import CertificationError
-from gadmm.solver import LinearizedH
+from gadmm.solver import ExplicitH, LinearizedH
 
 from conftest import run_full
 
@@ -163,6 +163,41 @@ def test_inclusion_rows_read_the_stacked_gaps_exactly():
         single_g = oracles.fenchel_gap(inst.g, rep.Vg[k - 1], traj.Y[k])
         assert abs(gap_f[k - 1] - single_f) <= 1e-12
         assert abs(gap_g[k - 1] - single_g) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("case", ["qp-zero", "qp-linearized", "qp-explicit", "lasso-linearized"])
+def test_inclusion_rows_match_the_block_formulas(case, alpha):
+    # Vf, Vg and resid are read off M dz; the reference writes M's three
+    # block rows out by hand and applies H1, H2 as H1', H2'
+    beta = 0.9
+    kind, weight = case.split("-")
+    if kind == "lasso":
+        inst = problems.generate_lasso(7, 10, 20, 0.1)
+    else:
+        inst = problems.generate_qp(1, 8, 6, 4)
+    if weight == "zero":
+        h1 = h2 = None
+    elif weight == "linearized":
+        h1 = h2 = LinearizedH()
+    else:
+        rng = np.random.default_rng(5)
+        R1, R2 = rng.standard_normal((inst.n, inst.n)), rng.standard_normal((inst.p, inst.p))
+        h1, h2 = ExplicitH(R1 @ R1.T / inst.n), ExplicitH(R2 @ R2.T / inst.p)
+    traj = run_full(inst, alpha=alpha, beta=beta, iters=50, h1=h1, h2=h2)
+    rep = hpe.Replay(traj, inst.solution)
+    c = (1.0 - alpha) / alpha
+    DX, DY, DG = (np.diff(a, axis=0) for a in (traj.X, traj.Y, traj.G))
+    BDY = DY @ inst.B.T
+    X, Y = traj.X[1:], traj.Y[1:]
+    want = {
+        "Vf": traj.Gt @ inst.A - DX @ traj.h1.T,
+        "Vg": (traj.Gt - (beta / alpha) * BDY - c * DG) @ inst.B - DY @ traj.h2.T,
+        "resid": c * BDY + DG / (alpha * beta) + X @ inst.A.T + Y @ inst.B.T - inst.b,
+    }
+    for name, ref in want.items():
+        err = np.abs(getattr(rep, name) - ref).max(axis=1)
+        assert np.all(err <= 1e-13 * (1.0 + np.abs(ref).max(axis=1))), name
 
 
 def test_certificate_demo_script(tmp_path, monkeypatch, capsys):

@@ -128,9 +128,7 @@ def test_round_trip_is_bit_identical(tmp_path_factory, base_trajectory, data, it
 
     traj = dataclasses.replace(
         base_trajectory,
-        X=draw(iterations + 1, N),
-        Y=draw(iterations + 1, P),
-        G=draw(iterations + 1, M),
+        Z=np.hstack([draw(iterations + 1, N), draw(iterations + 1, P), draw(iterations + 1, M)]),
         Gt=draw(iterations, M),
     )
     path = tmp_path_factory.mktemp("round-trip") / "trajectory.csv"

@@ -1,5 +1,6 @@
 """``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
-digest matches itself, and a flipped verdict is reported."""
+digest matches itself, and a flipped verdict or a changed output file is
+reported."""
 
 import copy
 import os
@@ -23,6 +24,8 @@ def lasso_digest(script):
 def test_digest_records_each_command_mode(lasso_digest):
     (entry,) = lasso_digest.values()
     assert entry["run"] == 0 and entry["iterations"] == 2000
+    assert sorted(entry["sha256"]) == ["summary.json", "trajectory.csv"]
+    assert all(len(h) == 64 for h in entry["sha256"].values())
     for mode in ("verify", "verify_full"):
         assert entry[mode]["exit"] == 0
         rows = entry[mode]["rows"]
@@ -40,3 +43,10 @@ def test_flipped_pass_is_reported(script, lasso_digest):
     flipped["lasso-replay/0"]["verify_full"]["rows"]["rho_bound"]["pass"] = False
     diffs, _ = script["compare"](flipped, lasso_digest)
     assert diffs == ["lasso-replay/0 verify_full rho_bound: pass True -> False"]
+
+
+def test_changed_output_file_is_reported(script, lasso_digest):
+    changed = copy.deepcopy(lasso_digest)
+    changed["lasso-replay/0"]["sha256"]["trajectory.csv"] = "0" * 64
+    diffs, _ = script["compare"](changed, lasso_digest)
+    assert diffs == ["lasso-replay/0: trajectory.csv differs"]
