@@ -6,13 +6,17 @@ Every command of ``perfbench/workloads.WORKLOADS`` runs through
 verify`` and ``gadmm verify --verify-full`` on the trajectory it wrote.
 The digest, written as JSON to OUT.json, holds each command's exit codes
 and iteration count, the sha256 of the trajectory.csv and summary.json its
-run wrote, and each report row's pass, first_k, worst_k and worst_slack.
+run wrote, the iterate cells of that CSV's last row (x_K, y_K, gamma_K,
+gamma_tilde_K), and each report row's pass, first_k, worst_k and
+worst_slack.
 The gadmm package is imported from this checkout's ``src``.
 
 Given a baseline digest, the script prints every exit-code, iteration,
 output-file, pass and first_k difference, the largest relative worst_slack
-difference |s - s_base| / (1 + |s_base|), and every moved worst_k.  It
-exits 1 when there is a difference of the first kind.
+difference |s - s_base| / (1 + |s_base|), the largest relative difference
+of the last-row iterate cells, measured the same way, overall and for each
+command whose cells differ, and every moved worst_k.  It exits 1 when
+there is a difference of the first kind.
 
 Usage: python scripts/verdict_digest.py OUT.json [BASELINE.json]
 """
@@ -49,6 +53,14 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _last_row(path):
+    """The iterate cells of a trajectory CSV's last row, None for a blank
+    cell (row 0 has no gamma_tilde)."""
+    with open(path, encoding="utf-8") as fh:
+        last = fh.read().splitlines()[-1].split(",")
+    return [float(cell) if cell else None for cell in last[1:-2]]  # drop k, dxM, kkt_gap
+
+
 def _command_digest(cmd, inst_path, out_dir) -> dict:
     entry = {"command": dataclasses.asdict(cmd)}
     entry["run"] = _quiet(workloads.run_argv(cmd, inst_path, out_dir))
@@ -61,6 +73,7 @@ def _command_digest(cmd, inst_path, out_dir) -> dict:
             with open(path, "rb") as fh:
                 entry["sha256"][name] = hashlib.sha256(fh.read()).hexdigest()
     traj = os.path.join(out_dir, "trajectory.csv")
+    entry["last_row"] = _last_row(traj) if os.path.exists(traj) else None
     for mode, full in VERIFY_MODES:
         report = os.path.join(out_dir, f"{mode}.json")
         variant = dataclasses.replace(cmd, verify_full=full)
@@ -102,9 +115,11 @@ def _relative_gap(new, base) -> float:
 def compare(new, base) -> tuple:
     """Return ``(differences, notes)``: one line per exit-code, iteration,
     output-file, pass or first_k difference (or entry found in one digest
-    only), and the report lines for worst_slack and worst_k."""
-    diffs, moved = [], []
+    only), and the report lines for worst_slack, the last-row iterate
+    cells and worst_k."""
+    diffs, moved, cells = [], [], []
     worst_gap, worst_at = 0.0, "-"
+    worst_cell, worst_cell_at = 0.0, "-"
 
     def only_in(where, new_entry):
         diffs.append(f"{where}: only in the {'baseline' if new_entry is None else 'new digest'}")
@@ -117,6 +132,15 @@ def compare(new, base) -> tuple:
         diffs += [f"{key}: {f} {b[f]} -> {a[f]}" for f in ("run", "iterations") if a[f] != b[f]]
         ha, hb = a.get("sha256", {}), b.get("sha256", {})
         diffs += [f"{key}: {name} differs" for name in RUN_FILES if ha.get(name) != hb.get(name)]
+        ra, rb = a.get("last_row") or [], b.get("last_row") or []
+        if len(ra) != len(rb):
+            gap = math.inf
+        else:
+            gap = max(map(_relative_gap, ra, rb), default=0.0)
+        if gap > 0.0:
+            cells.append(f"{key}: last-row iterate cells differ by {gap:.3g}")
+        if gap > worst_cell:
+            worst_cell, worst_cell_at = gap, key
         for mode, _ in VERIFY_MODES:
             va, vb = a[mode], b[mode]
             if va["exit"] != vb["exit"]:
@@ -135,8 +159,11 @@ def compare(new, base) -> tuple:
                 gap = _relative_gap(x["worst_slack"], y["worst_slack"])
                 if gap > worst_gap:
                     worst_gap, worst_at = gap, where
-    notes = [f"largest relative worst_slack difference: {worst_gap:.3g} ({worst_at})"]
-    return diffs, notes + moved
+    notes = [
+        f"largest relative worst_slack difference: {worst_gap:.3g} ({worst_at})",
+        f"largest relative last-row iterate difference: {worst_cell:.3g} ({worst_cell_at})",
+    ]
+    return diffs, notes + cells + moved
 
 
 def main(argv=None) -> int:

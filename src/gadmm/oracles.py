@@ -52,8 +52,10 @@ def _out(val, like):
 
 def soft_threshold(v, thr) -> np.ndarray:
     """Componentwise shrinkage sign(v_i) * max(|v_i| - thr, 0) of a float
-    array, unchecked: it is the l1 prox map the solver runs every step."""
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+    array, unchecked: it is the l1 prox map the solver runs every step.
+    It is computed as v - clip(v, -thr, thr), three ufunc calls where the
+    formula takes five, with the same values; a zero comes out as +0.0."""
+    return v - np.minimum(np.maximum(v, -thr), thr)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,28 @@ the subproblem to one proximal step of F at the residual r = Op u_{k-1} + s,
 
 with r = A x_{k-1} + B y_{k-1} - b for x and r = alpha(A x_k + B y_{k-1} - b)
 for y, requiring tau >= beta*||Op||^2 so that H stays PSD.
+
+The engine does not set up and solve a subproblem on every iteration.
+Each block's minimizer is u_k = phi(v) at the pre-prox point
+
+    v = Gu u_{k-1} + Gg (gamma_{k-1} - beta*s) + g0,
+
+with Gu, Gg and g0 fixed for the run.  A direct block has Gu = K^-1 H,
+Gg = K^-1 Op' and g0 = -K^-1 q for K = P + beta*Op'Op + H, and phi is the
+identity.  A linearized block has Gu = H/tau, Gg = Op'/tau, g0 = 0 and
+phi = prox_{F/tau}.  For a quadratic or zero F that prox,
+(tP + I)^-1 (. - tq) with t = 1/tau, is affine and is folded into Gu, Gg
+and g0, so only an l1 block keeps a separate prox: the soft threshold.
+Both shifts are affine in the vectors the loop carries, so one iteration
+is two affine stages, each one matrix product, plus the prox:
+
+    x_k = phi_x( T1 [x_{k-1}; B y_{k-1}; gamma_{k-1}; 1] ),
+    [v_y; gbar_k; gamma_tilde_k] = T2 [y_{k-1}; A x_k; B y_{k-1}; gamma_{k-1}; 1],
+    y_k = phi_y(v_y),   gamma_k = gbar_k - beta B y_k,
+
+where gbar_k = gamma_{k-1} - beta*s is the y-block's argument of Gg, and
+x_{k-1} (y_{k-1}) is an input only when H1 (H2) has a nonzero entry.  The
+iterates equal the subproblems' minimizers up to rounding.
 """
 
 from __future__ import annotations
@@ -40,12 +62,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import hpe, linalg, problems
+from . import hpe, linalg, oracles, problems
 from .errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 
 # Auto mode picks tau = AUTO_TAU_MARGIN * beta * ||Op||^2, strictly above
 # the PSD threshold so H = tau*I - beta*Op'Op is positive definite.
 AUTO_TAU_MARGIN = 1.01
+
+# The trailing entry of each stage's input, which applies its constant term.
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -192,73 +217,108 @@ def resolve_prox_terms(inst, params) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-class _Block:
-    """One block's subproblem (see the module docstring), set up once per
-    run: the factored P + beta*Op'Op + H, or the prox map of F/tau."""
-
-    def __init__(self, F, op, mode: HMode, resolved, beta: float, block: str):
-        self.op, self.beta = op, beta
-        self.H, self.tau = resolved  # from _resolve_h
-        self._h_term = not isinstance(mode, ZeroH)  # a zero H adds nothing
-        if self.tau is not None:
-            try:
-                with np.errstate(over="ignore"):  # a huge step overflows tP + I
-                    self._prox = F.prox_solver(1.0 / self.tau)
-            except ValueError as exc:
-                name = "h1" if block == "x" else "h2"
-                raise ConfigError(f"{name}: tau={self.tau!r} at beta={beta!r}: {exc}") from exc
-            return
-        parts = problems._quadratic_parts(F, op.shape[1])
+def _pre_prox(F, op, resolved, beta: float, block: str):
+    """One block's subproblem (see the module docstring) as its pre-prox map
+    v = Gu u_prev + Gg (gamma_prev - beta*s) + g0 and prox ``phi``, None for
+    the identity.  ``Gu`` is None when H has no nonzero entry, so an
+    all-zero explicit H builds the same map as the zero mode."""
+    H, tau = resolved  # from _resolve_h
+    dim = op.shape[1]
+    fac, phi = None, None
+    if tau is None:
+        parts = problems._quadratic_parts(F, dim)
         if parts is None:
             raise ConfigError(f"{block} block: a nonsmooth objective requires the linearized mode")
-        P, self._q = parts
+        P, q = parts
+        scale = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            K = P + beta * (op.T @ op) + self.H
+            K = P + beta * (op.T @ op) + H
         name = f"{block}-subproblem matrix P + beta*Op'Op + H"
         if not np.isfinite(K).all():
             raise ConfigError(f"{name} overflows at beta={beta!r}")
-        self._fac = linalg.SpdFactor(K, name=f"{name} at beta={beta!r}")
-
-    def step(self, u_prev, gamma, s, r):
-        """The minimizer, from the shift ``s`` (direct solve) or the residual
-        ``r`` = Op u_prev + s (prox point); the caller passes both."""
-        op, beta = self.op, self.beta
-        if self.tau is not None:
-            return self._prox(u_prev + (op.T @ (gamma - beta * r)) / self.tau)
-        rhs = op.T @ gamma - self._q - beta * (op.T @ s)
-        if self._h_term:
-            rhs += self.H @ u_prev
-        return self._fac.solve(rhs)
+        fac = linalg.SpdFactor(K, name=f"{name} at beta={beta!r}")
+    else:
+        # the prox point's argument u_prev + Op'(gamma_prev - beta*r)/tau,
+        # r = Op u_prev + s, is H u_prev/tau + Op'(gamma_prev - beta*s)/tau
+        scale, q = 1.0 / tau, np.zeros(dim)
+        try:
+            with np.errstate(over="ignore"):  # a huge step overflows tP + I
+                if isinstance(F, oracles.Quadratic):
+                    # prox(v) = (tP + I)^-1 (v - tq) is affine: fold it in
+                    q, fac = F.q, linalg.SpdFactor(scale * F.P + np.eye(dim))
+                elif isinstance(F, oracles.L1):
+                    phi = F.prox_solver(scale)
+        except ValueError as exc:
+            name = "h1" if block == "x" else "h2"
+            raise ConfigError(f"{name}: tau={tau!r} at beta={beta!r}: {exc}") from exc
+    solve = (lambda a: a) if fac is None else fac.solve
+    Gu = solve(H * scale) if H.any() else None
+    return Gu, solve(op.T * scale), solve(q * -scale), phi
 
 
 class _Engine:
-    """Per-run state: the two blocks' subproblems."""
+    """Per-run state: the two stage maps of one iteration (see the module
+    docstring).  Each is one matrix applied to the vectors the loop carries,
+    stacked with a trailing 1 that applies the constant term."""
 
     def __init__(self, inst: problems.SeparableInstance, params: GadmmParams):
         self.inst = inst
         self.params = params
-        beta = params.beta
+        beta, alpha = params.beta, params.alpha
         # both weights resolve before either block sets up, so a bad mode
         # (exit 1) is reported ahead of a matrix that fails to factor (exit 2)
         h1 = _resolve_h(params.h1, inst.A, beta, inst.n, "h1")
         h2 = _resolve_h(params.h2, inst.B, beta, inst.p, "h2")
-        self.x = _Block(inst.f, inst.A, params.h1, h1, beta, "x")
-        self.y = _Block(inst.g, inst.B, params.h2, h2, beta, "y")
+        self.h1, self.h2 = h1[0], h2[0]
+        Gu1, Gg1, g01, self._phi_x = _pre_prox(inst.f, inst.A, h1, beta, "x")
+        Gu2, Gg2, g02, self._phi_y = _pre_prox(inst.g, inst.B, h2, beta, "y")
+        self._x_in, self._y_in = Gu1 is not None, Gu2 is not None
+        b, eye = inst.b[:, None], np.eye(inst.m)
+        ba, bc = beta * alpha, beta * (1.0 - alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # columns: x_{k-1} (if Gu1), B y_{k-1}, gamma_{k-1}, 1
+            T1 = np.hstack([Gu1] * self._x_in + [-beta * Gg1, Gg1, g01[:, None] + beta * (Gg1 @ b)])
+            # rows: v_y, gbar_k, gamma_tilde_k; columns: y_{k-1} (if Gu2),
+            # A x_k, B y_{k-1}, gamma_{k-1}, 1
+            T2 = np.block(
+                [
+                    [-ba * Gg2, bc * Gg2, Gg2, g02[:, None] + Gg2 @ (ba * b)],
+                    [-ba * eye, bc * eye, eye, ba * b],
+                    [-beta * eye, -beta * eye, eye, beta * b],
+                ]
+            )
+            if self._y_in:
+                T2 = np.hstack([np.vstack([Gu2, np.zeros((2 * inst.m, inst.p))]), T2])
+        # the constant column holds beta*b terms, which can overflow while
+        # every coefficient is finite; the first iterate is then non-finite
+        # and the run is reported as diverging at k = 1
+        if not np.isfinite(T1[:, :-1]).all():
+            raise ConfigError(f"x-block stage map overflows at beta={beta!r}")
+        if not np.isfinite(T2[:, :-1]).all():
+            raise ConfigError(f"y-block stage map overflows at alpha={alpha!r}, beta={beta!r}")
+        self._T1, self._T2 = T1, T2
 
-    def advance(self, x_prev, y_prev, gamma_prev, Ax_prev, By_prev):
-        """One iteration; returns (x_k, y_k, gamma_k, gamma_tilde_k, A x_k,
-        B y_k) so the caller can carry the products forward."""
-        A, B, b = self.inst.A, self.inst.B, self.inst.b
-        beta, alpha = self.params.beta, self.params.alpha
-        x = self.x.step(x_prev, gamma_prev, By_prev - b, Ax_prev + By_prev - b)
-        Ax = A @ x
-        half_resid = Ax + By_prev - b
-        relaxed = alpha * half_resid
-        y = self.y.step(y_prev, gamma_prev, relaxed - By_prev, relaxed)
-        By = B @ y
-        gamma = gamma_prev - beta * (relaxed + (By - By_prev))
-        gamma_tilde = gamma_prev - beta * half_resid
-        return x, y, gamma, gamma_tilde, Ax, By
+    def x_stage(self, x_prev, By_prev, gamma_prev):
+        """x_k from x_{k-1}, B y_{k-1} and gamma_{k-1}."""
+        head = (x_prev,) if self._x_in else ()
+        v = np.dot(self._T1, np.concatenate(head + (By_prev, gamma_prev, _ONE)))
+        return v if self._phi_x is None else self._phi_x(v)
+
+    def y_stage(self, y_prev, Ax, By_prev, gamma_prev):
+        """(y_k, gamma_k, gamma_tilde_k, B y_k) from y_{k-1}, A x_k,
+        B y_{k-1} and gamma_{k-1}."""
+        p, m = self.inst.p, self.inst.m
+        head = (y_prev,) if self._y_in else ()
+        out = np.dot(self._T2, np.concatenate(head + (Ax, By_prev, gamma_prev, _ONE)))
+        y = out[:p] if self._phi_y is None else self._phi_y(out[:p])
+        By = np.dot(self.inst.B, y)
+        return y, out[p : p + m] - self.params.beta * By, out[p + m :], By
+
+    def step(self, x_prev, y_prev, gamma_prev, By_prev):
+        """One iteration; returns (x_k, y_k, gamma_k, gamma_tilde_k, B y_k)
+        so the caller can carry B y_k forward."""
+        x = self.x_stage(x_prev, By_prev, gamma_prev)
+        return (x, *self.y_stage(y_prev, np.dot(self.inst.A, x), By_prev, gamma_prev))
 
 
 def stop_terms(inst, metric, prev, new, gamma_tilde):
@@ -305,14 +365,14 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     )
     metric = None
     if params.stop_tol > 0:
-        metric = hpe.build_metric(inst, eng.x.H, eng.y.H, params.beta, params.alpha)
+        metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
     xs, ys, gs, gts = [x], [y], [gamma], []
-    Ax, By = inst.A @ x, inst.B @ y
+    By = inst.B @ y
     failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(params.max_iter):
-                x_new, y_new, gamma_new, gamma_tilde, Ax, By = eng.advance(x, y, gamma, Ax, By)
+                x_new, y_new, gamma_new, gamma_tilde, By = eng.step(x, y, gamma, By)
                 xs.append(x_new)
                 ys.append(y_new)
                 gs.append(gamma_new)
@@ -341,8 +401,8 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     return Trajectory(
         instance=inst,
         params=params,
-        h1=eng.x.H,
-        h2=eng.y.H,
+        h1=eng.h1,
+        h2=eng.h2,
         Z=Z,
         Gt=Gt,
         _metric=metric,

@@ -193,6 +193,25 @@ def test_finite_extreme_flag_is_named(tmp_path, flags, message):
     assert flags[0][2:] in err.getvalue()
 
 
+@pytest.mark.parametrize("h1", ["zero", "linearized"])
+def test_overflowing_stage_map_is_named(tmp_path, documents, h1):
+    # beta*alpha*I, the A x_k coefficient of the multiplier rows, overflows,
+    # while the lasso's x-subproblem matrix P + beta*I and its linearized
+    # weight stay finite
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(documents["lasso"]))
+    argv = ["run", "--instance", str(path), "--beta", "1e308", "--alpha", "2", "--h1", h1]
+    argv += ["--h2", "linearized", "--max-iter", "3", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert err.getvalue() == "error: y-block stage map overflows at alpha=2.0, beta=1e+308\n"
+
+
 def test_linearized_weight_of_a_huge_operator_is_refused(tmp_path, capsys, documents):
     # beta*||A||^2 overflows: the automatic tau is inf, refused before any solve
     doc = copy.deepcopy(documents["qp"])

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,16 +75,14 @@ class TestParams:
 def solve_x_subproblem(inst, params, y_prev, x_prev, gamma_prev):
     """x_k from a fresh engine's x-block, given y_{k-1}, x_{k-1} and gamma_{k-1}."""
     y_prev, x_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (y_prev, x_prev, gamma_prev))
-    shift = inst.B @ y_prev - inst.b
-    return solver._Engine(inst, params).x.step(x_prev, gamma_prev, shift, inst.A @ x_prev + shift)
+    return solver._Engine(inst, params).x_stage(x_prev, inst.B @ y_prev, gamma_prev)
 
 
 def solve_y_subproblem(inst, params, x_new, y_prev, gamma_prev):
     """y_k from a fresh engine's y-block, given x_k, y_{k-1} and gamma_{k-1}."""
     x_new, y_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (x_new, y_prev, gamma_prev))
-    By_prev = inst.B @ y_prev
-    relaxed = params.alpha * (inst.A @ x_new + By_prev - inst.b)
-    return solver._Engine(inst, params).y.step(y_prev, gamma_prev, relaxed - By_prev, relaxed)
+    eng = solver._Engine(inst, params)
+    return eng.y_stage(y_prev, inst.A @ x_new, inst.B @ y_prev, gamma_prev)[0]
 
 
 class TestSubproblems:
@@ -399,22 +398,34 @@ class TestRun:
         # gamma_tilde feeds no later step, so an overflow there is only
         # visible in the recorded rows; the stopping rule's cheap terms do
         # not read it, and its non-finite gap could never stop the run
-        real = solver._Engine.advance
+        real = solver._Engine.step
         calls = []
 
         def overflow_third(self, *args):
             calls.append(None)
-            x, y, gamma, gamma_tilde, Ax, By = real(self, *args)
+            x, y, gamma, gamma_tilde, By = real(self, *args)
             if len(calls) == 3:
                 gamma_tilde = np.full_like(gamma_tilde, np.inf)
-            return x, y, gamma, gamma_tilde, Ax, By
+            return x, y, gamma, gamma_tilde, By
 
-        monkeypatch.setattr(solver._Engine, "advance", overflow_third)
+        monkeypatch.setattr(solver._Engine, "step", overflow_third)
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=stop_tol)
         with pytest.raises(DivergenceError, match="k=3") as info:
             solver.run(one_d_instance, params)
         assert info.value.k == 3
         assert len(calls) == max_iter
+
+    def test_record_grows_with_the_run_not_max_iter(self, one_d_instance):
+        # the record is appended to, never preallocated by max_iter
+        params = GadmmParams(beta=1.0, alpha=1.0, max_iter=10**9, stop_tol=1e-10)
+        tracemalloc.start()
+        try:
+            traj = solver.run(one_d_instance, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.iterations < 100
+        assert peak < 2**20
 
     @pytest.mark.parametrize("kind", ["lasso", "qp"])
     def test_no_per_iteration_validation(self, monkeypatch, kind):

@@ -1,6 +1,6 @@
 """``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
-digest matches itself, and a flipped verdict or a changed output file is
-reported."""
+digest matches itself, a flipped verdict or a changed output file is
+reported, and so is how far the last row's iterate cells moved."""
 
 import copy
 import os
@@ -26,6 +26,8 @@ def test_digest_records_each_command_mode(lasso_digest):
     assert entry["run"] == 0 and entry["iterations"] == 2000
     assert sorted(entry["sha256"]) == ["summary.json", "trajectory.csv"]
     assert all(len(h) == 64 for h in entry["sha256"].values())
+    # x, y, gamma and gamma_tilde of the lasso's 10/10/10 split at k = 2000
+    assert len(entry["last_row"]) == 40 and None not in entry["last_row"]
     for mode in ("verify", "verify_full"):
         assert entry[mode]["exit"] == 0
         rows = entry[mode]["rows"]
@@ -35,7 +37,10 @@ def test_digest_records_each_command_mode(lasso_digest):
 def test_digest_matches_itself(script, lasso_digest):
     diffs, notes = script["compare"](lasso_digest, copy.deepcopy(lasso_digest))
     assert diffs == []
-    assert notes == ["largest relative worst_slack difference: 0 (-)"]
+    assert notes == [
+        "largest relative worst_slack difference: 0 (-)",
+        "largest relative last-row iterate difference: 0 (-)",
+    ]
 
 
 def test_flipped_pass_is_reported(script, lasso_digest):
@@ -50,3 +55,13 @@ def test_changed_output_file_is_reported(script, lasso_digest):
     changed["lasso-replay/0"]["sha256"]["trajectory.csv"] = "0" * 64
     diffs, _ = script["compare"](changed, lasso_digest)
     assert diffs == ["lasso-replay/0: trajectory.csv differs"]
+
+
+def test_moved_last_row_is_a_note(script, lasso_digest):
+    moved = copy.deepcopy(lasso_digest)
+    row = moved["lasso-replay/0"]["last_row"]
+    row[3] += 1e-12 * (1.0 + abs(row[3]))
+    diffs, notes = script["compare"](moved, lasso_digest)
+    assert diffs == []
+    assert notes[1] == "largest relative last-row iterate difference: 1e-12 (lasso-replay/0)"
+    assert notes[2] == "lasso-replay/0: last-row iterate cells differ by 1e-12"
