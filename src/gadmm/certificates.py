@@ -50,14 +50,13 @@ returns :func:`gadmm.hpe.check` rows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import hpe, oracles, problems, solver
+from . import hpe, oracles, solver
 from .errors import CertificationError
 from .hpe import REL, Replay, ReportRow, cert_tol, check, gap_note, not_applicable, sigma_alpha
 
@@ -93,21 +92,6 @@ def checked_iterations(total, full=False) -> list[int]:
     if full:
         return list(range(1, total + 1))
     return [1 << i for i in range(total.bit_length()) if 1 << i < total] + [total]
-
-
-BOUND_CSV_COLUMNS = [
-    "k", "pointwise_lhs", "pointwise_rhs", "ergodic_r_lhs", "ergodic_r_rhs",
-    "ergodic_eps_lhs", "ergodic_eps_rhs", "eps_x", "eps_y", "split_residual",
-]
-
-
-def save_bound_report_csv(table: dict, path) -> None:
-    """Write a :func:`bound_table`, one row per checked k; NaN is a blank cell."""
-    with problems.atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUND_CSV_COLUMNS)
-        for k, *vals in zip(*(table[col].tolist() for col in BOUND_CSV_COLUMNS)):
-            writer.writerow([k] + ["" if math.isnan(v) else repr(float(v)) for v in vals])
 
 
 def running_mean(rows, ks) -> np.ndarray:
@@ -251,46 +235,3 @@ def full_verification(traj: solver.Trajectory, z_star, full_grid=False) -> Verif
         full_grid=bool(full_grid),
     )
     return VerificationReport(rows=rows, meta=meta)
-
-
-def bound_table(report: VerificationReport) -> dict:
-    """The bound comparisons of a verified run at its checked iterations:
-    one array per column of :data:`BOUND_CSV_COLUMNS`, read off the
-    report's rows, the pointwise columns NaN at alpha = 2."""
-    if not report.rows:
-        raise ValueError("trajectory has no iterations")
-    row = {r.name: r for r in report.rows}
-    pw, res, eps = (row[f"{b}_bound"] for b in ("pointwise", "ergodic_residual", "ergodic_eps"))
-    k = res.ks
-    pointwise = (pw.lhs[k - 1], pw.rhs[k - 1]) if pw.ks.size else (np.full(len(k), math.nan),) * 2
-    columns = (
-        k,
-        *pointwise,
-        res.lhs,
-        res.rhs,
-        eps.lhs,
-        eps.rhs,
-        row["ergodic_inclusion_f"].rhs,  # max(eps_x, 0)
-        row["ergodic_inclusion_g"].rhs,
-        row["eps_split_identity"].lhs,
-    )
-    return dict(zip(BOUND_CSV_COLUMNS, columns))
-
-
-def run_and_verify(inst, params):
-    """Run ``params`` on ``inst`` and verify the run against
-    ``inst.solution``: one point of an alpha sweep.
-
-    Returns the trajectory, the verification report, the bound table, and
-    the lhs/rhs ratios of the pointwise, ergodic r and ergodic epsilon
-    bounds at the last checked k.  A ratio is None where its bound is
-    undefined or has a nonpositive rhs.
-    """
-    traj = solver.run(inst, params)
-    report = full_verification(traj, inst.solution)
-    bounds = bound_table(report)
-    ratios = []
-    for bound in ("pointwise", "ergodic_r", "ergodic_eps"):
-        a, b = float(bounds[f"{bound}_lhs"][-1]), float(bounds[f"{bound}_rhs"][-1])
-        ratios.append(a / b if b > 0 and not math.isnan(a) else None)
-    return traj, report, bounds, tuple(ratios)

@@ -289,12 +289,9 @@ class _Engine:
             )
             if self._y_in:
                 T2 = np.hstack([np.vstack([Gu2, np.zeros((2 * inst.m, inst.p))]), T2])
-        # the constant column holds beta*b terms, which can overflow while
-        # every coefficient is finite; the first iterate is then non-finite
-        # and the run is reported as diverging at k = 1
-        if not np.isfinite(T1[:, :-1]).all():
+        if not np.isfinite(T1).all():
             raise ConfigError(f"x-block stage map overflows at beta={beta!r}")
-        if not np.isfinite(T2[:, :-1]).all():
+        if not np.isfinite(T2).all():
             raise ConfigError(f"y-block stage map overflows at alpha={alpha!r}, beta={beta!r}")
         self._T1, self._T2 = T1, T2
 

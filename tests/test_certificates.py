@@ -7,7 +7,6 @@ from gadmm import certificates, oracles, problems, solver
 from gadmm.certificates import (
     VerificationReport,
     bound_constants,
-    bound_table,
     checked_iterations,
     ergodic_certificate,
     full_verification,
@@ -302,26 +301,6 @@ class TestRateEstimate:
 
 
 class TestReports:
-    def test_bound_report_csv(self, tmp_path):
-        inst = problems.generate_qp(7, 4, 3, 2)
-        traj = run_full(inst, alpha=1.5, beta=1.0, iters=64)
-        table = bound_table(full_verification(traj, inst.solution))
-        path = tmp_path / "bounds.csv"
-        certificates.save_bound_report_csv(table, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == certificates.BOUND_CSV_COLUMNS
-        assert len(lines) == 1 + len(checked_iterations(64))
-
-    def test_bound_report_alpha_two_leaves_pointwise_empty(self, tmp_path):
-        inst = problems.generate_qp(7, 4, 3, 2)
-        traj = run_full(inst, alpha=2.0, beta=1.0, iters=16)
-        table = bound_table(full_verification(traj, inst.solution))
-        assert np.isnan(table["pointwise_lhs"]).all()
-        path = tmp_path / "bounds.csv"
-        certificates.save_bound_report_csv(table, path)
-        first_data = path.read_text().strip().splitlines()[1].split(",")
-        assert first_data[1] == "" and first_data[2] == ""
-
     def test_full_verification_passes(self):
         inst = problems.generate_qp(8, 5, 4, 3)
         for alpha in (1.0, 2.0):

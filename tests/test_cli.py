@@ -176,11 +176,12 @@ class TestRun:
         ],
     )
     def test_overflowing_iterate_exit_two(self, tmp_path, capsys, mode, stop_tol):
-        # beta * b overflows in the first subproblem: a solver failure at k=1,
-        # with or without the stopping rule
+        # every stage map entry is finite, but f's linear term puts x_1 near
+        # 1.7e306 and beta*alpha*A x_1 overflows in the y-stage: a solver
+        # failure at k=1, with or without the stopping rule
         inst = problems.SeparableInstance(
-            oracles.Quadratic([[1.0]], [0.0]), oracles.Quadratic([[1.0]], [0.0]),
-            [[1.0]], [[1.0]], [1.7e308],
+            oracles.Quadratic([[1.0]], [-1.7e308]), oracles.Quadratic([[1.0]], [0.0]),
+            [[1.0]], [[1.0]], [1.0],
         )
         path = tmp_path / "huge.json"
         problems.save_instance(inst, path)
@@ -219,7 +220,7 @@ class TestRun:
 
 
 class TestVerify:
-    def _run_and_verify_args(self, tmp_path, alpha="1.0", extra=()):
+    def _run_then_verify_args(self, tmp_path, alpha="1.0", extra=()):
         inst_path = write_qp(tmp_path)
         out = tmp_path / "run"
         assert cli.main(
@@ -233,14 +234,14 @@ class TestVerify:
         ]
 
     def test_passing_run(self, tmp_path):
-        args = self._run_and_verify_args(tmp_path)
+        args = self._run_then_verify_args(tmp_path)
         assert cli.main(args) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pass"] is True
         assert any(c["name"] == "hpe_inequality" for c in report["checks"])
 
     def test_corrupted_gamma_exit_three(self, tmp_path, capsys):
-        args = self._run_and_verify_args(tmp_path)
+        args = self._run_then_verify_args(tmp_path)
         traj_path = args[4]
         lines = open(traj_path).read().splitlines()
         header = lines[0].split(",")
@@ -273,7 +274,7 @@ class TestVerify:
         assert named["first_k"] == info.value.k
 
     def test_internal_check_error_exit_two(self, tmp_path, monkeypatch, capsys):
-        args = self._run_and_verify_args(tmp_path)
+        args = self._run_then_verify_args(tmp_path)
 
         def broken(*_):
             raise InternalCheckError("conjugate gap below the rounding band")
@@ -337,20 +338,20 @@ class TestVerify:
     @pytest.mark.parametrize("column", ["x0", "gamma_tilde1"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_config_error(self, tmp_path, cell, column):
-        args = self._run_and_verify_args(tmp_path)
+        args = self._run_then_verify_args(tmp_path)
         self._set_cell(args[4], column, cell)
         assert cli.main(args) == 1
 
     @pytest.mark.parametrize("column", ["y1", "gamma0", "gamma_tilde0"])
     def test_non_finite_cell_named_by_row_at_load(self, tmp_path, column):
-        args = self._run_and_verify_args(tmp_path)
+        args = self._run_then_verify_args(tmp_path)
         self._set_cell(args[4], column, "nan")
         inst = problems.load_instance(args[2])
         with pytest.raises(ValueError, match="row 21"):
             solver.load_trajectory_csv(args[4], inst, solver.GadmmParams(beta=1.0))
 
     def test_reports_are_strict_json(self, tmp_path, capsys):
-        args = self._run_and_verify_args(tmp_path, alpha="2.0")
+        args = self._run_then_verify_args(tmp_path, alpha="2.0")
         assert cli.main(args) == 0
         report = strict_json((tmp_path / "report.json").read_text())
         skipped = [c for c in report["checks"] if c["worst_slack"] is None]
@@ -371,7 +372,7 @@ class TestVerify:
         assert strict_json((tmp_path / "rep0.json").read_text())["meta"]["iterations"] == 0
 
     def test_alpha_two_skips_pointwise(self, tmp_path):
-        args = self._run_and_verify_args(tmp_path, alpha="2.0")
+        args = self._run_then_verify_args(tmp_path, alpha="2.0")
         assert cli.main(args) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         row = next(c for c in report["checks"] if c["name"] == "pointwise_bound")
@@ -379,7 +380,7 @@ class TestVerify:
         assert any(c["name"] == "ergodic_eps_bound" and c["pass"] for c in report["checks"])
 
     def test_full_grid_flag(self, tmp_path):
-        args = self._run_and_verify_args(tmp_path, extra=("--verify-full",))
+        args = self._run_then_verify_args(tmp_path, extra=("--verify-full",))
         assert cli.main(args) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["meta"]["full_grid"] is True
@@ -443,6 +444,17 @@ class TestBench:
         assert len(rows) == 1
         assert int(rows[0]["iterations"]) == summary["iterations"]
         assert rows[0]["verification"] == "pass"
+        # each ratio is lhs/rhs at the last checked k of its report row
+        inst = problems.load_instance(inst_path)
+        traj = solver.run(inst, solver.GadmmParams(beta=1.0, alpha=1.0, max_iter=80, stop_tol=1e-9))
+        report = {r.name: r for r in certificates.full_verification(traj, inst.solution).rows}
+        for column, name in (
+            ("pointwise_ratio", "pointwise_bound"),
+            ("ergodic_r_ratio", "ergodic_residual_bound"),
+            ("ergodic_eps_ratio", "ergodic_eps_bound"),
+        ):
+            lhs, rhs = report[name].lhs[-1], report[name].rhs[-1]
+            assert rows[0][column] == repr(float(lhs / rhs)), column
 
     def test_grid_on_lasso(self, tmp_path):
         inst_path = tmp_path / "lasso.json"

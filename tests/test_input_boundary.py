@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gadmm import cli, problems
+from gadmm import cli, oracles, problems
 
 
 @pytest.fixture(scope="module")
@@ -193,14 +193,29 @@ def test_finite_extreme_flag_is_named(tmp_path, flags, message):
     assert flags[0][2:] in err.getvalue()
 
 
-@pytest.mark.parametrize("h1", ["zero", "linearized"])
-def test_overflowing_stage_map_is_named(tmp_path, documents, h1):
-    # beta*alpha*I, the A x_k coefficient of the multiplier rows, overflows,
-    # while the lasso's x-subproblem matrix P + beta*I and its linearized
-    # weight stay finite
+@pytest.mark.parametrize(
+    "kind,alpha,h1",
+    [
+        pytest.param("lasso", "2", "zero", id="zero"),
+        pytest.param("lasso", "2", "linearized", id="linearized"),
+        pytest.param("1-d", "1", "zero", id="constant-alpha-1"),
+        pytest.param("1-d", "1.5", "zero", id="constant-alpha-1.5"),
+    ],
+)
+def test_overflowing_stage_map_is_named(tmp_path, documents, kind, alpha, h1):
+    # on the lasso, beta*alpha*I, the A x_k coefficient of the multiplier
+    # rows, overflows, while the x-subproblem matrix P + beta*I and its
+    # linearized weight stay finite; on the 1-D QP every coefficient stays
+    # finite and the constant column's beta*alpha*b overflows
+    if kind == "lasso":
+        doc = documents["lasso"]
+    else:
+        quad = oracles.Quadratic([[1.0]], [0.0])
+        inst = problems.SeparableInstance(quad, quad, [[1e-10]], [[1e-10]], [3.0])
+        doc = problems.instance_to_dict(inst)
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(documents["lasso"]))
-    argv = ["run", "--instance", str(path), "--beta", "1e308", "--alpha", "2", "--h1", h1]
+    path.write_text(json.dumps(doc))
+    argv = ["run", "--instance", str(path), "--beta", "1e308", "--alpha", alpha, "--h1", h1]
     argv += ["--h2", "linearized", "--max-iter", "3", "--out", str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
         io.StringIO()
@@ -209,7 +224,9 @@ def test_overflowing_stage_map_is_named(tmp_path, documents, h1):
         code = cli.main(argv)
     assert [str(w.message) for w in caught] == []
     assert code == 1
-    assert err.getvalue() == "error: y-block stage map overflows at alpha=2.0, beta=1e+308\n"
+    assert err.getvalue() == (
+        f"error: y-block stage map overflows at alpha={float(alpha)!r}, beta=1e+308\n"
+    )
 
 
 def test_linearized_weight_of_a_huge_operator_is_refused(tmp_path, capsys, documents):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gadmm import certificates, cli, problems, solver
+from gadmm import cli, problems, solver
 
 from conftest import run_full
 
@@ -50,16 +50,14 @@ def outputs():
     """One writer per kind of output file, each taking the target path."""
     inst = problems.generate_qp(7, 4, 3, 2)
     traj = run_full(inst, alpha=1.5, iters=40)
-    table = certificates.bound_table(certificates.full_verification(traj, inst.solution))
     return {
         "instance": lambda path: problems.save_instance(inst, path),
         "trajectory": lambda path: solver.save_trajectory_csv(traj, path),
-        "bound-table": lambda path: certificates.save_bound_report_csv(table, path),
         "json": lambda path: cli._write_json({"iterations": 40}, path),
     }
 
 
-WRITERS = ["instance", "trajectory", "bound-table", "json"]
+WRITERS = ["instance", "trajectory", "json"]
 
 
 @pytest.mark.parametrize("writer", WRITERS)

@@ -1,8 +1,6 @@
-"""One replay per verification, one raise path, and the scripts built on them."""
+"""One replay per verification and one raise path."""
 
 import math
-import os
-import runpy
 
 import numpy as np
 import pytest
@@ -12,8 +10,6 @@ from gadmm.errors import CertificationError
 from gadmm.solver import ExplicitH, LinearizedH
 
 from conftest import run_full
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -198,30 +194,3 @@ def test_inclusion_rows_match_the_block_formulas(case, alpha):
     for name, ref in want.items():
         err = np.abs(getattr(rep, name) - ref).max(axis=1)
         assert np.all(err <= 1e-13 * (1.0 + np.abs(ref).max(axis=1))), name
-
-
-def test_certificate_demo_script(tmp_path, monkeypatch, capsys):
-    script = os.path.join(ROOT, "scripts", "certificate_demo.py")
-    monkeypatch.setattr("sys.argv", [script, str(tmp_path)])
-    runpy.run_path(script, run_name="__main__")
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert "ran 5000 iterations" in out
-    assert lines[1].split() == ["check", "result", "worst", "slack", "at", "k", "lhs", "rhs"]
-    assert len(lines) == 2 + 18 + 1  # a header, one line per report row, the verdict
-    assert lines[-1] == "overall: pass"
-    assert (tmp_path / "trajectory.csv").is_file()
-
-
-def test_alpha_sweep_script(tmp_path, monkeypatch, capsys):
-    script = os.path.join(ROOT, "scripts", "alpha_sweep.py")
-    monkeypatch.setattr("sys.argv", [script, str(tmp_path)])
-    labels = {f"{alpha:.2f}" for alpha in runpy.run_path(script, run_name="__main__")["ALPHAS"]}
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    verdicts = [row[2] for row in rows if row and row[0] in labels]
-    assert verdicts == ["pass"] * 10
-    tables = sorted(tmp_path.glob("bounds_*.csv"))
-    assert len(tables) == 10
-    for path in tables:
-        header = path.read_text().splitlines()[0]
-        assert header.split(",") == certificates.BOUND_CSV_COLUMNS

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from gadmm import certificates, cli, hpe, linalg, problems, solver
+from gadmm import cli, hpe, linalg, problems
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,12 +89,13 @@ def test_verify_calls_every_certificate_target(tmp_path, monkeypatch):
     assert [name for name, n in calls.items() if n == 0] == []
 
 
-def test_run_and_verify_makes_one_ergodic_pass(monkeypatch):
+def test_bench_makes_one_ergodic_pass(monkeypatch, tmp_path):
     calls = {"certificates._ergodic_checks": 0, "certificates.pointwise_certificate": 0}
     for name in calls:
         count_calls(monkeypatch, *name.split(".", 1), calls)
-    inst = problems.generate_qp(1, 6, 5, 3)
-    params = solver.GadmmParams(beta=1.0, alpha=1.5, max_iter=200, stop_tol=1e-9)
-    _, report, bounds, _ = certificates.run_and_verify(inst, params)
-    assert report.passed and len(bounds["k"]) == len(report.meta["checked_iterations"])
+    inst_path = tmp_path / "qp.json"
+    problems.save_instance(problems.generate_qp(1, 6, 5, 3), inst_path)
+    bench = ["bench", "--instance", str(inst_path), "--alpha-grid", "1.5", "--max-iter", "200",
+             "--stop-tol", "1e-9", "--out", str(tmp_path / "bench")]
+    assert cli.main(bench) == 0
     assert calls == {"certificates._ergodic_checks": 1, "certificates.pointwise_certificate": 1}
