@@ -2,6 +2,7 @@
 by module and attribute name; every name it lists must exist, or the
 traced benchmark run breaks."""
 
+import csv
 import importlib
 import importlib.util
 import os
@@ -98,4 +99,7 @@ def test_bench_makes_one_ergodic_pass(monkeypatch, tmp_path):
     bench = ["bench", "--instance", str(inst_path), "--alpha-grid", "1.5", "--max-iter", "200",
              "--stop-tol", "1e-9", "--out", str(tmp_path / "bench")]
     assert cli.main(bench) == 0
+    with open(tmp_path / "bench" / "bench.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["verification"] for row in rows] == ["pass"]
     assert calls == {"certificates._ergodic_checks": 1, "certificates.pointwise_certificate": 1}
