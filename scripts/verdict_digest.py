@@ -7,16 +7,16 @@ verify`` and ``gadmm verify --verify-full`` on the trajectory it wrote.
 The digest, written as JSON to OUT.json, holds each command's exit codes
 and iteration count, the sha256 of the trajectory.csv and summary.json its
 run wrote, the iterate cells of that CSV's last row (x_K, y_K, gamma_K,
-gamma_tilde_K), and each report row's pass, first_k, worst_k and
-worst_slack.
+gamma_tilde_K), the summary's final_step_metric and final_kkt_gap, and
+each report row's pass, first_k, worst_k and worst_slack.
 The gadmm package is imported from this checkout's ``src``.
 
 Given a baseline digest, the script prints every exit-code, iteration,
 output-file, pass and first_k difference, the largest relative worst_slack
-difference |s - s_base| / (1 + |s_base|), the largest relative difference
-of the last-row iterate cells, measured the same way, overall and for each
-command whose cells differ, and every moved worst_k.  It exits 1 when
-there is a difference of the first kind.
+difference |s - s_base| / (1 + |s_base|), the largest relative differences
+of the last-row iterate cells and of the summary's final values, measured
+the same way, overall and for each command whose values differ, and every
+moved worst_k.  It exits 1 when there is a difference of the first kind.
 
 Usage: python scripts/verdict_digest.py OUT.json [BASELINE.json]
 """
@@ -41,6 +41,12 @@ from gadmm import cli  # noqa: E402
 ROW_FIELDS = ("pass", "first_k", "worst_k", "worst_slack")
 VERIFY_MODES = (("verify", False), ("verify_full", True))
 RUN_FILES = ("trajectory.csv", "summary.json")
+FINAL_FIELDS = ("final_step_metric", "final_kkt_gap")
+# (digest field, its note's label, its per-command lines' label)
+RECORDED_VALUES = (
+    ("last_row", "last-row iterate", "last-row iterate cells"),
+    ("final", "summary final-value", "summary final values"),
+)
 
 
 def _quiet(argv) -> int:
@@ -64,8 +70,9 @@ def _last_row(path):
 def _command_digest(cmd, inst_path, out_dir) -> dict:
     entry = {"command": dataclasses.asdict(cmd)}
     entry["run"] = _quiet(workloads.run_argv(cmd, inst_path, out_dir))
-    summary = os.path.join(out_dir, "summary.json")
-    entry["iterations"] = _read_json(summary)["iterations"] if entry["run"] == 0 else None
+    summary = _read_json(os.path.join(out_dir, "summary.json")) if entry["run"] == 0 else None
+    entry["iterations"] = summary and summary["iterations"]
+    entry["final"] = summary and [summary[f] for f in FINAL_FIELDS]
     entry["sha256"] = {}
     for name in RUN_FILES:
         path = os.path.join(out_dir, name)
@@ -116,10 +123,10 @@ def compare(new, base) -> tuple:
     """Return ``(differences, notes)``: one line per exit-code, iteration,
     output-file, pass or first_k difference (or entry found in one digest
     only), and the report lines for worst_slack, the last-row iterate
-    cells and worst_k."""
+    cells, the summary's final values and worst_k."""
     diffs, moved, cells = [], [], []
     worst_gap, worst_at = 0.0, "-"
-    worst_cell, worst_cell_at = 0.0, "-"
+    worst = {field: (0.0, "-") for field, _, _ in RECORDED_VALUES}  # (difference, where)
 
     def only_in(where, new_entry):
         diffs.append(f"{where}: only in the {'baseline' if new_entry is None else 'new digest'}")
@@ -132,15 +139,13 @@ def compare(new, base) -> tuple:
         diffs += [f"{key}: {f} {b[f]} -> {a[f]}" for f in ("run", "iterations") if a[f] != b[f]]
         ha, hb = a.get("sha256", {}), b.get("sha256", {})
         diffs += [f"{key}: {name} differs" for name in RUN_FILES if ha.get(name) != hb.get(name)]
-        ra, rb = a.get("last_row") or [], b.get("last_row") or []
-        if len(ra) != len(rb):
-            gap = math.inf
-        else:
-            gap = max(map(_relative_gap, ra, rb), default=0.0)
-        if gap > 0.0:
-            cells.append(f"{key}: last-row iterate cells differ by {gap:.3g}")
-        if gap > worst_cell:
-            worst_cell, worst_cell_at = gap, key
+        for field, label, cells_label in RECORDED_VALUES:
+            ra, rb = a.get(field) or [], b.get(field) or []
+            gap = max(map(_relative_gap, ra, rb), default=0.0) if len(ra) == len(rb) else math.inf
+            if gap > 0.0:
+                cells.append(f"{key}: {cells_label} differ by {gap:.3g}")
+            if gap > worst[field][0]:
+                worst[field] = (gap, key)
         for mode, _ in VERIFY_MODES:
             va, vb = a[mode], b[mode]
             if va["exit"] != vb["exit"]:
@@ -159,10 +164,10 @@ def compare(new, base) -> tuple:
                 gap = _relative_gap(x["worst_slack"], y["worst_slack"])
                 if gap > worst_gap:
                     worst_gap, worst_at = gap, where
-    notes = [
-        f"largest relative worst_slack difference: {worst_gap:.3g} ({worst_at})",
-        f"largest relative last-row iterate difference: {worst_cell:.3g} ({worst_cell_at})",
-    ]
+    notes = [f"largest relative worst_slack difference: {worst_gap:.3g} ({worst_at})"]
+    for field, label, _ in RECORDED_VALUES:
+        gap, where = worst[field]
+        notes.append(f"largest relative {label} difference: {gap:.3g} ({where})")
     return diffs, notes + cells + moved
 
 

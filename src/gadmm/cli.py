@@ -112,23 +112,14 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _finite_or_none(v):
-    return v if v is not None and math.isfinite(v) else None
-
-
-@np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: written as null
-def _run_summary(traj) -> dict:
-    inst, K, X, Y, G = traj.instance, traj.iterations, traj.X, traj.Y, traj.G
-    if K == 0:  # no step; the gap at (x_0, y_0, gamma_0)
-        step_metric = None
-        gap = problems.kkt_gap(inst, problems.KktPoint(X[0], Y[0], G[0]))
-    else:
-        prev, new = (X[K - 1], Y[K - 1], G[K - 1]), (X[K], Y[K], G[K])
-        _, step_metric, gap = solver.stop_terms(inst, traj.metric, prev, new, traj.Gt[K - 1])
+def _run_summary(traj, step, gap) -> dict:
+    """The summary of a run whose :func:`solver.diagnostics` are ``step``
+    and ``gap``: their last entries, null where not finite."""
+    final_gap, final_step = (float(v) if math.isfinite(v) else None for v in (gap[-1], step[-1]))
     return {
-        "iterations": K,
-        "final_kkt_gap": _finite_or_none(gap),
-        "final_step_metric": _finite_or_none(step_metric),
+        "iterations": traj.iterations,
+        "final_kkt_gap": final_gap,
+        "final_step_metric": final_step,
         "alpha": traj.params.alpha,
         "beta": traj.params.beta,
         "stopped_early": traj.iterations < traj.params.max_iter,
@@ -139,10 +130,9 @@ def _cmd_run(args) -> int:
     inst = problems.load_instance(args.instance)
     params = _params(args, inst)
     traj = solver.run(inst, params)
-    summary = _run_summary(traj)  # before either file is replaced
     os.makedirs(args.out, exist_ok=True)
-    solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    _write_json(summary, os.path.join(args.out, "summary.json"))
+    diagnostics = solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
+    _write_json(_run_summary(traj, *diagnostics), os.path.join(args.out, "summary.json"))
     print(f"ran {traj.iterations} iterations; outputs in {args.out}")
     return EXIT_OK
 
@@ -206,7 +196,7 @@ def _cmd_bench(args) -> int:
         params = _params(args, inst, alpha=alpha)
         traj = solver.run(inst, params)
         report = certificates.full_verification(traj, inst.solution)
-        summary = _run_summary(traj)
+        summary = _run_summary(traj, *solver.diagnostics(traj))
         failure = report.earliest_failure
         bounds = {r.name: r for r in report.rows}
         rows.append(

@@ -236,7 +236,14 @@ def _pre_prox(F, op, resolved, beta: float, block: str):
         name = f"{block}-subproblem matrix P + beta*Op'Op + H"
         if not np.isfinite(K).all():
             raise ConfigError(f"{name} overflows at beta={beta!r}")
-        fac = linalg.SpdFactor(K, name=f"{name} at beta={beta!r}")
+        try:
+            fac = linalg.SpdFactor(K, name=f"{name} at beta={beta!r}")
+        except NotPositiveDefiniteError:
+            with contextlib.suppress(NotPositiveDefiniteError):  # P + H singular too: exit 2
+                linalg.SpdFactor(P + H)
+                msg = f"{name} at beta={beta!r} is not positive definite"
+                raise ConfigError(f"{msg}: beta*Op'Op swamps P + H") from None
+            raise
     else:
         # the prox point's argument u_prev + Op'(gamma_prev - beta*r)/tau,
         # r = Op u_prev + s, is H u_prev/tau + Op'(gamma_prev - beta*s)/tau
@@ -330,7 +337,7 @@ def stop_terms(inst, metric, prev, new, gamma_tilde):
     yield problems.constraint_residual(inst, x, y)
     dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
     yield math.sqrt(linalg.seminorm_sq(metric, dz))
-    yield problems.kkt_gap(inst, problems.KktPoint(x, y, gamma_tilde))
+    yield float(problems.kkt_gaps(inst, x, y, gamma_tilde))
 
 
 def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
@@ -342,14 +349,15 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
       1. the constraint residual ||A x_k + B y_k - b||;
       2. the step seminorm ||(dx_k, dy_k, dgamma_k)||_M, the certified
          pointwise residual;
-      3. the first-order gap :func:`problems.kkt_gap` at
+      3. the first-order gap :func:`problems.kkt_gaps` at
          (x_k, y_k, gamma_tilde_k), the point where the subproblem
          inclusions hold (its max includes term 1).
     A later term is computed only when the earlier ones hold, and a NaN
     term never stops the run.
 
-    The steps do not check their data: a non-finite iterate does not stop
-    the loop, and floating-point warnings are silenced inside it.  After
+    Neither the steps nor the stopping rule check their data: a non-finite
+    iterate does not stop the loop, and floating-point warnings are
+    silenced inside it.  After
     the loop, one scan of the recorded rows raises :class:`DivergenceError`
     naming the first k whose x, y, gamma or gamma_tilde has a non-finite
     entry, so a run that diverges is reported once it reaches max_iter.
@@ -365,36 +373,27 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
         metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
     xs, ys, gs, gts = [x], [y], [gamma], []
     By = inst.B @ y
-    failure = None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(params.max_iter):
-                x_new, y_new, gamma_new, gamma_tilde, By = eng.step(x, y, gamma, By)
-                xs.append(x_new)
-                ys.append(y_new)
-                gs.append(gamma_new)
-                gts.append(gamma_tilde)
-                if metric is not None and all(
-                    t <= params.stop_tol
-                    for t in stop_terms(
-                        inst, metric, (x, y, gamma), (x_new, y_new, gamma_new), gamma_tilde
-                    )
-                ):
-                    break
-                x, y, gamma = x_new, y_new, gamma_new
-    except ValueError as exc:
-        # the steps do not raise on non-finite data; only the stopping rule's
-        # gap term can, as its KktPoint refuses a non-finite gamma_tilde
-        failure = exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.max_iter):
+            x_new, y_new, gamma_new, gamma_tilde, By = eng.step(x, y, gamma, By)
+            xs.append(x_new)
+            ys.append(y_new)
+            gs.append(gamma_new)
+            gts.append(gamma_tilde)
+            if metric is not None and all(
+                t <= params.stop_tol
+                for t in stop_terms(
+                    inst, metric, (x, y, gamma), (x_new, y_new, gamma_new), gamma_tilde
+                )
+            ):
+                break
+            x, y, gamma = x_new, y_new, gamma_new
     Z = np.hstack([xs, ys, gs])
     Gt = np.array(gts).reshape(len(gts), inst.m)
     finite = np.isfinite(Z[1:]).all(axis=1) & np.isfinite(Gt).all(axis=1)
-    if failure is not None or not finite.all():
-        # the first non-finite recorded iterate, else the step that failed
-        k = int(np.argmin(finite)) + 1 if not finite.all() else len(gts) + 1
-        raise DivergenceError(
-            f"iteration diverged: iterate k={k} has non-finite entries", k=k
-        ) from failure
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise DivergenceError(f"iteration diverged: iterate k={k} has non-finite entries", k=k)
     return Trajectory(
         instance=inst,
         params=params,
@@ -420,16 +419,24 @@ def trajectory_header(inst) -> list[str]:
     return cols
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: written as inf
-def save_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write one row per iteration: k, x, y, gamma, gamma_tilde, the
-    M-seminorm of the step, and the first-order gap.  Floats are written
-    with full round-trip precision."""
-    inst, Z, Gt = traj.instance, traj.Z, traj.Gt
-    dxm = np.vstack([[0.0], np.sqrt(traj.metric.seminorm_sq(np.diff(Z, axis=0)))[:, None]])
-    # the gap at (x_0, y_0, gamma_0), then at (x_k, y_k, gamma_tilde_k)
-    gaps = problems.kkt_gaps(inst, traj.X, traj.Y, np.vstack([traj.G[:1], Gt]))[:, None]
-    table = np.hstack([Z, np.vstack([np.zeros((1, inst.m)), Gt]), dxm, gaps])
+@np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: inf
+def diagnostics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Over k = 0..K, the step M-seminorm ||z_k - z_{k-1}||_M (NaN at k = 0)
+    and the gap :func:`problems.kkt_gaps` at (x_0, y_0, gamma_0), then at
+    (x_k, y_k, gamma_tilde_k): stacked products, so an entry can differ from
+    the stopping rule's one-point term by rounding."""
+    step = np.sqrt(traj.metric.seminorm_sq(np.diff(traj.Z, axis=0)))
+    gap = problems.kkt_gaps(traj.instance, traj.X, traj.Y, np.vstack([traj.G[:1], traj.Gt]))
+    return np.concatenate([[math.nan], step]), gap
+
+
+def save_trajectory_csv(traj: Trajectory, path) -> tuple[np.ndarray, np.ndarray]:
+    """Write one row per iteration: k, x, y, gamma, gamma_tilde, and the
+    two arrays of :func:`diagnostics`, the step seminorm and the gap, which
+    it returns.  Floats are written with full round-trip precision."""
+    inst, (step, gap) = traj.instance, diagnostics(traj)
+    gt = np.vstack([np.zeros((1, inst.m)), traj.Gt])
+    table = np.hstack([traj.Z, gt, step[:, None], gap[:, None]])
     blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
     # No cell needs CSV quoting, so joining with "," and "\r\n" gives the
     # bytes csv.writer would.  Rows are formatted one at a time, which keeps
@@ -441,6 +448,7 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
             if k == 0:  # x_0, y_0, gamma_0 have no gamma_tilde or step
                 cells[blank] = [""] * (inst.m + 1)
             fh.write(f"{k}," + ",".join(cells) + "\r\n")
+    return step, gap
 
 
 def _cells(line: str) -> list[str]:

@@ -73,23 +73,33 @@ class TestRun:
         assert summary["final_kkt_gap"] <= 1e-10
         assert summary["stopped_early"] is True
 
-    def test_summary_matches_the_last_csv_row_up_to_rounding(self, tmp_path):
-        # the CSV's dxM and kkt_gap come from one product over all rows, the
-        # summary's from the stopping rule's one-point terms
+    def test_summary_is_the_last_csv_row(self, tmp_path):
+        # both come from one solver.diagnostics call, so they agree bit for bit
         inst_path = tmp_path / "qp.json"
         problems.save_instance(problems.generate_qp(1, 8, 6, 4), inst_path)
-        out = tmp_path / "run"
-        code = cli.main(
-            ["run", "--instance", str(inst_path), "--alpha", "1.9", "--stop-tol", "1e-9",
-             "--out", str(out)]
-        )
-        assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
-        with open(out / "trajectory.csv", newline="") as fh:
-            last = list(csv.DictReader(fh))[-1]
-        assert summary["stopped_early"] and int(last["k"]) == summary["iterations"]
-        assert abs(float(last["dxM"]) - summary["final_step_metric"]) <= 1e-12
-        assert abs(float(last["kkt_gap"]) - summary["final_kkt_gap"]) <= 1e-12
+        for name, flags, stopped_early in (
+            ("tol", ["--alpha", "1.9", "--stop-tol", "1e-9"], True),
+            ("max-iter", ["--alpha", "2.0", "--h1", "linearized", "--h2", "linearized",
+                          "--max-iter", "300", "--stop-tol", "0"], False),
+        ):
+            out = tmp_path / name
+            assert cli.main(["run", "--instance", str(inst_path), *flags, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            with open(out / "trajectory.csv", newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert summary["stopped_early"] is stopped_early
+            assert int(last["k"]) == summary["iterations"] > 0
+            assert last["dxM"] == repr(summary["final_step_metric"])
+            assert last["kkt_gap"] == repr(summary["final_kkt_gap"])
+
+    def test_run_evaluates_the_diagnostics_once(self, tmp_path, monkeypatch):
+        real, calls = solver.diagnostics, []
+        monkeypatch.setattr(solver, "diagnostics", lambda traj: calls.append(None) or real(traj))
+        inst_path = write_qp(tmp_path)
+        assert cli.main(
+            ["run", "--instance", str(inst_path), "--max-iter", "40", "--out", str(tmp_path / "o")]
+        ) == 0
+        assert len(calls) == 1
 
     def test_max_iter_zero(self, tmp_path):
         inst_path = write_one_d(tmp_path)
@@ -98,10 +108,13 @@ class TestRun:
             ["run", "--instance", str(inst_path), "--max-iter", "0", "--out", str(out)]
         )
         assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = strict_json((out / "summary.json").read_text())
         assert summary["iterations"] == 0
         rows = (out / "trajectory.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + k=0
+        # no step at k = 0; the gap at (x_0, y_0, gamma_0) is row 0's
+        assert summary["final_step_metric"] is None
+        assert rows[1].split(",")[-1] == repr(summary["final_kkt_gap"])
 
     def test_deterministic_outputs(self, tmp_path):
         inst_path = write_qp(tmp_path)
@@ -118,9 +131,9 @@ class TestRun:
         )
         assert code == 1
 
-    def test_solver_error_exit_two(self, tmp_path):
+    def test_solver_error_exit_two(self, tmp_path, capsys):
         # zero objective with a rank-deficient x block: subproblem not
-        # strictly convex
+        # strictly convex at any beta, as P + H = 0 is singular too
         from gadmm import oracles
         from gadmm.problems import SeparableInstance
 
@@ -135,20 +148,26 @@ class TestRun:
         problems.save_instance(inst, path)
         code = cli.main(["run", "--instance", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "solver error: x-subproblem matrix P + beta*Op'Op + H at beta=1.0 "
+            "is not positive definite (subproblem not strictly convex)\n"
+        )
 
     def test_huge_beta_factor_failure_names_beta(self, tmp_path, capsys):
         # P + beta*A'A is finite, but beta*A'A swamps P and A'A is singular,
-        # so the Cholesky factorization fails; the one stderr line names beta
+        # so the Cholesky factorization fails while P + H factors: a bad
+        # beta (exit 1), named on the one stderr line
         path = tmp_path / "qp.json"
         problems.save_instance(problems.generate_qp(1, 8, 6, 4), path)
-        code = cli.main(
-            ["run", "--instance", str(path), "--beta", "1e200", "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "solver error: x-subproblem matrix P + beta*Op'Op + H at beta=1e+200 "
-            "is not positive definite (subproblem not strictly convex)\n"
-        )
+        for beta in ("1e16", "1e200"):
+            code = cli.main(
+                ["run", "--instance", str(path), "--beta", beta, "--out", str(tmp_path / "o")]
+            )
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: x-subproblem matrix P + beta*Op'Op + H at beta={float(beta)!r} "
+                "is not positive definite: beta*Op'Op swamps P + H\n"
+            )
 
     def test_overflowing_summary_writes_null(self, tmp_path, capsys):
         inst = problems.SeparableInstance(
@@ -443,6 +462,7 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert int(rows[0]["iterations"]) == summary["iterations"]
+        assert rows[0]["final_kkt_gap"] == repr(summary["final_kkt_gap"])
         assert rows[0]["verification"] == "pass"
         # each ratio is lhs/rhs at the last checked k of its report row
         inst = problems.load_instance(inst_path)

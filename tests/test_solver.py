@@ -456,13 +456,12 @@ class TestRun:
 
 
 def rowwise_trajectory_csv(traj, path):
-    """The trajectory CSV written one ``csv.writer`` row at a time: the
-    reference for the bytes of :func:`solver.save_trajectory_csv`."""
+    """The trajectory CSV written one ``csv.writer`` row at a time, with
+    ``dxM`` and ``kkt_gap`` from :func:`solver.diagnostics`: the reference
+    for the bytes of :func:`solver.save_trajectory_csv`."""
     inst = traj.instance
     X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
-    steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
-    dxm = np.sqrt(traj.metric.seminorm_sq(steps)).tolist()
-    gaps = problems.kkt_gaps(inst, X, Y, np.vstack([G[:1], Gt])).tolist()
+    dxm, gaps = (a.tolist() for a in solver.diagnostics(traj))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(solver.trajectory_header(inst))
@@ -471,7 +470,7 @@ def rowwise_trajectory_csv(traj, path):
             if k == 0:
                 row += [""] * (inst.m + 1)
             else:
-                row += [*map(repr, Gt[k - 1].tolist()), repr(dxm[k - 1])]
+                row += [*map(repr, Gt[k - 1].tolist()), repr(dxm[k])]
             row.append(repr(gap))
             writer.writerow(row)
 

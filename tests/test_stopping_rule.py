@@ -1,13 +1,14 @@
 """The stopping rule of ``solver.run``: each term must hold, cheap terms
 are tested first, and the stopping k is the first k where the full
-criterion holds, computed here from a recorded run with stacked calls."""
+criterion holds, computed here from a recorded run with stacked calls
+(:func:`solver.diagnostics`)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gadmm import linalg, problems, solver
+from gadmm import problems, solver
 from gadmm.solver import GadmmParams, LinearizedH, ZeroH
 
 ORACLE_MAX_ITER = 600
@@ -16,13 +17,9 @@ ORACLE_MAX_ITER = 600
 def criterion_terms(traj):
     """Per k = 1..K: the constraint residual, the step M-seminorm and the
     first-order gap at (x_k, y_k, gamma_tilde_k), from stacked calls."""
-    X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
-    inst = traj.instance
-    steps = np.hstack([np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(G, axis=0)])
-    step = np.sqrt(linalg.seminorm_sq(traj.metric, steps))
-    gap = problems.kkt_gaps(inst, X[1:], Y[1:], Gt)
-    resid = problems.constraint_residual(inst, X[1:], Y[1:])
-    return resid, step, gap
+    step, gap = solver.diagnostics(traj)
+    resid = problems.constraint_residual(traj.instance, traj.X[1:], traj.Y[1:])
+    return resid, step[1:], gap[1:]
 
 
 def counting(monkeypatch, module, name):
@@ -62,7 +59,7 @@ def test_stopping_k_matches_oracle(case, alpha, tol, monkeypatch):
     assert holds.any(), "the oracle run never meets the criterion; raise ORACLE_MAX_ITER"
     first = int(np.argmax(holds)) + 1
 
-    gap_calls = counting(monkeypatch, problems, "kkt_gap")
+    gap_calls = counting(monkeypatch, problems, "kkt_gaps")
     stopped = solver.run(inst, params(tol))
     assert stopped.iterations == first
     assert np.array_equal(stopped.X, full.X[: first + 1])
@@ -72,19 +69,25 @@ def test_stopping_k_matches_oracle(case, alpha, tol, monkeypatch):
     # the gap is computed only at the k where both cheaper terms hold
     pretests = (resid[:first] <= tol) & (step[:first] <= tol)
     assert len(gap_calls) == int(pretests.sum())
+    # the loop's one-point terms at the stopping k are the arrays' up to rounding
+    X, Y, G, k = stopped.X, stopped.Y, stopped.G, first
+    prev, new = (X[k - 1], Y[k - 1], G[k - 1]), (X[k], Y[k], G[k])
+    loop = list(solver.stop_terms(inst, stopped.metric, prev, new, stopped.Gt[k - 1]))
+    arrays = [resid[k - 1], step[k - 1], gap[k - 1]]
+    assert np.all(np.abs(np.subtract(loop, arrays)) <= 1e-12 * (1.0 + np.abs(arrays)))
 
 
 def test_nan_gap_never_stops(monkeypatch):
     # Python's max(step, nan) returns step; the rule must not stop on NaN
     inst = problems.generate_qp(1, 8, 6, 4)
-    monkeypatch.setattr(problems, "kkt_gap", lambda inst, point: math.nan)
+    monkeypatch.setattr(problems, "kkt_gaps", lambda inst, X, Y, G: math.nan)
     params = GadmmParams(beta=1.0, alpha=1.0, max_iter=500, stop_tol=1e-6)
     assert solver.run(inst, params).iterations == 500
 
 
 def test_unreachable_tolerance_skips_the_gap(monkeypatch):
     inst = problems.generate_qp(1, 8, 6, 4)
-    gap_calls = counting(monkeypatch, problems, "kkt_gap")
+    gap_calls = counting(monkeypatch, problems, "kkt_gaps")
     params = GadmmParams(beta=1.0, alpha=1.0, max_iter=200, stop_tol=1e-300)
     assert solver.run(inst, params).iterations == 200
     assert gap_calls == []

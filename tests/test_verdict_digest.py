@@ -1,6 +1,7 @@
 """``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
 digest matches itself, a flipped verdict or a changed output file is
-reported, and so is how far the last row's iterate cells moved."""
+reported, and so is how far the last row's iterate cells and the summary's
+final values moved."""
 
 import copy
 import os
@@ -28,6 +29,8 @@ def test_digest_records_each_command_mode(lasso_digest):
     assert all(len(h) == 64 for h in entry["sha256"].values())
     # x, y, gamma and gamma_tilde of the lasso's 10/10/10 split at k = 2000
     assert len(entry["last_row"]) == 40 and None not in entry["last_row"]
+    # final_step_metric and final_kkt_gap, finite after 2000 steps
+    assert len(entry["final"]) == 2 and all(v >= 0.0 for v in entry["final"])
     for mode in ("verify", "verify_full"):
         assert entry[mode]["exit"] == 0
         rows = entry[mode]["rows"]
@@ -40,6 +43,7 @@ def test_digest_matches_itself(script, lasso_digest):
     assert notes == [
         "largest relative worst_slack difference: 0 (-)",
         "largest relative last-row iterate difference: 0 (-)",
+        "largest relative summary final-value difference: 0 (-)",
     ]
 
 
@@ -64,4 +68,15 @@ def test_moved_last_row_is_a_note(script, lasso_digest):
     diffs, notes = script["compare"](moved, lasso_digest)
     assert diffs == []
     assert notes[1] == "largest relative last-row iterate difference: 1e-12 (lasso-replay/0)"
-    assert notes[2] == "lasso-replay/0: last-row iterate cells differ by 1e-12"
+    assert notes[3] == "lasso-replay/0: last-row iterate cells differ by 1e-12"
+
+
+def test_moved_final_value_is_a_note(script, lasso_digest):
+    moved = copy.deepcopy(lasso_digest)
+    final = moved["lasso-replay/0"]["final"]
+    final[1] += 1e-13 * (1.0 + abs(final[1]))
+    diffs, notes = script["compare"](moved, lasso_digest)
+    assert diffs == []
+    assert notes[2] == "largest relative summary final-value difference: 1e-13 (lasso-replay/0)"
+    assert notes[3] == "lasso-replay/0: summary final values differ by 1e-13"
+
