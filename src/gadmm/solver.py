@@ -57,6 +57,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -71,6 +73,15 @@ AUTO_TAU_MARGIN = 1.01
 
 # The trailing entry of each stage's input, which applies its constant term.
 _ONE = np.ones(1)
+
+# The trajectory CSV writer splits a table of c cells into
+# min(usable CPUs, c // CELLS_PER_WORKER) row ranges and forks a worker for
+# each range after the first.  A fork plus its waitpid costs about 3 ms in a
+# 64 MB process and formatting a cell about 0.75 us, so a range formats in
+# at least 15 ms, several times what starting its worker costs.
+CELLS_PER_WORKER = 20_000
+# Bytes the writer reads from a worker's pipe at a time.
+_PIPE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -430,25 +441,152 @@ def diagnostics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[math.nan], step]), gap
 
 
+def _write_rows(write, table, start, stop, blank) -> None:
+    """Pass the CSV line of each of rows start..stop-1 of the writer's
+    table, k first, to ``write``.  No cell needs CSV quoting, so joining
+    with "," and "\\r\\n" gives the bytes csv.writer would, and one row
+    of strings is held at a time."""
+    for k, row in enumerate(table[start:stop], start):
+        cells = list(map(repr, row.tolist()))
+        if k == 0:  # x_0, y_0, gamma_0 have no gamma_tilde or step
+            cells[blank] = [""] * (blank.stop - blank.start)
+        write(f"{k}," + ",".join(cells) + "\r\n")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(cells: int) -> int:
+    """Workers for a table of ``cells`` cells: none without ``os.fork``, or
+    while another Python thread runs, since a forked child holds a copy of
+    only the thread that forked it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    return max(0, min(_usable_cpus(), cells // CELLS_PER_WORKER) - 1)
+
+
+class _RowsWorker:
+    """A forked process that formats rows start..stop-1 with
+    :func:`_write_rows` and writes their bytes to a pipe.
+
+    The child formats its whole range before it writes, so it never waits
+    on the parent while the parent formats its own share.  It closes the
+    read ends of ``siblings``, the workers forked before it, so that a read
+    end the parent closes has no other holder.  Fork and pipe failures
+    raise :class:`OSError` with nothing left open.
+    """
+
+    def __init__(self, table, start, stop, blank, siblings):
+        self.start, self.stop, self.pid = start, stop, None
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(w)
+            self.close()
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.fd)
+                for sibling in siblings:
+                    os.close(sibling.fd)
+                lines = []
+                _write_rows(lines.append, table, start, stop, blank)
+                data = "".join(lines).encode()
+                with open(w, "wb") as out:
+                    out.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+
+    def copy_into(self, out) -> bool:
+        """Copy the worker's bytes to the binary file ``out`` in chunks and
+        reap the worker.  True when it exited 0 after writing every row of
+        its range; otherwise ``out`` is cut back to where it was."""
+        mark, lines = out.tell(), 0
+        while chunk := os.read(self.fd, _PIPE_CHUNK):
+            out.write(chunk)
+            lines += chunk.count(b"\n")
+        if self.close() == 0 and lines == self.stop - self.start:
+            return True
+        out.seek(mark)
+        out.truncate()
+        return False
+
+    def close(self):
+        """Close the read end, then reap the worker and return its wait
+        status (None if already reaped).  The close comes first, so a worker
+        blocked on a full pipe fails its write instead of waiting."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid:
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            return status
+        return None
+
+
 def save_trajectory_csv(traj: Trajectory, path) -> tuple[np.ndarray, np.ndarray]:
     """Write one row per iteration: k, x, y, gamma, gamma_tilde, and the
     two arrays of :func:`diagnostics`, the step seminorm and the gap, which
-    it returns.  Floats are written with full round-trip precision."""
+    it returns.  Floats are written with full round-trip precision.
+
+    A large table is formatted on every usable CPU, with the same bytes as
+    one process: the rows are split into contiguous ranges, the first
+    formatted by this process and each other one by a forked worker (see
+    :data:`CELLS_PER_WORKER`), whose bytes are copied in row order.  The
+    table is written by this process alone when it has fewer than twice
+    ``CELLS_PER_WORKER`` cells or one CPU is usable, when ``os.fork`` does
+    not exist, when another Python thread is running, or when ``fork``
+    fails; and a range whose worker exits non-zero or writes the wrong
+    number of rows is formatted here.  Every worker is reaped before this
+    returns or raises.
+    """
     inst, (step, gap) = traj.instance, diagnostics(traj)
     gt = np.vstack([np.zeros((1, inst.m)), traj.Gt])
     table = np.hstack([traj.Z, gt, step[:, None], gap[:, None]])
     blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
-    # No cell needs CSV quoting, so joining with "," and "\r\n" gives the
-    # bytes csv.writer would.  Rows are formatted one at a time, which keeps
-    # the memory held to one row of strings.
-    with problems.atomic_open(path, newline="") as fh:
-        fh.write(",".join(trajectory_header(inst)) + "\r\n")
-        for k, row in enumerate(table):
-            cells = list(map(repr, row.tolist()))
-            if k == 0:  # x_0, y_0, gamma_0 have no gamma_tilde or step
-                cells[blank] = [""] * (inst.m + 1)
-            fh.write(f"{k}," + ",".join(cells) + "\r\n")
+    rows = len(table)
+    parts = 1 + _worker_count(rows * (table.shape[1] + 1))
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    workers = []
+    try:
+        # fork before the file is opened, so that no worker holds it
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            try:
+                workers.append(_RowsWorker(table, start, stop, blank, workers))
+            except OSError:
+                break  # this process formats the ranges left
+        done = workers[-1].stop if workers else bounds[1]
+        with problems.atomic_open(path, newline="") as fh:
+            fh.write(",".join(trajectory_header(inst)) + "\r\n")
+            _write_rows(fh.write, table, 0, bounds[1], blank)
+            for worker in workers:
+                fh.flush()
+                if not worker.copy_into(fh.buffer):
+                    _write_rows(fh.write, table, worker.start, worker.stop, blank)
+            _write_rows(fh.write, table, done, rows, blank)
+    finally:
+        for worker in workers:
+            worker.close()
     return step, gap
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, broken only at ``\\r\\n`` and ``\\n``
+    (:meth:`str.splitlines` also breaks at ``\\r``, form feeds and other
+    separators, which are left to the cell parser here)."""
+    *lines, last = text.split("\n")
+    lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
+    if last:
+        lines.append(last)
+    return lines
 
 
 def _cells(line: str) -> list[str]:
@@ -494,7 +632,9 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     go through one :func:`numpy.loadtxt` call, which parses every cell and
     refuses quoted cells.  Row 0 (k = 0) has no gamma_tilde or step, so its
     cells after gamma are not read: they are replaced by ``nan`` before the
-    parse.  Lines may end in ``\\r\\n`` or ``\\n``.
+    parse.  Lines end at ``\\r\\n`` or ``\\n`` and nowhere else: a bare
+    ``\\r``, a form feed or another Unicode line separator is part of its
+    cell, which the parser then accepts or refuses.
 
     Each of these raises :class:`ValueError`, naming the file row where
     there is one (the header is row 1): a header that is not
@@ -508,7 +648,7 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     expected = trajectory_header(inst)
     ncols, cut = len(expected), 1 + inst.n + inst.p + m
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+        lines = _split_lines(fh.read())
     header = _cells(lines[0]) if lines else None
     if header != expected:
         raise ValueError(f"trajectory file: unexpected header {header}")

@@ -1,4 +1,7 @@
 import csv
+import errno
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -475,6 +478,37 @@ def rowwise_trajectory_csv(traj, path):
             writer.writerow(row)
 
 
+def writer_trajectory(kind, iters):
+    """A run whose CSV rows have 20 cells (a QP with zero H) or 35 (a lasso
+    with both blocks linearized)."""
+    if kind == "qp-zero":
+        return run_full(problems.generate_qp(4, 6, 5, 3), alpha=1.9, iters=iters)
+    inst = problems.generate_lasso(7, 8, 16, 0.2)
+    return run_full(inst, alpha=2.0, iters=iters, h1=LinearizedH(), h2=LinearizedH())
+
+
+def count_forks(monkeypatch, cpus, fork=None):
+    """Make the writer see ``cpus`` usable CPUs and record each ``os.fork``
+    call in the returned list; ``fork`` replaces the real one."""
+    calls, fork = [], fork or os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_nothing_left(directory, names):
+    """Only ``names`` are in ``directory`` (no temporary file), and this
+    process has no child left to reap."""
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
         inst = problems.generate_qp(10, 4, 3, 2)
@@ -496,19 +530,28 @@ class TestTrajectoryCsv:
         solver.save_trajectory_csv(solver.run(inst, params), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # With three usable CPUs a table of c cells is split among
+    # min(3, c // CELLS_PER_WORKER) processes, the writer and its forks.  QP
+    # rows have 20 cells and lasso rows 35, so the tables of 3000 iterations
+    # split their 3001 rows 1000/1000/1001, and the QP's of 2000 1000/1001.
+    LARGE_FORKS = {
+        (2000, "qp-zero"): 1,
+        (3000, "qp-zero"): 2,
+        (2000, "lasso-linearized"): 2,
+        (3000, "lasso-linearized"): 2,
+    }
+
     @pytest.mark.parametrize("kind", ["qp-zero", "lasso-linearized"])
-    @pytest.mark.parametrize("iters", [0, 1, 40])
-    def test_matches_rowwise_writer(self, tmp_path, kind, iters):
-        if kind == "qp-zero":
-            inst = problems.generate_qp(4, 6, 5, 3)
-            traj = run_full(inst, alpha=1.9, iters=iters)
-        else:
-            inst = problems.generate_lasso(7, 8, 16, 0.2)
-            traj = run_full(inst, alpha=2.0, iters=iters, h1=LinearizedH(), h2=LinearizedH())
+    @pytest.mark.parametrize("iters", [0, 1, 40, 2000, 3000])
+    def test_matches_rowwise_writer(self, tmp_path, monkeypatch, kind, iters):
+        traj = writer_trajectory(kind, iters)
+        counted = count_forks(monkeypatch, cpus=3)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         solver.save_trajectory_csv(traj, got)
+        assert len(counted) == self.LARGE_FORKS.get((iters, kind), 0)
         rowwise_trajectory_csv(traj, want)
         assert got.read_bytes() == want.read_bytes()
+        assert_nothing_left(tmp_path, ["got.csv", "want.csv"])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"
@@ -516,3 +559,119 @@ class TestTrajectoryCsv:
         inst = problems.generate_qp(10, 4, 3, 2)
         with pytest.raises(ValueError, match="header"):
             solver.load_trajectory_csv(path, inst, GadmmParams(beta=1.0))
+
+
+class FailingFile:
+    """A file, or its binary ``buffer``, whose write of data for which
+    ``fails(data)`` is true raises ENOSPC."""
+
+    def __init__(self, fh, fails):
+        self._fh, self._fails = fh, fails
+
+    def write(self, data):
+        if self._fails(data):
+            raise OSError(errno.ENOSPC, "disk full")
+        return self._fh.write(data)
+
+    @property
+    def buffer(self):
+        return FailingFile(self._fh.buffer, self._fails)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+class TestParallelWriter:
+    """The forked writer of :func:`solver.save_trajectory_csv` gives the
+    serial bytes, or the original error, whatever fails, and leaves no
+    temporary file and no child process."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return writer_trajectory("lasso-linearized", 2000)
+
+    @pytest.fixture(scope="class")
+    def serial(self, traj, tmp_path_factory):
+        path = tmp_path_factory.mktemp("serial") / "want.csv"
+        rowwise_trajectory_csv(traj, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("first_failure", [1, 2])
+    def test_fork_failure_leaves_the_ranges_to_the_parent(
+        self, tmp_path, monkeypatch, traj, serial, first_failure
+    ):
+        real = os.fork
+
+        def failing():
+            if len(counted) >= first_failure:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real()
+
+        counted = count_forks(monkeypatch, cpus=3, fork=failing)
+        solver.save_trajectory_csv(traj, tmp_path / "got.csv")
+        assert len(counted) == first_failure  # no fork is tried after a failure
+        assert (tmp_path / "got.csv").read_bytes() == serial
+        assert_nothing_left(tmp_path, ["got.csv"])
+
+    @pytest.mark.parametrize("failure", ["raises", "short", "long"])
+    def test_failed_worker_range_is_formatted_by_the_parent(
+        self, tmp_path, monkeypatch, traj, serial, failure
+    ):
+        # the workers format rows 667..1333 and 1334..2000; the second one
+        # raises, or exits 0 having written one row too few or too many
+        parent, real = os.getpid(), solver._write_rows
+
+        def failing_in_a_worker(write, table, start, stop, blank):
+            if os.getpid() == parent or start != 1334:
+                real(write, table, start, stop, blank)
+            elif failure == "raises":
+                raise RuntimeError("worker failed")
+            elif failure == "short":
+                real(write, table, start, stop - 1, blank)
+            else:
+                real(write, table, start, stop, blank)
+                write("2001,junk\r\n")
+
+        monkeypatch.setattr(solver, "_write_rows", failing_in_a_worker)
+        counted = count_forks(monkeypatch, cpus=3)
+        solver.save_trajectory_csv(traj, tmp_path / "got.csv")
+        assert len(counted) == 2
+        assert (tmp_path / "got.csv").read_bytes() == serial
+        assert_nothing_left(tmp_path, ["got.csv"])
+
+    @pytest.mark.parametrize("stage", ["own-rows", "copy"])
+    def test_write_error_propagates(self, tmp_path, monkeypatch, traj, stage):
+        # each worker's share (about 0.5 MB) overfills its pipe, so a worker
+        # is still blocked on its write when the parent's write fails
+        if stage == "own-rows":
+            fails = lambda data: isinstance(data, str) and data.startswith("100,")  # noqa: E731
+        else:
+            fails = lambda data: isinstance(data, bytes)  # noqa: E731
+        opener = lambda *args, **kwargs: FailingFile(open(*args, **kwargs), fails)  # noqa: E731
+        monkeypatch.setattr(problems, "open", opener, raising=False)
+        counted = count_forks(monkeypatch, cpus=3)
+        with pytest.raises(OSError, match="disk full"):
+            solver.save_trajectory_csv(traj, tmp_path / "got.csv")
+        assert len(counted) == 2
+        assert_nothing_left(tmp_path, [])
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch, traj, serial):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            counted = count_forks(monkeypatch, cpus=3)
+            solver.save_trajectory_csv(traj, tmp_path / "got.csv")
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert counted == []
+        assert (tmp_path / "got.csv").read_bytes() == serial
+        assert_nothing_left(tmp_path, ["got.csv"])

@@ -140,3 +140,35 @@ def test_round_trip_is_bit_identical(tmp_path_factory, base_trajectory, data, it
         want, got = getattr(traj, name), getattr(back, name)
         assert got.shape == want.shape, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+)
+def test_lines_break_only_at_newlines(tmp_path, char):
+    # str.splitlines would end file row 7 at ``char`` and find a blank row 8;
+    # the cell parser decides instead, so the file loads or row 7 is named
+    inst = problems.generate_qp(1, N, P, M)
+    params = solver.GadmmParams(beta=1.0, max_iter=10, stop_tol=0.0)
+    path = tmp_path / "trajectory.csv"
+    solver.save_trajectory_csv(solver.run(inst, params), path)
+    clean = solver.load_trajectory_csv(path, inst, params)
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[6] += char
+    path.write_bytes("\r\n".join(lines).encode())
+    try:
+        back = solver.load_trajectory_csv(path, inst, params)
+    except ValueError as exc:
+        assert "row 7" in str(exc)
+    else:
+        for name in ("X", "Y", "G", "Gt"):
+            assert np.array_equal(getattr(back, name), getattr(clean, name)), name
+
+
+def test_bare_carriage_return_is_not_a_line_break(tmp_path, recorded):
+    inst_path, lines = recorded
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\r".join(lines) + "\r", encoding="utf-8")
+    inst = problems.load_instance(inst_path)
+    with pytest.raises(ValueError, match="unexpected header"):
+        solver.load_trajectory_csv(path, inst, solver.GadmmParams(beta=1.0))
