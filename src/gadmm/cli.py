@@ -138,11 +138,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = problems.load_instance(args.instance)
-    if inst.solution is None:
-        raise ConfigError("verification needs an instance with a stored solution")
-    params = _params(args, inst)
-    traj = solver.load_trajectory_csv(args.trajectory, inst, params)
+    # the trajectory is read first, so that workers parse its tail rows
+    # while this process parses the instance; its errors still come after
+    # the instance's and the flags'
+    with solver.TrajectoryText(args.trajectory) as text:
+        with contextlib.suppress(OSError):  # load_instance reports a missing instance
+            text.parse_tail(os.path.getsize(args.instance))
+        inst = problems.load_instance(args.instance)
+        if inst.solution is None:
+            raise ConfigError("verification needs an instance with a stored solution")
+        params = _params(args, inst)
+        traj = solver.load_trajectory_csv(text, inst, params)
     report = certificates.full_verification(traj, inst.solution, full_grid=args.verify_full)
     doc = report.to_dict()
     if args.out:

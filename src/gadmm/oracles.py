@@ -195,16 +195,24 @@ ConvexFunction = Union[Quadratic, L1, Zero]
 def fenchel_gap(F: ConvexFunction, u, x):
     """Least eps such that u is an eps-subgradient of F at x.
 
-    Returns F(x) + F*(u) - <u, x>, clamped at zero from below within a
-    rounding band; +inf when u lies outside the domain of F*.  A negative
-    value beyond the band signals a broken value/conjugate pair and raises.
-    ``u`` and ``x`` are one pair of vectors (returns a float) or stacks of
-    row pairs (returns one gap per row).
+    Returns F(x) + F*(u) - <u, x>.  For a quadratic whose P factors, that
+    is (1/2) r'P^-1 r with r = Px + q - u, and it is computed in that form,
+    which is never negative and does not subtract terms of the size of
+    F(x) from each other.  Otherwise the three terms are summed, clamped at
+    zero from below within a rounding band, and +inf when u lies outside
+    the domain of F*; a negative value beyond the band signals a broken
+    value/conjugate pair and raises.  ``u`` and ``x`` are one pair of
+    vectors (returns a float) or stacks of row pairs (returns one gap per
+    row).
     """
     u = linalg.as_rows(u, name="u")
     x = linalg.as_rows(x, name="x")
     if x.shape != u.shape:
         raise ValueError(f"x has shape {x.shape}, expected {u.shape}")
+    fac = F._p_factor if isinstance(F, Quadratic) else None
+    if fac is not None:
+        r = x @ F.P.T + F.q - linalg.as_rows(u, F.dim, "u")
+        return _out(0.5 * fac.inv_norm_sq(r.T), u)
     conj = np.asarray(F.conjugate(u))
     val = np.asarray(F.value(x))
     pairing = np.vecdot(u, x)

@@ -74,11 +74,14 @@ AUTO_TAU_MARGIN = 1.01
 # The trailing entry of each stage's input, which applies its constant term.
 _ONE = np.ones(1)
 
-# The trajectory CSV writer splits a table of c cells into
-# min(usable CPUs, c // CELLS_PER_WORKER) row ranges and forks a worker for
-# each range after the first.  A fork plus its waitpid costs about 3 ms in a
-# 64 MB process and formatting a cell about 0.75 us, so a range formats in
-# at least 15 ms, several times what starting its worker costs.
+# The trajectory CSV writer, and the reader of gadmm verify, split a table
+# of c cells into min(usable CPUs, c // CELLS_PER_WORKER) row ranges and
+# fork a worker for each range after the first.  A fork plus its waitpid
+# costs about 3 ms in a 64 MB process.  Formatting a cell costs about
+# 0.75 us, so a writer's range formats in at least 15 ms, several times what
+# starting its worker costs.  Parsing a cell costs about 0.32 us, and a
+# reader's worker gets at least 1/parts of the cells, so its range parses in
+# at least 6.4 ms, about twice the fork's cost.
 CELLS_PER_WORKER = 20_000
 # Bytes the writer reads from a worker's pipe at a time.
 _PIPE_CHUNK = 1 << 16
@@ -469,17 +472,18 @@ def _worker_count(cells: int) -> int:
 
 
 class _RowsWorker:
-    """A forked process that formats rows start..stop-1 with
-    :func:`_write_rows` and writes their bytes to a pipe.
+    """A forked process that turns rows start..stop-1 of a table into bytes
+    with ``produce(start, stop)`` and writes them to a pipe: formatted CSV
+    lines for the writer, parsed rows for the reader.
 
-    The child formats its whole range before it writes, so it never waits
-    on the parent while the parent formats its own share.  It closes the
+    The child produces its whole range before it writes, so it never waits
+    on this process while this process does its own share.  It closes the
     read ends of ``siblings``, the workers forked before it, so that a read
-    end the parent closes has no other holder.  Fork and pipe failures
+    end this process closes has no other holder.  Fork and pipe failures
     raise :class:`OSError` with nothing left open.
     """
 
-    def __init__(self, table, start, stop, blank, siblings):
+    def __init__(self, produce, start, stop, siblings):
         self.start, self.stop, self.pid = start, stop, None
         self.fd, w = os.pipe()
         try:
@@ -494,9 +498,7 @@ class _RowsWorker:
                 os.close(self.fd)
                 for sibling in siblings:
                     os.close(sibling.fd)
-                lines = []
-                _write_rows(lines.append, table, start, stop, blank)
-                data = "".join(lines).encode()
+                data = produce(start, stop)
                 with open(w, "wb") as out:
                     out.write(data)
                 code = 0
@@ -506,8 +508,8 @@ class _RowsWorker:
 
     def copy_into(self, out) -> bool:
         """Copy the worker's bytes to the binary file ``out`` in chunks and
-        reap the worker.  True when it exited 0 after writing every row of
-        its range; otherwise ``out`` is cut back to where it was."""
+        reap the worker.  True when it exited 0 after writing one line per
+        row of its range; otherwise ``out`` is cut back to where it was."""
         mark, lines = out.tell(), 0
         while chunk := os.read(self.fd, _PIPE_CHUNK):
             out.write(chunk)
@@ -517,6 +519,16 @@ class _RowsWorker:
         out.seek(mark)
         out.truncate()
         return False
+
+    def read_into(self, rows) -> bool:
+        """Fill the array ``rows`` with the worker's bytes, read straight
+        into its memory, and reap the worker.  True when it exited 0 after
+        sending exactly ``rows.nbytes`` bytes."""
+        view, got = memoryview(rows.view(np.uint8)), 0
+        while got < rows.nbytes and (n := os.readv(self.fd, [view[got:]])):
+            got += n
+        whole = got == rows.nbytes and not os.read(self.fd, 1)
+        return self.close() == 0 and whole
 
     def close(self):
         """Close the read end, then reap the worker and return its wait
@@ -555,12 +567,18 @@ def save_trajectory_csv(traj: Trajectory, path) -> tuple[np.ndarray, np.ndarray]
     rows = len(table)
     parts = 1 + _worker_count(rows * (table.shape[1] + 1))
     bounds = [rows * i // parts for i in range(parts + 1)]
+
+    def formatted(start, stop):
+        lines = []
+        _write_rows(lines.append, table, start, stop, blank)
+        return "".join(lines).encode()
+
     workers = []
     try:
         # fork before the file is opened, so that no worker holds it
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             try:
-                workers.append(_RowsWorker(table, start, stop, blank, workers))
+                workers.append(_RowsWorker(formatted, start, stop, workers))
             except OSError:
                 break  # this process formats the ranges left
         done = workers[-1].stop if workers else bounds[1]
@@ -600,6 +618,123 @@ def _parse_rows(lines, dtype) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
+def _row_dtype(ncols):
+    """A row of ``ncols`` cells: k, then the other cells as one float vector."""
+    return np.dtype([("k", np.int64), ("v", np.float64, (ncols - 1,))])
+
+
+def _read_bounds(rows, parts, other_bytes) -> list[int]:
+    """Bounds of the row ranges of :meth:`TrajectoryText.parse_tail`.
+
+    This process takes the rows that end within max(0, (J + C)/parts - J)
+    characters, J = ``other_bytes`` and C those of ``rows``, and row 0
+    always, so that its rows and its other work of J bytes, which parses
+    at about the same speed, come to about 1/parts of the whole; the
+    workers share the other rows evenly by characters.  A range that would
+    be empty is dropped.
+    """
+    ends = np.cumsum([len(row) + 1 for row in rows])
+    total = int(ends[-1])
+    head = max(0.0, (other_bytes + total) / parts - other_bytes)
+    cuts = head + (total - head) * np.arange(parts - 1) / (parts - 1)
+    inner = np.clip(np.searchsorted(ends, cuts, side="right"), 1, len(rows))
+    return sorted({0, len(rows), *inner.tolist()})
+
+
+class TrajectoryText:
+    """The lines of a trajectory CSV, read once by this process, for
+    :func:`load_trajectory_csv`.
+
+    An error reading the file (:class:`OSError`, or :class:`ValueError`
+    for text that is not UTF-8) is kept and raised by :meth:`lines`, so a
+    caller that checks other inputs first reports their errors first.
+    :meth:`parse_tail` forks workers that parse the tail rows while this
+    process does other work.  Use it as a context manager: leaving the
+    ``with`` block calls :meth:`close`.
+    """
+
+    def __init__(self, path):
+        self._workers, self._error = [], None
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                self._lines = _split_lines(fh.read())
+        except (OSError, ValueError) as exc:
+            self._lines, self._error = None, exc
+
+    def lines(self) -> list[str]:
+        if self._error is not None:
+            raise self._error
+        return self._lines
+
+    def parse_tail(self, other_bytes) -> None:
+        """Fork the workers of a large table, before this process does
+        other work of ``other_bytes`` bytes (see :func:`_read_bounds`).
+
+        The table has as many parts as the writer would split it into
+        (:func:`_worker_count`), typed by the header's cell count, which
+        :func:`load_trajectory_csv` checks before it takes their rows.
+        Each worker parses the range of rows it inherited with
+        :func:`_parse_rows` and sends the array's bytes; it never opens
+        the file.  A failed fork leaves the ranges not yet forked to
+        :meth:`parse`.
+        """
+        if self._error is not None or len(self._lines) < 2:
+            return
+        rows = self._lines[1:]
+        ncols = len(_cells(self._lines[0]))
+        parts = 1 + _worker_count(len(rows) * ncols)
+        if parts == 1:
+            return
+        dtype = _row_dtype(ncols)
+        bounds = _read_bounds(rows, parts, other_bytes)
+
+        def parsed(start, stop):
+            return _parse_rows(rows[start:stop], dtype).tobytes()
+
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            try:
+                self._workers.append(_RowsWorker(parsed, start, stop, self._workers))
+            except OSError:
+                break
+
+    def parse(self, rows, dtype):
+        """Rows 0..K, the lines ``rows``, parsed into one array of
+        ``dtype``, or None when a range does not parse into one row per
+        line.  This process parses the rows before the first worker's
+        range and after the last one's; each worker's range is read from
+        its pipe, and parsed here when the worker exits non-zero or sends
+        the wrong number of bytes."""
+        table, done, ranges = np.empty(len(rows), dtype), 0, []
+        for worker in self._workers:
+            ranges += [(done, worker.start, None), (worker.start, worker.stop, worker)]
+            done = worker.stop
+        for start, stop, worker in ranges + [(done, len(rows), None)]:
+            part = table[start:stop]
+            if start == stop or (worker is not None and worker.read_into(part)):
+                continue
+            try:
+                parsed = _parse_rows(rows[start:stop], dtype)
+            except ValueError:
+                return None
+            if len(parsed) != stop - start:  # loadtxt skips blank lines
+                return None
+            part[...] = parsed
+        return table
+
+    def close(self) -> None:
+        """Reap every worker left and let go of the lines, which are not
+        needed once the rows are loaded."""
+        self._lines = None
+        for worker in self._workers:
+            worker.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def _raise_first_bad_row(rows, dtype, ncols) -> None:
     """Raise the error of the first bad row of ``rows``, the lines of rows
     0..K (file rows 2..), checking each row as :func:`load_trajectory_csv`
@@ -627,11 +762,15 @@ def _raise_first_bad_row(rows, dtype, ncols) -> None:
 def load_trajectory_csv(path, inst, params) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`.
 
-    The recorded intermediate multipliers are taken from the file so that
-    the certificate checks exercise what was actually written.  Rows 0..K
-    go through one :func:`numpy.loadtxt` call, which parses every cell and
-    refuses quoted cells.  Row 0 (k = 0) has no gamma_tilde or step, so its
-    cells after gamma are not read: they are replaced by ``nan`` before the
+    ``path`` is the file's path, or a :class:`TrajectoryText` read from it
+    whose tail rows may be parsed by workers already; their rows are taken
+    only after the header matches ``inst``.  The recorded intermediate
+    multipliers are taken from the file so that the certificate checks
+    exercise what was actually written.  Rows 0..K go through
+    :func:`numpy.loadtxt`, in one call here or one per range
+    (:meth:`TrajectoryText.parse`), which parses every cell and refuses
+    quoted cells.  Row 0 (k = 0) has no gamma_tilde or step, so its cells
+    after gamma are not read: they are replaced by ``nan`` before the
     parse.  Lines end at ``\\r\\n`` or ``\\n`` and nowhere else: a bare
     ``\\r``, a form feed or another Unicode line separator is part of its
     cell, which the parser then accepts or refuses.
@@ -642,13 +781,14 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     with the wrong number of cells; a k that is not an integer or not the
     row's index; a cell that is not a number; and, after every row has
     parsed, the first row with a non-finite x, y, gamma or gamma_tilde
-    cell.  Rows are checked in file order, so the first bad row is named.
+    cell.  Rows are checked in file order, so the first bad row is named,
+    however the rows were split among workers.
     """
     m = inst.m
     expected = trajectory_header(inst)
     ncols, cut = len(expected), 1 + inst.n + inst.p + m
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = _split_lines(fh.read())
+    text = path if isinstance(path, TrajectoryText) else TrajectoryText(path)
+    lines = text.lines()
     header = _cells(lines[0]) if lines else None
     if header != expected:
         raise ValueError(f"trajectory file: unexpected header {header}")
@@ -657,10 +797,8 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
         raise ValueError("trajectory file: no rows")
     first = _cells(rows[0])  # the cell count is kept: a row 0 of the wrong length fails
     rows[0] = ",".join(first[:cut] + ["nan"] * (len(first) - cut))
-    dtype = np.dtype([("k", np.int64), ("v", np.float64, (ncols - 1,))])
-    table = None
-    with contextlib.suppress(ValueError):
-        table = _parse_rows(rows, dtype)
+    dtype = _row_dtype(ncols)
+    table = text.parse(rows, dtype)
     # loadtxt skips blank lines, so a blank line leaves the k column short
     if table is None or not np.array_equal(table["k"], np.arange(len(rows))):
         _raise_first_bad_row(rows, dtype, ncols)

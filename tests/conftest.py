@@ -1,9 +1,22 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gadmm import oracles, problems, solver
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail every test after which this process still has a child to reap,
+    such as a forked CSV worker that a writer or reader path left behind."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped (waitpid: pid {pid})")
 
 
 def make_one_d_instance():

@@ -16,7 +16,7 @@ from gadmm.certificates import (
 from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
 
-from conftest import rate_estimate, run_full, state
+from conftest import make_one_d_instance, rate_estimate, run_full, state
 
 
 def ergodic_rows(rep, full_grid=False):
@@ -320,6 +320,19 @@ class TestReports:
         report = full_verification(traj, inst.solution)
         row = next(r for r in report.rows if r.name == "pointwise_bound")
         assert row.passed and row.note == "not-applicable at alpha=2"
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_large_values_certify(self, alpha):
+        # x + y = 3e4: at the solution 1.5e4, f(x) and f*(u) are near 1e8,
+        # so a gap formed as F(x) + F*(u) - <u, x> rounds to -2e-8 and
+        # failed the 1e-8 inclusion tolerance at k = 4 (alpha 1) and 13 (0.5)
+        one_d = make_one_d_instance()
+        inst = problems.SeparableInstance(
+            one_d.f, one_d.g, one_d.A, one_d.B, [3e4],
+            solution=problems.KktPoint([1.5e4], [1.5e4], [1.5e4]),
+        )
+        report = full_verification(run_full(inst, alpha=alpha, iters=2000), inst.solution)
+        assert report.passed, report.earliest_failure
 
     def test_full_verification_catches_corruption(self):
         inst = problems.generate_qp(9, 4, 3, 2)

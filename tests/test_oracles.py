@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gadmm import oracles, problems
 from gadmm.oracles import L1, Quadratic, Zero, fenchel_gap
 
 from conftest import random_spd
@@ -170,6 +171,23 @@ class TestFenchelGap:
         x = np.array([0.5, -0.25])
         u = np.array([0.9, 0.3])
         assert fenchel_gap(F, u, x) == pytest.approx(grid_gap_2d(F, u, x), abs=1e-3)
+
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_residual_form_within_the_band_of_three_terms(self, seed):
+        # a quadratic's gap is (1/2) r'P^-1 r, r = Px + q - u; it stays within
+        # the rounding band that F(x) + F*(u) - <u, x> is held to, at
+        # near-subgradients (gap about 1e-12) and at arbitrary points
+        inst = problems.generate_qp(seed, 8, 6, 4)
+        rng = np.random.default_rng(seed)
+        for F in (inst.f, inst.g):
+            x = rng.standard_normal((50, F.dim)) * 10.0
+            near = x @ F.P.T + F.q + rng.standard_normal(x.shape) * 1e-6
+            for u in (near, rng.standard_normal(x.shape) * 10.0):
+                val, conj, pairing = F.value(x), F.conjugate(u), np.vecdot(u, x)
+                band = oracles._GAP_BAND * (1.0 + abs(val) + abs(conj) + abs(pairing))
+                assert np.all(np.abs(fenchel_gap(F, u, x) - (val + conj - pairing)) <= band)
+                assert np.all(fenchel_gap(F, u, x) >= 0.0)
 
 
 def _random_variant(rng, kind, dim):

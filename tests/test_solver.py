@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import os
 import threading
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gadmm import hpe, linalg, oracles, problems, solver
+from gadmm import cli, hpe, linalg, oracles, problems, solver
 from gadmm.errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
 from gadmm.solver import ExplicitH, GadmmParams, LinearizedH
@@ -675,3 +676,249 @@ class TestParallelWriter:
         assert counted == []
         assert (tmp_path / "got.csv").read_bytes() == serial
         assert_nothing_left(tmp_path, ["got.csv"])
+
+
+def parallel_load(path, traj, other_bytes=0):
+    """Load ``path`` as ``gadmm verify`` does: read it, fork its workers for
+    other work of ``other_bytes`` bytes, then load."""
+    with solver.TrajectoryText(path) as text:
+        text.parse_tail(other_bytes)
+        return solver.load_trajectory_csv(text, traj.instance, traj.params)
+
+
+def load_error(load):
+    """The message of the ValueError that ``load()`` raises."""
+    with pytest.raises(ValueError) as info:
+        load()
+    return str(info.value)
+
+
+class TestParallelReader:
+    """The forked reader of :class:`solver.TrajectoryText` gives the serial
+    parse, or the serial error, whatever fails, and leaves no child
+    process and no temporary file."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """A lasso run of 2001 rows of 35 cells, and its CSV's lines: two
+        parts on 2 CPUs, three on 3."""
+        traj = writer_trajectory("lasso-linearized", 2000)
+        path = tmp_path_factory.mktemp("reader") / "traj.csv"
+        solver.save_trajectory_csv(traj, path)
+        return traj, path.read_bytes().decode().split("\r\n")[:-1]
+
+    def write(self, directory, lines):
+        path = directory / "traj.csv"
+        path.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("split", ["1", "mid", "K"])
+    def test_matches_serial_parse(self, tmp_path, monkeypatch, recorded, cpus, split):
+        traj, lines = recorded
+        path = self.write(tmp_path, lines)
+        rows = len(lines) - 1
+        first = {"1": 1, "mid": rows // 2, "K": rows - 1}[split]
+        bounds = []
+
+        def forced(rows_, parts, other_bytes):
+            tail = [first + (rows - first) * i // (parts - 1) for i in range(parts)]
+            bounds.append(sorted({0, *tail}))
+            return bounds[-1]
+
+        monkeypatch.setattr(solver, "_read_bounds", forced)
+        counted = count_forks(monkeypatch, cpus=cpus)
+        got = parallel_load(path, traj)
+        assert len(counted) == len(bounds[0]) - 2 == (1 if split == "K" else cpus - 1)
+        serial = solver.load_trajectory_csv(path, traj.instance, traj.params)
+        assert got.Z.tobytes() == serial.Z.tobytes() == traj.Z.tobytes()
+        assert got.Gt.tobytes() == serial.Gt.tobytes() == traj.Gt.tobytes()
+        assert_nothing_left(tmp_path, ["traj.csv"])
+
+    def test_bounds_balance_bytes(self):
+        rows = ["x" * 9] * 100  # 10 characters a row with its newline
+        assert solver._read_bounds(rows, 2, 0) == [0, 50, 100]
+        assert solver._read_bounds(rows, 2, 200) == [0, 40, 100]
+        assert solver._read_bounds(rows, 2, 10**6) == [0, 1, 100]  # row 0 stays here
+        assert solver._read_bounds(rows, 3, 0) == [0, 33, 66, 100]
+        # qp-large-full: a 2.36 MB instance beside a 2.77 MB CSV of 251 rows
+        # leaves this process 18 of them, about 7 %
+        rows = ["x" * 11026] * 251
+        assert solver._read_bounds(rows, 2, 2_360_625) == [0, 18, 251]
+
+    @pytest.mark.parametrize("first_failure", [1, 2])
+    def test_fork_failure_leaves_the_ranges_to_the_parent(
+        self, tmp_path, monkeypatch, recorded, first_failure
+    ):
+        traj, lines = recorded
+        path = self.write(tmp_path, lines)
+        real = os.fork
+
+        def failing():
+            if len(counted) >= first_failure:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real()
+
+        counted = count_forks(monkeypatch, cpus=3, fork=failing)
+        got = parallel_load(path, traj)
+        assert len(counted) == first_failure  # no fork is tried after a failure
+        assert got.Z.tobytes() == traj.Z.tobytes() and got.Gt.tobytes() == traj.Gt.tobytes()
+        assert_nothing_left(tmp_path, ["traj.csv"])
+
+    @pytest.mark.parametrize("failure", ["raises", "row-short", "row-long", "byte-long", "exit-3"])
+    def test_failed_worker_range_is_parsed_by_the_parent(
+        self, tmp_path, monkeypatch, recorded, failure
+    ):
+        # the second worker raises; sends one row too few, or one row or
+        # byte too many ahead of its rows; or sends wrong values of the
+        # right size and exits 3
+        traj, lines = recorded
+        path = self.write(tmp_path, lines)
+        parent, real, real_exit = os.getpid(), solver._parse_rows, os._exit
+
+        def failing_in_a_worker(rows, dtype):
+            parsed = real(rows, dtype)
+            if os.getpid() == parent or parsed["k"][-1] != len(lines) - 2:
+                return parsed
+            if failure == "raises":
+                raise RuntimeError("worker failed")
+            if failure == "row-short":
+                return parsed[:-1]
+            if failure == "row-long":
+                return np.concatenate([parsed[:1], parsed])
+            if failure == "byte-long":
+                return np.concatenate([np.zeros(1, np.uint8), parsed.view(np.uint8)])
+            monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+            parsed["v"] += 1.0
+            return parsed
+
+        monkeypatch.setattr(solver, "_parse_rows", failing_in_a_worker)
+        counted = count_forks(monkeypatch, cpus=3)
+        got = parallel_load(path, traj)
+        assert len(counted) == 2
+        assert got.Z.tobytes() == traj.Z.tobytes() and got.Gt.tobytes() == traj.Gt.tobytes()
+        assert_nothing_left(tmp_path, ["traj.csv"])
+
+    # Corruptions at file rows 1500 (in the worker's range on 2 CPUs, which
+    # starts near row 1000) and, for the pairs, 100 (in this process's).
+    CORRUPTIONS = {
+        "non-numeric": lambda ls: with_cells(ls, {1500: (3, "abc")}),
+        "non-finite": lambda ls: with_cells(ls, {1500: (3, "inf")}),
+        "float-k": lambda ls: with_cells(ls, {1500: (0, "1498.0")}),
+        "skipped-k": lambda ls: with_cells(ls, {1500: (0, "1499")}),
+        "short-row": lambda ls: ls[:1499] + [ls[1499].rsplit(",", 1)[0]] + ls[1500:],
+        "blank-line": lambda ls: ls[:1499] + [""] + ls[1499:],
+        "both-non-numeric": lambda ls: with_cells(ls, {100: (3, "abc"), 1500: (3, "abc")}),
+        "both-non-finite": lambda ls: with_cells(ls, {100: (3, "nan"), 1500: (3, "abc")}),
+        "here-non-finite-worker-k": lambda ls: with_cells(ls, {100: (3, "nan"), 1500: (0, "7")}),
+    }
+    MESSAGES = {
+        "non-numeric": "row 1500 has a non-numeric cell",
+        "non-finite": "non-finite iterate value in row 1500",
+        "float-k": "row 1500: iteration index '1498.0' is not an integer",
+        "skipped-k": "iteration indices not contiguous at row 1500",
+        "short-row": "row 1500 has 34 cells",
+        "blank-line": "row 1500 has 0 cells",
+        "both-non-numeric": "row 100 has a non-numeric cell",
+        "both-non-finite": "row 1500 has a non-numeric cell",  # parse errors come first
+        "here-non-finite-worker-k": "iteration indices not contiguous at row 1500",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_bad_row_is_named_as_serial(self, tmp_path, monkeypatch, recorded, case):
+        traj, lines = recorded
+        path = self.write(tmp_path, self.CORRUPTIONS[case](lines))
+        serial = load_error(lambda: solver.load_trajectory_csv(path, traj.instance, traj.params))
+        counted = count_forks(monkeypatch, cpus=2)
+        assert load_error(lambda: parallel_load(path, traj)) == serial
+        assert len(counted) == 1
+        assert serial == "trajectory file: " + self.MESSAGES[case]
+        assert_nothing_left(tmp_path, ["traj.csv"])
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch, recorded):
+        traj, lines = recorded
+        path = self.write(tmp_path, lines)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            counted = count_forks(monkeypatch, cpus=3)
+            got = parallel_load(path, traj)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert counted == []
+        assert got.Z.tobytes() == traj.Z.tobytes()
+        assert_nothing_left(tmp_path, ["traj.csv"])
+
+    VERIFY_FLAGS = ["--alpha", "2", "--h1", "linearized", "--h2", "linearized"]
+
+    @pytest.mark.parametrize(
+        "case, forks, message",
+        [
+            ("bad-json", 1, "error: instance file: not valid JSON"),
+            ("no-solution", 1, "error: verification needs an instance with a stored solution"),
+            ("missing-trajectory", 0, "error: [Errno 2] No such file or directory"),
+            ("missing-trajectory-bad-json", 0, "error: instance file: not valid JSON"),
+            ("passes", 1, "all checks pass"),
+        ],
+    )
+    def test_verify_reports_in_the_serial_order(
+        self, tmp_path, monkeypatch, capsys, recorded, case, forks, message
+    ):
+        # the worker starts before the instance is read, and an instance
+        # error still comes before the trajectory's (row 1500 is bad too)
+        traj, lines = recorded
+        inst = traj.instance
+        if case == "no-solution":
+            inst = dataclasses.replace(inst, solution=None)
+        problems.save_instance(inst, tmp_path / "inst.json")
+        if case.endswith("bad-json"):
+            text = (tmp_path / "inst.json").read_text()
+            (tmp_path / "inst.json").write_text(text[: len(text) // 2])
+        if case in ("bad-json", "no-solution"):
+            lines = with_cells(lines, {1500: (3, "abc")})
+        if not case.startswith("missing-trajectory"):
+            self.write(tmp_path, lines)
+        argv = ["verify", "--instance", str(tmp_path / "inst.json"),
+                "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "report.json")]
+        counted = count_forks(monkeypatch, cpus=2)
+        code = cli.main(argv + self.VERIFY_FLAGS)
+        assert (code, len(counted)) == (0 if case == "passes" else 1, forks)
+        assert capsys.readouterr().err.startswith(message)
+        left = ["inst.json"] + ["traj.csv"] * (not case.startswith("missing-trajectory"))
+        assert_nothing_left(tmp_path, left + ["report.json"] * (case == "passes"))
+
+    def test_benchmark_verifies_fork_only_for_large_tables(self, tmp_path, monkeypatch):
+        # the 27 commands of perfbench's workloads on 2 CPUs: one worker
+        # each for lasso-replay and qp-large-full, none for the 25 qp-sweep
+        # tables of at most about 2.5k cells
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import workloads
+
+        counted, forks = count_forks(monkeypatch, cpus=2), {}
+        for name, workload in workloads.WORKLOADS.items():
+            for inst in workload.instances:
+                assert cli.main(workloads.generate_argv(inst, str(tmp_path))) == 0
+            for idx, cmd in enumerate(workload.commands):
+                inst_path, out = str(tmp_path / f"{cmd.instance}.json"), tmp_path / f"{name}{idx}"
+                assert cli.main(workloads.run_argv(cmd, inst_path, str(out))) == 0
+                before = len(counted)
+                argv = workloads.verify_argv(
+                    cmd, inst_path, str(out / "trajectory.csv"), str(out / "report.json")
+                )
+                assert cli.main(argv) == 0
+                forks.setdefault(name, []).append(len(counted) - before)
+        assert forks == {"lasso-replay": [1], "qp-sweep": [0] * 25, "qp-large-full": [1]}
+
+
+def with_cells(lines, cells):
+    """The lines with cells replaced: ``cells`` maps a file row (from 1) to
+    (column, value)."""
+    lines = list(lines)
+    for row, (col, value) in cells.items():
+        parts = lines[row - 1].split(",")
+        parts[col] = value
+        lines[row - 1] = ",".join(parts)
+    return lines
