@@ -80,6 +80,8 @@ class Quadratic:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", float(self.c))
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
 
     @property
     def dim(self) -> int:

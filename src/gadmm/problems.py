@@ -1,5 +1,7 @@
 """Separable problem instances, generators, ground truth, instance I/O,
-and the atomic writer that every output file of the package goes through.
+the atomic writer that every output file of the package goes through,
+and the forked workers that format large files and parse large
+trajectories on every usable CPU.
 
 An instance is the tuple (f, g, A, B, b) for
 
@@ -19,9 +21,11 @@ ADMM engine itself.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -297,8 +301,8 @@ def _fun_to_json(F):
     if isinstance(F, oracles.Quadratic):
         return {
             "variant": "quadratic",
-            "P": [float(v) for v in F.P.ravel()],
-            "q": [float(v) for v in F.q],
+            "P": F.P.ravel().tolist(),
+            "q": F.q.tolist(),
             "c": float(F.c),
         }
     if isinstance(F, oracles.L1):
@@ -368,17 +372,17 @@ def instance_to_dict(inst: SeparableInstance) -> dict:
         "n": inst.n,
         "p": inst.p,
         "m": inst.m,
-        "A": [float(v) for v in inst.A.ravel()],
-        "B": [float(v) for v in inst.B.ravel()],
-        "b": [float(v) for v in inst.b],
+        "A": inst.A.ravel().tolist(),
+        "B": inst.B.ravel().tolist(),
+        "b": inst.b.tolist(),
         "f": _fun_to_json(inst.f),
         "g": _fun_to_json(inst.g),
     }
     if inst.solution is not None:
         doc["solution"] = {
-            "x": [float(v) for v in inst.solution.x],
-            "y": [float(v) for v in inst.solution.y],
-            "gamma": [float(v) for v in inst.solution.gamma],
+            "x": inst.solution.x.tolist(),
+            "y": inst.solution.y.tolist(),
+            "gamma": inst.solution.gamma.tolist(),
         }
     return doc
 
@@ -410,6 +414,10 @@ def instance_from_dict(doc: dict) -> SeparableInstance:
         raise ValueError(f"instance file: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# output files
+
+
 @contextlib.contextmanager
 def atomic_open(path, newline=None):
     """Open ``path`` for writing UTF-8 text through a temporary sibling that
@@ -426,12 +434,207 @@ def atomic_open(path, newline=None):
         raise
 
 
+# The writers of trajectory CSVs and instance files, and the trajectory
+# reader of gadmm verify, split a text of c cells into
+# min(usable CPUs, c // CELLS_PER_WORKER) contiguous ranges and fork a
+# worker for each range after the first.  A fork plus its waitpid costs
+# about 3 ms in a 64 MB process.  Formatting a cell costs about 0.75 us, so
+# a writer's range formats in at least 15 ms, several times what starting
+# its worker costs.  Parsing a cell costs about 0.32 us, and a reader's
+# worker gets at least 1/parts of the cells, so its range parses in at
+# least 6.4 ms, about twice the fork's cost.
+CELLS_PER_WORKER = 20_000
+# Bytes a writer reads from a worker's pipe at a time.
+_PIPE_CHUNK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(cells: int) -> int:
+    """Workers for a text of ``cells`` cells: none without ``os.fork``, or
+    while another Python thread runs, since a forked child holds a copy of
+    only the thread that forked it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    return max(0, min(_usable_cpus(), cells // CELLS_PER_WORKER) - 1)
+
+
+class _RowsWorker:
+    """A forked process that turns units start..stop-1 of a text into bytes
+    with ``produce(start, stop)`` and writes them to a pipe: formatted text
+    for a writer (:func:`write_in_parts`, whose units are trajectory rows
+    or instance numbers), parsed trajectory rows for the reader.
+
+    The child produces its whole range before it writes, so it never waits
+    on this process while this process does its own share.  It closes the
+    read ends of ``siblings``, the workers forked before it, so that a read
+    end this process closes has no other holder.  Fork and pipe failures
+    raise :class:`OSError` with nothing left open.
+    """
+
+    def __init__(self, produce, start, stop, siblings):
+        self.start, self.stop, self.pid = start, stop, None
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(w)
+            self.close()
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.fd)
+                for sibling in siblings:
+                    os.close(sibling.fd)
+                data = produce(start, stop)
+                with os.fdopen(w, "wb") as out:
+                    out.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+
+    def copy_into(self, out, lines) -> bool:
+        """Copy the worker's bytes to the binary file ``out`` in chunks and
+        reap the worker.  True when it exited 0 after writing exactly
+        ``lines`` newlines; otherwise ``out`` is cut back to where it was."""
+        mark, got = out.tell(), 0
+        while chunk := os.read(self.fd, _PIPE_CHUNK):
+            out.write(chunk)
+            got += chunk.count(b"\n")
+        if self.close() == 0 and got == lines:
+            return True
+        out.seek(mark)
+        out.truncate()
+        return False
+
+    def read_into(self, rows) -> bool:
+        """Fill the array ``rows`` with the worker's bytes, read straight
+        into its memory, and reap the worker.  True when it exited 0 after
+        sending exactly ``rows.nbytes`` bytes."""
+        view, got = memoryview(rows.view(np.uint8)), 0
+        while got < rows.nbytes and (n := os.readv(self.fd, [view[got:]])):
+            got += n
+        whole = got == rows.nbytes and not os.read(self.fd, 1)
+        return self.close() == 0 and whole
+
+    def close(self):
+        """Close the read end, then reap the worker and return its wait
+        status (None if already reaped).  The close comes first, so a worker
+        blocked on a full pipe fails its write instead of waiting."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid:
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            return status
+        return None
+
+
+def write_in_parts(path, units, cells, write, lines, head="", tail="", newline=None) -> None:
+    """Write ``head``, the text of ``units`` units, then ``tail`` to
+    ``path`` through :func:`atomic_open`, formatted on every usable CPU with
+    the same bytes as in one process.
+
+    ``write(emit, start, stop)`` passes the text of units start..stop-1 to
+    ``emit`` in pieces, and ``lines(start, stop)`` is the number of
+    newlines in it.  The units are split into 1 + ``_worker_count(cells)``
+    contiguous ranges; this process formats the first, and each other one
+    is formatted by a forked :class:`_RowsWorker` whose bytes are copied in
+    order.  A range is formatted here when its worker cannot be forked (nor
+    can any after it), exits non-zero or sends the wrong number of
+    newlines.  Every worker is reaped before this returns or raises.
+    """
+    parts = 1 + _worker_count(cells)
+    bounds = [units * i // parts for i in range(parts + 1)]
+
+    def produce(start, stop):
+        pieces = []
+        write(pieces.append, start, stop)
+        return "".join(pieces).encode()
+
+    workers = []
+    try:
+        # fork before the file is opened, so that no worker holds it
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            try:
+                workers.append(_RowsWorker(produce, start, stop, workers))
+            except OSError:
+                break  # this process formats the ranges left
+        done = workers[-1].stop if workers else bounds[1]
+        with atomic_open(path, newline=newline) as fh:
+            fh.write(head)
+            write(fh.write, 0, bounds[1])
+            for worker in workers:
+                fh.flush()
+                if not worker.copy_into(fh.buffer, lines(worker.start, worker.stop)):
+                    write(fh.write, worker.start, worker.stop)
+            write(fh.write, done, units)
+            fh.write(tail)
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+# Stands in for each number list in the skeleton that json lays out; no
+# key or string value of an instance document holds it.
+_LIST_MARK = "\0"
+
+
+def _skeleton(node, lists):
+    """``node`` with each non-empty list replaced by ``[_LIST_MARK]``, and
+    the lists appended to ``lists`` in the order json writes them."""
+    if isinstance(node, dict):
+        return {key: _skeleton(value, lists) for key, value in node.items()}
+    if isinstance(node, list) and node:
+        lists.append(node)
+        return [_LIST_MARK]
+    return node
+
+
 def save_instance(inst: SeparableInstance, path) -> None:
-    # json emits the shortest decimal that round-trips each double (at most
-    # 17 significant digits), so load(save(inst)) reproduces every number.
-    with atomic_open(path) as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1)
-        fh.write("\n")
+    """Write ``inst`` as the bytes of ``json.dump(instance_to_dict(inst),
+    fh, indent=1)`` and a newline, refusing a non-finite number with
+    :class:`ValueError` as ``allow_nan=False`` does.
+
+    json's encoder runs in Python when it indents, so only the skeleton
+    (keys, scalars, nesting) goes through :func:`json.dumps`.  The numbers
+    of each list are written here with ``float.__repr__``, as json writes
+    them: the shortest decimal that round-trips each double, so
+    load(save(inst)) reproduces every number.  They are the units of
+    :func:`write_in_parts`, in document order, so a large instance is
+    formatted on every usable CPU.
+    """
+    lists = []
+    skeleton = json.dumps(_skeleton(instance_to_dict(inst), lists), indent=1, allow_nan=False)
+    # leads[j] precedes list j's numbers and ends in "[\n" and the list's
+    # indent, which also follows the "," between two of its numbers
+    *leads, tail = skeleton.split(json.dumps(_LIST_MARK))
+    seps = [",\n" + lead.rpartition("\n")[2] for lead in leads]
+    firsts = list(itertools.accumulate(map(len, lists), initial=0))
+
+    def write(emit, start, stop):
+        for first, cells, lead, sep in zip(firsts, lists, leads, seps):
+            lo, hi = max(start, first), min(stop, first + len(cells))
+            if lo < hi:
+                text = sep.join(map(float.__repr__, cells[lo - first : hi - first]))
+                if "n" in text:  # inf or nan; a finite repr has no "n"
+                    raise ValueError("Out of range float values are not JSON compliant")
+                emit(lead if lo == first else sep)
+                emit(text)
+
+    def lines(start, stop):
+        # a separator holds one newline, a lead its own count
+        extra = (lead.count("\n") - 1 for first, lead in zip(firsts, leads) if start <= first < stop)
+        return stop - start + sum(extra)
+
+    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail + "\n")
 
 
 def load_instance(path) -> SeparableInstance:

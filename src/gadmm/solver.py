@@ -57,8 +57,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -73,18 +71,6 @@ AUTO_TAU_MARGIN = 1.01
 
 # The trailing entry of each stage's input, which applies its constant term.
 _ONE = np.ones(1)
-
-# The trajectory CSV writer, and the reader of gadmm verify, split a table
-# of c cells into min(usable CPUs, c // CELLS_PER_WORKER) row ranges and
-# fork a worker for each range after the first.  A fork plus its waitpid
-# costs about 3 ms in a 64 MB process.  Formatting a cell costs about
-# 0.75 us, so a writer's range formats in at least 15 ms, several times what
-# starting its worker costs.  Parsing a cell costs about 0.32 us, and a
-# reader's worker gets at least 1/parts of the cells, so its range parses in
-# at least 6.4 ms, about twice the fork's cost.
-CELLS_PER_WORKER = 20_000
-# Bytes the writer reads from a worker's pipe at a time.
-_PIPE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -456,143 +442,33 @@ def _write_rows(write, table, start, stop, blank) -> None:
         write(f"{k}," + ",".join(cells) + "\r\n")
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(cells: int) -> int:
-    """Workers for a table of ``cells`` cells: none without ``os.fork``, or
-    while another Python thread runs, since a forked child holds a copy of
-    only the thread that forked it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    return max(0, min(_usable_cpus(), cells // CELLS_PER_WORKER) - 1)
-
-
-class _RowsWorker:
-    """A forked process that turns rows start..stop-1 of a table into bytes
-    with ``produce(start, stop)`` and writes them to a pipe: formatted CSV
-    lines for the writer, parsed rows for the reader.
-
-    The child produces its whole range before it writes, so it never waits
-    on this process while this process does its own share.  It closes the
-    read ends of ``siblings``, the workers forked before it, so that a read
-    end this process closes has no other holder.  Fork and pipe failures
-    raise :class:`OSError` with nothing left open.
-    """
-
-    def __init__(self, produce, start, stop, siblings):
-        self.start, self.stop, self.pid = start, stop, None
-        self.fd, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(w)
-            self.close()
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.fd)
-                for sibling in siblings:
-                    os.close(sibling.fd)
-                data = produce(start, stop)
-                with open(w, "wb") as out:
-                    out.write(data)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(w)
-
-    def copy_into(self, out) -> bool:
-        """Copy the worker's bytes to the binary file ``out`` in chunks and
-        reap the worker.  True when it exited 0 after writing one line per
-        row of its range; otherwise ``out`` is cut back to where it was."""
-        mark, lines = out.tell(), 0
-        while chunk := os.read(self.fd, _PIPE_CHUNK):
-            out.write(chunk)
-            lines += chunk.count(b"\n")
-        if self.close() == 0 and lines == self.stop - self.start:
-            return True
-        out.seek(mark)
-        out.truncate()
-        return False
-
-    def read_into(self, rows) -> bool:
-        """Fill the array ``rows`` with the worker's bytes, read straight
-        into its memory, and reap the worker.  True when it exited 0 after
-        sending exactly ``rows.nbytes`` bytes."""
-        view, got = memoryview(rows.view(np.uint8)), 0
-        while got < rows.nbytes and (n := os.readv(self.fd, [view[got:]])):
-            got += n
-        whole = got == rows.nbytes and not os.read(self.fd, 1)
-        return self.close() == 0 and whole
-
-    def close(self):
-        """Close the read end, then reap the worker and return its wait
-        status (None if already reaped).  The close comes first, so a worker
-        blocked on a full pipe fails its write instead of waiting."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid:
-            status = os.waitpid(self.pid, 0)[1]
-            self.pid = None
-            return status
-        return None
-
-
 def save_trajectory_csv(traj: Trajectory, path) -> tuple[np.ndarray, np.ndarray]:
     """Write one row per iteration: k, x, y, gamma, gamma_tilde, and the
     two arrays of :func:`diagnostics`, the step seminorm and the gap, which
     it returns.  Floats are written with full round-trip precision.
 
     A large table is formatted on every usable CPU, with the same bytes as
-    one process: the rows are split into contiguous ranges, the first
-    formatted by this process and each other one by a forked worker (see
-    :data:`CELLS_PER_WORKER`), whose bytes are copied in row order.  The
-    table is written by this process alone when it has fewer than twice
-    ``CELLS_PER_WORKER`` cells or one CPU is usable, when ``os.fork`` does
-    not exist, when another Python thread is running, or when ``fork``
-    fails; and a range whose worker exits non-zero or writes the wrong
-    number of rows is formatted here.  Every worker is reaped before this
-    returns or raises.
+    one process, by :func:`problems.write_in_parts`, whose units are the
+    rows.  The table is written by this process alone when it has fewer
+    than twice :data:`problems.CELLS_PER_WORKER` cells or one CPU is
+    usable, when ``os.fork`` does not exist, when another Python thread is
+    running, or when ``fork`` fails; and a range whose worker exits
+    non-zero or writes the wrong number of rows is formatted here.
     """
     inst, (step, gap) = traj.instance, diagnostics(traj)
     gt = np.vstack([np.zeros((1, inst.m)), traj.Gt])
     table = np.hstack([traj.Z, gt, step[:, None], gap[:, None]])
     blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
     rows = len(table)
-    parts = 1 + _worker_count(rows * (table.shape[1] + 1))
-    bounds = [rows * i // parts for i in range(parts + 1)]
-
-    def formatted(start, stop):
-        lines = []
-        _write_rows(lines.append, table, start, stop, blank)
-        return "".join(lines).encode()
-
-    workers = []
-    try:
-        # fork before the file is opened, so that no worker holds it
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            try:
-                workers.append(_RowsWorker(formatted, start, stop, workers))
-            except OSError:
-                break  # this process formats the ranges left
-        done = workers[-1].stop if workers else bounds[1]
-        with problems.atomic_open(path, newline="") as fh:
-            fh.write(",".join(trajectory_header(inst)) + "\r\n")
-            _write_rows(fh.write, table, 0, bounds[1], blank)
-            for worker in workers:
-                fh.flush()
-                if not worker.copy_into(fh.buffer):
-                    _write_rows(fh.write, table, worker.start, worker.stop, blank)
-            _write_rows(fh.write, table, done, rows, blank)
-    finally:
-        for worker in workers:
-            worker.close()
+    problems.write_in_parts(
+        path,
+        rows,
+        rows * (table.shape[1] + 1),
+        lambda emit, start, stop: _write_rows(emit, table, start, stop, blank),
+        lambda start, stop: stop - start,
+        head=",".join(trajectory_header(inst)) + "\r\n",
+        newline="",
+    )
     return step, gap
 
 
@@ -671,7 +547,7 @@ class TrajectoryText:
         other work of ``other_bytes`` bytes (see :func:`_read_bounds`).
 
         The table has as many parts as the writer would split it into
-        (:func:`_worker_count`), typed by the header's cell count, which
+        (:func:`problems._worker_count`), typed by the header's cell count, which
         :func:`load_trajectory_csv` checks before it takes their rows.
         Each worker parses the range of rows it inherited with
         :func:`_parse_rows` and sends the array's bytes; it never opens
@@ -682,7 +558,7 @@ class TrajectoryText:
             return
         rows = self._lines[1:]
         ncols = len(_cells(self._lines[0]))
-        parts = 1 + _worker_count(len(rows) * ncols)
+        parts = 1 + problems._worker_count(len(rows) * ncols)
         if parts == 1:
             return
         dtype = _row_dtype(ncols)
@@ -693,7 +569,7 @@ class TrajectoryText:
 
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             try:
-                self._workers.append(_RowsWorker(parsed, start, stop, self._workers))
+                self._workers.append(problems._RowsWorker(parsed, start, stop, self._workers))
             except OSError:
                 break
 

@@ -86,3 +86,26 @@ def rate_estimate(points) -> float:
 def random_spd(rng, dim, ridge=1.0):
     G = rng.standard_normal((dim, dim))
     return G @ G.T / dim + ridge * np.eye(dim)
+
+
+def count_forks(monkeypatch, cpus, fork=None):
+    """Make the writers and the reader see ``cpus`` usable CPUs and record
+    each ``os.fork`` call in the returned list; ``fork`` replaces the real
+    one."""
+    calls, fork = [], fork or os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_nothing_left(directory, names):
+    """Only ``names`` are in ``directory`` (no temporary file), and this
+    process has no child left to reap."""
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

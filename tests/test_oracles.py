@@ -70,6 +70,12 @@ class TestValue:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Quadratic(P, [0.0, 0.0])
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_quadratic_rejects_non_finite_c(self, c):
+        # an instance holding it would be saved with a non-JSON number
+        with pytest.raises(ValueError, match=f"^c must be finite, got {c}$"):
+            Quadratic(np.eye(2), np.zeros(2), c)
+
 
 class TestProx:
     def test_l1_soft_threshold(self):

@@ -1,4 +1,8 @@
+import dataclasses
+import errno
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from gadmm import oracles, problems
 from gadmm.errors import ConfigError
 from gadmm.problems import KktPoint, SeparableInstance
+
+from conftest import assert_nothing_left, count_forks
 
 
 class TestKktGap:
@@ -202,6 +208,165 @@ class TestInstanceIo:
         path.write_text("not json {")
         with pytest.raises(ValueError, match="JSON"):
             problems.load_instance(path)
+
+
+def json_reference(inst) -> bytes:
+    """The bytes :func:`problems.save_instance` writes, from json's own
+    indenting encoder."""
+    return (json.dumps(problems.instance_to_dict(inst), indent=1) + "\n").encode()
+
+
+def zero_block_instance():
+    inst = SeparableInstance(
+        oracles.Zero(), oracles.Quadratic(np.eye(2), [1.0, -2.0]), np.eye(2), -np.eye(2), np.zeros(2)
+    )
+    return dataclasses.replace(inst, solution=problems.solve_ground_truth(inst))
+
+
+def signed_zero_and_subnormal_instance():
+    """-0.0 and the smallest subnormal, 5e-324, in lists and scalars."""
+    return SeparableInstance(
+        oracles.Quadratic(np.eye(2), [-0.0, 5e-324], c=-0.0),
+        oracles.L1(5e-324),
+        [[1.0, -0.0]],
+        [[5e-324]],
+        [-0.0],
+    )
+
+
+INSTANCES = {
+    "qp-8-6-4": lambda: problems.generate_qp(1, 8, 6, 4),
+    "qp-200-150-100": lambda: problems.generate_qp(1, 200, 150, 100),
+    "lasso": lambda: problems.generate_lasso(7, 10, 20, 0.1),
+    "no-solution": lambda: dataclasses.replace(problems.generate_qp(2, 5, 4, 3), solution=None),
+    "zero-block": zero_block_instance,
+    "signed-zero-and-subnormal": signed_zero_and_subnormal_instance,
+}
+
+
+def format_through(monkeypatch, wrap):
+    """Make :func:`problems.save_instance` format its numbers with
+    ``wrap(write, units)`` in place of its own ``write``."""
+    real = problems.write_in_parts
+
+    def wrapped(path, units, cells, write, lines, **kwargs):
+        real(path, units, cells, wrap(write, units), lines, **kwargs)
+
+    monkeypatch.setattr(problems, "write_in_parts", wrapped)
+
+
+@pytest.fixture(scope="module")
+def large_qp():
+    """98,400 numbers: three parts on 3 CPUs, with both inner bounds in f.P."""
+    return problems.generate_qp(1, 200, 150, 100)
+
+
+class TestInstanceBytes:
+    """:func:`problems.save_instance` writes json.dump(indent=1)'s bytes,
+    serially or with forked workers, whatever fails, and leaves no
+    temporary file and no child process."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("case", sorted(INSTANCES))
+    def test_matches_json(self, tmp_path, monkeypatch, case, cpus):
+        inst = INSTANCES[case]()
+        counted = count_forks(monkeypatch, cpus=cpus)
+        problems.save_instance(inst, tmp_path / "inst.json")
+        assert len(counted) == (2 if case == "qp-200-150-100" and cpus == 3 else 0)
+        assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
+        assert_nothing_left(tmp_path, ["inst.json"])
+
+    @pytest.mark.parametrize("cpus", [2, 3, 6])
+    def test_every_split_of_a_small_instance(self, tmp_path, monkeypatch, cpus):
+        # 192 numbers in cpus parts: on 6 CPUs the bound at 32 is the first
+        # number of B.  Every worker's bytes are taken, so this process
+        # formats only the first part.
+        inst, parent, formatted = problems.generate_qp(1, 8, 6, 4), os.getpid(), []
+
+        def recording(write, units):
+            def record(emit, start, stop):
+                if os.getpid() == parent:
+                    formatted.append((start, stop))
+                write(emit, start, stop)
+
+            return record
+
+        format_through(monkeypatch, recording)
+        monkeypatch.setattr(problems, "CELLS_PER_WORKER", 1)
+        counted = count_forks(monkeypatch, cpus=cpus)
+        problems.save_instance(inst, tmp_path / "inst.json")
+        assert len(counted) == cpus - 1
+        assert formatted == [(0, 192 // cpus), (192, 192)]
+        assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
+        assert_nothing_left(tmp_path, ["inst.json"])
+
+    @pytest.mark.parametrize("first_failure", [1, 2])
+    def test_fork_failure_leaves_the_ranges_to_the_parent(
+        self, tmp_path, monkeypatch, large_qp, first_failure
+    ):
+        real = os.fork
+
+        def failing():
+            if len(counted) >= first_failure:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real()
+
+        counted = count_forks(monkeypatch, cpus=3, fork=failing)
+        problems.save_instance(large_qp, tmp_path / "inst.json")
+        assert len(counted) == first_failure  # no fork is tried after a failure
+        assert (tmp_path / "inst.json").read_bytes() == json_reference(large_qp)
+        assert_nothing_left(tmp_path, ["inst.json"])
+
+    @pytest.mark.parametrize("failure", ["raises", "short", "long", "exit-3"])
+    def test_failed_worker_range_is_formatted_by_the_parent(
+        self, tmp_path, monkeypatch, large_qp, failure
+    ):
+        # the last worker raises; sends one number too few or too many; or
+        # sends wrong digits of the right length and exits 3
+        parent, real_exit = os.getpid(), os._exit
+
+        def failing(write, units):
+            def failing_in_a_worker(emit, start, stop):
+                if os.getpid() == parent or stop != units:
+                    write(emit, start, stop)
+                elif failure == "raises":
+                    raise RuntimeError("worker failed")
+                elif failure == "short":
+                    write(emit, start, stop - 1)
+                elif failure == "long":
+                    write(emit, start, stop)
+                    emit(",\n   1.0")
+                else:
+                    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+                    write(lambda text: emit(text.replace("1", "2")), start, stop)
+
+            return failing_in_a_worker
+
+        format_through(monkeypatch, failing)
+        counted = count_forks(monkeypatch, cpus=3)
+        problems.save_instance(large_qp, tmp_path / "inst.json")
+        assert len(counted) == 2
+        assert (tmp_path / "inst.json").read_bytes() == json_reference(large_qp)
+        assert_nothing_left(tmp_path, ["inst.json"])
+
+    @pytest.mark.parametrize("where", ["scalar", "list", "worker-list"])
+    def test_non_finite_number_refused(self, tmp_path, monkeypatch, large_qp, where):
+        # the dataclasses refuse these, so they are set past their checks
+        if where == "scalar":
+            inst = SeparableInstance(
+                oracles.Zero(), oracles.L1(math.inf), np.eye(2), -np.eye(2), np.zeros(2)
+            )
+        else:  # b is in the first worker's part of the large QP
+            inst = problems.generate_qp(1, 3, 2, 2) if where == "list" else large_qp
+            inst = dataclasses.replace(inst, solution=None)
+            b = inst.b.copy()
+            b[-1] = math.nan
+            object.__setattr__(inst, "b", b)
+        counted = count_forks(monkeypatch, cpus=3)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            problems.save_instance(inst, tmp_path / "inst.json")
+        assert len(counted) == (2 if where == "worker-list" else 0)
+        assert_nothing_left(tmp_path, [])
 
 
 def test_stored_solution_validated():

@@ -13,7 +13,14 @@ from gadmm.errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
 from gadmm.solver import ExplicitH, GadmmParams, LinearizedH
 
-from conftest import make_one_d_instance, run_full, state, state_pairs
+from conftest import (
+    assert_nothing_left,
+    count_forks,
+    make_one_d_instance,
+    run_full,
+    state,
+    state_pairs,
+)
 
 
 def vanilla_admm(inst, beta, iters, x0=None, y0=None, gamma0=None):
@@ -486,28 +493,6 @@ def writer_trajectory(kind, iters):
         return run_full(problems.generate_qp(4, 6, 5, 3), alpha=1.9, iters=iters)
     inst = problems.generate_lasso(7, 8, 16, 0.2)
     return run_full(inst, alpha=2.0, iters=iters, h1=LinearizedH(), h2=LinearizedH())
-
-
-def count_forks(monkeypatch, cpus, fork=None):
-    """Make the writer see ``cpus`` usable CPUs and record each ``os.fork``
-    call in the returned list; ``fork`` replaces the real one."""
-    calls, fork = [], fork or os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def assert_nothing_left(directory, names):
-    """Only ``names`` are in ``directory`` (no temporary file), and this
-    process has no child left to reap."""
-    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrajectoryCsv:
