@@ -3,7 +3,8 @@
 
 Every command of ``perfbench/workloads.WORKLOADS`` runs through
 ``gadmm.cli.main`` in a temporary directory: ``gadmm run``, then ``gadmm
-verify`` and ``gadmm verify --verify-full`` on the trajectory it wrote.
+verify`` on the trajectory it wrote, with the command's own verify flags
+(``--verify-full`` changes nothing: every k is always checked).
 The digest, written as JSON to OUT.json, holds each command's exit codes
 and iteration count, the sha256 of the trajectory.csv and summary.json its
 run wrote, the iterate cells of that CSV's last row (x_K, y_K, gamma_K,
@@ -39,7 +40,6 @@ sys.path.insert(0, workloads.SRC)
 from gadmm import cli  # noqa: E402
 
 ROW_FIELDS = ("pass", "first_k", "worst_k", "worst_slack")
-VERIFY_MODES = (("verify", False), ("verify_full", True))
 RUN_FILES = ("trajectory.csv", "summary.json")
 FINAL_FIELDS = ("final_step_metric", "final_kkt_gap")
 # (digest field, its note's label, its per-command lines' label)
@@ -81,15 +81,12 @@ def _command_digest(cmd, inst_path, out_dir) -> dict:
                 entry["sha256"][name] = hashlib.sha256(fh.read()).hexdigest()
     traj = os.path.join(out_dir, "trajectory.csv")
     entry["last_row"] = _last_row(traj) if os.path.exists(traj) else None
-    for mode, full in VERIFY_MODES:
-        report = os.path.join(out_dir, f"{mode}.json")
-        variant = dataclasses.replace(cmd, verify_full=full)
-        argv = workloads.verify_argv(variant, inst_path, traj, report)
-        code, rows = _quiet(argv), None
-        if os.path.exists(report):  # verify writes its report before a failure exits 3
-            checks = _read_json(report)["checks"]
-            rows = {r["name"]: {f: r[f] for f in ROW_FIELDS} for r in checks}
-        entry[mode] = {"exit": code, "rows": rows}
+    report = os.path.join(out_dir, "verify.json")
+    code, rows = _quiet(workloads.verify_argv(cmd, inst_path, traj, report)), None
+    if os.path.exists(report):  # verify writes its report before a failure exits 3
+        checks = _read_json(report)["checks"]
+        rows = {r["name"]: {f: r[f] for f in ROW_FIELDS} for r in checks}
+    entry["verify"] = {"exit": code, "rows": rows}
     return entry
 
 
@@ -146,24 +143,21 @@ def compare(new, base) -> tuple:
                 cells.append(f"{key}: {cells_label} differ by {gap:.3g}")
             if gap > worst[field][0]:
                 worst[field] = (gap, key)
-        for mode, _ in VERIFY_MODES:
-            va, vb = a[mode], b[mode]
-            if va["exit"] != vb["exit"]:
-                diffs.append(f"{key} {mode}: exit {vb['exit']} -> {va['exit']}")
-            rows_a, rows_b = va["rows"] or {}, vb["rows"] or {}
-            for row in sorted(rows_a.keys() | rows_b.keys()):
-                x, y, where = rows_a.get(row), rows_b.get(row), f"{key} {mode} {row}"
-                if x is None or y is None:
-                    only_in(where, x)
-                    continue
-                diffs += [
-                    f"{where}: {f} {y[f]} -> {x[f]}" for f in ("pass", "first_k") if x[f] != y[f]
-                ]
-                if x["worst_k"] != y["worst_k"]:
-                    moved.append(f"{where}: worst_k {y['worst_k']} -> {x['worst_k']}")
-                gap = _relative_gap(x["worst_slack"], y["worst_slack"])
-                if gap > worst_gap:
-                    worst_gap, worst_at = gap, where
+        va, vb = a["verify"], b["verify"]
+        if va["exit"] != vb["exit"]:
+            diffs.append(f"{key} verify: exit {vb['exit']} -> {va['exit']}")
+        rows_a, rows_b = va["rows"] or {}, vb["rows"] or {}
+        for row in sorted(rows_a.keys() | rows_b.keys()):
+            x, y, where = rows_a.get(row), rows_b.get(row), f"{key} verify {row}"
+            if x is None or y is None:
+                only_in(where, x)
+                continue
+            diffs += [f"{where}: {f} {y[f]} -> {x[f]}" for f in ("pass", "first_k") if x[f] != y[f]]
+            if x["worst_k"] != y["worst_k"]:
+                moved.append(f"{where}: worst_k {y['worst_k']} -> {x['worst_k']}")
+            gap = _relative_gap(x["worst_slack"], y["worst_slack"])
+            if gap > worst_gap:
+                worst_gap, worst_at = gap, where
     notes = [f"largest relative worst_slack difference: {worst_gap:.3g} ({worst_at})"]
     for field, label, _ in RECORDED_VALUES:
         gap, where = worst[field]

@@ -103,6 +103,10 @@ def _write_json(doc, path):
 
 
 def _cmd_generate(args) -> int:
+    for name, low in (("seed", 0), ("n", 1), ("p", 1), ("m", 1), ("m_data", 1)):
+        value = getattr(args, name)
+        if value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     if args.kind == "qp":
         inst = problems.generate_qp(args.seed, args.n, args.p, args.m)
     else:
@@ -149,7 +153,7 @@ def _cmd_verify(args) -> int:
             raise ConfigError("verification needs an instance with a stored solution")
         params = _params(args, inst)
         traj = solver.load_trajectory_csv(text, inst, params)
-    report = certificates.full_verification(traj, inst.solution, full_grid=args.verify_full)
+    report = certificates.full_verification(traj, inst.solution)
     doc = report.to_dict()
     if args.out:
         _write_json(doc, args.out)
@@ -196,6 +200,11 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"bad --alpha-grid '{args.alpha_grid}'") from exc
     if not grid:
         raise ConfigError("empty --alpha-grid")
+    for alpha in grid:  # every alpha is checked before the first run
+        try:
+            solver.GadmmParams(beta=1.0, alpha=alpha)
+        except ConfigError as exc:
+            raise ConfigError(f"--alpha-grid: {exc}, got {alpha!r}") from exc
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in grid:
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--verify-full",
         action="store_true",
-        help="evaluate ergodic checks at every k instead of the power-of-two grid",
+        help="accepted and ignored: every check runs at every k",
     )
     ver.set_defaults(func=_cmd_verify)
 
@@ -273,8 +282,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    command = "gadmm"
     try:
         args = _parser().parse_args(argv)
+        command = f"gadmm {args.command}"
         for name, value in vars(args).items():
             # Python 3.11's argparse reads "--flag=--" as an empty list and
             # skips the flag's type; no flag takes a list
@@ -283,6 +294,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's allocation failure, for one
+        print(f"error: {command} ran out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotPositiveDefiniteError, IterationLimitError, DivergenceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -136,14 +136,14 @@ class Quadratic:
 
 @dataclass(frozen=True)
 class L1:
-    """v -> mu * ||v||_1 with mu > 0."""
+    """v -> mu * ||v||_1 with 0 < mu < inf."""
 
     mu: float
 
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     @property
     def dim(self):

@@ -182,8 +182,8 @@ def generate_lasso(seed, n, m_data, mu) -> SeparableInstance:
     encoded as A = I, B = -I, b = 0.  The reference point comes from a
     proximal-gradient fixed point, independent of the ADMM engine.
     """
-    if not mu > 0:
-        raise ConfigError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ConfigError(f"mu must be positive and finite, got {mu}")
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((m_data, n))
     d = rng.standard_normal(m_data)

@@ -7,7 +7,6 @@ from gadmm import certificates, oracles, problems, solver
 from gadmm.certificates import (
     VerificationReport,
     bound_constants,
-    checked_iterations,
     ergodic_certificate,
     full_verification,
     pointwise_certificate,
@@ -19,9 +18,9 @@ from gadmm.solver import GadmmParams, LinearizedH
 from conftest import make_one_d_instance, rate_estimate, run_full, state
 
 
-def ergodic_rows(rep, full_grid=False):
+def ergodic_rows(rep):
     """The ergodic rows of a replay by name."""
-    return {r.name: r for r in ergodic_certificate(rep, full_grid)}
+    return {r.name: r for r in ergodic_certificate(rep)}
 
 
 class TestBoundConstants:
@@ -47,16 +46,28 @@ class TestBoundConstants:
 
 
 class TestCheckedIterations:
-    def test_log_grid(self):
-        assert checked_iterations(10) == [1, 2, 4, 8, 10]
-        assert checked_iterations(8) == [1, 2, 4, 8]
-        assert checked_iterations(1) == [1]
-
     def test_full(self):
-        assert checked_iterations(5, full=True) == [1, 2, 3, 4, 5]
+        # every row of the report checks every k = 1..K; at alpha = 2 only
+        # the two not-applicable rows have none
+        qp, lasso = problems.generate_qp(6, 4, 3, 2), problems.generate_lasso(7, 6, 12, 0.2)
+        runs = [
+            (qp, run_full(qp, alpha=1.5, iters=37)),
+            (lasso, run_full(lasso, alpha=2.0, iters=37, h1=LinearizedH(), h2=LinearizedH())),
+        ]
+        for inst, traj in runs:
+            report = full_verification(traj, inst.solution)
+            assert report.passed, report.earliest_failure
+            unchecked = {r.name for r in report.rows if not r.ks.size}
+            interior = traj.params.alpha < 2.0
+            assert unchecked == (set() if interior else {"pointwise_bound", "rho_contractive_bound"})
+            assert len(report.rows) == 18
+            assert all(r.ks.tolist() == list(range(1, 38)) for r in report.rows if r.ks.size)
 
-    def test_empty(self):
-        assert checked_iterations(0) == []
+    def test_empty(self, one_d_instance):
+        traj = run_full(one_d_instance, alpha=1.0, iters=0)
+        assert full_verification(traj, one_d_instance.solution).rows == []
+        with pytest.raises(ValueError, match="no iterations"):
+            ergodic_certificate(Replay(traj, one_d_instance.solution))
 
 
 class TestErgodicPoint:
@@ -65,9 +76,10 @@ class TestErgodicPoint:
         erg = ergodic_rows(Replay(traj, one_d_instance.solution))
         ks = erg["ergodic_eps_bound"].ks
         st = state(traj, 1)
-        assert np.allclose(running_mean(traj.X[1:], ks)[0], st.x)
-        assert np.allclose(running_mean(traj.Y[1:], ks)[0], st.y)
-        assert np.allclose(running_mean(traj.Gt, ks)[0], st.gamma_tilde)
+        assert ks[0] == 1
+        assert np.allclose(running_mean(traj.X[1:])[0], st.x)
+        assert np.allclose(running_mean(traj.Y[1:])[0], st.y)
+        assert np.allclose(running_mean(traj.Gt)[0], st.gamma_tilde)
         assert -erg["ergodic_eps_x_nonneg"].lhs[0] == pytest.approx(0.0, abs=1e-15)
         assert -erg["ergodic_eps_y_nonneg"].lhs[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -77,7 +89,7 @@ class TestErgodicPoint:
         inst = problems.generate_qp(1, 4, 3, 2)
         traj = run_full(inst, alpha=1.5, beta=1.1, iters=50)
         rep = Replay(traj, inst.solution)
-        row = ergodic_rows(rep, full_grid=True)["ergodic_residual_bound"]
+        row = ergodic_rows(rep)["ergodic_residual_bound"]
         n, p = inst.n, inst.p
         for k in (1, 7, 50):
             dsum = np.zeros(n + p + inst.m)
@@ -108,7 +120,7 @@ class TestErgodicPoint:
         erg = ergodic_rows(Replay(traj, one_d_instance.solution))
         ks = erg["ergodic_eps_bound"].ks
         assert ks[1] == 2
-        assert np.allclose(running_mean(traj.X[1:], ks)[1], x_avg)
+        assert np.allclose(running_mean(traj.X[1:])[1], x_avg)
         assert erg["ergodic_eps_bound"].lhs[1] == pytest.approx(eps_metric, abs=1e-12)
         assert erg["eps_split_identity"].lhs[1] <= 1e-12
 
@@ -125,7 +137,7 @@ class TestEpsilonSplit:
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=120)
         erg = ergodic_rows(Replay(traj, inst.solution))
         split, eps_sum = erg["eps_split_identity"], erg["ergodic_eps_bound"].lhs
-        assert split.ks.tolist() == checked_iterations(120)
+        assert split.ks.tolist() == list(range(1, 121))
         # |eps^a| >= |eps_x + eps_y| - split, so this is no looser than 1e-8 (1 + |eps^a|)
         assert np.all(split.lhs <= 1e-8 * (1.0 + np.abs(eps_sum) - split.lhs))
 
@@ -159,11 +171,11 @@ class TestErgodicPrefixSums:
         inst = problems.generate_qp(2, 5, 4, 3)
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=300)
         rep = Replay(traj, inst.solution)
-        erg = ergodic_rows(rep, full_grid=True)
+        erg = ergodic_rows(rep)
         ks = erg["ergodic_eps_bound"].ks
         assert ks.tolist() == list(range(1, 301))
         X, Y = traj.X[1:], traj.Y[1:]
-        x_avg, y_avg, gt_avg = (running_mean(Z, ks) for Z in (X, Y, traj.Gt))
+        x_avg, y_avg, gt_avg = (running_mean(Z) for Z in (X, Y, traj.Gt))
         eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
         eps_sum, split = erg["ergodic_eps_bound"].lhs, erg["eps_split_identity"].lhs
 
@@ -194,7 +206,7 @@ class TestErgodicPrefixSums:
         # a shifted multiplier breaks the identities at k = 8 and 9, so the
         # averaged residual at k = 8 is more than rounding
         traj.G[8] += 0.01
-        erg = ergodic_rows(Replay(traj, inst.solution), full_grid=True)
+        erg = ergodic_rows(Replay(traj, inst.solution))
         gaps_f, gaps_g = erg["ergodic_inclusion_f"].lhs, erg["ergodic_inclusion_g"].lhs
         residuals = erg["ergodic_constraint_identity"].lhs
         assert residuals[7] > 1e-4
@@ -204,11 +216,12 @@ class TestErgodicPrefixSums:
             assert np.isclose(gaps_g[k - 1], gap_g, rtol=0.0, atol=1e-12), k
             assert np.isclose(residuals[k - 1], cons, rtol=0.0, atol=1e-12), k
 
-    def test_long_full_grid_verification(self, one_d_instance):
+    def test_long_verification(self, one_d_instance):
         traj = run_full(one_d_instance, alpha=2.0, iters=20_000)
-        report = full_verification(traj, one_d_instance.solution, full_grid=True)
+        report = full_verification(traj, one_d_instance.solution)
         assert report.passed, report.earliest_failure
-        assert report.meta["checked_iterations"] == list(range(1, 20_001))
+        assert report.meta["iterations"] == 20_000
+        assert all(np.array_equal(r.ks, np.arange(1, 20_001)) for r in report.rows if r.ks.size)
 
 
 class TestPointwise:
@@ -273,10 +286,10 @@ class TestErgodicCertificate:
             assert np.all(eps_x >= -1e-7 * (1.0 + np.abs(eps_x)))
             assert np.all(eps_y >= -1e-7 * (1.0 + np.abs(eps_y)))
 
-    def test_full_grid_mode(self):
+    def test_every_k(self):
         inst = problems.generate_qp(6, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=40)
-        rows = ergodic_certificate(Replay(traj, inst.solution), full_grid=True)
+        rows = ergodic_certificate(Replay(traj, inst.solution))
         VerificationReport(rows).raise_first()
         assert all(r.ks.tolist() == list(range(1, 41)) for r in rows)
 

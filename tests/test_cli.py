@@ -58,6 +58,53 @@ class TestGenerate:
         inst = problems.load_instance(out)
         assert np.array_equal(inst.A, np.eye(6))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "qp", "--n", "0"], "--n must be at least 1, got 0"),
+            (["--kind", "qp", "--p", "0"], "--p must be at least 1, got 0"),
+            (["--kind", "qp", "--m", "0"], "--m must be at least 1, got 0"),
+            (["--kind", "lasso", "--m-data", "0"], "--m-data must be at least 1, got 0"),
+            (["--kind", "qp", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["--kind", "lasso", "--mu", "inf"], "mu must be positive and finite, got inf"),
+            (["--kind", "lasso", "--mu", "nan"], "mu must be positive and finite, got nan"),
+        ],
+        ids=["n", "p", "m", "m-data", "seed", "mu-inf", "mu-nan"],
+    )
+    def test_bad_flag_is_named(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "inst.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["generate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "qp", "--n", "1", "--p", "1", "--m", "1"],
+            ["--kind", "qp", "--n", "1", "--p", "1", "--m", "2", "--seed", "0"],
+            ["--kind", "lasso", "--n", "1", "--m-data", "1"],
+            ["--kind", "lasso", "--n", "3", "--m-data", "2", "--mu", "1e300"],
+        ],
+    )
+    def test_written_instance_loads(self, tmp_path, argv):
+        out = tmp_path / "inst.json"
+        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+        problems.save_instance(problems.load_instance(out), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+
+    def test_out_of_memory_names_the_command(self, tmp_path, monkeypatch, capsys):
+        detail = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def no_memory(*args):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(problems, "generate_qp", no_memory)
+        argv = ["generate", "--kind", "qp", "--n", "100000", "--out", str(tmp_path / "i.json")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: gadmm generate ran out of memory: {detail}\n"
+
 
 class TestRun:
     def test_one_step_convergence_alpha_two(self, tmp_path):
@@ -399,11 +446,15 @@ class TestVerify:
         assert any(c["name"] == "ergodic_eps_bound" and c["pass"] for c in report["checks"])
 
     def test_full_grid_flag(self, tmp_path):
+        # --verify-full is accepted and changes nothing: every k is checked
         args = self._run_then_verify_args(tmp_path, extra=("--verify-full",))
         assert cli.main(args) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["meta"]["full_grid"] is True
-        assert report["meta"]["checked_iterations"][-1] == 60
+        full = (tmp_path / "report.json").read_bytes()
+        assert cli.main(args[:-1]) == 0
+        assert (tmp_path / "report.json").read_bytes() == full
+        report = json.loads(full)
+        assert report["meta"]["iterations"] == 60
+        assert not {"full_grid", "checked_iterations"} & report["meta"].keys()
 
     def test_zero_iteration_run_verifies_vacuously(self, tmp_path, capsys):
         inst_path = write_qp(tmp_path)
@@ -518,6 +569,18 @@ class TestBench:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("grid, bad", [("3", "3.0"), ("1,0", "0.0"), ("1.5,nan", "nan")])
+    def test_alpha_outside_range_names_the_grid(self, tmp_path, capsys, grid, bad):
+        inst_path = write_qp(tmp_path)
+        out = tmp_path / "b"
+        code = cli.main(["bench", "--instance", str(inst_path), "--alpha-grid", grid,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --alpha-grid: alpha must lie in (0, 2], got {bad}\n"
+        )
+        assert not out.exists()
+
     def test_zero_iterations_is_config_error(self, tmp_path, capsys):
         # no iteration means no ergodic k to read the bound ratios at
         inst_path = write_qp(tmp_path)
@@ -592,19 +655,19 @@ class TestParsing:
     def test_consecutive_calls_share_no_state(self, tmp_path, monkeypatch):
         # main reuses one parser; flags of one call must not become the
         # defaults of the next, also across a failed parse
-        seen_params, seen_full = [], []
-        run, verify = solver.run, certificates.full_verification
+        seen_params, seen_loaded = [], []
+        run, load = solver.run, solver.load_trajectory_csv
 
         def recording_run(inst, params):
             seen_params.append(params)
             return run(inst, params)
 
-        def recording_verify(traj, z_star, full_grid=False):
-            seen_full.append(full_grid)
-            return verify(traj, z_star, full_grid=full_grid)
+        def recording_load(text, inst, params):
+            seen_loaded.append(params)
+            return load(text, inst, params)
 
         monkeypatch.setattr(solver, "run", recording_run)
-        monkeypatch.setattr(certificates, "full_verification", recording_verify)
+        monkeypatch.setattr(solver, "load_trajectory_csv", recording_load)
         inst = str(write_qp(tmp_path))
         traj = str(tmp_path / "a" / "trajectory.csv")
         flags = ["--alpha", "1.5", "--beta", "2", "--h1", "linearized", "--h2",
@@ -615,10 +678,11 @@ class TestParsing:
         assert cli.main(["run", "--no-such-flag"]) == 1
         assert cli.main(["run", "--instance", inst, "--out", str(tmp_path / "b")]) == 0
         assert cli.main(["verify", "--instance", inst, "--trajectory", traj, *flags,
-                         "--out", str(tmp_path / "grid.json")]) == 0
+                         "--out", str(tmp_path / "plain.json")]) == 0
         custom = solver.GadmmParams(
             beta=2.0, alpha=1.5, h1=solver.LinearizedH(), h2=solver.LinearizedH(tau=100.0),
             max_iter=7, stop_tol=0.0,
         )
         assert seen_params == [custom, solver.GadmmParams(beta=1.0)]
-        assert seen_full == [True, False]
+        assert seen_loaded == [custom, custom]
+        assert (tmp_path / "full.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

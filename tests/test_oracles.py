@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ class TestValue:
         # an instance holding it would be saved with a non-JSON number
         with pytest.raises(ValueError, match=f"^c must be finite, got {c}$"):
             Quadratic(np.eye(2), np.zeros(2), c)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0])
+    def test_l1_rejects_mu_outside_range(self, mu):
+        # an infinite mu made the lasso ground truth NaN after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+                L1(mu)
 
 
 class TestProx:

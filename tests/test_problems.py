@@ -353,9 +353,9 @@ class TestInstanceBytes:
     def test_non_finite_number_refused(self, tmp_path, monkeypatch, large_qp, where):
         # the dataclasses refuse these, so they are set past their checks
         if where == "scalar":
-            inst = SeparableInstance(
-                oracles.Zero(), oracles.L1(math.inf), np.eye(2), -np.eye(2), np.zeros(2)
-            )
+            g = oracles.L1(1.0)
+            object.__setattr__(g, "mu", math.inf)
+            inst = SeparableInstance(oracles.Zero(), g, np.eye(2), -np.eye(2), np.zeros(2))
         else:  # b is in the first worker's part of the large QP
             inst = problems.generate_qp(1, 3, 2, 2) if where == "list" else large_qp
             inst = dataclasses.replace(inst, solution=None)

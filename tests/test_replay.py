@@ -30,7 +30,7 @@ def test_full_verification_builds_the_metric_once(metric_builds):
     inst = problems.generate_qp(2, 4, 3, 2)
     traj = run_full(inst, alpha=1.5, beta=1.0, iters=40)
     assert metric_builds == []
-    report = certificates.full_verification(traj, inst.solution, full_grid=True)
+    report = certificates.full_verification(traj, inst.solution)
     assert report.passed
     assert len(metric_builds) == 1
 

@@ -31,10 +31,9 @@ def test_digest_records_each_command_mode(lasso_digest):
     assert len(entry["last_row"]) == 40 and None not in entry["last_row"]
     # final_step_metric and final_kkt_gap, finite after 2000 steps
     assert len(entry["final"]) == 2 and all(v >= 0.0 for v in entry["final"])
-    for mode in ("verify", "verify_full"):
-        assert entry[mode]["exit"] == 0
-        rows = entry[mode]["rows"]
-        assert len(rows) == 18 and all(row["pass"] for row in rows.values())
+    assert "verify_full" not in entry and entry["verify"]["exit"] == 0
+    rows = entry["verify"]["rows"]
+    assert len(rows) == 18 and all(row["pass"] for row in rows.values())
 
 
 def test_digest_matches_itself(script, lasso_digest):
@@ -49,9 +48,9 @@ def test_digest_matches_itself(script, lasso_digest):
 
 def test_flipped_pass_is_reported(script, lasso_digest):
     flipped = copy.deepcopy(lasso_digest)
-    flipped["lasso-replay/0"]["verify_full"]["rows"]["rho_bound"]["pass"] = False
+    flipped["lasso-replay/0"]["verify"]["rows"]["rho_bound"]["pass"] = False
     diffs, _ = script["compare"](flipped, lasso_digest)
-    assert diffs == ["lasso-replay/0 verify_full rho_bound: pass True -> False"]
+    assert diffs == ["lasso-replay/0 verify rho_bound: pass True -> False"]
 
 
 def test_changed_output_file_is_reported(script, lasso_digest):
