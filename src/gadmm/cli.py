@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import certificates, linalg, problems, solver
+from . import certificates, hpe, linalg, problems, records, solver
 from .errors import (
     CertificationError,
     ConfigError,
@@ -98,7 +98,7 @@ def _dump_json(doc, fh):
 
 
 def _write_json(doc, path):
-    with problems.atomic_open(path) as fh:
+    with records.atomic_open(path) as fh:
         _dump_json(doc, fh)
 
 
@@ -107,6 +107,8 @@ def _cmd_generate(args) -> int:
         value = getattr(args, name)
         if value < low:
             raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+    if args.kind == "qp" and args.m > args.n + args.p:
+        raise ConfigError(f"--m must be at most --n + --p = {args.n + args.p}, got {args.m}")
     if args.kind == "qp":
         inst = problems.generate_qp(args.seed, args.n, args.p, args.m)
     else:
@@ -145,9 +147,8 @@ def _cmd_verify(args) -> int:
     # the trajectory is read first, so that workers parse its tail rows
     # while this process parses the instance; its errors still come after
     # the instance's and the flags'
-    with solver.TrajectoryText(args.trajectory) as text:
-        with contextlib.suppress(OSError):  # load_instance reports a missing instance
-            text.parse_tail(os.path.getsize(args.instance))
+    with records.TrajectoryText(args.trajectory) as text:
+        text.parse_tail(args.instance)
         inst = problems.load_instance(args.instance)
         if inst.solution is None:
             raise ConfigError("verification needs an instance with a stored solution")
@@ -202,9 +203,9 @@ def _cmd_bench(args) -> int:
         raise ConfigError("empty --alpha-grid")
     for alpha in grid:  # every alpha is checked before the first run
         try:
-            solver.GadmmParams(beta=1.0, alpha=alpha)
+            hpe.sigma_alpha(solver.GadmmParams(beta=1.0, alpha=alpha).alpha)
         except ConfigError as exc:
-            raise ConfigError(f"--alpha-grid: {exc}, got {alpha!r}") from exc
+            raise ConfigError(f"--alpha-grid: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in grid:
@@ -226,7 +227,7 @@ def _cmd_bench(args) -> int:
             ]
         )
     out_path = os.path.join(args.out, "bench.csv")
-    with problems.atomic_open(out_path, newline="") as fh:
+    with records.atomic_open(out_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BENCH_COLUMNS)
         writer.writerows(rows)

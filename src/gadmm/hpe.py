@@ -82,11 +82,16 @@ def cert_tol(*magnitudes):
 
 
 def sigma_alpha(alpha) -> float:
-    """Relative-error constant 1/(1 + alpha(2-alpha)); equals 1 at alpha=2."""
+    """Relative-error constant sigma = 1/(1 + alpha(2-alpha)); equals 1 at
+    alpha=2.  Below 2 the bounds divide by 1 - sigma and by alpha^3, so an
+    alpha at which sigma rounds to 1 raises :class:`ConfigError`."""
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
-    return 1.0 / (1.0 + alpha * (2.0 - alpha))
+    sigma = 1.0 / (1.0 + alpha * (2.0 - alpha))
+    if sigma == 1.0 and alpha < 2.0:
+        raise ConfigError(f"alpha={alpha!r} is too small to certify: sigma rounds to 1")
+    return sigma
 
 
 def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
@@ -98,7 +103,8 @@ def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
     h2 = linalg.as_matrix(h2, rows=p, cols=p, name="h2")
     beta = float(beta)
     alpha = float(alpha)
-    sigma_alpha(alpha)  # range check
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (0, 2]")
     if not beta > 0:
         raise ValueError("beta must be positive")
     c = (1.0 - alpha) / alpha

@@ -1,7 +1,6 @@
-"""Separable problem instances, generators, ground truth, instance I/O,
-the atomic writer that every output file of the package goes through,
-and the forked workers that format large files and parse large
-trajectories on every usable CPU.
+"""Separable problem instances, their generators and ground truth, and
+the mapping between an instance and its JSON document (the file's bytes
+are written by :mod:`gadmm.records`).
 
 An instance is the tuple (f, g, A, B, b) for
 
@@ -20,18 +19,14 @@ ADMM engine itself.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import linalg, oracles
+from . import linalg, oracles, records
 from .errors import ConfigError, IterationLimitError
 
 # A stored reference point must pass the first-order optimality check at
@@ -41,8 +36,10 @@ SOLUTION_GAP_TOL = 1e-6
 # Full-row-rank requirement on [A B] for generated instances: smallest
 # eigenvalue of [A B][A B]' must exceed this within _RANK_TRIES draws.
 _ROW_RANK_TOL, _RANK_TRIES = 1e-6, 50
-# The proximal-gradient reference stops at a move of at most _ISTA_TOL.
-_ISTA_TOL, _ISTA_MAX_ITER = 1e-10, 1_000_000
+# The proximal-gradient reference stops at a move of at most _ISTA_TOL, and
+# leaves the minimizer to the exact path after _ISTA_MAX_ITER steps, which
+# has at most _PATH_MAX_KINKS kinks per variable.
+_ISTA_TOL, _ISTA_MAX_ITER, _PATH_MAX_KINKS = 1e-10, 1000, 10
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,9 @@ def generate_lasso(seed, n, m_data, mu) -> SeparableInstance:
 # ground truth
 
 
-def _quadratic_parts(F, dim):
+def quadratic_parts(F, dim):
+    """(P, q) of a quadratic or zero function of ``dim`` variables, None
+    for any other function."""
     if isinstance(F, oracles.Quadratic):
         return F.P, F.q
     if isinstance(F, oracles.Zero):
@@ -245,12 +244,10 @@ def _kkt_linear_solve(inst, pf, qf, pg, qg) -> KktPoint:
 
 
 def ista_reference(P, q, mu) -> np.ndarray:
-    """Proximal-gradient fixed point of (1/2)x'Px + q'x + mu||x||_1.
-
-    Runs with step 1/L (L the largest eigenvalue of P) until the iterate
-    moves by at most ``_ISTA_TOL``; used as the reference oracle for
-    consensus l1 instances.
-    """
+    """Minimizer of (1/2)x'Px + q'x + mu||x||_1: the proximal-gradient
+    iterate, step 1/L (L the largest eigenvalue of P), once it moves by at
+    most ``_ISTA_TOL``.  When it has not within ``_ISTA_MAX_ITER`` steps, as
+    for a singular P and a small mu, :func:`lasso_path` finds it exactly."""
     P = linalg.as_matrix(P, name="P")
     q = linalg.as_vector(q, dim=P.shape[0], name="q")
     lip = math.sqrt(linalg.spectral_norm_sq(P))
@@ -261,7 +258,39 @@ def ista_reference(P, q, mu) -> np.ndarray:
         if float(np.linalg.norm(xn - x)) <= _ISTA_TOL:
             return xn
         x = xn
-    raise IterationLimitError("proximal-gradient reference run did not reach tolerance")
+    return lasso_path(P, q, mu)
+
+
+def lasso_path(P, q, mu) -> np.ndarray:
+    """Minimizer of (1/2)x'Px + q'x + mu||x||_1, followed along the path of
+    minimizers from lam = max|q|, where it is 0, down to lam = mu (Osborne,
+    Presnell and Turlach, 2000).  On the path g = Px + q is -lam sign(x) on
+    the support of x and at most lam in size off it, so x is linear in lam
+    until an entry of the support reaches 0 and leaves it, or an entry off
+    it reaches |g| = lam and joins it."""
+    n = q.shape[0]
+    x, lam = np.zeros(n), float(np.max(np.abs(q), initial=0.0))
+    active = np.abs(q) == lam
+    for _ in range(_PATH_MAX_KINKS * n):
+        if lam <= mu:
+            return x
+        g = P @ x + q
+        d = np.zeros(n)  # dx/d(-lam)
+        d[active] = np.linalg.solve(P[np.ix_(active, active)], -np.sign(g[active]))
+        a = P @ d  # dg/d(-lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a > -1, (lam - g) / (1 + a), np.inf)  # g + t a reaches lam - t
+            down = np.where(a < 1, (lam + g) / (1 - a), np.inf)  # or -(lam - t)
+            join, leave = np.minimum(up, down), np.where(d * x < 0, -x / d, np.inf)
+        join[active], leave[~active] = np.inf, np.inf
+        j, i = int(np.argmin(join)), int(np.argmin(leave))
+        step = min(join[j], leave[i], lam - mu)
+        x, lam = x + step * d, lam - step
+        if step == leave[i]:
+            x[i], active[i] = 0.0, False
+        elif step == join[j]:
+            active[j] = True
+    raise IterationLimitError("lasso solution path did not reach mu")
 
 
 def solve_ground_truth(inst: SeparableInstance) -> KktPoint:
@@ -271,8 +300,8 @@ def solve_ground_truth(inst: SeparableInstance) -> KktPoint:
     consensus l1 split goes through the proximal-gradient fixed point,
     with the multiplier recovered from the smooth block's gradient.
     """
-    parts_f = _quadratic_parts(inst.f, inst.n)
-    parts_g = _quadratic_parts(inst.g, inst.p)
+    parts_f = quadratic_parts(inst.f, inst.n)
+    parts_g = quadratic_parts(inst.g, inst.p)
     if parts_f is not None and parts_g is not None:
         point = _kkt_linear_solve(inst, *parts_f, *parts_g)
     elif _is_consensus_l1(inst):
@@ -414,227 +443,11 @@ def instance_from_dict(doc: dict) -> SeparableInstance:
         raise ValueError(f"instance file: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# output files
-
-
-@contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """Open ``path`` for writing UTF-8 text through a temporary sibling that
-    replaces it when the ``with`` body ends, so a write that fails or is
-    interrupted leaves the old file, or no file, at ``path``."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-# The writers of trajectory CSVs and instance files, and the trajectory
-# reader of gadmm verify, split a text of c cells into
-# min(usable CPUs, c // CELLS_PER_WORKER) contiguous ranges and fork a
-# worker for each range after the first.  A fork plus its waitpid costs
-# about 3 ms in a 64 MB process.  Formatting a cell costs about 0.75 us, so
-# a writer's range formats in at least 15 ms, several times what starting
-# its worker costs.  Parsing a cell costs about 0.32 us, and a reader's
-# worker gets at least 1/parts of the cells, so its range parses in at
-# least 6.4 ms, about twice the fork's cost.
-CELLS_PER_WORKER = 20_000
-# Bytes a writer reads from a worker's pipe at a time.
-_PIPE_CHUNK = 1 << 16
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(cells: int) -> int:
-    """Workers for a text of ``cells`` cells: none without ``os.fork``, or
-    while another Python thread runs, since a forked child holds a copy of
-    only the thread that forked it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    return max(0, min(_usable_cpus(), cells // CELLS_PER_WORKER) - 1)
-
-
-class _RowsWorker:
-    """A forked process that turns units start..stop-1 of a text into bytes
-    with ``produce(start, stop)`` and writes them to a pipe: formatted text
-    for a writer (:func:`write_in_parts`, whose units are trajectory rows
-    or instance numbers), parsed trajectory rows for the reader.
-
-    The child produces its whole range before it writes, so it never waits
-    on this process while this process does its own share.  It closes the
-    read ends of ``siblings``, the workers forked before it, so that a read
-    end this process closes has no other holder.  Fork and pipe failures
-    raise :class:`OSError` with nothing left open.
-    """
-
-    def __init__(self, produce, start, stop, siblings):
-        self.start, self.stop, self.pid = start, stop, None
-        self.fd, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(w)
-            self.close()
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.fd)
-                for sibling in siblings:
-                    os.close(sibling.fd)
-                data = produce(start, stop)
-                with os.fdopen(w, "wb") as out:
-                    out.write(data)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(w)
-
-    def copy_into(self, out, lines) -> bool:
-        """Copy the worker's bytes to the binary file ``out`` in chunks and
-        reap the worker.  True when it exited 0 after writing exactly
-        ``lines`` newlines; otherwise ``out`` is cut back to where it was."""
-        mark, got = out.tell(), 0
-        while chunk := os.read(self.fd, _PIPE_CHUNK):
-            out.write(chunk)
-            got += chunk.count(b"\n")
-        if self.close() == 0 and got == lines:
-            return True
-        out.seek(mark)
-        out.truncate()
-        return False
-
-    def read_into(self, rows) -> bool:
-        """Fill the array ``rows`` with the worker's bytes, read straight
-        into its memory, and reap the worker.  True when it exited 0 after
-        sending exactly ``rows.nbytes`` bytes."""
-        view, got = memoryview(rows.view(np.uint8)), 0
-        while got < rows.nbytes and (n := os.readv(self.fd, [view[got:]])):
-            got += n
-        whole = got == rows.nbytes and not os.read(self.fd, 1)
-        return self.close() == 0 and whole
-
-    def close(self):
-        """Close the read end, then reap the worker and return its wait
-        status (None if already reaped).  The close comes first, so a worker
-        blocked on a full pipe fails its write instead of waiting."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid:
-            status = os.waitpid(self.pid, 0)[1]
-            self.pid = None
-            return status
-        return None
-
-
-def write_in_parts(path, units, cells, write, lines, head="", tail="", newline=None) -> None:
-    """Write ``head``, the text of ``units`` units, then ``tail`` to
-    ``path`` through :func:`atomic_open`, formatted on every usable CPU with
-    the same bytes as in one process.
-
-    ``write(emit, start, stop)`` passes the text of units start..stop-1 to
-    ``emit`` in pieces, and ``lines(start, stop)`` is the number of
-    newlines in it.  The units are split into 1 + ``_worker_count(cells)``
-    contiguous ranges; this process formats the first, and each other one
-    is formatted by a forked :class:`_RowsWorker` whose bytes are copied in
-    order.  A range is formatted here when its worker cannot be forked (nor
-    can any after it), exits non-zero or sends the wrong number of
-    newlines.  Every worker is reaped before this returns or raises.
-    """
-    parts = 1 + _worker_count(cells)
-    bounds = [units * i // parts for i in range(parts + 1)]
-
-    def produce(start, stop):
-        pieces = []
-        write(pieces.append, start, stop)
-        return "".join(pieces).encode()
-
-    workers = []
-    try:
-        # fork before the file is opened, so that no worker holds it
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            try:
-                workers.append(_RowsWorker(produce, start, stop, workers))
-            except OSError:
-                break  # this process formats the ranges left
-        done = workers[-1].stop if workers else bounds[1]
-        with atomic_open(path, newline=newline) as fh:
-            fh.write(head)
-            write(fh.write, 0, bounds[1])
-            for worker in workers:
-                fh.flush()
-                if not worker.copy_into(fh.buffer, lines(worker.start, worker.stop)):
-                    write(fh.write, worker.start, worker.stop)
-            write(fh.write, done, units)
-            fh.write(tail)
-    finally:
-        for worker in workers:
-            worker.close()
-
-
-# Stands in for each number list in the skeleton that json lays out; no
-# key or string value of an instance document holds it.
-_LIST_MARK = "\0"
-
-
-def _skeleton(node, lists):
-    """``node`` with each non-empty list replaced by ``[_LIST_MARK]``, and
-    the lists appended to ``lists`` in the order json writes them."""
-    if isinstance(node, dict):
-        return {key: _skeleton(value, lists) for key, value in node.items()}
-    if isinstance(node, list) and node:
-        lists.append(node)
-        return [_LIST_MARK]
-    return node
-
-
 def save_instance(inst: SeparableInstance, path) -> None:
-    """Write ``inst`` as the bytes of ``json.dump(instance_to_dict(inst),
-    fh, indent=1)`` and a newline, refusing a non-finite number with
-    :class:`ValueError` as ``allow_nan=False`` does.
-
-    json's encoder runs in Python when it indents, so only the skeleton
-    (keys, scalars, nesting) goes through :func:`json.dumps`.  The numbers
-    of each list are written here with ``float.__repr__``, as json writes
-    them: the shortest decimal that round-trips each double, so
-    load(save(inst)) reproduces every number.  They are the units of
-    :func:`write_in_parts`, in document order, so a large instance is
-    formatted on every usable CPU.
-    """
-    lists = []
-    skeleton = json.dumps(_skeleton(instance_to_dict(inst), lists), indent=1, allow_nan=False)
-    # leads[j] precedes list j's numbers and ends in "[\n" and the list's
-    # indent, which also follows the "," between two of its numbers
-    *leads, tail = skeleton.split(json.dumps(_LIST_MARK))
-    seps = [",\n" + lead.rpartition("\n")[2] for lead in leads]
-    firsts = list(itertools.accumulate(map(len, lists), initial=0))
-
-    def write(emit, start, stop):
-        for first, cells, lead, sep in zip(firsts, lists, leads, seps):
-            lo, hi = max(start, first), min(stop, first + len(cells))
-            if lo < hi:
-                text = sep.join(map(float.__repr__, cells[lo - first : hi - first]))
-                if "n" in text:  # inf or nan; a finite repr has no "n"
-                    raise ValueError("Out of range float values are not JSON compliant")
-                emit(lead if lo == first else sep)
-                emit(text)
-
-    def lines(start, stop):
-        # a separator holds one newline, a lead its own count
-        extra = (lead.count("\n") - 1 for first, lead in zip(firsts, leads) if start <= first < stop)
-        return stop - start + sum(extra)
-
-    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail + "\n")
+    """Write ``inst`` as :func:`records.write_json` writes
+    ``instance_to_dict(inst)``, each number the shortest decimal that
+    round-trips its double, so load(save(inst)) reproduces every number."""
+    records.write_json(path, instance_to_dict(inst))
 
 
 def load_instance(path) -> SeparableInstance:

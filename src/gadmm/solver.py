@@ -62,7 +62,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import hpe, linalg, oracles, problems
+from . import hpe, linalg, oracles, problems, records
 from .errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 
 # Auto mode picks tau = AUTO_TAU_MARGIN * beta * ||Op||^2, strictly above
@@ -128,7 +128,7 @@ class GadmmParams:
         if not 0 < self.beta < math.inf:
             raise ConfigError(f"beta must be positive and finite, got {self.beta!r}")
         if not 0.0 < self.alpha <= 2.0:
-            raise ConfigError("alpha must lie in (0, 2]")
+            raise ConfigError(f"alpha must lie in (0, 2], got {self.alpha!r}")
         if not isinstance(self.max_iter, int) or self.max_iter < 0:
             raise ConfigError("max_iter must be a nonnegative integer")
         if not self.stop_tol >= 0:
@@ -226,7 +226,7 @@ def _pre_prox(F, op, resolved, beta: float, block: str):
     dim = op.shape[1]
     fac, phi = None, None
     if tau is None:
-        parts = problems._quadratic_parts(F, dim)
+        parts = problems.quadratic_parts(F, dim)
         if parts is None:
             raise ConfigError(f"{block} block: a nonsmooth objective requires the linearized mode")
         P, q = parts
@@ -410,13 +410,8 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
 
 
 def trajectory_header(inst) -> list[str]:
-    cols = ["k"]
-    cols += [f"x{i}" for i in range(inst.n)]
-    cols += [f"y{i}" for i in range(inst.p)]
-    cols += [f"gamma{i}" for i in range(inst.m)]
-    cols += [f"gamma_tilde{i}" for i in range(inst.m)]
-    cols += ["dxM", "kkt_gap"]
-    return cols
+    blocks = (("x", inst.n), ("y", inst.p), ("gamma", inst.m), ("gamma_tilde", inst.m))
+    return ["k", *(f"{name}{i}" for name, dim in blocks for i in range(dim)), "dxM", "kkt_gap"]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: inf
@@ -430,268 +425,34 @@ def diagnostics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[math.nan], step]), gap
 
 
-def _write_rows(write, table, start, stop, blank) -> None:
-    """Pass the CSV line of each of rows start..stop-1 of the writer's
-    table, k first, to ``write``.  No cell needs CSV quoting, so joining
-    with "," and "\\r\\n" gives the bytes csv.writer would, and one row
-    of strings is held at a time."""
-    for k, row in enumerate(table[start:stop], start):
-        cells = list(map(repr, row.tolist()))
-        if k == 0:  # x_0, y_0, gamma_0 have no gamma_tilde or step
-            cells[blank] = [""] * (blank.stop - blank.start)
-        write(f"{k}," + ",".join(cells) + "\r\n")
-
-
 def save_trajectory_csv(traj: Trajectory, path) -> tuple[np.ndarray, np.ndarray]:
     """Write one row per iteration: k, x, y, gamma, gamma_tilde, and the
     two arrays of :func:`diagnostics`, the step seminorm and the gap, which
-    it returns.  Floats are written with full round-trip precision.
-
-    A large table is formatted on every usable CPU, with the same bytes as
-    one process, by :func:`problems.write_in_parts`, whose units are the
-    rows.  The table is written by this process alone when it has fewer
-    than twice :data:`problems.CELLS_PER_WORKER` cells or one CPU is
-    usable, when ``os.fork`` does not exist, when another Python thread is
-    running, or when ``fork`` fails; and a range whose worker exits
-    non-zero or writes the wrong number of rows is formatted here.
-    """
+    it returns.  Floats are written with full round-trip precision, by
+    :func:`records.write_csv`; row 0 has no gamma_tilde or step."""
     inst, (step, gap) = traj.instance, diagnostics(traj)
     gt = np.vstack([np.zeros((1, inst.m)), traj.Gt])
     table = np.hstack([traj.Z, gt, step[:, None], gap[:, None]])
     blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
-    rows = len(table)
-    problems.write_in_parts(
-        path,
-        rows,
-        rows * (table.shape[1] + 1),
-        lambda emit, start, stop: _write_rows(emit, table, start, stop, blank),
-        lambda start, stop: stop - start,
-        head=",".join(trajectory_header(inst)) + "\r\n",
-        newline="",
-    )
+    records.write_csv(path, trajectory_header(inst), table, blank)
     return step, gap
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text``, broken only at ``\\r\\n`` and ``\\n``
-    (:meth:`str.splitlines` also breaks at ``\\r``, form feeds and other
-    separators, which are left to the cell parser here)."""
-    *lines, last = text.split("\n")
-    lines = [line[:-1] if line[-1:] == "\r" else line for line in lines]
-    if last:
-        lines.append(last)
-    return lines
-
-
-def _cells(line: str) -> list[str]:
-    return line.split(",") if line else []  # a blank line has no cells
-
-
-def _parse_rows(lines, dtype) -> np.ndarray:
-    """Comma-separated lines through numpy's C text reader, which refuses
-    quoted, empty and non-numeric cells, and a non-integer in an integer
-    field."""
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-
-
-def _row_dtype(ncols):
-    """A row of ``ncols`` cells: k, then the other cells as one float vector."""
-    return np.dtype([("k", np.int64), ("v", np.float64, (ncols - 1,))])
-
-
-def _read_bounds(rows, parts, other_bytes) -> list[int]:
-    """Bounds of the row ranges of :meth:`TrajectoryText.parse_tail`.
-
-    This process takes the rows that end within max(0, (J + C)/parts - J)
-    characters, J = ``other_bytes`` and C those of ``rows``, and row 0
-    always, so that its rows and its other work of J bytes, which parses
-    at about the same speed, come to about 1/parts of the whole; the
-    workers share the other rows evenly by characters.  A range that would
-    be empty is dropped.
-    """
-    ends = np.cumsum([len(row) + 1 for row in rows])
-    total = int(ends[-1])
-    head = max(0.0, (other_bytes + total) / parts - other_bytes)
-    cuts = head + (total - head) * np.arange(parts - 1) / (parts - 1)
-    inner = np.clip(np.searchsorted(ends, cuts, side="right"), 1, len(rows))
-    return sorted({0, len(rows), *inner.tolist()})
-
-
-class TrajectoryText:
-    """The lines of a trajectory CSV, read once by this process, for
-    :func:`load_trajectory_csv`.
-
-    An error reading the file (:class:`OSError`, or :class:`ValueError`
-    for text that is not UTF-8) is kept and raised by :meth:`lines`, so a
-    caller that checks other inputs first reports their errors first.
-    :meth:`parse_tail` forks workers that parse the tail rows while this
-    process does other work.  Use it as a context manager: leaving the
-    ``with`` block calls :meth:`close`.
-    """
-
-    def __init__(self, path):
-        self._workers, self._error = [], None
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                self._lines = _split_lines(fh.read())
-        except (OSError, ValueError) as exc:
-            self._lines, self._error = None, exc
-
-    def lines(self) -> list[str]:
-        if self._error is not None:
-            raise self._error
-        return self._lines
-
-    def parse_tail(self, other_bytes) -> None:
-        """Fork the workers of a large table, before this process does
-        other work of ``other_bytes`` bytes (see :func:`_read_bounds`).
-
-        The table has as many parts as the writer would split it into
-        (:func:`problems._worker_count`), typed by the header's cell count, which
-        :func:`load_trajectory_csv` checks before it takes their rows.
-        Each worker parses the range of rows it inherited with
-        :func:`_parse_rows` and sends the array's bytes; it never opens
-        the file.  A failed fork leaves the ranges not yet forked to
-        :meth:`parse`.
-        """
-        if self._error is not None or len(self._lines) < 2:
-            return
-        rows = self._lines[1:]
-        ncols = len(_cells(self._lines[0]))
-        parts = 1 + problems._worker_count(len(rows) * ncols)
-        if parts == 1:
-            return
-        dtype = _row_dtype(ncols)
-        bounds = _read_bounds(rows, parts, other_bytes)
-
-        def parsed(start, stop):
-            return _parse_rows(rows[start:stop], dtype).tobytes()
-
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            try:
-                self._workers.append(problems._RowsWorker(parsed, start, stop, self._workers))
-            except OSError:
-                break
-
-    def parse(self, rows, dtype):
-        """Rows 0..K, the lines ``rows``, parsed into one array of
-        ``dtype``, or None when a range does not parse into one row per
-        line.  This process parses the rows before the first worker's
-        range and after the last one's; each worker's range is read from
-        its pipe, and parsed here when the worker exits non-zero or sends
-        the wrong number of bytes."""
-        table, done, ranges = np.empty(len(rows), dtype), 0, []
-        for worker in self._workers:
-            ranges += [(done, worker.start, None), (worker.start, worker.stop, worker)]
-            done = worker.stop
-        for start, stop, worker in ranges + [(done, len(rows), None)]:
-            part = table[start:stop]
-            if start == stop or (worker is not None and worker.read_into(part)):
-                continue
-            try:
-                parsed = _parse_rows(rows[start:stop], dtype)
-            except ValueError:
-                return None
-            if len(parsed) != stop - start:  # loadtxt skips blank lines
-                return None
-            part[...] = parsed
-        return table
-
-    def close(self) -> None:
-        """Reap every worker left and let go of the lines, which are not
-        needed once the rows are loaded."""
-        self._lines = None
-        for worker in self._workers:
-            worker.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def _raise_first_bad_row(rows, dtype, ncols) -> None:
-    """Raise the error of the first bad row of ``rows``, the lines of rows
-    0..K (file rows 2..), checking each row as :func:`load_trajectory_csv`
-    documents."""
-    for k, line in enumerate(rows):
-        row, cells = k + 2, _cells(line)
-        if len(cells) != ncols:
-            raise ValueError(f"trajectory file: row {row} has {len(cells)} cells")
-        try:
-            (parsed,) = _parse_rows([line], dtype)
-        except ValueError:
-            try:
-                _parse_rows([line], np.float64)
-            except ValueError:
-                raise ValueError(f"trajectory file: row {row} has a non-numeric cell") from None
-            raise ValueError(
-                f"trajectory file: row {row}: iteration index {cells[0]!r} is not an integer"
-            ) from None
-        if parsed["k"] != k:
-            raise ValueError(f"trajectory file: iteration indices not contiguous at row {row}")
-    # not reached: a row that fails the bulk read fails here on its own
-    raise ValueError("trajectory file: rows 0..K do not parse")
-
-
 def load_trajectory_csv(path, inst, params) -> Trajectory:
-    """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`.
-
-    ``path`` is the file's path, or a :class:`TrajectoryText` read from it
-    whose tail rows may be parsed by workers already; their rows are taken
-    only after the header matches ``inst``.  The recorded intermediate
-    multipliers are taken from the file so that the certificate checks
-    exercise what was actually written.  Rows 0..K go through
-    :func:`numpy.loadtxt`, in one call here or one per range
-    (:meth:`TrajectoryText.parse`), which parses every cell and refuses
-    quoted cells.  Row 0 (k = 0) has no gamma_tilde or step, so its cells
-    after gamma are not read: they are replaced by ``nan`` before the
-    parse.  Lines end at ``\\r\\n`` or ``\\n`` and nowhere else: a bare
-    ``\\r``, a form feed or another Unicode line separator is part of its
-    cell, which the parser then accepts or refuses.
-
-    Each of these raises :class:`ValueError`, naming the file row where
-    there is one (the header is row 1): a header that is not
-    :func:`trajectory_header`; no row 0; a row (a blank line included)
-    with the wrong number of cells; a k that is not an integer or not the
-    row's index; a cell that is not a number; and, after every row has
-    parsed, the first row with a non-finite x, y, gamma or gamma_tilde
-    cell.  Rows are checked in file order, so the first bad row is named,
-    however the rows were split among workers.
-    """
-    m = inst.m
-    expected = trajectory_header(inst)
-    ncols, cut = len(expected), 1 + inst.n + inst.p + m
-    text = path if isinstance(path, TrajectoryText) else TrajectoryText(path)
-    lines = text.lines()
-    header = _cells(lines[0]) if lines else None
-    if header != expected:
-        raise ValueError(f"trajectory file: unexpected header {header}")
-    rows = lines[1:]
-    if not rows:
-        raise ValueError("trajectory file: no rows")
-    first = _cells(rows[0])  # the cell count is kept: a row 0 of the wrong length fails
-    rows[0] = ",".join(first[:cut] + ["nan"] * (len(first) - cut))
-    dtype = _row_dtype(ncols)
-    table = text.parse(rows, dtype)
-    # loadtxt skips blank lines, so a blank line leaves the k column short
-    if table is None or not np.array_equal(table["k"], np.arange(len(rows))):
-        _raise_first_bad_row(rows, dtype, ncols)
-    values = table["v"]
-    Z = np.ascontiguousarray(values[:, : cut - 1])
-    Gt = np.ascontiguousarray(values[1:, cut - 1 : cut - 1 + m])
+    """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`
+    (a path or a :class:`records.TrajectoryText`, read by
+    :func:`records.read_csv`), with the recorded intermediate multipliers,
+    so that the certificate checks exercise what was actually written.
+    After every row has parsed, the first row with a non-finite x, y, gamma
+    or gamma_tilde cell raises :class:`ValueError`."""
+    cut = inst.n + inst.p + inst.m
+    values = records.read_csv(path, trajectory_header(inst), 1 + cut)
+    Z = np.ascontiguousarray(values[:, :cut])
+    Gt = np.ascontiguousarray(values[1:, cut : cut + inst.m])
     bad = ~np.isfinite(Z).all(axis=1)
     bad[1:] |= ~np.isfinite(Gt).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad)) + 2
         raise ValueError(f"trajectory file: non-finite iterate value in row {row}")
     h1, h2 = resolve_prox_terms(inst, params)
-    return Trajectory(
-        instance=inst,
-        params=params,
-        h1=h1,
-        h2=h2,
-        Z=Z,
-        Gt=Gt,
-    )
+    return Trajectory(inst, params, h1, h2, Z, Gt)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gadmm import oracles, problems, solver
+from gadmm import oracles, problems, records, solver
 
 
 @pytest.fixture(autouse=True)
@@ -98,7 +98,7 @@ def count_forks(monkeypatch, cpus, fork=None):
         calls.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(problems, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(records, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted)
     return calls
 

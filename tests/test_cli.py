@@ -68,8 +68,10 @@ class TestGenerate:
             (["--kind", "qp", "--seed", "-1"], "--seed must be at least 0, got -1"),
             (["--kind", "lasso", "--mu", "inf"], "mu must be positive and finite, got inf"),
             (["--kind", "lasso", "--mu", "nan"], "mu must be positive and finite, got nan"),
+            (["--kind", "qp", "--n", "2", "--p", "2", "--m", "5"],
+             "--m must be at most --n + --p = 4, got 5"),
         ],
-        ids=["n", "p", "m", "m-data", "seed", "mu-inf", "mu-nan"],
+        ids=["n", "p", "m", "m-data", "seed", "mu-inf", "mu-nan", "m-above-n-plus-p"],
     )
     def test_bad_flag_is_named(self, tmp_path, capsys, argv, message):
         out = tmp_path / "inst.json"
@@ -456,6 +458,21 @@ class TestVerify:
         assert report["meta"]["iterations"] == 60
         assert not {"full_grid", "checked_iterations"} & report["meta"].keys()
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-100"])
+    def test_alpha_too_small_to_certify_is_named(self, tmp_path, capsys, alpha):
+        # sigma = 1/(1 + alpha(2-alpha)) rounds to 1: at 1e-300 the bound
+        # constants divided by alpha^3 = 0, at 1e-100 a check blamed alpha = 2
+        args = self._run_then_verify_args(tmp_path, alpha=alpha)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: alpha={alpha} is too small to certify: "
+            "sigma rounds to 1\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
     def test_zero_iteration_run_verifies_vacuously(self, tmp_path, capsys):
         inst_path = write_qp(tmp_path)
         out = tmp_path / "run0"
@@ -578,6 +595,20 @@ class TestBench:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: --alpha-grid: alpha must lie in (0, 2], got {bad}\n"
+        )
+        assert not out.exists()
+
+    def test_alpha_too_small_to_certify_names_the_grid(self, tmp_path, capsys):
+        inst_path = write_qp(tmp_path)
+        out = tmp_path / "b"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["bench", "--instance", str(inst_path), "--alpha-grid", "1,1e-300",
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --alpha-grid: alpha=1e-300 is too small to certify: "
+            "sigma rounds to 1\n"
         )
         assert not out.exists()
 

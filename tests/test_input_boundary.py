@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -380,3 +381,81 @@ def test_fuzzed_flags_exit_with_a_documented_code(tmp_path_factory, documents, d
         assert stderr.startswith("solver error: ") and stderr.count("\n") == 1, (argv, stderr)
     else:
         assert code == 0 and stderr == "", (argv, stderr)
+
+
+def cli_outcome(argv):
+    """(exit code, stderr) of ``gadmm`` with ``argv``, with no warning raised."""
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    return code, err.getvalue()
+
+
+POWERS = [10.0**e for e in range(-12, 4)]
+# an error line that opens with the flag it blames
+NAMES_A_FLAG = re.compile(r"error: (argument )?(--[a-z-]+|mu)\b")
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_generate_exits_with_a_documented_code(tmp_path_factory, data):
+    """``gadmm generate`` with drawn flag values exits 0 with a file that
+    loads and saves to the same bytes, or 1 with one stderr line naming a
+    flag; never a traceback or a warning."""
+    flags = {flag: data.draw(st.integers(1, 4)) for flag in ("n", "p", "m-data")}
+    flags.update(m=data.draw(st.integers(1, 9)), seed=data.draw(st.integers(0, 2**64)))
+    flags.update(mu=data.draw(st.one_of(st.sampled_from(POWERS), st.floats(0.0, 1e3))))
+    if data.draw(st.booleans()):  # one flag gets a value out of its range, or not a number
+        junk = st.sampled_from(SPECIAL + EXTREME + ["0", "-1", "2.0", "1e1"])
+        flags[data.draw(st.sampled_from(sorted(flags)))] = data.draw(junk)
+    argv = ["generate", "--kind", data.draw(st.sampled_from(["qp", "lasso"]))]
+    argv += [f"--{flag}={value}" for flag, value in flags.items()]
+    out = tmp_path_factory.mktemp("generate") / "inst.json"
+    code, stderr = cli_outcome(argv + ["--out", str(out)])
+    if code == 1:
+        assert NAMES_A_FLAG.match(stderr) and stderr.count("\n") == 1, (argv, stderr)
+        assert not out.exists()
+    else:
+        assert code == 0 and stderr == "", (argv, stderr)
+        problems.save_instance(problems.load_instance(out), out.with_name("again.json"))
+        assert out.with_name("again.json").read_bytes() == out.read_bytes(), argv
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_alpha_grid_exits_with_a_documented_code(tmp_path_factory, documents, data):
+    """``gadmm bench --alpha-grid`` with drawn values exits 0 with one row
+    per alpha, or 1 with one stderr line naming the flag; never a traceback
+    or a warning."""
+    alpha = st.one_of(
+        st.floats(0.0, 2.0, exclude_min=True).map(repr),
+        st.sampled_from(SPECIAL + EXTREME + ["2", "3", "-1", "1e-300", "1e-100", " "]),
+    )
+    grid = ",".join(data.draw(st.lists(alpha, max_size=3)))
+    tmp_path = tmp_path_factory.mktemp("bench")
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(documents["qp"]))
+    argv = ["bench", "--instance", str(path), f"--alpha-grid={grid}", "--max-iter", "3"]
+    code, stderr = cli_outcome(argv + ["--out", str(tmp_path / "out")])
+    if code == 1:
+        assert re.match(r"error: (argument |bad |empty )?--alpha-grid\b", stderr), (grid, stderr)
+        assert stderr.count("\n") == 1, (grid, stderr)
+    else:
+        assert code == 0 and stderr == "", (grid, stderr)
+        rows = (tmp_path / "out" / "bench.csv").read_text().splitlines()
+        assert len(rows) == 1 + len([v for v in grid.split(",") if v.strip()]), grid

@@ -1,11 +1,11 @@
-"""Every output file is written through ``problems.atomic_open``: a write
+"""Every output file is written through ``records.atomic_open``: a write
 that is interrupted leaves the old file, or no file, at the path."""
 
 import json
 
 import pytest
 
-from gadmm import cli, problems, solver
+from gadmm import cli, problems, records, solver
 
 from conftest import run_full
 
@@ -42,7 +42,7 @@ def interrupt_writes(monkeypatch, after):
     def opener(*args, **kwargs):
         return InterruptingFile(open(*args, **kwargs), after)
 
-    monkeypatch.setattr(problems, "open", opener, raising=False)
+    monkeypatch.setattr(records, "open", opener, raising=False)
 
 
 @pytest.fixture(scope="module")

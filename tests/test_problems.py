@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from gadmm import oracles, problems
+from gadmm import oracles, problems, records
 from gadmm.errors import ConfigError
 from gadmm.problems import KktPoint, SeparableInstance
 
@@ -247,12 +247,12 @@ INSTANCES = {
 def format_through(monkeypatch, wrap):
     """Make :func:`problems.save_instance` format its numbers with
     ``wrap(write, units)`` in place of its own ``write``."""
-    real = problems.write_in_parts
+    real = records.write_in_parts
 
     def wrapped(path, units, cells, write, lines, **kwargs):
         real(path, units, cells, wrap(write, units), lines, **kwargs)
 
-    monkeypatch.setattr(problems, "write_in_parts", wrapped)
+    monkeypatch.setattr(records, "write_in_parts", wrapped)
 
 
 @pytest.fixture(scope="module")
@@ -292,11 +292,11 @@ class TestInstanceBytes:
             return record
 
         format_through(monkeypatch, recording)
-        monkeypatch.setattr(problems, "CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(records, "CELLS_PER_WORKER", 1)
         counted = count_forks(monkeypatch, cpus=cpus)
         problems.save_instance(inst, tmp_path / "inst.json")
         assert len(counted) == cpus - 1
-        assert formatted == [(0, 192 // cpus), (192, 192)]
+        assert formatted == [(0, 192 // cpus)]
         assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
         assert_nothing_left(tmp_path, ["inst.json"])
 
@@ -388,3 +388,31 @@ def test_generated_suite_satisfies_reference_gap():
     for seed in (1, 2):
         inst = problems.generate_lasso(seed, 6, 12, 0.2)
         assert problems.kkt_gap(inst, inst.solution) <= 1e-6
+
+
+class TestLassoPath:
+    """:func:`problems.lasso_path` solves l1-regularized least squares with
+    a singular P exactly, where proximal gradient settles too slowly."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_minimizer_meets_the_optimality_conditions(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m_data = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        C, d = rng.standard_normal((m_data, n)), rng.standard_normal(m_data)
+        P, q, mu = C.T @ C, -C.T @ d, 10.0 ** rng.uniform(-10, 0)
+        x = problems.lasso_path(P, q, mu)
+        g, on = P @ x + q, x != 0
+        assert np.allclose(g[on], -mu * np.sign(x[on]), rtol=0, atol=1e-12)
+        assert np.all(np.abs(g[~on]) <= mu + 1e-12)
+
+    def test_mu_above_every_gradient_entry_gives_zero(self):
+        assert not problems.lasso_path(np.eye(2), np.array([0.5, -0.25]), 0.5).any()
+
+    def test_unsettled_proximal_gradient_falls_back_to_the_path(self, monkeypatch):
+        # n = 3 variables and one data row: P has rank 1, and at mu = 1e-5
+        # proximal gradient is still moving after a million steps
+        calls, real = [], problems.lasso_path
+        monkeypatch.setattr(problems, "lasso_path", lambda *a: calls.append(a) or real(*a))
+        inst = problems.generate_lasso(8575, 3, 1, 1e-5)
+        assert len(calls) == 1
+        assert problems.kkt_gap(inst, inst.solution) <= 1e-12

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gadmm import cli, hpe, linalg, oracles, problems, solver
+from gadmm import cli, hpe, linalg, oracles, problems, records, solver
 from gadmm.errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 from gadmm.problems import KktPoint
 from gadmm.solver import ExplicitH, GadmmParams, LinearizedH
@@ -611,7 +611,7 @@ class TestParallelWriter:
     ):
         # the workers format rows 667..1333 and 1334..2000; the second one
         # raises, or exits 0 having written one row too few or too many
-        parent, real = os.getpid(), solver._write_rows
+        parent, real = os.getpid(), records._write_rows
 
         def failing_in_a_worker(write, table, start, stop, blank):
             if os.getpid() == parent or start != 1334:
@@ -624,7 +624,7 @@ class TestParallelWriter:
                 real(write, table, start, stop, blank)
                 write("2001,junk\r\n")
 
-        monkeypatch.setattr(solver, "_write_rows", failing_in_a_worker)
+        monkeypatch.setattr(records, "_write_rows", failing_in_a_worker)
         counted = count_forks(monkeypatch, cpus=3)
         solver.save_trajectory_csv(traj, tmp_path / "got.csv")
         assert len(counted) == 2
@@ -640,7 +640,7 @@ class TestParallelWriter:
         else:
             fails = lambda data: isinstance(data, bytes)  # noqa: E731
         opener = lambda *args, **kwargs: FailingFile(open(*args, **kwargs), fails)  # noqa: E731
-        monkeypatch.setattr(problems, "open", opener, raising=False)
+        monkeypatch.setattr(records, "open", opener, raising=False)
         counted = count_forks(monkeypatch, cpus=3)
         with pytest.raises(OSError, match="disk full"):
             solver.save_trajectory_csv(traj, tmp_path / "got.csv")
@@ -663,11 +663,11 @@ class TestParallelWriter:
         assert_nothing_left(tmp_path, ["got.csv"])
 
 
-def parallel_load(path, traj, other_bytes=0):
-    """Load ``path`` as ``gadmm verify`` does: read it, fork its workers for
-    other work of ``other_bytes`` bytes, then load."""
-    with solver.TrajectoryText(path) as text:
-        text.parse_tail(other_bytes)
+def parallel_load(path, traj):
+    """Load ``path`` as ``gadmm verify`` does: read it, fork its workers
+    beside an instance file of 0 bytes, then load."""
+    with records.TrajectoryText(path) as text:
+        text.parse_tail(os.devnull)
         return solver.load_trajectory_csv(text, traj.instance, traj.params)
 
 
@@ -679,7 +679,7 @@ def load_error(load):
 
 
 class TestParallelReader:
-    """The forked reader of :class:`solver.TrajectoryText` gives the serial
+    """The forked reader of :class:`records.TrajectoryText` gives the serial
     parse, or the serial error, whatever fails, and leaves no child
     process and no temporary file."""
 
@@ -711,7 +711,7 @@ class TestParallelReader:
             bounds.append(sorted({0, *tail}))
             return bounds[-1]
 
-        monkeypatch.setattr(solver, "_read_bounds", forced)
+        monkeypatch.setattr(records, "_read_bounds", forced)
         counted = count_forks(monkeypatch, cpus=cpus)
         got = parallel_load(path, traj)
         assert len(counted) == len(bounds[0]) - 2 == (1 if split == "K" else cpus - 1)
@@ -722,14 +722,14 @@ class TestParallelReader:
 
     def test_bounds_balance_bytes(self):
         rows = ["x" * 9] * 100  # 10 characters a row with its newline
-        assert solver._read_bounds(rows, 2, 0) == [0, 50, 100]
-        assert solver._read_bounds(rows, 2, 200) == [0, 40, 100]
-        assert solver._read_bounds(rows, 2, 10**6) == [0, 1, 100]  # row 0 stays here
-        assert solver._read_bounds(rows, 3, 0) == [0, 33, 66, 100]
+        assert records._read_bounds(rows, 2, 0) == [0, 50, 100]
+        assert records._read_bounds(rows, 2, 200) == [0, 40, 100]
+        assert records._read_bounds(rows, 2, 10**6) == [0, 1, 100]  # row 0 stays here
+        assert records._read_bounds(rows, 3, 0) == [0, 33, 66, 100]
         # qp-large-full: a 2.36 MB instance beside a 2.77 MB CSV of 251 rows
         # leaves this process 18 of them, about 7 %
         rows = ["x" * 11026] * 251
-        assert solver._read_bounds(rows, 2, 2_360_625) == [0, 18, 251]
+        assert records._read_bounds(rows, 2, 2_360_625) == [0, 18, 251]
 
     @pytest.mark.parametrize("first_failure", [1, 2])
     def test_fork_failure_leaves_the_ranges_to_the_parent(
@@ -759,7 +759,7 @@ class TestParallelReader:
         # right size and exits 3
         traj, lines = recorded
         path = self.write(tmp_path, lines)
-        parent, real, real_exit = os.getpid(), solver._parse_rows, os._exit
+        parent, real, real_exit = os.getpid(), records._parse_rows, os._exit
 
         def failing_in_a_worker(rows, dtype):
             parsed = real(rows, dtype)
@@ -777,7 +777,7 @@ class TestParallelReader:
             parsed["v"] += 1.0
             return parsed
 
-        monkeypatch.setattr(solver, "_parse_rows", failing_in_a_worker)
+        monkeypatch.setattr(records, "_parse_rows", failing_in_a_worker)
         counted = count_forks(monkeypatch, cpus=3)
         got = parallel_load(path, traj)
         assert len(counted) == 2
@@ -846,6 +846,7 @@ class TestParallelReader:
             ("no-solution", 1, "error: verification needs an instance with a stored solution"),
             ("missing-trajectory", 0, "error: [Errno 2] No such file or directory"),
             ("missing-trajectory-bad-json", 0, "error: instance file: not valid JSON"),
+            ("missing-instance", 0, "error: [Errno 2] No such file or directory"),
             ("passes", 1, "all checks pass"),
         ],
     )
@@ -858,7 +859,8 @@ class TestParallelReader:
         inst = traj.instance
         if case == "no-solution":
             inst = dataclasses.replace(inst, solution=None)
-        problems.save_instance(inst, tmp_path / "inst.json")
+        if case != "missing-instance":
+            problems.save_instance(inst, tmp_path / "inst.json")
         if case.endswith("bad-json"):
             text = (tmp_path / "inst.json").read_text()
             (tmp_path / "inst.json").write_text(text[: len(text) // 2])
@@ -872,7 +874,8 @@ class TestParallelReader:
         code = cli.main(argv + self.VERIFY_FLAGS)
         assert (code, len(counted)) == (0 if case == "passes" else 1, forks)
         assert capsys.readouterr().err.startswith(message)
-        left = ["inst.json"] + ["traj.csv"] * (not case.startswith("missing-trajectory"))
+        left = ["inst.json"] * (case != "missing-instance")
+        left += ["traj.csv"] * (not case.startswith("missing-trajectory"))
         assert_nothing_left(tmp_path, left + ["report.json"] * (case == "passes"))
 
     def test_benchmark_verifies_fork_only_for_large_tables(self, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ def reference_block(F, op, resolved, beta, u_prev, gamma, s, r):
     H, tau = resolved
     if tau is not None:
         return F.prox_solver(1.0 / tau)(u_prev + (op.T @ (gamma - beta * r)) / tau)
-    P, q = problems._quadratic_parts(F, op.shape[1])
+    P, q = problems.quadratic_parts(F, op.shape[1])
     rhs = op.T @ gamma - q - beta * (op.T @ s) + H @ u_prev
     return np.linalg.solve(P + beta * (op.T @ op) + H, rhs)
 
