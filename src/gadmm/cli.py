@@ -3,7 +3,7 @@
 Subcommands: generate an instance, run the solver, verify the recorded
 certificates, and sweep the relaxation factor over a grid.  Exit codes
 are a stable contract for scripts: 0 success, 1 configuration or I/O
-error, 2 solver or internal error, 3 certification failure.
+error, otherwise the ``exit_code`` of the error's class in :mod:`gadmm.errors`.
 """
 
 from __future__ import annotations
@@ -20,20 +20,10 @@ import sys
 import numpy as np
 
 from . import certificates, hpe, linalg, problems, records, solver
-from .errors import (
-    CertificationError,
-    ConfigError,
-    DivergenceError,
-    GadmmError,
-    InternalCheckError,
-    IterationLimitError,
-    NotPositiveDefiniteError,
-)
+from .errors import ConfigError, GadmmError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_SOLVER = 2
-EXIT_CERT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,16 +82,6 @@ def _params(args, inst, alpha=None):
     )
 
 
-def _dump_json(doc, fh):
-    json.dump(doc, fh, indent=1, allow_nan=False)
-    fh.write("\n")
-
-
-def _write_json(doc, path):
-    with records.atomic_open(path) as fh:
-        _dump_json(doc, fh)
-
-
 def _cmd_generate(args) -> int:
     for name, low in (("seed", 0), ("n", 1), ("p", 1), ("m", 1), ("m_data", 1)):
         value = getattr(args, name)
@@ -128,7 +108,7 @@ def _run_summary(traj, step, gap) -> dict:
         "final_step_metric": final_step,
         "alpha": traj.params.alpha,
         "beta": traj.params.beta,
-        "stopped_early": traj.iterations < traj.params.max_iter,
+        "stopped_early": solver.stopped_early(traj),
     }
 
 
@@ -138,7 +118,7 @@ def _cmd_run(args) -> int:
     traj = solver.run(inst, params)
     os.makedirs(args.out, exist_ok=True)
     diagnostics = solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    _write_json(_run_summary(traj, *diagnostics), os.path.join(args.out, "summary.json"))
+    records.write_json(os.path.join(args.out, "summary.json"), _run_summary(traj, *diagnostics))
     print(f"ran {traj.iterations} iterations; outputs in {args.out}")
     return EXIT_OK
 
@@ -157,9 +137,9 @@ def _cmd_verify(args) -> int:
     report = certificates.full_verification(traj, inst.solution)
     doc = report.to_dict()
     if args.out:
-        _write_json(doc, args.out)
+        records.write_json(args.out, doc)
     else:
-        _dump_json(doc, sys.stdout)
+        sys.stdout.write(records.json_text(doc))
     report.raise_first()
     print("all checks pass", file=sys.stderr)
     return EXIT_OK
@@ -293,24 +273,15 @@ def main(argv=None) -> int:
             if isinstance(value, list):
                 raise ConfigError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except GadmmError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # numpy's allocation failure, for one
         print(f"error: {command} ran out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotPositiveDefiniteError, IterationLimitError, DivergenceError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_CERT
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except GadmmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

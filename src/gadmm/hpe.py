@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import linalg, oracles, problems
-from .errors import ConfigError, GadmmError, NotPositiveDefiniteError
+from .errors import ConfigError, InternalCheckError, NotPositiveDefiniteError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trajectory
@@ -95,9 +95,9 @@ def sigma_alpha(alpha) -> float:
 
 
 def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
-    """Assemble the block operator M and run the PSD probe on it.  An alpha
-    or beta near the ends of the float range that overflows an entry of M
-    raises :class:`ConfigError`."""
+    """Assemble the block operator M and run the PSD probe on it, which
+    fails only on an assembly bug (:class:`InternalCheckError`).  An alpha
+    or beta that overflows an entry of M raises :class:`ConfigError`."""
     n, p, m = inst.n, inst.p, inst.m
     h1 = linalg.as_matrix(h1, rows=n, cols=n, name="h1")
     h2 = linalg.as_matrix(h2, rows=p, cols=p, name="h2")
@@ -121,9 +121,7 @@ def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
     try:
         return linalg.PsdOperator.from_matrix(M, name="proximal metric")
     except NotPositiveDefiniteError as exc:
-        raise GadmmError(
-            "assembled proximal metric failed the PSD probe (assembly bug)"
-        ) from exc
+        raise InternalCheckError("assembled proximal metric failed the PSD probe") from exc
 
 
 def metric_for(traj: "Trajectory") -> linalg.PsdOperator:
@@ -230,12 +228,13 @@ class Replay:
     """One pass over a recorded trajectory against a reference point z*.
 
     Built once per verification: it checks the reference, takes M from the
-    trajectory, and evaluates as arrays over k = 1..K (row k-1) the steps,
-    the budgets eta_0..eta_K, the extragradient gaps, M dz_k and the step
-    norms, the inclusion's block rows read off M dz_k (the subgradient rows
-    of both subproblems and the constraint-identity residual rows), the
-    inclusion gaps and the residual norms.  Each operator is applied to a
-    whole stack of rows in one matrix product.
+    trajectory, refuses a d0 that overflows (:class:`ConfigError`), and
+    evaluates as arrays over k = 1..K (row k-1) the steps, the budgets
+    eta_0..eta_K, the extragradient gaps, M dz_k and the step norms, the
+    inclusion's block rows read off M dz_k (the subgradient rows of both
+    subproblems and the constraint-identity residual rows), the inclusion
+    gaps and the residual norms.  Each operator is applied to a whole stack
+    of rows in one matrix product.
     """
 
     def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
@@ -247,7 +246,10 @@ class Replay:
         self.alpha, self.beta = traj.params.alpha, traj.params.beta
         self.sigma = sigma_alpha(self.alpha)
         self.metric = metric_for(traj)
-        self.d0 = initial_distance_sq(traj, z_star)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.d0 = initial_distance_sq(traj, z_star)
+        if not math.isfinite(self.d0):
+            raise ConfigError(f"d0 = ||z* - z0||^2_M overflows ({self.d0!r}): too far to certify")
         self.K = traj.iterations
         self.ks = np.arange(1, self.K + 1)
         n, p = inst.n, inst.p

@@ -176,17 +176,18 @@ class SpdFactor:
     def solve(self, rhs) -> np.ndarray:
         """Solve for one right-hand side, or for each column of a (side, k) block.
 
-        ``u = L^-T (L^-1 rhs)``, two matrix products.  Only the shape is
-        checked: this runs on every iteration, and a non-finite right-hand
-        side gives a non-finite solution, which :func:`gadmm.solver.run`
-        reports after its loop.
+        ``u = L^-T (L^-1 rhs)``, two matrix products.  It runs while the
+        engine builds its stage maps, not per iteration, and in a quadratic's
+        conjugate once per stack of rows.  Only the shape is checked: a
+        non-finite right-hand side gives a non-finite solution, which the
+        engine's check of its stage maps reports.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 0:
             rhs = rhs.reshape(1)
         if rhs.ndim > 2 or rhs.shape[0] != self.side:
             raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.side} rows")
-        # np.dot: about 0.4 us less call overhead than @ per small product
+        # np.dot: the products of @, with less call overhead
         return np.dot(self._L_inv.T, np.dot(self._L_inv, rhs))
 
     def inv_norm_sq(self, rhs):

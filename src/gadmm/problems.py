@@ -12,13 +12,14 @@ optional first-order-optimal reference point (x*, y*, gamma*) solving
     0 in df(x) - A' gamma,   0 in dg(y) - B' gamma,   A x + B y - b = 0.
 
 Generators produce instances whose reference point is computed by an
-independent route (a direct saddle-system solve for quadratic blocks, a
-proximal-gradient fixed point for the consensus l1 split), never by the
-ADMM engine itself.
+independent route (a direct saddle-system solve for quadratic blocks, the
+exact solution path for the consensus l1 split, with a proximal-gradient
+fixed point as its fallback), never by the ADMM engine itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,9 +37,9 @@ SOLUTION_GAP_TOL = 1e-6
 # Full-row-rank requirement on [A B] for generated instances: smallest
 # eigenvalue of [A B][A B]' must exceed this within _RANK_TRIES draws.
 _ROW_RANK_TOL, _RANK_TRIES = 1e-6, 50
-# The proximal-gradient reference stops at a move of at most _ISTA_TOL, and
-# leaves the minimizer to the exact path after _ISTA_MAX_ITER steps, which
-# has at most _PATH_MAX_KINKS kinks per variable.
+# The exact path has at most _PATH_MAX_KINKS kinks per variable.  Its
+# proximal-gradient fallback stops at a move of at most _ISTA_TOL, or after
+# _ISTA_MAX_ITER steps.
 _ISTA_TOL, _ISTA_MAX_ITER, _PATH_MAX_KINKS = 1e-10, 1000, 10
 
 
@@ -176,8 +177,8 @@ def generate_lasso(seed, n, m_data, mu) -> SeparableInstance:
 
         f(x) = (1/2)||C x - d||^2,  g(y) = mu ||y||_1,  x - y = 0,
 
-    encoded as A = I, B = -I, b = 0.  The reference point comes from a
-    proximal-gradient fixed point, independent of the ADMM engine.
+    encoded as A = I, B = -I, b = 0.  The reference point comes from
+    :func:`solve_ground_truth`, independent of the ADMM engine.
     """
     if not 0 < mu < math.inf:
         raise ConfigError(f"mu must be positive and finite, got {mu}")
@@ -246,8 +247,7 @@ def _kkt_linear_solve(inst, pf, qf, pg, qg) -> KktPoint:
 def ista_reference(P, q, mu) -> np.ndarray:
     """Minimizer of (1/2)x'Px + q'x + mu||x||_1: the proximal-gradient
     iterate, step 1/L (L the largest eigenvalue of P), once it moves by at
-    most ``_ISTA_TOL``.  When it has not within ``_ISTA_MAX_ITER`` steps, as
-    for a singular P and a small mu, :func:`lasso_path` finds it exactly."""
+    most ``_ISTA_TOL``, or else after ``_ISTA_MAX_ITER`` steps."""
     P = linalg.as_matrix(P, name="P")
     q = linalg.as_vector(q, dim=P.shape[0], name="q")
     lip = math.sqrt(linalg.spectral_norm_sq(P))
@@ -256,9 +256,9 @@ def ista_reference(P, q, mu) -> np.ndarray:
     for _ in range(_ISTA_MAX_ITER):
         xn = oracles.soft_threshold(x - t * (P @ x + q), t * mu)
         if float(np.linalg.norm(xn - x)) <= _ISTA_TOL:
-            return xn
+            break
         x = xn
-    return lasso_path(P, q, mu)
+    return xn
 
 
 def lasso_path(P, q, mu) -> np.ndarray:
@@ -293,25 +293,33 @@ def lasso_path(P, q, mu) -> np.ndarray:
     raise IterationLimitError("lasso solution path did not reach mu")
 
 
+def _consensus_point(inst, x) -> KktPoint:
+    # A = I, so the multiplier is the smooth gradient, clipped into the
+    # dual-feasible box so that -gamma lies in dom g* despite rounding
+    gamma = np.clip(inst.f.grad(x), -inst.g.mu, inst.g.mu)
+    return KktPoint(x, x.copy(), gamma)
+
+
 def solve_ground_truth(inst: SeparableInstance) -> KktPoint:
     """Reference first-order point for quadratic or consensus-l1 instances.
 
-    Quadratic blocks go through a direct solve of the saddle system; the
-    consensus l1 split goes through the proximal-gradient fixed point,
-    with the multiplier recovered from the smooth block's gradient.
+    Quadratic blocks go through a direct solve of the saddle system.  The
+    consensus l1 split goes through :func:`lasso_path`, and through
+    :func:`ista_reference` only where the path raises (a singular active
+    block, as for duplicate columns) or its point fails the optimality
+    check; the multiplier is the smooth block's gradient.
     """
     parts_f = quadratic_parts(inst.f, inst.n)
     parts_g = quadratic_parts(inst.g, inst.p)
     if parts_f is not None and parts_g is not None:
         point = _kkt_linear_solve(inst, *parts_f, *parts_g)
     elif _is_consensus_l1(inst):
-        x = ista_reference(inst.f.P, inst.f.q, inst.g.mu)
-        # A = I, so the multiplier is the smooth gradient; clip it into the
-        # dual-feasible box so -gamma lands inside dom g* despite the last
-        # ~1e-10 of fixed-point error (the f-block gap this introduces is
-        # quadratic in the clip distance, far below the acceptance gap).
-        gamma = np.clip(inst.f.grad(x), -inst.g.mu, inst.g.mu)
-        point = KktPoint(x, x.copy(), gamma)
+        P, q, mu = inst.f.P, inst.f.q, inst.g.mu
+        point = None
+        with contextlib.suppress(np.linalg.LinAlgError, IterationLimitError):
+            point = _consensus_point(inst, lasso_path(P, q, mu))
+        if point is None or not kkt_gap(inst, point) <= SOLUTION_GAP_TOL:
+            point = _consensus_point(inst, ista_reference(P, q, mu))
     else:
         raise ConfigError(
             "ground truth is available only for quadratic blocks or a consensus l1 split"

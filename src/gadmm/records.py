@@ -1,6 +1,6 @@
-"""The record files, the instance JSON and the trajectory CSV, which are
-all a verification reads: the atomic writer, and the forked workers that
-format or parse a large file's ranges (see :func:`_fork_ranges`)."""
+"""The record files (instance, summary and report JSON, trajectory CSV):
+the atomic writer, the one JSON layout, and the forked workers that format
+or parse a large file's ranges (see :func:`_fork_ranges`)."""
 
 from __future__ import annotations
 
@@ -167,34 +167,43 @@ def write_in_parts(path, units, cells, write, lines, head="", tail="", newline=N
 # JSON documents
 
 
-# Stands in for each number list in the skeleton that json lays out; no
-# key or string value of an instance document holds it.
+def json_text(doc) -> str:
+    """``doc`` as every JSON record is laid out: json's indent-1 text and a
+    newline; a non-finite number raises :class:`ValueError` (strict JSON)."""
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+
+
+# Stands in for each list of floats in the skeleton that json lays out; no
+# string of a record document is this one character.
 _LIST_MARK = "\0"
 
 
 def _skeleton(node, lists):
-    """``node`` with each non-empty list replaced by ``[_LIST_MARK]``, and
-    the lists appended to ``lists`` in the order json writes them."""
+    """``node`` with each list that starts with a float replaced by
+    ``[_LIST_MARK]`` and appended to ``lists``, in the order json writes
+    them; any other list, such as a report's checks, is recursed into."""
     if isinstance(node, dict):
         return {key: _skeleton(value, lists) for key, value in node.items()}
-    if isinstance(node, list) and node:
-        lists.append(node)
-        return [_LIST_MARK]
+    if isinstance(node, list):
+        if node and type(node[0]) is float:
+            lists.append(node)
+            return [_LIST_MARK]
+        return [_skeleton(value, lists) for value in node]
     return node
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc``, whose non-empty lists hold only floats, as the bytes
-    of ``json.dump(doc, fh, indent=1)`` and a newline, refusing a
-    non-finite number with :class:`ValueError` as ``allow_nan=False`` does.
+    """Write ``doc``, whose lists that start with a float hold only floats,
+    as the bytes of :func:`json_text`, refusing a non-finite number with
+    :class:`ValueError` as it does.
 
     Only the skeleton (keys, scalars, nesting) goes through json, whose
-    encoder runs in Python when it indents.  The numbers of the lists, in
-    document order, are the units of :func:`write_in_parts`, written with
-    ``float.__repr__`` as json writes them.
+    encoder runs in Python when it indents.  The numbers of the lists of
+    floats, in document order, are the units of :func:`write_in_parts`,
+    written with ``float.__repr__`` as json writes them.
     """
     lists = []
-    skeleton = json.dumps(_skeleton(doc, lists), indent=1, allow_nan=False)
+    skeleton = json_text(_skeleton(doc, lists))
     # leads[j] precedes list j's numbers and ends in "[\n" and the list's
     # indent, which also follows the "," between two of its numbers
     *leads, tail = skeleton.split(json.dumps(_LIST_MARK))
@@ -216,7 +225,7 @@ def write_json(path, doc) -> None:
         extra = (lead.count("\n") - 1 for first, lead in zip(firsts, leads) if start <= first < stop)
         return stop - start + sum(extra)
 
-    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail + "\n")
+    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,23 @@ def stop_terms(inst, metric, prev, new, gamma_tilde):
     yield float(problems.kkt_gaps(inst, x, y, gamma_tilde))
 
 
+def _rule_fires(inst, metric, tol, prev, new, gamma_tilde) -> bool:
+    return all(t <= tol for t in stop_terms(inst, metric, prev, new, gamma_tilde))
+
+
+def stopped_early(traj: Trajectory) -> bool:
+    """Whether the stopping rule of :func:`run` fired, read off the record:
+    whether it holds at the last recorded step, evaluated by the loop's code
+    on the same floats, so also at K = max_iter.  False at stop_tol = 0 and
+    at K = 0."""
+    K, tol = traj.iterations, traj.params.stop_tol
+    if K == 0 or tol == 0:
+        return False
+    prev, new = ((traj.X[k], traj.Y[k], traj.G[k]) for k in (K - 1, K))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rule_fires(traj.instance, traj.metric, tol, prev, new, traj.Gt[K - 1])
+
+
 def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     """Iterate from (x0, y0, gamma0), zeros by default, until max_iter or
     until the stopping rule fires.
@@ -380,14 +397,12 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
             ys.append(y_new)
             gs.append(gamma_new)
             gts.append(gamma_tilde)
-            if metric is not None and all(
-                t <= params.stop_tol
-                for t in stop_terms(
-                    inst, metric, (x, y, gamma), (x_new, y_new, gamma_new), gamma_tilde
-                )
+            new = (x_new, y_new, gamma_new)
+            if metric is not None and _rule_fires(
+                inst, metric, params.stop_tol, (x, y, gamma), new, gamma_tilde
             ):
                 break
-            x, y, gamma = x_new, y_new, gamma_new
+            x, y, gamma = new
     Z = np.hstack([xs, ys, gs])
     Gt = np.array(gts).reshape(len(gts), inst.m)
     finite = np.isfinite(Z[1:]).all(axis=1) & np.isfinite(Gt).all(axis=1)

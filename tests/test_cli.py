@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gadmm import certificates, cli, hpe, linalg, oracles, problems, solver
+from gadmm import certificates, cli, errors, hpe, linalg, oracles, problems, solver
 from gadmm.errors import CertificationError, InternalCheckError, NotPositiveDefiniteError
 
 from conftest import make_one_d_instance
@@ -96,6 +96,15 @@ class TestGenerate:
         problems.save_instance(problems.load_instance(out), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
+    def test_lasso_whose_proximal_gradient_stops_short(self, tmp_path):
+        # m-data < n makes P singular: proximal gradient, stopped at a move of
+        # 1e-10, leaves a gap of about 1e-3; the exact path's is at rounding level
+        out = tmp_path / "inst.json"
+        argv = ["--kind", "lasso", "--seed", "9741", "--n", "17", "--m-data", "16", "--mu", "1.92"]
+        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+        inst = problems.load_instance(out)
+        assert problems.kkt_gap(inst, inst.solution) <= 1e-13
+
     def test_out_of_memory_names_the_command(self, tmp_path, monkeypatch, capsys):
         detail = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
 
@@ -140,6 +149,26 @@ class TestRun:
             assert int(last["k"]) == summary["iterations"] > 0
             assert last["dxM"] == repr(summary["final_step_metric"])
             assert last["kkt_gap"] == repr(summary["final_kkt_gap"])
+
+    def test_stopped_early_says_whether_the_rule_fired(self, tmp_path):
+        # on this QP the rule fires at k = 78: a max_iter of 78 ends the run
+        # there with the same record, and 77 ends it one step short
+        inst_path = tmp_path / "qp.json"
+        assert cli.main(["generate", "--kind", "qp", "--seed", "1", "--out", str(inst_path)]) == 0
+        base = ["--instance", str(inst_path), "--stop-tol", "1e-9"]
+        for max_iter, iterations, stopped_early in (("1000", 78, True), ("78", 78, True),
+                                                    ("77", 77, False)):
+            out = tmp_path / max_iter
+            assert cli.main(["run", *base, "--max-iter", max_iter, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert (summary["iterations"], summary["stopped_early"]) == (iterations, stopped_early)
+            assert cli.main(["bench", *base, "--max-iter", max_iter, "--alpha-grid", "1",
+                             "--out", str(out / "bench")]) == 0
+            with open(out / "bench" / "bench.csv") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row["stopped_early"] == str(stopped_early).lower()
+        traj = (tmp_path / "1000" / "trajectory.csv").read_bytes()
+        assert (tmp_path / "78" / "trajectory.csv").read_bytes() == traj
 
     def test_run_evaluates_the_diagnostics_once(self, tmp_path, monkeypatch):
         real, calls = solver.diagnostics, []
@@ -262,7 +291,7 @@ class TestRun:
         assert "k=1 has non-finite entries" in capsys.readouterr().err
 
     def test_metric_probe_failure_exit_two(self, tmp_path, monkeypatch, capsys):
-        # build_metric turns a failed PSD probe on M into a bare GadmmError
+        # build_metric turns a failed PSD probe on M into an InternalCheckError
         real = linalg.PsdOperator.from_matrix
 
         def probe_fails(mat, name="operator"):
@@ -276,7 +305,8 @@ class TestRun:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
-        assert "proximal metric" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: ") and "proximal metric" in err
 
     def test_bad_alpha_is_config_error(self, tmp_path):
         inst_path = write_one_d(tmp_path)
@@ -438,6 +468,49 @@ class TestVerify:
              "--out", str(tmp_path / "rep0.json")]
         ) == 0
         assert strict_json((tmp_path / "rep0.json").read_text())["meta"]["iterations"] == 0
+
+    def test_stdout_report_is_whole_or_nothing(self, tmp_path, monkeypatch, capsys):
+        args = self._run_then_verify_args(tmp_path)
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert cli.main(args[:-2]) == 0
+        assert capsys.readouterr().out == (tmp_path / "report.json").read_text()
+        # a number that cannot be written, in the last check: nothing before
+        # it reaches stdout either
+        to_dict = certificates.VerificationReport.to_dict
+
+        def last_lhs_infinite(report):
+            doc = to_dict(report)
+            doc["checks"][-1]["lhs"] = math.inf
+            return doc
+
+        monkeypatch.setattr(certificates.VerificationReport, "to_dict", last_lhs_infinite)
+        assert cli.main(args[:-2]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "not JSON compliant" in err
+
+    def test_overflowing_d0_is_named(self, tmp_path, capsys):
+        # f = x^2/2, g = y^2/2, x + y = 1e200: a correct run, but
+        # d0 = ||z* - z0||^2_M is about 1e400
+        inst = problems.SeparableInstance(
+            oracles.Quadratic([[1.0]], [0.0]),
+            oracles.Quadratic([[1.0]], [0.0]),
+            [[1.0]],
+            [[1.0]],
+            [1e200],
+            solution=problems.KktPoint([5e199], [5e199], [5e199]),
+        )
+        inst_path, out = tmp_path / "big.json", tmp_path / "run"
+        problems.save_instance(inst, inst_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--instance", str(inst_path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            code = cli.main(["verify", "--instance", str(inst_path),
+                             "--trajectory", str(out / "trajectory.csv")])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: d0 = ") and "overflows" in err and err.count("\n") == 1
 
     def test_alpha_two_skips_pointwise(self, tmp_path):
         args = self._run_then_verify_args(tmp_path, alpha="2.0")
@@ -651,6 +724,41 @@ class TestBench:
             report.raise_first()
         assert (err.value.check, err.value.k) == ("multiplier_identity", 5)
         assert row["first_failure"] == "multiplier_identity@k=5"
+
+
+# exit code and label of every error class
+EXIT_TABLE = {
+    "GadmmError": (2, "error"),
+    "ConfigError": (1, "error"),
+    "NotPositiveDefiniteError": (2, "solver error"),
+    "IterationLimitError": (2, "solver error"),
+    "DivergenceError": (2, "solver error"),
+    "InternalCheckError": (2, "internal check failed"),
+    "CertificationError": (3, "certification failed"),
+}
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.GadmmError)
+]
+
+
+def test_exit_table_covers_every_error_class():
+    assert sorted(cls.__name__ for cls in ERROR_CLASSES) == sorted(EXIT_TABLE)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_sets_exit_code_and_label(tmp_path, monkeypatch, capsys, cls):
+    assert (cls.exit_code, cls.label) == EXIT_TABLE[cls.__name__]
+    kwargs = {"k": 3} if cls is errors.DivergenceError else {}
+
+    def fail(*args):
+        raise cls("what went wrong", **kwargs)
+
+    monkeypatch.setattr(problems, "generate_qp", fail)
+    argv = ["generate", "--kind", "qp", "--out", str(tmp_path / "i.json")]
+    assert cli.main(argv) == cls.exit_code
+    assert capsys.readouterr().err == f"{cls.label}: what went wrong\n"
 
 
 def test_cli_import_needs_no_scipy():

@@ -108,6 +108,33 @@ class TestGenerateLasso:
         with pytest.raises(ConfigError):
             problems.generate_lasso(1, 4, 8, 0.0)
 
+    # (seed, n, m_data, mu) of the lassos the tests generate; the
+    # benchmark's are read from perfbench's workloads
+    TEST_LASSOS = [
+        (0, 1, 1, 0.1), (0, 3, 2, 1e300), (1, 3, 6, 0.2), (1, 6, 12, 0.2), (2, 6, 12, 0.2),
+        (1, 6, 12, 0.4), (2, 5, 10, 0.3), (3, 5, 10, 0.3), (4, 6, 12, 0.3), (5, 6, 12, 0.5),
+        (7, 6, 12, 0.2), (7, 8, 16, 0.2), (8, 8, 16, 0.2), (9, 8, 16, 0.2), (7, 10, 20, 0.1),
+        (8575, 3, 1, 1e-5), (9741, 17, 16, 1.92),
+        *((seed, 6, 12, 0.3) for seed in range(1, 6)),
+    ]
+
+    def test_every_generated_reference_is_exact(self, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import workloads
+
+        bench = [
+            (inst.seed, *(value for _, value in inst.dims))
+            for workload in workloads.WORKLOADS.values()
+            for inst in workload.instances
+            if inst.kind == "lasso"
+        ]
+        assert bench
+        gaps = {}
+        for case in self.TEST_LASSOS + bench:
+            inst = problems.generate_lasso(*case)
+            gaps[case] = problems.kkt_gap(inst, inst.solution)
+        assert max(gaps.values()) <= 1e-13, gaps
+
 
 class TestSolveGroundTruth:
     def test_one_d(self, one_d_instance):
@@ -140,6 +167,23 @@ class TestSolveGroundTruth:
         sol = problems.solve_ground_truth(inst)
         assert np.allclose(sol.x, np.linalg.solve(A, b), atol=1e-10)
         assert np.allclose(sol.gamma, 0.0, atol=1e-10)
+
+    def test_duplicate_columns_fall_back_to_proximal_gradient(self, monkeypatch):
+        # f = (1/2)(x1 + x2)^2 - x1 - x2: the path's first active block is
+        # P itself, which is singular
+        calls, real = [], problems.ista_reference
+        monkeypatch.setattr(problems, "ista_reference", lambda *a: calls.append(a) or real(*a))
+        inst = SeparableInstance(
+            oracles.Quadratic(np.ones((2, 2)), [-1.0, -1.0]),
+            oracles.L1(0.1),
+            np.eye(2),
+            -np.eye(2),
+            np.zeros(2),
+        )
+        sol = problems.solve_ground_truth(inst)
+        assert len(calls) == 1
+        assert problems.kkt_gap(inst, sol) <= problems.SOLUTION_GAP_TOL
+        assert sol.x.sum() == pytest.approx(0.9)
 
     def test_unsupported_structure(self):
         inst = SeparableInstance(
@@ -408,11 +452,12 @@ class TestLassoPath:
     def test_mu_above_every_gradient_entry_gives_zero(self):
         assert not problems.lasso_path(np.eye(2), np.array([0.5, -0.25]), 0.5).any()
 
-    def test_unsettled_proximal_gradient_falls_back_to_the_path(self, monkeypatch):
+    def test_unsettled_proximal_gradient_case_comes_from_the_path(self, monkeypatch):
         # n = 3 variables and one data row: P has rank 1, and at mu = 1e-5
         # proximal gradient is still moving after a million steps
         calls, real = [], problems.lasso_path
         monkeypatch.setattr(problems, "lasso_path", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(problems, "ista_reference", None)  # not called
         inst = problems.generate_lasso(8575, 3, 1, 1e-5)
         assert len(calls) == 1
         assert problems.kkt_gap(inst, inst.solution) <= 1e-12
