@@ -7,9 +7,10 @@ verify`` on the trajectory it wrote, with the command's own verify flags
 (``--verify-full`` changes nothing: every k is always checked).
 The digest, written as JSON to OUT.json, holds each command's exit codes
 and iteration count, the sha256 of the trajectory.csv and summary.json its
-run wrote, the iterate cells of that CSV's last row (x_K, y_K, gamma_K,
-gamma_tilde_K), the summary's final_step_metric and final_kkt_gap, and
-each report row's pass, first_k, worst_k and worst_slack.
+run wrote and of the verify.json its verify wrote, the iterate cells of
+that CSV's last row (x_K, y_K, gamma_K, gamma_tilde_K), the summary's
+final_step_metric and final_kkt_gap, and each report row's pass, first_k,
+worst_k and worst_slack.
 The gadmm package is imported from this checkout's ``src``.
 
 Given a baseline digest, the script prints every exit-code, iteration,
@@ -17,7 +18,9 @@ output-file, pass and first_k difference, the largest relative worst_slack
 difference |s - s_base| / (1 + |s_base|), the largest relative differences
 of the last-row iterate cells and of the summary's final values, measured
 the same way, overall and for each command whose values differ, and every
-moved worst_k.  It exits 1 when there is a difference of the first kind.
+moved worst_k, and each command whose verify.json differs (a note: a
+refactor may move worst slacks by rounding).  It exits 1 when there is a
+difference of the first kind.
 
 Usage: python scripts/verdict_digest.py OUT.json [BASELINE.json]
 """
@@ -41,6 +44,7 @@ from gadmm import cli  # noqa: E402
 
 ROW_FIELDS = ("pass", "first_k", "worst_k", "worst_slack")
 RUN_FILES = ("trajectory.csv", "summary.json")
+REPORT_FILE = "verify.json"
 FINAL_FIELDS = ("final_step_metric", "final_kkt_gap")
 # (digest field, its note's label, its per-command lines' label)
 RECORDED_VALUES = (
@@ -59,6 +63,15 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _sha256(out_dir, name):
+    """The hex sha256 of a file the command wrote, None (null) if it wrote none."""
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _last_row(path):
     """The iterate cells of a trajectory CSV's last row, None for a blank
     cell (row 0 has no gamma_tilde)."""
@@ -73,20 +86,16 @@ def _command_digest(cmd, inst_path, out_dir) -> dict:
     summary = _read_json(os.path.join(out_dir, "summary.json")) if entry["run"] == 0 else None
     entry["iterations"] = summary and summary["iterations"]
     entry["final"] = summary and [summary[f] for f in FINAL_FIELDS]
-    entry["sha256"] = {}
-    for name in RUN_FILES:
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                entry["sha256"][name] = hashlib.sha256(fh.read()).hexdigest()
+    entry["sha256"] = {name: _sha256(out_dir, name) for name in RUN_FILES}
     traj = os.path.join(out_dir, "trajectory.csv")
     entry["last_row"] = _last_row(traj) if os.path.exists(traj) else None
-    report = os.path.join(out_dir, "verify.json")
+    report = os.path.join(out_dir, REPORT_FILE)
     code, rows = _quiet(workloads.verify_argv(cmd, inst_path, traj, report)), None
     if os.path.exists(report):  # verify writes its report before a failure exits 3
         checks = _read_json(report)["checks"]
         rows = {r["name"]: {f: r[f] for f in ROW_FIELDS} for r in checks}
     entry["verify"] = {"exit": code, "rows": rows}
+    entry["sha256"][REPORT_FILE] = _sha256(out_dir, REPORT_FILE)
     return entry
 
 
@@ -120,8 +129,8 @@ def compare(new, base) -> tuple:
     """Return ``(differences, notes)``: one line per exit-code, iteration,
     output-file, pass or first_k difference (or entry found in one digest
     only), and the report lines for worst_slack, the last-row iterate
-    cells, the summary's final values and worst_k."""
-    diffs, moved, cells = [], [], []
+    cells, the summary's final values, the verify.json hash and worst_k."""
+    diffs, moved, cells, reports = [], [], [], []
     worst_gap, worst_at = 0.0, "-"
     worst = {field: (0.0, "-") for field, _, _ in RECORDED_VALUES}  # (difference, where)
 
@@ -136,6 +145,8 @@ def compare(new, base) -> tuple:
         diffs += [f"{key}: {f} {b[f]} -> {a[f]}" for f in ("run", "iterations") if a[f] != b[f]]
         ha, hb = a.get("sha256", {}), b.get("sha256", {})
         diffs += [f"{key}: {name} differs" for name in RUN_FILES if ha.get(name) != hb.get(name)]
+        if ha.get(REPORT_FILE) != hb.get(REPORT_FILE):
+            reports.append(f"{key}: {REPORT_FILE} differs")
         for field, label, cells_label in RECORDED_VALUES:
             ra, rb = a.get(field) or [], b.get(field) or []
             gap = max(map(_relative_gap, ra, rb), default=0.0) if len(ra) == len(rb) else math.inf
@@ -162,7 +173,7 @@ def compare(new, base) -> tuple:
     for field, label, _ in RECORDED_VALUES:
         gap, where = worst[field]
         notes.append(f"largest relative {label} difference: {gap:.3g} ({where})")
-    return diffs, notes + cells + moved
+    return diffs, notes + cells + reports + moved
 
 
 def main(argv=None) -> int:

@@ -177,10 +177,9 @@ class SpdFactor:
         """Solve for one right-hand side, or for each column of a (side, k) block.
 
         ``u = L^-T (L^-1 rhs)``, two matrix products.  It runs while the
-        engine builds its stage maps, not per iteration, and in a quadratic's
-        conjugate once per stack of rows.  Only the shape is checked: a
-        non-finite right-hand side gives a non-finite solution, which the
-        engine's check of its stage maps reports.
+        engine builds its stage maps, not per iteration.  Only the shape is
+        checked: a non-finite right-hand side gives a non-finite solution,
+        which the engine's check of its stage maps reports.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 0:

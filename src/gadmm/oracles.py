@@ -11,7 +11,11 @@ at x (gap <= eps  iff  F(v) >= F(x) + <u, v - x> - eps for all v).
 
 Three variants -- quadratics, scaled l1 norms, and the zero function --
 cover the supported problem classes with closed-form conjugates, so the
-epsilon-subgradient membership checks are exact up to rounding.
+epsilon-subgradient membership checks are exact up to rounding.  Each
+variant's gap has one closed form, clamped at zero, that never raises: a
+quadratic's is (1/2) r'P^+r with r = Px + q - u (+inf where u - q leaves
+the range of P), and that of l1 and zero is F(x) - <u, x> where F*(u) = 0
+(+inf elsewhere).
 
 ``value``, ``conjugate`` and :func:`fenchel_gap` take one vector or a
 stack of row vectors; a stack gives one result per row, from matrix
@@ -21,6 +25,7 @@ calls by rounding.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -29,19 +34,15 @@ from typing import Union
 import numpy as np
 
 from . import linalg
-from .errors import InternalCheckError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 
 # Relative slack when testing membership in the domain of the l1 conjugate
 # (the mu-ball): prox outputs land exactly on the boundary and rounding
 # must not push them outside.
 _BALL_SLACK = 1e-12
 
-# Negative conjugate-gap band attributed to rounding; anything below it
-# means a broken value/conjugate pair and raises.
-_GAP_BAND = 1e-9
-
-# Residual tolerance of the range test used by the conjugate of a
-# singular quadratic.
+# Residual tolerance of the range test of a singular quadratic's
+# conjugate and gap.
 _RANGE_TOL = 1e-8
 
 
@@ -106,32 +107,42 @@ class Quadratic:
         return lambda v: fac.solve(v - tq)
 
     @functools.cached_property
-    def _p_factor(self):
-        """The factor of P, built on first use; None when P is singular."""
-        try:
-            return linalg.SpdFactor(self.P)
-        except NotPositiveDefiniteError:
-            return None
+    def _p_inverse(self):
+        """The factor of P when P factors and its eigenvalues all clear
+        numpy's rank cutoff dim*eps*max|eig|, else (P^+, N): P^+ with every
+        eigenvalue under the cutoff, negative ones too, taken as zero, and N
+        the projector onto the eigenvectors so dropped."""
+        cutoff = self.dim * np.finfo(float).eps
+        with contextlib.suppress(NotPositiveDefiniteError), np.errstate(over="ignore"):
+            fac = linalg.SpdFactor(self.P)
+            # a cheap proof: trace(P^-1) >= 1/min eig and ||P||_1 >= max eig
+            # (an overflow makes it inf and sends P to the eigenvalues)
+            if fac.inv_norm_sq(np.eye(self.dim)).sum() * cutoff * np.linalg.norm(self.P, 1) < 1.0:
+                return fac
+        scale = float(np.max(np.abs(self.P))) or 1.0  # eigh(P / scale) cannot overflow
+        lam, V = np.linalg.eigh(self.P / scale)
+        keep = lam > cutoff * np.max(np.abs(lam))
+        R, N = V[:, keep], V[:, ~keep]
+        return (R / lam[keep]) @ R.T / scale, N @ N.T
+
+    def _half_pinv_sq(self, r, u):
+        """(1/2) r'P^+r for each row of r, and +inf on the rows where u - q
+        leaves the range of P, the domain of the conjugate.  When P factors
+        it is computed as (1/2)||L^-1 r||^2, never negative or +inf."""
+        inv = self._p_inverse
+        if isinstance(inv, linalg.SpdFactor):
+            return 0.5 * inv.inv_norm_sq(r.T)
+        pinv, null = inv
+        w = u - self.q
+        d = w @ null.T
+        in_range = np.sqrt(np.vecdot(d, d)) <= _RANGE_TOL * (1.0 + np.sqrt(np.vecdot(w, w)))
+        return np.where(in_range, 0.5 * np.vecdot(r, r @ pinv.T), math.inf)
 
     def conjugate(self, u):
-        """sup_v <u,v> - value(v).
-
-        Equals (1/2)(u-q)' P^{-1} (u-q) - c when u - q lies in the range
-        of P, and +inf otherwise (singular P handled by a least-squares
-        solve plus a range test).
-        """
+        """sup_v <u,v> - value(v): (1/2) w'P^+w - c with w = u - q when w
+        lies in the range of P, and +inf otherwise."""
         u = linalg.as_rows(u, self.dim, "u")
-        r = u - self.q
-        fac = self._p_factor
-        if fac is not None:
-            x = fac.solve(r.T).T
-            val = 0.5 * np.vecdot(r, x) - self.c
-        else:
-            x = np.linalg.lstsq(self.P, r.T, rcond=None)[0].T
-            d = x @ self.P.T - r
-            in_range = np.sqrt(np.vecdot(d, d)) <= _RANGE_TOL * (1.0 + np.sqrt(np.vecdot(r, r)))
-            val = np.where(in_range, 0.5 * np.vecdot(r, x) - self.c, math.inf)
-        return _out(val, u)
+        return _out(self._half_pinv_sq(u - self.q, u) - self.c, u)
 
 
 @dataclass(frozen=True)
@@ -195,38 +206,24 @@ ConvexFunction = Union[Quadratic, L1, Zero]
 
 
 def fenchel_gap(F: ConvexFunction, u, x):
-    """Least eps such that u is an eps-subgradient of F at x.
+    """Least eps such that u is an eps-subgradient of F at x, that is
+    F(x) + F*(u) - <u, x>, in one closed form per kind of F:
 
-    Returns F(x) + F*(u) - <u, x>.  For a quadratic whose P factors, that
-    is (1/2) r'P^-1 r with r = Px + q - u, and it is computed in that form,
-    which is never negative and does not subtract terms of the size of
-    F(x) from each other.  Otherwise the three terms are summed, clamped at
-    zero from below within a rounding band, and +inf when u lies outside
-    the domain of F*; a negative value beyond the band signals a broken
-    value/conjugate pair and raises.  ``u`` and ``x`` are one pair of
-    vectors (returns a float) or stacks of row pairs (returns one gap per
-    row).
-    """
-    u = linalg.as_rows(u, name="u")
+    - a quadratic: (1/2) r'P^+r with r = Px + q - u, and +inf where u - q
+      leaves the range of P, so no terms of the size of F(x) cancel;
+    - l1 and zero: F(x) - <u, x> where F*(u) = 0, and +inf elsewhere.
+
+    A negative value, which only rounding can produce, is clamped to zero
+    (-0.0 is kept); no gap raises.  ``u`` and ``x`` are one pair of vectors
+    (returns a float) or stacks of row pairs (returns one gap per row)."""
+    u = linalg.as_rows(u, F.dim, "u")
     x = linalg.as_rows(x, name="x")
     if x.shape != u.shape:
         raise ValueError(f"x has shape {x.shape}, expected {u.shape}")
-    fac = F._p_factor if isinstance(F, Quadratic) else None
-    if fac is not None:
-        r = x @ F.P.T + F.q - linalg.as_rows(u, F.dim, "u")
-        return _out(0.5 * fac.inv_norm_sq(r.T), u)
-    conj = np.asarray(F.conjugate(u))
-    val = np.asarray(F.value(x))
-    pairing = np.vecdot(u, x)
-    with np.errstate(invalid="ignore"):  # inf - inf where u is outside dom F*
-        gap = np.where(np.isinf(conj), math.inf, val + conj - pairing)
-    neg = gap < 0.0
-    if np.any(neg):
-        band = _GAP_BAND * (1.0 + np.abs(val) + np.abs(conj) + np.abs(pairing))
-        if np.any(gap < -band):
-            worst = float(np.min(gap))
-            raise InternalCheckError(
-                f"conjugate gap {worst:.3e} below the rounding band: broken conjugate pair"
-            )
-        gap = np.where(neg, 0.0, gap)
-    return _out(gap, u)
+    if isinstance(F, Quadratic):
+        gap = F._half_pinv_sq(x @ F.P.T + F.q - u, u)
+    else:
+        conj, val, pairing = F.conjugate(u), F.value(x), np.vecdot(u, x)
+        with np.errstate(invalid="ignore"):  # inf - inf where u is outside dom F*
+            gap = np.where(np.isinf(conj), math.inf, val - pairing)
+    return _out(np.where(gap < 0.0, 0.0, gap), u)

@@ -1,6 +1,7 @@
 """Module boundaries of the gadmm package, read from its source with ast:
-no module reaches into another's private names, and only the record-file
-module forks processes or looks at threads."""
+no module reaches into another's private names, only the record-file
+module forks processes or looks at threads, and one function raises
+InternalCheckError."""
 
 import ast
 import pathlib
@@ -51,3 +52,29 @@ def test_only_records_imports_os_or_threading():
     os_calls = [call for call in calls if call.startswith("os.")]
     assert set(os_calls) == {"os.makedirs", "os.path.join"}
     assert len(os_calls) == sum(isinstance(n, ast.Name) and n.id == "os" for n in ast.walk(cli))
+
+
+def raise_sites(exc_name) -> list:
+    """``module.function`` of every ``raise exc_name`` in the package, the
+    function being the innermost enclosing def (``<module>`` outside one)."""
+    sites = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc).rsplit(".", 1)[-1] == exc_name:
+                sites.append(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for name, tree in sorted(MODULES.items()):
+        visit(tree, name, "<module>")
+    return sites
+
+
+def test_internal_check_error_comes_only_from_the_metric_probe():
+    # every other check reports its failure through its own error class
+    assert raise_sites("InternalCheckError") == ["hpe.build_metric"]
+    assert raise_sites("CertificationError") != []  # the walk finds raises

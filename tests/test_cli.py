@@ -566,6 +566,31 @@ class TestVerify:
         report = json.loads((tmp_path / "rep.json").read_text())
         assert report["pass"] is True and report["meta"]["iterations"] == 0
 
+    def test_zero_block_at_data_scale_1e3_certifies(self, tmp_path, capsys):
+        # a hand-written instance with an exact solution: f = 0, g = |y|^2/2
+        # + q'y, x + y_1 = 3000, x + y_2 = 1000.  The zero block's gap
+        # -<u, x> is -1.4e-9 at rounding-level u, which a rounding band on
+        # the three-term gap used to stop with exit 2
+        inst_path, out = tmp_path / "scaled.json", tmp_path / "run"
+        inst_path.write_text(json.dumps({
+            "n": 1, "p": 2, "m": 2,
+            "A": [1.0, 1.0], "B": [1.0, 0.0, 0.0, 1.0], "b": [3000.0, 1000.0],
+            "f": {"variant": "zero"},
+            "g": {"variant": "quadratic", "P": [1.0, 0.0, 0.0, 1.0], "q": [1000.0, -2000.0]},
+            "solution": {"x": [1500.0], "y": [1500.0, -500.0], "gamma": [2500.0, -2500.0]},
+        }))
+        flags = ["--instance", str(inst_path), "--alpha", "1.5", "--max-iter", "200",
+                 "--stop-tol", "0"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", *flags, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            code = cli.main(["verify", *flags, "--trajectory", str(out / "trajectory.csv"),
+                             "--out", str(tmp_path / "rep.json")])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "all checks pass\n"
+
     def test_instance_without_solution_rejected(self, tmp_path):
         inst = problems.generate_qp(1, 4, 3, 2)
         from dataclasses import replace

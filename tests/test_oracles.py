@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadmm import oracles, problems
+from gadmm import problems
 from gadmm.oracles import L1, Quadratic, Zero, fenchel_gap
 
 from conftest import random_spd
+
+# Relative band within which a gap must match F(x) + F*(u) - <u, x>, the
+# three-term sum that cancels terms of the size of F(x) in rounding.
+THREE_TERM_BAND = 1e-9
 
 
 def grid_gap(F, u, x, lo=-8.0, hi=8.0, points=4001):
@@ -188,11 +192,22 @@ class TestFenchelGap:
         assert fenchel_gap(F, u, x) == pytest.approx(grid_gap_2d(F, u, x), abs=1e-3)
 
 
+    def test_negative_eigenvalue_within_the_psd_floor_counts_as_zero(self):
+        # P passes the PSD probe with eigenvalue -5e-11: its direction
+        # (1, -1) is outside the range, so a u along it has an infinite gap
+        # and conjugate instead of a weight of -2e10 that could cancel a
+        # violation in the other direction
+        F = Quadratic([[1.0, 1.0], [1.0, 1.0 - 1e-10]], [0.0, 0.0])
+        assert fenchel_gap(F, [0.1, 0.1], [0.0, 0.0]) == pytest.approx(0.005)
+        for u in ([1e-3, -1e-3], [0.101, 0.099]):
+            assert fenchel_gap(F, u, [0.0, 0.0]) == math.inf
+            assert F.conjugate(u) == math.inf
+
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_residual_form_within_the_band_of_three_terms(self, seed):
         # a quadratic's gap is (1/2) r'P^-1 r, r = Px + q - u; it stays within
-        # the rounding band that F(x) + F*(u) - <u, x> is held to, at
-        # near-subgradients (gap about 1e-12) and at arbitrary points
+        # a rounding band of F(x) + F*(u) - <u, x>, at near-subgradients (gap
+        # about 1e-12) and at arbitrary points
         inst = problems.generate_qp(seed, 8, 6, 4)
         rng = np.random.default_rng(seed)
         for F in (inst.f, inst.g):
@@ -200,9 +215,66 @@ class TestFenchelGap:
             near = x @ F.P.T + F.q + rng.standard_normal(x.shape) * 1e-6
             for u in (near, rng.standard_normal(x.shape) * 10.0):
                 val, conj, pairing = F.value(x), F.conjugate(u), np.vecdot(u, x)
-                band = oracles._GAP_BAND * (1.0 + abs(val) + abs(conj) + abs(pairing))
+                band = THREE_TERM_BAND * (1.0 + abs(val) + abs(conj) + abs(pairing))
                 assert np.all(np.abs(fenchel_gap(F, u, x) - (val + conj - pairing)) <= band)
                 assert np.all(fenchel_gap(F, u, x) >= 0.0)
+
+
+def _gap_probe(kind, rng, scale):
+    """A function of the given kind and stacked (u, x, expect_finite)
+    probes of it with u and x of size ``scale``: arbitrary points, near
+    subgradients, and points whose u lies outside the conjugate's domain."""
+    dim = 3
+    x = rng.standard_normal((6, dim)) * scale
+    if kind in ("spd", "rank-deficient"):
+        if kind == "spd":
+            P = random_spd(rng, dim, ridge=0.5)
+        else:
+            C = rng.standard_normal((dim + 1, dim))
+            C[:, -1] = C[:, 0]  # P = C'C kills e_0 - e_last exactly
+            P = C.T @ C
+        F = Quadratic(P, rng.standard_normal(dim) * scale)
+        null = np.zeros(dim)
+        null[0], null[-1] = 1.0, -1.0
+        off = rng.uniform(0.5, 2.0, (len(x), 1)) * scale * null
+        near = x @ P.T + F.q + (rng.standard_normal(x.shape) * 1e-6 * scale) @ P.T
+        arbitrary = F.q + (rng.standard_normal(x.shape) * scale) @ P.T
+        probes = [(near, True), (arbitrary, True), (arbitrary + off, kind == "spd")]
+    elif kind == "l1":
+        F = L1(rng.uniform(0.1, 3.0) * scale)
+        inside = F.mu * rng.uniform(-1.0, 1.0, x.shape)
+        inside[:, 0] = F.mu * np.sign(x[:, 0])  # on the ball's boundary, as prox outputs land
+        outside = inside.copy()
+        outside[:, 1] = 2.0 * F.mu
+        probes = [(F.mu * np.sign(x), True), (inside, True), (outside, False)]
+    else:
+        F = Zero()
+        rounding = rng.standard_normal(x.shape) * 1e-12  # inside the origin's tolerance
+        probes = [(np.zeros_like(x), True), (rounding, True), (rounding + scale, False)]
+    return F, [(u, x, finite) for u, finite in probes]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["spd", "rank-deficient", "l1", "zero"]),
+    exponent=st.integers(-3, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gap_is_its_closed_form_at_every_scale(kind, exponent, seed):
+    # the gap is held to its references here; fenchel_gap itself checks no band
+    F, probes = _gap_probe(kind, np.random.default_rng(seed), 10.0**exponent)
+    for u, x, finite in probes:
+        gap = fenchel_gap(F, u, x)  # never raises
+        assert np.all(gap >= 0.0)  # and is never negative or NaN
+        assert np.all(np.isfinite(gap) == finite)
+        if isinstance(F, Quadratic) and finite:
+            r = x @ F.P.T + F.q - u
+            ref = 0.5 * np.vecdot(r, r @ np.linalg.pinv(F.P).T)
+            assert np.all(np.abs(gap - ref) <= 1e-9 * np.abs(ref))
+        if exponent == 0 and finite:
+            val, conj, pairing = F.value(x), F.conjugate(u), np.vecdot(u, x)
+            band = THREE_TERM_BAND * (1.0 + abs(val) + abs(conj) + abs(pairing))
+            assert np.all(np.abs(gap - (val + conj - pairing)) <= band)
 
 
 def _random_variant(rng, kind, dim):

@@ -1,7 +1,7 @@
 """``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
 digest matches itself, a flipped verdict or a changed output file is
 reported, and so is how far the last row's iterate cells and the summary's
-final values moved."""
+final values moved; a changed verify.json is a note."""
 
 import copy
 import os
@@ -25,7 +25,7 @@ def lasso_digest(script):
 def test_digest_records_each_command_mode(lasso_digest):
     (entry,) = lasso_digest.values()
     assert entry["run"] == 0 and entry["iterations"] == 2000
-    assert sorted(entry["sha256"]) == ["summary.json", "trajectory.csv"]
+    assert sorted(entry["sha256"]) == ["summary.json", "trajectory.csv", "verify.json"]
     assert all(len(h) == 64 for h in entry["sha256"].values())
     # x, y, gamma and gamma_tilde of the lasso's 10/10/10 split at k = 2000
     assert len(entry["last_row"]) == 40 and None not in entry["last_row"]
@@ -58,6 +58,14 @@ def test_changed_output_file_is_reported(script, lasso_digest):
     changed["lasso-replay/0"]["sha256"]["trajectory.csv"] = "0" * 64
     diffs, _ = script["compare"](changed, lasso_digest)
     assert diffs == ["lasso-replay/0: trajectory.csv differs"]
+
+
+def test_changed_report_is_a_note(script, lasso_digest):
+    changed = copy.deepcopy(lasso_digest)
+    changed["lasso-replay/0"]["sha256"]["verify.json"] = "0" * 64
+    diffs, notes = script["compare"](changed, lasso_digest)
+    assert diffs == []
+    assert notes[3:] == ["lasso-replay/0: verify.json differs"]
 
 
 def test_moved_last_row_is_a_note(script, lasso_digest):
