@@ -29,12 +29,13 @@ the relative-error inequality
 
     ||z~_k - z_k||^2_M + eta_k  <=  sigma_alpha ||z~_k - z_{k-1}||^2_M + eta_{k-1}.
 
-This module assembles M and certifies those conditions on a recorded
-trajectory, together with the companion inequalities: the bound on the
-running maximum rho_k = max_i ||z~_i - z_{i-1}||^2_M, the <B dy, dgamma>
-inequalities that feed the error budget, and the Fejer-type monotonicity
-of ||z* - z_k||^2_M + eta_k.  Certification is post-hoc and shares no
-state with the iteration engine.
+This module assembles M as its two diagonal blocks, M = H1 (+) W with W on
+(y, gamma), probes each nonzero block at M's floor PSD_TOL * max(1, max|diag
+M|), and certifies those conditions on a recorded trajectory, together with
+the companion inequalities: the bound on the running maximum rho_k = max_i
+||z~_i - z_{i-1}||^2_M, the <B dy, dgamma> inequalities that feed the error
+budget, and the Fejer-type monotonicity of ||z* - z_k||^2_M + eta_k.
+Certification is post-hoc and shares no state with the iteration engine.
 
 A :class:`Replay` evaluates every per-iteration quantity once, as arrays
 over k; each check reads it and states its condition as lhs <= rhs + tol at
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import linalg, oracles, problems
-from .errors import ConfigError, InternalCheckError, NotPositiveDefiniteError
+from .errors import ConfigError, InternalCheckError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Trajectory
@@ -94,37 +95,68 @@ def sigma_alpha(alpha) -> float:
     return sigma
 
 
-def build_metric(inst, h1, h2, beta, alpha) -> linalg.PsdOperator:
-    """Assemble the block operator M and run the PSD probe on it, which
-    fails only on an assembly bug (:class:`InternalCheckError`).  An alpha
-    or beta that overflows an entry of M raises :class:`ConfigError`."""
+@dataclass(frozen=True)
+class ProximalMetric:
+    """M = H1 (+) W as its diagonal blocks: ``h1`` (None when zero) on the
+    first ``n`` coordinates, ``w`` on (y, gamma); qscale = 1 + max|M|."""
+
+    n: int
+    h1: Optional[np.ndarray]
+    w: np.ndarray
+    qscale: float
+
+    @property
+    def side(self) -> int:
+        return self.n + self.w.shape[0]
+
+    def apply(self, V) -> np.ndarray:
+        """V @ M, for one row or a stack of rows."""
+        V, n = linalg.as_rows(V, dim=self.side, name="V"), self.n
+        out = np.zeros(V.shape)
+        out[..., n:] = V[..., n:] @ self.w
+        if self.h1 is not None:
+            out[..., :n] = V[..., :n] @ self.h1
+        return out
+
+    def seminorm_sq(self, v):
+        """||v||^2_M of one vector or each row of a stack (:func:`linalg.clamp_rounding`)."""
+        v, n = linalg.as_rows(v, dim=self.side, name="v"), self.n
+        val = np.vecdot(v[..., n:], v[..., n:] @ self.w)
+        if self.h1 is not None:
+            val += np.vecdot(v[..., :n], v[..., :n] @ self.h1)
+        return linalg.clamp_rounding(val, v, self.qscale)
+
+
+def build_metric(inst, h1, h2, beta, alpha) -> ProximalMetric:
+    """Assemble M = H1 (+) W and probe each nonzero block at M's floor
+    PSD_TOL * max(1, max|diag M|), at which M passes iff every block does; a
+    failed probe is an assembly bug (:class:`InternalCheckError`).  An alpha
+    or beta that overflows an entry of W raises :class:`ConfigError`."""
     n, p, m = inst.n, inst.p, inst.m
     h1 = linalg.as_matrix(h1, rows=n, cols=n, name="h1")
     h2 = linalg.as_matrix(h2, rows=p, cols=p, name="h2")
-    beta = float(beta)
-    alpha = float(alpha)
+    beta, alpha = float(beta), float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    c = (1.0 - alpha) / alpha
-    B = inst.B
-    M = np.zeros((n + p + m, n + p + m))
-    M[:n, :n] = h1
+    c, B = (1.0 - alpha) / alpha, inst.B
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        M[n : n + p, n : n + p] = h2 + (beta / alpha) * (B.T @ B)
-        M[n : n + p, n + p :] = c * B.T
-        M[n + p :, n : n + p] = c * B
-        M[n + p :, n + p :] = np.eye(m) / (alpha * beta)
-    if not np.isfinite(M).all():
+        yy = h2 + (beta / alpha) * (B.T @ B)
+        W = np.block([[yy, c * B.T], [c * B, np.eye(m) / (alpha * beta)]])
+    if not np.isfinite(W).all():
         raise ConfigError(f"proximal metric overflows at alpha={alpha!r}, beta={beta!r}")
-    try:
-        return linalg.PsdOperator.from_matrix(M, name="proximal metric")
-    except NotPositiveDefiniteError as exc:
-        raise InternalCheckError("assembled proximal metric failed the PSD probe") from exc
+    H1 = h1.copy() if h1.any() else None
+    blocks = [b for b in (H1, W) if b is not None]
+    floor = linalg.PSD_TOL * max(1.0, *(np.max(np.abs(np.diag(b)), initial=0.0) for b in blocks))
+    if not all(linalg.is_psd(b, floor=floor) for b in blocks):
+        raise InternalCheckError("assembled proximal metric failed the PSD probe")
+    for b in blocks:
+        b.setflags(write=False)
+    return ProximalMetric(n, H1, W, 1.0 + max(float(np.max(np.abs(b))) for b in blocks))
 
 
-def metric_for(traj: "Trajectory") -> linalg.PsdOperator:
+def metric_for(traj: "Trajectory") -> ProximalMetric:
     """The trajectory's proximal metric, built once and kept on it."""
     return traj.metric
 
@@ -227,19 +259,19 @@ def gap_note(gaps) -> str:
 class Replay:
     """One pass over a recorded trajectory against a reference point z*.
 
-    Built once per verification: it checks the reference, takes M from the
+    Built once per verification: it checks z* unless it is the instance's
+    stored solution (checked when the instance was built), takes M from the
     trajectory, refuses a d0 that overflows (:class:`ConfigError`), and
     evaluates as arrays over k = 1..K (row k-1) the steps, the budgets
     eta_0..eta_K, the extragradient gaps, M dz_k and the step norms, the
     inclusion's block rows read off M dz_k (the subgradient rows of both
     subproblems and the constraint-identity residual rows), the inclusion
-    gaps and the residual norms.  Each operator is applied to a whole stack
-    of rows in one matrix product.
+    gaps and the residual norms, each in one product per block of M.
     """
 
     def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
         inst = traj.instance
-        gap = problems.kkt_gap(inst, z_star)
+        gap = 0.0 if z_star is inst.solution else problems.kkt_gap(inst, z_star)
         if not gap <= problems.SOLUTION_GAP_TOL:
             raise ValueError(f"reference point fails the optimality check (gap {gap:.3e})")
         self.traj, self.z_star = traj, z_star
@@ -257,10 +289,10 @@ class Replay:
         DZ = np.diff(self.Z, axis=0)
         self.DX, self.DY, self.DG = DZ[:, :n], DZ[:, n : n + p], DZ[:, n + p :]
         self.Ztil = np.hstack([self.Z[1:, : n + p], self.Gt])
-        self.dy_sq = linalg.seminorm_sq(traj.h2, self.DY)
+        self.dy_sq = linalg.seminorm_sq(traj.h2, self.DY) if traj.h2.any() else np.zeros(self.K)
         self.eta = eta_sequence(self)
         self.egaps = extragradient_gaps_sq(self)
-        self.MDZ = DZ @ self.metric.matrix
+        self.MDZ = self.metric.apply(DZ)
         self.step_norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", DZ, self.MDZ), 0.0))
         self.BDY = self.DY @ inst.B.T
         # the exact subgradients produced by the two subproblems

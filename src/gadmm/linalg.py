@@ -75,11 +75,12 @@ def is_symmetric(Q) -> bool:
     return gap <= PSD_TOL * (1.0 + float(np.max(np.abs(Q), initial=0.0)))
 
 
-def is_psd(Q) -> bool:
+def is_psd(Q, floor=None) -> bool:
     """Probe positive semidefiniteness: a square, symmetric ``Q`` passes iff
     ``Q + floor*I`` has a Cholesky factor, ``floor = PSD_TOL * max(1,
     max|diag Q|)``, that is iff ``lambda_min(Q) > -floor`` up to rounding,
     so a matrix with ``lambda_min`` in ``(-floor, 0)`` passes as well.
+    A diagonal block is probed at its block-diagonal matrix's ``floor``.
 
     When ``max|Q| >= 2``, ``Q`` and the floor are first scaled by ``2**-e``,
     ``e`` the even number that brings ``max|Q|`` into ``[0.5, 2)``, so
@@ -90,7 +91,8 @@ def is_psd(Q) -> bool:
     Q = as_matrix(Q)
     if not is_symmetric(Q):
         return False
-    floor = PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(Q)), initial=0.0)))
+    if floor is None:
+        floor = PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(Q)), initial=0.0)))
     e = 2 * (max(math.frexp(float(np.abs(Q).max(initial=0.0)))[1], 0) // 2)
     shifted = np.ldexp(Q, -e)
     shifted.flat[:: Q.shape[0] + 1] += math.ldexp(floor, -e)  # the diagonal
@@ -120,32 +122,24 @@ class PsdOperator:
         mat.setflags(write=False)
         return cls(mat)
 
-    @property
-    def side(self) -> int:
-        return self.matrix.shape[0]
-
-    def seminorm_sq(self, v):
-        return seminorm_sq(self, v)
-
 
 def seminorm_sq(Q, v):
-    """Squared seminorm <Qv, v> induced by a symmetric PSD Q.
-
-    ``v`` is one vector (returns a float) or a stack of row vectors
-    (returns one value per row).  Tiny negative values from rounding are
-    clamped to zero.  A negative value beyond the rounding band is
-    returned as-is: it means Q was not PSD after all, and the caller's
-    probes are expected to catch that.  A stack is one matrix product
-    ``v @ Q.T``, so its rows can differ from one-vector calls by rounding.
-    """
-    Q = Q.matrix if isinstance(Q, PsdOperator) else as_matrix(Q, name="Q")
+    """Squared seminorm <Qv, v> of a symmetric PSD matrix Q, for one vector or
+    each row of a stack (:func:`clamp_rounding`).  A stack is one product
+    ``v @ Q.T``, so its rows can differ from one-vector calls by rounding."""
+    Q = as_matrix(Q, name="Q")
     if Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     v = as_rows(v, dim=Q.shape[0], name="v")
-    val = np.vecdot(v, v @ Q.T)
+    return clamp_rounding(np.vecdot(v, v @ Q.T), v, 1.0 + float(np.max(np.abs(Q), initial=0.0)))
+
+
+def clamp_rounding(val, v, qscale):
+    """The values ``val`` of <Qv, v> (a float for one vector ``v``), those in
+    ``[-band, 0)`` set to zero: ``band = PSD_TOL * (1 + |v|^2 qscale)``, ``qscale = 1 + max|Q|``.
+    A value below ``-band`` means Q is not PSD; it is kept for the probes to catch."""
     neg = val < 0.0
-    if np.any(neg):
-        qscale = 1.0 + (float(np.max(np.abs(Q))) if Q.size else 0.0)
+    if neg.any():  # the method: np.any costs more than the rest on one vector
         band = PSD_TOL * (1.0 + np.vecdot(v, v) * qscale)
         val = np.where(neg & (val >= -band), 0.0, val)
     return float(val) if v.ndim == 1 else val
@@ -188,6 +182,10 @@ class SpdFactor:
             raise ValueError(f"right-hand side has shape {rhs.shape}, expected {self.side} rows")
         # np.dot: the products of @, with less call overhead
         return np.dot(self._L_inv.T, np.dot(self._L_inv, rhs))
+
+    def inv_trace(self) -> float:
+        """trace(K^-1) = ||L^-1||_F^2."""
+        return float(np.vdot(self._L_inv, self._L_inv))
 
     def inv_norm_sq(self, rhs):
         """rhs' K^-1 rhs for one vector, or for each column of a (side, k)

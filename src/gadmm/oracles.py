@@ -117,7 +117,7 @@ class Quadratic:
             fac = linalg.SpdFactor(self.P)
             # a cheap proof: trace(P^-1) >= 1/min eig and ||P||_1 >= max eig
             # (an overflow makes it inf and sends P to the eigenvalues)
-            if fac.inv_norm_sq(np.eye(self.dim)).sum() * cutoff * np.linalg.norm(self.P, 1) < 1.0:
+            if fac.inv_trace() * cutoff * np.linalg.norm(self.P, 1) < 1.0:
                 return fac
         scale = float(np.max(np.abs(self.P))) or 1.0  # eigh(P / scale) cannot overflow
         lam, V = np.linalg.eigh(self.P / scale)

@@ -158,7 +158,7 @@ class Trajectory:
     h2: np.ndarray
     Z: np.ndarray
     Gt: np.ndarray
-    _metric: Optional[linalg.PsdOperator] = field(default=None, repr=False, compare=False)
+    _metric: Optional[hpe.ProximalMetric] = field(default=None, repr=False, compare=False)
 
     @property
     def X(self) -> np.ndarray:
@@ -177,7 +177,7 @@ class Trajectory:
         return self.Z.shape[0] - 1
 
     @property
-    def metric(self) -> linalg.PsdOperator:
+    def metric(self) -> hpe.ProximalMetric:
         if self._metric is None:
             self._metric = hpe.build_metric(
                 self.instance, self.h1, self.h2, self.params.beta, self.params.alpha
@@ -336,7 +336,7 @@ def stop_terms(inst, metric, prev, new, gamma_tilde):
     x, y, gamma = new
     yield problems.constraint_residual(inst, x, y)
     dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
-    yield math.sqrt(linalg.seminorm_sq(metric, dz))
+    yield math.sqrt(metric.seminorm_sq(dz))
     yield float(problems.kkt_gaps(inst, x, y, gamma_tilde))
 
 

@@ -83,6 +83,11 @@ def rate_estimate(points) -> float:
     return float(slope)
 
 
+def metric_matrix(metric):
+    """The dense matrix M of a :class:`gadmm.hpe.ProximalMetric`."""
+    return metric.apply(np.eye(metric.side))
+
+
 def random_spd(rng, dim, ridge=1.0):
     G = rng.standard_normal((dim, dim))
     return G @ G.T / dim + ridge * np.eye(dim)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gadmm import certificates, cli, errors, hpe, linalg, oracles, problems, solver
-from gadmm.errors import CertificationError, InternalCheckError, NotPositiveDefiniteError
+from gadmm.errors import CertificationError, InternalCheckError
 
 from conftest import make_one_d_instance
 
@@ -291,15 +291,14 @@ class TestRun:
         assert "k=1 has non-finite entries" in capsys.readouterr().err
 
     def test_metric_probe_failure_exit_two(self, tmp_path, monkeypatch, capsys):
-        # build_metric turns a failed PSD probe on M into an InternalCheckError
-        real = linalg.PsdOperator.from_matrix
+        # build_metric turns a failed PSD probe on M into an InternalCheckError;
+        # it alone probes a block at the floor of the whole metric
+        real = linalg.is_psd
 
-        def probe_fails(mat, name="operator"):
-            if name == "proximal metric":
-                raise NotPositiveDefiniteError(f"{name} is not positive semidefinite")
-            return real(mat, name=name)
+        def probe_fails(Q, floor=None):
+            return real(Q) if floor is None else False
 
-        monkeypatch.setattr(linalg.PsdOperator, "from_matrix", staticmethod(probe_fails))
+        monkeypatch.setattr(linalg, "is_psd", probe_fails)
         code = cli.main(
             ["run", "--instance", str(write_qp(tmp_path)), "--max-iter", "5",
              "--out", str(tmp_path / "o")]

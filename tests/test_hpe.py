@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from gadmm import hpe, problems, solver
+from gadmm import hpe, linalg, problems, solver
 from gadmm.certificates import VerificationReport
-from gadmm.errors import CertificationError
+from gadmm.errors import CertificationError, InternalCheckError
 from gadmm.problems import KktPoint
 from gadmm.solver import GadmmParams
 
-from conftest import run_full, state_pairs
+from conftest import metric_matrix, random_spd, run_full, state_pairs
+
+
+def reference_metric(inst, h1, h2, beta, alpha):
+    """M assembled densely from the paper's formula."""
+    n, p, m = inst.n, inst.p, inst.m
+    B, c = inst.B, (1.0 - alpha) / alpha
+    M = np.zeros((n + p + m, n + p + m))
+    M[:n, :n] = h1
+    M[n : n + p, n : n + p] = h2 + (beta / alpha) * B.T @ B
+    M[n : n + p, n + p :] = c * B.T
+    M[n + p :, n : n + p] = c * B
+    M[n + p :, n + p :] = np.eye(m) / (alpha * beta)
+    return M
 
 
 def hand_eig_2x2(a, b, c):
@@ -29,7 +42,7 @@ def metric_identity_residual(metric, z_prev, z_k, z_tilde, probe) -> float:
     pure rounding.
     """
     lhs = metric.seminorm_sq(probe - z_k) - metric.seminorm_sq(probe - z_prev)
-    cross = 2.0 * float((metric.matrix @ (z_prev - z_k)) @ (probe - z_tilde))
+    cross = 2.0 * float(metric.apply(z_prev - z_k) @ (probe - z_tilde))
     rhs = metric.seminorm_sq(z_tilde - z_k) - metric.seminorm_sq(z_tilde - z_prev) + cross
     return abs(lhs - rhs)
 
@@ -61,7 +74,7 @@ class TestBuildMetric:
         h1 = np.zeros((3, 3))
         h2 = np.zeros((2, 2))
         metric = hpe.build_metric(inst, h1, h2, beta, 1.0)
-        M = metric.matrix
+        M = metric_matrix(metric)
         # the y-gamma coupling vanishes at alpha = 1
         assert np.allclose(M[3:5, 5:], 0.0)
         assert np.allclose(M[5:, 3:5], 0.0)
@@ -73,14 +86,14 @@ class TestBuildMetric:
         metric = hpe.build_metric(
             one_d_instance, np.zeros((1, 1)), np.zeros((1, 1)), 1.0, 1.0
         )
-        assert np.allclose(metric.matrix, np.diag([0.0, 1.0, 1.0]))
+        assert np.allclose(metric_matrix(metric), np.diag([0.0, 1.0, 1.0]))
 
     def test_alpha_two_scalar_hand_eigenvalues(self, one_d_instance):
         metric = hpe.build_metric(
             one_d_instance, np.zeros((1, 1)), np.zeros((1, 1)), 1.0, 2.0
         )
         expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, -0.5], [0.0, -0.5, 0.5]])
-        assert np.allclose(metric.matrix, expected)
+        assert np.allclose(metric_matrix(metric), expected)
         # eigenvalues {0} U eig([[.5,-.5],[-.5,.5]]) = {0, 0, 1}, all >= 0
         lo, hi = hand_eig_2x2(0.5, -0.5, 0.5)
         assert lo == pytest.approx(0.0, abs=1e-15)
@@ -94,6 +107,80 @@ class TestBuildMetric:
                 h1, h2 = solver.resolve_prox_terms(inst, params)
                 metric = hpe.build_metric(inst, h1, h2, beta, alpha)
                 assert metric.side == 9
+
+
+H_MODES = {
+    "zero": lambda dim, rng: solver.ZeroH(),
+    "linearized": lambda dim, rng: solver.LinearizedH(),
+    "explicit": lambda dim, rng: solver.ExplicitH(random_spd(rng, dim, ridge=0.0)),
+}
+
+
+def metric_case(kind, mode, alpha, seed=0):
+    """(instance, metric, resolved h1 and h2, beta) of one instance kind and
+    proximal-weight mode."""
+    if kind == "qp":
+        inst = problems.generate_qp(3, 6, 5, 3)
+    else:
+        inst = problems.generate_lasso(7, 8, 16, 0.2)
+    rng = np.random.default_rng(seed)
+    params = GadmmParams(beta=1.3, alpha=alpha, h1=H_MODES[mode](inst.n, rng),
+                         h2=H_MODES[mode](inst.p, rng))
+    h1, h2 = solver.resolve_prox_terms(inst, params)
+    return inst, hpe.build_metric(inst, h1, h2, params.beta, alpha), h1, h2, params.beta
+
+
+class TestProximalMetric:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("mode", list(H_MODES))
+    @pytest.mark.parametrize("kind", ["qp", "lasso"])
+    def test_apply_identity_is_the_paper_metric(self, kind, mode, alpha):
+        inst, metric, h1, h2, beta = metric_case(kind, mode, alpha)
+        expected = reference_metric(inst, h1, h2, beta, alpha)
+        assert np.allclose(metric_matrix(metric), expected, rtol=1e-14, atol=1e-14)
+        assert (metric.h1 is None) == (mode == "zero")
+
+    @pytest.mark.parametrize("mode", list(H_MODES))
+    @pytest.mark.parametrize("kind", ["qp", "lasso"])
+    def test_seminorm_matches_the_dense_form(self, kind, mode):
+        inst, metric, h1, h2, beta = metric_case(kind, mode, 1.5, seed=1)
+        M = reference_metric(inst, h1, h2, beta, 1.5)
+        rng = np.random.default_rng(2)
+        V = rng.standard_normal((40, metric.side)) * 3.0
+        got, expected = metric.seminorm_sq(V), np.vecdot(V, V @ M)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+        assert isinstance(metric.seminorm_sq(V[3]), float)
+        assert metric.seminorm_sq(V[3]) == pytest.approx(expected[3], rel=1e-12)
+        assert np.allclose(metric.apply(V), V @ M, rtol=1e-12, atol=1e-12)
+        assert np.allclose(metric.apply(V[5]), (V @ M)[5], rtol=1e-12, atol=1e-12)
+
+    def test_seminorm_clamps_rounding_in_the_null_space(self):
+        # at alpha = 2 with zero H, (0, y, gamma) with gamma = beta B y lies in
+        # the null space of W, and x is in the null space of H1 = 0
+        inst = problems.generate_qp(2, 4, 3, 2)
+        metric = hpe.build_metric(inst, np.zeros((4, 4)), np.zeros((3, 3)), 1.0, 2.0)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            x, y = rng.standard_normal(4) * 10.0, rng.standard_normal(3) * 10.0
+            assert metric.seminorm_sq(np.concatenate([x, y, inst.B @ y])) >= 0.0
+
+    @pytest.mark.parametrize("block", ["h1", "h2"])
+    def test_indefinite_weight_fails_the_probe(self, block):
+        inst = problems.generate_qp(3, 6, 5, 3)
+        h = {"h1": np.zeros((6, 6)), "h2": np.zeros((5, 5))}
+        h[block] = -1e-6 * np.eye(h[block].shape[0])
+        assert not linalg.is_psd(reference_metric(inst, h["h1"], h["h2"], 1.0, 1.5))
+        with pytest.raises(InternalCheckError, match="failed the PSD probe"):
+            hpe.build_metric(inst, h["h1"], h["h2"], 1.0, 1.5)
+
+    def test_large_qp_holds_no_array_past_the_y_gamma_block(self):
+        # the 200/150/100 zero-H QP of the qp-large-full benchmark workload
+        inst = problems.generate_qp(1, 200, 150, 100)
+        metric = hpe.build_metric(inst, np.zeros((200, 200)), np.zeros((150, 150)), 1.0, 1.5)
+        held = [v for v in vars(metric).values() if isinstance(v, np.ndarray)]
+        assert metric.h1 is None and held
+        assert max(a.size for a in held) <= (150 + 100) ** 2
+        assert all(not a.flags.writeable for a in held)
 
 
 def certify(traj, z_star):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gadmm import hpe, linalg, problems, solver
 from gadmm.errors import NotPositiveDefiniteError
 
-from conftest import random_spd
+from conftest import metric_matrix, random_spd
 
 
 def jacobi_eigenvalues(S, sweeps=100, tol=1e-14):
@@ -89,6 +89,12 @@ class TestSolveSpd:
 
     def test_scalar(self):
         assert linalg.SpdFactor([[2.0]]).solve([3.0]) == pytest.approx([1.5])
+
+    def test_inverse_trace(self):
+        # inv([[2,1],[1,2]]) = [[2,-1],[-1,2]]/3 has trace 4/3
+        assert linalg.SpdFactor([[2.0, 1.0], [1.0, 2.0]]).inv_trace() == pytest.approx(4.0 / 3.0)
+        K = random_spd(np.random.default_rng(5), 30)
+        assert linalg.SpdFactor(K).inv_trace() == pytest.approx(np.trace(np.linalg.inv(K)))
 
     def test_two_by_two_hand_inverse(self):
         # inv([[2,1],[1,2]]) = [[2,-1],[-1,2]]/3, so the solution is (1, 1)
@@ -230,10 +236,19 @@ def probe_matrices(count, seed):
         yield Q
 
 
-def metric_matrix(inst, alpha, h_mode):
+def assembled_metric(inst, alpha, h_mode):
     params = solver.GadmmParams(beta=1.0, alpha=alpha, h1=h_mode(), h2=h_mode())
     h1, h2 = solver.resolve_prox_terms(inst, params)
-    return hpe.build_metric(inst, h1, h2, params.beta, alpha).matrix
+    return hpe.build_metric(inst, h1, h2, params.beta, alpha)
+
+
+def block_probe(metric, shift):
+    """The verdict of build_metric's probe on M + shift*I: each diagonal
+    block, shifted, probed at the floor of the whole matrix."""
+    h1 = np.zeros((metric.n, metric.n)) if metric.h1 is None else metric.h1
+    blocks = [b + shift * np.eye(b.shape[0]) for b in (h1, metric.w)]
+    floor = linalg.PSD_TOL * max(1.0, *(np.max(np.abs(np.diag(b))) for b in blocks))
+    return all(linalg.is_psd(b, floor=floor) for b in blocks)
 
 
 METRIC_ALPHAS = (0.5, 1.0, 1.5, 1.9, 2.0)
@@ -267,7 +282,8 @@ class TestPsdProbe:
         else:
             inst = problems.generate_lasso(7, 8, 16, 0.2)
         for alpha in METRIC_ALPHAS:
-            M = metric_matrix(inst, alpha, h_mode)
+            metric = assembled_metric(inst, alpha, h_mode)
+            M = metric_matrix(metric)
             floor = linalg.PSD_TOL * max(1.0, float(np.max(np.diag(M))))
             # M is singular, so a shift of -0.3 floor passes and -3 floor
             # fails.  (A shift that puts a tail entry within rounding of
@@ -275,18 +291,28 @@ class TestPsdProbe:
             # metric at alpha = 2, whose tail is then 2 * shift.)
             for shift in (0.0, -0.3 * floor, -3.0 * floor, -1e-6):
                 Q = M + shift * np.eye(M.shape[0])
-                assert linalg.is_psd(Q) == outer_product_is_psd(Q)
+                assert linalg.is_psd(Q) == outer_product_is_psd(Q) == block_probe(metric, shift)
             assert linalg.is_psd(M)
 
     def test_large_qp_metric_matches_reference(self):
         # the 450-dim metric of the qp-large-full benchmark workload
         inst = problems.generate_qp(1, 200, 150, 100)
         for alpha in (1.0, 1.5, 2.0):
-            M = metric_matrix(inst, alpha, solver.ZeroH)
+            metric = assembled_metric(inst, alpha, solver.ZeroH)
+            M = metric_matrix(metric)
             assert np.linalg.matrix_rank(M) < M.shape[0]
-            assert linalg.is_psd(M) and outer_product_is_psd(M)
+            assert linalg.is_psd(M) and outer_product_is_psd(M) and block_probe(metric, 0.0)
             Q = M - 1e-6 * np.eye(M.shape[0])
             assert not linalg.is_psd(Q) and not outer_product_is_psd(Q)
+            assert not block_probe(metric, -1e-6)
+
+    def test_block_takes_the_floor_it_is_given(self):
+        # lambda_min = -2e-9: below the block's own floor of 1e-9, above a
+        # floor of 1e-8 set by a larger block
+        Q = np.diag([1.0, -2e-9])
+        assert not linalg.is_psd(Q)
+        assert linalg.is_psd(Q, floor=1e-8)
+        assert not linalg.is_psd(Q, floor=2e-9)
 
     def test_empty_matrix(self):
         Q = np.zeros((0, 0))
@@ -350,9 +376,10 @@ class TestPsdProbe:
         assert linalg.is_psd(np.zeros((3, 3)))
 
     def test_operator_factory(self):
-        op = linalg.PsdOperator.from_matrix(np.diag([0.0, 1.0]))
-        assert op.side == 2
-        assert op.seminorm_sq([1.0, 2.0]) == pytest.approx(4.0)
+        mat = np.diag([0.0, 1.0])
+        op = linalg.PsdOperator.from_matrix(mat)
+        assert np.array_equal(op.matrix, mat) and op.matrix is not mat
+        assert not op.matrix.flags.writeable
         with pytest.raises(NotPositiveDefiniteError):
             linalg.PsdOperator.from_matrix(np.diag([1.0, -1.0]))
 

@@ -26,6 +26,20 @@ def metric_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gap_checks(monkeypatch):
+    """Counts calls of problems.kkt_gap from anywhere in the package."""
+    calls = []
+    real = problems.kkt_gap
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(problems, "kkt_gap", counting)
+    return calls
+
+
 def test_full_verification_builds_the_metric_once(metric_builds):
     inst = problems.generate_qp(2, 4, 3, 2)
     traj = run_full(inst, alpha=1.5, beta=1.0, iters=40)
@@ -48,6 +62,32 @@ def test_cli_run_builds_the_metric_at_most_once(tmp_path, metric_builds, stop_to
               "--out", str(tmp_path / "report.json")]
     assert cli.main(verify) == 0
     assert len(metric_builds) == 1
+
+
+def test_verify_checks_the_stored_solution_only_at_instance_load(tmp_path, gap_checks):
+    inst_path = tmp_path / "qp.json"
+    problems.save_instance(problems.generate_qp(1, 4, 3, 2), inst_path)
+    args = ["--instance", str(inst_path), "--max-iter", "50", "--stop-tol", "0"]
+    assert cli.main(["run", *args, "--out", str(tmp_path / "run")]) == 0
+    del gap_checks[:]
+    verify = ["verify", *args, "--trajectory", str(tmp_path / "run" / "trajectory.csv"),
+              "--out", str(tmp_path / "report.json")]
+    assert cli.main(verify) == 0
+    # the one check runs when the instance file is loaded; the replay
+    # does not repeat it on the same solution
+    assert len(gap_checks) == 1
+
+
+def test_replay_checks_any_other_reference(gap_checks):
+    inst = problems.generate_qp(2, 4, 3, 2)
+    traj = run_full(inst, alpha=1.5, beta=1.0, iters=20)
+    sol = inst.solution
+    del gap_checks[:]
+    assert certificates.full_verification(traj, problems.KktPoint(sol.x, sol.y, sol.gamma)).passed
+    assert len(gap_checks) == 1
+    bad = problems.KktPoint(sol.x + 1.0, sol.y, sol.gamma)
+    with pytest.raises(ValueError, match="^reference point fails the optimality check"):
+        certificates.full_verification(traj, bad)
 
 
 def _companion_rows(rep):

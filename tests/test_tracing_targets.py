@@ -45,8 +45,9 @@ def test_every_tracer_target_resolves():
 
 
 def test_build_metric_probes_through_the_module_attribute(monkeypatch):
-    # the benchmark reads ``linalg.is_psd_s`` off the is_psd span under
+    # the benchmark reads ``linalg.is_psd_s`` off the is_psd spans under
     # build_metric, so the probe on M must go through that attribute, once
+    # per nonzero diagonal block: with H1 = 0, once, on the (y, gamma) block
     inst = problems.generate_qp(1, 6, 5, 3)
     real = linalg.is_psd
     calls = []
@@ -57,7 +58,7 @@ def test_build_metric_probes_through_the_module_attribute(monkeypatch):
 
     monkeypatch.setattr(linalg, "is_psd", counting)
     hpe.build_metric(inst, np.zeros((6, 6)), np.zeros((5, 5)), 1.0, 1.5)
-    assert calls == [(14, 14)]
+    assert calls == [(8, 8)]
 
 
 def count_calls(monkeypatch, module, attr, calls):
