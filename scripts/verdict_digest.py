@@ -7,10 +7,14 @@ verify`` on the trajectory it wrote, with the command's own verify flags
 (``--verify-full`` changes nothing: every k is always checked).
 The digest, written as JSON to OUT.json, holds each command's exit codes
 and iteration count, the sha256 of the trajectory.csv and summary.json its
-run wrote and of the verify.json its verify wrote, the iterate cells of
-that CSV's last row (x_K, y_K, gamma_K, gamma_tilde_K), the summary's
-final_step_metric and final_kkt_gap, and each report row's pass, first_k,
-worst_k and worst_slack.
+run wrote and of the verify.json its verify wrote, the x, y and gamma
+cells of that CSV's last row (z_K), keyed by their header names, the
+summary's final_step_metric and final_kkt_gap, and each report row's pass,
+first_k, worst_k and worst_slack.  The cells are picked by name, so a CSV
+with the gamma_tilde, dxM and kkt_gap columns of earlier versions gives the
+same cells, and a digest written when the last row was a list of its x, y,
+gamma and gamma_tilde cells compares with a new one on the x, y and gamma
+cells.
 The gadmm package is imported from this checkout's ``src``.
 
 Given a baseline digest, the script prints every exit-code, iteration,
@@ -32,6 +36,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -46,6 +51,7 @@ ROW_FIELDS = ("pass", "first_k", "worst_k", "worst_slack")
 RUN_FILES = ("trajectory.csv", "summary.json")
 REPORT_FILE = "verify.json"
 FINAL_FIELDS = ("final_step_metric", "final_kkt_gap")
+ITERATE_CELL = re.compile(r"(x|y|gamma)[0-9]+")
 # (digest field, its note's label, its per-command lines' label)
 RECORDED_VALUES = (
     ("last_row", "last-row iterate", "last-row iterate cells"),
@@ -73,11 +79,13 @@ def _sha256(out_dir, name):
 
 
 def _last_row(path):
-    """The iterate cells of a trajectory CSV's last row, None for a blank
-    cell (row 0 has no gamma_tilde)."""
+    """The x, y and gamma cells of a trajectory CSV's last row, by header
+    name; the other columns (k, and gamma_tilde, dxM and kkt_gap in files
+    of earlier versions) are skipped."""
     with open(path, encoding="utf-8") as fh:
-        last = fh.read().splitlines()[-1].split(",")
-    return [float(cell) if cell else None for cell in last[1:-2]]  # drop k, dxM, kkt_gap
+        lines = fh.read().splitlines()
+    header, last = lines[0].split(","), lines[-1].split(",")
+    return {name: float(cell) for name, cell in zip(header, last) if ITERATE_CELL.fullmatch(name)}
 
 
 def _command_digest(cmd, inst_path, out_dir) -> dict:
@@ -125,6 +133,20 @@ def _relative_gap(new, base) -> float:
     return abs(new - base) / (1.0 + abs(base))
 
 
+def _paired(new, base) -> tuple:
+    """Two recorded values as lists compared cell by cell.  A last row is a
+    dict of cells by header name; one from an older digest is a list that
+    starts with the x, y and gamma cells in header order, so its first cells
+    take the other digest's names.  Rows of other names do not pair."""
+    if not isinstance(new, dict) and not isinstance(base, dict):
+        return new or [], base or []
+    names = list(new if isinstance(new, dict) else base)
+    new, base = (r if isinstance(r, dict) else dict(zip(names, r or [])) for r in (new, base))
+    if new.keys() != base.keys():
+        return [None], []
+    return [new[name] for name in names], [base[name] for name in names]
+
+
 def compare(new, base) -> tuple:
     """Return ``(differences, notes)``: one line per exit-code, iteration,
     output-file, pass or first_k difference (or entry found in one digest
@@ -148,7 +170,7 @@ def compare(new, base) -> tuple:
         if ha.get(REPORT_FILE) != hb.get(REPORT_FILE):
             reports.append(f"{key}: {REPORT_FILE} differs")
         for field, label, cells_label in RECORDED_VALUES:
-            ra, rb = a.get(field) or [], b.get(field) or []
+            ra, rb = _paired(a.get(field), b.get(field))
             gap = max(map(_relative_gap, ra, rb), default=0.0) if len(ra) == len(rb) else math.inf
             if gap > 0.0:
                 cells.append(f"{key}: {cells_label} differ by {gap:.3g}")

@@ -108,7 +108,7 @@ def _run_summary(traj, step, gap) -> dict:
         "final_step_metric": final_step,
         "alpha": traj.params.alpha,
         "beta": traj.params.beta,
-        "stopped_early": solver.stopped_early(traj),
+        "stopped_early": traj.stopped_early,
     }
 
 
@@ -117,8 +117,9 @@ def _cmd_run(args) -> int:
     params = _params(args, inst)
     traj = solver.run(inst, params)
     os.makedirs(args.out, exist_ok=True)
-    diagnostics = solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    records.write_json(os.path.join(args.out, "summary.json"), _run_summary(traj, *diagnostics))
+    solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
+    summary = _run_summary(traj, *solver.diagnostics(traj))
+    records.write_json(os.path.join(args.out, "summary.json"), summary)
     print(f"ran {traj.iterations} iterations; outputs in {args.out}")
     return EXIT_OK
 

@@ -161,6 +161,16 @@ def metric_for(traj: "Trajectory") -> ProximalMetric:
     return traj.metric
 
 
+def gamma_tilde(inst, Z, beta) -> np.ndarray:
+    """The multipliers gamma_tilde_k = gamma_{k-1} - beta(A x_k + B y_{k-1} - b)
+    of the extragradient points z~_k, for k = 1..K (row k-1), derived from
+    the rows z_0..z_K of ``Z``.  An entry that overflows is inf or nan,
+    without a warning."""
+    n, p = inst.n, inst.n + inst.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Z[:-1, p:] - beta * (Z[1:, :n] @ inst.A.T + Z[:-1, n:p] @ inst.B.T - inst.b)
+
+
 def z_row(inst, point: problems.KktPoint) -> np.ndarray:
     """The point (x, y, gamma) as one row z, each block's length checked."""
     parts = ((point.x, inst.n, "x"), (point.y, inst.p, "y"), (point.gamma, inst.m, "gamma"))
@@ -262,7 +272,8 @@ class Replay:
     Built once per verification: it checks z* unless it is the instance's
     stored solution (checked when the instance was built), takes M from the
     trajectory, refuses a d0 that overflows (:class:`ConfigError`), and
-    evaluates as arrays over k = 1..K (row k-1) the steps, the budgets
+    evaluates as arrays over k = 1..K (row k-1) the multipliers
+    gamma_tilde_k (:func:`gamma_tilde`), the steps, the budgets
     eta_0..eta_K, the extragradient gaps, M dz_k and the step norms, the
     inclusion's block rows read off M dz_k (the subgradient rows of both
     subproblems and the constraint-identity residual rows), the inclusion
@@ -285,7 +296,8 @@ class Replay:
         self.K = traj.iterations
         self.ks = np.arange(1, self.K + 1)
         n, p = inst.n, inst.p
-        self.Z, self.X, self.Y, self.Gt = traj.Z, traj.X, traj.Y, traj.Gt
+        self.Z, self.X, self.Y = traj.Z, traj.X, traj.Y
+        self.Gt = gamma_tilde(inst, self.Z, self.beta)
         DZ = np.diff(self.Z, axis=0)
         self.DX, self.DY, self.DG = DZ[:, :n], DZ[:, n : n + p], DZ[:, n + p :]
         self.Ztil = np.hstack([self.Z[1:, : n + p], self.Gt])

@@ -232,25 +232,22 @@ def write_json(path, doc) -> None:
 # CSV tables
 
 
-def _write_rows(write, table, start, stop, blank) -> None:
+def _write_rows(write, table, start, stop) -> None:
     """Pass the CSV line of each of rows start..stop-1 of ``table``, k
     first, to ``write``.  No cell needs CSV quoting, so joining with ","
     and "\\r\\n" gives the bytes csv.writer would, and one row of strings
     is held at a time."""
     for k, row in enumerate(table[start:stop], start):
-        cells = list(map(repr, row.tolist()))
-        if k == 0:
-            cells[blank] = [""] * (blank.stop - blank.start)
-        write(f"{k}," + ",".join(cells) + "\r\n")
+        write(f"{k}," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
-def write_csv(path, header, table, blank) -> None:
+def write_csv(path, header, table) -> None:
     """Write ``header``, then row k of the float array ``table`` as k and
-    its cells, each with full round-trip precision, the ``blank`` slice of
-    row 0 left empty: the units of :func:`write_in_parts` are the rows."""
+    its cells, each with full round-trip precision: the units of
+    :func:`write_in_parts` are the rows."""
 
     def write(emit, start, stop):
-        _write_rows(emit, table, start, stop, blank)
+        _write_rows(emit, table, start, stop)
 
     head, rows = ",".join(header) + "\r\n", len(table)
     cells = rows * (table.shape[1] + 1)
@@ -383,30 +380,31 @@ def _raise_first_bad_row(rows, dtype, ncols) -> None:
     raise ValueError("trajectory file: rows 0..K do not parse")
 
 
-def read_csv(source, header, cut) -> np.ndarray:
+def read_csv(source, header) -> np.ndarray:
     """The cells after k of rows 0..K of a CSV written by :func:`write_csv`,
-    as one float array; row 0's cells from index ``cut`` on read as ``nan``.
+    as one float array.
 
     ``source`` is the file's path, or a :class:`TrajectoryText` whose
     workers' rows are taken whole, and kept if they have the bytes of their
     rows, only after the file's header matches ``header``.  Lines end at
     ``\\r\\n`` or ``\\n`` and nowhere else; a bare ``\\r`` or another line
     separator is part of its cell.  These raise :class:`ValueError`, naming
-    the first bad file row in file order (the header is row 1): another
-    header; no row 0; a row (a blank line included) with the wrong number
-    of cells; a k that is not an integer or not the row's index; a cell
-    that is not a number.
+    the first bad file row in file order (the header is row 1): a header
+    that is ``header`` and more columns, naming those; another header; no
+    row 0; a row (a blank line included) with the wrong number of cells; a
+    k that is not an integer or not the row's index; a cell that is not a
+    number.
     """
     text = source if isinstance(source, TrajectoryText) else TrajectoryText(source)
     lines = text.lines()
     got = _cells(lines[0]) if lines else None
     if got != header:
+        if got and got[: len(header)] == header:
+            raise ValueError(f"trajectory file: unexpected columns {', '.join(got[len(header) :])}")
         raise ValueError(f"trajectory file: unexpected header {got}")
     rows = lines[1:]
     if not rows:
         raise ValueError("trajectory file: no rows")
-    first = _cells(rows[0])  # the cell count is kept: a row 0 of the wrong length fails
-    rows[0] = ",".join(first[:cut] + ["nan"] * (len(first) - cut))
     dtype = _row_dtype(len(header))
     table = np.empty(len(rows), dtype)
     for start, stop, worker in text._ranges or [(0, len(rows), None)]:

@@ -146,10 +146,13 @@ class Trajectory:
     """A recorded run: the instance, the configuration, the resolved
     proximal weights, and the iterates stored once, as rows.
 
-    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K, and row
-    k-1 of ``Gt`` holds gamma_tilde_k for k = 1..K; ``X``, ``Y``, ``G`` are
-    views of Z's column blocks.  Steps are row differences and are not
-    stored.  The proximal metric M is built on first use and kept.
+    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K; ``X``,
+    ``Y``, ``G`` are views of Z's column blocks.  Steps and the multipliers
+    gamma_tilde_k are functions of the rows (:func:`hpe.gamma_tilde`) and
+    are not stored.  ``stopped_early`` says whether the stopping rule of
+    :func:`run` fired, as its loop evaluated the rule at the last step;
+    None for a trajectory read from a file.  The proximal metric M is built
+    on first use and kept.
     """
 
     instance: problems.SeparableInstance
@@ -157,7 +160,7 @@ class Trajectory:
     h1: np.ndarray
     h2: np.ndarray
     Z: np.ndarray
-    Gt: np.ndarray
+    stopped_early: Optional[bool] = None
     _metric: Optional[hpe.ProximalMetric] = field(default=None, repr=False, compare=False)
 
     @property
@@ -340,21 +343,12 @@ def stop_terms(inst, metric, prev, new, gamma_tilde):
     yield float(problems.kkt_gaps(inst, x, y, gamma_tilde))
 
 
-def _rule_fires(inst, metric, tol, prev, new, gamma_tilde) -> bool:
-    return all(t <= tol for t in stop_terms(inst, metric, prev, new, gamma_tilde))
-
-
-def stopped_early(traj: Trajectory) -> bool:
-    """Whether the stopping rule of :func:`run` fired, read off the record:
-    whether it holds at the last recorded step, evaluated by the loop's code
-    on the same floats, so also at K = max_iter.  False at stop_tol = 0 and
-    at K = 0."""
-    K, tol = traj.iterations, traj.params.stop_tol
-    if K == 0 or tol == 0:
-        return False
-    prev, new = ((traj.X[k], traj.Y[k], traj.G[k]) for k in (K - 1, K))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _rule_fires(traj.instance, traj.metric, tol, prev, new, traj.Gt[K - 1])
+def _first_nonfinite(inst, Z, beta) -> Optional[int]:
+    """The first k whose row z_k of ``Z``, or whose gamma_tilde_k derived
+    from the rows (k >= 1), has a non-finite entry; None if there is none."""
+    bad = ~np.isfinite(Z).all(axis=1)
+    bad[1:] |= ~np.isfinite(hpe.gamma_tilde(inst, Z, beta)).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
@@ -370,14 +364,16 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
          (x_k, y_k, gamma_tilde_k), the point where the subproblem
          inclusions hold (its max includes term 1).
     A later term is computed only when the earlier ones hold, and a NaN
-    term never stops the run.
+    term never stops the run.  The rule reads the loop's own gamma_tilde_k,
+    the engine's third stage row, and the trajectory's ``stopped_early``
+    records whether it fired.
 
     Neither the steps nor the stopping rule check their data: a non-finite
     iterate does not stop the loop, and floating-point warnings are
-    silenced inside it.  After
-    the loop, one scan of the recorded rows raises :class:`DivergenceError`
-    naming the first k whose x, y, gamma or gamma_tilde has a non-finite
-    entry, so a run that diverges is reported once it reaches max_iter.
+    silenced inside it.  After the loop, one scan of the recorded rows
+    raises :class:`DivergenceError` naming the first k whose x, y, gamma,
+    or gamma_tilde derived from them, has a non-finite entry, so a run that
+    diverges is reported once it reaches max_iter.
     """
     eng = _Engine(inst, params)
     x = np.zeros(inst.n) if x0 is None else linalg.as_vector(x0, dim=inst.n, name="x0")
@@ -385,10 +381,10 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     gamma = (
         np.zeros(inst.m) if gamma0 is None else linalg.as_vector(gamma0, dim=inst.m, name="gamma0")
     )
-    metric = None
-    if params.stop_tol > 0:
+    metric, tol = None, params.stop_tol
+    if tol > 0:
         metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
-    xs, ys, gs, gts = [x], [y], [gamma], []
+    xs, ys, gs, fired = [x], [y], [gamma], False
     By = inst.B @ y
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(params.max_iter):
@@ -396,28 +392,18 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
             xs.append(x_new)
             ys.append(y_new)
             gs.append(gamma_new)
-            gts.append(gamma_tilde)
             new = (x_new, y_new, gamma_new)
-            if metric is not None and _rule_fires(
-                inst, metric, params.stop_tol, (x, y, gamma), new, gamma_tilde
+            if metric is not None and all(
+                t <= tol for t in stop_terms(inst, metric, (x, y, gamma), new, gamma_tilde)
             ):
+                fired = True
                 break
             x, y, gamma = new
     Z = np.hstack([xs, ys, gs])
-    Gt = np.array(gts).reshape(len(gts), inst.m)
-    finite = np.isfinite(Z[1:]).all(axis=1) & np.isfinite(Gt).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
+    k = _first_nonfinite(inst, Z, params.beta)
+    if k is not None:
         raise DivergenceError(f"iteration diverged: iterate k={k} has non-finite entries", k=k)
-    return Trajectory(
-        instance=inst,
-        params=params,
-        h1=eng.h1,
-        h2=eng.h2,
-        Z=Z,
-        Gt=Gt,
-        _metric=metric,
-    )
+    return Trajectory(inst, params, eng.h1, eng.h2, Z, fired, _metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -425,49 +411,41 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
 
 
 def trajectory_header(inst) -> list[str]:
-    blocks = (("x", inst.n), ("y", inst.p), ("gamma", inst.m), ("gamma_tilde", inst.m))
-    return ["k", *(f"{name}{i}" for name, dim in blocks for i in range(dim)), "dxM", "kkt_gap"]
+    blocks = (("x", inst.n), ("y", inst.p), ("gamma", inst.m))
+    return ["k", *(f"{name}{i}" for name, dim in blocks for i in range(dim))]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: inf
 def diagnostics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Over k = 0..K, the step M-seminorm ||z_k - z_{k-1}||_M (NaN at k = 0)
     and the gap :func:`problems.kkt_gaps` at (x_0, y_0, gamma_0), then at
-    (x_k, y_k, gamma_tilde_k): stacked products, so an entry can differ from
-    the stopping rule's one-point term by rounding."""
-    step = np.sqrt(traj.metric.seminorm_sq(np.diff(traj.Z, axis=0)))
-    gap = problems.kkt_gaps(traj.instance, traj.X, traj.Y, np.vstack([traj.G[:1], traj.Gt]))
-    return np.concatenate([[math.nan], step]), gap
+    (x_k, y_k, gamma_tilde_k) with gamma_tilde_k from :func:`hpe.gamma_tilde`:
+    stacked products, so an entry can differ from the stopping rule's
+    one-point term by rounding."""
+    inst, Z = traj.instance, traj.Z
+    step = np.sqrt(traj.metric.seminorm_sq(np.diff(Z, axis=0)))
+    G = np.vstack([traj.G[:1], hpe.gamma_tilde(inst, Z, traj.params.beta)])
+    return np.concatenate([[math.nan], step]), problems.kkt_gaps(inst, traj.X, traj.Y, G)
 
 
-def save_trajectory_csv(traj: Trajectory, path) -> tuple[np.ndarray, np.ndarray]:
-    """Write one row per iteration: k, x, y, gamma, gamma_tilde, and the
-    two arrays of :func:`diagnostics`, the step seminorm and the gap, which
-    it returns.  Floats are written with full round-trip precision, by
-    :func:`records.write_csv`; row 0 has no gamma_tilde or step."""
-    inst, (step, gap) = traj.instance, diagnostics(traj)
-    gt = np.vstack([np.zeros((1, inst.m)), traj.Gt])
-    table = np.hstack([traj.Z, gt, step[:, None], gap[:, None]])
-    blank = slice(inst.n + inst.p + inst.m, inst.n + inst.p + 2 * inst.m + 1)
-    records.write_csv(path, trajectory_header(inst), table, blank)
-    return step, gap
+def save_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write the header k, x0.., y0.., gamma0.., then one row per iteration:
+    k and z_k, every float with full round-trip precision, by
+    :func:`records.write_csv`."""
+    records.write_csv(path, trajectory_header(traj.instance), traj.Z)
 
 
 def load_trajectory_csv(path, inst, params) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`
     (a path or a :class:`records.TrajectoryText`, read by
-    :func:`records.read_csv`), with the recorded intermediate multipliers,
-    so that the certificate checks exercise what was actually written.
-    After every row has parsed, the first row with a non-finite x, y, gamma
-    or gamma_tilde cell raises :class:`ValueError`."""
-    cut = inst.n + inst.p + inst.m
-    values = records.read_csv(path, trajectory_header(inst), 1 + cut)
-    Z = np.ascontiguousarray(values[:, :cut])
-    Gt = np.ascontiguousarray(values[1:, cut : cut + inst.m])
-    bad = ~np.isfinite(Z).all(axis=1)
-    bad[1:] |= ~np.isfinite(Gt).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad)) + 2
-        raise ValueError(f"trajectory file: non-finite iterate value in row {row}")
+    :func:`records.read_csv`): the rows z_0..z_K, bit for bit, from which the
+    certificate checks derive everything else.  After every row has parsed,
+    the first file row with a non-finite x, y or gamma cell, or whose
+    gamma_tilde (:func:`hpe.gamma_tilde`) overflows, raises
+    :class:`ValueError`."""
+    Z = records.read_csv(path, trajectory_header(inst))
+    k = _first_nonfinite(inst, Z, params.beta)
+    if k is not None:
+        raise ValueError(f"trajectory file: non-finite iterate value in row {k + 2}")
     h1, h2 = resolve_prox_terms(inst, params)
-    return Trajectory(inst, params, h1, h2, Z, Gt)
+    return Trajectory(inst, params, h1, h2, Z)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gadmm import oracles, problems, records, solver
+from gadmm import hpe, oracles, problems, records, solver
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +50,12 @@ def run_full(inst, alpha, beta=1.0, iters=200, h1=None, h2=None):
     return solver.run(inst, params)
 
 
+def gamma_tilde(traj):
+    """gamma_tilde_k for k = 1..K (row k-1), derived from the record as the
+    verifier derives it."""
+    return hpe.gamma_tilde(traj.instance, traj.Z, traj.params.beta)
+
+
 def state(traj, k):
     """Iterate k of a trajectory as a namespace: x, y, gamma, and for k >= 1
     gamma_tilde and the steps dx, dy, dgamma (None at k = 0)."""
@@ -58,7 +64,7 @@ def state(traj, k):
     x, y, gamma = traj.X[k], traj.Y[k], traj.G[k]
     st = SimpleNamespace(k=k, x=x, y=y, gamma=gamma, gamma_tilde=None, dx=None, dy=None, dgamma=None)
     if k > 0:
-        st.gamma_tilde = traj.Gt[k - 1]
+        st.gamma_tilde = gamma_tilde(traj)[k - 1]
         st.dx, st.dy, st.dgamma = x - traj.X[k - 1], y - traj.Y[k - 1], gamma - traj.G[k - 1]
     return st
 

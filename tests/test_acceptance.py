@@ -15,7 +15,7 @@ from gadmm import certificates, hpe, oracles, problems, solver
 from gadmm.certificates import bound_constants
 from gadmm.solver import GadmmParams, LinearizedH
 
-from conftest import make_one_d_instance, rate_estimate, run_full, state
+from conftest import gamma_tilde, make_one_d_instance, rate_estimate, run_full, state
 from test_oracles import grid_gap
 from test_solver import vanilla_admm
 
@@ -190,7 +190,7 @@ def test_criterion_6_vanilla_equivalence():
             assert np.max(np.abs(traj.X[k] - x)) <= 1e-10
             assert np.max(np.abs(traj.Y[k] - y)) <= 1e-10
             assert np.max(np.abs(traj.G[k] - g)) <= 1e-10
-        for gt, gh in zip(traj.Gt, oracle_halves):
+        for gt, gh in zip(gamma_tilde(traj), oracle_halves):
             assert np.max(np.abs(gt - gh)) <= 1e-10
 
 

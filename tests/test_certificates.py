@@ -15,7 +15,7 @@ from gadmm.certificates import (
 from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
 
-from conftest import make_one_d_instance, rate_estimate, run_full, state
+from conftest import gamma_tilde, make_one_d_instance, rate_estimate, run_full, state
 
 
 def ergodic_rows(rep):
@@ -79,7 +79,7 @@ class TestErgodicPoint:
         assert ks[0] == 1
         assert np.allclose(running_mean(traj.X[1:])[0], st.x)
         assert np.allclose(running_mean(traj.Y[1:])[0], st.y)
-        assert np.allclose(running_mean(traj.Gt)[0], st.gamma_tilde)
+        assert np.allclose(running_mean(gamma_tilde(traj))[0], st.gamma_tilde)
         assert -erg["ergodic_eps_x_nonneg"].lhs[0] == pytest.approx(0.0, abs=1e-15)
         assert -erg["ergodic_eps_y_nonneg"].lhs[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -156,7 +156,7 @@ def averaged_inclusion(traj, k):
     A, B = inst.A, inst.B
     c = (1.0 - alpha) / alpha
     xa, ya = traj.X[1 : k + 1].mean(axis=0), traj.Y[1 : k + 1].mean(axis=0)
-    gta = traj.Gt[:k].mean(axis=0)
+    gta = gamma_tilde(traj)[:k].mean(axis=0)
     rx, ry, rg = ((Z[k] - Z[0]) / k for Z in (traj.X, traj.Y, traj.G))
     h2_total = traj.h2 + (beta / alpha) * (B.T @ B)
     gap_f = oracles.fenchel_gap(inst.f, A.T @ gta - traj.h1 @ rx, xa)
@@ -175,7 +175,7 @@ class TestErgodicPrefixSums:
         ks = erg["ergodic_eps_bound"].ks
         assert ks.tolist() == list(range(1, 301))
         X, Y = traj.X[1:], traj.Y[1:]
-        x_avg, y_avg, gt_avg = (running_mean(Z) for Z in (X, Y, traj.Gt))
+        x_avg, y_avg, gt_avg = (running_mean(Z) for Z in (X, Y, gamma_tilde(traj)))
         eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
         eps_sum, split = erg["ergodic_eps_bound"].lhs, erg["eps_split_identity"].lhs
 
@@ -186,7 +186,7 @@ class TestErgodicPrefixSums:
             i = k - 1
             assert np.array_equal(x_avg[i], X[:k].mean(axis=0))
             assert np.array_equal(y_avg[i], Y[:k].mean(axis=0))
-            assert np.array_equal(gt_avg[i], traj.Gt[:k].mean(axis=0))
+            assert np.array_equal(gt_avg[i], gamma_tilde(traj)[:k].mean(axis=0))
             assert close(eps_x[i], centred_sum(rep.Vf, X, k)), k
             assert close(eps_y[i], centred_sum(rep.Vg, Y, k)), k
             # the metric epsilon lies within the split residual of eps_x + eps_y
@@ -350,7 +350,7 @@ class TestReports:
     def test_full_verification_catches_corruption(self):
         inst = problems.generate_qp(9, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
-        traj.Gt[10 - 1] += 0.25
+        traj.X[10] += 0.25
         report = full_verification(traj, inst.solution)
         assert not report.passed
         assert report.earliest_failure.worst_k == 10

@@ -132,13 +132,18 @@ class TestRun:
         assert summary["stopped_early"] is True
 
     def test_summary_is_the_last_csv_row(self, tmp_path):
-        # both come from one solver.diagnostics call, so they agree bit for bit
+        # the final values are solver.diagnostics of the recorded rows, so the
+        # file read back gives them bit for bit
+        inst = problems.generate_qp(1, 8, 6, 4)
         inst_path = tmp_path / "qp.json"
-        problems.save_instance(problems.generate_qp(1, 8, 6, 4), inst_path)
-        for name, flags, stopped_early in (
-            ("tol", ["--alpha", "1.9", "--stop-tol", "1e-9"], True),
+        problems.save_instance(inst, inst_path)
+        lin = solver.LinearizedH()
+        for name, flags, params, stopped_early in (
+            ("tol", ["--alpha", "1.9", "--stop-tol", "1e-9"],
+             solver.GadmmParams(beta=1.0, alpha=1.9), True),
             ("max-iter", ["--alpha", "2.0", "--h1", "linearized", "--h2", "linearized",
-                          "--max-iter", "300", "--stop-tol", "0"], False),
+                          "--max-iter", "300", "--stop-tol", "0"],
+             solver.GadmmParams(beta=1.0, alpha=2.0, h1=lin, h2=lin), False),
         ):
             out = tmp_path / name
             assert cli.main(["run", "--instance", str(inst_path), *flags, "--out", str(out)]) == 0
@@ -147,8 +152,10 @@ class TestRun:
                 last = list(csv.DictReader(fh))[-1]
             assert summary["stopped_early"] is stopped_early
             assert int(last["k"]) == summary["iterations"] > 0
-            assert last["dxM"] == repr(summary["final_step_metric"])
-            assert last["kkt_gap"] == repr(summary["final_kkt_gap"])
+            back = solver.load_trajectory_csv(out / "trajectory.csv", inst, params)
+            step, gap = solver.diagnostics(back)
+            assert repr(float(step[-1])) == repr(summary["final_step_metric"])
+            assert repr(float(gap[-1])) == repr(summary["final_kkt_gap"])
 
     def test_stopped_early_says_whether_the_rule_fired(self, tmp_path):
         # on this QP the rule fires at k = 78: a max_iter of 78 ends the run
@@ -189,10 +196,11 @@ class TestRun:
         summary = strict_json((out / "summary.json").read_text())
         assert summary["iterations"] == 0
         rows = (out / "trajectory.csv").read_text().strip().splitlines()
-        assert len(rows) == 2  # header + k=0
-        # no step at k = 0; the gap at (x_0, y_0, gamma_0) is row 0's
+        assert rows == ["k,x0,y0,gamma0", "0,0.0,0.0,0.0"]  # header + k=0
+        # no step at k = 0; the gap is the one at (x_0, y_0, gamma_0)
         assert summary["final_step_metric"] is None
-        assert rows[1].split(",")[-1] == repr(summary["final_kkt_gap"])
+        origin = problems.KktPoint([0.0], [0.0], [0.0])
+        assert summary["final_kkt_gap"] == problems.kkt_gap(make_one_d_instance(), origin)
 
     def test_deterministic_outputs(self, tmp_path):
         inst_path = write_qp(tmp_path)
@@ -390,8 +398,8 @@ class TestVerify:
             fh.write("\n".join(lines) + "\n")
 
     def test_infinite_conjugate_gap_report_is_strict_json(self, tmp_path):
-        # a gamma_tilde far outside the l1 ball puts the y-block conjugate
-        # outside its domain: the inclusion gaps are infinite from k = 19
+        # a gamma_19 far outside the l1 ball puts gamma_tilde_20, and with
+        # it the y-block conjugate, outside its domain
         inst_path = tmp_path / "lasso.json"
         inst = problems.generate_lasso(7, 6, 12, 0.2)
         problems.save_instance(inst, inst_path)
@@ -400,7 +408,7 @@ class TestVerify:
         out = tmp_path / "run"
         assert cli.main(["run", *flags, "--out", str(out)]) == 0
         traj_path = out / "trajectory.csv"
-        self._set_cell(traj_path, "gamma_tilde0", "1000.0")
+        self._set_cell(traj_path, "gamma0", "1000.0")
         report_path = tmp_path / "report.json"
         args = ["verify", *flags, "--trajectory", str(traj_path), "--out", str(report_path)]
         assert cli.main(args) == 3
@@ -432,14 +440,14 @@ class TestVerify:
                 band = hpe.WORST_K_BAND * (1.0 + abs(row["worst_slack"]))
                 assert abs(slack - row["worst_slack"]) <= band, row["name"]
 
-    @pytest.mark.parametrize("column", ["x0", "gamma_tilde1"])
+    @pytest.mark.parametrize("column", ["x0", "gamma1"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_config_error(self, tmp_path, cell, column):
         args = self._run_then_verify_args(tmp_path)
         self._set_cell(args[4], column, cell)
         assert cli.main(args) == 1
 
-    @pytest.mark.parametrize("column", ["y1", "gamma0", "gamma_tilde0"])
+    @pytest.mark.parametrize("column", ["y1", "gamma0", "x1"])
     def test_non_finite_cell_named_by_row_at_load(self, tmp_path, column):
         args = self._run_then_verify_args(tmp_path)
         self._set_cell(args[4], column, "nan")
@@ -720,8 +728,9 @@ class TestBench:
         assert capsys.readouterr().err == "error: bench needs --max-iter of at least 1, got 0\n"
 
     def test_failure_column_names_what_verify_names(self, tmp_path, monkeypatch):
-        # a large corruption at k=50 and a small one at k=5 that only the
-        # multiplier identity sees: the earliest violation is at k=5
+        # a large corruption of gamma_50 and a small one of gamma_5, which
+        # the multiplier identity is the first row to see: the earliest
+        # violation is at k=5
         inst = problems.generate_qp(9, 4, 3, 2)
         inst_path = tmp_path / "qp9.json"
         problems.save_instance(inst, inst_path)
@@ -729,8 +738,8 @@ class TestBench:
 
         def corrupted_run(inst, params):
             traj = run(inst, params)
-            traj.Gt[49] += 0.25
-            traj.Gt[4] += 1e-6
+            traj.G[50] += 0.25
+            traj.G[5] += 1e-6
             return traj
 
         monkeypatch.setattr(solver, "run", corrupted_run)

@@ -9,7 +9,7 @@ from gadmm import certificates, cli, hpe, oracles, problems
 from gadmm.errors import CertificationError
 from gadmm.solver import ExplicitH, LinearizedH
 
-from conftest import run_full
+from conftest import gamma_tilde, run_full
 
 
 @pytest.fixture
@@ -105,7 +105,7 @@ def _eps_rows(rep):
 
 # (family, corruption of the recorded columns, rows checked, expected check,
 # expected k).
-# hpe: four checks fail at k=10, the tie goes to the first in report order.
+# hpe: three checks fail at k=10, the tie goes to the first in report order.
 # companion: rho_contractive_bound is worst at k=13 but first fails at k=12,
 # together with the two rows reported before and after it.
 # pointwise: worst at k=2, first at k=1.
@@ -113,12 +113,12 @@ def _eps_rows(rep):
 # the inclusion rows at k=1; on their own, the x half is named, being
 # reported first.
 CORRUPTIONS = [
-    ("hpe", "Gt", 9, 0.25, hpe.certify_hpe, "hpe_inequality", 10),
+    ("hpe", "G", 10, 0.25, hpe.certify_hpe, "hpe_inequality", 10),
     ("companion", "Y", 12, 5.0, _companion_rows, "delta_y_gamma_inequality", 12),
     ("pointwise", "G", 1, 100.0, lambda rep: [certificates.pointwise_certificate(rep)],
      "pointwise_bound", 1),
-    ("ergodic", "Gt", 0, 1.0, certificates.ergodic_certificate, "ergodic_inclusion_f", 1),
-    ("ergodic-eps", "Gt", 0, 1.0, _eps_rows, "ergodic_eps_x_nonneg", 2),
+    ("ergodic", "G", 0, 1.0, certificates.ergodic_certificate, "ergodic_inclusion_f", 1),
+    ("ergodic-eps", "G", 0, 1.0, _eps_rows, "ergodic_eps_x_nonneg", 2),
 ]
 
 
@@ -175,7 +175,7 @@ def test_worst_k_is_the_argmin_of_a_non_finite_minimum(low):
 def test_full_report_raises_at_the_corrupted_iteration():
     inst = problems.generate_qp(9, 4, 3, 2)
     traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
-    traj.Gt[9] += 0.25
+    traj.G[10] += 0.25
     report = certificates.full_verification(traj, inst.solution)
     with pytest.raises(CertificationError) as err:
         report.raise_first()
@@ -227,8 +227,8 @@ def test_inclusion_rows_match_the_block_formulas(case, alpha):
     BDY = DY @ inst.B.T
     X, Y = traj.X[1:], traj.Y[1:]
     want = {
-        "Vf": traj.Gt @ inst.A - DX @ traj.h1.T,
-        "Vg": (traj.Gt - (beta / alpha) * BDY - c * DG) @ inst.B - DY @ traj.h2.T,
+        "Vf": gamma_tilde(traj) @ inst.A - DX @ traj.h1.T,
+        "Vg": (gamma_tilde(traj) - (beta / alpha) * BDY - c * DG) @ inst.B - DY @ traj.h2.T,
         "resid": c * BDY + DG / (alpha * beta) + X @ inst.A.T + Y @ inst.B.T - inst.b,
     }
     for name, ref in want.items():

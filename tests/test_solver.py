@@ -16,6 +16,7 @@ from gadmm.solver import ExplicitH, GadmmParams, LinearizedH
 from conftest import (
     assert_nothing_left,
     count_forks,
+    gamma_tilde,
     make_one_d_instance,
     run_full,
     state,
@@ -300,7 +301,7 @@ class TestRun:
                 assert np.allclose(traj.X[k], x, atol=1e-10)
                 assert np.allclose(traj.Y[k], y, atol=1e-10)
                 assert np.allclose(traj.G[k], g, atol=1e-10)
-            for gt, gh in zip(traj.Gt, halves):
+            for gt, gh in zip(gamma_tilde(traj), halves):
                 assert np.allclose(gt, gh, atol=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.9])
@@ -311,7 +312,7 @@ class TestRun:
         zero = run_full(inst, alpha=alpha, iters=60)
         h1, h2 = ExplicitH(np.zeros((6, 6))), ExplicitH(np.zeros((5, 5)))
         explicit = run_full(inst, alpha=alpha, iters=60, h1=h1, h2=h2)
-        for name in ("X", "Y", "G", "Gt"):
+        for name in ("X", "Y", "G"):
             assert np.array_equal(getattr(zero, name), getattr(explicit, name))
 
     def test_deltas_are_differences(self):
@@ -406,9 +407,9 @@ class TestRun:
     def test_divergence_names_first_nonfinite_k(
         self, one_d_instance, monkeypatch, max_iter, stop_tol
     ):
-        # gamma_tilde feeds no later step, so an overflow there is only
-        # visible in the recorded rows; the stopping rule's cheap terms do
-        # not read it, and its non-finite gap could never stop the run
+        # gamma_3 overflows and every later step reads it; no term of the
+        # stopping rule holds at a non-finite or NaN iterate, so the run
+        # goes on to max_iter and the scan after it names k = 3
         real = solver._Engine.step
         calls = []
 
@@ -416,7 +417,7 @@ class TestRun:
             calls.append(None)
             x, y, gamma, gamma_tilde, By = real(self, *args)
             if len(calls) == 3:
-                gamma_tilde = np.full_like(gamma_tilde, np.inf)
+                gamma = np.full_like(gamma, np.inf)
             return x, y, gamma, gamma_tilde, By
 
         monkeypatch.setattr(solver._Engine, "step", overflow_third)
@@ -467,31 +468,22 @@ class TestRun:
 
 
 def rowwise_trajectory_csv(traj, path):
-    """The trajectory CSV written one ``csv.writer`` row at a time, with
-    ``dxM`` and ``kkt_gap`` from :func:`solver.diagnostics`: the reference
-    for the bytes of :func:`solver.save_trajectory_csv`."""
-    inst = traj.instance
-    X, Y, G, Gt = traj.X, traj.Y, traj.G, traj.Gt
-    dxm, gaps = (a.tolist() for a in solver.diagnostics(traj))
+    """The trajectory CSV written one ``csv.writer`` row at a time, k and
+    the cells of z_k: the reference for the bytes of
+    :func:`solver.save_trajectory_csv`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(solver.trajectory_header(inst))
-        for k, gap in enumerate(gaps):
-            row = [str(k), *map(repr, np.concatenate([X[k], Y[k], G[k]]).tolist())]
-            if k == 0:
-                row += [""] * (inst.m + 1)
-            else:
-                row += [*map(repr, Gt[k - 1].tolist()), repr(dxm[k])]
-            row.append(repr(gap))
-            writer.writerow(row)
+        writer.writerow(solver.trajectory_header(traj.instance))
+        for k, z in enumerate(traj.Z):
+            writer.writerow([str(k), *map(repr, z.tolist())])
 
 
 def writer_trajectory(kind, iters):
-    """A run whose CSV rows have 20 cells (a QP with zero H) or 35 (a lasso
+    """A run whose CSV rows have 20 cells (a QP with zero H) or 34 (a lasso
     with both blocks linearized)."""
     if kind == "qp-zero":
-        return run_full(problems.generate_qp(4, 6, 5, 3), alpha=1.9, iters=iters)
-    inst = problems.generate_lasso(7, 8, 16, 0.2)
+        return run_full(problems.generate_qp(4, 8, 6, 5), alpha=1.9, iters=iters)
+    inst = problems.generate_lasso(7, 11, 16, 0.2)
     return run_full(inst, alpha=2.0, iters=iters, h1=LinearizedH(), h2=LinearizedH())
 
 
@@ -506,7 +498,6 @@ class TestTrajectoryCsv:
         assert np.array_equal(traj.X, back.X)
         assert np.array_equal(traj.Y, back.Y)
         assert np.array_equal(traj.G, back.G)
-        assert np.array_equal(traj.Gt, back.Gt)
 
     def test_deterministic_bytes(self, tmp_path):
         inst = problems.generate_qp(10, 4, 3, 2)
@@ -518,7 +509,7 @@ class TestTrajectoryCsv:
 
     # With three usable CPUs a table of c cells is split among
     # min(3, c // CELLS_PER_WORKER) processes, the writer and its forks.  QP
-    # rows have 20 cells and lasso rows 35, so the tables of 3000 iterations
+    # rows have 20 cells and lasso rows 34, so the tables of 3000 iterations
     # split their 3001 rows 1000/1000/1001, and the QP's of 2000 1000/1001.
     LARGE_FORKS = {
         (2000, "qp-zero"): 1,
@@ -613,15 +604,15 @@ class TestParallelWriter:
         # raises, or exits 0 having written one row too few or too many
         parent, real = os.getpid(), records._write_rows
 
-        def failing_in_a_worker(write, table, start, stop, blank):
+        def failing_in_a_worker(write, table, start, stop):
             if os.getpid() == parent or start != 1334:
-                real(write, table, start, stop, blank)
+                real(write, table, start, stop)
             elif failure == "raises":
                 raise RuntimeError("worker failed")
             elif failure == "short":
-                real(write, table, start, stop - 1, blank)
+                real(write, table, start, stop - 1)
             else:
-                real(write, table, start, stop, blank)
+                real(write, table, start, stop)
                 write("2001,junk\r\n")
 
         monkeypatch.setattr(records, "_write_rows", failing_in_a_worker)
@@ -685,7 +676,7 @@ class TestParallelReader:
 
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
-        """A lasso run of 2001 rows of 35 cells, and its CSV's lines: two
+        """A lasso run of 2001 rows of 34 cells, and its CSV's lines: two
         parts on 2 CPUs, three on 3."""
         traj = writer_trajectory("lasso-linearized", 2000)
         path = tmp_path_factory.mktemp("reader") / "traj.csv"
@@ -717,7 +708,6 @@ class TestParallelReader:
         assert len(counted) == len(bounds[0]) - 2 == (1 if split == "K" else cpus - 1)
         serial = solver.load_trajectory_csv(path, traj.instance, traj.params)
         assert got.Z.tobytes() == serial.Z.tobytes() == traj.Z.tobytes()
-        assert got.Gt.tobytes() == serial.Gt.tobytes() == traj.Gt.tobytes()
         assert_nothing_left(tmp_path, ["traj.csv"])
 
     def test_bounds_balance_bytes(self):
@@ -726,10 +716,10 @@ class TestParallelReader:
         assert records._read_bounds(rows, 2, 200) == [0, 40, 100]
         assert records._read_bounds(rows, 2, 10**6) == [0, 1, 100]  # row 0 stays here
         assert records._read_bounds(rows, 3, 0) == [0, 33, 66, 100]
-        # qp-large-full: a 2.36 MB instance beside a 2.77 MB CSV of 251 rows
-        # leaves this process 18 of them, about 7 %
-        rows = ["x" * 11026] * 251
-        assert records._read_bounds(rows, 2, 2_360_625) == [0, 18, 251]
+        # qp-large-full: a 2.36 MB instance beside a 2.24 MB CSV of 251 rows
+        # leaves this process row 0 alone
+        rows = ["x" * 8927] * 251
+        assert records._read_bounds(rows, 2, 2_360_625) == [0, 1, 251]
 
     @pytest.mark.parametrize("first_failure", [1, 2])
     def test_fork_failure_leaves_the_ranges_to_the_parent(
@@ -747,7 +737,7 @@ class TestParallelReader:
         counted = count_forks(monkeypatch, cpus=3, fork=failing)
         got = parallel_load(path, traj)
         assert len(counted) == first_failure  # no fork is tried after a failure
-        assert got.Z.tobytes() == traj.Z.tobytes() and got.Gt.tobytes() == traj.Gt.tobytes()
+        assert got.Z.tobytes() == traj.Z.tobytes()
         assert_nothing_left(tmp_path, ["traj.csv"])
 
     @pytest.mark.parametrize("failure", ["raises", "row-short", "row-long", "byte-long", "exit-3"])
@@ -781,7 +771,7 @@ class TestParallelReader:
         counted = count_forks(monkeypatch, cpus=3)
         got = parallel_load(path, traj)
         assert len(counted) == 2
-        assert got.Z.tobytes() == traj.Z.tobytes() and got.Gt.tobytes() == traj.Gt.tobytes()
+        assert got.Z.tobytes() == traj.Z.tobytes()
         assert_nothing_left(tmp_path, ["traj.csv"])
 
     # Corruptions at file rows 1500 (in the worker's range on 2 CPUs, which
@@ -802,7 +792,7 @@ class TestParallelReader:
         "non-finite": "non-finite iterate value in row 1500",
         "float-k": "row 1500: iteration index '1498.0' is not an integer",
         "skipped-k": "iteration indices not contiguous at row 1500",
-        "short-row": "row 1500 has 34 cells",
+        "short-row": "row 1500 has 33 cells",
         "blank-line": "row 1500 has 0 cells",
         "both-non-numeric": "row 100 has a non-numeric cell",
         "both-non-finite": "row 1500 has a non-numeric cell",  # parse errors come first

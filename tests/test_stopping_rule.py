@@ -11,6 +11,8 @@ import pytest
 from gadmm import problems, solver
 from gadmm.solver import GadmmParams, LinearizedH, ZeroH
 
+from conftest import gamma_tilde
+
 ORACLE_MAX_ITER = 600
 
 
@@ -62,17 +64,16 @@ def test_stopping_k_matches_oracle(case, alpha, tol, monkeypatch):
     gap_calls = counting(monkeypatch, problems, "kkt_gaps")
     stopped = solver.run(inst, params(tol))
     assert stopped.iterations == first
-    assert np.array_equal(stopped.X, full.X[: first + 1])
-    assert np.array_equal(stopped.Gt, full.Gt[:first])
+    assert np.array_equal(stopped.Z, full.Z[: first + 1])
     # the residual inside the gap is the pre-tested term, bit for bit
     assert np.all(resid <= gap)
     # the gap is computed only at the k where both cheaper terms hold
     pretests = (resid[:first] <= tol) & (step[:first] <= tol)
     assert len(gap_calls) == int(pretests.sum())
-    # the loop's one-point terms at the stopping k are the arrays' up to rounding
+    # the one-point terms at the stopping k are the arrays' up to rounding
     X, Y, G, k = stopped.X, stopped.Y, stopped.G, first
     prev, new = (X[k - 1], Y[k - 1], G[k - 1]), (X[k], Y[k], G[k])
-    loop = list(solver.stop_terms(inst, stopped.metric, prev, new, stopped.Gt[k - 1]))
+    loop = list(solver.stop_terms(inst, stopped.metric, prev, new, gamma_tilde(stopped)[k - 1]))
     arrays = [resid[k - 1], step[k - 1], gap[k - 1]]
     assert np.all(np.abs(np.subtract(loop, arrays)) <= 1e-12 * (1.0 + np.abs(arrays)))
 

@@ -1,8 +1,9 @@
 """The trajectory CSV contract: what ``load_trajectory_csv`` accepts, and how
 ``gadmm verify`` rejects a corrupt file (exit 1, one ``error:`` line naming
-the file row)."""
+the file row, or the columns a file of another layout has too many)."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gadmm import cli, problems, solver
+from gadmm import certificates, cli, hpe, problems, records, solver
 
 N, P, M = 3, 2, 2
 K = 5
@@ -39,8 +40,8 @@ def with_cell(lines, row, col, value):
 
 
 CORRUPTIONS = {
-    "short-row": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]] + ls[5:], "row 5 has 11 cells"),
-    "long-row": (lambda ls: ls[:4] + [ls[4] + ",0.5"] + ls[5:], "row 5 has 13 cells"),
+    "short-row": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]] + ls[5:], "row 5 has 7 cells"),
+    "long-row": (lambda ls: ls[:4] + [ls[4] + ",0.5"] + ls[5:], "row 5 has 9 cells"),
     "skipped-k": (lambda ls: with_cell(ls, 5, 0, "4"), "not contiguous at row 5"),
     "float-k": (lambda ls: with_cell(ls, 5, 0, "3.0"), "row 5: iteration index '3.0'"),
     "non-numeric-x": (lambda ls: with_cell(ls, 5, 1, "abc"), "row 5 has a non-numeric cell"),
@@ -78,22 +79,57 @@ def test_first_bad_row_is_named(tmp_path, recorded):
     path = tmp_path / "trajectory.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     inst = problems.load_instance(inst_path)
-    with pytest.raises(ValueError, match="row 6 has 13 cells"):
+    with pytest.raises(ValueError, match="row 6 has 9 cells"):
         solver.load_trajectory_csv(path, inst, solver.GadmmParams(beta=1.0))
 
 
-def test_row_0_cells_after_gamma_are_not_read(tmp_path, recorded):
+@pytest.mark.parametrize("value", ["", "junk"], ids=["blank", "junk"])
+def test_row_0_is_read_like_every_row(tmp_path, recorded, value):
+    # row 0 holds every cell, its gamma cells included
+    inst_path, lines = recorded
+    assert lines[0] == "k,x0,x1,x2,y0,y1,gamma0,gamma1"
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(with_cell(lines, 2, N + P + M, value)) + "\n", encoding="utf-8")
+    inst = problems.load_instance(inst_path)
+    with pytest.raises(ValueError, match="row 2 has a non-numeric cell"):
+        solver.load_trajectory_csv(path, inst, solver.GadmmParams(beta=1.0))
+
+
+def test_old_layout_names_its_extra_columns(tmp_path, capsys, recorded):
+    # a file with the gamma_tilde, dxM and kkt_gap columns of earlier
+    # versions, row 0's gamma_tilde and dxM cells blank
+    inst_path, lines = recorded
+    extra = ["gamma_tilde0", "gamma_tilde1", "dxM", "kkt_gap"]
+    old = [",".join([lines[0], *extra]), lines[1] + ",,,,0.5"]
+    old += [line + ",0.25,-0.25,0.125,0.5" for line in lines[2:]]
+    path = tmp_path / "trajectory.csv"
+    path.write_text("".join(line + "\r\n" for line in old), encoding="utf-8")
+    code = cli.main(["verify", "--instance", str(inst_path), "--trajectory", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: trajectory file: unexpected columns gamma_tilde0, gamma_tilde1, dxM, kkt_gap\n"
+    )
+
+
+def test_finite_row_whose_gamma_tilde_overflows_is_named(tmp_path, capsys, recorded):
+    # gamma_tilde_3 = gamma_2 - beta(A x_3 + B y_2 - b) is derived from file
+    # rows 4 and 5: with gamma_2's first cell -1e308 and (A x_3)'s first
+    # entry about 1e308, every cell is finite but gamma_tilde_3 overflows
     inst_path, lines = recorded
     inst, params = problems.load_instance(inst_path), solver.GadmmParams(beta=1.0)
+    lines = with_cell(lines, 4, 1 + N + P, "-1e308")
+    for col in range(1, 1 + N):
+        lines = with_cell(lines, 5, col, repr(math.copysign(1e308, inst.A[0, col - 1])))
     path = tmp_path / "trajectory.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    clean = solver.load_trajectory_csv(path, inst, params)
-    for col in range(1 + N + P + M, len(lines[1].split(","))):
-        lines = with_cell(lines, 2, col, "junk")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    back = solver.load_trajectory_csv(path, inst, params)
-    for name in ("X", "Y", "G", "Gt"):
-        assert np.array_equal(getattr(back, name), getattr(clean, name)), name
+    Z = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
+    assert np.isfinite(Z).all() and not np.isfinite(hpe.gamma_tilde(inst, Z, 1.0)[2]).all()
+    with pytest.raises(ValueError) as info:
+        solver.load_trajectory_csv(path, inst, params)
+    assert str(info.value) == "trajectory file: non-finite iterate value in row 5"
+    code = cli.main(["verify", "--instance", str(inst_path), "--trajectory", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 EXTREME = st.one_of(
@@ -129,17 +165,22 @@ def test_round_trip_is_bit_identical(tmp_path_factory, base_trajectory, data, it
     traj = dataclasses.replace(
         base_trajectory,
         Z=np.hstack([draw(iterations + 1, N), draw(iterations + 1, P), draw(iterations + 1, M)]),
-        Gt=draw(iterations, M),
     )
     path = tmp_path_factory.mktemp("round-trip") / "trajectory.csv"
     solver.save_trajectory_csv(traj, path)
     if newline == "\n":
         path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    # finite cells whose derived gamma_tilde_k overflows are refused, naming
+    # the file row of z_k; every other record reads back bit for bit
+    overflows = ~np.isfinite(hpe.gamma_tilde(traj.instance, traj.Z, traj.params.beta)).all(axis=1)
+    if overflows.any():
+        row = int(np.argmax(overflows)) + 3
+        with pytest.raises(ValueError, match=f"non-finite iterate value in row {row}$"):
+            solver.load_trajectory_csv(path, traj.instance, traj.params)
+        return
     back = solver.load_trajectory_csv(path, traj.instance, traj.params)
-    for name in ("X", "Y", "G", "Gt"):
-        want, got = getattr(traj, name), getattr(back, name)
-        assert got.shape == want.shape, name
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert back.Z.shape == traj.Z.shape
+    assert np.array_equal(back.Z.view(np.int64), traj.Z.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -161,8 +202,7 @@ def test_lines_break_only_at_newlines(tmp_path, char):
     except ValueError as exc:
         assert "row 7" in str(exc)
     else:
-        for name in ("X", "Y", "G", "Gt"):
-            assert np.array_equal(getattr(back, name), getattr(clean, name)), name
+        assert np.array_equal(back.Z, clean.Z)
 
 
 def test_bare_carriage_return_is_not_a_line_break(tmp_path, recorded):
@@ -172,3 +212,20 @@ def test_bare_carriage_return_is_not_a_line_break(tmp_path, recorded):
     inst = problems.load_instance(inst_path)
     with pytest.raises(ValueError, match="unexpected header"):
         solver.load_trajectory_csv(path, inst, solver.GadmmParams(beta=1.0))
+
+
+@pytest.mark.parametrize("kind", ["qp", "lasso"])
+def test_report_of_a_run_read_back_is_byte_identical(tmp_path, kind):
+    # the record is z_0..z_K, which the file holds bit for bit, and the
+    # verifier derives everything else from it
+    if kind == "qp":
+        inst, h = problems.generate_qp(1, 8, 6, 4), solver.ZeroH()
+    else:
+        inst, h = problems.generate_lasso(7, 10, 20, 0.1), solver.LinearizedH()
+    params = solver.GadmmParams(beta=1.0, alpha=1.5, h1=h, h2=h, max_iter=200, stop_tol=0.0)
+    traj = solver.run(inst, params)
+    path = tmp_path / "trajectory.csv"
+    solver.save_trajectory_csv(traj, path)
+    back = solver.load_trajectory_csv(path, inst, params)
+    reports = [certificates.full_verification(t, inst.solution).to_dict() for t in (traj, back)]
+    assert records.json_text(reports[0]) == records.json_text(reports[1])

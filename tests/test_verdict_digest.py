@@ -1,7 +1,9 @@
 """``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
 digest matches itself, a flipped verdict or a changed output file is
 reported, and so is how far the last row's iterate cells and the summary's
-final values moved; a changed verify.json is a note."""
+final values moved; a changed verify.json is a note.  The iterate cells are
+picked by header name, so a digest of the layout with gamma_tilde cells
+compares with one of the current layout."""
 
 import copy
 import os
@@ -27,8 +29,10 @@ def test_digest_records_each_command_mode(lasso_digest):
     assert entry["run"] == 0 and entry["iterations"] == 2000
     assert sorted(entry["sha256"]) == ["summary.json", "trajectory.csv", "verify.json"]
     assert all(len(h) == 64 for h in entry["sha256"].values())
-    # x, y, gamma and gamma_tilde of the lasso's 10/10/10 split at k = 2000
-    assert len(entry["last_row"]) == 40 and None not in entry["last_row"]
+    # x, y and gamma of the lasso's 10/10/10 split at k = 2000, by name
+    names = [f"{block}{i}" for block in ("x", "y", "gamma") for i in range(10)]
+    assert list(entry["last_row"]) == names
+    assert all(isinstance(v, float) for v in entry["last_row"].values())
     # final_step_metric and final_kkt_gap, finite after 2000 steps
     assert len(entry["final"]) == 2 and all(v >= 0.0 for v in entry["final"])
     assert "verify_full" not in entry and entry["verify"]["exit"] == 0
@@ -71,7 +75,7 @@ def test_changed_report_is_a_note(script, lasso_digest):
 def test_moved_last_row_is_a_note(script, lasso_digest):
     moved = copy.deepcopy(lasso_digest)
     row = moved["lasso-replay/0"]["last_row"]
-    row[3] += 1e-12 * (1.0 + abs(row[3]))
+    row["x3"] += 1e-12 * (1.0 + abs(row["x3"]))
     diffs, notes = script["compare"](moved, lasso_digest)
     assert diffs == []
     assert notes[1] == "largest relative last-row iterate difference: 1e-12 (lasso-replay/0)"
@@ -87,3 +91,36 @@ def test_moved_final_value_is_a_note(script, lasso_digest):
     assert notes[2] == "largest relative summary final-value difference: 1e-13 (lasso-replay/0)"
     assert notes[3] == "lasso-replay/0: summary final values differ by 1e-13"
 
+
+
+def old_layout(digest, shift=0.0):
+    """``digest`` as an earlier version of the script wrote it: each last row
+    a list of its x, y and gamma cells, the first one moved by ``shift``,
+    then its gamma_tilde cells."""
+    old = copy.deepcopy(digest)
+    for entry in old.values():
+        cells = list(entry["last_row"].values())
+        cells[0] += shift
+        entry["last_row"] = cells + [0.5] * 10
+    return old
+
+
+def test_old_layout_digest_compares_on_the_iterate_cells(script, lasso_digest):
+    diffs, notes = script["compare"](lasso_digest, old_layout(lasso_digest))
+    assert diffs == []
+    assert notes[1] == "largest relative last-row iterate difference: 0 (-)"
+    x0 = lasso_digest["lasso-replay/0"]["last_row"]["x0"]
+    diffs, notes = script["compare"](lasso_digest, old_layout(lasso_digest, 1e-9 * (1.0 + abs(x0))))
+    assert diffs == []
+    assert notes[3] == "lasso-replay/0: last-row iterate cells differ by 1e-09"
+
+
+def test_old_layout_csv_gives_the_same_cells(script, tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    new.write_text("k,x0,y0,gamma0\r\n0,0.0,0.0,0.0\r\n1,0.25,-1.5,2.0\r\n")
+    old.write_text(
+        "k,x0,y0,gamma0,gamma_tilde0,dxM,kkt_gap\r\n"
+        "0,0.0,0.0,0.0,,,3.0\r\n1,0.25,-1.5,2.0,1.75,0.5,0.125\r\n"
+    )
+    cells = {"x0": 0.25, "y0": -1.5, "gamma0": 2.0}
+    assert script["_last_row"](str(new)) == script["_last_row"](str(old)) == cells
