@@ -13,13 +13,12 @@ optional first-order-optimal reference point (x*, y*, gamma*) solving
 
 Generators produce instances whose reference point is computed by an
 independent route (a direct saddle-system solve for quadratic blocks, the
-exact solution path for the consensus l1 split, with a proximal-gradient
-fixed point as its fallback), never by the ADMM engine itself.
+exact solution path for the consensus l1 split, tied and collinear columns
+included), never by the ADMM engine itself.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -37,10 +36,9 @@ SOLUTION_GAP_TOL = 1e-6
 # Full-row-rank requirement on [A B] for generated instances: smallest
 # eigenvalue of [A B][A B]' must exceed this within _RANK_TRIES draws.
 _ROW_RANK_TOL, _RANK_TRIES = 1e-6, 50
-# The exact path has at most _PATH_MAX_KINKS kinks per variable.  Its
-# proximal-gradient fallback stops at a move of at most _ISTA_TOL, or after
-# _ISTA_MAX_ITER steps.
-_ISTA_TOL, _ISTA_MAX_ITER, _PATH_MAX_KINKS = 1e-10, 1000, 10
+# The lasso path has at most _PATH_MAX_KINKS kinks per variable, and takes
+# every join and leave within _PATH_TIE_TOL * lam of the next at once.
+_PATH_MAX_KINKS, _PATH_TIE_TOL = 10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -244,52 +242,41 @@ def _kkt_linear_solve(inst, pf, qf, pg, qg) -> KktPoint:
     return KktPoint(z[:n], z[n : n + p], z[n + p :])
 
 
-def ista_reference(P, q, mu) -> np.ndarray:
-    """Minimizer of (1/2)x'Px + q'x + mu||x||_1: the proximal-gradient
-    iterate, step 1/L (L the largest eigenvalue of P), once it moves by at
-    most ``_ISTA_TOL``, or else after ``_ISTA_MAX_ITER`` steps."""
-    P = linalg.as_matrix(P, name="P")
-    q = linalg.as_vector(q, dim=P.shape[0], name="q")
-    lip = math.sqrt(linalg.spectral_norm_sq(P))
-    t = 1.0 / lip if lip > 0 else 1.0
-    x = np.zeros(q.shape[0])
-    for _ in range(_ISTA_MAX_ITER):
-        xn = oracles.soft_threshold(x - t * (P @ x + q), t * mu)
-        if float(np.linalg.norm(xn - x)) <= _ISTA_TOL:
-            break
-        x = xn
-    return xn
-
-
 def lasso_path(P, q, mu) -> np.ndarray:
-    """Minimizer of (1/2)x'Px + q'x + mu||x||_1, followed along the path of
-    minimizers from lam = max|q|, where it is 0, down to lam = mu (Osborne,
-    Presnell and Turlach, 2000).  On the path g = Px + q is -lam sign(x) on
-    the support of x and at most lam in size off it, so x is linear in lam
-    until an entry of the support reaches 0 and leaves it, or an entry off
-    it reaches |g| = lam and joins it."""
+    """A minimizer of (1/2)x'Px + q'x + mu||x||_1, followed along the path
+    of minimizers from lam = max|q|, where 0 is one, down to lam = mu
+    (Efron, Hastie, Johnstone and Tibshirani, 2004).  On the path the
+    gradient Px + q is -lam s on the active set, s the signs each entry took
+    on joining it, and at most lam in size off it.  Between kinks the active
+    entries solve that equation by least squares, the minimum-norm solution
+    where tied or collinear columns make the block singular, and move
+    linearly in lam until one reaches 0 and leaves or an inactive |Px + q|
+    reaches lam and joins; every event within _PATH_TIE_TOL * lam of the
+    first happens at once.  Px + q is unique along the path even where x is
+    not (Tibshirani, 2013).  A path with more than _PATH_MAX_KINKS kinks a
+    variable, as where the objective is unbounded below, raises
+    :class:`IterationLimitError`."""
     n = q.shape[0]
-    x, lam = np.zeros(n), float(np.max(np.abs(q), initial=0.0))
-    active = np.abs(q) == lam
+    lam = float(np.max(np.abs(q), initial=0.0))
+    s = np.where(np.abs(q) == lam, -np.sign(q), 0.0)
     for _ in range(_PATH_MAX_KINKS * n):
+        on = s != 0
+        rhs = np.stack([-q[on] - lam * s[on], s[on]], axis=1)
+        x, d = np.zeros((2, n))  # x and dx/d(-lam)
+        x[on], d[on] = np.linalg.lstsq(P[np.ix_(on, on)], rhs, rcond=None)[0].T
         if lam <= mu:
             return x
-        g = P @ x + q
-        d = np.zeros(n)  # dx/d(-lam)
-        d[active] = np.linalg.solve(P[np.ix_(active, active)], -np.sign(g[active]))
-        a = P @ d  # dg/d(-lam)
+        g, a = P @ x + q, P @ d  # and dg/d(-lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             up = np.where(a > -1, (lam - g) / (1 + a), np.inf)  # g + t a reaches lam - t
             down = np.where(a < 1, (lam + g) / (1 - a), np.inf)  # or -(lam - t)
-            join, leave = np.minimum(up, down), np.where(d * x < 0, -x / d, np.inf)
-        join[active], leave[~active] = np.inf, np.inf
-        j, i = int(np.argmin(join)), int(np.argmin(leave))
-        step = min(join[j], leave[i], lam - mu)
-        x, lam = x + step * d, lam - step
-        if step == leave[i]:
-            x[i], active[i] = 0.0, False
-        elif step == join[j]:
-            active[j] = True
+            t = np.where(on, np.where(d * s < 0, -x / d, np.inf), np.minimum(up, down))
+        t = np.maximum(t, 0.0)  # an event that rounding puts behind lam happens now
+        step = min(float(np.min(t)), lam - mu)
+        lam -= step
+        hit = t <= step + _PATH_TIE_TOL * lam
+        # a leaving entry drops its sign, a joining one takes -sign(Px + q)
+        s[hit] = np.where(on, 0.0, np.where(up <= down, -1.0, 1.0))[hit]
     raise IterationLimitError("lasso solution path did not reach mu")
 
 
@@ -304,22 +291,16 @@ def solve_ground_truth(inst: SeparableInstance) -> KktPoint:
     """Reference first-order point for quadratic or consensus-l1 instances.
 
     Quadratic blocks go through a direct solve of the saddle system.  The
-    consensus l1 split goes through :func:`lasso_path`, and through
-    :func:`ista_reference` only where the path raises (a singular active
-    block, as for duplicate columns) or its point fails the optimality
-    check; the multiplier is the smooth block's gradient.
+    consensus l1 split goes through :func:`lasso_path`, whatever the rank
+    of P and however its columns tie; the multiplier is the smooth block's gradient, which is unique
+    even where the minimizer is not.
     """
     parts_f = quadratic_parts(inst.f, inst.n)
     parts_g = quadratic_parts(inst.g, inst.p)
     if parts_f is not None and parts_g is not None:
         point = _kkt_linear_solve(inst, *parts_f, *parts_g)
     elif _is_consensus_l1(inst):
-        P, q, mu = inst.f.P, inst.f.q, inst.g.mu
-        point = None
-        with contextlib.suppress(np.linalg.LinAlgError, IterationLimitError):
-            point = _consensus_point(inst, lasso_path(P, q, mu))
-        if point is None or not kkt_gap(inst, point) <= SOLUTION_GAP_TOL:
-            point = _consensus_point(inst, ista_reference(P, q, mu))
+        point = _consensus_point(inst, lasso_path(inst.f.P, inst.f.q, inst.g.mu))
     else:
         raise ConfigError(
             "ground truth is available only for quadratic blocks or a consensus l1 split"

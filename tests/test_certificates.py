@@ -286,6 +286,30 @@ class TestErgodicCertificate:
             assert np.all(eps_x >= -1e-7 * (1.0 + np.abs(eps_x)))
             assert np.all(eps_y >= -1e-7 * (1.0 + np.abs(eps_y)))
 
+    @pytest.mark.parametrize("alpha, ct", [(1.0, 40.5), (2.0, 12.0)])
+    def test_eps_bound_rhs_is_ct_d0_over_k(self, alpha, ct):
+        inst = problems.generate_qp(1, 3, 2, 2)
+        rep = Replay(run_full(inst, alpha=alpha, iters=100), inst.solution)
+        row = ergodic_rows(rep)["ergodic_eps_bound"]
+        assert rep.d0 > 0
+        for k in (1, 2, 7, 30, 100):
+            assert row.rhs[k - 1] == pytest.approx(ct * rep.d0 / k, rel=1e-14)
+
+    def test_eps_decaying_like_one_over_sqrt_k_fails(self, one_d_instance):
+        # replace the x block of an honest record by a_i = (-1)^i c i^(-1/4)
+        # and its subgradient by a_i, so eps_x(k) = mean(a^2) - mean(a)^2 is
+        # about 2c^2/sqrt(k); eps_y = 0.  c^2 = ct d0 / sqrt(K) keeps k = 1
+        # inside the O(1/k) bound and crosses it near k = K/4
+        K = 400
+        rep = Replay(run_full(one_d_instance, alpha=1.0, iters=K), one_d_instance.solution)
+        i = np.arange(1, K + 1)
+        a = (-1.0) ** i * math.sqrt(40.5 * rep.d0 / math.sqrt(K)) * i**-0.25
+        rep.Ztil[:, 0], rep.Vf[:, 0], rep.Vg[:, 0] = a, a, 0.0
+        row = ergodic_rows(rep)["ergodic_eps_bound"]
+        assert rate_estimate(zip(i[1:], row.lhs[1:])) == pytest.approx(-0.5, abs=0.05)
+        assert not row.passed
+        assert 1 < row.first_k < K
+
     def test_every_k(self):
         inst = problems.generate_qp(6, 4, 3, 2)
         traj = run_full(inst, alpha=1.0, beta=1.0, iters=40)

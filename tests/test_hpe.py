@@ -268,6 +268,19 @@ class TestRho:
         assert f"bound={36.0 * d0:.6g}" == row.note
         assert row.passed
 
+    @pytest.mark.parametrize("alpha, factor", [(0.5, None), (1.0, 36.0), (1.5, None), (2.0, 5.0)])
+    def test_bound_closed_form(self, alpha, factor):
+        # 4(1+2alpha)[alpha + 4(2-alpha)sigma] d0 / alpha^3, sigma = 1/(1 + alpha(2-alpha))
+        sigma = 1.0 / (1.0 + alpha * (2.0 - alpha))
+        closed = 4.0 * (1.0 + 2.0 * alpha) * (alpha + 4.0 * (2.0 - alpha) * sigma) / alpha**3
+        if factor is not None:
+            assert closed == pytest.approx(factor, rel=1e-15)
+        inst = problems.generate_qp(1, 3, 2, 2)
+        rep = hpe.Replay(run_full(inst, alpha=alpha, iters=20), inst.solution)
+        row = hpe.check_rho_bound(rep)
+        assert rep.d0 > 0
+        assert np.allclose(row.rhs, closed * rep.d0, rtol=1e-14, atol=0.0)
+
     def test_bound_holds_alpha_grid(self):
         inst = problems.generate_qp(1, 5, 4, 3)
         for alpha in (0.5, 1.0, 1.5, 2.0):

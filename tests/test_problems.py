@@ -168,11 +168,11 @@ class TestSolveGroundTruth:
         assert np.allclose(sol.x, np.linalg.solve(A, b), atol=1e-10)
         assert np.allclose(sol.gamma, 0.0, atol=1e-10)
 
-    def test_duplicate_columns_fall_back_to_proximal_gradient(self, monkeypatch):
+    def test_duplicate_columns_come_from_the_path(self, monkeypatch):
         # f = (1/2)(x1 + x2)^2 - x1 - x2: the path's first active block is
         # P itself, which is singular
-        calls, real = [], problems.ista_reference
-        monkeypatch.setattr(problems, "ista_reference", lambda *a: calls.append(a) or real(*a))
+        calls, real = [], problems.lasso_path
+        monkeypatch.setattr(problems, "lasso_path", lambda *a: calls.append(a) or real(*a))
         inst = SeparableInstance(
             oracles.Quadratic(np.ones((2, 2)), [-1.0, -1.0]),
             oracles.L1(0.1),
@@ -184,6 +184,32 @@ class TestSolveGroundTruth:
         assert len(calls) == 1
         assert problems.kkt_gap(inst, sol) <= problems.SOLUTION_GAP_TOL
         assert sol.x.sum() == pytest.approx(0.9)
+
+    def test_every_collinear_column_lasso_gets_a_reference(self):
+        # consensus lassos with one column a multiple of another (by 1, -1
+        # or a random factor), exactly or to within a relative 1e-9, at mu
+        # down to 1e-6: tied joins, singular active blocks, and a twin
+        # leaving while the other stays
+        rng = np.random.default_rng(0)
+        gaps = []
+        for _ in range(1000):
+            m, n = int(rng.integers(2, 8)), int(rng.integers(2, 6))
+            C, d = rng.standard_normal((m, n)), rng.standard_normal(m)
+            i, j = rng.choice(n, 2, replace=False)
+            eps = rng.choice([0.0, 1e-17, 1e-15, 1e-9])
+            u = rng.uniform(-2, 2)
+            mult = rng.choice([1.0, -1.0, u])
+            mu = 10.0 ** rng.uniform(-6, 0)
+            C[:, j] = mult * C[:, i] * (1 + eps)
+            inst = SeparableInstance(
+                oracles.Quadratic(C.T @ C, -C.T @ d, 0.5 * float(d @ d)),
+                oracles.L1(mu),
+                np.eye(n),
+                -np.eye(n),
+                np.zeros(n),
+            )
+            gaps.append(problems.kkt_gap(inst, problems.solve_ground_truth(inst)))
+        assert max(gaps) <= 1e-10
 
     def test_unsupported_structure(self):
         inst = SeparableInstance(
@@ -436,14 +462,26 @@ def test_generated_suite_satisfies_reference_gap():
 
 class TestLassoPath:
     """:func:`problems.lasso_path` solves l1-regularized least squares with
-    a singular P exactly, where proximal gradient settles too slowly."""
+    a singular P exactly, tied and collinear columns included."""
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_minimizer_meets_the_optimality_conditions(self, seed):
+    @pytest.mark.parametrize(
+        "seed, twin",
+        [pytest.param(seed, None, id=str(seed)) for seed in range(30)]
+        + [
+            pytest.param(seed, twin, id=f"{seed}-twin{twin[0]:+g}-eps{twin[1]:g}")
+            for seed in range(10)
+            for twin in ((1.0, 0.0), (-1.0, 0.0), (1.0, 1e-15), (-1.0, 1e-9))
+        ],
+    )
+    def test_minimizer_meets_the_optimality_conditions(self, seed, twin):
+        # twin = (mult, eps) sets column 1 to mult * column 0 * (1 + eps)
         rng = np.random.default_rng(seed)
         n, m_data = int(rng.integers(2, 7)), int(rng.integers(1, 4))
         C, d = rng.standard_normal((m_data, n)), rng.standard_normal(m_data)
-        P, q, mu = C.T @ C, -C.T @ d, 10.0 ** rng.uniform(-10, 0)
+        mu = 10.0 ** rng.uniform(-10, 0)
+        if twin is not None:
+            C[:, 1] = twin[0] * C[:, 0] * (1 + twin[1])
+        P, q = C.T @ C, -C.T @ d
         x = problems.lasso_path(P, q, mu)
         g, on = P @ x + q, x != 0
         assert np.allclose(g[on], -mu * np.sign(x[on]), rtol=0, atol=1e-12)
@@ -457,7 +495,6 @@ class TestLassoPath:
         # proximal gradient is still moving after a million steps
         calls, real = [], problems.lasso_path
         monkeypatch.setattr(problems, "lasso_path", lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(problems, "ista_reference", None)  # not called
         inst = problems.generate_lasso(8575, 3, 1, 1e-5)
         assert len(calls) == 1
         assert problems.kkt_gap(inst, inst.solution) <= 1e-12

@@ -467,6 +467,51 @@ class TestRun:
         assert counts[0] == counts[1]
 
 
+def scaled(F, s):
+    """F with its linear data times s and its constant times s^2."""
+    if isinstance(F, oracles.Quadratic):
+        return oracles.Quadratic(F.P, s * F.q, s * s * F.c)
+    if isinstance(F, oracles.L1):
+        return oracles.L1(s * F.mu)
+    return F
+
+
+class TestDataScaleEquivariance:
+    """Scaling q, b and mu by s = 2^j and c by s^2 scales every iterate by
+    exactly s: each stage of the engine is linear in these data, and a
+    power of two multiplies without rounding."""
+
+    def instances(self):
+        lasso_h = (LinearizedH(), LinearizedH())
+        # the zero-block instance of test_cli.py's data-scale-1e3 test
+        zero_block = problems.SeparableInstance(
+            oracles.Zero(),
+            oracles.Quadratic(np.eye(2), [1000.0, -2000.0]),
+            [[1.0], [1.0]],
+            np.eye(2),
+            [3000.0, 1000.0],
+        )
+        return [
+            (problems.generate_qp(1, 8, 6, 4), (None, None)),
+            (problems.generate_qp(2, 8, 6, 4), (None, None)),
+            (problems.generate_lasso(7, 10, 20, 0.1), lasso_h),
+            (problems.generate_lasso(3, 10, 20, 0.1), lasso_h),
+            (zero_block, (None, None)),
+        ]
+
+    def test_run_scales_bit_for_bit(self):
+        for case, (inst, (h1, h2)) in enumerate(self.instances()):
+            for alpha in (0.5, 1.5, 2.0):
+                base = run_full(inst, alpha=alpha, iters=300, h1=h1, h2=h2).Z
+                for j in range(-60, 61, 10):
+                    s = 2.0**j
+                    inst_s = problems.SeparableInstance(
+                        scaled(inst.f, s), scaled(inst.g, s), inst.A, inst.B, s * inst.b
+                    )
+                    Z = run_full(inst_s, alpha=alpha, iters=300, h1=h1, h2=h2).Z
+                    assert np.array_equal(Z, s * base), (case, alpha, j)
+
+
 def rowwise_trajectory_csv(traj, path):
     """The trajectory CSV written one ``csv.writer`` row at a time, k and
     the cells of z_k: the reference for the bytes of
