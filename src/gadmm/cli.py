@@ -98,10 +98,10 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _run_summary(traj, step, gap) -> dict:
-    """The summary of a run whose :func:`solver.diagnostics` are ``step``
-    and ``gap``: their last entries, null where not finite."""
-    final_gap, final_step = (float(v) if math.isfinite(v) else None for v in (gap[-1], step[-1]))
+def _run_summary(traj) -> dict:
+    """The summary of a run: its final values are the step and gap of the
+    trajectory's ``final_terms``, null where not finite."""
+    final_step, final_gap = (v if math.isfinite(v) else None for v in traj.final_terms[1:])
     return {
         "iterations": traj.iterations,
         "final_kkt_gap": final_gap,
@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
     traj = solver.run(inst, params)
     os.makedirs(args.out, exist_ok=True)
     solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    summary = _run_summary(traj, *solver.diagnostics(traj))
+    summary = _run_summary(traj)
     records.write_json(os.path.join(args.out, "summary.json"), summary)
     print(f"ran {traj.iterations} iterations; outputs in {args.out}")
     return EXIT_OK
@@ -193,7 +193,7 @@ def _cmd_bench(args) -> int:
         params = _params(args, inst, alpha=alpha)
         traj = solver.run(inst, params)
         report = certificates.full_verification(traj, inst.solution)
-        summary = _run_summary(traj, *solver.diagnostics(traj))
+        summary = _run_summary(traj)
         failure = report.earliest_failure
         bounds = {r.name: r for r in report.rows}
         rows.append(

@@ -271,9 +271,9 @@ class Replay:
 
     Built once per verification: it checks z* unless it is the instance's
     stored solution (checked when the instance was built), takes M from the
-    trajectory, refuses a d0 that overflows (:class:`ConfigError`), and
-    evaluates as arrays over k = 1..K (row k-1) the multipliers
-    gamma_tilde_k (:func:`gamma_tilde`), the steps, the budgets
+    trajectory, refuses a d0 that overflows (:class:`ConfigError`), reads
+    the trajectory's gamma_tilde_k (``Gt``, from :func:`gamma_tilde`), and
+    evaluates as arrays over k = 1..K (row k-1) the steps, the budgets
     eta_0..eta_K, the extragradient gaps, M dz_k and the step norms, the
     inclusion's block rows read off M dz_k (the subgradient rows of both
     subproblems and the constraint-identity residual rows), the inclusion
@@ -297,7 +297,7 @@ class Replay:
         self.ks = np.arange(1, self.K + 1)
         n, p = inst.n, inst.p
         self.Z, self.X, self.Y = traj.Z, traj.X, traj.Y
-        self.Gt = gamma_tilde(inst, self.Z, self.beta)
+        self.Gt = traj.Gt
         DZ = np.diff(self.Z, axis=0)
         self.DX, self.DY, self.DG = DZ[:, :n], DZ[:, n : n + p], DZ[:, n + p :]
         self.Ztil = np.hstack([self.Z[1:, : n + p], self.Gt])

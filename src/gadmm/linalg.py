@@ -10,7 +10,6 @@ operations are pure functions and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,26 +100,6 @@ def is_psd(Q, floor=None) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class PsdOperator:
-    """A validated symmetric positive semidefinite matrix."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, mat, name="operator") -> "PsdOperator":
-        mat = as_matrix(mat, name=name)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"{name} must be square, got shape {mat.shape}")
-        if not is_psd(mat):
-            if not is_symmetric(mat):
-                raise NotPositiveDefiniteError(f"{name} is not symmetric")
-            raise NotPositiveDefiniteError(f"{name} is not positive semidefinite")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        return cls(mat)
 
 
 def seminorm_sq(Q, v):

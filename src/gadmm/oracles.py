@@ -1,21 +1,21 @@
 """Convex block functions and their oracles.
 
-Each supported function exposes the four oracles the solver and the
-certificate checks rely on: value, proximal map, convex conjugate, and
-the conjugate gap
+Each supported function has a value, a proximal map and a convex
+conjugate, and :func:`fenchel_gap` gives its conjugate gap
 
     gap(u, x) = F(x) + F*(u) - <u, x>,
 
-which is the least epsilon such that u is an epsilon-subgradient of F
-at x (gap <= eps  iff  F(v) >= F(x) + <u, v - x> - eps for all v).
+the least epsilon such that u is an epsilon-subgradient of F at x
+(gap <= eps  iff  F(v) >= F(x) + <u, v - x> - eps for all v).  The package
+reads only the l1 prox map (the solver), the gap (the certificate checks)
+and a quadratic's gradient (the lasso reference); the other oracles are
+references for the tests.
 
-Three variants -- quadratics, scaled l1 norms, and the zero function --
-cover the supported problem classes with closed-form conjugates, so the
-epsilon-subgradient membership checks are exact up to rounding.  Each
-variant's gap has one closed form, clamped at zero, that never raises: a
-quadratic's is (1/2) r'P^+r with r = Px + q - u (+inf where u - q leaves
-the range of P), and that of l1 and zero is F(x) - <u, x> where F*(u) = 0
-(+inf elsewhere).
+Three variants -- quadratics, scaled l1 norms and the zero function --
+have closed-form conjugates, and each gap has one closed form, clamped at
+zero, that never raises: a quadratic's is (1/2) r'P^+r with r = Px + q - u
+(+inf where u - q leaves the range of P), and that of l1 and zero is
+F(x) - <u, x> where F*(u) = 0 (+inf elsewhere).
 
 ``value``, ``conjugate`` and :func:`fenchel_gap` take one vector or a
 stack of row vectors; a stack gives one result per row, from matrix

@@ -253,19 +253,27 @@ def lasso_path(P, q, mu) -> np.ndarray:
     linearly in lam until one reaches 0 and leaves or an inactive |Px + q|
     reaches lam and joins; every event within _PATH_TIE_TOL * lam of the
     first happens at once.  Px + q is unique along the path even where x is
-    not (Tibshirani, 2013).  A path with more than _PATH_MAX_KINKS kinks a
-    variable, as where the objective is unbounded below, raises
-    :class:`IterationLimitError`."""
+    not (Tibshirani, 2013).  The part v of s in the active block's null space
+    has Pv = 0, and a slope q'v + mu||v||_1 below -_PATH_TIE_TOL * (max|q| +
+    mu) an entry means no minimizer at mu (:class:`ConfigError`).  A path
+    with over _PATH_MAX_KINKS kinks a variable raises :class:`IterationLimitError`."""
     n = q.shape[0]
     lam = float(np.max(np.abs(q), initial=0.0))
     s = np.where(np.abs(q) == lam, -np.sign(q), 0.0)
     for _ in range(_PATH_MAX_KINKS * n):
         on = s != 0
-        rhs = np.stack([-q[on] - lam * s[on], s[on]], axis=1)
+        block, rhs = P[np.ix_(on, on)], np.stack([-q[on] - lam * s[on], s[on]], axis=1)
         x, d = np.zeros((2, n))  # x and dx/d(-lam)
-        x[on], d[on] = np.linalg.lstsq(P[np.ix_(on, on)], rhs, rcond=None)[0].T
+        sol, _, rank, _ = np.linalg.lstsq(block, rhs, rcond=None)
+        x[on], d[on] = sol.T
         if lam <= mu:
             return x
+        if rank < block.shape[0]:  # v, in the null space lstsq cut off
+            null = np.linalg.svd(block)[0][:, rank:]
+            v = null @ (null.T @ s[on])
+            if q[on] @ v + mu * np.abs(v).sum() < -_PATH_TIE_TOL * (np.abs(q).max() + mu) * v.size:
+                raise ConfigError(f"the lasso has no minimizer at mu={mu!r}: its objective "
+                                  "falls without bound along a null direction of P")
         g, a = P @ x + q, P @ d  # and dg/d(-lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             up = np.where(a > -1, (lam - g) / (1 + a), np.inf)  # g + t a reaches lam - t

@@ -11,14 +11,12 @@ first the x-block (f, A, H1) with s = B y_{k-1} - b, then the y-block
 (g, B, H2) with s = alpha(A x_k + B y_{k-1} - b) - B y_{k-1}: alpha enters
 only through the y-block's shift.  Then
 
-    gamma_k = gamma_{k-1} - beta[alpha(A x_k + B y_{k-1} - b) + B(y_k - y_{k-1})]
+    gamma_k = gamma_{k-1} - beta[alpha(A x_k + B y_{k-1} - b) + B(y_k - y_{k-1})].
 
-together with the intermediate multiplier
-
-    gamma_tilde_k = gamma_{k-1} - beta(A x_k + B y_{k-1} - b),
-
-the point at which both subproblems' optimality inclusions hold.  With
-alpha = 1 and H1 = H2 = 0 this is the standard two-block ADMM.
+The multiplier gamma_tilde_k = gamma_{k-1} - beta(A x_k + B y_{k-1} - b),
+at which both subproblems' optimality inclusions hold, is a function of
+rows k-1 and k (:func:`hpe.gamma_tilde`), not an output of the engine.
+With alpha = 1 and H1 = H2 = 0 this is the standard two-block ADMM.
 
 A quadratic or zero F with a zero or explicit H is solved directly, from
 the factored matrix P + beta*Op'Op + H.  The linearized mode picks
@@ -45,7 +43,7 @@ Both shifts are affine in the vectors the loop carries, so one iteration
 is two affine stages, each one matrix product, plus the prox:
 
     x_k = phi_x( T1 [x_{k-1}; B y_{k-1}; gamma_{k-1}; 1] ),
-    [v_y; gbar_k; gamma_tilde_k] = T2 [y_{k-1}; A x_k; B y_{k-1}; gamma_{k-1}; 1],
+    [v_y; gbar_k] = T2 [y_{k-1}; A x_k; B y_{k-1}; gamma_{k-1}; 1],
     y_k = phi_y(v_y),   gamma_k = gbar_k - beta B y_k,
 
 where gbar_k = gamma_{k-1} - beta*s is the y-block's argument of Gg, and
@@ -56,6 +54,7 @@ iterates equal the subproblems' minimizers up to rounding.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -86,11 +85,14 @@ class ExplicitH:
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:
-            op = linalg.PsdOperator.from_matrix(self.matrix, name="H")
-        except NotPositiveDefiniteError as exc:
-            raise ValueError(str(exc)) from exc
-        object.__setattr__(self, "matrix", op.matrix)
+        mat = linalg.as_matrix(self.matrix, name="H").copy()
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"H must be square, got shape {mat.shape}")
+        if not linalg.is_psd(mat):
+            kind = "positive semidefinite" if linalg.is_symmetric(mat) else "symmetric"
+            raise ValueError(f"H is not {kind}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,10 @@ class Trajectory:
     """A recorded run: the instance, the configuration, the resolved
     proximal weights, and the iterates stored once, as rows.
 
-    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K; ``X``,
-    ``Y``, ``G`` are views of Z's column blocks.  Steps and the multipliers
-    gamma_tilde_k are functions of the rows (:func:`hpe.gamma_tilde`) and
-    are not stored.  ``stopped_early`` says whether the stopping rule of
-    :func:`run` fired, as its loop evaluated the rule at the last step;
-    None for a trajectory read from a file.  The proximal metric M is built
-    on first use and kept.
+    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K, and Z is
+    made read-only; ``X``, ``Y``, ``G`` are views of Z's column blocks.
+    Steps are row differences.  The multipliers gamma_tilde_k (``Gt``), the
+    proximal metric M and ``final_terms`` are derived on first use and kept.
     """
 
     instance: problems.SeparableInstance
@@ -160,8 +159,10 @@ class Trajectory:
     h1: np.ndarray
     h2: np.ndarray
     Z: np.ndarray
-    stopped_early: Optional[bool] = None
     _metric: Optional[hpe.ProximalMetric] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.Z.setflags(write=False)  # what is derived from it is kept
 
     @property
     def X(self) -> np.ndarray:
@@ -186,6 +187,32 @@ class Trajectory:
                 self.instance, self.h1, self.h2, self.params.beta, self.params.alpha
             )
         return self._metric
+
+    @functools.cached_property
+    def Gt(self) -> np.ndarray:
+        """gamma_tilde_k for k = 1..K (row k-1), :func:`hpe.gamma_tilde` of Z, read-only."""
+        Gt = hpe.gamma_tilde(self.instance, self.Z, self.params.beta)
+        Gt.setflags(write=False)
+        return Gt
+
+    @functools.cached_property
+    def final_terms(self) -> tuple:
+        """The three terms of :func:`stop_terms` at k = K; at K = 0, NaN and
+        NaN, then the gap :func:`problems.kkt_gaps` at z_0."""
+        inst, (n, p) = self.instance, (self.instance.n, self.instance.n + self.instance.p)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge finite iterates: inf
+            if self.iterations == 0:
+                return math.nan, math.nan, float(problems.kkt_gaps(inst, *np.split(self.Z[0], [n, p])))
+            prev, new = (np.split(z, [n, p]) for z in self.Z[-2:])
+            return tuple(stop_terms(inst, self.metric, self.params.beta, prev, new))
+
+    @property
+    def stopped_early(self) -> bool:
+        """Whether every term of the stopping rule at ``params.stop_tol``
+        holds at the last step (``final_terms``): for a run, whether the
+        rule fired; False at stop_tol = 0 and at K = 0."""
+        tol = self.params.stop_tol
+        return tol > 0 and all(t <= tol for t in self.final_terms)
 
 
 def _resolve_h(mode: HMode, op: np.ndarray, beta: float, dim: int, name: str):
@@ -288,17 +315,16 @@ class _Engine:
         with np.errstate(over="ignore", invalid="ignore"):
             # columns: x_{k-1} (if Gu1), B y_{k-1}, gamma_{k-1}, 1
             T1 = np.hstack([Gu1] * self._x_in + [-beta * Gg1, Gg1, g01[:, None] + beta * (Gg1 @ b)])
-            # rows: v_y, gbar_k, gamma_tilde_k; columns: y_{k-1} (if Gu2),
-            # A x_k, B y_{k-1}, gamma_{k-1}, 1
+            # rows: v_y, gbar_k; columns: y_{k-1} (if Gu2), A x_k,
+            # B y_{k-1}, gamma_{k-1}, 1
             T2 = np.block(
                 [
                     [-ba * Gg2, bc * Gg2, Gg2, g02[:, None] + Gg2 @ (ba * b)],
                     [-ba * eye, bc * eye, eye, ba * b],
-                    [-beta * eye, -beta * eye, eye, beta * b],
                 ]
             )
             if self._y_in:
-                T2 = np.hstack([np.vstack([Gu2, np.zeros((2 * inst.m, inst.p))]), T2])
+                T2 = np.hstack([np.vstack([Gu2, np.zeros((inst.m, inst.p))]), T2])
         if not np.isfinite(T1).all():
             raise ConfigError(f"x-block stage map overflows at beta={beta!r}")
         if not np.isfinite(T2).all():
@@ -312,42 +338,43 @@ class _Engine:
         return v if self._phi_x is None else self._phi_x(v)
 
     def y_stage(self, y_prev, Ax, By_prev, gamma_prev):
-        """(y_k, gamma_k, gamma_tilde_k, B y_k) from y_{k-1}, A x_k,
-        B y_{k-1} and gamma_{k-1}."""
-        p, m = self.inst.p, self.inst.m
+        """(y_k, gamma_k, B y_k) from y_{k-1}, A x_k, B y_{k-1} and gamma_{k-1}."""
+        p = self.inst.p
         head = (y_prev,) if self._y_in else ()
         out = np.dot(self._T2, np.concatenate(head + (Ax, By_prev, gamma_prev, _ONE)))
         y = out[:p] if self._phi_y is None else self._phi_y(out[:p])
         By = np.dot(self.inst.B, y)
-        return y, out[p : p + m] - self.params.beta * By, out[p + m :], By
+        return y, out[p:] - self.params.beta * By, By
 
     def step(self, x_prev, y_prev, gamma_prev, By_prev):
-        """One iteration; returns (x_k, y_k, gamma_k, gamma_tilde_k, B y_k)
-        so the caller can carry B y_k forward."""
+        """One iteration; returns (x_k, y_k, gamma_k, B y_k) so the caller
+        can carry B y_k forward."""
         x = self.x_stage(x_prev, By_prev, gamma_prev)
         return (x, *self.y_stage(y_prev, np.dot(self.inst.A, x), By_prev, gamma_prev))
 
 
-def stop_terms(inst, metric, prev, new, gamma_tilde):
-    """The terms of the stopping rule of :func:`run` at one iterate, in the
+def stop_terms(inst, metric, beta, prev, new):
+    """The terms of the stopping rule of :func:`run` at one step, in the
     order it checks them, each computed only when the consumer asks for it.
 
     ``prev`` and ``new`` are (x, y, gamma) at k-1 and k.  The residual is
     computed by the code that computes the same term inside the gap's max,
-    so checking it first never changes which k stops the run.
+    so checking it first never changes which k stops the run.  The gap's
+    gamma_tilde_k is :func:`hpe.gamma_tilde` of the two rows.
     """
     x, y, gamma = new
     yield problems.constraint_residual(inst, x, y)
     dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
     yield math.sqrt(metric.seminorm_sq(dz))
-    yield float(problems.kkt_gaps(inst, x, y, gamma_tilde))
+    rows = np.array([np.concatenate(prev), np.concatenate(new)])
+    yield float(problems.kkt_gaps(inst, x, y, hpe.gamma_tilde(inst, rows, beta)[0]))
 
 
-def _first_nonfinite(inst, Z, beta) -> Optional[int]:
-    """The first k whose row z_k of ``Z``, or whose gamma_tilde_k derived
-    from the rows (k >= 1), has a non-finite entry; None if there is none."""
-    bad = ~np.isfinite(Z).all(axis=1)
-    bad[1:] |= ~np.isfinite(hpe.gamma_tilde(inst, Z, beta)).all(axis=1)
+def _first_nonfinite(traj: Trajectory) -> Optional[int]:
+    """The first k whose row z_k, or whose gamma_tilde_k (k >= 1), has a
+    non-finite entry; None if there is none."""
+    bad = ~np.isfinite(traj.Z).all(axis=1)
+    bad[1:] |= ~np.isfinite(traj.Gt).all(axis=1)
     return int(np.argmax(bad)) if bad.any() else None
 
 
@@ -364,16 +391,15 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
          (x_k, y_k, gamma_tilde_k), the point where the subproblem
          inclusions hold (its max includes term 1).
     A later term is computed only when the earlier ones hold, and a NaN
-    term never stops the run.  The rule reads the loop's own gamma_tilde_k,
-    the engine's third stage row, and the trajectory's ``stopped_early``
-    records whether it fired.
+    term never stops the run.  The trajectory's ``stopped_early`` applies
+    the rule again at its last step, to the same floats.
 
     Neither the steps nor the stopping rule check their data: a non-finite
     iterate does not stop the loop, and floating-point warnings are
     silenced inside it.  After the loop, one scan of the recorded rows
     raises :class:`DivergenceError` naming the first k whose x, y, gamma,
-    or gamma_tilde derived from them, has a non-finite entry, so a run that
-    diverges is reported once it reaches max_iter.
+    or gamma_tilde derived from them (``Gt``), has a non-finite entry, so a
+    run that diverges is reported once it reaches max_iter.
     """
     eng = _Engine(inst, params)
     x = np.zeros(inst.n) if x0 is None else linalg.as_vector(x0, dim=inst.n, name="x0")
@@ -384,26 +410,25 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     metric, tol = None, params.stop_tol
     if tol > 0:
         metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
-    xs, ys, gs, fired = [x], [y], [gamma], False
+    xs, ys, gs = [x], [y], [gamma]
     By = inst.B @ y
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(params.max_iter):
-            x_new, y_new, gamma_new, gamma_tilde, By = eng.step(x, y, gamma, By)
+            x_new, y_new, gamma_new, By = eng.step(x, y, gamma, By)
             xs.append(x_new)
             ys.append(y_new)
             gs.append(gamma_new)
             new = (x_new, y_new, gamma_new)
             if metric is not None and all(
-                t <= tol for t in stop_terms(inst, metric, (x, y, gamma), new, gamma_tilde)
+                t <= tol for t in stop_terms(inst, metric, params.beta, (x, y, gamma), new)
             ):
-                fired = True
                 break
             x, y, gamma = new
-    Z = np.hstack([xs, ys, gs])
-    k = _first_nonfinite(inst, Z, params.beta)
+    traj = Trajectory(inst, params, eng.h1, eng.h2, np.hstack([xs, ys, gs]), _metric=metric)
+    k = _first_nonfinite(traj)
     if k is not None:
         raise DivergenceError(f"iteration diverged: iterate k={k} has non-finite entries", k=k)
-    return Trajectory(inst, params, eng.h1, eng.h2, Z, fired, _metric=metric)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +438,6 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
 def trajectory_header(inst) -> list[str]:
     blocks = (("x", inst.n), ("y", inst.p), ("gamma", inst.m))
     return ["k", *(f"{name}{i}" for name, dim in blocks for i in range(dim))]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # huge finite iterates: inf
-def diagnostics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Over k = 0..K, the step M-seminorm ||z_k - z_{k-1}||_M (NaN at k = 0)
-    and the gap :func:`problems.kkt_gaps` at (x_0, y_0, gamma_0), then at
-    (x_k, y_k, gamma_tilde_k) with gamma_tilde_k from :func:`hpe.gamma_tilde`:
-    stacked products, so an entry can differ from the stopping rule's
-    one-point term by rounding."""
-    inst, Z = traj.instance, traj.Z
-    step = np.sqrt(traj.metric.seminorm_sq(np.diff(Z, axis=0)))
-    G = np.vstack([traj.G[:1], hpe.gamma_tilde(inst, Z, traj.params.beta)])
-    return np.concatenate([[math.nan], step]), problems.kkt_gaps(inst, traj.X, traj.Y, G)
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
@@ -439,13 +451,13 @@ def load_trajectory_csv(path, inst, params) -> Trajectory:
     """Rebuild a trajectory from a CSV written by :func:`save_trajectory_csv`
     (a path or a :class:`records.TrajectoryText`, read by
     :func:`records.read_csv`): the rows z_0..z_K, bit for bit, from which the
-    certificate checks derive everything else.  After every row has parsed,
-    the first file row with a non-finite x, y or gamma cell, or whose
-    gamma_tilde (:func:`hpe.gamma_tilde`) overflows, raises
-    :class:`ValueError`."""
+    certificate checks derive everything else.  After every row has parsed
+    and the proximal weights have resolved, the first file row with a
+    non-finite x, y or gamma cell, or whose gamma_tilde (``Gt``) overflows,
+    raises :class:`ValueError`."""
     Z = records.read_csv(path, trajectory_header(inst))
-    k = _first_nonfinite(inst, Z, params.beta)
+    traj = Trajectory(inst, params, *resolve_prox_terms(inst, params), Z)
+    k = _first_nonfinite(traj)
     if k is not None:
         raise ValueError(f"trajectory file: non-finite iterate value in row {k + 2}")
-    h1, h2 = resolve_prox_terms(inst, params)
-    return Trajectory(inst, params, h1, h2, Z)
+    return traj

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from types import SimpleNamespace
 
@@ -54,6 +55,16 @@ def gamma_tilde(traj):
     """gamma_tilde_k for k = 1..K (row k-1), derived from the record as the
     verifier derives it."""
     return hpe.gamma_tilde(traj.instance, traj.Z, traj.params.beta)
+
+
+def shifted(traj, k, delta, block="gamma"):
+    """A copy of the record with ``delta`` added to row k of one block (x,
+    y or gamma); a record's Z is read-only, and the copy derives its own
+    gamma_tilde."""
+    n, p = traj.instance.n, traj.instance.n + traj.instance.p
+    Z = traj.Z.copy()
+    Z[k, {"x": slice(0, n), "y": slice(n, p), "gamma": slice(p, None)}[block]] += delta
+    return dataclasses.replace(traj, Z=Z)
 
 
 def state(traj, k):

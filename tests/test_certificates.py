@@ -15,7 +15,7 @@ from gadmm.certificates import (
 from gadmm.hpe import Replay
 from gadmm.solver import GadmmParams, LinearizedH
 
-from conftest import gamma_tilde, make_one_d_instance, rate_estimate, run_full, state
+from conftest import gamma_tilde, make_one_d_instance, rate_estimate, run_full, shifted, state
 
 
 def ergodic_rows(rep):
@@ -205,7 +205,7 @@ class TestErgodicPrefixSums:
         traj = run_full(inst, alpha=alpha, beta=0.9, iters=300, h1=h, h2=h)
         # a shifted multiplier breaks the identities at k = 8 and 9, so the
         # averaged residual at k = 8 is more than rounding
-        traj.G[8] += 0.01
+        traj = shifted(traj, 8, 0.01)
         erg = ergodic_rows(Replay(traj, inst.solution))
         gaps_f, gaps_g = erg["ergodic_inclusion_f"].lhs, erg["ergodic_inclusion_g"].lhs
         residuals = erg["ergodic_constraint_identity"].lhs
@@ -373,8 +373,7 @@ class TestReports:
 
     def test_full_verification_catches_corruption(self):
         inst = problems.generate_qp(9, 4, 3, 2)
-        traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
-        traj.X[10] += 0.25
+        traj = shifted(run_full(inst, alpha=1.0, beta=1.0, iters=30), 10, 0.25, "x")
         report = full_verification(traj, inst.solution)
         assert not report.passed
         assert report.earliest_failure.worst_k == 10

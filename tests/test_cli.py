@@ -12,7 +12,7 @@ import pytest
 from gadmm import certificates, cli, errors, hpe, linalg, oracles, problems, solver
 from gadmm.errors import CertificationError, InternalCheckError
 
-from conftest import make_one_d_instance
+from conftest import make_one_d_instance, shifted
 
 
 def strict_json(text):
@@ -132,18 +132,18 @@ class TestRun:
         assert summary["stopped_early"] is True
 
     def test_summary_is_the_last_csv_row(self, tmp_path):
-        # the final values are solver.diagnostics of the recorded rows, so the
-        # file read back gives them bit for bit
+        # the final values are the final_terms of the recorded rows, so the
+        # file read back gives them, and stopped_early, bit for bit
         inst = problems.generate_qp(1, 8, 6, 4)
         inst_path = tmp_path / "qp.json"
         problems.save_instance(inst, inst_path)
         lin = solver.LinearizedH()
         for name, flags, params, stopped_early in (
             ("tol", ["--alpha", "1.9", "--stop-tol", "1e-9"],
-             solver.GadmmParams(beta=1.0, alpha=1.9), True),
+             solver.GadmmParams(beta=1.0, alpha=1.9, stop_tol=1e-9), True),
             ("max-iter", ["--alpha", "2.0", "--h1", "linearized", "--h2", "linearized",
                           "--max-iter", "300", "--stop-tol", "0"],
-             solver.GadmmParams(beta=1.0, alpha=2.0, h1=lin, h2=lin), False),
+             solver.GadmmParams(beta=1.0, alpha=2.0, h1=lin, h2=lin, stop_tol=0.0), False),
         ):
             out = tmp_path / name
             assert cli.main(["run", "--instance", str(inst_path), *flags, "--out", str(out)]) == 0
@@ -153,9 +153,10 @@ class TestRun:
             assert summary["stopped_early"] is stopped_early
             assert int(last["k"]) == summary["iterations"] > 0
             back = solver.load_trajectory_csv(out / "trajectory.csv", inst, params)
-            step, gap = solver.diagnostics(back)
-            assert repr(float(step[-1])) == repr(summary["final_step_metric"])
-            assert repr(float(gap[-1])) == repr(summary["final_kkt_gap"])
+            _, step, gap = back.final_terms
+            assert repr(step) == repr(summary["final_step_metric"])
+            assert repr(gap) == repr(summary["final_kkt_gap"])
+            assert back.stopped_early is stopped_early
 
     def test_stopped_early_says_whether_the_rule_fired(self, tmp_path):
         # on this QP the rule fires at k = 78: a max_iter of 78 ends the run
@@ -178,13 +179,16 @@ class TestRun:
         assert (tmp_path / "78" / "trajectory.csv").read_bytes() == traj
 
     def test_run_evaluates_the_diagnostics_once(self, tmp_path, monkeypatch):
-        real, calls = solver.diagnostics, []
-        monkeypatch.setattr(solver, "diagnostics", lambda traj: calls.append(None) or real(traj))
+        # the summary's final values and stopped_early: the stopping rule's
+        # terms at k = K, evaluated once (the loop evaluates none at tol 0)
+        real, calls = solver.stop_terms, []
+        monkeypatch.setattr(solver, "stop_terms", lambda *args: calls.append(None) or real(*args))
         inst_path = write_qp(tmp_path)
-        assert cli.main(
-            ["run", "--instance", str(inst_path), "--max-iter", "40", "--out", str(tmp_path / "o")]
-        ) == 0
-        assert len(calls) == 1
+        for tol, loop_calls in (("0", 0), ("1e-300", 40)):
+            calls.clear()
+            assert cli.main(["run", "--instance", str(inst_path), "--max-iter", "40",
+                             "--stop-tol", tol, "--out", str(tmp_path / tol)]) == 0
+            assert len(calls) == loop_calls + 1
 
     def test_max_iter_zero(self, tmp_path):
         inst_path = write_one_d(tmp_path)
@@ -439,6 +443,19 @@ class TestVerify:
                 slack = row["rhs"] + row["tol"] - row["lhs"]
                 band = hpe.WORST_K_BAND * (1.0 + abs(row["worst_slack"]))
                 assert abs(slack - row["worst_slack"]) <= band, row["name"]
+
+    def test_verify_derives_gamma_tilde_once(self, tmp_path, monkeypatch):
+        # the scan of the loaded record derives it, and the replay reads it
+        inst_path = write_qp(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--instance", str(inst_path), "--max-iter", "40",
+                         "--stop-tol", "0", "--out", str(out)]) == 0
+        real, calls = hpe.gamma_tilde, []
+        monkeypatch.setattr(hpe, "gamma_tilde", lambda *args: calls.append(None) or real(*args))
+        assert cli.main(["verify", "--instance", str(inst_path), "--trajectory",
+                         str(out / "trajectory.csv"), "--stop-tol", "0",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("column", ["x0", "gamma1"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -737,10 +754,7 @@ class TestBench:
         run = solver.run
 
         def corrupted_run(inst, params):
-            traj = run(inst, params)
-            traj.G[50] += 0.25
-            traj.G[5] += 1e-6
-            return traj
+            return shifted(shifted(run(inst, params), 50, 0.25), 5, 1e-6)
 
         monkeypatch.setattr(solver, "run", corrupted_run)
         out = tmp_path / "bench"

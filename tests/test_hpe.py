@@ -9,7 +9,7 @@ from gadmm.errors import CertificationError, InternalCheckError
 from gadmm.problems import KktPoint
 from gadmm.solver import GadmmParams
 
-from conftest import metric_matrix, random_spd, run_full, state_pairs
+from conftest import metric_matrix, random_spd, run_full, shifted, state_pairs
 
 
 def reference_metric(inst, h1, h2, beta, alpha):
@@ -227,8 +227,7 @@ class TestCertifyHpe:
         assert len(rows["hpe_inequality"].ks) == 150
 
     def test_corrupted_multiplier_caught(self, one_d_instance):
-        traj = run_full(one_d_instance, alpha=1.0, iters=10)
-        traj.G[5] += 0.5
+        traj = shifted(run_full(one_d_instance, alpha=1.0, iters=10), 5, 0.5)
         rows, report = certify(traj, one_d_instance.solution)
         with pytest.raises(CertificationError) as err:
             report.raise_first()

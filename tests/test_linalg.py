@@ -375,25 +375,6 @@ class TestPsdProbe:
     def test_zero_matrix_is_psd(self):
         assert linalg.is_psd(np.zeros((3, 3)))
 
-    def test_operator_factory(self):
-        mat = np.diag([0.0, 1.0])
-        op = linalg.PsdOperator.from_matrix(mat)
-        assert np.array_equal(op.matrix, mat) and op.matrix is not mat
-        assert not op.matrix.flags.writeable
-        with pytest.raises(NotPositiveDefiniteError):
-            linalg.PsdOperator.from_matrix(np.diag([1.0, -1.0]))
-
-    @pytest.mark.parametrize(
-        "mat, message",
-        [
-            (np.diag([1.0, -1.0]), "H is not positive semidefinite"),
-            (np.array([[1.0, 1.0], [0.0, 1.0]]), "H is not symmetric"),
-            (np.array([[1.0, 3.0], [0.0, 1.0]]), "H is not symmetric"),  # and indefinite
-        ],
-    )
-    def test_operator_factory_messages(self, mat, message):
-        with pytest.raises(NotPositiveDefiniteError, match=f"^{message}$"):
-            linalg.PsdOperator.from_matrix(mat, name="H")
 
 
 @settings(max_examples=100, deadline=None)

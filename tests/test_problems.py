@@ -498,3 +498,21 @@ class TestLassoPath:
         inst = problems.generate_lasso(8575, 3, 1, 1e-5)
         assert len(calls) == 1
         assert problems.kkt_gap(inst, inst.solution) <= 1e-12
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.99, 1.0, 10.0])
+    def test_lasso_without_a_minimizer_is_named(self, mu):
+        # P = ones(2, 2) and q = [-1, 1]: along v = (1, -1), Pv = 0 and the
+        # objective's slope is q'v + mu||v||_1 = 2(mu - 1), so below mu = 1
+        # there is no minimizer, and from mu = 1 on x = 0 is one
+        inst = SeparableInstance(
+            oracles.Quadratic(np.ones((2, 2)), np.array([-1.0, 1.0])),
+            oracles.L1(mu),
+            np.eye(2),
+            -np.eye(2),
+            np.zeros(2),
+        )
+        if mu < 1.0:
+            with pytest.raises(ConfigError, match=f"^the lasso has no minimizer at mu={mu!r}"):
+                problems.solve_ground_truth(inst)
+        else:
+            assert not problems.solve_ground_truth(inst).x.any()

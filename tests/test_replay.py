@@ -9,7 +9,7 @@ from gadmm import certificates, cli, hpe, oracles, problems
 from gadmm.errors import CertificationError
 from gadmm.solver import ExplicitH, LinearizedH
 
-from conftest import gamma_tilde, run_full
+from conftest import gamma_tilde, run_full, shifted
 
 
 @pytest.fixture
@@ -113,23 +113,23 @@ def _eps_rows(rep):
 # the inclusion rows at k=1; on their own, the x half is named, being
 # reported first.
 CORRUPTIONS = [
-    ("hpe", "G", 10, 0.25, hpe.certify_hpe, "hpe_inequality", 10),
-    ("companion", "Y", 12, 5.0, _companion_rows, "delta_y_gamma_inequality", 12),
-    ("pointwise", "G", 1, 100.0, lambda rep: [certificates.pointwise_certificate(rep)],
+    ("hpe", "gamma", 10, 0.25, hpe.certify_hpe, "hpe_inequality", 10),
+    ("companion", "y", 12, 5.0, _companion_rows, "delta_y_gamma_inequality", 12),
+    ("pointwise", "gamma", 1, 100.0, lambda rep: [certificates.pointwise_certificate(rep)],
      "pointwise_bound", 1),
-    ("ergodic", "G", 0, 1.0, certificates.ergodic_certificate, "ergodic_inclusion_f", 1),
-    ("ergodic-eps", "G", 0, 1.0, _eps_rows, "ergodic_eps_x_nonneg", 2),
+    ("ergodic", "gamma", 0, 1.0, certificates.ergodic_certificate, "ergodic_inclusion_f", 1),
+    ("ergodic-eps", "gamma", 0, 1.0, _eps_rows, "ergodic_eps_x_nonneg", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "family,column,row,shift,checks,name,k", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS]
+    "family,block,row,shift,checks,name,k", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS]
 )
-def test_raise_first_names_the_earliest_violation(family, column, row, shift, checks, name, k):
+def test_raise_first_names_the_earliest_violation(family, block, row, shift, checks, name, k):
     inst = problems.generate_qp(9, 4, 3, 2)
     traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
     assert certificates.full_verification(traj, inst.solution).passed
-    getattr(traj, column)[row] += shift
+    traj = shifted(traj, row, shift, block)
     result = certificates.VerificationReport(checks(hpe.Replay(traj, inst.solution)))
     assert not result.passed
     with pytest.raises(CertificationError) as err:
@@ -174,8 +174,7 @@ def test_worst_k_is_the_argmin_of_a_non_finite_minimum(low):
 
 def test_full_report_raises_at_the_corrupted_iteration():
     inst = problems.generate_qp(9, 4, 3, 2)
-    traj = run_full(inst, alpha=1.0, beta=1.0, iters=30)
-    traj.G[10] += 0.25
+    traj = shifted(run_full(inst, alpha=1.0, beta=1.0, iters=30), 10, 0.25)
     report = certificates.full_verification(traj, inst.solution)
     with pytest.raises(CertificationError) as err:
         report.raise_first()

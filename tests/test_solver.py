@@ -68,6 +68,26 @@ class TestParams:
         with pytest.raises(ValueError, match="^H is not positive semidefinite$"):
             ExplicitH([[-1.0]])
 
+    def test_operator_factory(self):
+        mat = np.diag([0.0, 1.0])
+        h = ExplicitH(mat)
+        assert np.array_equal(h.matrix, mat) and h.matrix is not mat
+        assert not h.matrix.flags.writeable
+        with pytest.raises(ValueError, match=r"^H must be square, got shape \(2, 3\)$"):
+            ExplicitH(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "mat, message",
+        [
+            (np.diag([1.0, -1.0]), "H is not positive semidefinite"),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), "H is not symmetric"),
+            (np.array([[1.0, 3.0], [0.0, 1.0]]), "H is not symmetric"),  # and indefinite
+        ],
+    )
+    def test_operator_factory_messages(self, mat, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExplicitH(mat)
+
     def test_linearized_tau_floor(self):
         inst = make_one_d_instance()
         # ||A||^2 = 1, beta = 2 -> tau must be >= 2
@@ -415,10 +435,10 @@ class TestRun:
 
         def overflow_third(self, *args):
             calls.append(None)
-            x, y, gamma, gamma_tilde, By = real(self, *args)
+            x, y, gamma, By = real(self, *args)
             if len(calls) == 3:
                 gamma = np.full_like(gamma, np.inf)
-            return x, y, gamma, gamma_tilde, By
+            return x, y, gamma, By
 
         monkeypatch.setattr(solver._Engine, "step", overflow_third)
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=stop_tol)

@@ -22,8 +22,8 @@ def reference_block(F, op, resolved, beta, u_prev, gamma, s, r):
 
 
 def reference_step(inst, params, x_prev, y_prev, gamma_prev):
-    """(x_k, y_k, gamma_k, gamma_tilde_k) from the module docstring's
-    subproblems and multiplier updates, each evaluated as written."""
+    """(x_k, y_k, gamma_k) from the module docstring's subproblems and
+    multiplier update, each evaluated as written."""
     A, B, b = inst.A, inst.B, inst.b
     beta, alpha = params.beta, params.alpha
     h1 = solver._resolve_h(params.h1, A, beta, inst.n, "h1")
@@ -31,11 +31,9 @@ def reference_step(inst, params, x_prev, y_prev, gamma_prev):
     By_prev = B @ y_prev
     x_shift = By_prev - b
     x = reference_block(inst.f, A, h1, beta, x_prev, gamma_prev, x_shift, A @ x_prev + x_shift)
-    half_resid = A @ x + By_prev - b
-    relaxed = alpha * half_resid
+    relaxed = alpha * (A @ x + By_prev - b)
     y = reference_block(inst.g, B, h2, beta, y_prev, gamma_prev, relaxed - By_prev, relaxed)
-    gamma = gamma_prev - beta * (relaxed + (B @ y - By_prev))
-    return x, y, gamma, gamma_prev - beta * half_resid
+    return x, y, gamma_prev - beta * (relaxed + (B @ y - By_prev))
 
 
 def block_choices(rng, dim):
@@ -74,10 +72,10 @@ def test_one_iteration_matches_the_subproblems(alpha, x_choice):
         eng = solver._Engine(inst, params)
         got = eng.step(x_prev, y_prev, gamma_prev, B @ y_prev)
         want = reference_step(inst, params, x_prev, y_prev, gamma_prev)
-        for name, u, v in zip(("x", "y", "gamma", "gamma_tilde"), got, want):
+        for name, u, v in zip(("x", "y", "gamma"), got, want):
             tol = 1e-12 * (1.0 + np.max(np.abs(v)))
             assert np.max(np.abs(u - v)) <= tol, (y_choice, name)
-        assert np.array_equal(got[4], B @ got[1])  # B y_k, carried forward
+        assert np.array_equal(got[3], B @ got[1])  # B y_k, carried forward
 
 
 def test_subproblem_residuals_at_benchmark_scale():

@@ -1,14 +1,15 @@
 """The stopping rule of ``solver.run``: each term must hold, cheap terms
 are tested first, and the stopping k is the first k where the full
-criterion holds, computed here from a recorded run with stacked calls
-(:func:`solver.diagnostics`)."""
+criterion holds, computed here from a recorded run with stacked calls.
+The summary's final values and ``stopped_early`` read the loop's own
+terms, for a run and for its record read back."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gadmm import problems, solver
+from gadmm import cli, problems, solver
 from gadmm.solver import GadmmParams, LinearizedH, ZeroH
 
 from conftest import gamma_tilde
@@ -19,9 +20,10 @@ ORACLE_MAX_ITER = 600
 def criterion_terms(traj):
     """Per k = 1..K: the constraint residual, the step M-seminorm and the
     first-order gap at (x_k, y_k, gamma_tilde_k), from stacked calls."""
-    step, gap = solver.diagnostics(traj)
-    resid = problems.constraint_residual(traj.instance, traj.X[1:], traj.Y[1:])
-    return resid, step[1:], gap[1:]
+    inst, X, Y = traj.instance, traj.X[1:], traj.Y[1:]
+    step = np.sqrt(traj.metric.seminorm_sq(np.diff(traj.Z, axis=0)))
+    return (problems.constraint_residual(inst, X, Y), step,
+            problems.kkt_gaps(inst, X, Y, gamma_tilde(traj)))
 
 
 def counting(monkeypatch, module, name):
@@ -73,9 +75,57 @@ def test_stopping_k_matches_oracle(case, alpha, tol, monkeypatch):
     # the one-point terms at the stopping k are the arrays' up to rounding
     X, Y, G, k = stopped.X, stopped.Y, stopped.G, first
     prev, new = (X[k - 1], Y[k - 1], G[k - 1]), (X[k], Y[k], G[k])
-    loop = list(solver.stop_terms(inst, stopped.metric, prev, new, gamma_tilde(stopped)[k - 1]))
+    loop = list(solver.stop_terms(inst, stopped.metric, 1.0, prev, new))
     arrays = [resid[k - 1], step[k - 1], gap[k - 1]]
     assert np.all(np.abs(np.subtract(loop, arrays)) <= 1e-12 * (1.0 + np.abs(arrays)))
+
+
+def recorded_terms(monkeypatch):
+    """Wrap solver.stop_terms so that each call's terms, as far as its
+    consumer takes them, are appended to the returned list."""
+    real, seen = solver.stop_terms, []
+
+    def recording(*args):
+        terms = []
+        seen.append(terms)
+        for term in real(*args):
+            terms.append(term)
+            yield term
+
+    monkeypatch.setattr(solver, "stop_terms", recording)
+    return seen
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9, 2.0])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_summary_reads_the_loops_terms(case, alpha, tol, monkeypatch, tmp_path):
+    # a run that stops, and one cut a step short of its stopping k
+    make, mode = CASES[case]
+    inst = make()
+    first = None
+    for max_iter in (ORACLE_MAX_ITER, None):
+        params = GadmmParams(beta=1.0, alpha=alpha, h1=mode, h2=mode,
+                             max_iter=max_iter or first - 1, stop_tol=tol)
+        seen = recorded_terms(monkeypatch)
+        traj = solver.run(inst, params)
+        monkeypatch.undo()
+        first = first or traj.iterations
+        assert len(seen) == traj.iterations
+        loop = seen[-1]
+        fired = len(loop) == 3 and all(t <= tol for t in loop)
+        assert fired is (max_iter is not None)
+        assert traj.stopped_early is fired
+        # each term the loop took at k = K, bit for bit, and the summary's two
+        assert [repr(t) for t in traj.final_terms[: len(loop)]] == [repr(t) for t in loop]
+        summary = cli._run_summary(traj)
+        finals = [t if math.isfinite(t) else None for t in traj.final_terms[1:]]
+        assert [summary["final_step_metric"], summary["final_kkt_gap"]] == finals
+        path = tmp_path / f"{traj.iterations}.csv"
+        solver.save_trajectory_csv(traj, path)
+        back = solver.load_trajectory_csv(path, inst, params)
+        assert back.stopped_early is fired
+        assert cli._run_summary(back) == summary
 
 
 def test_nan_gap_never_stops(monkeypatch):
