@@ -201,7 +201,7 @@ def _cmd_bench(args) -> int:
                 repr(alpha),
                 str(summary["iterations"]),
                 str(summary["stopped_early"]).lower(),
-                repr(summary["final_kkt_gap"]),
+                "" if summary["final_kkt_gap"] is None else repr(summary["final_kkt_gap"]),
                 *(_bound_ratio(bounds[name]) for name in _BENCH_BOUNDS),
                 "pass" if report.passed else "fail",
                 "" if failure is None else f"{failure.name}@k={failure.first_k}",

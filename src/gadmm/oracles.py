@@ -7,9 +7,9 @@ conjugate, and :func:`fenchel_gap` gives its conjugate gap
 
 the least epsilon such that u is an epsilon-subgradient of F at x
 (gap <= eps  iff  F(v) >= F(x) + <u, v - x> - eps for all v).  The package
-reads only the l1 prox map (the solver), the gap (the certificate checks)
-and a quadratic's gradient (the lasso reference); the other oracles are
-references for the tests.
+reads only the l1 prox map :func:`soft_threshold` (the solver), the gap (the
+certificate checks) and a quadratic's gradient (the lasso reference); the
+other oracles, ``prox_solver`` among them, are references for the tests.
 
 Three variants -- quadratics, scaled l1 norms and the zero function --
 have closed-form conjugates, and each gap has one closed form, clamped at
@@ -51,12 +51,12 @@ def _out(val, like):
     return float(val) if like.ndim == 1 else val
 
 
-def soft_threshold(v, thr) -> np.ndarray:
+def soft_threshold(v, thr, out=None) -> np.ndarray:
     """Componentwise shrinkage sign(v_i) * max(|v_i| - thr, 0) of a float
-    array, unchecked: it is the l1 prox map the solver runs every step.
-    It is computed as v - clip(v, -thr, thr), three ufunc calls where the
-    formula takes five, with the same values; a zero comes out as +0.0."""
-    return v - np.minimum(np.maximum(v, -thr), thr)
+    array, unchecked: the l1 prox map the solver runs in place (``out=v``)
+    every step.  It is computed as v - clip(v, -thr, thr), three ufunc calls
+    where the formula takes five, with the same values; a zero comes out as +0.0."""
+    return np.subtract(v, np.minimum(np.maximum(v, -thr), thr), out=out)
 
 
 @dataclass(frozen=True)

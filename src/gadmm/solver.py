@@ -42,13 +42,17 @@ and g0, so only an l1 block keeps a separate prox: the soft threshold.
 Both shifts are affine in the vectors the loop carries, so one iteration
 is two affine stages, each one matrix product, plus the prox:
 
-    x_k = phi_x( T1 [x_{k-1}; B y_{k-1}; gamma_{k-1}; 1] ),
-    [v_y; gbar_k] = T2 [y_{k-1}; A x_k; B y_{k-1}; gamma_{k-1}; 1],
+    x_k = phi_x( T1 u1 ),          u1 = [x_{k-1}; B y_{k-1}; gamma_{k-1}; 1],
+    [v_y; gbar_k] = T2 u2,         u2 = [y_{k-1}; A x_k; B y_{k-1}; gamma_{k-1}; 1],
     y_k = phi_y(v_y),   gamma_k = gbar_k - beta B y_k,
 
 where gbar_k = gamma_{k-1} - beta*s is the y-block's argument of Gg, and
 x_{k-1} (y_{k-1}) is an input only when H1 (H2) has a nonzero entry.  The
 iterates equal the subproblems' minimizers up to rounding.
+
+The loop allocates nothing per step: u1 and u2 are allocated once and
+refilled from row k-1 of the record, and each stage writes into row k or
+into u2's slots for A x_k and B y_k (read next step as B y_{k-1}).
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ from .errors import ConfigError, DivergenceError, NotPositiveDefiniteError
 # the PSD threshold so H = tau*I - beta*Op'Op is positive definite.
 AUTO_TAU_MARGIN = 1.01
 
-# The trailing entry of each stage's input, which applies its constant term.
-_ONE = np.ones(1)
+_FIRST_ROWS = 1024  # rows of the record before it first doubles (see run)
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,11 @@ class Trajectory:
     """A recorded run: the instance, the configuration, the resolved
     proximal weights, and the iterates stored once, as rows.
 
-    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K, and Z is
-    made read-only; ``X``, ``Y``, ``G`` are views of Z's column blocks.
-    Steps are row differences.  The multipliers gamma_tilde_k (``Gt``), the
-    proximal metric M and ``final_terms`` are derived on first use and kept.
+    Row k of ``Z`` holds z_k = (x_k, y_k, gamma_k) for k = 0..K, written
+    there by :func:`run` as it computes it, and Z is made read-only; ``X``,
+    ``Y``, ``G`` are views of Z's column blocks.  Steps are row differences.
+    The multipliers gamma_tilde_k (``Gt``), the proximal metric M and
+    ``final_terms`` are derived on first use and kept.
     """
 
     instance: problems.SeparableInstance
@@ -199,12 +203,12 @@ class Trajectory:
     def final_terms(self) -> tuple:
         """The three terms of :func:`stop_terms` at k = K; at K = 0, NaN and
         NaN, then the gap :func:`problems.kkt_gaps` at z_0."""
-        inst, (n, p) = self.instance, (self.instance.n, self.instance.n + self.instance.p)
+        inst = self.instance
         with np.errstate(over="ignore", invalid="ignore"):  # huge finite iterates: inf
             if self.iterations == 0:
-                return math.nan, math.nan, float(problems.kkt_gaps(inst, *np.split(self.Z[0], [n, p])))
-            prev, new = (np.split(z, [n, p]) for z in self.Z[-2:])
-            return tuple(stop_terms(inst, self.metric, self.params.beta, prev, new))
+                gap = problems.kkt_gaps(inst, self.X[0], self.Y[0], self.G[0])
+                return math.nan, math.nan, float(gap)
+            return tuple(stop_terms(inst, self.metric, self.params.beta, self.Z[-2:]))
 
     @property
     def stopped_early(self) -> bool:
@@ -249,12 +253,12 @@ def resolve_prox_terms(inst, params) -> tuple[np.ndarray, np.ndarray]:
 
 def _pre_prox(F, op, resolved, beta: float, block: str):
     """One block's subproblem (see the module docstring) as its pre-prox map
-    v = Gu u_prev + Gg (gamma_prev - beta*s) + g0 and prox ``phi``, None for
-    the identity.  ``Gu`` is None when H has no nonzero entry, so an
-    all-zero explicit H builds the same map as the zero mode."""
+    v = Gu u_prev + Gg (gamma_prev - beta*s) + g0 and the threshold ``thr``
+    of an l1 F's prox, None for the identity.  ``Gu`` is None when H has no
+    nonzero entry, so an all-zero explicit H builds the same map as zero H."""
     H, tau = resolved  # from _resolve_h
     dim = op.shape[1]
-    fac, phi = None, None
+    fac, thr = None, None
     if tau is None:
         parts = problems.quadratic_parts(F, dim)
         if parts is None:
@@ -284,31 +288,30 @@ def _pre_prox(F, op, resolved, beta: float, block: str):
                     # prox(v) = (tP + I)^-1 (v - tq) is affine: fold it in
                     q, fac = F.q, linalg.SpdFactor(scale * F.P + np.eye(dim))
                 elif isinstance(F, oracles.L1):
-                    phi = F.prox_solver(scale)
+                    thr = scale * F.mu  # prox_{F/tau} is soft_threshold(., thr)
         except ValueError as exc:
             name = "h1" if block == "x" else "h2"
             raise ConfigError(f"{name}: tau={tau!r} at beta={beta!r}: {exc}") from exc
     solve = (lambda a: a) if fac is None else fac.solve
     Gu = solve(H * scale) if H.any() else None
-    return Gu, solve(op.T * scale), solve(q * -scale), phi
+    return Gu, solve(op.T * scale), solve(q * -scale), thr
 
 
 class _Engine:
-    """Per-run state: the two stage maps of one iteration (see the module
-    docstring).  Each is one matrix applied to the vectors the loop carries,
-    stacked with a trailing 1 that applies the constant term."""
+    """Per-run state: the two stage maps of one iteration and their inputs
+    u1 and u2 (see the module docstring), whose trailing 1 applies each
+    map's constant term, allocated once and refilled by :meth:`fill`."""
 
     def __init__(self, inst: problems.SeparableInstance, params: GadmmParams):
         self.inst = inst
-        self.params = params
         beta, alpha = params.beta, params.alpha
         # both weights resolve before either block sets up, so a bad mode
         # (exit 1) is reported ahead of a matrix that fails to factor (exit 2)
         h1 = _resolve_h(params.h1, inst.A, beta, inst.n, "h1")
         h2 = _resolve_h(params.h2, inst.B, beta, inst.p, "h2")
         self.h1, self.h2 = h1[0], h2[0]
-        Gu1, Gg1, g01, self._phi_x = _pre_prox(inst.f, inst.A, h1, beta, "x")
-        Gu2, Gg2, g02, self._phi_y = _pre_prox(inst.g, inst.B, h2, beta, "y")
+        Gu1, Gg1, g01, self._thr_x = _pre_prox(inst.f, inst.A, h1, beta, "x")
+        Gu2, Gg2, g02, self._thr_y = _pre_prox(inst.g, inst.B, h2, beta, "y")
         self._x_in, self._y_in = Gu1 is not None, Gu2 is not None
         b, eye = inst.b[:, None], np.eye(inst.m)
         ba, bc = beta * alpha, beta * (1.0 - alpha)
@@ -330,44 +333,51 @@ class _Engine:
         if not np.isfinite(T2).all():
             raise ConfigError(f"y-block stage map overflows at alpha={alpha!r}, beta={beta!r}")
         self._T1, self._T2 = T1, T2
+        n, p, m = inst.n, inst.p, inst.m
+        hx, hy = n * self._x_in, p * self._y_in
+        self._u1, self._u2 = np.ones(hx + 2 * m + 1), np.ones(hy + 3 * m + 1)
+        self._Ax, self.By, self._gamma = np.split(self._u2[hy:-1], 3)
+        self._tail1, self._tail2 = self._u1[hx:], self._u2[hy + m :]  # [B y; gamma; 1]
+        self._beta = np.array(beta)  # 0-d: a float operand is converted on every call
+        self._cuts = n, n + p
 
-    def x_stage(self, x_prev, By_prev, gamma_prev):
-        """x_k from x_{k-1}, B y_{k-1} and gamma_{k-1}."""
-        head = (x_prev,) if self._x_in else ()
-        v = np.dot(self._T1, np.concatenate(head + (By_prev, gamma_prev, _ONE)))
-        return v if self._phi_x is None else self._phi_x(v)
+    def fill(self, Z, k):
+        """Write z_k into row k of Z from row k-1 and from B y_{k-1} in u2's
+        slot ``By``, which it leaves holding B y_k."""
+        n, p = self._cuts
+        prev, row = Z[k - 1], Z[k]
+        self._gamma[...] = prev[p:]
+        self._tail1[...] = self._tail2
+        if self._x_in:
+            self._u1[:n] = prev[:n]
+        if self._y_in:
+            self._u2[: p - n] = prev[n:p]
+        x, y, gamma = row[:n], row[n:p], row[p:]
+        np.dot(self._T1, self._u1, out=x)
+        if self._thr_x is not None:
+            oracles.soft_threshold(x, self._thr_x, out=x)
+        np.dot(self.inst.A, x, out=self._Ax)
+        np.dot(self._T2, self._u2, out=row[n:])  # [v_y; gbar_k]
+        if self._thr_y is not None:
+            oracles.soft_threshold(y, self._thr_y, out=y)
+        np.dot(self.inst.B, y, out=self.By)
+        gamma -= self._beta * self.By
 
-    def y_stage(self, y_prev, Ax, By_prev, gamma_prev):
-        """(y_k, gamma_k, B y_k) from y_{k-1}, A x_k, B y_{k-1} and gamma_{k-1}."""
-        p = self.inst.p
-        head = (y_prev,) if self._y_in else ()
-        out = np.dot(self._T2, np.concatenate(head + (Ax, By_prev, gamma_prev, _ONE)))
-        y = out[:p] if self._phi_y is None else self._phi_y(out[:p])
-        By = np.dot(self.inst.B, y)
-        return y, out[p:] - self.params.beta * By, By
 
-    def step(self, x_prev, y_prev, gamma_prev, By_prev):
-        """One iteration; returns (x_k, y_k, gamma_k, B y_k) so the caller
-        can carry B y_k forward."""
-        x = self.x_stage(x_prev, By_prev, gamma_prev)
-        return (x, *self.y_stage(y_prev, np.dot(self.inst.A, x), By_prev, gamma_prev))
-
-
-def stop_terms(inst, metric, beta, prev, new):
+def stop_terms(inst, metric, beta, rows):
     """The terms of the stopping rule of :func:`run` at one step, in the
     order it checks them, each computed only when the consumer asks for it.
 
-    ``prev`` and ``new`` are (x, y, gamma) at k-1 and k.  The residual is
+    ``rows`` is z_{k-1} and z_k, two rows of a record.  The residual is
     computed by the code that computes the same term inside the gap's max,
     so checking it first never changes which k stops the run.  The gap's
     gamma_tilde_k is :func:`hpe.gamma_tilde` of the two rows.
     """
-    x, y, gamma = new
-    yield problems.constraint_residual(inst, x, y)
-    dz = np.concatenate([x - prev[0], y - prev[1], gamma - prev[2]])
-    yield math.sqrt(metric.seminorm_sq(dz))
-    rows = np.array([np.concatenate(prev), np.concatenate(new)])
-    yield float(problems.kkt_gaps(inst, x, y, hpe.gamma_tilde(inst, rows, beta)[0]))
+    n, p = inst.n, inst.n + inst.p
+    new = rows[1]
+    yield problems.constraint_residual(inst, new[:n], new[n:p])
+    yield math.sqrt(metric.seminorm_sq(new - rows[0]))
+    yield float(problems.kkt_gaps(inst, new[:n], new[n:p], hpe.gamma_tilde(inst, rows, beta)[0]))
 
 
 def _first_nonfinite(traj: Trajectory) -> Optional[int]:
@@ -394,6 +404,11 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     term never stops the run.  The trajectory's ``stopped_early`` applies
     the rule again at its last step, to the same floats.
 
+    The engine writes each z_k into row k of the record Z
+    (:meth:`_Engine.fill`), where the stopping rule reads it.  Z starts with
+    min(max_iter, _FIRST_ROWS) + 1 rows, doubles when full, up to
+    max_iter + 1, and is trimmed to K + 1 rows: its memory follows K.
+
     Neither the steps nor the stopping rule check their data: a non-finite
     iterate does not stop the loop, and floating-point warnings are
     silenced inside it.  After the loop, one scan of the recorded rows
@@ -402,29 +417,27 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     run that diverges is reported once it reaches max_iter.
     """
     eng = _Engine(inst, params)
-    x = np.zeros(inst.n) if x0 is None else linalg.as_vector(x0, dim=inst.n, name="x0")
-    y = np.zeros(inst.p) if y0 is None else linalg.as_vector(y0, dim=inst.p, name="y0")
-    gamma = (
-        np.zeros(inst.m) if gamma0 is None else linalg.as_vector(gamma0, dim=inst.m, name="gamma0")
+    x, y, gamma = (
+        np.zeros(d) if v is None else linalg.as_vector(v, dim=d, name=name)
+        for v, d, name in ((x0, inst.n, "x0"), (y0, inst.p, "y0"), (gamma0, inst.m, "gamma0"))
     )
-    metric, tol = None, params.stop_tol
-    if tol > 0:
-        metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha)
-    xs, ys, gs = [x], [y], [gamma]
-    By = inst.B @ y
+    tol, max_iter = params.stop_tol, params.max_iter
+    metric = hpe.build_metric(inst, eng.h1, eng.h2, params.beta, params.alpha) if tol > 0 else None
+    Z = np.empty((min(max_iter, _FIRST_ROWS) + 1, inst.n + inst.p + inst.m))
+    Z[0] = np.concatenate([x, y, gamma])
+    eng.By[...] = inst.B @ y
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(params.max_iter):
-            x_new, y_new, gamma_new, By = eng.step(x, y, gamma, By)
-            xs.append(x_new)
-            ys.append(y_new)
-            gs.append(gamma_new)
-            new = (x_new, y_new, gamma_new)
+        for k in range(1, max_iter + 1):
+            if k == len(Z):  # full: double, up to max_iter + 1 rows
+                Z = np.concatenate([Z, np.empty((min(k, max_iter + 1 - k), Z.shape[1]))])
+            eng.fill(Z, k)
             if metric is not None and all(
-                t <= tol for t in stop_terms(inst, metric, params.beta, (x, y, gamma), new)
+                t <= tol for t in stop_terms(inst, metric, params.beta, Z[k - 1 : k + 1])
             ):
                 break
-            x, y, gamma = new
-    traj = Trajectory(inst, params, eng.h1, eng.h2, np.hstack([xs, ys, gs]), _metric=metric)
+    Z = Z if k + 1 == len(Z) else Z[: k + 1].copy()
+    traj = Trajectory(inst, params, eng.h1, eng.h2, Z, _metric=metric)
     k = _first_nonfinite(traj)
     if k is not None:
         raise DivergenceError(f"iteration diverged: iterate k={k} has non-finite entries", k=k)

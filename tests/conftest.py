@@ -51,6 +51,44 @@ def run_full(inst, alpha, beta=1.0, iters=200, h1=None, h2=None):
     return solver.run(inst, params)
 
 
+def reference_run(inst, params, x0, y0, gamma0, iters):
+    """The rows z_0..z_iters as the engine computed them before it wrote
+    into its record in place: each step stacks fresh inputs with
+    np.concatenate and applies the stage maps T1 and T2 with np.dot, the
+    l1 prox as ``prox_solver`` builds it, and the rows are collected in
+    lists and stacked at the end."""
+    eng = solver._Engine(inst, params)
+    proxes = []
+    for F, mode, op, dim, name in ((inst.f, params.h1, inst.A, inst.n, "h1"),
+                                   (inst.g, params.h2, inst.B, inst.p, "h2")):
+        _, tau = solver._resolve_h(mode, op, params.beta, dim, name)
+        proxes.append(F.prox_solver(1.0 / tau) if isinstance(F, oracles.L1) else None)
+    phi_x, phi_y = proxes
+    one = np.ones(1)
+    x, y, gamma = (np.asarray(v, dtype=float) for v in (x0, y0, gamma0))
+    By = inst.B @ y
+    xs, ys, gs = [x], [y], [gamma]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            head = (x,) if eng._x_in else ()
+            x = np.dot(eng._T1, np.concatenate(head + (By, gamma, one)))
+            x = x if phi_x is None else phi_x(x)
+            head = (y,) if eng._y_in else ()
+            out = np.dot(eng._T2, np.concatenate(head + (np.dot(inst.A, x), By, gamma, one)))
+            y = out[: inst.p] if phi_y is None else phi_y(out[: inst.p])
+            By = np.dot(inst.B, y)
+            gamma = out[inst.p :] - params.beta * By
+            xs.append(x)
+            ys.append(y)
+            gs.append(gamma)
+    return np.hstack([xs, ys, gs])
+
+
+def same_bits(a, b):
+    """Whether two float arrays have the same shape and the same bits."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def gamma_tilde(traj):
     """gamma_tilde_k for k = 1..K (row k-1), derived from the record as the
     verifier derives it."""

@@ -682,6 +682,22 @@ class TestBench:
         assert all(r["verification"] == "pass" for r in rows)
         assert rows[-1]["pointwise_ratio"] == ""  # alpha = 2
 
+    def test_nonfinite_gap_is_an_empty_cell(self, tmp_path):
+        # after one step the l1 block's Fenchel gap is +inf, which
+        # summary.json writes as null
+        inst_path = tmp_path / "lasso7.json"
+        problems.save_instance(problems.generate_lasso(7, 10, 20, 0.1), inst_path)
+        flags = ["--instance", str(inst_path), "--h1", "linearized", "--h2", "linearized",
+                 "--max-iter", "1"]
+        assert cli.main(["run", *flags, "--alpha", "2", "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["final_kkt_gap"] is None
+        out = tmp_path / "bench"
+        assert cli.main(["bench", *flags, "--alpha-grid", "1,2", "--out", str(out)]) == 0
+        with open(out / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["final_kkt_gap"] for r in rows] == ["", ""]
+
     def test_start_at_solution_leaves_ratios_empty(self, tmp_path):
         # d0 = 0 makes every bound's rhs zero: no ratio is defined
         inst = problems.SeparableInstance(

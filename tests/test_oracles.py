@@ -49,6 +49,13 @@ class TestValue:
         F = Quadratic(np.eye(2), np.zeros(2))
         assert F.value([1.0, 2.0]) == pytest.approx(2.5)
 
+    def test_quadratic_every_term(self):
+        # (1/2) v'Pv + q'v + c with each term nonzero: 9 - 3 + 0.5 and
+        # 1.5 - 3 + 0.5, all exact in floating point
+        F = Quadratic([[2.0, 1.0], [1.0, 3.0]], [1.0, -2.0], 0.5)
+        assert F.value([1.0, 2.0]) == 6.5
+        assert F.value([[1.0, 2.0], [-1.0, 1.0]]).tolist() == [6.5, -1.0]
+
     def test_l1(self):
         assert L1(2.0).value([-1.0, 3.0]) == pytest.approx(8.0)
 

@@ -104,36 +104,31 @@ class TestParams:
         assert linalg.is_psd(h1)
 
 
-def solve_x_subproblem(inst, params, y_prev, x_prev, gamma_prev):
-    """x_k from a fresh engine's x-block, given y_{k-1}, x_{k-1} and gamma_{k-1}."""
-    y_prev, x_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (y_prev, x_prev, gamma_prev))
-    return solver._Engine(inst, params).x_stage(x_prev, inst.B @ y_prev, gamma_prev)
-
-
-def solve_y_subproblem(inst, params, x_new, y_prev, gamma_prev):
-    """y_k from a fresh engine's y-block, given x_k, y_{k-1} and gamma_{k-1}."""
-    x_new, y_prev, gamma_prev = (np.asarray(v, dtype=float) for v in (x_new, y_prev, gamma_prev))
-    eng = solver._Engine(inst, params)
-    return eng.y_stage(y_prev, inst.A @ x_new, inst.B @ y_prev, gamma_prev)[0]
+def first_step(inst, params, x_prev, y_prev, gamma_prev):
+    """(x_k, y_k, gamma_k) from (x_{k-1}, y_{k-1}, gamma_{k-1}): row 1 of a
+    one-iteration run."""
+    params = dataclasses.replace(params, max_iter=1, stop_tol=0.0)
+    traj = solver.run(inst, params, x_prev, y_prev, gamma_prev)
+    return traj.X[1], traj.Y[1], traj.G[1]
 
 
 class TestSubproblems:
     def test_x_scalar_oracle(self, one_d_instance):
         # argmin x^2/2 + (x - 3)^2/2 = 1.5 by scalar calculus
         params = GadmmParams(beta=1.0, alpha=1.0)
-        x1 = solve_x_subproblem(one_d_instance, params, [0.0], [0.0], [0.0])
+        x1, _, _ = first_step(one_d_instance, params, [0.0], [0.0], [0.0])
         assert x1 == pytest.approx([1.5], abs=1e-12)
 
     def test_y_scalar_oracle_alpha_one(self, one_d_instance):
-        # argmin y^2/2 + (y - 1.5)^2/2 = 0.75
+        # argmin y^2/2 + (y - 1.5)^2/2 = 0.75 at x_1 = 1.5
         params = GadmmParams(beta=1.0, alpha=1.0)
-        y1 = solve_y_subproblem(one_d_instance, params, [1.5], [0.0], [0.0])
+        _, y1, _ = first_step(one_d_instance, params, [0.0], [0.0], [0.0])
         assert y1 == pytest.approx([0.75], abs=1e-12)
 
     def test_y_scalar_oracle_alpha_two(self, one_d_instance):
-        # argmin y^2/2 + (y - 3)^2/2 = 1.5
+        # argmin y^2/2 + (y - 3)^2/2 = 1.5 at x_1 = 1.5
         params = GadmmParams(beta=1.0, alpha=2.0)
-        y1 = solve_y_subproblem(one_d_instance, params, [1.5], [0.0], [0.0])
+        _, y1, _ = first_step(one_d_instance, params, [0.0], [0.0], [0.0])
         assert y1 == pytest.approx([1.5], abs=1e-12)
 
     def test_zero_objective_quadratic_completion(self):
@@ -150,7 +145,7 @@ class TestSubproblems:
         params = GadmmParams(beta=beta)
         y_prev = rng.standard_normal(n)
         g_prev = rng.standard_normal(n)
-        x1 = solve_x_subproblem(inst, params, y_prev, np.zeros(n), g_prev)
+        x1, _, _ = first_step(inst, params, np.zeros(n), y_prev, g_prev)
         expected = inst.b - inst.B @ y_prev + g_prev / beta
         assert np.allclose(x1, expected, atol=1e-12)
 
@@ -166,9 +161,9 @@ class TestSubproblems:
         )
         beta = 1.5
         params = GadmmParams(beta=beta, alpha=1.0)
-        x_new = rng.standard_normal(n)
+        x_prev = rng.standard_normal(n)
         g_prev = rng.standard_normal(n)
-        y1 = solve_y_subproblem(inst, params, x_new, np.zeros(n), g_prev)
+        x_new, y1, _ = first_step(inst, params, x_prev, np.zeros(n), g_prev)
         expected = inst.b - inst.A @ x_new + g_prev / beta
         assert np.allclose(y1, expected, atol=1e-12)
 
@@ -182,7 +177,7 @@ class TestSubproblems:
             np.zeros(n),
         )
         params = GadmmParams(beta=1.0, h1=LinearizedH())
-        x1 = solve_x_subproblem(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
+        x1, _, _ = first_step(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
         assert np.allclose(x1, 0.0)
 
     def test_l1_without_linearized_rejected(self):
@@ -196,7 +191,7 @@ class TestSubproblems:
         )
         params = GadmmParams(beta=1.0)
         with pytest.raises(ConfigError, match="linearized"):
-            solve_x_subproblem(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
+            first_step(inst, params, np.zeros(n), np.zeros(n), np.zeros(n))
 
     def test_singular_subproblem_refused(self):
         # zero objective and a rank-deficient block make the x update singular
@@ -206,7 +201,7 @@ class TestSubproblems:
         )
         params = GadmmParams(beta=1.0)
         with pytest.raises(NotPositiveDefiniteError):
-            solve_x_subproblem(inst, params, np.zeros(2), np.zeros(2), np.zeros(2))
+            first_step(inst, params, np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_first_order_residual_direct(self):
         rng = np.random.default_rng(11)
@@ -215,7 +210,7 @@ class TestSubproblems:
         x_prev = rng.standard_normal(5)
         y_prev = rng.standard_normal(4)
         g_prev = rng.standard_normal(3)
-        x1 = solve_x_subproblem(inst, params, y_prev, x_prev, g_prev)
+        x1, y1, _ = first_step(inst, params, x_prev, y_prev, g_prev)
         # gradient of the x subproblem objective at the returned point
         grad = (
             inst.f.grad(x1)
@@ -223,9 +218,7 @@ class TestSubproblems:
             + params.beta * (inst.A.T @ (inst.A @ x1 + inst.B @ y_prev - inst.b))
         )
         assert np.linalg.norm(grad) <= 1e-9
-        x_new = rng.standard_normal(5)
-        y1 = solve_y_subproblem(inst, params, x_new, y_prev, g_prev)
-        relaxed = params.alpha * (inst.A @ x_new + inst.B @ y_prev - inst.b)
+        relaxed = params.alpha * (inst.A @ x1 + inst.B @ y_prev - inst.b)
         grad_y = (
             inst.g.grad(y1)
             - inst.B.T @ g_prev
@@ -253,7 +246,7 @@ class TestSubproblems:
         x_prev = rng.standard_normal(4)
         y_prev = rng.standard_normal(3)
         g_prev = rng.standard_normal(2)
-        x1 = solve_x_subproblem(inst, params, y_prev, x_prev, g_prev)
+        x1, _, _ = first_step(inst, params, x_prev, y_prev, g_prev)
         grad = (
             inst.f.grad(x1)
             - inst.A.T @ g_prev
@@ -430,17 +423,16 @@ class TestRun:
         # gamma_3 overflows and every later step reads it; no term of the
         # stopping rule holds at a non-finite or NaN iterate, so the run
         # goes on to max_iter and the scan after it names k = 3
-        real = solver._Engine.step
+        real = solver._Engine.fill
         calls = []
 
-        def overflow_third(self, *args):
+        def overflow_third(self, Z, k):
             calls.append(None)
-            x, y, gamma, By = real(self, *args)
+            real(self, Z, k)
             if len(calls) == 3:
-                gamma = np.full_like(gamma, np.inf)
-            return x, y, gamma, By
+                Z[k, self.inst.n + self.inst.p :] = np.inf
 
-        monkeypatch.setattr(solver._Engine, "step", overflow_third)
+        monkeypatch.setattr(solver._Engine, "fill", overflow_third)
         params = GadmmParams(beta=1.0, alpha=1.0, max_iter=max_iter, stop_tol=stop_tol)
         with pytest.raises(DivergenceError, match="k=3") as info:
             solver.run(one_d_instance, params)

@@ -7,7 +7,7 @@ import pytest
 from gadmm import hpe, oracles, problems, solver
 from gadmm.solver import ExplicitH, GadmmParams, LinearizedH, ZeroH
 
-from conftest import random_spd, run_full
+from conftest import random_spd, reference_run, run_full, same_bits
 
 
 def reference_block(F, op, resolved, beta, u_prev, gamma, s, r):
@@ -70,12 +70,53 @@ def test_one_iteration_matches_the_subproblems(alpha, x_choice):
         params = GadmmParams(beta=beta, alpha=alpha, h1=h1, h2=h2)
         x_prev, y_prev, gamma_prev = (rng.standard_normal(d) for d in (n, p, m))
         eng = solver._Engine(inst, params)
-        got = eng.step(x_prev, y_prev, gamma_prev, B @ y_prev)
+        Z = np.empty((2, n + p + m))
+        Z[0] = np.concatenate([x_prev, y_prev, gamma_prev])
+        eng.By[...] = B @ y_prev
+        eng.fill(Z, 1)
+        got = np.split(Z[1], [n, n + p])
         want = reference_step(inst, params, x_prev, y_prev, gamma_prev)
         for name, u, v in zip(("x", "y", "gamma"), got, want):
             tol = 1e-12 * (1.0 + np.max(np.abs(v)))
             assert np.max(np.abs(u - v)) <= tol, (y_choice, name)
-        assert np.array_equal(got[3], B @ got[1])  # B y_k, carried forward
+        assert np.array_equal(eng.By, B @ got[1])  # B y_k, carried forward
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("x_choice", X_CHOICES)
+def test_run_is_the_reference_loop_bit_for_bit(alpha, x_choice):
+    n, p, m, beta = 4, 3, 6, 0.9
+    rng = np.random.default_rng(sum(map(ord, x_choice)))
+    A, B, b = rng.standard_normal((m, n)), rng.standard_normal((m, p)), rng.standard_normal(m)
+    (f, h1), = [(F, mode) for name, F, mode in block_choices(rng, n) if name == x_choice]
+    for y_choice, g, h2 in block_choices(rng, p):
+        inst = problems.SeparableInstance(f, g, A, B, b)
+        params = GadmmParams(beta=beta, alpha=alpha, h1=h1, h2=h2, max_iter=30, stop_tol=0.0)
+        z0 = [rng.standard_normal(d) for d in (n, p, m)]
+        want = reference_run(inst, params, *z0, 30)
+        assert same_bits(solver.run(inst, params, *z0).Z, want), y_choice
+
+
+RUNS = {
+    # both blocks linearized (the soft threshold in place), alpha = 2
+    "lasso": (lambda: problems.generate_lasso(7, 10, 20, 0.1), 2.0, LinearizedH(), 300, 0.0),
+    # stops early, so the record is trimmed to K + 1 rows
+    "qp-stop": (lambda: problems.generate_qp(1, 8, 6, 4), 1.9, ZeroH(), 4000, 1e-9),
+    # longer than the record's first allocation, which doubles
+    "qp-long": (lambda: problems.generate_qp(2, 8, 6, 4), 1.5, ZeroH(), 3000, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_run_is_the_reference_loop_bit_for_bit_at_scale(case):
+    make, alpha, mode, max_iter, tol = RUNS[case]
+    inst = make()
+    params = GadmmParams(beta=1.0, alpha=alpha, h1=mode, h2=mode, max_iter=max_iter, stop_tol=tol)
+    traj = solver.run(inst, params)
+    K = traj.iterations
+    assert K < max_iter if tol > 0 else K == max_iter
+    zeros = [np.zeros(d) for d in (inst.n, inst.p, inst.m)]
+    assert same_bits(traj.Z, reference_run(inst, params, *zeros, K))
 
 
 def test_subproblem_residuals_at_benchmark_scale():

@@ -73,9 +73,8 @@ def test_stopping_k_matches_oracle(case, alpha, tol, monkeypatch):
     pretests = (resid[:first] <= tol) & (step[:first] <= tol)
     assert len(gap_calls) == int(pretests.sum())
     # the one-point terms at the stopping k are the arrays' up to rounding
-    X, Y, G, k = stopped.X, stopped.Y, stopped.G, first
-    prev, new = (X[k - 1], Y[k - 1], G[k - 1]), (X[k], Y[k], G[k])
-    loop = list(solver.stop_terms(inst, stopped.metric, 1.0, prev, new))
+    k = first
+    loop = list(solver.stop_terms(inst, stopped.metric, 1.0, stopped.Z[k - 1 : k + 1]))
     arrays = [resid[k - 1], step[k - 1], gap[k - 1]]
     assert np.all(np.abs(np.subtract(loop, arrays)) <= 1e-12 * (1.0 + np.abs(arrays)))
 
