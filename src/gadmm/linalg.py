@@ -9,6 +9,7 @@ operations are pure functions and never mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,6 +64,17 @@ def as_matrix(a, rows=None, cols=None, name="matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} has non-finite entries")
     return out
+
+
+@functools.cache
+def upper_triangle(dim):
+    """The boolean mask of the upper triangle of a dim x dim matrix, made
+    once per dimension and read-only.  ``Q[mask]`` lists the triangle row
+    by row, the packed order of a symmetric matrix, and ``Q.T[mask] = v``
+    writes such a list into the lower triangle."""
+    mask = np.triu(np.ones((dim, dim), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 @np.errstate(over="ignore")  # entries near the float limit: an infinite gap fails

@@ -61,7 +61,12 @@ def soft_threshold(v, thr, out=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Quadratic:
-    """v -> (1/2) v'Pv + q'v + c with symmetric positive semidefinite P."""
+    """v -> (1/2) v'Pv + q'v + c with symmetric positive semidefinite P.
+
+    P is accepted when it passes :func:`linalg.is_psd`, which allows an
+    asymmetry within :data:`linalg.PSD_TOL`; it is then stored exactly
+    symmetric, its upper triangle mirrored onto the lower, so every reader
+    and the instance file's packed upper triangle see the same matrix."""
 
     P: np.ndarray
     q: np.ndarray
@@ -75,6 +80,8 @@ class Quadratic:
                 raise ValueError("P must be symmetric")
             raise ValueError("P must be positive semidefinite")
         P = P.copy()
+        upper = linalg.upper_triangle(q.shape[0])
+        P.T[upper] = P[upper]
         P.setflags(write=False)
         q = q.copy()
         q.setflags(write=False)

@@ -15,6 +15,10 @@ Generators produce instances whose reference point is computed by an
 independent route (a direct saddle-system solve for quadratic blocks, the
 exact solution path for the consensus l1 split, tied and collinear columns
 included), never by the ADMM engine itself.
+
+In the JSON document a quadratic's P, which :class:`oracles.Quadratic`
+holds exactly symmetric, is stored once: its upper triangle, row by row,
+n(n+1)/2 numbers, mirrored back into the full matrix on load.
 """
 
 from __future__ import annotations
@@ -80,11 +84,11 @@ class SeparableInstance:
             raise ValueError(f"g has dimension {self.g.dim}, B has {B.shape[1]} columns")
         if self.solution is not None:
             sol = self.solution
-            linalg.as_vector(sol.x, dim=self.n, name="solution.x")
-            linalg.as_vector(sol.y, dim=self.p, name="solution.y")
-            linalg.as_vector(sol.gamma, dim=self.m, name="solution.gamma")
+            x = linalg.as_vector(sol.x, dim=self.n, name="solution.x")
+            y = linalg.as_vector(sol.y, dim=self.p, name="solution.y")
+            gamma = linalg.as_vector(sol.gamma, dim=self.m, name="solution.gamma")
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-                gap = kkt_gap(self, sol)
+                gap = float(kkt_gaps(self, x, y, gamma))
             if not gap <= SOLUTION_GAP_TOL:
                 raise ValueError(
                     f"stored solution fails the optimality check (gap {gap:.3e})"
@@ -327,7 +331,7 @@ def _fun_to_json(F):
     if isinstance(F, oracles.Quadratic):
         return {
             "variant": "quadratic",
-            "P": F.P.ravel().tolist(),
+            "P": F.P[linalg.upper_triangle(F.dim)].tolist(),
             "q": F.q.tolist(),
             "c": float(F.c),
         }
@@ -375,7 +379,11 @@ def _real(raw, path) -> float:
 def _fun_from_json(obj, dim, path):
     variant = _require(obj, "variant", path)
     if variant == "quadratic":
-        P = _reals(_require(obj, "P", path), dim * dim, f"{path}.P").reshape(dim, dim)
+        packed = _reals(_require(obj, "P", path), dim * (dim + 1) // 2, f"{path}.P")
+        upper = linalg.upper_triangle(dim)
+        P = np.empty((dim, dim))
+        P[upper] = packed
+        P.T[upper] = packed
         q = _reals(_require(obj, "q", path), dim, f"{path}.q")
         c = _real(obj.get("c", 0.0), f"{path}.c")
         try:
@@ -394,6 +402,9 @@ def _fun_from_json(obj, dim, path):
 
 
 def instance_to_dict(inst: SeparableInstance) -> dict:
+    """The JSON document of ``inst``: A and B row-major, and a quadratic's
+    P as its upper triangle, row by row (P is exactly symmetric, so the
+    triangle is all of it)."""
     doc = {
         "n": inst.n,
         "p": inst.p,
@@ -443,7 +454,8 @@ def instance_from_dict(doc: dict) -> SeparableInstance:
 def save_instance(inst: SeparableInstance, path) -> None:
     """Write ``inst`` as :func:`records.write_json` writes
     ``instance_to_dict(inst)``, each number the shortest decimal that
-    round-trips its double, so load(save(inst)) reproduces every number."""
+    round-trips its double, so load(save(inst)) reproduces every number,
+    each P's lower triangle included, since it mirrors the upper."""
     records.write_json(path, instance_to_dict(inst))
 
 

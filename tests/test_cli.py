@@ -600,7 +600,7 @@ class TestVerify:
             "n": 1, "p": 2, "m": 2,
             "A": [1.0, 1.0], "B": [1.0, 0.0, 0.0, 1.0], "b": [3000.0, 1000.0],
             "f": {"variant": "zero"},
-            "g": {"variant": "quadratic", "P": [1.0, 0.0, 0.0, 1.0], "q": [1000.0, -2000.0]},
+            "g": {"variant": "quadratic", "P": [1.0, 0.0, 1.0], "q": [1000.0, -2000.0]},
             "solution": {"x": [1500.0], "y": [1500.0, -500.0], "gamma": [2500.0, -2500.0]},
         }))
         flags = ["--instance", str(inst_path), "--alpha", "1.5", "--max-iter", "200",

@@ -7,11 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from gadmm import oracles, problems, records
+from gadmm import cli, oracles, problems, records
 from gadmm.errors import ConfigError
 from gadmm.problems import KktPoint, SeparableInstance
 
-from conftest import assert_nothing_left, count_forks
+from conftest import assert_nothing_left, count_forks, same_bits
 
 
 class TestKktGap:
@@ -280,6 +280,104 @@ class TestInstanceIo:
             problems.load_instance(path)
 
 
+def quadratics(inst):
+    return [F for F in (inst.f, inst.g) if isinstance(F, oracles.Quadratic)]
+
+
+class TestPackedP:
+    """A quadratic's P is stored as its upper triangle, row by row, and
+    comes back as the exactly symmetric matrix the quadratic holds."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: problems.generate_qp(1, 8, 6, 4),
+            lambda: problems.generate_qp(3, 1, 1, 1),
+            lambda: problems.generate_qp(4, 30, 20, 10),
+            lambda: problems.generate_lasso(7, 10, 20, 0.1),
+            lambda: problems.generate_lasso(2, 5, 10, 0.3),
+        ],
+        ids=["qp-8-6-4", "qp-1-1-1", "qp-30-20-10", "lasso-10", "lasso-5"],
+    )
+    def test_save_and_load_is_bit_exact(self, tmp_path, make):
+        inst = make()
+        problems.save_instance(inst, tmp_path / "inst.json")
+        back = problems.load_instance(tmp_path / "inst.json")
+        for name in ("A", "B", "b"):
+            assert same_bits(getattr(back, name), getattr(inst, name))
+        for F, G in zip(quadratics(back), quadratics(inst)):
+            assert same_bits(F.P, G.P) and same_bits(F.q, G.q) and F.c == G.c
+        for name in ("x", "y", "gamma"):
+            assert same_bits(getattr(back.solution, name), getattr(inst.solution, name))
+        doc = json.loads((tmp_path / "inst.json").read_text())
+        assert len(doc["f"]["P"]) == inst.n * (inst.n + 1) // 2
+
+    def test_the_packed_list_is_the_upper_triangle_row_by_row(self):
+        P = np.array([[4.0, 1.0, 2.0], [1.0, 5.0, 3.0], [2.0, 3.0, 6.0]])
+        inst = SeparableInstance(
+            oracles.Quadratic(P, np.zeros(3)), oracles.Zero(), np.eye(3), -np.eye(3), np.zeros(3)
+        )
+        assert problems.instance_to_dict(inst)["f"]["P"] == [4.0, 1.0, 2.0, 5.0, 3.0, 6.0]
+
+    def test_a_slightly_asymmetric_p_comes_back_mirrored(self, tmp_path):
+        P = np.array([[2.0, 0.5, 0.25], [0.5, 3.0, -0.125], [0.25, -0.125, 1.0]])
+        P[2, 0] += 1e-12  # within linalg.is_symmetric's tolerance
+        F = oracles.Quadratic(P, [1.0, -1.0, 0.5])
+        mirrored = np.triu(P) + np.triu(P, 1).T
+        assert same_bits(F.P, mirrored) and not np.array_equal(F.P, P)
+        inst = SeparableInstance(F, oracles.Zero(), np.eye(3), -np.eye(3), np.zeros(3))
+        problems.save_instance(inst, tmp_path / "inst.json")
+        assert same_bits(problems.load_instance(tmp_path / "inst.json").f.P, mirrored)
+
+    @pytest.mark.parametrize("block", ["f", "g"])
+    def test_the_full_square_layout_exits_1_naming_the_field(self, tmp_path, capsys, block):
+        inst = problems.generate_qp(1, 4, 3, 2)
+        doc = problems.instance_to_dict(inst)
+        dim = inst.n if block == "f" else inst.p
+        doc[block]["P"] = getattr(inst, block).P.ravel().tolist()
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--instance", str(path), "--max-iter", "3", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"field '{block}.P' must be a list of {dim * (dim + 1) // 2} reals" in err
+        assert f"got {dim * dim}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "seed, n, p, m",
+        [(1, 200, 150, 100), (1, 8, 6, 4), (2, 1, 1, 1), (5, 17, 9, 6), (7, 64, 36, 24)],
+    )
+    def test_every_generated_qp_p_is_its_own_transpose(self, monkeypatch, seed, n, p, m):
+        # the matrices handed to Quadratic, before it mirrors them: since they
+        # are already exactly symmetric (G @ G.T goes through syrk), storing
+        # the upper triangle changes no bit of a generated instance
+        handed = raw_quadratic_inputs(monkeypatch)
+        problems.generate_qp(seed, n, p, m)
+        assert [P.shape for P in handed] == [(n, n), (p, p)]
+        assert all(np.array_equal(P, P.T) for P in handed)
+
+    @pytest.mark.parametrize("seed, n, m_data", [(7, 10, 20), (1, 3, 6), (9, 17, 16), (3, 40, 25)])
+    def test_every_generated_lasso_p_is_its_own_transpose(self, monkeypatch, seed, n, m_data):
+        handed = raw_quadratic_inputs(monkeypatch)
+        problems.generate_lasso(seed, n, m_data, 0.2)
+        assert [P.shape for P in handed] == [(n, n)]
+        assert all(np.array_equal(P, P.T) for P in handed)
+
+
+def raw_quadratic_inputs(monkeypatch):
+    """Record a copy of the P handed to each new Quadratic, as given."""
+    handed, real = [], oracles.Quadratic.__post_init__
+
+    def recording(self):
+        handed.append(np.array(self.P, dtype=float))
+        real(self)
+
+    monkeypatch.setattr(oracles.Quadratic, "__post_init__", recording)
+    return handed
+
+
 def json_reference(inst) -> bytes:
     """The bytes :func:`problems.save_instance` writes, from json's own
     indenting encoder."""
@@ -327,7 +425,7 @@ def format_through(monkeypatch, wrap):
 
 @pytest.fixture(scope="module")
 def large_qp():
-    """98,400 numbers: three parts on 3 CPUs, with both inner bounds in f.P."""
+    """67,325 numbers: three parts on 3 CPUs, with inner bounds in B and f.P."""
     return problems.generate_qp(1, 200, 150, 100)
 
 
@@ -346,11 +444,12 @@ class TestInstanceBytes:
         assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
         assert_nothing_left(tmp_path, ["inst.json"])
 
-    @pytest.mark.parametrize("cpus", [2, 3, 6])
+    @pytest.mark.parametrize("cpus", [2, 3, 6, 10])
     def test_every_split_of_a_small_instance(self, tmp_path, monkeypatch, cpus):
-        # 192 numbers in cpus parts: on 6 CPUs the bound at 32 is the first
-        # number of B.  Every worker's bytes are taken, so this process
-        # formats only the first part.
+        # 149 numbers in cpus parts (each P is 36 or 21, its upper
+        # triangle): on 10 CPUs the bound at 104 is the first number of
+        # g.P.  Every worker's bytes are taken, so this process formats
+        # only the first part.
         inst, parent, formatted = problems.generate_qp(1, 8, 6, 4), os.getpid(), []
 
         def recording(write, units):
@@ -366,7 +465,7 @@ class TestInstanceBytes:
         counted = count_forks(monkeypatch, cpus=cpus)
         problems.save_instance(inst, tmp_path / "inst.json")
         assert len(counted) == cpus - 1
-        assert formatted == [(0, 192 // cpus)]
+        assert formatted == [(0, 149 // cpus)]
         assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
         assert_nothing_left(tmp_path, ["inst.json"])
 

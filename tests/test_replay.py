@@ -28,15 +28,17 @@ def metric_builds(monkeypatch):
 
 @pytest.fixture
 def gap_checks(monkeypatch):
-    """Counts calls of problems.kkt_gap from anywhere in the package."""
+    """Counts calls of problems.kkt_gaps from anywhere in the package: an
+    instance's check of its stored solution, and problems.kkt_gap, which
+    goes through it."""
     calls = []
-    real = problems.kkt_gap
+    real = problems.kkt_gaps
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(problems, "kkt_gap", counting)
+    monkeypatch.setattr(problems, "kkt_gaps", counting)
     return calls
 
 
