@@ -151,12 +151,20 @@ class SpdFactor:
         if not is_symmetric(K):
             raise NotPositiveDefiniteError(f"{name} is not symmetric")
         try:
-            self._L_inv = np.linalg.inv(np.linalg.cholesky(K))
+            L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"{name} is not positive definite (subproblem not strictly convex)"
             ) from exc
-        self.side = K.shape[0]
+        self._L_inv, self.side = np.linalg.inv(L), K.shape[0]
+
+    @classmethod
+    def of_cholesky(cls, L):
+        """The factor of K = L L^T, from a lower Cholesky factor ``L`` that
+        the caller has already computed, unchecked."""
+        fac = cls.__new__(cls)
+        fac._L_inv, fac.side = np.linalg.inv(L), L.shape[0]
+        return fac
 
     def solve(self, rhs) -> np.ndarray:
         """Solve for one right-hand side, or for each column of a (side, k) block.

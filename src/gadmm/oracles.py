@@ -25,7 +25,6 @@ calls by rounding.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ from typing import Union
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefiniteError
 
 # Relative slack when testing membership in the domain of the l1 conjugate
 # (the mu-ball): prox outputs land exactly on the boundary and rounding
@@ -63,10 +61,12 @@ def soft_threshold(v, thr, out=None) -> np.ndarray:
 class Quadratic:
     """v -> (1/2) v'Pv + q'v + c with symmetric positive semidefinite P.
 
-    P is accepted when it passes :func:`linalg.is_psd`, which allows an
-    asymmetry within :data:`linalg.PSD_TOL`; it is then stored exactly
-    symmetric, its upper triangle mirrored onto the lower, so every reader
-    and the instance file's packed upper triangle see the same matrix."""
+    P must pass :func:`linalg.is_symmetric`, which allows an asymmetry
+    within :data:`linalg.PSD_TOL`; it is then stored exactly symmetric, its
+    upper triangle mirrored onto the lower, so every reader and the
+    instance file's packed upper triangle see the same matrix.  A P whose
+    Cholesky factorization succeeds is positive definite, and its factor is
+    kept for the conjugate; any other P must pass :func:`linalg.is_psd`."""
 
     P: np.ndarray
     q: np.ndarray
@@ -74,15 +74,20 @@ class Quadratic:
 
     def __post_init__(self):
         q = linalg.as_vector(self.q, name="q")
-        P = linalg.as_matrix(self.P, rows=q.shape[0], cols=q.shape[0], name="P")
-        if not linalg.is_psd(P):
-            if not linalg.is_symmetric(P):
-                raise ValueError("P must be symmetric")
-            raise ValueError("P must be positive semidefinite")
-        P = P.copy()
+        given = linalg.as_matrix(self.P, rows=q.shape[0], cols=q.shape[0], name="P")
+        if not linalg.is_symmetric(given):
+            raise ValueError("P must be symmetric")
+        P = given.copy()
         upper = linalg.upper_triangle(q.shape[0])
         P.T[upper] = P[upper]
         P.setflags(write=False)
+        try:
+            cholesky = np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            cholesky = None
+            if not linalg.is_psd(given):
+                raise ValueError("P must be positive semidefinite") from None
+        object.__setattr__(self, "_cholesky", cholesky)
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "P", P)
@@ -120,12 +125,14 @@ class Quadratic:
         eigenvalue under the cutoff, negative ones too, taken as zero, and N
         the projector onto the eigenvectors so dropped."""
         cutoff = self.dim * np.finfo(float).eps
-        with contextlib.suppress(NotPositiveDefiniteError), np.errstate(over="ignore"):
-            fac = linalg.SpdFactor(self.P)
-            # a cheap proof: trace(P^-1) >= 1/min eig and ||P||_1 >= max eig
-            # (an overflow makes it inf and sends P to the eigenvalues)
-            if fac.inv_trace() * cutoff * np.linalg.norm(self.P, 1) < 1.0:
-                return fac
+        cholesky = vars(self).pop("_cholesky")  # its inverse replaces it
+        if cholesky is not None:
+            with np.errstate(over="ignore"):
+                fac = linalg.SpdFactor.of_cholesky(cholesky)
+                # a cheap proof: trace(P^-1) >= 1/min eig and ||P||_1 >= max eig
+                # (an overflow makes it inf and sends P to the eigenvalues)
+                if fac.inv_trace() * cutoff * np.linalg.norm(self.P, 1) < 1.0:
+                    return fac
         scale = float(np.max(np.abs(self.P))) or 1.0  # eigh(P / scale) cannot overflow
         lam, V = np.linalg.eigh(self.P / scale)
         keep = lam > cutoff * np.max(np.abs(lam))

@@ -31,10 +31,12 @@ def atomic_open(path, newline=None):
 
 # A text of c cells is split into min(usable CPUs, c // CELLS_PER_WORKER)
 # ranges.  A fork plus its waitpid costs about 3 ms in a 64 MB process.
-# Formatting a cell costs about 0.75 us, so a writer's range formats in at
-# least 15 ms, several times what starting its worker costs.  Parsing a cell
-# costs about 0.32 us, and a reader's worker gets at least 1/parts of the
-# cells, so its range parses in at least 6.4 ms, about twice the fork's cost.
+# Formatting a trajectory cell costs about 0.45 us (0.40-0.44 us on the
+# benchmark's lasso and 450-column QP records, best of 9), so a writer's
+# range formats in at least 9 ms, three times what starting its worker
+# costs.  Parsing a cell costs about 0.2 us (0.19-0.24 us), and a reader's
+# worker gets at least 1/parts of the cells, so its range parses in at least
+# 4 ms, a little more than the fork's cost.
 CELLS_PER_WORKER = 20_000
 
 
@@ -234,17 +236,33 @@ def write_json(path, doc) -> None:
 
 def _write_rows(write, table, start, stop) -> None:
     """Pass the CSV line of each of rows start..stop-1 of ``table``, k
-    first, to ``write``.  No cell needs CSV quoting, so joining with ","
-    and "\\r\\n" gives the bytes csv.writer would, and one row of strings
-    is held at a time."""
-    for k, row in enumerate(table[start:stop], start):
-        write(f"{k}," + ",".join(map(repr, row.tolist())) + "\r\n")
+    first, to ``write``, each made by one ``%`` call.
+
+    A cell equal to itself rounded to 12 decimals (a zero, an integer, an
+    l1 block's clamped multiplier mu) is written ``%r``, its shortest
+    ``repr``; every other cell ``%.17g``, a cheaper conversion whose 17
+    significant digits round-trip every double.  So each cell reads back
+    bit for bit.  A row's format is built once for each distinct pattern of
+    the two in the range.  No cell needs CSV quoting, so a line is the bytes
+    csv.writer would give these texts; one row of strings is held at a time.
+    """
+    rows = table[start:stop]
+    with np.errstate(over="ignore"):  # rounding a cell near the float limit
+        short = rows == np.round(rows, 12)
+    formats = {}
+    for k, row, mask in zip(range(start, stop), rows, short):
+        key = mask.tobytes()
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = "%d," + ",".join(np.where(mask, "%r", "%.17g")) + "\r\n"
+        write(fmt % (k, *row.tolist()))
 
 
 def write_csv(path, header, table) -> None:
     """Write ``header``, then row k of the float array ``table`` as k and
-    its cells, each with full round-trip precision: the units of
-    :func:`write_in_parts` are the rows."""
+    its cells, each as its shortest ``repr`` or with 17 significant digits
+    (:func:`_write_rows`), so every cell reads back bit for bit: the units
+    of :func:`write_in_parts` are the rows."""
 
     def write(emit, start, stop):
         _write_rows(emit, table, start, stop)

@@ -455,7 +455,8 @@ def trajectory_header(inst) -> list[str]:
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the header k, x0.., y0.., gamma0.., then one row per iteration:
-    k and z_k, every float with full round-trip precision, by
+    k and z_k, every float as its shortest ``repr`` or with 17 significant
+    digits, both of which read back bit for bit, by
     :func:`records.write_csv`."""
     records.write_csv(path, trajectory_header(traj.instance), traj.Z)
 

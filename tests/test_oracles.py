@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadmm import problems
+from gadmm import linalg, problems
 from gadmm.oracles import L1, Quadratic, Zero, fenchel_gap
 
 from conftest import random_spd
@@ -209,6 +209,27 @@ class TestFenchelGap:
         for u in ([1e-3, -1e-3], [0.101, 0.099]):
             assert fenchel_gap(F, u, [0.0, 0.0]) == math.inf
             assert F.conjugate(u) == math.inf
+
+    def test_definite_p_is_factored_once(self, monkeypatch):
+        # the factor the constructor's probe made serves every gap, and is
+        # the one SpdFactor(P) makes; a semidefinite P fails that
+        # factorization and is probed with the shifted one
+        real, calls = np.linalg.cholesky, []
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        F = Quadratic(random_spd(np.random.default_rng(3), 5), np.arange(5.0))
+        for u in ([0.5] * 5, [[0.1] * 5, [-0.2] * 5]):
+            fenchel_gap(F, u, np.ones(np.shape(u)))
+        assert calls == [(5, 5)]
+        assert np.array_equal(F._p_inverse._L_inv, linalg.SpdFactor(F.P)._L_inv)
+        calls.clear()
+        F = Quadratic([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
+        assert fenchel_gap(F, [0.1, 0.1], [0.0, 0.0]) == pytest.approx(0.005)
+        assert calls == [(2, 2), (2, 2)]
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_residual_form_within_the_band_of_three_terms(self, seed):

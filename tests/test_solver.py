@@ -524,15 +524,21 @@ class TestDataScaleEquivariance:
                     assert np.array_equal(Z, s * base), (case, alpha, j)
 
 
+def cell_text(v):
+    """The text of one trajectory cell: its ``repr`` when it equals itself
+    rounded to 12 decimals, else 17 significant digits."""
+    return repr(v) if v == np.round(v, 12) else "%.17g" % v
+
+
 def rowwise_trajectory_csv(traj, path):
     """The trajectory CSV written one ``csv.writer`` row at a time, k and
-    the cells of z_k: the reference for the bytes of
-    :func:`solver.save_trajectory_csv`."""
+    the cells of z_k, each through :func:`cell_text`: the reference for the
+    bytes of :func:`solver.save_trajectory_csv`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(solver.trajectory_header(traj.instance))
         for k, z in enumerate(traj.Z):
-            writer.writerow([str(k), *map(repr, z.tolist())])
+            writer.writerow([str(k), *map(cell_text, z.tolist())])
 
 
 def writer_trajectory(kind, iters):

@@ -2,6 +2,7 @@
 ``gadmm verify`` rejects a corrupt file (exit 1, one ``error:`` line naming
 the file row, or the columns a file of another layout has too many)."""
 
+import csv
 import dataclasses
 import math
 import re
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gadmm import certificates, cli, hpe, problems, records, solver
+
+from conftest import count_forks
 
 N, P, M = 3, 2, 2
 K = 5
@@ -229,3 +232,85 @@ def test_report_of_a_run_read_back_is_byte_identical(tmp_path, kind):
     back = solver.load_trajectory_csv(path, inst, params)
     reports = [certificates.full_verification(t, inst.solution).to_dict() for t in (traj, back)]
     assert records.json_text(reports[0]) == records.json_text(reports[1])
+
+
+# Cells whose shortest text has 15, 16 and 17 significant digits: a
+# mantissa of that many digits times a power of ten, read as a double.
+DECIMAL_DIGITS = st.builds(
+    lambda digits, mantissa, exp: float(f"{mantissa % 10**digits}e{exp}"),
+    st.sampled_from([15, 16, 17]),
+    st.integers(10**16, 10**17 - 1),
+    st.integers(-330, 300),
+)
+ANY_CELL = st.one_of(
+    EXTREME,
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e16, 12345678901234568.0, 9.9999999999999984e16]),
+    st.floats(1e16, 1e17, exclude_max=True),
+    DECIMAL_DIGITS,
+    st.integers(-(10**6), 10**6).map(lambda i: i / 10),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 6))
+def test_write_then_read_is_bit_exact(tmp_path_factory, data, rows, cols):
+    table = data.draw(hnp.arrays(np.float64, (rows, cols), elements=ANY_CELL))
+    header = ["k", *(f"c{j}" for j in range(cols))]
+    path = tmp_path_factory.mktemp("cells") / "table.csv"
+    records.write_csv(path, header, table)
+    back = records.read_csv(path, header)
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))
+
+
+def test_short_decimals_keep_their_repr(tmp_path):
+    # 0.1 is mu of an l1 block, whose clamped multipliers are exactly +-mu;
+    # 1/3 and pi need 17 digits here, where their repr has 16
+    cells = [0.1, -0.1, 0.0, -0.0, 3.0, 1 / 3, -math.pi]
+    path = tmp_path / "table.csv"
+    records.write_csv(path, ["k", *(f"c{j}" for j in range(len(cells)))], np.array([cells]))
+    row = path.read_bytes().split(b"\r\n")[1].decode()
+    assert row == "0,0.1,-0.1,0.0,-0.0,3.0,0.33333333333333331,-3.1415926535897931"
+    assert row.split(",")[6:] == ["%.17g" % (1 / 3), "%.17g" % -math.pi]
+
+
+def test_rows_of_different_formats_give_the_serial_bytes_forked(tmp_path, monkeypatch):
+    # 3000 rows of 21 cells split into three ranges; every row mixes short
+    # decimals and 17-digit cells in its own pattern
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((3000, 20))
+    short = rng.random(table.shape) < 0.3
+    table[short] = np.round(table[short], 1)
+    header = ["k", *(f"c{j}" for j in range(20))]
+    serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
+    assert count_forks(monkeypatch, cpus=1) == []
+    records.write_csv(serial, header, table)
+    counted = count_forks(monkeypatch, cpus=3)
+    records.write_csv(forked, header, table)
+    assert len(counted) == 2
+    assert forked.read_bytes() == serial.read_bytes()
+    assert np.array_equal(records.read_csv(forked, header).view(np.int64), table.view(np.int64))
+
+
+def test_file_of_repr_cells_verifies_as_the_new_one(tmp_path, recorded):
+    # a trajectory written with every cell's shortest repr, as earlier
+    # versions did, holds the same doubles and gives the same report
+    inst_path, lines = recorded
+    new = tmp_path / "trajectory.csv"
+    new.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8")
+    header = lines[0].split(",")
+    Z = records.read_csv(new, header)
+    old = tmp_path / "old.csv"
+    with open(old, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k, z in enumerate(Z.tolist()):
+            writer.writerow([str(k), *map(repr, z)])
+    assert old.read_bytes() != new.read_bytes()
+    assert np.array_equal(records.read_csv(old, header).view(np.int64), Z.view(np.int64))
+    reports = []
+    for path in (new, old):
+        report = tmp_path / f"{path.stem}-verify.json"
+        argv = ["verify", "--instance", str(inst_path), "--trajectory", str(path)]
+        assert cli.main(argv + ["--stop-tol", "0", "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
