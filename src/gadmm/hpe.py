@@ -39,15 +39,17 @@ Certification is post-hoc and shares no state with the iteration engine.
 
 A :class:`Replay` evaluates every per-iteration quantity once, as arrays
 over k; each check reads it and states its condition as lhs <= rhs + tol at
-every k, which :func:`check` turns into a :class:`ReportRow`.  The one place
-a failed check raises is :meth:`gadmm.certificates.VerificationReport.raise_first`.
+every k, which :func:`check` turns into a :class:`ReportRow`.  One routine,
+:func:`settle`, reads the verdicts of a stack of rows off their slacks at
+once; a row read on its own is settled as a stack of one.  The one place a
+failed check raises is :meth:`gadmm.certificates.VerificationReport.raise_first`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -141,9 +143,12 @@ def build_metric(inst, h1, h2, beta, alpha) -> ProximalMetric:
     if not beta > 0:
         raise ValueError("beta must be positive")
     c, B = (1.0 - alpha) / alpha, inst.B
+    W = np.empty((p + m, p + m))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        yy = h2 + (beta / alpha) * (B.T @ B)
-        W = np.block([[yy, c * B.T], [c * B, np.eye(m) / (alpha * beta)]])
+        W[:p, :p] = h2 + (beta / alpha) * (B.T @ B)
+        W[:p, p:] = c * B.T
+        W[p:, :p] = c * B
+        W[p:, p:] = np.eye(m) / (alpha * beta)
     if not np.isfinite(W).all():
         raise ConfigError(f"proximal metric overflows at alpha={alpha!r}, beta={beta!r}")
     H1 = h1.copy() if h1.any() else None
@@ -188,9 +193,10 @@ def initial_distance_sq(traj: "Trajectory", z_star: problems.KktPoint) -> float:
 
 @dataclass
 class ReportRow:
-    """One named check lhs <= rhs + tol at the iterations ``ks``: the three
-    arrays, the worst slack and the first iteration where the check failed
-    (None if it never did).  Built by :func:`check`."""
+    """One named check lhs <= rhs + tol at the ascending iterations ``ks``,
+    built by :func:`check`.  Its verdict (``passed``, ``worst_slack``,
+    ``worst_k``, ``first_k``) is read off its arrays by :func:`settle`, on
+    first use unless a caller settled it with other rows."""
 
     name: str
     ks: np.ndarray
@@ -198,60 +204,86 @@ class ReportRow:
     rhs: np.ndarray
     tol: np.ndarray
     tolerance: str
-    passed: bool
-    worst_slack: float
-    worst_k: Optional[int]
-    first_k: Optional[int]
     note: str = ""
+    # (passed, worst_slack, worst_k, first_k, (lhs, rhs, tol) at worst_k)
+    _verdict: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def _settled(self) -> tuple:
+        if self._verdict is None:
+            settle([self])
+        return self._verdict
+
+    @property
+    def passed(self) -> bool:
+        return self._settled()[0]
+
+    @property
+    def worst_slack(self) -> float:
+        return self._settled()[1]
+
+    @property
+    def worst_k(self) -> Optional[int]:
+        return self._settled()[2]
+
+    @property
+    def first_k(self) -> Optional[int]:
+        """The first iteration where the check failed, None if it never did."""
+        return self._settled()[3]
 
     def to_dict(self) -> dict:
         """The row as strict JSON, with lhs, rhs and tol at ``worst_k``; a
         non-finite number is written as null."""
-        lhs = rhs = tol = math.nan
-        if self.worst_k is not None:
-            at = int(np.searchsorted(self.ks, self.worst_k))
-            lhs, rhs, tol = float(self.lhs[at]), float(self.rhs[at]), float(self.tol[at])
-        finite = math.isfinite(self.worst_slack)
+        passed, worst, worst_k, first_k, at = self._settled()
         return {
             "name": self.name,
-            "pass": self.passed,
-            "worst_slack": self.worst_slack if finite else None,
-            "worst_k": self.worst_k,
-            "first_k": self.first_k,
-            "lhs": lhs if math.isfinite(lhs) else None,
-            "rhs": rhs if math.isfinite(rhs) else None,
-            "tol": tol if math.isfinite(tol) else None,
+            "pass": passed,
+            "worst_slack": worst if math.isfinite(worst) else None,
+            "worst_k": worst_k,
+            "first_k": first_k,
+            **{key: v if math.isfinite(v) else None for key, v in zip(("lhs", "rhs", "tol"), at)},
             "tolerance": self.tolerance,
-            "note": self.note or ("" if finite else "non-finite slack"),
+            "note": self.note or ("" if math.isfinite(worst) else "non-finite slack"),
         }
 
 
 def check(name, ks, lhs, rhs, tol, tolerance, note="") -> ReportRow:
-    """The report row of lhs <= rhs + tol at the iterations ``ks``; rhs and
-    tol may be scalars.
-
-    The slack rhs + tol - lhs decides the row: it fails at every k where
-    the slack is negative or NaN.  ``worst_slack`` is the exact minimum;
-    ``worst_k`` is the first k within :data:`WORST_K_BAND` of it (the argmin
-    when the minimum is not finite).
-    """
+    """The report row of lhs <= rhs + tol at the ascending iterations ``ks``;
+    rhs and tol may be scalars, repeated over k."""
     lhs, rhs, tol = (np.asarray(v, dtype=float) for v in (lhs, rhs, tol))
-    # a scalar rhs or tol is repeated over k (np.broadcast_arrays costs more than the check)
+    # np.broadcast_arrays costs more than this repeat
     rhs, tol = (v if v.shape else np.zeros(lhs.shape) + v for v in (rhs, tol))
     ks = np.asarray(ks, dtype=int)
-    slack = rhs + tol - lhs
-    if slack.size == 0:
-        return ReportRow(name, ks, lhs, rhs, tol, tolerance, True, math.inf, None, None,
-                         note or "no iterations")
-    worst = int(np.argmin(slack))
-    low = float(slack[worst])
-    if math.isfinite(low):
-        worst = int(np.argmax(slack <= low + WORST_K_BAND * (1.0 + abs(low))))
-    bad = np.flatnonzero(~(slack >= 0.0))
-    first_k = int(ks[bad[0]]) if bad.size else None
-    return ReportRow(
-        name, ks, lhs, rhs, tol, tolerance, first_k is None, low, int(ks[worst]), first_k, note
-    )
+    return ReportRow(name, ks, lhs, rhs, tol, tolerance, note or ("" if ks.size else "no iterations"))
+
+
+def settle(rows) -> None:
+    """Read the verdicts of ``rows``, whose ks have one length K, off one
+    (rows x K) table of slacks rhs + tol - lhs.
+
+    A row fails at every k where its slack is negative or NaN.  Its
+    ``worst_slack`` is the exact minimum; its ``worst_k`` the first k whose
+    slack lies within :data:`WORST_K_BAND` of it (the argmin when the
+    minimum is not finite).  With K = 0 every row passes, with an infinite
+    worst slack and neither k.
+    """
+    L, R, T = (np.array([getattr(row, a) for row in rows]) for a in ("lhs", "rhs", "tol"))
+    if L.shape[1] == 0:
+        for row in rows:
+            row._verdict = (True, math.inf, None, None, (math.nan,) * 3)
+        return
+    slack = R + T - L
+    every = np.arange(len(rows))
+    worst = np.argmin(slack, axis=1)
+    low = slack[every, worst]
+    with np.errstate(invalid="ignore"):  # -inf + inf at a minimum of -inf
+        edge = low + WORST_K_BAND * (1.0 + np.abs(low))
+    worst = np.where(np.isfinite(low), np.argmax(slack <= edge[:, None], axis=1), worst)
+    bad = ~(slack >= 0.0)
+    first = np.where(bad.any(axis=1), np.argmax(bad, axis=1), -1)
+    ats = zip(L[every, worst].tolist(), R[every, worst].tolist(), T[every, worst].tolist())
+    for row, w, f, s, at in zip(rows, worst.tolist(), first.tolist(), low.tolist(), ats):
+        first_k = None if f < 0 else int(row.ks[f])
+        row._verdict = (first_k is None, s, int(row.ks[w]), first_k, at)
 
 
 def not_applicable(name) -> ReportRow:

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
+import math
 import os
 import threading
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -169,29 +170,69 @@ def write_in_parts(path, units, cells, write, lines, head="", tail="", newline=N
 # JSON documents
 
 
-def json_text(doc) -> str:
-    """``doc`` as every JSON record is laid out: json's indent-1 text and a
-    newline; a non-finite number raises :class:`ValueError` (strict JSON)."""
-    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+def _numbers(values, sep="") -> str:
+    """The floats ``values`` joined by ``sep``, each written as json writes
+    it; a non-finite one raises json's :class:`ValueError`."""
+    text = sep.join(map(float.__repr__, values))
+    if "n" in text:  # inf or nan; a finite repr has no "n"
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return text
 
 
-# Stands in for each list of floats in the skeleton that json lays out; no
-# string of a record document is this one character.
+# Stands in for the numbers of each list of floats that write_json defers;
+# a string's JSON text escapes every control character, so no other "\0"
+# is in the text.
 _LIST_MARK = "\0"
 
 
-def _skeleton(node, lists):
-    """``node`` with each list that starts with a float replaced by
-    ``[_LIST_MARK]`` and appended to ``lists``, in the order json writes
-    them; any other list, such as a report's checks, is recursed into."""
-    if isinstance(node, dict):
-        return {key: _skeleton(value, lists) for key, value in node.items()}
-    if isinstance(node, list):
-        if node and type(node[0]) is float:
+def _text(node, indent, lists) -> str:
+    """The JSON text of ``node`` as json lays it out with ``indent=1``,
+    ``node`` starting at the indent ``indent`` (spaces).  If ``lists`` is
+    not None, each list that starts with a float is appended to it and its
+    numbers are written as :data:`_LIST_MARK`."""
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):
+        text = float.__repr__(node)
+        return text if "n" not in text else _numbers((node,))  # which raises
+    inner = indent + " "
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        if lists is not None and type(node[0]) is float:
             lists.append(node)
-            return [_LIST_MARK]
-        return [_skeleton(value, lists) for value in node]
-    return node
+            body = _LIST_MARK
+        else:
+            body = f",\n{inner}".join([_text(value, inner, lists) for value in node])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        items = []
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_text(value, inner, lists)}")
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def json_text(doc) -> str:
+    """``doc`` as every JSON record is laid out: the text of
+    ``json.dumps(doc, indent=1, allow_nan=False)`` and a newline, written in
+    one pass.  As there, a non-finite number raises json's
+    :class:`ValueError` and a value json cannot write :class:`TypeError`;
+    a record's keys are strings, and any other key raises :class:`TypeError`."""
+    return _text(doc, "", None) + "\n"
 
 
 def write_json(path, doc) -> None:
@@ -199,16 +240,15 @@ def write_json(path, doc) -> None:
     as the bytes of :func:`json_text`, refusing a non-finite number with
     :class:`ValueError` as it does.
 
-    Only the skeleton (keys, scalars, nesting) goes through json, whose
-    encoder runs in Python when it indents.  The numbers of the lists of
-    floats, in document order, are the units of :func:`write_in_parts`,
-    written with ``float.__repr__`` as json writes them.
+    The one pass of :func:`json_text` writes the keys, scalars and nesting
+    and collects the lists of floats.  Their numbers, in document order,
+    are the units of :func:`write_in_parts`, written with
+    ``float.__repr__`` as json writes them.
     """
     lists = []
-    skeleton = json_text(_skeleton(doc, lists))
     # leads[j] precedes list j's numbers and ends in "[\n" and the list's
     # indent, which also follows the "," between two of its numbers
-    *leads, tail = skeleton.split(json.dumps(_LIST_MARK))
+    *leads, tail = _text(doc, "", lists).split(_LIST_MARK)
     seps = [",\n" + lead.rpartition("\n")[2] for lead in leads]
     firsts = list(itertools.accumulate(map(len, lists), initial=0))
 
@@ -216,9 +256,7 @@ def write_json(path, doc) -> None:
         for first, cells, lead, sep in zip(firsts, lists, leads, seps):
             lo, hi = max(start, first), min(stop, first + len(cells))
             if lo < hi:
-                text = sep.join(map(float.__repr__, cells[lo - first : hi - first]))
-                if "n" in text:  # inf or nan; a finite repr has no "n"
-                    raise ValueError("Out of range float values are not JSON compliant")
+                text = _numbers(cells[lo - first : hi - first], sep)
                 emit(lead if lo == first else sep)
                 emit(text)
 
@@ -227,7 +265,7 @@ def write_json(path, doc) -> None:
         extra = (lead.count("\n") - 1 for first, lead in zip(firsts, leads) if start <= first < stop)
         return stop - start + sum(extra)
 
-    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail)
+    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail + "\n")
 
 
 # ---------------------------------------------------------------------------

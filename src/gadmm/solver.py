@@ -313,28 +313,27 @@ class _Engine:
         Gu1, Gg1, g01, self._thr_x = _pre_prox(inst.f, inst.A, h1, beta, "x")
         Gu2, Gg2, g02, self._thr_y = _pre_prox(inst.g, inst.B, h2, beta, "y")
         self._x_in, self._y_in = Gu1 is not None, Gu2 is not None
-        b, eye = inst.b[:, None], np.eye(inst.m)
+        n, p, m = inst.n, inst.p, inst.m
+        hx, hy = n * self._x_in, p * self._y_in
+        b, eye = inst.b[:, None], np.eye(m)
         ba, bc = beta * alpha, beta * (1.0 - alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             # columns: x_{k-1} (if Gu1), B y_{k-1}, gamma_{k-1}, 1
             T1 = np.hstack([Gu1] * self._x_in + [-beta * Gg1, Gg1, g01[:, None] + beta * (Gg1 @ b)])
             # rows: v_y, gbar_k; columns: y_{k-1} (if Gu2), A x_k,
             # B y_{k-1}, gamma_{k-1}, 1
-            T2 = np.block(
-                [
-                    [-ba * Gg2, bc * Gg2, Gg2, g02[:, None] + Gg2 @ (ba * b)],
-                    [-ba * eye, bc * eye, eye, ba * b],
-                ]
-            )
+            T2 = np.empty((p + m, hy + 3 * m + 1))
             if self._y_in:
-                T2 = np.hstack([np.vstack([Gu2, np.zeros((inst.m, inst.p))]), T2])
+                T2[:p, :hy], T2[p:, :hy] = Gu2, 0.0
+            T2[:p, hy : hy + m], T2[p:, hy : hy + m] = -ba * Gg2, -ba * eye
+            T2[:p, hy + m : hy + 2 * m], T2[p:, hy + m : hy + 2 * m] = bc * Gg2, bc * eye
+            T2[:p, hy + 2 * m : -1], T2[p:, hy + 2 * m : -1] = Gg2, eye
+            T2[:p, -1:], T2[p:, -1:] = g02[:, None] + Gg2 @ (ba * b), ba * b
         if not np.isfinite(T1).all():
             raise ConfigError(f"x-block stage map overflows at beta={beta!r}")
         if not np.isfinite(T2).all():
             raise ConfigError(f"y-block stage map overflows at alpha={alpha!r}, beta={beta!r}")
         self._T1, self._T2 = T1, T2
-        n, p, m = inst.n, inst.p, inst.m
-        hx, hy = n * self._x_in, p * self._y_in
         self._u1, self._u2 = np.ones(hx + 2 * m + 1), np.ones(hy + 3 * m + 1)
         self._Ax, self.By, self._gamma = np.split(self._u2[hy:-1], 3)
         self._tail1, self._tail2 = self._u1[hx:], self._u2[hy + m :]  # [B y; gamma; 1]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 from types import SimpleNamespace
 
@@ -82,6 +83,44 @@ def reference_run(inst, params, x0, y0, gamma0, iters):
             ys.append(y)
             gs.append(gamma)
     return np.hstack([xs, ys, gs])
+
+
+def reference_check(name, ks, lhs, rhs, tol, tolerance, note=""):
+    """The verdict of lhs <= rhs + tol at the iterations ``ks`` as each
+    report row was reduced on its own before :func:`gadmm.hpe.settle` read
+    the rows as one table: a namespace with ``passed``, ``worst_slack``,
+    ``worst_k``, ``first_k`` and the row's ``to_dict()``."""
+    lhs, rhs, tol = (np.asarray(v, dtype=float) for v in (lhs, rhs, tol))
+    rhs, tol = (v if v.shape else np.zeros(lhs.shape) + v for v in (rhs, tol))
+    ks = np.asarray(ks, dtype=int)
+    slack = rhs + tol - lhs
+    if slack.size == 0:
+        passed, low, worst_k, first_k, note = True, math.inf, None, None, note or "no iterations"
+    else:
+        worst = int(np.argmin(slack))
+        low = float(slack[worst])
+        if math.isfinite(low):
+            worst = int(np.argmax(slack <= low + hpe.WORST_K_BAND * (1.0 + abs(low))))
+        bad = np.flatnonzero(~(slack >= 0.0))
+        first_k = int(ks[bad[0]]) if bad.size else None
+        passed, worst_k = first_k is None, int(ks[worst])
+    at_worst = [math.nan] * 3
+    if worst_k is not None:
+        at = int(np.searchsorted(ks, worst_k))
+        at_worst = [float(lhs[at]), float(rhs[at]), float(tol[at])]
+    finite = math.isfinite(low)
+    doc = {
+        "name": name,
+        "pass": passed,
+        "worst_slack": low if finite else None,
+        "worst_k": worst_k,
+        "first_k": first_k,
+        **{key: v if math.isfinite(v) else None for key, v in zip(("lhs", "rhs", "tol"), at_worst)},
+        "tolerance": tolerance,
+        "note": note or ("" if finite else "non-finite slack"),
+    }
+    return SimpleNamespace(passed=passed, worst_slack=low, worst_k=worst_k, first_k=first_k,
+                           to_dict=lambda: doc)
 
 
 def same_bits(a, b):

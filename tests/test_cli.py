@@ -472,16 +472,19 @@ class TestVerify:
         with pytest.raises(ValueError, match="row 21"):
             solver.load_trajectory_csv(args[4], inst, solver.GadmmParams(beta=1.0))
 
-    def test_reports_are_strict_json(self, tmp_path, capsys):
+    def test_reports_are_strict_json(self, tmp_path, capsysbinary):
         args = self._run_then_verify_args(tmp_path, alpha="2.0")
         assert cli.main(args) == 0
-        report = strict_json((tmp_path / "report.json").read_text())
+        written = (tmp_path / "report.json").read_bytes()
+        report = strict_json(written.decode())
         skipped = [c for c in report["checks"] if c["worst_slack"] is None]
         assert {c["name"] for c in skipped} == {"rho_contractive_bound", "pointwise_bound"}
         assert all(c["note"] == "not-applicable at alpha=2" for c in skipped)
-        capsys.readouterr()
+        capsysbinary.readouterr()
         assert cli.main(args[:-2]) == 0  # report to stdout
-        assert strict_json(capsys.readouterr().out)["pass"] is True
+        out = capsysbinary.readouterr().out
+        assert out == written
+        assert strict_json(out.decode())["pass"] is True
         inst_path = args[2]
         out0 = tmp_path / "run0"
         assert cli.main(
