@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -202,7 +203,9 @@ class Trajectory:
     @functools.cached_property
     def final_terms(self) -> tuple:
         """The three terms of :func:`stop_terms` at k = K; at K = 0, NaN and
-        NaN, then the gap :func:`problems.kkt_gaps` at z_0."""
+        NaN, then the gap :func:`problems.kkt_gaps` at z_0.  Where the
+        stopping rule fired, :func:`run` stores the loop's own terms here,
+        so they are not computed again."""
         inst = self.instance
         with np.errstate(over="ignore", invalid="ignore"):  # huge finite iterates: inf
             if self.iterations == 0:
@@ -335,14 +338,16 @@ class _Engine:
             raise ConfigError(f"y-block stage map overflows at alpha={alpha!r}, beta={beta!r}")
         self._T1, self._T2 = T1, T2
         self._u1, self._u2 = np.ones(hx + 2 * m + 1), np.ones(hy + 3 * m + 1)
-        self._Ax, self.By, self._gamma = np.split(self._u2[hy:-1], 3)
+        self.Ax, self.By, self._gamma = np.split(self._u2[hy:-1], 3)
         self._tail1, self._tail2 = self._u1[hx:], self._u2[hy + m :]  # [B y; gamma; 1]
         self._beta = np.array(beta)  # 0-d: a float operand is converted on every call
         self._cuts = n, n + p
+        self._resid = np.empty(m)
 
     def fill(self, Z, k):
         """Write z_k into row k of Z from row k-1 and from B y_{k-1} in u2's
-        slot ``By``, which it leaves holding B y_k."""
+        slot ``By``, which it leaves holding B y_k; the slot ``Ax`` holds
+        A x_k."""
         n, p = self._cuts
         prev, row = Z[k - 1], Z[k]
         self._gamma[...] = prev[p:]
@@ -355,12 +360,20 @@ class _Engine:
         np.dot(self._T1, self._u1, out=x)
         if self._thr_x is not None:
             oracles.soft_threshold(x, self._thr_x, out=x)
-        np.dot(self.inst.A, x, out=self._Ax)
+        np.dot(self.inst.A, x, out=self.Ax)
         np.dot(self._T2, self._u2, out=row[n:])  # [v_y; gbar_k]
         if self._thr_y is not None:
             oracles.soft_threshold(y, self._thr_y, out=y)
         np.dot(self.inst.B, y, out=self.By)
         gamma -= self._beta * self.By
+
+    def residual(self) -> float:
+        """||A x_k + B y_k - b|| from the products A x_k and B y_k that
+        :meth:`fill` left in u2: the bits of
+        :func:`problems.constraint_residual` at (x_k, y_k)."""
+        resid = np.add(self.Ax, self.By, out=self._resid)
+        resid -= self.inst.b
+        return math.sqrt(np.vecdot(resid, resid))
 
 
 def stop_terms(inst, metric, beta, rows):
@@ -370,7 +383,9 @@ def stop_terms(inst, metric, beta, rows):
     ``rows`` is z_{k-1} and z_k, two rows of a record.  The residual is
     computed by the code that computes the same term inside the gap's max,
     so checking it first never changes which k stops the run.  The gap's
-    gamma_tilde_k is :func:`hpe.gamma_tilde` of the two rows.
+    gamma_tilde_k is :func:`hpe.gamma_tilde` of the two rows.  :func:`run`
+    calls it only at the k where its own residual, from the engine's
+    products, holds.
     """
     n, p = inst.n, inst.n + inst.p
     new = rows[1]
@@ -400,8 +415,12 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
          (x_k, y_k, gamma_tilde_k), the point where the subproblem
          inclusions hold (its max includes term 1).
     A later term is computed only when the earlier ones hold, and a NaN
-    term never stops the run.  The trajectory's ``stopped_early`` applies
-    the rule again at its last step, to the same floats.
+    term never stops the run.  Term 1 is first taken, at every k, from the
+    products A x_k and B y_k that the engine has just formed, which gives
+    the bits of :func:`problems.constraint_residual`; :func:`stop_terms`
+    runs only at the k where it holds.  Where the rule fires, its three
+    terms become the trajectory's ``final_terms``, which ``stopped_early``
+    compares with stop_tol again.
 
     The engine writes each z_k into row k of the record Z
     (:meth:`_Engine.fill`), where the stopping rule reads it.  Z starts with
@@ -425,18 +444,21 @@ def run(inst, params, x0=None, y0=None, gamma0=None) -> Trajectory:
     Z = np.empty((min(max_iter, _FIRST_ROWS) + 1, inst.n + inst.p + inst.m))
     Z[0] = np.concatenate([x, y, gamma])
     eng.By[...] = inst.B @ y
-    k = 0
+    k, held = 0, ()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
             if k == len(Z):  # full: double, up to max_iter + 1 rows
                 Z = np.concatenate([Z, np.empty((min(k, max_iter + 1 - k), Z.shape[1]))])
             eng.fill(Z, k)
-            if metric is not None and all(
-                t <= tol for t in stop_terms(inst, metric, params.beta, Z[k - 1 : k + 1])
-            ):
-                break
+            if metric is not None and eng.residual() <= tol:  # term 1; NaN fails
+                terms = stop_terms(inst, metric, params.beta, Z[k - 1 : k + 1])
+                held = tuple(itertools.takewhile(lambda t: t <= tol, terms))
+                if len(held) == 3:
+                    break
     Z = Z if k + 1 == len(Z) else Z[: k + 1].copy()
     traj = Trajectory(inst, params, eng.h1, eng.h2, Z, _metric=metric)
+    if len(held) == 3:  # the rule fired at K: its terms are the final ones
+        traj.final_terms = held
     k = _first_nonfinite(traj)
     if k is not None:
         raise DivergenceError(f"iteration diverged: iterate k={k} has non-finite entries", k=k)

@@ -39,6 +39,24 @@ def one_d_instance():
     return make_one_d_instance()
 
 
+# f = 0.4||x||_1, g = y1^2 + y2^2/2 + (y1 - y2)/2, x1 + x3 + y1 = 1,
+# x2 + x3 + y2 = -1, written by hand in the instance file's layout: the one
+# instance whose x-block prox (the soft threshold) acts before the engine
+# forms A x_k.  Linearized x-runs end with x3 = 0 exactly.
+L1_X_DOC = {
+    "n": 3, "p": 2, "m": 2,
+    "A": [1.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+    "B": [1.0, 0.0, 0.0, 1.0],
+    "b": [1.0, -1.0],
+    "f": {"variant": "l1", "mu": 0.4},
+    "g": {"variant": "quadratic", "P": [2.0, 0.0, 1.0], "q": [0.5, -0.5], "c": 0.0},
+}
+
+
+def make_l1_x_instance():
+    return problems.instance_from_dict(L1_X_DOC)
+
+
 def run_full(inst, alpha, beta=1.0, iters=200, h1=None, h2=None):
     """Run with early stopping disabled so every iteration is recorded."""
     params = solver.GadmmParams(

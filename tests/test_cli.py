@@ -9,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from gadmm import certificates, cli, errors, hpe, linalg, oracles, problems, solver
+from gadmm import certificates, cli, errors, hpe, linalg, oracles, problems, records, solver
 from gadmm.errors import CertificationError, InternalCheckError
 
-from conftest import make_one_d_instance, shifted
+from conftest import L1_X_DOC, make_l1_x_instance, make_one_d_instance, shifted
+from test_stopping_rule import criterion_terms
 
 
 def strict_json(text):
@@ -180,15 +181,46 @@ class TestRun:
 
     def test_run_evaluates_the_diagnostics_once(self, tmp_path, monkeypatch):
         # the summary's final values and stopped_early: the stopping rule's
-        # terms at k = K, evaluated once (the loop evaluates none at tol 0)
+        # terms at k = K, evaluated once.  The loop evaluates them only at
+        # the k where term 1 holds (none at tol 0 or 1e-300), and where the
+        # rule fires, the terms it took at K are the final ones
         real, calls = solver.stop_terms, []
         monkeypatch.setattr(solver, "stop_terms", lambda *args: calls.append(None) or real(*args))
         inst_path = write_qp(tmp_path)
-        for tol, loop_calls in (("0", 0), ("1e-300", 40)):
+        inst = problems.load_instance(inst_path)
+        for tol, max_iter in (("0", "40"), ("1e-300", "40"), ("1e-6", "1000")):
             calls.clear()
-            assert cli.main(["run", "--instance", str(inst_path), "--max-iter", "40",
-                             "--stop-tol", tol, "--out", str(tmp_path / tol)]) == 0
-            assert len(calls) == loop_calls + 1
+            out = tmp_path / tol
+            assert cli.main(["run", "--instance", str(inst_path), "--max-iter", max_iter,
+                             "--stop-tol", tol, "--out", str(out)]) == 0
+            fired = strict_json((out / "summary.json").read_text())["stopped_early"]
+            assert fired is (tol == "1e-6")
+            Z = records.read_csv(out / "trajectory.csv", solver.trajectory_header(inst))
+            X, Y = Z[1:, : inst.n], Z[1:, inst.n : inst.n + inst.p]
+            passes = [problems.constraint_residual(inst, x, y) <= float(tol) for x, y in zip(X, Y)]
+            loop_calls = 0 if tol == "0" else sum(passes)
+            assert len(calls) == loop_calls + (not fired)
+
+    def test_l1_x_block_stops_where_the_criterion_first_holds(self, tmp_path):
+        # the one engine path that thresholds x_k before it forms A x_k
+        path = tmp_path / "l1x.json"
+        path.write_text(json.dumps(L1_X_DOC))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--instance", str(path), "--h1", "linearized", "--alpha", "1.7",
+                         "--stop-tol", "1e-6", "--out", str(out)]) == 0
+        summary = strict_json((out / "summary.json").read_text())
+        inst = make_l1_x_instance()
+        params = solver.GadmmParams(beta=1.0, alpha=1.7, h1=solver.LinearizedH(), max_iter=1000,
+                                    stop_tol=0.0)
+        full = solver.run(inst, params)
+        holds = np.logical_and.reduce([t <= 1e-6 for t in criterion_terms(full)])
+        assert holds.any()
+        first = int(np.argmax(holds)) + 1
+        assert summary["iterations"] == first
+        assert summary["stopped_early"] is True
+        Z = records.read_csv(out / "trajectory.csv", solver.trajectory_header(inst))
+        assert np.array_equal(Z, full.Z[: first + 1])
+        assert np.any(Z[1:, : inst.n] == 0.0)  # the threshold zeroed an x entry
 
     def test_max_iter_zero(self, tmp_path):
         inst_path = write_one_d(tmp_path)
