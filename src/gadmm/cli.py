@@ -126,8 +126,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the trajectory is read first, so that workers parse its tail rows
-    # while this process parses the instance; its errors still come after
-    # the instance's and the flags'
+    # while this process parses the instance; its errors come after the
+    # instance's and the flags', and a bad reference point's after its own
     with records.TrajectoryText(args.trajectory) as text:
         text.parse_tail(args.instance)
         inst = problems.load_instance(args.instance)

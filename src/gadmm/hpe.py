@@ -301,20 +301,22 @@ def gap_note(gaps) -> str:
 class Replay:
     """One pass over a recorded trajectory against a reference point z*.
 
-    Built once per verification: it checks z* unless it is the instance's
-    stored solution (checked when the instance was built), takes M from the
-    trajectory, refuses a d0 that overflows (:class:`ConfigError`), reads
-    the trajectory's gamma_tilde_k (``Gt``, from :func:`gamma_tilde`), and
-    evaluates as arrays over k = 1..K (row k-1) the steps, the budgets
-    eta_0..eta_K, the extragradient gaps, M dz_k and the step norms, the
-    inclusion's block rows read off M dz_k (the subgradient rows of both
-    subproblems and the constraint-identity residual rows), the inclusion
-    gaps and the residual norms, each in one product per block of M.
+    Built once per verification: it checks z*, stored solution or not, at
+    :data:`problems.SOLUTION_GAP_TOL` (an overflowing gap reads as inf),
+    takes M from the trajectory, refuses a d0 that overflows
+    (:class:`ConfigError`), reads the trajectory's gamma_tilde_k (``Gt``,
+    from :func:`gamma_tilde`), and evaluates as arrays over k = 1..K (row
+    k-1) the steps, the budgets eta_0..eta_K, the extragradient gaps, M dz_k
+    and the step norms, the inclusion's block rows read off M dz_k (the
+    subgradient rows of both subproblems and the constraint-identity
+    residual rows), the inclusion gaps and the residual norms, each in one
+    product per block of M.
     """
 
     def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
         inst = traj.instance
-        gap = 0.0 if z_star is inst.solution else problems.kkt_gap(inst, z_star)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = problems.kkt_gap(inst, z_star)
         if not gap <= problems.SOLUTION_GAP_TOL:
             raise ValueError(f"reference point fails the optimality check (gap {gap:.3e})")
         self.traj, self.z_star = traj, z_star

@@ -33,8 +33,8 @@ import numpy as np
 from . import linalg, oracles, records
 from .errors import ConfigError, IterationLimitError
 
-# A stored reference point must pass the first-order optimality check at
-# this gap for the instance to be accepted.
+# A reference point must pass the first-order optimality check at this gap:
+# where the ground truth computes it, and where a replay reads it.
 SOLUTION_GAP_TOL = 1e-6
 
 # Full-row-rank requirement on [A B] for generated instances: smallest
@@ -62,6 +62,9 @@ class KktPoint:
 
 @dataclass(frozen=True)
 class SeparableInstance:
+    """The tuple (f, g, A, B, b) and an optional reference point, whose
+    shapes are checked here; its optimality is checked where it is read."""
+
     f: oracles.ConvexFunction
     g: oracles.ConvexFunction
     A: np.ndarray
@@ -83,16 +86,8 @@ class SeparableInstance:
         if self.g.dim is not None and self.g.dim != B.shape[1]:
             raise ValueError(f"g has dimension {self.g.dim}, B has {B.shape[1]} columns")
         if self.solution is not None:
-            sol = self.solution
-            x = linalg.as_vector(sol.x, dim=self.n, name="solution.x")
-            y = linalg.as_vector(sol.y, dim=self.p, name="solution.y")
-            gamma = linalg.as_vector(sol.gamma, dim=self.m, name="solution.gamma")
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-                gap = float(kkt_gaps(self, x, y, gamma))
-            if not gap <= SOLUTION_GAP_TOL:
-                raise ValueError(
-                    f"stored solution fails the optimality check (gap {gap:.3e})"
-                )
+            for name, dim in (("x", self.n), ("y", self.p), ("gamma", self.m)):
+                linalg.as_vector(getattr(self.solution, name), dim=dim, name=f"solution.{name}")
 
     @property
     def n(self) -> int:
@@ -112,11 +107,14 @@ def kkt_gap(inst: SeparableInstance, point: KktPoint) -> float:
 
     Returns max of the two conjugate gaps (of A'gamma at x for f, of
     B'gamma at y for g) and the constraint residual norm; zero exactly at
-    a first-order-optimal point (up to conjugate tolerances).
+    a first-order-optimal point (up to conjugate tolerances).  A reference
+    point must pass it at :data:`SOLUTION_GAP_TOL` where it is computed
+    (:func:`solve_ground_truth`) and where it is read (:class:`gadmm.hpe.Replay`).
     """
-    x = linalg.as_vector(point.x, dim=inst.n, name="x")
-    y = linalg.as_vector(point.y, dim=inst.p, name="y")
-    gamma = linalg.as_vector(point.gamma, dim=inst.m, name="gamma")
+    # a KktPoint's vectors are 1-D and finite: only their lengths are checked
+    x = linalg.as_rows(point.x, dim=inst.n, name="x")
+    y = linalg.as_rows(point.y, dim=inst.p, name="y")
+    gamma = linalg.as_rows(point.gamma, dim=inst.m, name="gamma")
     return float(kkt_gaps(inst, x, y, gamma))
 
 
@@ -361,9 +359,12 @@ def _reals(raw, count, path):
     if not set(map(type, raw)) <= _REAL_TYPES:
         raise ValueError(f"instance file: field '{path}' holds a non-numeric entry")
     try:
-        return np.asarray(raw, dtype=float)
+        values = np.asarray(raw, dtype=float)
     except OverflowError as exc:
         raise ValueError(f"instance file: field '{path}' holds an out-of-range entry") from exc
+    if not np.isfinite(values).all():  # Infinity, NaN or a literal like 1e400
+        raise ValueError(f"instance file: field '{path}' holds a non-finite entry")
+    return values
 
 
 def _real(raw, path) -> float:
@@ -437,14 +438,10 @@ def instance_from_dict(doc: dict) -> SeparableInstance:
     b = _reals(_require(doc, "b", ""), m, "b")
     f = _fun_from_json(_require(doc, "f", ""), n, "f")
     g = _fun_from_json(_require(doc, "g", ""), p, "g")
-    solution = None
-    if "solution" in doc and doc["solution"] is not None:
-        sol = doc["solution"]
-        solution = KktPoint(
-            _reals(_require(sol, "x", "solution"), n, "solution.x"),
-            _reals(_require(sol, "y", "solution"), p, "solution.y"),
-            _reals(_require(sol, "gamma", "solution"), m, "solution.gamma"),
-        )
+    sol, solution = doc.get("solution"), None
+    if sol is not None:
+        solution = KktPoint(*(_reals(_require(sol, key, "solution"), dim, f"solution.{key}")
+                              for key, dim in (("x", n), ("y", p), ("gamma", m))))
     try:
         return SeparableInstance(f, g, A, B, b, solution)
     except ValueError as exc:

@@ -1,5 +1,7 @@
 """Malformed inputs reach ``gadmm run`` as exit 1 with the field named, and
-never as a traceback."""
+never as a traceback.  A stored solution that fails the optimality check
+is not malformed: ``run`` never reads it, and ``verify`` and ``bench``
+refuse it as exit 1."""
 
 import contextlib
 import copy
@@ -33,6 +35,15 @@ def run_doc(tmp_path, doc, *extra):
     argv = ["run", "--instance", str(path), "--h2", "linearized", "--max-iter", "3"]
     argv += ["--out", str(tmp_path / "out")]
     return cli.main(argv + list(extra))
+
+
+def verify_doc(tmp_path, doc):
+    """``gadmm verify`` with run_doc's flags, on the trajectory run_doc writes."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--instance", str(path), "--h2", "linearized", "--max-iter", "3"]
+    argv += ["--trajectory", str(tmp_path / "out" / "trajectory.csv")]
+    return cli.main(argv + ["--out", str(tmp_path / "report.json")])
 
 
 def with_field(doc, path, value):
@@ -137,9 +148,17 @@ def test_fuzzed_instance_exits_with_a_documented_code(tmp_path_factory, document
         value = data.draw(JUNK)
     assume(value != target)
     tmp_path = tmp_path_factory.mktemp("fuzz")
-    code = run_doc(tmp_path, with_field(doc, path, value))
-    # every replacement is invalid except dropping the optional solution
-    assert code == (0 if path == ("solution",) and value is None else 1), (path, value)
+    fuzzed = with_field(doc, path, value)
+    codes = [run_doc(tmp_path, fuzzed)]
+    if codes[0] == 0:
+        codes.append(verify_doc(tmp_path, fuzzed))
+    # every replacement is invalid: one that still loads runs, and verify
+    # refuses it, its stored solution failing the optimality check; only
+    # dropping the optional solution may pass, and run does pass it
+    dropped = path == ("solution",) and value is None
+    first = next((code for code in codes if code), 0)
+    assert first == 1 or (dropped and first == 0), (path, value, codes)
+    assert codes[0] == 0 or not dropped, (path, value, codes)
 
 
 @pytest.mark.parametrize(
@@ -240,14 +259,65 @@ def test_linearized_weight_of_a_huge_operator_is_refused(tmp_path, capsys, docum
     assert err.startswith("error: h1: tau=inf at beta=1.0 is out of range") and err.count("\n") == 1
 
 
-def test_overflowing_stored_solution_is_refused_without_a_warning(tmp_path, capsys, documents):
-    # the stored solution's residual overflows, so its gap is inf
+def test_overflowing_stored_solution_is_refused_without_a_warning(tmp_path, documents):
+    # the stored solution's residual overflows, so its gap is inf; the
+    # instance cannot be run (its stage map overflows), so verify reads a
+    # hand-written trajectory of two zero rows
     doc = copy.deepcopy(documents["qp"])
     doc["A"] = (np.asarray(doc["A"]) * 1e200).tolist()
-    assert run_doc(tmp_path, doc) == 1
+    (tmp_path / "out").mkdir()
+    header = "k,x0,x1,x2,y0,y1,gamma0,gamma1\n"
+    (tmp_path / "out" / "trajectory.csv").write_text(header + "0,0,0,0,0,0,0,0\n1,0,0,0,0,0,0,0\n")
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        warnings.simplefilter("always")
+        code = verify_doc(tmp_path, doc)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert err.getvalue() == "error: reference point fails the optimality check (gap inf)\n"
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400"])
+@pytest.mark.parametrize("vector", ["x", "y", "gamma"])
+def test_non_finite_stored_solution_entry_names_its_field(tmp_path, capsys, documents, vector,
+                                                          token):
+    text = json.dumps(with_field(documents["qp"], ("solution", vector, 0), "TOKEN"))
+    (tmp_path / "instance.json").write_text(text.replace('"TOKEN"', token))
+    argv = ["run", "--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: instance file: stored solution fails the optimality check (gap inf)\n"
+        f"error: instance file: field 'solution.{vector}' holds a non-finite entry\n"
     )
+
+
+def failing_solution_doc(doc):
+    """The QP document with b moved, so that its stored solution fails the
+    optimality check."""
+    return with_field(doc, ("b", 0), doc["b"][0] + 1.0)
+
+
+def test_run_does_not_read_the_stored_solution(tmp_path, documents):
+    doc = failing_solution_doc(documents["qp"])
+    outputs = []
+    for name, instance in [("kept", doc), ("dropped", with_field(doc, ("solution",), None))]:
+        (tmp_path / name).mkdir()
+        assert run_doc(tmp_path / name, instance) == 0
+        outputs.append(
+            [(tmp_path / name / "out" / f).read_bytes() for f in ("trajectory.csv", "summary.json")]
+        )
+    assert outputs[0] == outputs[1]
+
+
+def test_bench_refuses_a_failing_stored_solution(tmp_path, capsys, documents):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(failing_solution_doc(documents["qp"])))
+    argv = ["bench", "--instance", str(path), "--alpha-grid", "1,1.5", "--max-iter", "20"]
+    assert cli.main(argv + ["--out", str(tmp_path / "bench")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reference point fails the optimality check (gap ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bench" / "bench.csv").exists()
 
 
 H_FILE_REJECTIONS = {

@@ -7,11 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from gadmm import cli, oracles, problems, records
+from gadmm import certificates, cli, oracles, problems, records
 from gadmm.errors import ConfigError
 from gadmm.problems import KktPoint, SeparableInstance
 
-from conftest import assert_nothing_left, count_forks, same_bits
+from conftest import assert_nothing_left, count_forks, run_full, same_bits
 
 
 class TestKktGap:
@@ -539,15 +539,18 @@ class TestInstanceBytes:
 
 
 def test_stored_solution_validated():
-    with pytest.raises(ValueError, match="optimality"):
-        make_bad = SeparableInstance(
-            oracles.Quadratic([[1.0]], [0.0]),
-            oracles.Quadratic([[1.0]], [0.0]),
-            [[1.0]],
-            [[1.0]],
-            [3.0],
-            solution=KktPoint([0.0], [0.0], [0.0]),
-        )
+    # the instance builds; its stored solution is checked where it is read
+    make_bad = SeparableInstance(
+        oracles.Quadratic([[1.0]], [0.0]),
+        oracles.Quadratic([[1.0]], [0.0]),
+        [[1.0]],
+        [[1.0]],
+        [3.0],
+        solution=KktPoint([0.0], [0.0], [0.0]),
+    )
+    traj = run_full(make_bad, alpha=1.0, iters=5)
+    with pytest.raises(ValueError, match="reference point fails the optimality check"):
+        certificates.full_verification(traj, make_bad.solution)
 
 
 def test_generated_suite_satisfies_reference_gap():

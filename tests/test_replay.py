@@ -1,6 +1,7 @@
 """One replay per verification and one raise path."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,14 +29,15 @@ def metric_builds(monkeypatch):
 
 @pytest.fixture
 def gap_checks(monkeypatch):
-    """Counts calls of problems.kkt_gaps from anywhere in the package: an
-    instance's check of its stored solution, and problems.kkt_gap, which
-    goes through it."""
+    """Records calls of problems.kkt_gaps from anywhere in the package, each
+    as the qualified names of its caller and its caller's caller:
+    problems.kkt_gap goes through it, and so does the engine's gap."""
     calls = []
     real = problems.kkt_gaps
 
     def counting(*args):
-        calls.append(args)
+        caller = sys._getframe(1)
+        calls.append((caller.f_code.co_qualname, caller.f_back.f_code.co_qualname))
         return real(*args)
 
     monkeypatch.setattr(problems, "kkt_gaps", counting)
@@ -66,18 +68,21 @@ def test_cli_run_builds_the_metric_at_most_once(tmp_path, metric_builds, stop_to
     assert len(metric_builds) == 1
 
 
-def test_verify_checks_the_stored_solution_only_at_instance_load(tmp_path, gap_checks):
+def test_the_stored_solution_is_checked_only_by_the_replay(tmp_path, gap_checks):
     inst_path = tmp_path / "qp.json"
     problems.save_instance(problems.generate_qp(1, 4, 3, 2), inst_path)
     args = ["--instance", str(inst_path), "--max-iter", "50", "--stop-tol", "0"]
+    assert gap_checks == [("kkt_gap", "solve_ground_truth")]  # generate checks once
+    del gap_checks[:]
     assert cli.main(["run", *args, "--out", str(tmp_path / "run")]) == 0
+    # loading the instance checks nothing; the one gap is the final one
+    assert gap_checks == [("stop_terms", "Trajectory.final_terms")]
     del gap_checks[:]
     verify = ["verify", *args, "--trajectory", str(tmp_path / "run" / "trajectory.csv"),
               "--out", str(tmp_path / "report.json")]
     assert cli.main(verify) == 0
-    # the one check runs when the instance file is loaded; the replay
-    # does not repeat it on the same solution
-    assert len(gap_checks) == 1
+    # the one check is the replay's, of the stored solution
+    assert gap_checks == [("kkt_gap", "Replay.__init__")]
 
 
 def test_replay_checks_any_other_reference(gap_checks):

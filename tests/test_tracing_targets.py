@@ -91,6 +91,23 @@ def test_verify_calls_every_certificate_target(tmp_path, monkeypatch):
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+def test_the_traced_gap_check_runs_once_per_verify(tmp_path, monkeypatch):
+    # the benchmark's problems.kkt_gap_calls reads this wrapper: the replay
+    # checks the reference point through the attribute, once, and the run
+    # and the instance load do not call it
+    inst_path = tmp_path / "qp.json"
+    problems.save_instance(problems.generate_qp(1, 6, 5, 3), inst_path)
+    calls = {"problems.kkt_gap": 0}
+    count_calls(monkeypatch, "problems", "kkt_gap", calls)
+    flags = ["--instance", str(inst_path), "--max-iter", "50", "--stop-tol", "1e-9"]
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"problems.kkt_gap": 0}
+    verify = ["verify", *flags, "--trajectory", str(tmp_path / "run" / "trajectory.csv"),
+              "--out", str(tmp_path / "report.json")]
+    assert cli.main(verify) == 0
+    assert calls == {"problems.kkt_gap": 1}
+
+
 def test_bench_makes_one_ergodic_pass(monkeypatch, tmp_path):
     calls = {"certificates._ergodic_checks": 0, "certificates.pointwise_certificate": 0}
     for name in calls:
