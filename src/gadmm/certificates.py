@@ -85,10 +85,11 @@ def pointwise_constant(alpha, d0) -> float:
     )
 
 
-def running_mean(rows) -> np.ndarray:
+def running_mean(rows, out=None) -> np.ndarray:
     """The mean of the first k rows (or entries) of ``rows`` for each
-    k = 1..len(rows), read off one running sum."""
-    sums = np.cumsum(rows, axis=0)
+    k = 1..len(rows), read off one running sum, written to ``out`` when
+    given (which may be ``rows`` itself)."""
+    sums = np.cumsum(rows, axis=0, out=out)
     sums /= np.arange(1, len(rows) + 1).reshape((-1,) + (1,) * (np.ndim(rows) - 1))
     return sums
 
@@ -110,27 +111,32 @@ def _ergodic_checks(rep: Replay) -> list:
     inst, d0, k = rep.traj.instance, rep.d0, rep.ks
     _, c_a, ct_a = bound_constants(rep.alpha)
     n, p = inst.n, inst.p
+    q = n + p
     R = rep.Z[1:] - rep.Z[0]  # the averaged step (z_k - z_0)/k, in place
     R /= k[:, None]
     r_lhs = np.sqrt(np.maximum(rep.metric.seminorm_sq(R), 0.0))
     del R  # only its norm is kept: free it before the averages are built
-    D = rep.Ztil - rep.Ztil[-1]  # z~_i - z~_K
-    Da = running_mean(D)
-
-    def transported(V, Va, cols):
-        """(1/k) sum_i <v_i, z_i - z^a_k> over the columns ``cols`` of z~."""
-        return running_mean(np.vecdot(V, D[:, cols])) - np.vecdot(Va, Da[:, cols])
-
-    Za = running_mean(rep.Ztil)
+    # the three transported epsilons (1/k) sum_i <v_i, z~_i - z~^a_k>, each
+    # over its columns of z~, from d_i = z~_i - z~_K: the running sums of
+    # <v_i, d_i> first, then d's running mean, built in d's own rows
+    D = rep.Z[1:] - rep.Z[-1]
+    D[:, q:] = rep.Gt - rep.Gt[-1]
+    sum_f, sum_g, sum_m = (
+        running_mean(np.vecdot(V, D[:, cols]))
+        for V, cols in ((rep.Vf, slice(0, n)), (rep.Vg, slice(n, q)), (rep.MDZ, slice(None)))
+    )
+    Da = running_mean(D, out=D)
+    m_eps = -(sum_m - np.vecdot(running_mean(rep.MDZ), Da))
     Vfa, Vga = running_mean(rep.Vf), running_mean(rep.Vg)
-    eps_x = transported(rep.Vf, Vfa, slice(0, n))
-    eps_y = transported(rep.Vg, Vga, slice(n, n + p))
+    eps_x = sum_f - np.vecdot(Vfa, Da[:, :n])
+    eps_y = sum_g - np.vecdot(Vga, Da[:, n:q])
     eps_sum = eps_x + eps_y
-    m_eps = -transported(rep.MDZ, running_mean(rep.MDZ), slice(None))
+    del D, Da
     r_rhs = 2.0 * math.sqrt(c_a * d0) / k
     eps_rhs = ct_a * d0 / k
-    gap_f = oracles.fenchel_gap(inst.f, Vfa, Za[:, :n])
-    gap_g = oracles.fenchel_gap(inst.g, Vga, Za[:, n : n + p])
+    # the averaged x and y, one block at a time; z~'s gamma average is not read
+    gap_f = oracles.fenchel_gap(inst.f, Vfa, running_mean(rep.Z[1:, :n]))
+    gap_g = oracles.fenchel_gap(inst.g, Vga, running_mean(rep.Z[1:, n:q]))
     resid = running_mean(rep.resid)
     tol = ERGODIC_IDENTITY_TOL
     return [
@@ -219,6 +225,7 @@ def full_verification(traj: solver.Trajectory, z_star) -> VerificationReport:
         pointwise_certificate(rep) if interior else na("pointwise_bound"),
         *_ergodic_checks(rep),
     ]
+    del rep  # the rows hold all they read: free the replay's K-row arrays first
     hpe.settle([row for row in rows if row.ks.size])
     meta.update(sigma=sig, c_alpha=c_a, c_tilde_alpha=ct_a)
     return VerificationReport(rows=rows, meta=meta)

@@ -187,6 +187,7 @@ def _cmd_bench(args) -> int:
             hpe.sigma_alpha(solver.GadmmParams(beta=1.0, alpha=alpha).alpha)
         except ConfigError as exc:
             raise ConfigError(f"--alpha-grid: {exc}") from exc
+    hpe.check_reference(inst, inst.solution)  # before the first run, as each replay does
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in grid:

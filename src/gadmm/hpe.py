@@ -298,27 +298,39 @@ def gap_note(gaps) -> str:
 # the shared replay
 
 
+def check_reference(inst, z_star: problems.KktPoint) -> None:
+    """Refuse a reference point z* whose first-order gap exceeds
+    :data:`problems.SOLUTION_GAP_TOL` (an overflowing gap reads as inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = problems.kkt_gap(inst, z_star)
+    if not gap <= problems.SOLUTION_GAP_TOL:
+        raise ValueError(f"reference point fails the optimality check (gap {gap:.3e})")
+
+
 class Replay:
     """One pass over a recorded trajectory against a reference point z*.
 
-    Built once per verification: it checks z*, stored solution or not, at
-    :data:`problems.SOLUTION_GAP_TOL` (an overflowing gap reads as inf),
-    takes M from the trajectory, refuses a d0 that overflows
-    (:class:`ConfigError`), reads the trajectory's gamma_tilde_k (``Gt``,
-    from :func:`gamma_tilde`), and evaluates as arrays over k = 1..K (row
-    k-1) the steps, the budgets eta_0..eta_K, the extragradient gaps, M dz_k
-    and the step norms, the inclusion's block rows read off M dz_k (the
-    subgradient rows of both subproblems and the constraint-identity
-    residual rows), the inclusion gaps and the residual norms, each in one
-    product per block of M.
+    Built once per verification: it checks z*, stored solution or not
+    (:func:`check_reference`), takes M from the trajectory, refuses a d0
+    that overflows (:class:`ConfigError`), reads the trajectory's
+    gamma_tilde_k (``Gt``, from :func:`gamma_tilde`), and evaluates as
+    arrays over k = 1..K (row k-1) the steps, the budgets eta_0..eta_K, the
+    extragradient gaps, M dz_k and the step norms, the inclusion's block
+    rows read off M dz_k (the subgradient rows of both subproblems and the
+    constraint-identity residual rows), the inclusion gaps and the residual
+    norms, each in one product per block of M.
+
+    The K-row arrays it keeps, besides the record ``Z`` and ``Gt``: the
+    gamma block of the steps (``DG``), B dy_k (``BDY``), M dz_k (``MDZ``),
+    the subgradient rows (``Vf``, ``Vg``) and the residual rows (``resid``).
+    Every other K-row array (the steps dz_k, z~_k - z_{k-1}, z~_k - z_k, and
+    the differences and averages of the ergodic pass) is built by its one
+    reader and freed once that reader has it; z~_k itself is never stored.
     """
 
     def __init__(self, traj: "Trajectory", z_star: problems.KktPoint):
         inst = traj.instance
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = problems.kkt_gap(inst, z_star)
-        if not gap <= problems.SOLUTION_GAP_TOL:
-            raise ValueError(f"reference point fails the optimality check (gap {gap:.3e})")
+        check_reference(inst, z_star)
         self.traj, self.z_star = traj, z_star
         self.alpha, self.beta = traj.params.alpha, traj.params.beta
         self.sigma = sigma_alpha(self.alpha)
@@ -332,15 +344,16 @@ class Replay:
         n, p = inst.n, inst.p
         self.Z, self.X, self.Y = traj.Z, traj.X, traj.Y
         self.Gt = traj.Gt
-        DZ = np.diff(self.Z, axis=0)
-        self.DX, self.DY, self.DG = DZ[:, :n], DZ[:, n : n + p], DZ[:, n + p :]
-        self.Ztil = np.hstack([self.Z[1:, : n + p], self.Gt])
-        self.dy_sq = linalg.seminorm_sq(traj.h2, self.DY) if traj.h2.any() else np.zeros(self.K)
-        self.eta = eta_sequence(self)
         self.egaps = extragradient_gaps_sq(self)
+        DZ = np.diff(self.Z, axis=0)
+        DY = DZ[:, n : n + p]
+        self.DG = DZ[:, n + p :].copy()
+        self.dy_sq = linalg.seminorm_sq(traj.h2, DY) if traj.h2.any() else np.zeros(self.K)
+        self.eta = eta_sequence(self)
         self.MDZ = self.metric.apply(DZ)
         self.step_norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", DZ, self.MDZ), 0.0))
-        self.BDY = self.DY @ inst.B.T
+        self.BDY = DY @ inst.B.T
+        del DZ, DY  # only the gamma block of the steps is read again
         # the exact subgradients produced by the two subproblems
         self.Vf = self.Gt @ inst.A - self.MDZ[:, :n]
         self.Vg = self.Gt @ inst.B - self.MDZ[:, n : n + p]
@@ -355,8 +368,12 @@ def eta_sequence(rep: Replay) -> np.ndarray:
 
 
 def extragradient_gaps_sq(rep: Replay) -> np.ndarray:
-    """||z~_k - z_{k-1}||^2_M for k = 1..K."""
-    return rep.metric.seminorm_sq(rep.Ztil - rep.Z[:-1])
+    """||z~_k - z_{k-1}||^2_M for k = 1..K: the step dz_k with its gamma
+    block replaced by gamma_tilde_k - gamma_{k-1}."""
+    q = rep.traj.instance.n + rep.traj.instance.p
+    diff = np.diff(rep.Z, axis=0)
+    diff[:, q:] = rep.Gt - rep.Z[:-1, q:]
+    return rep.metric.seminorm_sq(diff)
 
 
 def rho_sequence(rep: Replay) -> np.ndarray:
@@ -389,8 +406,12 @@ REL = f"{CERT_REL_TOL:g} relative"
 def certify_hpe(rep: Replay) -> list:
     """The rows of the per-iteration conditions at every k >= 1: the
     relative-error inequality, the two inclusions and the two identities."""
-    ks, G = rep.ks, rep.traj.G
-    lhs = rep.metric.seminorm_sq(rep.Ztil - rep.Z[1:]) + rep.eta[1:]
+    ks, G, q = rep.ks, rep.traj.G, rep.traj.instance.n + rep.traj.instance.p
+    # z~_k - z_k, zero where z~_k shares x_k and y_k with z_k
+    diff = np.zeros((rep.K, rep.Z.shape[1]))
+    diff[:, q:] = rep.Gt - G[1:]
+    lhs = rep.metric.seminorm_sq(diff) + rep.eta[1:]
+    del diff
     rhs = rep.sigma * rep.egaps + rep.eta[:-1]
     mult = rep.Gt - G[:-1] - (rep.DG + rep.beta * rep.BDY) / rep.alpha
     biggest = [np.abs(a).max(axis=1, initial=0.0) for a in (rep.Gt, G[1:], G[:-1])]

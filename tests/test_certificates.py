@@ -93,7 +93,7 @@ class TestErgodicPoint:
         n, p = inst.n, inst.p
         for k in (1, 7, 50):
             dsum = np.zeros(n + p + inst.m)
-            for dz in np.hstack([rep.DX, rep.DY, rep.DG])[:k]:
+            for dz in np.diff(traj.Z, axis=0)[:k]:
                 dsum += dz
             assert np.allclose(dsum[:n], traj.X[k] - traj.X[0], atol=1e-12)
             z0, zk = state(traj, 0), state(traj, k)
@@ -176,6 +176,7 @@ class TestErgodicPrefixSums:
         assert ks.tolist() == list(range(1, 301))
         X, Y = traj.X[1:], traj.Y[1:]
         x_avg, y_avg, gt_avg = (running_mean(Z) for Z in (X, Y, gamma_tilde(traj)))
+        z_tilde = np.hstack([X, Y, gamma_tilde(traj)])  # the rows z~_k
         eps_x, eps_y = -erg["ergodic_eps_x_nonneg"].lhs, -erg["ergodic_eps_y_nonneg"].lhs
         eps_sum, split = erg["ergodic_eps_bound"].lhs, erg["eps_split_identity"].lhs
 
@@ -190,7 +191,7 @@ class TestErgodicPrefixSums:
             assert close(eps_x[i], centred_sum(rep.Vf, X, k)), k
             assert close(eps_y[i], centred_sum(rep.Vg, Y, k)), k
             # the metric epsilon lies within the split residual of eps_x + eps_y
-            metric_eps = centred_sum(-rep.MDZ, rep.Ztil, k)
+            metric_eps = centred_sum(-rep.MDZ, z_tilde, k)
             assert close(eps_sum[i], metric_eps), k
             assert split[i] <= 1e-12 * (1.0 + abs(metric_eps)), k
 
@@ -304,7 +305,8 @@ class TestErgodicCertificate:
         rep = Replay(run_full(one_d_instance, alpha=1.0, iters=K), one_d_instance.solution)
         i = np.arange(1, K + 1)
         a = (-1.0) ** i * math.sqrt(40.5 * rep.d0 / math.sqrt(K)) * i**-0.25
-        rep.Ztil[:, 0], rep.Vf[:, 0], rep.Vg[:, 0] = a, a, 0.0
+        rep.Z = rep.Z.copy()  # the record is read-only; z~'s x block is read off Z
+        rep.Z[1:, 0], rep.Vf[:, 0], rep.Vg[:, 0] = a, a, 0.0
         row = ergodic_rows(rep)["ergodic_eps_bound"]
         assert rate_estimate(zip(i[1:], row.lhs[1:])) == pytest.approx(-0.5, abs=0.05)
         assert not row.passed

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gadmm import cli, oracles, problems
+from gadmm import cli, oracles, problems, solver
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +309,12 @@ def test_run_does_not_read_the_stored_solution(tmp_path, documents):
     assert outputs[0] == outputs[1]
 
 
-def test_bench_refuses_a_failing_stored_solution(tmp_path, capsys, documents):
+def test_bench_refuses_a_failing_stored_solution(tmp_path, capsys, monkeypatch, documents):
+    # the reference point is refused before the first alpha is solved
+    def run(*args):
+        pytest.fail("bench ran the solver before refusing its reference point")
+
+    monkeypatch.setattr(solver, "run", run)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(failing_solution_doc(documents["qp"])))
     argv = ["bench", "--instance", str(path), "--alpha-grid", "1,1.5", "--max-iter", "20"]

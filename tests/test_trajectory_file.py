@@ -314,3 +314,34 @@ def test_file_of_repr_cells_verifies_as_the_new_one(tmp_path, recorded):
         assert cli.main(argv + ["--stop-tol", "0", "--out", str(report)]) == 0
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "forked"])
+def test_rows_alternating_line_endings_read_as_the_crlf_file(tmp_path, monkeypatch, cpus):
+    # each line ends at its own \r\n or \n: a file whose rows alternate
+    # between the two loads and verifies as the file the writer wrote
+    inst_path = tmp_path / "lasso.json"
+    problems.save_instance(problems.generate_lasso(7, 10, 20, 0.1), inst_path)
+    flags = ["--instance", str(inst_path), "--alpha", "2", "--h1", "linearized",
+             "--h2", "linearized", "--max-iter", "2000", "--stop-tol", "0"]
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    crlf = tmp_path / "run" / "trajectory.csv"
+    *lines, last = crlf.read_bytes().split(b"\r\n")
+    assert last == b"" and not any(b"\n" in line for line in lines)
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes(b"".join(line + (b"\r\n", b"\n")[i % 2] for i, line in enumerate(lines)))
+    inst = problems.load_instance(inst_path)
+    params = solver.GadmmParams(beta=1.0, alpha=2.0, h1=solver.LinearizedH(),
+                                h2=solver.LinearizedH(), max_iter=2000, stop_tol=0.0)
+    forks = count_forks(monkeypatch, cpus=cpus)
+    loaded, reports = [], []
+    for path in (crlf, mixed):
+        with records.TrajectoryText(path) as text:
+            text.parse_tail(inst_path)
+            loaded.append(solver.load_trajectory_csv(text, inst, params).Z)
+        report = tmp_path / f"{path.stem}-verify.json"
+        assert cli.main(["verify", *flags, "--trajectory", str(path), "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert len(forks) == 4 * (cpus - 1)  # two workers per read
+    assert np.array_equal(loaded[0].view(np.int64), loaded[1].view(np.int64))
+    assert reports[0] == reports[1]
