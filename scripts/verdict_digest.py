@@ -15,7 +15,9 @@ with the gamma_tilde, dxM and kkt_gap columns of earlier versions gives the
 same cells, and a digest written when the last row was a list of its x, y,
 gamma and gamma_tilde cells compares with a new one on the x, y and gamma
 cells.
-The gadmm package is imported from this checkout's ``src``.
+The gadmm package is imported from this checkout's ``src``, with BLAS pinned
+to one thread, as perfbench pins it, since a dense QP's records differ at
+rounding level between thread counts.
 
 Given a baseline digest, the script prints every exit-code, iteration,
 output-file, pass and first_k difference, the largest relative worst_slack
@@ -39,6 +41,10 @@ import os
 import re
 import sys
 import tempfile
+
+# before numpy is first imported, which reads these once
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))

@@ -62,8 +62,9 @@ def _parse_h_mode(raw: str, name: str, dim: int):
     raise ConfigError(f"{name}: unrecognized proximal-weight mode '{raw}'")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="relaxation factor in (0, 2]")
+def _add_solver_flags(p, alpha=True):
+    if alpha:
+        p.add_argument("--alpha", type=float, default=1.0, help="relaxation factor in (0, 2]")
     p.add_argument("--beta", type=float, default=1.0, help="penalty parameter > 0")
     p.add_argument("--h1", default="zero", help="zero | linearized[:tau] | file:PATH")
     p.add_argument("--h2", default="zero", help="zero | linearized[:tau] | file:PATH")
@@ -71,10 +72,10 @@ def _add_solver_flags(p):
     p.add_argument("--stop-tol", type=float, default=1e-8, help="0 disables early stopping")
 
 
-def _params(args, inst, alpha=None):
+def _params(args, inst, alpha):
     return solver.GadmmParams(
         beta=args.beta,
-        alpha=args.alpha if alpha is None else alpha,
+        alpha=alpha,
         h1=_parse_h_mode(args.h1, "h1", inst.n),
         h2=_parse_h_mode(args.h2, "h2", inst.p),
         max_iter=args.max_iter,
@@ -114,7 +115,7 @@ def _run_summary(traj) -> dict:
 
 def _cmd_run(args) -> int:
     inst = problems.load_instance(args.instance)
-    params = _params(args, inst)
+    params = _params(args, inst, args.alpha)
     traj = solver.run(inst, params)
     os.makedirs(args.out, exist_ok=True)
     solver.save_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
@@ -133,7 +134,7 @@ def _cmd_verify(args) -> int:
         inst = problems.load_instance(args.instance)
         if inst.solution is None:
             raise ConfigError("verification needs an instance with a stored solution")
-        params = _params(args, inst)
+        params = _params(args, inst, args.alpha)
         traj = solver.load_trajectory_csv(text, inst, params)
     report = certificates.full_verification(traj, inst.solution)
     doc = report.to_dict()
@@ -191,7 +192,7 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in grid:
-        params = _params(args, inst, alpha=alpha)
+        params = _params(args, inst, alpha)
         traj = solver.run(inst, params)
         report = certificates.full_verification(traj, inst.solution)
         summary = _run_summary(traj)
@@ -250,10 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.set_defaults(func=_cmd_verify)
 
-    bench = sub.add_parser("bench", help="sweep the relaxation factor")
+    # alphas come from --alpha-grid, which argparse would also match to an abbreviated --alpha
+    bench = sub.add_parser("bench", help="sweep the relaxation factor", allow_abbrev=False)
     bench.add_argument("--instance", required=True)
     bench.add_argument("--alpha-grid", required=True, help="comma-separated alphas")
-    _add_solver_flags(bench)
+    _add_solver_flags(bench, alpha=False)
     bench.add_argument("--out", required=True, help="output directory")
     bench.set_defaults(func=_cmd_bench)
     return parser

@@ -1,11 +1,11 @@
 """The record files (instance, summary and report JSON, trajectory CSV):
-the atomic writer, the one JSON layout, and the forked workers that format
-or parse a large file's ranges (see :func:`_fork_ranges`)."""
+the atomic writer, the one JSON layout, and the forked workers that the
+trajectory CSV's writer and reader run on a large table's row ranges (see
+:func:`_fork_ranges`)."""
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import threading
@@ -30,14 +30,14 @@ def atomic_open(path, newline=None):
         raise
 
 
-# A text of c cells is split into min(usable CPUs, c // CELLS_PER_WORKER)
-# ranges.  A fork plus its waitpid costs about 3 ms in a 64 MB process.
-# Formatting a trajectory cell costs about 0.45 us (0.40-0.44 us on the
-# benchmark's lasso and 450-column QP records, best of 9), so a writer's
-# range formats in at least 9 ms, three times what starting its worker
-# costs.  Parsing a cell costs about 0.2 us (0.19-0.24 us), and a reader's
-# worker gets at least 1/parts of the cells, so its range parses in at least
-# 4 ms, a little more than the fork's cost.
+# A trajectory table of c cells is split into min(usable CPUs,
+# c // CELLS_PER_WORKER) row ranges.  A fork plus its waitpid costs about
+# 3 ms in a 64 MB process.  Formatting a cell costs about 0.45 us (0.40-0.44
+# us on the benchmark's lasso and 450-column QP records, best of 9), so the
+# CSV writer's range formats in at least 9 ms, three times what starting its
+# worker costs.  Parsing a cell costs about 0.2 us (0.19-0.24 us), and the
+# reader's worker gets at least 1/parts of the cells, so its range parses in
+# at least 4 ms, a little more than the fork's cost.
 CELLS_PER_WORKER = 20_000
 
 
@@ -58,7 +58,7 @@ def _worker_count(cells: int) -> int:
 
 class _Worker:
     """A forked process that writes ``produce(start, stop)``, the bytes of
-    units start..stop-1 of a text, to a pipe once all are made, so it never
+    rows start..stop-1 of a table, to a pipe once all are made, so it never
     waits on this process while this process does its own range.  It closes
     the read ends of ``siblings``, so that a read end this process closes
     has no other holder.  Fork and pipe failures raise :class:`OSError` with
@@ -130,49 +130,14 @@ def _fork_ranges(bounds, produce, workers) -> list:
     return ranges
 
 
-def write_in_parts(path, units, cells, write, lines, head="", tail="", newline=None) -> None:
-    """Write ``head``, the text of ``units`` units of ``cells`` cells, then
-    ``tail`` to ``path`` through :func:`atomic_open`.
-
-    ``write(emit, start, stop)`` passes the text of units start..stop-1 to
-    ``emit`` in pieces, and ``lines(start, stop)`` is the number of
-    newlines in it, which a worker's bytes must hold.  Every worker is
-    reaped before this returns or raises.
-    """
-    parts = 1 + _worker_count(cells)
-    bounds = [units * i // parts for i in range(parts + 1)]
-
-    def produce(start, stop):
-        pieces = []
-        write(pieces.append, start, stop)
-        return "".join(pieces).encode()
-
-    workers = []
-    try:
-        # fork before the file is opened, so that no worker holds it
-        ranges = _fork_ranges(bounds, produce, workers)
-        with atomic_open(path, newline=newline) as fh:
-            fh.write(head)
-            for start, stop, worker in ranges:
-                data = worker and worker.take()
-                if data is not None and data.count(b"\n") == lines(start, stop):
-                    fh.flush()
-                    fh.buffer.write(data)
-                else:
-                    write(fh.write, start, stop)
-            fh.write(tail)
-    finally:
-        for worker in workers:
-            worker.close()
-
-
 # ---------------------------------------------------------------------------
 # JSON documents
 
 
 def _numbers(values, sep="") -> str:
     """The floats ``values`` joined by ``sep``, each written as json writes
-    it; a non-finite one raises json's :class:`ValueError`."""
+    it; a non-finite one raises json's :class:`ValueError`, and a value
+    that is not a float :class:`TypeError`."""
     text = sep.join(map(float.__repr__, values))
     if "n" in text:  # inf or nan; a finite repr has no "n"
         bad = next(v for v in values if not math.isfinite(v))
@@ -180,17 +145,9 @@ def _numbers(values, sep="") -> str:
     return text
 
 
-# Stands in for the numbers of each list of floats that write_json defers;
-# a string's JSON text escapes every control character, so no other "\0"
-# is in the text.
-_LIST_MARK = "\0"
-
-
-def _text(node, indent, lists) -> str:
+def _text(node, indent) -> str:
     """The JSON text of ``node`` as json lays it out with ``indent=1``,
-    ``node`` starting at the indent ``indent`` (spaces).  If ``lists`` is
-    not None, each list that starts with a float is appended to it and its
-    numbers are written as :data:`_LIST_MARK`."""
+    ``node`` starting at the indent ``indent`` (spaces)."""
     if isinstance(node, str):
         return encode_basestring_ascii(node)
     if node is None:
@@ -208,11 +165,11 @@ def _text(node, indent, lists) -> str:
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
-        if lists is not None and type(node[0]) is float:
-            lists.append(node)
-            body = _LIST_MARK
-        else:
-            body = f",\n{inner}".join([_text(value, inner, lists) for value in node])
+        sep = ",\n" + inner
+        try:  # a list of floats in one join
+            body = _numbers(node, sep)
+        except TypeError:
+            body = sep.join([_text(value, inner) for value in node])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(node, dict):
         if not node:
@@ -221,7 +178,7 @@ def _text(node, indent, lists) -> str:
         for key, value in node.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_text(value, inner, lists)}")
+            items.append(f"{encode_basestring_ascii(key)}: {_text(value, inner)}")
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
     raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
@@ -232,40 +189,14 @@ def json_text(doc) -> str:
     one pass.  As there, a non-finite number raises json's
     :class:`ValueError` and a value json cannot write :class:`TypeError`;
     a record's keys are strings, and any other key raises :class:`TypeError`."""
-    return _text(doc, "", None) + "\n"
+    return _text(doc, "") + "\n"
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc``, whose lists that start with a float hold only floats,
-    as the bytes of :func:`json_text`, refusing a non-finite number with
-    :class:`ValueError` as it does.
-
-    The one pass of :func:`json_text` writes the keys, scalars and nesting
-    and collects the lists of floats.  Their numbers, in document order,
-    are the units of :func:`write_in_parts`, written with
-    ``float.__repr__`` as json writes them.
-    """
-    lists = []
-    # leads[j] precedes list j's numbers and ends in "[\n" and the list's
-    # indent, which also follows the "," between two of its numbers
-    *leads, tail = _text(doc, "", lists).split(_LIST_MARK)
-    seps = [",\n" + lead.rpartition("\n")[2] for lead in leads]
-    firsts = list(itertools.accumulate(map(len, lists), initial=0))
-
-    def write(emit, start, stop):
-        for first, cells, lead, sep in zip(firsts, lists, leads, seps):
-            lo, hi = max(start, first), min(stop, first + len(cells))
-            if lo < hi:
-                text = _numbers(cells[lo - first : hi - first], sep)
-                emit(lead if lo == first else sep)
-                emit(text)
-
-    def lines(start, stop):
-        # a separator holds one newline, a lead its own count
-        extra = (lead.count("\n") - 1 for first, lead in zip(firsts, leads) if start <= first < stop)
-        return stop - start + sum(extra)
-
-    write_in_parts(path, firsts[-1], firsts[-1], write, lines, tail=tail + "\n")
+    """Write ``doc`` to ``path`` through :func:`atomic_open` as the bytes of
+    :func:`json_text`, in one write."""
+    with atomic_open(path) as fh:
+        fh.write(json_text(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +230,35 @@ def _write_rows(write, table, start, stop) -> None:
 def write_csv(path, header, table) -> None:
     """Write ``header``, then row k of the float array ``table`` as k and
     its cells, each as its shortest ``repr`` or with 17 significant digits
-    (:func:`_write_rows`), so every cell reads back bit for bit: the units
-    of :func:`write_in_parts` are the rows."""
+    (:func:`_write_rows`), so every cell reads back bit for bit.  Forked
+    workers format a large table's row ranges after the first (see
+    :func:`_fork_ranges`); a worker's bytes are written only if they hold
+    one line per row.  Every worker is reaped before this returns or raises."""
+    rows = len(table)
+    parts = 1 + _worker_count(rows * (table.shape[1] + 1))
+    bounds = [rows * i // parts for i in range(parts + 1)]
 
-    def write(emit, start, stop):
-        _write_rows(emit, table, start, stop)
+    def produce(start, stop):
+        lines = []
+        _write_rows(lines.append, table, start, stop)
+        return "".join(lines).encode()
 
-    head, rows = ",".join(header) + "\r\n", len(table)
-    cells = rows * (table.shape[1] + 1)
-    write_in_parts(path, rows, cells, write, lambda start, stop: stop - start, head, newline="")
+    workers = []
+    try:
+        # fork before the file is opened, so that no worker holds it
+        ranges = _fork_ranges(bounds, produce, workers)
+        with atomic_open(path, newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for start, stop, worker in ranges:
+                data = worker and worker.take()
+                if data is not None and data.count(b"\n") == stop - start:
+                    fh.flush()
+                    fh.buffer.write(data)
+                else:
+                    _write_rows(fh.write, table, start, stop)
+    finally:
+        for worker in workers:
+            worker.close()
 
 
 def _split_lines(text: str) -> list[str]:

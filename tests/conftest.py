@@ -206,9 +206,9 @@ def random_spd(rng, dim, ridge=1.0):
 
 
 def count_forks(monkeypatch, cpus, fork=None):
-    """Make the writers and the reader see ``cpus`` usable CPUs and record
-    each ``os.fork`` call in the returned list; ``fork`` replaces the real
-    one."""
+    """Make the trajectory writer and reader see ``cpus`` usable CPUs and
+    record each ``os.fork`` call in the returned list; ``fork`` replaces the
+    real one."""
     calls, fork = [], fork or os.fork
 
     def counted():

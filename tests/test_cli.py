@@ -785,6 +785,18 @@ class TestBench:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--alpha", "1.5"], ["--alpha=1.5"]])
+    def test_alpha_flag_is_refused(self, tmp_path, capsys, flag):
+        # bench runs each --alpha-grid value; --alpha is not read as an
+        # abbreviation of --alpha-grid, before or after it
+        inst_path = write_qp(tmp_path)
+        out = tmp_path / "b"
+        for argv in ([*flag, "--alpha-grid", "1"], ["--alpha-grid", "1", *flag]):
+            code = cli.main(["bench", "--instance", str(inst_path), *argv, "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+        assert not out.exists()
+
     def test_zero_iterations_is_config_error(self, tmp_path, capsys):
         # no iteration means no ergodic k to read the bound ratios at
         inst_path = write_qp(tmp_path)

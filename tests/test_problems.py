@@ -1,5 +1,4 @@
 import dataclasses
-import errno
 import json
 import math
 import os
@@ -7,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gadmm import certificates, cli, oracles, problems, records
+from gadmm import certificates, cli, oracles, problems
 from gadmm.errors import ConfigError
 from gadmm.problems import KktPoint, SeparableInstance
 
@@ -412,27 +411,10 @@ INSTANCES = {
 }
 
 
-def format_through(monkeypatch, wrap):
-    """Make :func:`problems.save_instance` format its numbers with
-    ``wrap(write, units)`` in place of its own ``write``."""
-    real = records.write_in_parts
-
-    def wrapped(path, units, cells, write, lines, **kwargs):
-        real(path, units, cells, wrap(write, units), lines, **kwargs)
-
-    monkeypatch.setattr(records, "write_in_parts", wrapped)
-
-
-@pytest.fixture(scope="module")
-def large_qp():
-    """67,325 numbers: three parts on 3 CPUs, with inner bounds in B and f.P."""
-    return problems.generate_qp(1, 200, 150, 100)
-
-
 class TestInstanceBytes:
-    """:func:`problems.save_instance` writes json.dump(indent=1)'s bytes,
-    serially or with forked workers, whatever fails, and leaves no
-    temporary file and no child process."""
+    """:func:`problems.save_instance` writes json.dump(indent=1)'s bytes in
+    one pass, forking nothing whatever the usable CPUs, and leaves no
+    temporary file."""
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("case", sorted(INSTANCES))
@@ -440,101 +422,26 @@ class TestInstanceBytes:
         inst = INSTANCES[case]()
         counted = count_forks(monkeypatch, cpus=cpus)
         problems.save_instance(inst, tmp_path / "inst.json")
-        assert len(counted) == (2 if case == "qp-200-150-100" and cpus == 3 else 0)
+        assert counted == []
         assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
         assert_nothing_left(tmp_path, ["inst.json"])
 
-    @pytest.mark.parametrize("cpus", [2, 3, 6, 10])
-    def test_every_split_of_a_small_instance(self, tmp_path, monkeypatch, cpus):
-        # 149 numbers in cpus parts (each P is 36 or 21, its upper
-        # triangle): on 10 CPUs the bound at 104 is the first number of
-        # g.P.  Every worker's bytes are taken, so this process formats
-        # only the first part.
-        inst, parent, formatted = problems.generate_qp(1, 8, 6, 4), os.getpid(), []
-
-        def recording(write, units):
-            def record(emit, start, stop):
-                if os.getpid() == parent:
-                    formatted.append((start, stop))
-                write(emit, start, stop)
-
-            return record
-
-        format_through(monkeypatch, recording)
-        monkeypatch.setattr(records, "CELLS_PER_WORKER", 1)
-        counted = count_forks(monkeypatch, cpus=cpus)
-        problems.save_instance(inst, tmp_path / "inst.json")
-        assert len(counted) == cpus - 1
-        assert formatted == [(0, 149 // cpus)]
-        assert (tmp_path / "inst.json").read_bytes() == json_reference(inst)
-        assert_nothing_left(tmp_path, ["inst.json"])
-
-    @pytest.mark.parametrize("first_failure", [1, 2])
-    def test_fork_failure_leaves_the_ranges_to_the_parent(
-        self, tmp_path, monkeypatch, large_qp, first_failure
-    ):
-        real = os.fork
-
-        def failing():
-            if len(counted) >= first_failure:
-                raise OSError(errno.EAGAIN, "fork refused")
-            return real()
-
-        counted = count_forks(monkeypatch, cpus=3, fork=failing)
-        problems.save_instance(large_qp, tmp_path / "inst.json")
-        assert len(counted) == first_failure  # no fork is tried after a failure
-        assert (tmp_path / "inst.json").read_bytes() == json_reference(large_qp)
-        assert_nothing_left(tmp_path, ["inst.json"])
-
-    @pytest.mark.parametrize("failure", ["raises", "short", "long", "exit-3"])
-    def test_failed_worker_range_is_formatted_by_the_parent(
-        self, tmp_path, monkeypatch, large_qp, failure
-    ):
-        # the last worker raises; sends one number too few or too many; or
-        # sends wrong digits of the right length and exits 3
-        parent, real_exit = os.getpid(), os._exit
-
-        def failing(write, units):
-            def failing_in_a_worker(emit, start, stop):
-                if os.getpid() == parent or stop != units:
-                    write(emit, start, stop)
-                elif failure == "raises":
-                    raise RuntimeError("worker failed")
-                elif failure == "short":
-                    write(emit, start, stop - 1)
-                elif failure == "long":
-                    write(emit, start, stop)
-                    emit(",\n   1.0")
-                else:
-                    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
-                    write(lambda text: emit(text.replace("1", "2")), start, stop)
-
-            return failing_in_a_worker
-
-        format_through(monkeypatch, failing)
-        counted = count_forks(monkeypatch, cpus=3)
-        problems.save_instance(large_qp, tmp_path / "inst.json")
-        assert len(counted) == 2
-        assert (tmp_path / "inst.json").read_bytes() == json_reference(large_qp)
-        assert_nothing_left(tmp_path, ["inst.json"])
-
-    @pytest.mark.parametrize("where", ["scalar", "list", "worker-list"])
-    def test_non_finite_number_refused(self, tmp_path, monkeypatch, large_qp, where):
+    @pytest.mark.parametrize("where", ["scalar", "list"])
+    def test_non_finite_number_refused(self, tmp_path, monkeypatch, where):
         # the dataclasses refuse these, so they are set past their checks
         if where == "scalar":
             g = oracles.L1(1.0)
             object.__setattr__(g, "mu", math.inf)
             inst = SeparableInstance(oracles.Zero(), g, np.eye(2), -np.eye(2), np.zeros(2))
-        else:  # b is in the first worker's part of the large QP
-            inst = problems.generate_qp(1, 3, 2, 2) if where == "list" else large_qp
-            inst = dataclasses.replace(inst, solution=None)
+        else:
+            inst = dataclasses.replace(problems.generate_qp(1, 3, 2, 2), solution=None)
             b = inst.b.copy()
             b[-1] = math.nan
             object.__setattr__(inst, "b", b)
         counted = count_forks(monkeypatch, cpus=3)
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             problems.save_instance(inst, tmp_path / "inst.json")
-        assert len(counted) == (2 if where == "worker-list" else 0)
+        assert counted == []
         assert_nothing_left(tmp_path, [])
 
 

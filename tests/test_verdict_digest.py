@@ -1,13 +1,16 @@
 """``scripts/verdict_digest.py`` on the lasso-replay benchmark workload: a
 digest matches itself, a flipped verdict or a changed output file is
 reported, and so is how far the last row's iterate cells and the summary's
-final values moved; a changed verify.json is a note.  The iterate cells are
+final values moved; a changed verify.json is a note.  The script pins BLAS
+to one thread before numpy loads.  The iterate cells are
 picked by header name, so a digest of the layout with gamma_tilde cells
 compares with one of the current layout."""
 
 import copy
 import os
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +127,30 @@ def test_old_layout_csv_gives_the_same_cells(script, tmp_path):
     )
     cells = {"x0": 0.25, "y0": -1.5, "gamma0": 2.0}
     assert script["_last_row"](str(new)) == script["_last_row"](str(old)) == cells
+
+
+# Loads the script in a fresh process, then prints the thread count of the
+# OpenBLAS that numpy loaded, or None if it loaded no OpenBLAS.
+BLAS_THREADS_PROBE = r"""
+import ctypes, re, runpy, sys
+runpy.run_path(sys.argv[1])
+threads = None
+for lib in set(re.findall(r"/\S*openblas\S*\.so\S*", open("/proc/self/maps").read())):
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get = getattr(ctypes.CDLL(lib), name, None)
+        threads = get() if get is not None else threads
+print(threads)
+"""
+
+
+def test_blas_threads_are_pinned_before_numpy_loads():
+    # numpy is already loaded in pytest's process, so the pin is checked in
+    # a process started with two BLAS threads
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {**os.environ, **dict.fromkeys(threads, "2")}
+    probe = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE, SCRIPT], env=env,
+                           capture_output=True, text=True, check=True)
+    if probe.stdout.strip() == "None":
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert probe.stdout.strip() == "1"
